@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"bgpvr/internal/img"
 	"bgpvr/internal/machine"
 	"bgpvr/internal/mpiio"
+	"bgpvr/internal/rawfmt"
 	"bgpvr/internal/render"
 )
 
@@ -90,6 +92,42 @@ func TestRunRealAllFormatsMatch(t *testing.T) {
 		}
 		if res.Times.IO <= 0 {
 			t.Errorf("%v: I/O time missing", f)
+		}
+	}
+}
+
+// A data file with missing values (NaN voxels) renders: the NaN's
+// interpolation cells are transparent on every rank exactly as in the
+// serial rendering, where they used to index past the transfer
+// function's control points and panic.
+func TestRunRealNaNVoxelMatchesSerial(t *testing.T) {
+	s := smallScene()
+	f := s.Supernova().GenerateFull(s.Variable, s.Dims)
+	nan := float32(math.NaN())
+	f.Set(4, 5, 6, nan)
+	f.Set(9, 9, 9, nan) // on the corner eight blocks share
+	f.Set(17, 0, 8, nan)
+	path := filepath.Join(t.TempDir(), "nan.raw")
+	if err := rawfmt.Write(path, f); err != nil {
+		t.Fatal(err)
+	}
+	for _, shaded := range []bool{false, true} {
+		s.Shaded = shaded
+		ref, refSamples := render.RenderFull(f, s.Camera(), s.Transfer(), s.RenderConfig())
+		for _, px := range ref.Pix {
+			if px.R != px.R || px.G != px.G || px.B != px.B || px.A != px.A {
+				t.Fatalf("shaded=%v: serial rendering has a NaN pixel %+v", shaded, px)
+			}
+		}
+		res, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatRaw, Path: path})
+		if err != nil {
+			t.Fatalf("shaded=%v: %v", shaded, err)
+		}
+		if d := img.MaxDiff(res.Image, ref); !(d <= 2e-5) {
+			t.Errorf("shaded=%v: image differs from serial by %v", shaded, d)
+		}
+		if res.Samples != refSamples {
+			t.Errorf("shaded=%v: %d samples, serial %d (a NaN sample still counts)", shaded, res.Samples, refSamples)
 		}
 	}
 }

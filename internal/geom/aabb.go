@@ -73,30 +73,40 @@ func (b AABB) Corners() [8]Vec3 {
 // misses the box entirely. It uses the robust slabs method; rays lying
 // exactly in a bounding plane are treated as inside.
 func (b AABB) RayIntersect(r Ray) (t0, t1 float64, ok bool) {
+	return b.RayIntersectInv(r, r.InvDir())
+}
+
+// InvDir returns the component-wise reciprocal of the ray's direction
+// (infinite where a component is zero), which RayIntersectInv takes so
+// that rays sharing one direction divide once, not once per ray.
+func (r Ray) InvDir() Vec3 { return Vec3{1 / r.Dir.X, 1 / r.Dir.Y, 1 / r.Dir.Z} }
+
+// RayIntersectInv is RayIntersect given inv = r.InvDir().
+func (b AABB) RayIntersectInv(r Ray, inv Vec3) (t0, t1 float64, ok bool) {
 	t0, t1 = 0, math.Inf(1)
-	for i := 0; i < 3; i++ {
-		o, d := r.Origin.Comp(i), r.Dir.Comp(i)
-		lo, hi := b.Min.Comp(i), b.Max.Comp(i)
-		if d == 0 {
-			if o < lo || o > hi {
-				return 0, 0, false
-			}
-			continue
-		}
-		inv := 1 / d
-		ta, tb := (lo-o)*inv, (hi-o)*inv
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		if ta > t0 {
-			t0 = ta
-		}
-		if tb < t1 {
-			t1 = tb
-		}
-		if t0 > t1 {
-			return 0, 0, false
-		}
+	if !slab(r.Origin.X, r.Dir.X, inv.X, b.Min.X, b.Max.X, &t0, &t1) ||
+		!slab(r.Origin.Y, r.Dir.Y, inv.Y, b.Min.Y, b.Max.Y, &t0, &t1) ||
+		!slab(r.Origin.Z, r.Dir.Z, inv.Z, b.Min.Z, b.Max.Z, &t0, &t1) {
+		return 0, 0, false
 	}
 	return t0, t1, true
+}
+
+// slab narrows [t0, t1] to the ray's span between the planes lo and hi
+// of one axis, and reports whether anything is left.
+func slab(o, d, inv, lo, hi float64, t0, t1 *float64) bool {
+	if d == 0 {
+		return !(o < lo || o > hi)
+	}
+	ta, tb := (lo-o)*inv, (hi-o)*inv
+	if ta > tb {
+		ta, tb = tb, ta
+	}
+	if ta > *t0 {
+		*t0 = ta
+	}
+	if tb < *t1 {
+		*t1 = tb
+	}
+	return !(*t0 > *t1)
 }

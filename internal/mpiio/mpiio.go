@@ -313,7 +313,9 @@ func CollectiveRead(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints) ([]b
 			firstNeeded := needed[0].Offset
 			lastNeeded := needed[len(needed)-1].End()
 			cursor := make([]int, len(srcs)) // per-src next fragment
-			buf := make([]byte, w)
+			// A window never reads more than the domain holds, so a small
+			// file does not cost a default 16 MB window per aggregator.
+			buf := make([]byte, min64(w, dhi-dlo))
 			ni := 0
 			stagePhase.Start((dhi - dlo + w - 1) / w)
 			defer stagePhase.End()

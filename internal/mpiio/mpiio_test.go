@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -337,5 +338,38 @@ func TestIndependentReadEmpty(t *testing.T) {
 	got, err := IndependentRead(file, nil, 100)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty read = %v, %v", got, err)
+	}
+}
+
+// The staging buffer is sized to the aggregator's file domain, not to
+// the window: a small file read under the default 16 MB window must not
+// cost 16 MB per aggregator per call.
+func TestCollectiveReadSmallFileAllocation(t *testing.T) {
+	const p, size = 8, 1 << 16
+	file := randomFile(size, 6)
+	reqs := make([][]grid.Run, p)
+	for r := range reqs {
+		reqs[r] = []grid.Run{{Offset: int64(r) * size / p, Length: size / p}}
+	}
+	w := comm.NewWorld(p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := w.Run(func(c *comm.Comm) error {
+		got, err := CollectiveRead(c, file, reqs[c.Rank()], Hints{CBNodes: p})
+		if err == nil && !bytes.Equal(got, directBytes(file, reqs[c.Rank()])) {
+			err = fmt.Errorf("rank %d: wrong bytes", c.Rank())
+		}
+		return err
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Requests, staging, replies and results are each about the file's
+	// size; 32x leaves room for the runtime's own goroutine and channel
+	// allocations, and is 64x below one default window.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32*size {
+		t.Errorf("collective read of a %d-byte file allocated %d bytes (default window %d)",
+			size, got, DefaultCBBufferSize)
 	}
 }

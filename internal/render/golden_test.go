@@ -1,0 +1,164 @@
+package render
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"runtime"
+	"testing"
+
+	"bgpvr/internal/geom"
+	"bgpvr/internal/grid"
+	"bgpvr/internal/img"
+	"bgpvr/internal/volume"
+)
+
+// The golden hashes pin the ray-casting kernel bit for bit: every pixel
+// and every sample count of three scenes, rendered serially and as
+// eight blocks. They were recorded at the commit before the per-block
+// cast plan replaced the predicate-per-sample loop (PR 13), so a kernel
+// change that alters which samples are taken, or the order of one
+// floating-point operation in sampling, classification or
+// accumulation, fails here rather than in a tolerance somewhere
+// downstream.
+
+type goldenScene struct {
+	name          string
+	n, w, h       int
+	cam           func(n, w, h int) Camera
+	tf            *volume.Transfer
+	cfg           Config
+	serial, p8    string // SHA-256 of RenderFull / of the 8 RenderBlock subimages
+	multi, multi8 string // the same through the multivariate entry points
+}
+
+// sceneOrtho mirrors core.DefaultScene's camera (core imports render,
+// so the test cannot ask it).
+func sceneOrtho(n, w, h int) Camera {
+	c := float64(n-1) / 2
+	side := float64(n) * 1.9
+	return NewOrtho(geom.V(c, c, c), geom.V(0.35, -0.25, -1), geom.V(0, 1, 0), side, side, w, h)
+}
+
+// bandTransfer is transparent over the middle of the value range, so
+// macrocell skipping has whole cells to skip.
+func bandTransfer() *volume.Transfer {
+	return volume.NewTransfer(
+		volume.TransferPoint{V: 0.00, R: 0.1, G: 0.2, B: 0.9, A: 0.8},
+		volume.TransferPoint{V: 0.40, R: 0.6, G: 0.8, B: 1.0, A: 0},
+		volume.TransferPoint{V: 0.60, R: 1.0, G: 0.9, B: 0.5, A: 0},
+		volume.TransferPoint{V: 1.00, R: 0.9, G: 0.1, B: 0.1, A: 0.8},
+	)
+}
+
+func scenePersp(n, w, h int) Camera { return centeredPersp(n, w, h) }
+
+var goldenScenes = []goldenScene{
+	{name: "ortho-96-512", n: 96, w: 512, h: 512, cam: sceneOrtho, cfg: Config{Step: 1}, tf: volume.SupernovaTransfer(),
+		serial: "7ea357d3b0eeb9926a7056f8aa996fd33701db56b68b70f4691fdeab5dbdfe41",
+		p8:     "d37891e074444cb397316094d4d3663ad3eb9e37c3a5c46396472b3542830d00",
+		multi:  "-"},
+	{name: "persp-shaded-step0.7", n: 40, w: 96, h: 80, cam: scenePersp,
+		cfg:    Config{Step: 0.7, Shade: Shading{Enabled: true, LightDir: geom.V(0.4, 0.5, 1)}},
+		tf:     volume.SupernovaTransfer(),
+		serial: "1e7d8207ca76fc885fb704ab8ffe441168ba8d19574427aa5aa76e51bc4a5028",
+		p8:     "00bc5d6e8d91312de2500968d52769cb038f843be237412518a0b0b354bc2473",
+		multi:  "fa0e12df539bfff8c796d1481b0ab0abc9a26dc997372e9f2477d52d29953e1a",
+		multi8: "a08088983be69974914e13731accf79f4d620e4d849dcdec50d9c427b075d5ad"},
+	{name: "skip-empty-space", n: 48, w: 128, h: 128, cam: sceneOrtho,
+		cfg:    Config{Step: 0.9, SkipEmptySpace: true, MacrocellSize: 4, EarlyTerminationAlpha: 0.9},
+		tf:     bandTransfer(),
+		serial: "67ce54e938596ed7d140503517820e53282cca374517ccc1235ab8ea4a1b1fb6",
+		p8:     "e847cf1658631aae2cae3661d234edbd72241c2add69cfed8d623f59b16769a6",
+		multi:  "8a19f090e5c49c2a52f73f1e29ced3c26351bc9fd0f4ecca1a03f857581a312a",
+		multi8: "a01c584af88eebf698ed65853ef8996623753577864aca7258ec4aff65c3931f"},
+}
+
+func hashPixels(h hash.Hash, pix []img.RGBA, samples int64) {
+	var b [16]byte
+	for _, p := range pix {
+		binary.LittleEndian.PutUint32(b[0:], math.Float32bits(p.R))
+		binary.LittleEndian.PutUint32(b[4:], math.Float32bits(p.G))
+		binary.LittleEndian.PutUint32(b[8:], math.Float32bits(p.B))
+		binary.LittleEndian.PutUint32(b[12:], math.Float32bits(p.A))
+		h.Write(b[:])
+	}
+	binary.LittleEndian.PutUint64(b[:8], uint64(samples))
+	h.Write(b[:8])
+}
+
+func hashSub(h hash.Hash, s *Subimage) {
+	var b [32]byte
+	for i, v := range []int{s.Rect.X0, s.Rect.Y0, s.Rect.X1, s.Rect.Y1} {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(v)))
+	}
+	h.Write(b[:])
+	hashPixels(h, s.Pix, s.Samples)
+}
+
+func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
+
+func TestGoldenKernelHashes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes were recorded on amd64; other architectures may fuse multiply-adds")
+	}
+	for _, sc := range goldenScenes {
+		dims := grid.Cube(sc.n)
+		sn := volume.Supernova{Seed: 1530, Time: 1.1}
+		full := sn.GenerateFull(volume.VarVelocityX, dims)
+		rho := sn.GenerateFull(volume.VarDensity, dims)
+		tf := sc.tf
+		cls := ModulatedClassifier(tf, 0.2, 0.9)
+		cam := sc.cam(sc.n, sc.w, sc.h)
+		d := grid.NewDecomp(dims, 8)
+		ghost := GhostLayersFor(sc.cfg)
+		blocks := make([]*volume.Field, d.NumBlocks())
+		rhoBlocks := make([]*volume.Field, d.NumBlocks())
+		for r := range blocks {
+			blocks[r] = volume.NewField(dims, d.GhostExtent(r, ghost))
+			blocks[r].SubfieldFrom(full)
+			rhoBlocks[r] = volume.NewField(dims, d.GhostExtent(r, ghost))
+			rhoBlocks[r].SubfieldFrom(rho)
+		}
+		for _, workers := range []int{1, 4} {
+			cfg := sc.cfg
+			cfg.Workers = workers
+			check := func(kind, want string, h hash.Hash) {
+				t.Helper()
+				if got := sum(h); got != want {
+					t.Errorf("%s %s workers=%d: hash %s, golden %s", sc.name, kind, workers, got, want)
+				}
+			}
+
+			h := sha256.New()
+			im, samples := RenderFull(full, cam, tf, cfg)
+			hashPixels(h, im.Pix, samples)
+			check("serial", sc.serial, h)
+
+			h = sha256.New()
+			for r := range blocks {
+				hashSub(h, RenderBlock(blocks[r], d.BlockExtent(r), cam, tf, cfg))
+			}
+			check("8-block", sc.p8, h)
+
+			// The multivariate path is pinned on the two small scenes
+			// only (it ignores shading and skipping, so they give it a
+			// perspective step-0.7 cast and an orthographic step-0.9 one).
+			if sc.multi == "-" {
+				continue
+			}
+			h = sha256.New()
+			im, samples = RenderFullMulti([]*volume.Field{full, rho}, cam, cls, cfg)
+			hashPixels(h, im.Pix, samples)
+			check("multi serial", sc.multi, h)
+
+			h = sha256.New()
+			for r := range blocks {
+				hashSub(h, RenderBlockMulti([]*volume.Field{blocks[r], rhoBlocks[r]}, d.BlockExtent(r), cam, cls, cfg))
+			}
+			check("multi 8-block", sc.multi8, h)
+		}
+	}
+}

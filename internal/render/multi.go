@@ -1,12 +1,9 @@
 package render
 
 import (
-	"math"
-
 	"bgpvr/internal/geom"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/img"
-	"bgpvr/internal/par"
 	"bgpvr/internal/volume"
 )
 
@@ -23,43 +20,25 @@ import (
 // already applied (volume.Transfer.Classify composes well here).
 type MultiClassifier func(vals []float64, step float64) img.RGBA
 
-// castSegmentMulti is castSegment over several fields.
-func castSegmentMulti(fs []*volume.Field, dims grid.IVec3, own *grid.Extent,
-	cls MultiClassifier, cfg Config, ray geom.Ray, t0, t1 float64) (img.RGBA, int64) {
-
+// castMulti is cast over several fields: vals (one slot per field) is
+// filled at each sample and classified as a whole.
+func (j *castJob) castMulti(ray geom.Ray, k0, k1 int64, vals []float64) (img.RGBA, int64) {
 	var acc img.RGBA
 	var samples int64
-	vals := make([]float64, len(fs))
-	k0 := int64(math.Ceil((t0 - slop) / cfg.Step))
-	k1 := int64(math.Floor((t1 + slop) / cfg.Step))
+	pl := &j.plan
 	for k := k0; k <= k1; k++ {
-		p := ray.At(float64(k) * cfg.Step)
-		if own != nil && !containsHalfOpen(*own, dims, p) {
-			continue
-		}
-		ok := true
-		for i, f := range fs {
-			v, vok := f.Sample(p)
-			if !vok {
-				ok = false
-				break
-			}
-			vals[i] = v
-		}
-		if !ok {
-			continue
+		p := ray.At(float64(k) * pl.step)
+		vals[0] = pl.vol.Interp(p)
+		for i := range pl.more {
+			vals[i+1] = pl.more[i].Interp(p)
 		}
 		samples++
-		s := cls(vals, cfg.Step)
+		s := j.cls(vals, pl.step)
 		if s.A == 0 && s.R == 0 && s.G == 0 && s.B == 0 {
 			continue
 		}
-		t := 1 - acc.A
-		acc.R += t * s.R
-		acc.G += t * s.G
-		acc.B += t * s.B
-		acc.A += t * s.A
-		if cfg.EarlyTerminationAlpha > 0 && float64(acc.A) >= cfg.EarlyTerminationAlpha {
+		acc = img.Over(acc, s)
+		if float64(acc.A) >= pl.term {
 			break
 		}
 	}
@@ -76,68 +55,10 @@ func RenderBlockMulti(fs []*volume.Field, own grid.Extent, cam Camera, cls Multi
 	if rect.Empty() || len(fs) == 0 {
 		return sub
 	}
-	box := ownedBounds(own)
-	j := multiCastJob{fs: fs, dims: fs[0].Dims, own: &own, cls: cls, cfg: cfg,
-		cam: cam, box: box, rect: rect, pix: sub.Pix, stride: rect.W()}
+	j := castJob{plan: newCastPlan(fs, &own, cfg), cls: cls, workers: cfg.Workers,
+		cam: cam, box: ownedBounds(own), rect: rect, pix: sub.Pix, stride: rect.W()}
 	sub.Samples = j.run()
 	return sub
-}
-
-// multiCastJob is castJob for the multivariate path; the same disjoint
-// tile/ordered-fold argument makes it bit-identical at any width
-// (castSegmentMulti allocates its vals scratch per ray, so rays stay
-// independent).
-type multiCastJob struct {
-	fs     []*volume.Field
-	dims   grid.IVec3
-	own    *grid.Extent
-	cls    MultiClassifier
-	cfg    Config
-	cam    Camera
-	box    geom.AABB
-	rect   img.Rect
-	pix    []img.RGBA
-	stride int
-	off    int
-}
-
-func (j *multiCastJob) castRows(y0, y1 int) int64 {
-	var samples int64
-	for y := y0; y < y1; y++ {
-		i := j.off + (y-j.rect.Y0)*j.stride
-		for x := j.rect.X0; x < j.rect.X1; x++ {
-			ray := j.cam.Ray(float64(x)+0.5, float64(y)+0.5)
-			if t0, t1, ok := j.box.RayIntersect(ray); ok {
-				px, n := castSegmentMulti(j.fs, j.dims, j.own, j.cls, j.cfg, ray, t0, t1)
-				j.pix[i] = px
-				samples += n
-			}
-			i++
-		}
-	}
-	return samples
-}
-
-func (j *multiCastJob) run() int64 {
-	rows := j.rect.Y1 - j.rect.Y0
-	w := j.cfg.Workers
-	if w > rows {
-		w = rows
-	}
-	if w <= 1 {
-		return j.castRows(j.rect.Y0, j.rect.Y1)
-	}
-	tiles := par.Tiles(rows, tilesPerWorker*w)
-	counts := make([]int64, len(tiles))
-	par.For(w, len(tiles), func(ti int) {
-		t := tiles[ti]
-		counts[ti] = j.castRows(j.rect.Y0+t.Lo, j.rect.Y0+t.Hi)
-	})
-	var samples int64
-	for _, n := range counts {
-		samples += n
-	}
-	return samples
 }
 
 // RenderFullMulti is the serial multivariate reference renderer.
@@ -147,11 +68,8 @@ func RenderFullMulti(fs []*volume.Field, cam Camera, cls MultiClassifier, cfg Co
 	if len(fs) == 0 {
 		return out, 0
 	}
-	f0 := fs[0]
-	box := ownedBounds(f0.Ext)
-	box.Max = geom.V(float64(f0.Ext.Hi.X-1), float64(f0.Ext.Hi.Y-1), float64(f0.Ext.Hi.Z-1))
-	j := multiCastJob{fs: fs, dims: f0.Dims, own: nil, cls: cls, cfg: cfg,
-		cam: cam, box: box, rect: img.Rect{X0: 0, Y0: 0, X1: w, Y1: h}, pix: out.Pix, stride: w}
+	j := castJob{plan: newCastPlan(fs, nil, cfg), cls: cls, workers: cfg.Workers,
+		cam: cam, box: fs[0].Bounds(), rect: img.Rect{X0: 0, Y0: 0, X1: w, Y1: h}, pix: out.Pix, stride: w}
 	return out, j.run()
 }
 
@@ -166,7 +84,7 @@ func ModulatedClassifier(tf *volume.Transfer, lo, hi float64) MultiClassifier {
 			return s
 		}
 		w := (vals[1] - lo) / (hi - lo)
-		if w <= 0 {
+		if !(w > 0) { // below lo, or NaN
 			return img.RGBA{}
 		}
 		if w > 1 {

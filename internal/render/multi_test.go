@@ -1,6 +1,7 @@
 package render
 
 import (
+	"math"
 	"testing"
 
 	"bgpvr/internal/grid"
@@ -73,6 +74,13 @@ func TestModulatedClassifierClamping(t *testing.T) {
 	// Below lo: erased.
 	if px := cls([]float64{1, 0.1}, 1); px != (img.RGBA{}) {
 		t.Errorf("below-lo = %v", px)
+	}
+	// A missing (NaN) value in either field: erased, like below lo.
+	if px := cls([]float64{1, math.NaN()}, 1); px != (img.RGBA{}) {
+		t.Errorf("NaN modulator = %v", px)
+	}
+	if px := cls([]float64{math.NaN(), 0.9}, 1); px != (img.RGBA{}) {
+		t.Errorf("NaN primary = %v", px)
 	}
 	// Above hi: full strength.
 	full := cls([]float64{1, 0.9}, 1)

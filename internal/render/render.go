@@ -16,8 +16,9 @@ import (
 // boundary plane are never lost to rounding in the interval
 // computation; the half-open ownership test (and the field's own
 // bounds check) decide authoritatively which block accumulates each
-// sample. EstimateSamples applies the same widening so the estimator
-// and the actual count cannot disagree at block faces.
+// sample, applied by castPlan.trim to the ends of the widened interval.
+// EstimateSamples applies the same widening so the estimator and the
+// actual count cannot disagree at block faces.
 const slop = 1e-6
 
 // Config controls sampling.
@@ -103,24 +104,13 @@ func (s *Subimage) At(x, y int) img.RGBA {
 // ownedBounds returns the continuous sample-ownership box of an owned
 // cell extent: points p with Lo <= p < Hi belong to the block. The
 // sampleable limit of the whole volume is [0, dims-1]; the returned box
-// is the extent's [Lo, Hi) corners (the half-open test happens per
-// sample).
+// is the extent's [Lo, Hi) corners (the half-open test happens in the
+// cast's trim).
 func ownedBounds(ext grid.Extent) geom.AABB {
 	return geom.AABB{
 		Min: geom.V(float64(ext.Lo.X), float64(ext.Lo.Y), float64(ext.Lo.Z)),
 		Max: geom.V(float64(ext.Hi.X), float64(ext.Hi.Y), float64(ext.Hi.Z)),
 	}
-}
-
-// containsHalfOpen reports Lo <= p < Hi per axis, clipped to the global
-// sampleable region [0, dims-1].
-func containsHalfOpen(ext grid.Extent, dims grid.IVec3, p geom.Vec3) bool {
-	if p.X < float64(ext.Lo.X) || p.X >= float64(ext.Hi.X) ||
-		p.Y < float64(ext.Lo.Y) || p.Y >= float64(ext.Hi.Y) ||
-		p.Z < float64(ext.Lo.Z) || p.Z >= float64(ext.Hi.Z) {
-		return false
-	}
-	return p.X <= float64(dims.X-1) && p.Y <= float64(dims.Y-1) && p.Z <= float64(dims.Z-1)
 }
 
 // ProjectedRect returns the image rectangle covered by an extent's
@@ -148,49 +138,6 @@ func ProjectedRect(cam Camera, ext grid.Extent) img.Rect {
 	return r.Intersect(full)
 }
 
-// castSegment samples one ray over [t0, t1], accumulating into acc
-// front to back. own limits ownership (nil means no ownership test:
-// serial rendering). Returns the accumulated pixel and samples taken.
-func castSegment(f *volume.Field, dims grid.IVec3, own *grid.Extent,
-	tf *volume.Transfer, cfg Config, mask *OpacityMask, sh *shader, ray geom.Ray, t0, t1 float64) (img.RGBA, int64) {
-
-	var acc img.RGBA
-	var samples int64
-	// Global sample grid: k*Step from the ray origin, over the interval
-	// widened by the package slop.
-	k0 := int64(math.Ceil((t0 - slop) / cfg.Step))
-	k1 := int64(math.Floor((t1 + slop) / cfg.Step))
-	for k := k0; k <= k1; k++ {
-		p := ray.At(float64(k) * cfg.Step)
-		if own != nil && !containsHalfOpen(*own, dims, p) {
-			continue
-		}
-		if mask != nil && !mask.Visible(p) {
-			continue
-		}
-		v, ok := f.Sample(p)
-		if !ok {
-			continue
-		}
-		samples++
-		s := tf.Classify(v, cfg.Step)
-		if s.A == 0 && s.R == 0 && s.G == 0 && s.B == 0 {
-			continue
-		}
-		s.R, s.G, s.B = shadePixel(sh, f, p, s.R, s.G, s.B)
-		// acc is in front of s (front-to-back traversal).
-		t := 1 - acc.A
-		acc.R += t * s.R
-		acc.G += t * s.G
-		acc.B += t * s.B
-		acc.A += t * s.A
-		if cfg.EarlyTerminationAlpha > 0 && float64(acc.A) >= cfg.EarlyTerminationAlpha {
-			break
-		}
-	}
-	return acc, samples
-}
-
 // RenderBlock renders the partial image of one block. f must cover at
 // least the block's owned extent plus one ghost layer (clamped at the
 // volume boundary) so trilinear samples at owned positions are exact.
@@ -210,16 +157,107 @@ func RenderBlockTraced(f *volume.Field, own grid.Extent, cam Camera, tf *volume.
 	if rect.Empty() {
 		return sub
 	}
-	box := ownedBounds(own)
 	maskSp := tr.Begin(trace.PhaseRender, "build-mask")
 	mask := buildMask(f, tf, cfg)
 	maskSp.End()
-	sh := newShader(cfg.Shade, geom.V(float64(f.Dims.X-1), float64(f.Dims.Y-1), float64(f.Dims.Z-1)))
-	j := castJob{f: f, dims: f.Dims, own: &own, tf: tf, cfg: cfg, mask: mask, sh: sh,
-		cam: cam, box: box, rect: rect, pix: sub.Pix, stride: rect.W()}
+	j := castJob{plan: newCastPlan([]*volume.Field{f}, &own, cfg), tf: tf, mask: mask,
+		workers: cfg.Workers, cam: cam, box: ownedBounds(own), rect: rect, pix: sub.Pix, stride: rect.W()}
 	sub.Samples = j.run()
 	tr.Add(trace.CounterSamples, sub.Samples)
 	return sub
+}
+
+// castPlan is everything a cast needs of its block that no ray and no
+// sample changes, worked out once per block: the fields' samplers, the
+// ownership box as floats, the step, and the early-termination and
+// shading state. Its trim then settles, per ray, which samples are the
+// block's, so the loop over them tests neither ownership nor bounds.
+type castPlan struct {
+	vol  volume.Sampler
+	more []volume.Sampler // the further fields of a multivariate cast
+	// A sample at p is the block's when lo <= p < hi and p <= lim on
+	// every axis: the half-open owned extent, clipped to the global
+	// sampleable region [0, dims-1]. All infinite for a serial cast,
+	// which owns whatever the field can sample.
+	lo, hi, lim geom.Vec3
+	step        float64
+	// term is the accumulated opacity that ends a ray; +Inf (never
+	// reached) when early termination is off.
+	term float64
+	sh   *shader // nil: unshaded
+}
+
+func newCastPlan(fs []*volume.Field, own *grid.Extent, cfg Config) castPlan {
+	f := fs[0]
+	inf := math.Inf(1)
+	sampleable := geom.V(float64(f.Dims.X-1), float64(f.Dims.Y-1), float64(f.Dims.Z-1))
+	pl := castPlan{
+		vol: f.Sampler(),
+		lo:  geom.V(-inf, -inf, -inf), hi: geom.V(inf, inf, inf), lim: geom.V(inf, inf, inf),
+		step: cfg.Step,
+		term: inf,
+		sh:   newShader(cfg.Shade, sampleable),
+	}
+	if len(fs) > 1 {
+		pl.more = make([]volume.Sampler, len(fs)-1)
+		for i, g := range fs[1:] {
+			pl.more[i] = g.Sampler()
+		}
+	}
+	if own != nil {
+		b := ownedBounds(*own)
+		pl.lo, pl.hi, pl.lim = b.Min, b.Max, sampleable
+	}
+	if cfg.EarlyTerminationAlpha > 0 {
+		pl.term = cfg.EarlyTerminationAlpha
+	}
+	return pl
+}
+
+// takes reports whether the sample at p is this block's to take: owned,
+// and inside every field's bounds.
+func (pl *castPlan) takes(p geom.Vec3) bool {
+	if p.X < pl.lo.X || p.X >= pl.hi.X ||
+		p.Y < pl.lo.Y || p.Y >= pl.hi.Y ||
+		p.Z < pl.lo.Z || p.Z >= pl.hi.Z {
+		return false
+	}
+	if !(p.X <= pl.lim.X && p.Y <= pl.lim.Y && p.Z <= pl.lim.Z) || !pl.vol.Contains(p) {
+		return false
+	}
+	for i := range pl.more {
+		if !pl.more[i].Contains(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// sampleRange returns the indices k of the global sample grid (samples
+// sit at k*step from the ray origin) inside [t0, t1] widened by slop.
+func sampleRange(t0, t1, step float64) (k0, k1 int64) {
+	return int64(math.Ceil((t0 - slop) / step)), int64(math.Floor((t1 + slop) / step))
+}
+
+// trim returns the samples of ray over [t0, t1] that the block takes,
+// as a range [k0, k1] of the global sample grid (empty when k0 > k1).
+// The range is exact, not an estimate: each coordinate of
+// ray.At(k*step) is monotone in k, in floating point as in the reals
+// (k*step, the product with a fixed direction component and the sum with
+// a fixed origin component are each monotone under rounding), and takes
+// is a conjunction of per-coordinate interval tests, so the k it accepts
+// form one contiguous run. Stepping the slop-widened ends inward until
+// both pass therefore leaves exactly the samples a test of every k would
+// keep; it costs two tests on a typical ray and nothing on an empty one.
+func (pl *castPlan) trim(ray geom.Ray, t0, t1 float64) (k0, k1 int64) {
+	k0, k1 = sampleRange(t0, t1, pl.step)
+	for k0 <= k1 && !pl.takes(ray.At(float64(k0)*pl.step)) {
+		k0++
+	}
+	for k1 > k0 && !pl.takes(ray.At(float64(k1)*pl.step)) {
+		k1--
+	}
+	return k0, k1
 }
 
 // tilesPerWorker oversubscribes the tile decomposition so the pool's
@@ -228,38 +266,87 @@ func RenderBlockTraced(f *volume.Field, own grid.Extent, cam Camera, tf *volume.
 // per-tile bookkeeping.
 const tilesPerWorker = 4
 
-// castJob bundles the read-only per-block state one cast needs. run
+// castJob is one block's cast: the plan, the classification (tf and
+// mask, or cls for a multivariate cast), and which rays go where. run
 // casts the job's rect into pix — serially, or over scanline tiles on
-// cfg.Workers goroutines. Rays are independent and every tile writes a
+// workers goroutines. Rays are independent and every tile writes a
 // disjoint row range of pix, so the pixels are bit-identical at any
 // width; per-tile sample counts land in the tile's slot and are summed
 // in tile order (an exact integer reduction), so Samples is too.
 type castJob struct {
-	f      *volume.Field
-	dims   grid.IVec3
-	own    *grid.Extent
-	tf     *volume.Transfer
-	cfg    Config
-	mask   *OpacityMask
-	sh     *shader
-	cam    Camera
+	plan    castPlan
+	tf      *volume.Transfer
+	mask    *OpacityMask    // nil: no empty-space skipping
+	cls     MultiClassifier // non-nil: classify all fields' values at once
+	workers int
+	cam     Camera
+	// Set by run when every ray shares one direction (an orthographic
+	// camera): the camera's concrete type, so generating a ray is not an
+	// interface call, and the direction's reciprocal for the slab test.
+	ortho  *Ortho
+	inv    geom.Vec3
 	box    geom.AABB
 	rect   img.Rect
 	pix    []img.RGBA
 	stride int // row stride of pix
-	off    int // index of rect's (X0, Y0) pixel in pix
+}
+
+// cast accumulates samples k0..k1 of ray front to back and returns the
+// pixel and the samples taken. Every k in the range is the block's
+// (trim), so each is sampled without a test.
+func (j *castJob) cast(ray geom.Ray, k0, k1 int64) (img.RGBA, int64) {
+	var acc img.RGBA
+	var samples int64
+	pl, tf, mask := &j.plan, j.tf, j.mask
+	for k := k0; k <= k1; k++ {
+		p := ray.At(float64(k) * pl.step)
+		if mask != nil && !mask.Visible(p) {
+			continue
+		}
+		samples++
+		s := tf.Classify(pl.vol.Interp(p), pl.step)
+		if s.A == 0 && s.R == 0 && s.G == 0 && s.B == 0 {
+			continue
+		}
+		if pl.sh != nil {
+			s.R, s.G, s.B = pl.sh.shade(&pl.vol, p, s.R, s.G, s.B)
+		}
+		acc = img.Over(acc, s) // acc is in front of s (front-to-back traversal)
+		if float64(acc.A) >= pl.term {
+			break
+		}
+	}
+	return acc, samples
 }
 
 // castRows casts scanlines [y0, y1) of the job's rect (absolute image
 // coordinates) and returns the samples taken.
 func (j *castJob) castRows(y0, y1 int) int64 {
 	var samples int64
+	var vals []float64 // castMulti's per-sample scratch, one per tile
+	if j.cls != nil {
+		vals = make([]float64, 1+len(j.plan.more))
+	}
 	for y := y0; y < y1; y++ {
-		i := j.off + (y-j.rect.Y0)*j.stride
+		i := (y - j.rect.Y0) * j.stride
 		for x := j.rect.X0; x < j.rect.X1; x++ {
-			ray := j.cam.Ray(float64(x)+0.5, float64(y)+0.5)
-			if t0, t1, ok := j.box.RayIntersect(ray); ok {
-				px, n := castSegment(j.f, j.dims, j.own, j.tf, j.cfg, j.mask, j.sh, ray, t0, t1)
+			var ray geom.Ray
+			inv := j.inv
+			if j.ortho != nil {
+				ray = j.ortho.Ray(float64(x)+0.5, float64(y)+0.5)
+			} else {
+				ray = j.cam.Ray(float64(x)+0.5, float64(y)+0.5)
+				inv = ray.InvDir()
+			}
+			if t0, t1, ok := j.box.RayIntersectInv(ray, inv); ok {
+				k0, k1 := j.plan.trim(ray, t0, t1)
+				var px img.RGBA
+				var n int64
+				if j.cls != nil {
+					px, n = j.castMulti(ray, k0, k1, vals)
+				} else {
+					px, n = j.cast(ray, k0, k1)
+				}
 				j.pix[i] = px
 				samples += n
 			}
@@ -276,10 +363,13 @@ func (j *castJob) castRows(y0, y1 int) int64 {
 var renderPhase = obs.GetPhase("render")
 
 func (j *castJob) run() int64 {
+	if o, ok := j.cam.(*Ortho); ok {
+		j.ortho, j.inv = o, geom.Ray{Dir: o.basis.fwd}.InvDir()
+	}
 	rows := j.rect.Y1 - j.rect.Y0
 	renderPhase.Start(int64(rows))
 	defer renderPhase.End()
-	w := j.cfg.Workers
+	w := j.workers
 	if w > rows {
 		w = rows
 	}
@@ -321,13 +411,9 @@ func buildMask(f *volume.Field, tf *volume.Transfer, cfg Config) *OpacityMask {
 func RenderFull(f *volume.Field, cam Camera, tf *volume.Transfer, cfg Config) (*img.Image, int64) {
 	w, h := cam.Size()
 	out := img.New(w, h)
-	box := ownedBounds(f.Ext)
-	// Clip the sampling interval to the sampleable region [0, dims-1].
-	box.Max = geom.V(float64(f.Ext.Hi.X-1), float64(f.Ext.Hi.Y-1), float64(f.Ext.Hi.Z-1))
-	mask := buildMask(f, tf, cfg)
-	sh := newShader(cfg.Shade, geom.V(float64(f.Dims.X-1), float64(f.Dims.Y-1), float64(f.Dims.Z-1)))
-	j := castJob{f: f, dims: f.Dims, own: nil, tf: tf, cfg: cfg, mask: mask, sh: sh,
-		cam: cam, box: box, rect: img.Rect{X0: 0, Y0: 0, X1: w, Y1: h}, pix: out.Pix, stride: w}
+	j := castJob{plan: newCastPlan([]*volume.Field{f}, nil, cfg), tf: tf, mask: buildMask(f, tf, cfg),
+		workers: cfg.Workers, cam: cam, box: f.Bounds(),
+		rect: img.Rect{X0: 0, Y0: 0, X1: w, Y1: h}, pix: out.Pix, stride: w}
 	return out, j.run()
 }
 
@@ -349,11 +435,9 @@ func EstimateSamples(own grid.Extent, dims grid.IVec3, cam Camera, cfg Config) i
 		for x := rect.X0; x < rect.X1; x++ {
 			ray := cam.Ray(float64(x)+0.5, float64(y)+0.5)
 			if t0, t1, ok := box.RayIntersect(ray); ok {
-				// Same slop-widened interval as castSegment, so the
-				// estimate cannot undercount boundary samples.
-				k0 := int64(math.Ceil((t0 - slop) / cfg.Step))
-				k1 := int64(math.Floor((t1 + slop) / cfg.Step))
-				if k1 >= k0 {
+				// The interval the cast trims, so the estimate cannot
+				// undercount boundary samples.
+				if k0, k1 := sampleRange(t0, t1, cfg.Step); k1 >= k0 {
 					n += k1 - k0 + 1
 				}
 			}

@@ -53,13 +53,13 @@ func newShader(s Shading, dims geom.Vec3) *shader {
 	}
 }
 
-// clampedSample samples f at p with each coordinate clamped to the
+// clampedSample samples vol at p with each coordinate clamped to the
 // sampleable region, so gradients at the volume boundary are one-sided.
 // Both the serial and the parallel renderer clamp to the same *volume*
 // bounds, which is what keeps their shaded images identical.
-func (sh *shader) clampedSample(f *volume.Field, p geom.Vec3) float64 {
+func (sh *shader) clampedSample(vol *volume.Sampler, p geom.Vec3) float64 {
 	p = p.Max(sh.bounds.Min).Min(sh.bounds.Max)
-	v, ok := f.Sample(p)
+	v, ok := vol.Sample(p)
 	if !ok {
 		return 0
 	}
@@ -67,16 +67,17 @@ func (sh *shader) clampedSample(f *volume.Field, p geom.Vec3) float64 {
 }
 
 // intensity returns the Lambertian shading factor at p.
-func (sh *shader) intensity(f *volume.Field, p geom.Vec3) float64 {
+func (sh *shader) intensity(vol *volume.Sampler, p geom.Vec3) float64 {
 	var g geom.Vec3
 	for a := 0; a < 3; a++ {
 		var e geom.Vec3
 		e = e.SetComp(a, gradStep)
-		g = g.SetComp(a, sh.clampedSample(f, p.Add(e))-sh.clampedSample(f, p.Sub(e)))
+		g = g.SetComp(a, sh.clampedSample(vol, p.Add(e))-sh.clampedSample(vol, p.Sub(e)))
 	}
 	l := g.Len()
-	if l < 1e-12 {
-		return sh.ambient + sh.diffuse*0.5 // flat region: neutral light
+	if !(l >= 1e-12) {
+		// Flat region, or a gradient through a NaN voxel: neutral light.
+		return sh.ambient + sh.diffuse*0.5
 	}
 	// The normal points against the gradient (toward lower values, i.e.
 	// out of dense features); light contributes when it hits the front.
@@ -88,11 +89,8 @@ func (sh *shader) intensity(f *volume.Field, p geom.Vec3) float64 {
 	return sh.ambient + sh.diffuse*lam
 }
 
-// shadePixel scales the color (not alpha) of a classified sample.
-func shadePixel(s *shader, f *volume.Field, p geom.Vec3, r, g, b float32) (float32, float32, float32) {
-	if s == nil {
-		return r, g, b
-	}
-	i := s.intensity(f, p)
+// shade scales the color (not alpha) of a classified sample at p.
+func (sh *shader) shade(vol *volume.Sampler, p geom.Vec3, r, g, b float32) (float32, float32, float32) {
+	i := sh.intensity(vol, p)
 	return float32(math.Min(1, float64(r)*i)), float32(math.Min(1, float64(g)*i)), float32(math.Min(1, float64(b)*i))
 }

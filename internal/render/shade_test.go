@@ -100,7 +100,8 @@ func TestShaderDefaults(t *testing.T) {
 	dims := grid.Cube(6)
 	f := volume.NewField(dims, grid.WholeGrid(dims))
 	f.Fill(func(x, y, z int) float32 { return 0.5 })
-	i := sh.intensity(f, geom.V(2.5, 2.5, 2.5))
+	vol := f.Sampler()
+	i := sh.intensity(&vol, geom.V(2.5, 2.5, 2.5))
 	if absf64(i-(0.3+0.7*0.5)) > 1e-9 {
 		t.Errorf("flat-field intensity = %v", i)
 	}

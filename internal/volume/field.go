@@ -52,60 +52,119 @@ func (f *Field) Bounds() geom.AABB {
 }
 
 // Sample returns the trilinearly interpolated value at world point p,
-// and ok=false when p lies outside the field's bounds.
+// and ok=false when p lies outside the field's bounds. Callers that
+// sample one field many times build its Sampler once instead.
 func (f *Field) Sample(p geom.Vec3) (float64, bool) {
-	lo, hi := f.Ext.Lo, f.Ext.Hi
-	if p.X < float64(lo.X) || p.X > float64(hi.X-1) ||
-		p.Y < float64(lo.Y) || p.Y > float64(hi.Y-1) ||
-		p.Z < float64(lo.Z) || p.Z > float64(hi.Z-1) {
+	var s Sampler
+	s.init(f)
+	return s.Sample(p)
+}
+
+// Sampler is a Field prepared for repeated trilinear sampling: what
+// Sample needs of the field that does not depend on the point — the
+// float bounds, the clamp limits of the base cell, and the offsets in
+// Data of the cell's eight corners — worked out once. It is a value with
+// no pointer back to the Field; it stays valid while the field's Data
+// and extent do.
+type Sampler struct {
+	data []float32
+	// Sample is defined on [Ext.Lo, Ext.Hi-1] per axis. (Not Bounds(),
+	// which orders its corners and would make an empty extent sampleable.)
+	bounds geom.AABB
+	// The base cell is clamped to [lo, top] = [Ext.Lo, Ext.Hi-2] per
+	// axis, top first, so a point exactly on the upper boundary
+	// interpolates within the last cell and a single-plane axis (where
+	// top < lo) lands on its one plane.
+	lo, top grid.IVec3
+	// Data index of lattice point (x, y, z) is base + x + y*sy + z*sz.
+	base, sy, sz int
+	// Offsets of the +1 neighbour along each axis; 0 on a single-plane
+	// axis, which therefore interpolates flat.
+	dx, dy, dz int
+}
+
+// Sampler returns the field's sampler.
+func (f *Field) Sampler() Sampler {
+	var s Sampler
+	s.init(f)
+	return s
+}
+
+// init fills s in place (Field.Sample builds a sampler per call, and
+// returning one by value costs a copy of it).
+func (s *Sampler) init(f *Field) {
+	lo, hi, n := f.Ext.Lo, f.Ext.Hi, f.Ext.Size()
+	s.data = f.Data
+	s.bounds = geom.AABB{
+		Min: geom.V(float64(lo.X), float64(lo.Y), float64(lo.Z)),
+		Max: geom.V(float64(hi.X-1), float64(hi.Y-1), float64(hi.Z-1)),
+	}
+	s.lo = lo
+	s.top = grid.IVec3{X: hi.X - 2, Y: hi.Y - 2, Z: hi.Z - 2}
+	s.sy = n.X
+	s.sz = n.X * n.Y
+	s.base = -(lo.X + lo.Y*s.sy + lo.Z*s.sz)
+	if n.X > 1 {
+		s.dx = 1
+	}
+	if n.Y > 1 {
+		s.dy = s.sy
+	}
+	if n.Z > 1 {
+		s.dz = s.sz
+	}
+}
+
+// Contains reports whether Sample is defined at p.
+func (s *Sampler) Contains(p geom.Vec3) bool { return s.bounds.Contains(p) }
+
+// Sample is Field.Sample.
+func (s *Sampler) Sample(p geom.Vec3) (float64, bool) {
+	if !s.Contains(p) {
 		return 0, false
 	}
-	x0 := int(p.X)
-	y0 := int(p.Y)
-	z0 := int(p.Z)
-	// Clamp the base cell so that points exactly on the upper boundary
-	// interpolate within the last cell.
-	if x0 > hi.X-2 {
-		x0 = hi.X - 2
+	return s.Interp(p), true
+}
+
+// Interp returns the trilinearly interpolated value at p, which the
+// caller has established Contains. It is the one trilinear body: eight
+// loads and seven float64 lerps whose order is frozen, because the
+// parallel == serial pixel identity and the renderer's golden hashes
+// rest on every process computing each sample's bits the same way.
+func (s *Sampler) Interp(p geom.Vec3) float64 {
+	x0, y0, z0 := int(p.X), int(p.Y), int(p.Z)
+	if x0 > s.top.X {
+		x0 = s.top.X
 	}
-	if y0 > hi.Y-2 {
-		y0 = hi.Y - 2
+	if y0 > s.top.Y {
+		y0 = s.top.Y
 	}
-	if z0 > hi.Z-2 {
-		z0 = hi.Z - 2
+	if z0 > s.top.Z {
+		z0 = s.top.Z
 	}
-	if x0 < lo.X {
-		x0 = lo.X
+	if x0 < s.lo.X {
+		x0 = s.lo.X
 	}
-	if y0 < lo.Y {
-		y0 = lo.Y
+	if y0 < s.lo.Y {
+		y0 = s.lo.Y
 	}
-	if z0 < lo.Z {
-		z0 = lo.Z
-	}
-	// Degenerate (single-plane) extents interpolate flat along that axis.
-	x1, y1, z1 := x0+1, y0+1, z0+1
-	if x1 >= hi.X {
-		x1 = x0
-	}
-	if y1 >= hi.Y {
-		y1 = y0
-	}
-	if z1 >= hi.Z {
-		z1 = z0
+	if z0 < s.lo.Z {
+		z0 = s.lo.Z
 	}
 	wx := p.X - float64(x0)
 	wy := p.Y - float64(y0)
 	wz := p.Z - float64(z0)
 
-	c000 := float64(f.At(x0, y0, z0))
-	c100 := float64(f.At(x1, y0, z0))
-	c010 := float64(f.At(x0, y1, z0))
-	c110 := float64(f.At(x1, y1, z0))
-	c001 := float64(f.At(x0, y0, z1))
-	c101 := float64(f.At(x1, y0, z1))
-	c011 := float64(f.At(x0, y1, z1))
-	c111 := float64(f.At(x1, y1, z1))
+	i := s.base + x0 + y0*s.sy + z0*s.sz
+	near, far := s.data[i:], s.data[i+s.dz:]
+	c000 := float64(near[0])
+	c100 := float64(near[s.dx])
+	c010 := float64(near[s.dy])
+	c110 := float64(near[s.dy+s.dx])
+	c001 := float64(far[0])
+	c101 := float64(far[s.dx])
+	c011 := float64(far[s.dy])
+	c111 := float64(far[s.dy+s.dx])
 
 	c00 := c000*(1-wx) + c100*wx
 	c10 := c010*(1-wx) + c110*wx
@@ -113,7 +172,7 @@ func (f *Field) Sample(p geom.Vec3) (float64, bool) {
 	c11 := c011*(1-wx) + c111*wx
 	c0 := c00*(1-wy) + c10*wy
 	c1 := c01*(1-wy) + c11*wy
-	return c0*(1-wz) + c1*wz, true
+	return c0*(1-wz) + c1*wz
 }
 
 // Fill evaluates fn at every lattice point of the field's extent.

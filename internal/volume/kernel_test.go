@@ -1,0 +1,173 @@
+package volume
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"bgpvr/internal/geom"
+	"bgpvr/internal/grid"
+	"bgpvr/internal/img"
+)
+
+// referenceSample is Field.Sample as it stood before the Sampler: per
+// point bounds test, clamps, eight f.At index computations, seven
+// lerps. The sampler must reproduce its bits.
+func referenceSample(f *Field, p geom.Vec3) (float64, bool) {
+	lo, hi := f.Ext.Lo, f.Ext.Hi
+	if p.X < float64(lo.X) || p.X > float64(hi.X-1) ||
+		p.Y < float64(lo.Y) || p.Y > float64(hi.Y-1) ||
+		p.Z < float64(lo.Z) || p.Z > float64(hi.Z-1) {
+		return 0, false
+	}
+	x0, y0, z0 := int(p.X), int(p.Y), int(p.Z)
+	x0, y0, z0 = max(min(x0, hi.X-2), lo.X), max(min(y0, hi.Y-2), lo.Y), max(min(z0, hi.Z-2), lo.Z)
+	x1, y1, z1 := x0+1, y0+1, z0+1
+	if x1 >= hi.X {
+		x1 = x0
+	}
+	if y1 >= hi.Y {
+		y1 = y0
+	}
+	if z1 >= hi.Z {
+		z1 = z0
+	}
+	wx, wy, wz := p.X-float64(x0), p.Y-float64(y0), p.Z-float64(z0)
+	c000, c100 := float64(f.At(x0, y0, z0)), float64(f.At(x1, y0, z0))
+	c010, c110 := float64(f.At(x0, y1, z0)), float64(f.At(x1, y1, z0))
+	c001, c101 := float64(f.At(x0, y0, z1)), float64(f.At(x1, y0, z1))
+	c011, c111 := float64(f.At(x0, y1, z1)), float64(f.At(x1, y1, z1))
+	c00 := c000*(1-wx) + c100*wx
+	c10 := c010*(1-wx) + c110*wx
+	c01 := c001*(1-wx) + c101*wx
+	c11 := c011*(1-wx) + c111*wx
+	c0 := c00*(1-wy) + c10*wy
+	c1 := c01*(1-wy) + c11*wy
+	return c0*(1-wz) + c1*wz, true
+}
+
+func TestSamplerMatchesReferenceBitForBit(t *testing.T) {
+	dims := grid.I(12, 9, 7)
+	exts := []grid.Extent{
+		grid.WholeGrid(dims),
+		grid.Ext(grid.I(3, 2, 1), grid.I(9, 8, 6)),   // interior block with ghost
+		grid.Ext(grid.I(5, 0, 0), grid.I(6, 9, 7)),   // single plane in x
+		grid.Ext(grid.I(0, 4, 0), grid.I(12, 5, 7)),  // single plane in y
+		grid.Ext(grid.I(0, 0, 6), grid.I(12, 9, 7)),  // single plane in z
+		grid.Ext(grid.I(2, 3, 4), grid.I(3, 4, 5)),   // one point
+		grid.Ext(grid.I(10, 7, 5), grid.I(12, 9, 7)), // two points per axis, at the volume's corner
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, ext := range exts {
+		f := NewField(dims, ext)
+		for i := range f.Data {
+			f.Data[i] = rng.Float32()
+		}
+		s := f.Sampler()
+		lo, n := ext.Lo, ext.Size()
+		coord := func(l, n int) float64 {
+			switch rng.Intn(6) {
+			case 0:
+				return float64(l + n - 1) // exact upper boundary
+			case 1:
+				return float64(l + rng.Intn(n)) // a lattice plane
+			case 2:
+				return float64(l) + float64(n-1)*rng.Float64() + (rng.Float64()-0.5)*3 // may fall outside
+			case 3:
+				return math.Nextafter(float64(l+n-1), math.Inf(1-2*rng.Intn(2))) // one ulp off the boundary
+			default:
+				return float64(l) + float64(n-1)*rng.Float64()
+			}
+		}
+		inside := 0
+		for i := 0; i < 4000; i++ {
+			p := geom.V(coord(lo.X, n.X), coord(lo.Y, n.Y), coord(lo.Z, n.Z))
+			want, wantOK := referenceSample(f, p)
+			got, ok := s.Sample(p)
+			fv, fok := f.Sample(p)
+			if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ext %v p %v: sampler (%v, %v), reference (%v, %v)", ext, p, got, ok, want, wantOK)
+			}
+			if fok != wantOK || math.Float64bits(fv) != math.Float64bits(want) {
+				t.Fatalf("ext %v p %v: Field.Sample (%v, %v), reference (%v, %v)", ext, p, fv, fok, want, wantOK)
+			}
+			if s.Contains(p) != wantOK {
+				t.Fatalf("ext %v p %v: Contains %v, reference ok %v", ext, p, s.Contains(p), wantOK)
+			}
+			if ok {
+				inside++
+			}
+		}
+		if inside < 500 {
+			t.Errorf("ext %v: only %d of 4000 points inside; the test is not testing", ext, inside)
+		}
+	}
+}
+
+// referenceLookup is Transfer.Lookup as it stood before the forward
+// scan: a binary search for the first control point >= v.
+func referenceLookup(pts []TransferPoint, v float64) (r, g, b, a float64) {
+	if v <= pts[0].V {
+		p := pts[0]
+		return p.R, p.G, p.B, p.A
+	}
+	if v >= pts[len(pts)-1].V {
+		p := pts[len(pts)-1]
+		return p.R, p.G, p.B, p.A
+	}
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].V >= v })
+	p, q := pts[i-1], pts[i]
+	w := 0.0
+	if q.V > p.V {
+		w = (v - p.V) / (q.V - p.V)
+	}
+	return p.R + w*(q.R-p.R), p.G + w*(q.G-p.G), p.B + w*(q.B-p.B), p.A + w*(q.A-p.A)
+}
+
+func TestLookupMatchesBinarySearchBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pt := func(v float64) TransferPoint {
+		return TransferPoint{V: v, R: rng.Float64(), G: rng.Float64(), B: rng.Float64(), A: rng.Float64()}
+	}
+	tfs := []*Transfer{
+		SupernovaTransfer(),
+		GrayRampTransfer(0.7),
+		NewTransfer(pt(0.4)), // one point
+		// Duplicate V: a step in the interior, and one at each end.
+		NewTransfer(pt(0), pt(0.3), pt(0.3), pt(0.8), pt(1)),
+		NewTransfer(pt(0.1), pt(0.1), pt(0.5), pt(0.5), pt(0.5), pt(0.9), pt(0.9)),
+	}
+	for ti, tf := range tfs {
+		vals := []float64{math.Inf(-1), -1, 0, 1, 2, math.Inf(1)}
+		for _, p := range tf.pts {
+			vals = append(vals, p.V, math.Nextafter(p.V, 2), math.Nextafter(p.V, -1))
+		}
+		for i := 0; i < 5000; i++ {
+			vals = append(vals, rng.Float64()*1.2-0.1)
+		}
+		for _, v := range vals {
+			r, g, b, a := tf.Lookup(v)
+			wr, wg, wb, wa := referenceLookup(tf.pts, v)
+			if [4]float64{r, g, b, a} != [4]float64{wr, wg, wb, wa} {
+				t.Fatalf("transfer %d v=%v: got %v, binary search %v", ti, v,
+					[4]float64{r, g, b, a}, [4]float64{wr, wg, wb, wa})
+			}
+		}
+	}
+}
+
+// A NaN (a missing value in a data file) used to index past the control
+// points and panic; it is transparent.
+func TestNaNClassifiesTransparent(t *testing.T) {
+	for _, tf := range []*Transfer{SupernovaTransfer(), GrayRampTransfer(1), NewTransfer(TransferPoint{V: 0.5, A: 1})} {
+		if r, g, b, a := tf.Lookup(math.NaN()); r != 0 || g != 0 || b != 0 || a != 0 {
+			t.Errorf("Lookup(NaN) = %v %v %v %v, want transparent", r, g, b, a)
+		}
+		for _, ds := range []float64{1, 0.5} {
+			if s := tf.Classify(math.NaN(), ds); s != (img.RGBA{}) {
+				t.Errorf("Classify(NaN, %v) = %+v, want transparent", ds, s)
+			}
+		}
+	}
+}

@@ -20,6 +20,16 @@ type TransferPoint struct {
 // "transfer function" of the paper's rendering stage.
 type Transfer struct {
 	pts []TransferPoint
+	// segs[i] is the linear piece over (pts[i].V, pts[i+1].V]: its lower
+	// control point and the differences to the upper one, so a lookup
+	// subtracts nothing that does not depend on the value.
+	segs []transferSeg
+}
+
+type transferSeg struct {
+	lo                 TransferPoint // lower control point
+	hi                 float64       // upper control point's V
+	dv, dr, dg, db, da float64       // upper minus lower
 }
 
 // NewTransfer builds a transfer function from control points, which are
@@ -30,10 +40,18 @@ func NewTransfer(pts ...TransferPoint) *Transfer {
 	}
 	sorted := append([]TransferPoint(nil), pts...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].V < sorted[j].V })
-	return &Transfer{pts: sorted}
+	t := &Transfer{pts: sorted, segs: make([]transferSeg, len(sorted)-1)}
+	for i := range t.segs {
+		p, q := sorted[i], sorted[i+1]
+		t.segs[i] = transferSeg{lo: p, hi: q.V,
+			dv: q.V - p.V, dr: q.R - p.R, dg: q.G - p.G, db: q.B - p.B, da: q.A - p.A}
+	}
+	return t
 }
 
-// Lookup returns the straight-alpha classification of scalar v.
+// Lookup returns the straight-alpha classification of scalar v. Values
+// at or beyond the end control points take those points' classification;
+// NaN (a missing value in a data file) is transparent.
 func (t *Transfer) Lookup(v float64) (r, g, b, a float64) {
 	pts := t.pts
 	if v <= pts[0].V {
@@ -44,13 +62,21 @@ func (t *Transfer) Lookup(v float64) (r, g, b, a float64) {
 		p := pts[len(pts)-1]
 		return p.R, p.G, p.B, p.A
 	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].V >= v }) // first >= v
-	p, q := pts[i-1], pts[i]
-	w := 0.0
-	if q.V > p.V {
-		w = (v - p.V) / (q.V - p.V)
+	if v != v {
+		return 0, 0, 0, 0
 	}
-	return p.R + w*(q.R-p.R), p.G + w*(q.G-p.G), p.B + w*(q.B-p.B), p.A + w*(q.A-p.A)
+	// v lies strictly inside the control range, so the scan stops at the
+	// first segment whose upper point reaches v, and that segment has
+	// dv > 0 (its lower point is below v): the same piece and the same
+	// arithmetic as a binary search for the first control point >= v,
+	// in fewer steps for the handful of points a transfer function has.
+	i := 0
+	for t.segs[i].hi < v {
+		i++
+	}
+	s := &t.segs[i]
+	w := (v - s.lo.V) / s.dv
+	return s.lo.R + w*s.dr, s.lo.G + w*s.dg, s.lo.B + w*s.db, s.lo.A + w*s.da
 }
 
 // Classify returns the premultiplied RGBA sample for scalar v with the
