@@ -19,13 +19,6 @@ import (
 // for the true error.
 const DefaultFlowScaleExactMax = 2048
 
-// FlowScaleExactMax is the package-level exact-check ceiling read only
-// by the deprecated FlowScale wrapper.
-//
-// Deprecated: set FlowScaleConfig.ExactMax instead. A mutable package
-// var races with concurrent sweeps; the config field is per-run.
-var FlowScaleExactMax = DefaultFlowScaleExactMax
-
 // FlowScaleConfig parameterizes one contention-kernel scale sweep.
 // The zero value of every field but Procs picks the sweep's defaults,
 // so FlowScaleConfig{Procs: 32768, Eps: 0.25} is a complete config.
@@ -229,14 +222,4 @@ func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (
 			fmt.Sprint(pt.Events), secs(pt.WallSec))
 	}
 	return pts, t.String(), nil
-}
-
-// FlowScale runs FlowScaleRun with the legacy parameter list and the
-// package-level FlowScaleExactMax ceiling.
-//
-// Deprecated: use FlowScaleRun with a FlowScaleConfig.
-func FlowScale(mach machine.Machine, scene core.Scene, procs int, eps float64, workers int) ([]FlowScalePoint, string, error) {
-	return FlowScaleRun(mach, scene, FlowScaleConfig{
-		Procs: procs, Eps: eps, Workers: workers, ExactMax: FlowScaleExactMax,
-	})
 }

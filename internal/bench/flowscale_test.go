@@ -16,7 +16,7 @@ func TestFlowScaleSmall(t *testing.T) {
 	mach := machine.NewBGP()
 	scene := core.DefaultScene(64, 256)
 	const eps = 0.25
-	pts, table, err := FlowScale(mach, scene, 1024, eps, 2)
+	pts, table, err := FlowScaleRun(mach, scene, FlowScaleConfig{Procs: 1024, Eps: eps, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFlowScaleSmall(t *testing.T) {
 			t.Errorf("degenerate point at %d cores: %+v", pt.Procs, pt)
 		}
 		if !pt.ErrExact {
-			t.Errorf("%d cores is below FlowScaleExactMax but was not exact-checked", pt.Procs)
+			t.Errorf("%d cores is below DefaultFlowScaleExactMax but was not exact-checked", pt.Procs)
 		}
 		if pt.ObservedErr > eps {
 			t.Errorf("observed error %.4f exceeds eps %g at %d cores", pt.ObservedErr, eps, pt.Procs)

@@ -52,53 +52,92 @@ func sameUsage(t *testing.T, got, want *telemetry.LinkUsage) {
 	}
 }
 
-// TestSparseKernelMatchesRescan pins the sparse incremental kernel
-// against the full-rescan reference: Result, per-message completion
-// times, and per-link telemetry must all be bit-identical (exact
-// float64 equality, no tolerance) on randomized message sets over
-// several topologies.
-func TestSparseKernelMatchesRescan(t *testing.T) {
-	tops := []torus.Topology{
-		torus.NewTopology(64),
-		{Dims: grid.I(8, 1, 1)},
-		{Dims: grid.I(4, 2, 3)},
+// sameTimes fails unless the two completion-time records are
+// bit-identical.
+func sameTimes(t *testing.T, got, want *FlowTimes) {
+	t.Helper()
+	if len(got.Done) != len(want.Done) {
+		t.Fatalf("Done has %d entries, reference %d", len(got.Done), len(want.Done))
 	}
-	p := params()
-	for ti, top := range tops {
-		nodes := top.Nodes()
-		for seed := int64(0); seed < 8; seed++ {
-			t.Run(fmt.Sprintf("top%d/seed%d", ti, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed*977 + int64(ti)))
-				msgs := randomMsgs(rng, nodes, 20+rng.Intn(120))
-				uS := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-				uR := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-				var ftS, ftR FlowTimes
-				got := SimulateTimed(top, p, msgs, uS, &ftS)
-				want := simulateRescanTimed(top, p, msgs, uR, &ftR)
-				if got != want {
-					t.Errorf("Result %+v, rescan reference %+v", got, want)
-				}
-				for i := range msgs {
-					if ftS.Done[i] != ftR.Done[i] {
-						t.Fatalf("msg %d done %v, rescan %v", i, ftS.Done[i], ftR.Done[i])
-					}
-				}
-				sameUsage(t, uS, uR)
-			})
+	for i := range want.Done {
+		if got.Done[i] != want.Done[i] {
+			t.Fatalf("msg %d done %v, reference %v", i, got.Done[i], want.Done[i])
 		}
 	}
 }
 
-// TestSparseKernelMatchesRescanBare covers the hook-free path (nil
-// telemetry, nil times), which the kernels must also agree on.
-func TestSparseKernelMatchesRescanBare(t *testing.T) {
-	top := torus.NewTopology(512)
+// TestKernelMatchesRescan pins the kernel against the full-rescan
+// reference, the only other max-min implementation in the package:
+// Result, per-message completion times, and per-link telemetry must
+// all be bit-identical (exact float64 equality, no tolerance) on
+// randomized message sets over several topologies — through every
+// entry point, at every worker count, at the default engagement
+// thresholds and with every gang section forced on, with the
+// observation hooks attached and with both nil.
+func TestKernelMatchesRescan(t *testing.T) {
+	tops := []torus.Topology{
+		torus.NewTopology(64),
+		{Dims: grid.I(8, 1, 1)},
+		{Dims: grid.I(4, 2, 3)},
+		torus.NewTopology(512),
+	}
 	p := params()
-	rng := rand.New(rand.NewSource(41))
-	msgs := randomMsgs(rng, top.Nodes(), 400)
-	got := SimulateTimed(top, p, msgs, nil, nil)
-	want := simulateRescanTimed(top, p, msgs, nil, nil)
-	if got != want {
-		t.Errorf("Result %+v, rescan reference %+v", got, want)
+	for _, forced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "default", true: "forced"}[forced], func(t *testing.T) {
+			if forced {
+				forceSharding(t)
+			}
+			for ti, top := range tops {
+				big := top.Nodes() >= 512
+				seeds := int64(8)
+				if big {
+					seeds = 1 // one larger phase: oversubscribed gangs spin
+				}
+				for seed := int64(0); seed < seeds; seed++ {
+					rng := rand.New(rand.NewSource(seed*977 + int64(ti)))
+					n := 20 + rng.Intn(120)
+					if big {
+						n = 400
+					}
+					msgs := randomMsgs(rng, top.Nodes(), n)
+					uR := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+					var ftR FlowTimes
+					want := simulateRescanTimed(top, p, msgs, uR, &ftR)
+					if bare := simulateRescanTimed(top, p, msgs, nil, nil); bare != want {
+						t.Fatalf("rescan reference perturbed by its hooks: %+v vs %+v", want, bare)
+					}
+					t.Run(fmt.Sprintf("top%d/seed%d/entry", ti, seed), func(t *testing.T) {
+						u := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+						var ft FlowTimes
+						if got := SimulateTimed(top, p, msgs, u, &ft); got != want {
+							t.Errorf("SimulateTimed %+v, rescan reference %+v", got, want)
+						}
+						sameTimes(t, &ft, &ftR)
+						sameUsage(t, u, uR)
+						if got := Simulate(top, p, msgs); got != want {
+							t.Errorf("Simulate %+v, rescan reference %+v", got, want)
+						}
+					})
+					for _, workers := range []int{1, 2, 3, 4, 8} {
+						t.Run(fmt.Sprintf("top%d/seed%d/w%d", ti, seed, workers), func(t *testing.T) {
+							u := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+							var ft FlowTimes
+							got, info := SimulateOpt(top, p, msgs, Options{Usage: u, Times: &ft, Workers: workers})
+							if info != nil {
+								t.Fatalf("exact mode returned ApproxInfo %+v", info)
+							}
+							if got != want {
+								t.Errorf("Result %+v, rescan reference %+v", got, want)
+							}
+							sameTimes(t, &ft, &ftR)
+							sameUsage(t, u, uR)
+							if got, _ := SimulateOpt(top, p, msgs, Options{Workers: workers}); got != want {
+								t.Errorf("hook-free Result %+v, rescan reference %+v", got, want)
+							}
+						})
+					}
+				}
+			}
+		})
 	}
 }

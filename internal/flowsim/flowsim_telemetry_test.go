@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"math"
 	"testing"
 
 	"bgpvr/internal/telemetry"
@@ -27,7 +28,7 @@ func TestSimulateTelemetryBytesTimesHops(t *testing.T) {
 	top, msgs := telemetryWorkload(128, 500)
 	p := params()
 	u := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-	res := SimulateTelemetry(top, p, msgs, u)
+	res := SimulateTimed(top, p, msgs, u, nil)
 	var want, flows int64
 	for _, m := range msgs {
 		if m.Src == m.Dst || m.Bytes == 0 {
@@ -71,7 +72,7 @@ func TestSimulateTelemetryBitIdentical(t *testing.T) {
 	p := params()
 	plain := Simulate(top, p, msgs)
 	u := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-	rec := SimulateTelemetry(top, p, msgs, u)
+	rec := SimulateTimed(top, p, msgs, u, nil)
 	if plain != rec {
 		t.Errorf("telemetry perturbed the simulation: %+v != %+v", rec, plain)
 	}
@@ -79,15 +80,29 @@ func TestSimulateTelemetryBitIdentical(t *testing.T) {
 
 // With telemetry disabled, Simulate allocates exactly what the
 // telemetry-enabled path allocates minus the recorder's own state: the
-// nil path must not pay for the feature.
+// nil path must not pay for the feature. Nor may a serial call pay for
+// the gang: SimulateOpt at one worker allocates what Simulate does.
 func TestSimulateAllocsTelemetryOff(t *testing.T) {
 	top, msgs := telemetryWorkload(64, 200)
 	p := params()
-	Simulate(top, p, msgs) // warm up
-	plain := testing.AllocsPerRun(5, func() { Simulate(top, p, msgs) })
-	nilTel := testing.AllocsPerRun(5, func() { SimulateTelemetry(top, p, msgs, nil) })
+	// Fewest of many single runs: the phase heartbeat formats through
+	// fmt's sync.Pool, which the race detector empties at random, so
+	// under -race any one run can carry stray allocations.
+	allocs := func(f func()) float64 {
+		fewest := math.Inf(1)
+		for i := 0; i < 16; i++ {
+			fewest = min(fewest, testing.AllocsPerRun(1, f))
+		}
+		return fewest
+	}
+	plain := allocs(func() { Simulate(top, p, msgs) })
+	nilTel := allocs(func() { SimulateTimed(top, p, msgs, nil, nil) })
 	if plain != nilTel {
 		t.Errorf("nil-telemetry path allocates differently: %v vs %v", nilTel, plain)
+	}
+	oneWorker := allocs(func() { SimulateOpt(top, p, msgs, Options{Workers: 1}) })
+	if plain != oneWorker {
+		t.Errorf("SimulateOpt at one worker allocates differently: %v vs %v", oneWorker, plain)
 	}
 	// The max-min state (avail/unfrozen) is hoisted out of the
 	// completion loop and reset in place, so allocations come only from
@@ -116,6 +131,6 @@ func BenchmarkSimulateTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateTelemetry(top, p, msgs, u)
+		SimulateTimed(top, p, msgs, u, nil)
 	}
 }

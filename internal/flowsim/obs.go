@@ -2,8 +2,8 @@ package flowsim
 
 import "bgpvr/internal/obs"
 
-// Live observability for the event loop. The kernels keep plain local
-// ints inside an event and flush them here once per event round — one
+// Live observability for the event loop. The kernel keeps plain local
+// ints inside an event and flushes them here once per event — one
 // atomic add per counter per event, thousands of times cheaper than
 // ticking per freeze operation and invisible next to the round's own
 // work. simPhase feeds the -progress heartbeat and the /metrics
@@ -20,5 +20,5 @@ var (
 	cSimFrozenFlows = obs.Default.NewCounter("bgpvr_flowsim_frozen_flows_total",
 		"Flow freezes applied across all freeze rounds.")
 	cSimFlows = obs.Default.NewCounter("bgpvr_flowsim_flows_total",
-		"Flows handed to the flowsim kernels.")
+		"Flows handed to the flowsim kernel.")
 )

@@ -1,133 +1,9 @@
 package flowsim
 
-import (
-	"math"
-	mbits "math/bits"
-	"sort"
-
-	"bgpvr/internal/par"
-	"bgpvr/internal/telemetry"
-	"bgpvr/internal/torus"
-)
-
-// Options configures SimulateOpt beyond the plain Simulate surface.
-type Options struct {
-	// Usage, when non-nil, accumulates per-link telemetry exactly as
-	// SimulateTelemetry does. Only honored in exact mode: the clustered
-	// approximation simulates aggregated model links whose indices do
-	// not name physical links, so Usage is ignored when ApproxEps
-	// engages a coarser-than-exact clustering.
-	Usage *telemetry.LinkUsage
-	// Times, when non-nil, receives per-message completion times like
-	// SimulateTimed.
-	Times *FlowTimes
-	// Workers shards the event loop's per-round work (link-state
-	// updates, bucket refiling, flow advancement) over a persistent
-	// par.Gang. Results are bit-identical at every width; <= 0 means
-	// all cores, 1 disables sharding.
-	Workers int
-	// ApproxEps > 0 enables the clustered contention approximation
-	// with the given relative-error budget: torus links are grouped
-	// into regions (torus.SideForEps picks the cluster side), flows
-	// contend exactly on links inside their endpoint regions and
-	// against pooled directional capacity in transit regions, and the
-	// result is clamped to the certifiable physical-bottleneck lower
-	// bound. Eps below the smallest calibrated band degrades to the
-	// exact kernel.
-	ApproxEps float64
-	// EndpointAgg additionally aggregates the interior hops of each
-	// flow's endpoint regions (torus.Regions.EndpointAgg): only the
-	// injection hop out of the source node and the ejection hop into
-	// the destination node keep their physical identity, so the
-	// per-flow endpoint fan — the dominant model-link population on
-	// direct-send workloads past 32K ranks — collapses onto the same
-	// regional aggregates transit hops use. Only meaningful with
-	// ApproxEps > 0; it engages when the decomposition is coarse
-	// enough to pay (side >= 4 and at least endpointAggMinRegions
-	// regions — below that nearly every hop is an injection/ejection
-	// hop already and pooling would spend accuracy for nothing).
-	// ApproxInfo.EndpointAgg reports whether it actually engaged.
-	EndpointAgg bool
-}
-
-// endpointAggMinRegions is the engagement floor for Options.EndpointAgg:
-// decompositions with fewer regions keep endpoint hops physical even
-// when the dial is on (they are dominated by injection/ejection hops,
-// which stay physical regardless).
-const endpointAggMinRegions = 8
-
-// ApproxInfo reports what the clustered contention approximation did;
-// SimulateOpt returns nil when ApproxEps was not engaged.
-type ApproxInfo struct {
-	Eps        float64 // the requested bound
-	Side       int     // cluster side chosen by SideForEps
-	Regions    int     // clusters in the decomposition
-	PhysLinks  int     // physical directed links
-	ModelLinks int     // simulated model links (aggregates + exact)
-	// EndpointAgg reports whether endpoint-hop aggregation engaged
-	// (Options.EndpointAgg requested it and the decomposition cleared
-	// the engagement floor).
-	EndpointAgg bool
-	// UsedLinks counts the model links the streamed flows actually
-	// reference — the live population the event loop iterates, and the
-	// number endpoint aggregation exists to shrink (ModelLinks is just
-	// the id-space size).
-	UsedLinks int
-	// LowerBound is the certifiable completion-time floor: the
-	// heaviest physical link's load over its bandwidth, plus the
-	// endpoint overheads and route latency every flow pays. The exact
-	// kernel can never finish below it.
-	LowerBound float64
-	// Clamped reports whether the raw approximate time fell below
-	// LowerBound and was lifted onto it (completion times rescaled).
-	Clamped bool
-	// BoundGap is (Time - LowerBound) / Time: the residual
-	// uncertainty band above the certifiable floor. The exact result
-	// lives somewhere in that band, so BoundGap is a self-measured
-	// error bound that needs no exact run.
-	BoundGap float64
-}
-
-// SimulateOpt runs the phase like SimulateTimed with optional event-
-// loop sharding and the optional clustered contention approximation.
-// With Options{} it is exactly Simulate; with only Workers set the
-// result (times, telemetry, completion stamps) is bit-identical to the
-// serial sparse kernel — the sharding only changes who computes each
-// link's update, never the order the updates apply in.
-func SimulateOpt(top torus.Topology, p torus.Params, msgs []torus.Message, opt Options) (Result, *ApproxInfo) {
-	workers := par.Workers(opt.Workers)
-	if opt.ApproxEps <= 0 {
-		return simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil), nil
-	}
-	side := torus.SideForEps(opt.ApproxEps)
-	info := &ApproxInfo{Eps: opt.ApproxEps, Side: side, PhysLinks: top.NumLinks()}
-	if side <= 1 {
-		// Degrade to exact: the clustering would keep every hop's
-		// physical identity anyway, so run the exact kernel and report
-		// a zero-width error band.
-		res := simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil)
-		info.Regions = top.Nodes()
-		info.ModelLinks = top.NumLinks()
-		info.LowerBound = res.Time
-		return res, info
-	}
-	rg := torus.NewRegions(top, side)
-	if opt.EndpointAgg && side >= 4 && rg.NumRegions() >= endpointAggMinRegions {
-		rg.EndpointAgg = true
-	}
-	info.Regions = rg.NumRegions()
-	info.ModelLinks = rg.NumModelLinks()
-	info.EndpointAgg = rg.EndpointAgg
-	res := simulateFlex(top, p, msgs, nil, opt.Times, workers, rg, info)
-	return res, info
-}
-
-// roundGroup is one group frozen in the current freeze round, with its
-// live-member weight (members times route multiplicity).
-type roundGroup struct{ g, k int32 }
+import "bgpvr/internal/par"
 
 // Sharded sections engage only above these work sizes: below them the
-// serial loop beats a gang rendezvous. The thresholds never affect
+// serial body beats a gang rendezvous. The thresholds never affect
 // results — the serial and sharded forms apply identical updates in
 // identical per-link order — so the equivalence tests lower them to
 // exercise every sharded path on small configs.
@@ -135,758 +11,162 @@ var (
 	shardMinTouches = 2048 // freeze round: route entries touched
 	shardMinLinks   = 4096 // event reset: active links refiled
 	shardMinFlows   = 8192 // advance: live members drained
-	shardMinScan    = 4096 // pop sweep: bucket entries scanned
+	shardMinScan    = 4096 // pop scan: bucket entries scanned
 )
 
-// simulateFlex is the generalized sparse kernel behind SimulateOpt: it
-// adds (a) per-link capacities and weighted route entries, which is
-// what the clustered approximation simulates on (rg != nil), and (b)
-// gang-sharded per-round work, partitioned by link index modulo the
-// gang width with worker-local refile buffers merged in deterministic
-// order. With rg == nil and any worker count it reproduces
-// SimulateTimed bit-for-bit (the shard equivalence suite pins this).
-func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
-	u *telemetry.LinkUsage, ft *FlowTimes, workers int, rg *torus.Regions, info *ApproxInfo) Result {
-	var overheadMax float64
-	nlinks := top.NumLinks()
-	var capOf []float64
-	if rg != nil {
-		u = nil // model links do not name physical links
-		nlinks = rg.NumModelLinks()
-		capOf = rg.ModelCapacity(p)
-	}
-	if u != nil {
-		u.Capacity = p.LinkBandwidth
-	}
-	if ft != nil {
-		ft.Done = make([]float64, len(msgs))
-	}
+// gang runs the kernel's four per-round sections (event reset, pop
+// scan, freeze pass 2, drain) over worker tiles — the same bodies the
+// serial path calls — and owns the scratch only a wide simulation
+// needs. Links are owned by worker (link index mod width), and each
+// worker gets a CSR view of every group's route restricted to its
+// links, built once. The shard bodies are bound once and read each
+// round's parameters here; every merge runs on the caller.
+type gang struct {
+	*par.Gang
+	s *sim
 
-	// Group messages by (src, dst) endpoint pair exactly as the serial
-	// kernel does. In approx mode each group's physical route is mapped
-	// hop by hop into model-link space, with consecutive hops through
-	// the same transit aggregate merged into one weighted entry.
-	gidOf := make(map[int64]int32, len(msgs))
-	var routes [][]int32   // per-group model link list
-	var mults [][]int32    // per-entry weights (nil in exact mode)
-	var memRem [][]float64 // per-group member sizes (pre-flattening)
-	var memMsg [][]int32   // per-group member msgs indices
-	var groupSrc, groupDst []int32
-	var groupBytes []float64 // per-group payload, for the physical bound
-	liveOnLink := make([]int32, nlinks)
-	linkGroups := make([][]int32, nlinks)
-	nflows := 0
-	for mi, m := range msgs {
-		oh := p.SendOverhead + p.RecvOverhead
-		if oh > overheadMax {
-			overheadMax = oh
-		}
-		if m.Src == m.Dst || m.Bytes == 0 {
-			if ft != nil {
-				ft.Done[mi] = oh + p.RouteLatency
-			}
-			continue // pure-overhead flow
-		}
-		key := int64(m.Src)<<32 | int64(m.Dst)
-		g, ok := gidOf[key]
-		if !ok {
-			g = int32(len(routes))
-			gidOf[key] = g
-			var links, ws []int32
-			if rg != nil {
-				links, ws = rg.ModelRoute(m.Src, m.Dst)
-				mults = append(mults, ws)
-				groupBytes = append(groupBytes, 0)
-			} else {
-				top.Route(m.Src, m.Dst, func(l int) { links = append(links, int32(l)) })
-			}
-			routes = append(routes, links)
-			memRem = append(memRem, nil)
-			memMsg = append(memMsg, nil)
-			groupSrc = append(groupSrc, int32(m.Src))
-			groupDst = append(groupDst, int32(m.Dst))
-			for _, l := range links {
-				linkGroups[l] = append(linkGroups[l], g)
-			}
-		}
-		memRem[g] = append(memRem[g], float64(m.Bytes))
-		memMsg[g] = append(memMsg[g], int32(mi))
-		if rg != nil {
-			for j, l := range routes[g] {
-				liveOnLink[l] += mults[g][j]
-			}
-			groupBytes[g] += float64(m.Bytes)
-		} else {
-			for _, l := range routes[g] {
-				liveOnLink[l]++
-				u.RecordLink(int(l), m.Bytes)
-			}
-		}
-		nflows++
-	}
-	ngroups := len(routes)
-	mOff := make([]int32, ngroups+1)
-	for g := 0; g < ngroups; g++ {
-		mOff[g+1] = mOff[g] + int32(len(memRem[g]))
-	}
-	mRemaining := make([]float64, nflows)
-	mMsgOf := make([]int32, nflows)
-	totalRoute := 0
-	for g := 0; g < ngroups; g++ {
-		rs, ms := memRem[g], memMsg[g]
-		sort.Sort(&memberSort{rs, ms})
-		copy(mRemaining[mOff[g]:], rs)
-		copy(mMsgOf[mOff[g]:], ms)
-		totalRoute += len(routes[g])
-	}
+	swLinks, swMults, swOff [][]int32 // per-worker route CSR
 
-	// The certifiable lower bound: every physical link must carry its
-	// routed payload at no more than its bandwidth, whatever the
-	// sharing discipline. Group order is deterministic, so the folded
-	// sums (and thus the reported bound) are reproducible.
-	lbNow := 0.0
-	if rg != nil {
-		loadPhys := make([]float64, top.NumLinks())
-		for g := 0; g < ngroups; g++ {
-			b := groupBytes[g]
-			top.Route(int(groupSrc[g]), int(groupDst[g]), func(l int) {
-				loadPhys[l] += b
-			})
-		}
-		for _, b := range loadPhys {
-			if t := b / p.LinkBandwidth; t > lbNow {
-				lbNow = t
-			}
-		}
-	}
+	refBuf [][]refile // per worker: buffered refiles
+	fileB  []int32    // event reset: bucket per activeLinks position
+	doneK  []int32    // drain: finished members per activeGroups position
+	mins   []scanMin  // pop scan: per-worker result
+	sel    float64    // claim: the round's share
+	dt     float64    // drain: the event's time step
+	scan   []int32    // pop scan: the bucket list being scanned
+	scanB  int32      // pop scan: the bucket being scanned
 
-	simPhase.Start(int64(nflows))
-	defer simPhase.End()
-	cSimFlows.Add(int64(nflows))
-
-	res := Result{Completions: nflows}
-	now := 0.0
-	active := nflows
-	activeGroups := make([]int32, ngroups)
-	for g := range activeGroups {
-		activeGroups[g] = int32(g)
-	}
-	activeLinks := make([]int32, 0, nlinks)
-	for l := 0; l < nlinks; l++ {
-		if liveOnLink[l] > 0 {
-			activeLinks = append(activeLinks, int32(l))
-		}
-	}
-	if info != nil {
-		info.UsedLinks = len(activeLinks)
-	}
-	gs := make([]groupState, ngroups)
-	for g := range gs {
-		gs[g] = groupState{front: mOff[g], end: mOff[g+1]}
-	}
-	ls := make([]linkState, nlinks)
-	// Exact mode files event resets from the same precomputed
-	// fl(BW/n) bucket table the serial kernel uses; the capacity-aware
-	// path divides per active link instead (capacities vary per link).
-	var bucketTab []int32
-	if capOf == nil {
-		maxLive := int32(0)
-		for _, n := range liveOnLink {
-			if n > maxLive {
-				maxLive = n
-			}
-		}
-		bucketTab = make([]int32, maxLive+1)
-		for n := int32(1); n <= maxLive; n++ {
-			bucketTab[n] = int32(math.Float64bits(p.LinkBandwidth/float64(n)) >> bShift)
-		}
-	}
-
-	// Gang sharding: links are owned by worker (link index mod width),
-	// and each worker gets a CSR view of every group's route restricted
-	// to its links, built once. Per-round closures are allocated once
-	// and read the round's parameters through rnd.
-	if workers > 1 && totalRoute < shardMinTouches && nflows < shardMinFlows {
-		workers = 1
-	}
-	var gang *par.Gang
-	var swLinks, swMults [][]int32
-	var swOff [][]int32
-	if workers > 1 {
-		swLinks = make([][]int32, workers)
-		swMults = make([][]int32, workers)
-		swOff = make([][]int32, workers)
-		for w := 0; w < workers; w++ {
-			swOff[w] = make([]int32, ngroups+1)
-		}
-		for g := 0; g < ngroups; g++ {
-			for j, l := range routes[g] {
-				w := int(l) % workers
-				swLinks[w] = append(swLinks[w], l)
-				if mults != nil {
-					swMults[w] = append(swMults[w], mults[g][j])
-				}
-			}
-			for w := 0; w < workers; w++ {
-				swOff[w][g+1] = int32(len(swLinks[w]))
-			}
-		}
-		gang = par.NewGang(workers)
-		defer gang.Close()
-	}
-	var rnd struct {
-		sel    float64
-		groups []roundGroup
-		links  []int32 // reset: the active links being refiled
-		nGrp   int     // advance: live prefix of activeGroups
-		dt     float64
-		scan   []int32 // pop sweep: the bucket list being scanned
-		scanB  int32   // pop sweep: the bucket being scanned
-	}
-	// Per-worker deterministic-merge scratch: refile pushes buffered as
-	// (bucket<<32 | link), event-reset buckets, advance done-counts,
-	// pop-sweep survivor counts and per-worker running minima.
-	refBuf := make([][]int64, workers)
-	fileB := make([]int32, len(activeLinks))
-	doneK := make([]int32, ngroups)
-	scanWr := make([]int32, workers)
-	scanBestL := make([]int, workers)
-	scanBestS := make([]float64, workers)
-	freezeShard := func(w int) {
-		lks, off := swLinks[w], swOff[w]
-		var mls []int32
-		if mults != nil {
-			mls = swMults[w]
-		}
-		sel := rnd.sel
-		buf := refBuf[w][:0]
-		for _, rgp := range rnd.groups {
-			g, k := rgp.g, rgp.k
-			for j := off[g]; j < off[g+1]; j++ {
-				l := lks[j]
-				st := &ls[l]
-				a := st.avail
-				kk := k
-				if mls != nil {
-					// Weighted (approx) entries claim their whole
-					// share in one multiply — aggregates can carry
-					// thousands of weight units, and approx mode has
-					// no serial-reference bit pattern to preserve.
-					kk *= mls[j]
-					a -= sel * float64(kk)
-				} else {
-					for i := int32(0); i < kk; i++ {
-						a -= sel
-					}
-				}
-				if a < 0 {
-					a = 0
-				}
-				st.avail = a
-				if n := st.unfrozen - kk; n > 0 {
-					st.unfrozen = n
-					// Dip filter, division- and table-free: the filed
-					// bucket's floor times the live count bounds the
-					// avail below which the share could have dipped
-					// out of its bucket; the dtSlack-sized guard
-					// absorbs both roundings, so no genuine dip
-					// escapes. Only near-floor touches divide.
-					floor := math.Float64frombits(uint64(st.inBucket) << bShift)
-					if a < floor*float64(n)*dtSlack {
-						s := a / float64(n)
-						if db := int32(math.Float64bits(s) >> bShift); db < st.inBucket {
-							st.inBucket = db
-							buf = append(buf, int64(db)<<32|int64(l))
-						}
-					}
-				} else {
-					st.unfrozen = 0
-				}
-			}
-		}
-		refBuf[w] = buf
-	}
-	// tile computes worker w's contiguous [lo, hi) of an n-sized index
-	// space, the par.Tiles decomposition without the allocation (the
-	// shard closures run once per event round).
-	tile := func(n, w int) (int, int) {
-		q, r := n/workers, n%workers
-		lo := w*q + min(w, r)
-		hi := lo + q
-		if w < r {
-			hi++
-		}
-		return lo, hi
-	}
-	resetShard := func(w int) {
-		lo, hi := tile(len(rnd.links), w)
-		for pos := lo; pos < hi; pos++ {
-			l := rnd.links[pos]
-			st := &ls[l]
-			n := liveOnLink[l]
-			st.unfrozen = n
-			var b int32
-			if capOf == nil {
-				st.avail = p.LinkBandwidth
-				b = bucketTab[n]
-			} else {
-				st.avail = capOf[l]
-				b = int32(math.Float64bits(capOf[l]/float64(n)) >> bShift)
-			}
-			st.inBucket = b
-			fileB[pos] = b
-		}
-	}
-	// scanShard is one worker's tile of the pop sweep over the lowest
-	// occupied bucket: it compacts surviving entries in place inside
-	// its own tile (disjoint writes), buffers stale-entry refiles in
-	// worker-local order, and keeps a worker-local lexicographic
-	// (share, link) minimum. Nothing in linkState is written here —
-	// stale entries' inBucket moves are deferred to the serial merge,
-	// so a link whose entry was duplicated across tiles (a dip refile
-	// resurrected by a later rise, which the serial sweep tolerates) is
-	// read-only shared and the merge drops the duplicate exactly as
-	// the serial sweep would.
-	scanShard := func(w int) {
-		lst := rnd.scan
-		lo, hi := tile(len(lst), w)
-		b := rnd.scanB
-		wr := lo
-		best := -1
-		var bestS float64
-		buf := refBuf[w][:0]
-		for pos := lo; pos < hi; pos++ {
-			l32 := lst[pos]
-			st := &ls[l32]
-			if st.inBucket != b || st.unfrozen == 0 {
-				continue
-			}
-			s := st.avail / float64(st.unfrozen)
-			if tb := int32(math.Float64bits(s) >> bShift); tb != b {
-				buf = append(buf, int64(tb)<<32|int64(l32))
-				continue
-			}
-			lst[wr] = l32
-			wr++
-			if best < 0 || s < bestS || (s == bestS && int(l32) < best) {
-				best = int(l32)
-				bestS = s
-			}
-		}
-		scanWr[w] = int32(wr - lo)
-		scanBestL[w], scanBestS[w] = best, bestS
-		refBuf[w] = buf
-	}
-	advanceShard := func(w int) {
-		lo0, hi0 := tile(rnd.nGrp, w)
-		dt := rnd.dt
-		for pos := lo0; pos < hi0; pos++ {
-			g := activeGroups[pos]
-			gst := &gs[g]
-			lo, hi := gst.front, gst.end
-			x := gst.rate * dt
-			done := lo
-			for i := lo; i < hi; i++ {
-				rem := mRemaining[i] - x
-				mRemaining[i] = rem
-				if done == i && rem <= 1e-9 {
-					done = i + 1
-				}
-			}
-			doneK[pos] = done - lo
-		}
-	}
-
-	bucket := make([][]int32, nBuckets)
-	bucketStamp := make([]int32, nBuckets)
-	bitmap := make([]uint64, nBuckets/64)
-	eventID := int32(0)
-	curB := 0
-	// file pushes link l into bucket b for the current event.
-	file := func(l, b int32) {
-		if bucketStamp[b] != eventID {
-			bucketStamp[b] = eventID
-			bucket[b] = bucket[b][:0]
-		}
-		bitmap[b>>6] |= 1 << (uint(b) & 63)
-		bucket[b] = append(bucket[b], l)
-		if int(b) < curB {
-			curB = int(b)
-		}
-	}
-	roundGroups := make([]roundGroup, 0, ngroups)
-	for active > 0 {
-		w := 0
-		for _, g := range activeGroups {
-			if st := &gs[g]; st.front < st.end {
-				st.frozen = false
-				activeGroups[w] = g
-				w++
-			}
-		}
-		activeGroups = activeGroups[:w]
-		w = 0
-		for _, l := range activeLinks {
-			if liveOnLink[l] > 0 {
-				activeLinks[w] = l
-				w++
-			}
-		}
-		activeLinks = activeLinks[:w]
-
-		// Reset the bucket queue for this event. The share computation
-		// per link shards across the gang; the queue pushes stay
-		// serial in activeLinks order, so the queue's contents are
-		// the serial kernel's.
-		clear(bitmap)
-		eventID++
-		curB = nBuckets
-		if gang != nil && len(activeLinks) >= shardMinLinks {
-			rnd.links = activeLinks
-			gang.Run(resetShard)
-			for pos, l := range activeLinks {
-				file(l, fileB[pos])
-			}
-		} else {
-			for _, l := range activeLinks {
-				st := &ls[l]
-				n := liveOnLink[l]
-				st.unfrozen = n
-				var b int32
-				if capOf == nil {
-					st.avail = p.LinkBandwidth
-					b = bucketTab[n]
-				} else {
-					st.avail = capOf[l]
-					b = int32(math.Float64bits(capOf[l]/float64(n)) >> bShift)
-				}
-				st.inBucket = b
-				file(l, b)
-			}
-		}
-
-		dt := math.Inf(1)
-		remainingUnfrozen := active
-		freezeRounds, frozenFlows := 0, 0 // flushed to obs counters per event
-		for remainingUnfrozen > 0 {
-			bott := -1
-			var sel float64
-			for curB < nBuckets {
-				wd := bitmap[curB>>6] >> (uint(curB) & 63)
-				if wd == 0 {
-					curB = (curB &^ 63) + 64
-					continue
-				}
-				b := curB + mbits.TrailingZeros64(wd)
-				lst := bucket[b]
-				wr := 0
-				best := -1
-				var bestS float64
-				if gang != nil && len(lst) >= shardMinScan {
-					// Sharded sweep: workers compact their own
-					// contiguous tiles in place, so concatenating the
-					// survivor segments in worker order reproduces the
-					// serial compaction order; stale-entry refiles are
-					// buffered per worker and applied in worker order
-					// (= list order); and the selected minimum is the
-					// lexicographic merge of the worker minima —
-					// order-independent, so bit-identical to the
-					// serial sweep's.
-					rnd.scan, rnd.scanB = lst, int32(b)
-					gang.Run(scanShard)
-					for w := 0; w < workers; w++ {
-						lo, _ := tile(len(lst), w)
-						n := int(scanWr[w])
-						copy(lst[wr:wr+n], lst[lo:lo+n])
-						wr += n
-						if wl := scanBestL[w]; wl >= 0 {
-							if best < 0 || scanBestS[w] < bestS || (scanBestS[w] == bestS && wl < best) {
-								best = wl
-								bestS = scanBestS[w]
-							}
-						}
-					}
-					for w := 0; w < workers; w++ {
-						for _, e := range refBuf[w] {
-							l, tb := int32(e&0xffffffff), int32(e>>32)
-							st := &ls[l]
-							if st.inBucket != int32(b) {
-								continue // duplicate entry; already lifted
-							}
-							st.inBucket = tb
-							file(l, tb)
-						}
-						refBuf[w] = refBuf[w][:0]
-					}
-				} else {
-					for _, l32 := range lst {
-						st := &ls[l32]
-						if st.inBucket != int32(b) || st.unfrozen == 0 {
-							continue
-						}
-						s := st.avail / float64(st.unfrozen)
-						if tb := int(math.Float64bits(s) >> bShift); tb != b {
-							st.inBucket = int32(tb)
-							file(l32, int32(tb))
-							continue
-						}
-						lst[wr] = l32
-						wr++
-						if best < 0 || s < bestS || (s == bestS && int(l32) < best) {
-							best = int(l32)
-							bestS = s
-						}
-					}
-				}
-				bucket[b] = lst[:wr]
-				if best < 0 {
-					bitmap[b>>6] &^= 1 << (uint(b) & 63)
-					curB = b + 1
-					continue
-				}
-				curB = b
-				bott = best
-				sel = bestS
-				break
-			}
-			if bott < 0 {
-				break
-			}
-			u.AddBottleneck(bott)
-			freezeRounds++
-			// Pass 1, serial: settle which groups freeze this round,
-			// their weights, the completion-time fold, and the
-			// bottleneck's compacted group list — everything whose
-			// order the result can observe.
-			dtThr := dt * sel * dtSlack
-			roundGroups = roundGroups[:0]
-			touches := 0
-			lg := linkGroups[bott][:0]
-			for _, g := range linkGroups[bott] {
-				gst := &gs[g]
-				lo := gst.front
-				if lo == gst.end {
-					continue
-				}
-				lg = append(lg, g)
-				if gst.frozen {
-					continue
-				}
-				gst.frozen = true
-				gst.rate = sel
-				k := gst.end - lo
-				remainingUnfrozen -= int(k)
-				frozenFlows += int(k)
-				if sel > 0 {
-					if rem := mRemaining[lo]; rem < dtThr {
-						if d := rem / sel; d < dt {
-							dt = d
-							dtThr = dt * sel * dtSlack
-						}
-					}
-				}
-				roundGroups = append(roundGroups, roundGroup{g, k})
-				touches += len(routes[g])
-			}
-			linkGroups[bott] = lg
-			// Pass 2: apply the frozen groups' bandwidth claims to
-			// their links. Each link's updates happen in the same
-			// (group, route) order serially and sharded — a worker
-			// owns every occurrence of its links — and buffered
-			// refiles merge in worker order, which the bucket queue
-			// cannot observe (selection is an order-independent
-			// minimum).
-			rnd.sel = sel
-			rnd.groups = roundGroups
-			if gang != nil && touches >= shardMinTouches {
-				gang.Run(freezeShard)
-				for w := 0; w < workers; w++ {
-					for _, e := range refBuf[w] {
-						file(int32(e&0xffffffff), int32(e>>32))
-					}
-					refBuf[w] = refBuf[w][:0]
-				}
-			} else {
-				for _, rgp := range roundGroups {
-					g, k := rgp.g, rgp.k
-					route := routes[g]
-					var ws []int32
-					if mults != nil {
-						ws = mults[g]
-					}
-					for j, l := range route {
-						st := &ls[l]
-						a := st.avail
-						kk := k
-						if ws != nil {
-							kk *= ws[j]
-							a -= sel * float64(kk)
-						} else {
-							for i := int32(0); i < kk; i++ {
-								a -= sel
-							}
-						}
-						if a < 0 {
-							a = 0
-						}
-						st.avail = a
-						if n := st.unfrozen - kk; n > 0 {
-							st.unfrozen = n
-							floor := math.Float64frombits(uint64(st.inBucket) << bShift)
-							if a < floor*float64(n)*dtSlack {
-								s := a / float64(n)
-								if db := int32(math.Float64bits(s) >> bShift); db < st.inBucket {
-									st.inBucket = db
-									file(l, db)
-								}
-							}
-						} else {
-							st.unfrozen = 0
-						}
-					}
-				}
-			}
-		}
-		if remainingUnfrozen > 0 {
-			for _, g := range activeGroups {
-				gst := &gs[g]
-				if gst.frozen || gst.rate <= 0 {
-					continue
-				}
-				if d := mRemaining[gst.front] / gst.rate; d < dt {
-					dt = d
-				}
-			}
-		}
-		res.Events++
-		cSimEvents.Inc()
-		cSimFreezeRounds.Add(int64(freezeRounds))
-		cSimFrozenFlows.Add(int64(frozenFlows))
-
-		if math.IsInf(dt, 1) {
-			break
-		}
-		now += dt
-		if u != nil {
-			for _, l := range activeLinks {
-				if liveOnLink[l] > 0 {
-					u.AddBusy(int(l), dt)
-				}
-			}
-		}
-		// Advance every live member by its group rate. The drain loop
-		// shards by group tiles (disjoint member ranges); the
-		// completion bookkeeping — front moves, stamps, live-count
-		// decrements — merges serially in group order.
-		prevActive := active
-		if gang != nil && active >= shardMinFlows {
-			rnd.nGrp = len(activeGroups)
-			rnd.dt = dt
-			gang.Run(advanceShard)
-			for pos, g := range activeGroups {
-				k := doneK[pos]
-				if k == 0 {
-					continue
-				}
-				gst := &gs[g]
-				lo := gst.front
-				done := lo + k
-				gst.front = done
-				active -= int(k)
-				if ft != nil {
-					stamp := now + p.SendOverhead + p.RecvOverhead + p.RouteLatency
-					for i := lo; i < done; i++ {
-						ft.Done[mMsgOf[i]] = stamp
-					}
-				}
-				decLive(liveOnLink, routes[g], multsOf(g, mults), k)
-			}
-		} else {
-			for _, g := range activeGroups {
-				gst := &gs[g]
-				lo, hi := gst.front, gst.end
-				x := gst.rate * dt
-				done := lo
-				for i := lo; i < hi; i++ {
-					rem := mRemaining[i] - x
-					mRemaining[i] = rem
-					if done == i && rem <= 1e-9 {
-						done = i + 1
-					}
-				}
-				if done > lo {
-					gst.front = done
-					k := done - lo
-					active -= int(k)
-					if ft != nil {
-						stamp := now + p.SendOverhead + p.RecvOverhead + p.RouteLatency
-						for i := lo; i < done; i++ {
-							ft.Done[mMsgOf[i]] = stamp
-						}
-					}
-					decLive(liveOnLink, routes[g], multsOf(g, mults), k)
-				}
-			}
-		}
-		simPhase.Add(int64(prevActive - active))
-	}
-	// Clamp onto the certifiable floor: pooled transit capacity can
-	// only be optimistic (it averages away intra-pool imbalance), so
-	// an approximate finish below the heaviest physical link's
-	// drain time is lifted onto it, completion stamps rescaled in
-	// proportion. The residual band above the floor is the
-	// self-measured error bound.
-	if info != nil {
-		oh := overheadMax + p.RouteLatency
-		if now < lbNow && now > 0 {
-			f := lbNow / now
-			if ft != nil {
-				base := p.SendOverhead + p.RecvOverhead + p.RouteLatency
-				for i, d := range ft.Done {
-					if t := d - base; t > 0 {
-						ft.Done[i] = t*f + base
-					}
-				}
-			}
-			now = lbNow
-			info.Clamped = true
-		}
-		info.LowerBound = lbNow + oh
-		res.Time = now + oh
-		if res.Time > 0 {
-			info.BoundGap = (res.Time - info.LowerBound) / res.Time
-		}
-	} else {
-		res.Time = now + overheadMax + p.RouteLatency
-	}
-	if ft != nil {
-		for g := 0; g < ngroups; g++ {
-			for i := gs[g].front; i < gs[g].end; i++ {
-				ft.Done[mMsgOf[i]] = res.Time
-			}
-		}
-	}
-	u.SetDuration(res.Time)
-	return res
+	resetFn, scanFn, claimFn, drainFn func(w int)
 }
 
-// multsOf returns a group's route weights, nil in exact mode.
-func multsOf(g int32, mults [][]int32) []int32 {
-	if mults == nil {
-		return nil
-	}
-	return mults[g]
+// scanMin is one worker's pop-scan result.
+type scanMin struct {
+	kept, best int
+	bestS      float64
 }
 
-// decLive retires k completed members from every link of a route.
-func decLive(liveOnLink []int32, route, ws []int32, k int32) {
-	if ws == nil {
-		for _, l := range route {
-			liveOnLink[l] -= k
-		}
-		return
+func newGang(s *sim, workers int) *gang {
+	ngroups := len(s.routes)
+	g := &gang{
+		s:       s,
+		swLinks: make([][]int32, workers),
+		swMults: make([][]int32, workers),
+		swOff:   make([][]int32, workers),
+		refBuf:  make([][]refile, workers),
+		fileB:   make([]int32, len(s.activeLinks)),
+		doneK:   make([]int32, ngroups),
+		mins:    make([]scanMin, workers),
 	}
-	for j, l := range route {
-		liveOnLink[l] -= k * ws[j]
+	for w := range g.swOff {
+		g.swOff[w] = make([]int32, ngroups+1)
+	}
+	for gi, route := range s.routes {
+		for j, l := range route {
+			w := int(l) % workers
+			g.swLinks[w] = append(g.swLinks[w], l)
+			if s.mults != nil {
+				g.swMults[w] = append(g.swMults[w], s.mults[gi][j])
+			}
+		}
+		for w := range g.swOff {
+			g.swOff[w][gi+1] = int32(len(g.swLinks[w]))
+		}
+	}
+	g.resetFn, g.scanFn, g.claimFn, g.drainFn = g.resetShard, g.scanShard, g.claimShard, g.drainShard
+	g.Gang = par.NewGang(workers)
+	return g
+}
+
+// tile is worker w's contiguous [lo, hi) of an n-sized index space
+// (no merge below depends on where the boundaries fall).
+func (g *gang) tile(n, w int) (int, int) {
+	return n * w / g.Width(), n * (w + 1) / g.Width()
+}
+
+// resetLinks resets every active link and returns each position's
+// fresh bucket for the caller to file in order.
+func (g *gang) resetLinks() []int32 {
+	g.Run(g.resetFn)
+	return g.fileB[:len(g.s.activeLinks)]
+}
+
+func (g *gang) resetShard(w int) {
+	links := g.s.activeLinks
+	lo, hi := g.tile(len(links), w)
+	for pos := lo; pos < hi; pos++ {
+		g.fileB[pos] = g.s.resetLink(links[pos])
+	}
+}
+
+// scanBucket is scanTile over worker tiles of lst. Workers compact
+// their own tiles in place, so concatenating the survivor segments in
+// worker order reproduces the one-tile compaction order; stale entries
+// are lifted in worker order (= list order); and the selected minimum
+// is the lexicographic merge of the worker minima — order-independent,
+// so bit-identical to the one-tile scan's.
+func (g *gang) scanBucket(lst []int32, b int32) (kept, best int, bestS float64) {
+	g.scan, g.scanB = lst, b
+	g.Run(g.scanFn)
+	best = -1
+	for w, m := range g.mins {
+		lo, _ := g.tile(len(lst), w)
+		copy(lst[kept:kept+m.kept], lst[lo:lo+m.kept])
+		kept += m.kept
+		if m.best >= 0 && (best < 0 || m.bestS < bestS || (m.bestS == bestS && m.best < best)) {
+			best, bestS = m.best, m.bestS
+		}
+	}
+	for _, stale := range g.refBuf {
+		g.s.liftStale(b, stale)
+	}
+	return kept, best, bestS
+}
+
+func (g *gang) scanShard(w int) {
+	lo, hi := g.tile(len(g.scan), w)
+	m := &g.mins[w]
+	m.kept, m.best, m.bestS, g.refBuf[w] = scanTile(g.s.ls, g.scan[lo:hi], g.scanB, g.refBuf[w][:0])
+}
+
+// claim is claimRoute over the workers' links of the round's groups.
+// Each link's updates happen in the same (group, route) order as
+// serially — a worker owns every occurrence of its links — and the
+// buffered dips are filed in worker order, which the bucket queue
+// cannot observe (selection is an order-independent minimum).
+func (g *gang) claim(sel float64) {
+	g.sel = sel
+	g.Run(g.claimFn)
+	for _, dips := range g.refBuf {
+		g.s.q.fileAll(dips)
+	}
+}
+
+func (g *gang) claimShard(w int) {
+	lks, off := g.swLinks[w], g.swOff[w]
+	dips := g.refBuf[w][:0]
+	for _, rgp := range g.s.roundGroups {
+		lo, hi := off[rgp.g], off[rgp.g+1]
+		var ws []int32
+		if g.s.mults != nil {
+			ws = g.swMults[w][lo:hi]
+		}
+		dips = claimRoute(g.s.ls, lks[lo:hi], ws, g.sel, rgp.k, dips)
+	}
+	g.refBuf[w] = dips
+}
+
+// drain is drainGroup over tiles of activeGroups; it returns the
+// finished-member count per position for the caller to retire in order.
+func (g *gang) drain(dt float64) []int32 {
+	g.dt = dt
+	g.Run(g.drainFn)
+	return g.doneK[:len(g.s.activeGroups)]
+}
+
+func (g *gang) drainShard(w int) {
+	groups := g.s.activeGroups
+	lo, hi := g.tile(len(groups), w)
+	for pos := lo; pos < hi; pos++ {
+		g.doneK[pos] = g.s.drainGroup(groups[pos], g.dt)
 	}
 }

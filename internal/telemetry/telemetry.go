@@ -131,10 +131,10 @@ func (h *Histogram) String() string {
 }
 
 // LinkUsage accumulates per-directed-link load for one network phase.
-// It is filled by flowsim.SimulateTelemetry or torus.PhaseRecorded and
-// consumed by the exporters in this package. Not safe for concurrent
-// recording (both producers are single-threaded); every method is a
-// no-op on the nil receiver.
+// It is filled by flowsim.SimulateTimed, flowsim.SimulateOpt or
+// torus.PhaseRecorded and consumed by the exporters in this package.
+// Not safe for concurrent recording (the producers record from one
+// goroutine); every method is a no-op on the nil receiver.
 type LinkUsage struct {
 	// Capacity is the per-link bandwidth in bytes/s (utilization
 	// denominator).
