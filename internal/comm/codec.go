@@ -6,9 +6,12 @@ import (
 )
 
 // The codec helpers convert numeric slices to and from little-endian
-// byte payloads for Send/Recv. They copy (no aliasing, no unsafe); the
-// buffers involved at real-mode scales are small enough that clarity
-// wins over zero-copy tricks.
+// byte payloads for Send/Recv. They copy (no aliasing, no unsafe), one
+// allocation a call, which suits what still goes through them: message
+// headers, MPI-IO request and run tables, halo faces, and the operands
+// of the collectives. Pixel payloads do not — the compositors write and
+// blend megabytes of fragments a frame through img.PutPixels, GetPixels
+// and UnderWire, straight between pixel rows and message bytes.
 
 // F64sToBytes encodes a float64 slice.
 func F64sToBytes(v []float64) []byte {

@@ -365,3 +365,33 @@ func TestNewWorldPanicsOnZero(t *testing.T) {
 	}()
 	NewWorld(0)
 }
+
+// A delivered payload is no longer referenced from the mailbox: Recv
+// removes a message by shifting the tail down, and the slot that frees
+// at the end of the backing array must be zeroed, or it pins the
+// payload (a megabyte, for a compositing fragment) until a later Send
+// happens to overwrite it.
+func TestRecvClearsVacatedMailboxSlot(t *testing.T) {
+	w := NewWorld(1)
+	err := w.Run(func(c *Comm) error {
+		for tag := 0; tag < 3; tag++ {
+			c.Send(0, tag, []byte{byte(tag)})
+		}
+		for _, tag := range []int{1, 0, 2} { // middle, first, last
+			c.Recv(0, tag)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := w.boxes[0].pending
+	if len(pending) != 0 {
+		t.Fatalf("%d messages left pending", len(pending))
+	}
+	for i, m := range pending[:cap(pending)] {
+		if m.data != nil {
+			t.Errorf("backing slot %d still references the payload of tag %d", i, m.tag)
+		}
+	}
+}

@@ -242,7 +242,12 @@ func (c *Comm) Recv(src, tag int) (from int, data []byte) {
 			if src != AnySource && m.src != src {
 				continue
 			}
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
+			// Zero the vacated last slot: left alone it would pin the
+			// delivered payload until a later Send overwrote it.
+			last := len(b.pending) - 1
+			copy(b.pending[i:], b.pending[i+1:])
+			b.pending[last] = message{}
+			b.pending = b.pending[:last]
 			if cp := c.w.cp; cp != nil {
 				kind := c.depKind
 				if kind == critpath.DepAuto {

@@ -36,13 +36,8 @@ func BinarySwap(c *comm.Comm, sub *render.Subimage, w, h int, order []int) (*img
 	}
 	vr := pos[c.Rank()]
 
-	// Start with my partial image placed in a full-frame buffer.
 	span := img.Span{Lo: 0, Hi: w * h}
-	buf := make([]img.RGBA, w*h)
-	rows := img.RectSpanRows(sub.Rect, w)
-	for ri, row := range rows {
-		copy(buf[row.Lo:row.Hi], sub.Pix[ri*sub.Rect.W():(ri+1)*sub.Rect.W()])
-	}
+	buf := fullFrame(sub, w, h)
 
 	for round := 1; round < p; round <<= 1 {
 		roundSp := tr.Begin(trace.PhaseComposite, "bswap-round")
@@ -54,53 +49,51 @@ func BinarySwap(c *comm.Comm, sub *render.Subimage, w, h int, order []int) (*img
 		} else {
 			keep, give = img.Span{Lo: mid, Hi: span.Hi}, img.Span{Lo: span.Lo, Hi: mid}
 		}
-		// Send the half the partner keeps; receive mine.
-		out := make([]float32, 0, 4*give.Len())
-		for k := give.Lo; k < give.Hi; k++ {
-			px := buf[k]
-			out = append(out, px.R, px.G, px.B, px.A)
-		}
-		c.Send(rankAt[partner], tagBinarySwap+bits.TrailingZeros(uint(round)), comm.F32sToBytes(out))
-		_, b := c.Recv(rankAt[partner], tagBinarySwap+bits.TrailingZeros(uint(round)))
-		vals := comm.BytesToF32s(b)
-		// Composite: the lower virtual rank is nearer (front).
-		iAmFront := vr < partner
-		for k := 0; k < keep.Len(); k++ {
-			theirs := img.RGBA{R: vals[4*k], G: vals[4*k+1], B: vals[4*k+2], A: vals[4*k+3]}
-			mine := buf[keep.Lo+k]
-			if iAmFront {
-				buf[keep.Lo+k] = img.Over(mine, theirs)
-			} else {
-				buf[keep.Lo+k] = img.Over(theirs, mine)
-			}
+		// Send the half the partner keeps; receive mine and composite it
+		// straight from the message: the lower virtual rank is nearer
+		// (front).
+		tag := tagBinarySwap + bits.TrailingZeros(uint(round))
+		c.Send(rankAt[partner], tag, encodePixels(0, buf[give.Lo:give.Hi]))
+		_, theirs := c.Recv(rankAt[partner], tag)
+		if mine := buf[keep.Lo:keep.Hi]; vr < partner {
+			img.UnderWire(mine, theirs)
+		} else {
+			img.OverWire(theirs, mine)
 		}
 		span = keep
 		roundSp.End()
 	}
+	return gatherSpans(c, buf, span, w, h), nil
+}
 
-	// Gather the 1/p spans at rank 0.
-	gatherSp := tr.Begin(trace.PhaseComposite, "final-gather")
-	defer gatherSp.End()
-	payload := make([]float32, 0, 4*span.Len())
-	for k := span.Lo; k < span.Hi; k++ {
-		px := buf[k]
-		payload = append(payload, px.R, px.G, px.B, px.A)
+// fullFrame places a partial image in a transparent w x h frame.
+func fullFrame(sub *render.Subimage, w, h int) []img.RGBA {
+	buf := make([]img.RGBA, w*h)
+	sw := sub.Rect.W()
+	for ri, row := range img.RectSpanRows(sub.Rect, w) {
+		copy(buf[row.Lo:row.Hi], sub.Pix[ri*sw:(ri+1)*sw])
 	}
-	enc := append(comm.I64sToBytes([]int64{int64(span.Lo)}), comm.F32sToBytes(payload)...)
-	c.Send(0, tagSpanGather, enc)
+	return buf
+}
+
+// gatherSpans ends binary swap and radix-k: every rank sends the span of
+// the frame it finished with to rank 0, which decodes each into place
+// and returns the final image (nil elsewhere).
+func gatherSpans(c *comm.Comm, buf []img.RGBA, span img.Span, w, h int) *img.Image {
+	sp := c.Trace().Begin(trace.PhaseComposite, "final-gather")
+	defer sp.End()
+	msg := encodePixels(8, buf[span.Lo:span.Hi])
+	putI64s(msg, int64(span.Lo))
+	c.Send(0, tagSpanGather, msg)
 	if c.Rank() != 0 {
-		return nil, nil
+		return nil
 	}
-	outImg := img.New(w, h)
-	for received := 0; received < p; received++ {
+	out := img.New(w, h)
+	for received := 0; received < c.Size(); received++ {
 		_, b := c.Recv(comm.AnySource, tagSpanGather)
-		lo := int(comm.BytesToI64s(b[:8])[0])
-		vals := comm.BytesToF32s(b[8:])
-		for k := 0; k < len(vals)/4; k++ {
-			outImg.Pix[lo+k] = img.RGBA{R: vals[4*k], G: vals[4*k+1], B: vals[4*k+2], A: vals[4*k+3]}
-		}
+		img.GetPixels(out.Pix[getI64(b):][:(len(b)-8)/img.WirePixelBytes], b[8:])
 	}
-	return outImg, nil
+	return out
 }
 
 // SerialGather is the naive baseline: rank 0 receives every partial
@@ -116,42 +109,28 @@ func SerialGather(c *comm.Comm, sub *render.Subimage, rects []img.Rect, w, h int
 	}
 	if c.Rank() != 0 {
 		if !sub.Rect.Empty() {
-			body := make([]float32, 0, 4*len(sub.Pix))
-			for _, px := range sub.Pix {
-				body = append(body, px.R, px.G, px.B, px.A)
-			}
-			c.Send(0, tagDirectSend, comm.F32sToBytes(body))
+			c.Send(0, tagDirectSend, encodePixels(0, sub.Pix))
 		}
 		return nil, nil
 	}
-	subs := make([][]img.RGBA, p)
-	subs[0] = sub.Pix
+	wires := make([][]byte, p)
 	for r := 1; r < p; r++ {
 		if rects[r].Empty() {
 			continue
 		}
 		src, b := c.Recv(comm.AnySource, tagDirectSend)
-		vals := comm.BytesToF32s(b)
-		pix := make([]img.RGBA, len(vals)/4)
-		for i := range pix {
-			pix[i] = img.RGBA{R: vals[4*i], G: vals[4*i+1], B: vals[4*i+2], A: vals[4*i+3]}
-		}
-		subs[src] = pix
+		wires[src] = b
 	}
 	out := img.New(w, h)
 	for _, r := range order { // front-to-back
-		if rects[r].Empty() || subs[r] == nil {
-			continue
-		}
 		rect := rects[r]
-		i := 0
-		for y := rect.Y0; y < rect.Y1; y++ {
-			for x := rect.X0; x < rect.X1; x++ {
-				b := subs[r][i]
-				i++
-				a := out.At(x, y)
-				t := 1 - a.A
-				out.Set(x, y, img.RGBA{R: a.R + t*b.R, G: a.G + t*b.G, B: a.B + t*b.B, A: a.A + t*b.A})
+		rw := rect.W()
+		for y := 0; y < rect.H(); y++ {
+			row := out.Pix[(rect.Y0+y)*w+rect.X0:][:rw]
+			if r == 0 {
+				img.UnderSlices(row, sub.Pix[y*rw:][:rw])
+			} else {
+				img.UnderWire(row, wires[r][img.WirePixelBytes*y*rw:])
 			}
 		}
 	}

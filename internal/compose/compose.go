@@ -18,6 +18,12 @@
 // over the comm runtime and moves actual pixels; the Schedule functions
 // emit the identical message lists (source, destination, bytes) for the
 // network model to time at scales where pixels are not materialized.
+//
+// Every executor moves pixels through one codec (img.PutPixels,
+// GetPixels, UnderWire, OverWire): a pixel is written once, from the
+// row it was rendered or accumulated in into the message that carries
+// it, and the receiver blends or places it straight from the message
+// bytes. fragment.go holds the direct-send fragment format.
 package compose
 
 import (
@@ -47,29 +53,10 @@ type RankMessage struct {
 }
 
 // DirectSendSchedule returns the messages of a direct-send composite:
-// renderer r sends compositor i the overlap of rect[r] with tile i.
-// Only the tiles a rect actually touches are probed, so the cost is
-// O(messages), not O(p*m) — at 32K renderers with 32K compositors the
-// difference is a billion intersections.
+// renderer r sends compositor i the overlap of rect[r] with tile i. It
+// is MultiBlockSchedule with one block per rank.
 func DirectSendSchedule(rects []img.Rect, w, h, m int, pixBytes int64) []RankMessage {
-	p := len(rects)
-	g := img.NewTileGrid(w, h, m)
-	var msgs []RankMessage
-	for r, rect := range rects {
-		tx0, tx1, ty0, ty1 := g.Range(rect)
-		for ty := ty0; ty < ty1; ty++ {
-			for tx := tx0; tx < tx1; tx++ {
-				i := ty*g.MX + tx
-				if ov := rect.Intersect(g.Tile(i)); !ov.Empty() {
-					msgs = append(msgs, RankMessage{
-						Src: r, Dst: CompRank(i, m, p),
-						Bytes: int64(ov.NumPixels()) * pixBytes,
-					})
-				}
-			}
-		}
-	}
-	return msgs
+	return MultiBlockSchedule(rects, len(rects), w, h, m, pixBytes)
 }
 
 // GatherSchedule returns the messages of the trivial baseline: every
@@ -110,103 +97,6 @@ const (
 	tagSpanGather = 101
 	tagBinarySwap = 110 // + round
 )
-
-// Fragment wire formats. The dense format carries every pixel of the
-// overlap rect; the active-pixel format (an IceT-style optimization)
-// carries only runs of non-transparent pixels, which shrinks messages
-// dramatically for blocks whose bounding rectangle is mostly empty.
-// The encoder picks whichever is smaller, so the optimization is always
-// safe; a leading mode word keeps the receiver format-agnostic.
-const (
-	fragDense  = 0
-	fragActive = 1
-)
-
-// encodeFragment serializes the overlap of a subimage with a tile.
-func encodeFragment(sub *render.Subimage, ov img.Rect) []byte {
-	n := ov.NumPixels()
-	pix := make([]img.RGBA, 0, n)
-	for y := ov.Y0; y < ov.Y1; y++ {
-		for x := ov.X0; x < ov.X1; x++ {
-			pix = append(pix, sub.At(x, y))
-		}
-	}
-	// Find active runs.
-	type runSeg struct{ lo, hi int }
-	var segs []runSeg
-	active := 0
-	for i := 0; i < n; {
-		if (pix[i] == img.RGBA{}) {
-			i++
-			continue
-		}
-		j := i
-		for j < n && (pix[j] != img.RGBA{}) {
-			j++
-		}
-		segs = append(segs, runSeg{i, j})
-		active += j - i
-		i = j
-	}
-	denseBytes := 5*8 + 16*n
-	activeBytes := 6*8 + 16*len(segs) + 16*active
-	head := []int64{fragDense, int64(ov.X0), int64(ov.Y0), int64(ov.X1), int64(ov.Y1)}
-	if activeBytes < denseBytes {
-		head[0] = fragActive
-		head = append(head, int64(len(segs)))
-		for _, s := range segs {
-			head = append(head, int64(s.lo), int64(s.hi))
-		}
-		body := make([]float32, 0, 4*active)
-		for _, s := range segs {
-			for _, p := range pix[s.lo:s.hi] {
-				body = append(body, p.R, p.G, p.B, p.A)
-			}
-		}
-		return append(comm.I64sToBytes(head), comm.F32sToBytes(body)...)
-	}
-	body := make([]float32, 0, 4*n)
-	for _, p := range pix {
-		body = append(body, p.R, p.G, p.B, p.A)
-	}
-	return append(comm.I64sToBytes(head), comm.F32sToBytes(body)...)
-}
-
-// fragment is a decoded incoming piece tagged with its sender.
-type fragment struct {
-	src  int
-	rect img.Rect
-	pix  []img.RGBA // len == rect.NumPixels(); transparent where inactive
-}
-
-func decodeFragment(src int, b []byte) fragment {
-	head := comm.BytesToI64s(b[:40])
-	mode := head[0]
-	f := fragment{src: src, rect: img.Rect{
-		X0: int(head[1]), Y0: int(head[2]), X1: int(head[3]), Y1: int(head[4]),
-	}}
-	n := f.rect.NumPixels()
-	f.pix = make([]img.RGBA, n)
-	if mode == fragDense {
-		vals := comm.BytesToF32s(b[40:])
-		for i := range f.pix {
-			f.pix[i] = img.RGBA{R: vals[4*i], G: vals[4*i+1], B: vals[4*i+2], A: vals[4*i+3]}
-		}
-		return f
-	}
-	nseg := comm.BytesToI64s(b[40:48])[0]
-	segs := comm.BytesToI64s(b[48 : 48+16*nseg])
-	vals := comm.BytesToF32s(b[48+16*nseg:])
-	vi := 0
-	for s := int64(0); s < nseg; s++ {
-		lo, hi := int(segs[2*s]), int(segs[2*s+1])
-		for i := lo; i < hi; i++ {
-			f.pix[i] = img.RGBA{R: vals[vi], G: vals[vi+1], B: vals[vi+2], A: vals[vi+3]}
-			vi += 4
-		}
-	}
-	return f
-}
 
 // DirectSend composites the partial images of all ranks with m
 // compositors owning one image tile each, and returns the final image on

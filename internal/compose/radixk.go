@@ -126,12 +126,8 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 	}
 	vr := pos[c.Rank()]
 
-	// Start with the full frame holding my partial image.
 	span := img.Span{Lo: 0, Hi: w * h}
-	buf := make([]img.RGBA, w*h)
-	for ri, row := range img.RectSpanRows(sub.Rect, w) {
-		copy(buf[row.Lo:row.Hi], sub.Pix[ri*sub.Rect.W():(ri+1)*sub.Rect.W()])
-	}
+	buf := fullFrame(sub, w, h)
 
 	stride := 1
 	for round, k := range ks {
@@ -143,83 +139,38 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 		base := vr - digit*stride
 		// Pieces of my current span, one per group member.
 		pieces := img.PartitionSpans(span.Len(), k)
-		myPiece := img.Span{Lo: span.Lo + pieces[digit].Lo, Hi: span.Lo + pieces[digit].Hi}
+		piece := func(d int) []img.RGBA { return buf[span.Lo+pieces[d].Lo : span.Lo+pieces[d].Hi] }
 		tag := tagBinarySwap + 64 + round
 
 		// Send every other member its piece of my buffer.
 		for d := 0; d < k; d++ {
-			if d == digit {
-				continue
+			if d != digit {
+				c.Send(rankAt[base+d*stride], tag, encodePixels(0, piece(d)))
 			}
-			pc := img.Span{Lo: span.Lo + pieces[d].Lo, Hi: span.Lo + pieces[d].Hi}
-			out := make([]float32, 0, 4*pc.Len())
-			for i := pc.Lo; i < pc.Hi; i++ {
-				px := buf[i]
-				out = append(out, px.R, px.G, px.B, px.A)
-			}
-			c.Send(rankAt[base+d*stride], tag, comm.F32sToBytes(out))
 		}
-		// Receive k-1 versions of my piece and composite in group
-		// (visibility) order: lower digit = nearer.
-		frags := make([][]img.RGBA, k)
+		// Receive k-1 versions of my piece and composite them, still
+		// encoded, in group (visibility) order: lower digit = nearer.
+		mine := piece(digit)
+		wires := make([][]byte, k)
 		for recv := 0; recv < k-1; recv++ {
-			src, bts := c.Recv(comm.AnySource, tag)
-			vals := comm.BytesToF32s(bts)
-			pix := make([]img.RGBA, len(vals)/4)
-			for i := range pix {
-				pix[i] = img.RGBA{R: vals[4*i], G: vals[4*i+1], B: vals[4*i+2], A: vals[4*i+3]}
+			src, b := c.Recv(comm.AnySource, tag)
+			if len(b) != img.WirePixelBytes*len(mine) {
+				return nil, fmt.Errorf("compose: radix-k piece of %d bytes, want %d pixels", len(b), len(mine))
 			}
-			d := (pos[src] / stride) % k
-			frags[d] = pix
+			wires[(pos[src]/stride)%k] = b
 		}
-		acc := make([]img.RGBA, myPiece.Len())
+		acc := make([]img.RGBA, len(mine))
 		for d := 0; d < k; d++ {
-			var pix []img.RGBA
 			if d == digit {
-				pix = buf[myPiece.Lo:myPiece.Hi]
+				img.UnderSlices(acc, mine)
 			} else {
-				pix = frags[d]
-			}
-			if len(pix) != len(acc) {
-				return nil, fmt.Errorf("compose: radix-k piece length %d != %d", len(pix), len(acc))
-			}
-			for i := range acc {
-				a := &acc[i]
-				b := pix[i]
-				t := 1 - a.A
-				a.R += t * b.R
-				a.G += t * b.G
-				a.B += t * b.B
-				a.A += t * b.A
+				img.UnderWire(acc, wires[d])
 			}
 		}
-		copy(buf[myPiece.Lo:myPiece.Hi], acc)
-		span = myPiece
+		copy(mine, acc)
+		span = img.Span{Lo: span.Lo + pieces[digit].Lo, Hi: span.Lo + pieces[digit].Hi}
 		stride *= k
 		roundSp.End()
 	}
-
-	// Gather the final 1/p spans on rank 0.
-	gatherSp := tr.Begin(trace.PhaseComposite, "final-gather")
-	defer gatherSp.End()
-	payload := make([]float32, 0, 4*span.Len())
-	for i := span.Lo; i < span.Hi; i++ {
-		px := buf[i]
-		payload = append(payload, px.R, px.G, px.B, px.A)
-	}
-	enc := append(comm.I64sToBytes([]int64{int64(span.Lo)}), comm.F32sToBytes(payload)...)
-	c.Send(0, tagSpanGather, enc)
-	if c.Rank() != 0 {
-		return nil, nil
-	}
-	out := img.New(w, h)
-	for received := 0; received < p; received++ {
-		_, bts := c.Recv(comm.AnySource, tagSpanGather)
-		lo := int(comm.BytesToI64s(bts[:8])[0])
-		vals := comm.BytesToF32s(bts[8:])
-		for i := 0; i < len(vals)/4; i++ {
-			out.Pix[lo+i] = img.RGBA{R: vals[4*i], G: vals[4*i+1], B: vals[4*i+2], A: vals[4*i+3]}
-		}
-	}
-	return out, nil
+	return gatherSpans(c, buf, span, w, h), nil
 }

@@ -100,6 +100,7 @@ func CollectiveWrite(c *comm.Comm, f io.WriterAt, myRuns []grid.Run, myData []by
 			data []byte
 		}
 		var frags []frag
+		var received int64
 		for src := 0; src < p; src++ {
 			b := got[src]
 			if len(b) == 0 {
@@ -114,11 +115,14 @@ func CollectiveWrite(c *comm.Comm, f io.WriterAt, myRuns []grid.Run, myData []by
 				frags = append(frags, frag{run: r, data: data[dp : dp+r.Length]})
 				dp += r.Length
 			}
+			received += dp
 		}
 		sort.Slice(frags, func(i, j int) bool { return frags[i].run.Offset < frags[j].run.Offset })
 		// Walk fragments, merging adjacent ones into one buffered write,
 		// flushing at gaps or when the buffer reaches the window size.
-		buf := make([]byte, 0, w)
+		// It never holds more than this aggregator received, so a small
+		// file does not cost a whole (16 MB by default) window.
+		buf := make([]byte, 0, min64(w, received))
 		var bufOff int64 = -1
 		flush := func() error {
 			if len(buf) == 0 {

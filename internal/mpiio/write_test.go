@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bgpvr/internal/comm"
@@ -149,5 +150,37 @@ func TestRWFileRoundTrip(t *testing.T) {
 	defer g.Close()
 	if g.Size() != 100 {
 		t.Errorf("reopened size = %d", g.Size())
+	}
+}
+
+// The write-side twin of TestCollectiveReadSmallFileAllocation: the
+// aggregator's staging buffer is sized to what it received, so writing
+// a small file under the default 16 MB window must not cost 16 MB per
+// aggregator per call.
+func TestCollectiveWriteSmallFileAllocation(t *testing.T) {
+	const p, size = 8, 1 << 16
+	want := randomFile(size, 9).Data
+	got := &vfile.MemFile{Data: make([]byte, size)}
+	w := comm.NewWorld(p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := w.Run(func(c *comm.Comm) error {
+		lo := c.Rank() * size / p
+		run := grid.Run{Offset: int64(lo), Length: size / p}
+		return CollectiveWrite(c, got, []grid.Run{run}, want[lo:lo+size/p], Hints{CBNodes: p})
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, want) {
+		t.Fatal("file content mismatch")
+	}
+	// Outgoing fragments, the exchange and staging are each about the
+	// file's size; 32x leaves room for the runtime's own goroutine and
+	// channel allocations, and is 64x below one default window.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32*size {
+		t.Errorf("collective write of a %d-byte file allocated %d bytes (default window %d)",
+			size, alloc, DefaultCBBufferSize)
 	}
 }
