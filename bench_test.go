@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"bgpvr/internal/bench"
-	"bgpvr/internal/comm"
 	"bgpvr/internal/compose"
 	"bgpvr/internal/core"
 	"bgpvr/internal/grid"
@@ -348,33 +347,6 @@ func BenchmarkNetCDFHeader(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := netcdf.DecodeHeader(netcdf.EncodeHeader(f)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCollectiveRead measures the two-phase executor end to end.
-func BenchmarkCollectiveRead(b *testing.B) {
-	data := make([]byte, 1<<22)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	file := &vfile.MemFile{Data: data}
-	const p = 8
-	reqs := make([][]grid.Run, p)
-	for r := range reqs {
-		for off := int64(r * 100); off < int64(len(data))-2048; off += 8192 {
-			reqs[r] = append(reqs[r], grid.Run{Offset: off, Length: 1024})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := comm.NewWorld(p)
-		err := w.Run(func(c *comm.Comm) error {
-			_, err := mpiio.CollectiveRead(c, file, reqs[c.Rank()], mpiio.Hints{CBBufferSize: 1 << 16, CBNodes: 4})
-			return err
-		})
-		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,13 +75,14 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			raw, err := mpiio.CollectiveRead(c, f, runs, mpiio.Hints{CBNodes: 4})
-			if err != nil {
+			// The samples are decoded straight out of the aggregators'
+			// replies into the field.
+			fld := volume.NewField(scene.Dims, gext)
+			dec := volume.NewFloatDecoder(fld.Data, volume.BigEndian)
+			if err := mpiio.CollectiveReadTo(c, f, runs, mpiio.Hints{CBNodes: 4}, dec); err != nil {
 				return nil, err
 			}
-			fld := volume.NewField(scene.Dims, gext)
-			netcdf.DecodeFloats(raw, fld.Data)
-			return fld, nil
+			return fld, dec.Close()
 		}
 		fvx, err := readVar(vx)
 		if err != nil {

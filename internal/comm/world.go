@@ -60,6 +60,11 @@ type World struct {
 	statMu sync.Mutex
 	stats  TrafficStats
 
+	// failed is the first error (in time) any rank of a Run died with.
+	// It is sticky: a failed world's mailboxes are closed for good.
+	failMu sync.Mutex
+	failed error
+
 	tracer *trace.Tracer
 	net    *telemetry.NetTelemetry
 	cp     *critpath.Recorder
@@ -115,36 +120,42 @@ func (w *World) SetNetTelemetry(nt *telemetry.NetTelemetry) { w.net = nt }
 func (w *World) SetCritPath(r *critpath.Recorder) { w.cp = r }
 
 // Run executes fn concurrently on every rank and waits for all of them.
-// The first non-nil error (or recovered panic) is returned; remaining
+// The first error (or recovered panic) to occur is returned; remaining
 // ranks still run to completion unless they block forever on a rank that
 // died — to avoid that, a dying rank closes every mailbox, causing
 // blocked Recvs to panic with a clear message rather than deadlock.
+// Those later panics are consequences, which is why the error returned
+// is the first in time and not the lowest rank's.
 func (w *World) Run(fn func(c *Comm) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, w.size)
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("comm: rank %d panicked: %v", rank, p)
-					w.abort()
+					w.fail(fmt.Errorf("comm: rank %d panicked: %v", rank, p))
 				}
 			}()
 			if err := fn(&Comm{w: w, rank: rank, tr: w.tracer.Rank(rank)}); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				w.abort()
+				w.fail(fmt.Errorf("rank %d: %w", rank, err))
 			}
 		}(r)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	w.failMu.Lock()
+	defer w.failMu.Unlock()
+	return w.failed
+}
+
+// fail records err unless an earlier one is held, and aborts the world.
+func (w *World) fail(err error) {
+	w.failMu.Lock()
+	if w.failed == nil {
+		w.failed = err
 	}
-	return nil
+	w.failMu.Unlock()
+	w.abort()
 }
 
 // abort wakes all blocked receivers so a failed run terminates.

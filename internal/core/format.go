@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 
+	"bgpvr/internal/comm"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/h5lite"
+	"bgpvr/internal/mpiio"
 	"bgpvr/internal/netcdf"
 	"bgpvr/internal/rawfmt"
 	"bgpvr/internal/vfile"
@@ -109,8 +111,33 @@ func WriteSceneFile(path string, f Format, s Scene) error {
 // the real reader and the model planner.
 type layout struct {
 	runsFor      func(ext grid.Extent) ([]grid.Run, error)
-	bigEndian    bool
+	order        volume.ByteOrder
 	metaAccesses int // small per-process metadata reads on open
+}
+
+// readField reads extent ext of the layout's variable from f into a new
+// field, collectively: the samples are decoded straight out of the
+// aggregators' replies. All ranks must call it together.
+func (lay *layout) readField(c *comm.Comm, f vfile.File, dims grid.IVec3, ext grid.Extent, h mpiio.Hints) (*volume.Field, error) {
+	runs, err := lay.runsFor(ext)
+	if err != nil {
+		return nil, err
+	}
+	fld := volume.NewField(dims, ext)
+	if err := readFloats(c, f, runs, h, fld.Data, lay.order); err != nil {
+		return nil, err
+	}
+	return fld, nil
+}
+
+// readFloats fills dst with the samples stored at runs, read
+// collectively.
+func readFloats(c *comm.Comm, f vfile.File, runs []grid.Run, h mpiio.Hints, dst []float32, order volume.ByteOrder) error {
+	dec := volume.NewFloatDecoder(dst, order)
+	if err := mpiio.CollectiveReadTo(c, f, runs, h, dec); err != nil {
+		return err
+	}
+	return dec.Close()
 }
 
 // formatLayout builds the layout analytically (no file access) for model
@@ -136,7 +163,7 @@ func formatLayout(f Format, s Scene) (*layout, error) {
 		v, _ := nf.VarByName(s.Variable.Name())
 		return &layout{
 			runsFor:      func(ext grid.Extent) ([]grid.Run, error) { return nf.VarRuns(v, ext) },
-			bigEndian:    true,
+			order:        volume.BigEndian,
 			metaAccesses: 1, // header read
 		}, nil
 	case FormatH5:

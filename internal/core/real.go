@@ -14,9 +14,7 @@ import (
 	"bgpvr/internal/img"
 	"bgpvr/internal/iotrace"
 	"bgpvr/internal/mpiio"
-	"bgpvr/internal/netcdf"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/rawfmt"
 	"bgpvr/internal/render"
 	"bgpvr/internal/stats"
 	"bgpvr/internal/telemetry"
@@ -252,21 +250,11 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 				}
 				continue
 			}
-			runs, err := lay.runsFor(readExt)
+			fld, err := lay.readField(c, file, s.Dims, readExt, hints)
 			if err != nil {
 				return err
 			}
-			raw, err := mpiio.CollectiveRead(c, file, runs, hints)
-			if err != nil {
-				return err
-			}
-			fld := volume.NewField(s.Dims, readExt)
-			if lay.bigEndian {
-				netcdf.DecodeFloats(raw, fld.Data)
-			} else {
-				rawfmt.DecodeInto(raw, fld.Data)
-			}
-			myUseful += int64(len(raw))
+			myUseful += volume.WireFloatBytes * int64(len(fld.Data))
 			fields[i] = fld
 		}
 		if myUseful != 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/grid"
@@ -64,34 +63,22 @@ func RunUpsample(cfg UpsampleConfig) (grid.IVec3, error) {
 		srcExt := volume.UpsampleSourceExtent(cfg.SrcDims, dstDims, dstExt)
 
 		// Collective read of the bracketing source region.
-		raw, err := mpiio.CollectiveRead(c, src, rawfmt.VarRuns(cfg.SrcDims, srcExt), hints)
+		in := volume.NewField(cfg.SrcDims, srcExt)
+		err := readFloats(c, src, rawfmt.VarRuns(cfg.SrcDims, srcExt), hints, in.Data, volume.LittleEndian)
 		if err != nil {
 			return err
 		}
-		in := volume.NewField(cfg.SrcDims, srcExt)
-		rawfmt.DecodeInto(raw, in.Data)
 
 		// Local trilinear upsampling of the block.
 		out := volume.UpsampleExtent(in, dstDims, dstExt)
 
 		// Collective write of the target block.
-		enc := make([]byte, 4*len(out.Data))
-		encodeLE(out.Data, enc)
+		enc := make([]byte, volume.WireFloatBytes*len(out.Data))
+		volume.PutFloats(enc, out.Data, volume.LittleEndian)
 		return mpiio.CollectiveWrite(c, dst, rawfmt.VarRuns(dstDims, dstExt), enc, hints)
 	})
 	if err != nil {
 		return grid.IVec3{}, err
 	}
 	return dstDims, dst.Close()
-}
-
-// encodeLE writes float32s little-endian into dst (len(dst) == 4*len(v)).
-func encodeLE(v []float32, dst []byte) {
-	for i, x := range v {
-		u := math.Float32bits(x)
-		dst[4*i] = byte(u)
-		dst[4*i+1] = byte(u >> 8)
-		dst[4*i+2] = byte(u >> 16)
-		dst[4*i+3] = byte(u >> 24)
-	}
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,16 @@ func TestRunsCoverageQuick(t *testing.T) {
 		if TotalBytes(runs) != ext.Count()*int64(es) {
 			return false
 		}
+		// One allocation of exactly the runs, and appending the runs of
+		// the array that follows in the file extends the last run only
+		// when the two meet.
+		if len(runs) != RunCount(dims, ext) || cap(runs) != len(runs) {
+			return false
+		}
+		next := AppendRuns(slices.Clone(runs), dims, ext, es, dims.Count()*int64(es))
+		if meets := ext == WholeGrid(dims); len(next) != 2*len(runs)-b2i(meets) {
+			return false
+		}
 		// Mark covered elements; each must be in ext and covered once.
 		covered := make(map[int64]bool)
 		for _, r := range runs {
@@ -369,4 +380,11 @@ func TestUpsampleLinearFieldExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

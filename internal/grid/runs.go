@@ -22,9 +22,34 @@ func Runs(dims IVec3, ext Extent, elemSize int, base int64) []Run {
 	if ext.Empty() {
 		return nil
 	}
+	return AppendRuns(make([]Run, 0, RunCount(dims, ext)), dims, ext, elemSize, base)
+}
+
+// RunCount returns how many runs Runs yields for ext, which must lie
+// within dims: one per row, per plane when the rows span X, or one in
+// all when the planes span Y too.
+func RunCount(dims IVec3, ext Extent) int {
+	s := ext.Size()
+	switch {
+	case ext.Empty():
+		return 0
+	case s.X < dims.X:
+		return s.Y * s.Z
+	case s.Y < dims.Y:
+		return s.Z
+	default:
+		return 1
+	}
+}
+
+// AppendRuns appends the runs of ext (as Runs defines them; ext must lie
+// within dims) to runs, one row at a time, and returns the extended
+// list. A row that starts where the list so far ends extends its last
+// run, so a caller that assembles a list from several arrays in offset
+// order (the records of a netCDF variable) gets it coalesced.
+func AppendRuns(runs []Run, dims IVec3, ext Extent, elemSize int, base int64) []Run {
 	es := int64(elemSize)
 	rowLen := int64(ext.Size().X) * es
-	var runs []Run
 	for z := ext.Lo.Z; z < ext.Hi.Z; z++ {
 		for y := ext.Lo.Y; y < ext.Hi.Y; y++ {
 			off := base + LinearIndex(dims, IVec3{ext.Lo.X, y, z})*es

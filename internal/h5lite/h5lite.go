@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"bgpvr/internal/grid"
@@ -252,15 +251,17 @@ func Write(path string, dims grid.IVec3, names []string, gen func(v, x, y, z int
 			return fail(err)
 		}
 	}
-	var t [4]byte
+	row := make([]float32, dims.X)
+	enc := make([]byte, volume.WireFloatBytes*dims.X)
 	for v := range names {
 		for z := 0; z < dims.Z; z++ {
 			for y := 0; y < dims.Y; y++ {
-				for x := 0; x < dims.X; x++ {
-					binary.LittleEndian.PutUint32(t[:], math.Float32bits(gen(v, x, y, z)))
-					if _, err := w.Write(t[:]); err != nil {
-						return fail(err)
-					}
+				for x := range row {
+					row[x] = gen(v, x, y, z)
+				}
+				volume.PutFloats(enc, row, volume.LittleEndian)
+				if _, err := w.Write(enc); err != nil {
+					return fail(err)
 				}
 			}
 		}
@@ -395,20 +396,12 @@ func Open(f vfile.File) (*File, error) {
 func ReadExtent(f vfile.File, d *Dataset, ext grid.Extent) (*volume.Field, error) {
 	ext = ext.Intersect(grid.WholeGrid(d.Dims))
 	fld := volume.NewField(d.Dims, ext)
-	var buf []byte
-	di := 0
-	for _, r := range d.VarRuns(ext) {
-		if int64(cap(buf)) < r.Length {
-			buf = make([]byte, r.Length)
-		}
-		b := buf[:r.Length]
-		if _, err := f.ReadAt(b, r.Offset); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("h5lite: read at %d: %w", r.Offset, err)
-		}
-		for i := 0; i+4 <= len(b); i += 4 {
-			fld.Data[di] = math.Float32frombits(binary.LittleEndian.Uint32(b[i:]))
-			di++
-		}
+	dec := volume.NewFloatDecoder(fld.Data, volume.LittleEndian)
+	if err := vfile.ReadRuns(f, d.VarRuns(ext), 0, dec); err != nil {
+		return nil, fmt.Errorf("h5lite: %w", err)
+	}
+	if err := dec.Close(); err != nil {
+		return nil, fmt.Errorf("h5lite: %w", err)
 	}
 	return fld, nil
 }

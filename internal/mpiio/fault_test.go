@@ -1,7 +1,9 @@
 package mpiio
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -53,5 +55,59 @@ func TestIndependentReadPropagatesFault(t *testing.T) {
 	f := &vfile.FaultyFile{F: base, FailAfter: 0}
 	if _, err := IndependentRead(f, []grid.Run{{Offset: 0, Length: 10}}, 0); !errors.Is(err, vfile.ErrInjected) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// A file shorter than the request is an error, not a silent mis-read:
+// at f29ecc6 the aggregator accepted the short read of the last 1 KB
+// window and scattered the reused buffer's tail — the previous window's
+// bytes — with a nil error.
+func TestTruncatedFileIsAnError(t *testing.T) {
+	file := randomFile(3000, 8)
+	runs := []grid.Run{{Offset: 0, Length: 4096}}
+	err := comm.NewWorld(1).Run(func(c *comm.Comm) error {
+		_, err := CollectiveRead(c, file, runs, Hints{CBBufferSize: 1024, CBNodes: 1})
+		return err
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("collective: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := IndependentRead(file, runs, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("independent: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// The collective buffer is reused from call to call. Two different
+// files read back to back through it, the second one shorter-windowed
+// than the first so every read leaves the first file's bytes beyond it,
+// must each come back byte-exact.
+func TestCollectiveBufferReuseIsByteExact(t *testing.T) {
+	const p = 4
+	a, b := randomFile(1<<15, 9), randomFile(1<<14, 10)
+	for i, tc := range []struct {
+		file *vfile.MemFile
+		h    Hints
+	}{
+		{a, Hints{CBNodes: 2}},
+		{b, Hints{CBBufferSize: 700, CBNodes: 2}},
+		{a, Hints{CBBufferSize: 3000, CBNodes: 3}},
+		{b, Hints{CBNodes: 1}},
+	} {
+		// Strided requests, so windows hold unrequested bytes too.
+		reqs := make([][]grid.Run, p)
+		for off := int64(0); off+300 <= tc.file.Size(); off += 500 {
+			r := int(off/500) % p
+			reqs[r] = append(reqs[r], grid.Run{Offset: off, Length: 300})
+		}
+		err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
+			got, err := CollectiveRead(c, tc.file, reqs[c.Rank()], tc.h)
+			if err == nil && !bytes.Equal(got, directBytes(tc.file, reqs[c.Rank()])) {
+				t.Errorf("read %d, rank %d: wrong bytes", i, c.Rank())
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -29,10 +29,12 @@
 package mpiio
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"sync"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/critpath"
@@ -153,8 +155,8 @@ func BuildPlan(union []grid.Run, h Hints) *Plan {
 		firstNeeded := int64(-1)
 		lastNeeded := int64(-1)
 		for k := j; k < len(union) && union[k].Offset < dhi; k++ {
-			lo := max64(union[k].Offset, dlo)
-			hi := min64(union[k].End(), dhi)
+			lo := max(union[k].Offset, dlo)
+			hi := min(union[k].End(), dhi)
 			if lo < hi {
 				if firstNeeded < 0 {
 					firstNeeded = lo
@@ -166,7 +168,7 @@ func BuildPlan(union []grid.Run, h Hints) *Plan {
 			continue
 		}
 		for wlo := dlo; wlo < dhi; wlo += w {
-			whi := min64(wlo+w, dhi)
+			whi := min(wlo+w, dhi)
 			// Does any run intersect [wlo, whi)?
 			for j < len(union) && union[j].End() <= wlo {
 				j++
@@ -174,8 +176,8 @@ func BuildPlan(union []grid.Run, h Hints) *Plan {
 			if j >= len(union) || union[j].Offset >= whi {
 				continue // empty window: skipped
 			}
-			rlo := max64(wlo, firstNeeded)
-			rhi := min64(whi, lastNeeded)
+			rlo := max(wlo, firstNeeded)
+			rhi := min(whi, lastNeeded)
 			if rlo >= rhi {
 				continue
 			}
@@ -187,18 +189,36 @@ func BuildPlan(union []grid.Run, h Hints) *Plan {
 	return p
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// bufPool holds the aggregators' collective buffers between calls, as
+// ROMIO's collective buffer outlives the MPI_File_read_all: a frame's
+// aggregators would otherwise each allocate and zero a domain-sized
+// buffer per read. Reuse is safe because every byte scattered out of a
+// buffer was put there by the vfile.ReadFull just before — a short read
+// is an error, so stale bytes are never delivered. Pointers to slices
+// are pooled so that Put allocates no header.
+var bufPool sync.Pool
+
+// collectiveBuffer returns a pooled buffer of at least n bytes; the
+// caller returns it with bufPool.Put.
+func collectiveBuffer(n int64) *[]byte {
+	if bp, _ := bufPool.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
+		return bp
 	}
-	return b
+	b := make([]byte, n)
+	return &b
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// fragBytes is the size of one fragment in a request message: offset
+// and length as little-endian int64s.
+const fragBytes = 16
+
+// fragAt decodes fragment i of a request message.
+func fragAt(req []byte, i int) grid.Run {
+	b := req[fragBytes*i:][:fragBytes]
+	return grid.Run{
+		Offset: int64(binary.LittleEndian.Uint64(b)),
+		Length: int64(binary.LittleEndian.Uint64(b[8:])),
 	}
-	return b
 }
 
 // CollectiveRead performs a two-phase collective read over the comm
@@ -207,12 +227,26 @@ func min64(a, b int64) int64 {
 // it together. The physical reads (and only those) hit f, so passing a
 // vfile.Traced yields the Fig 9/10 access logs.
 func CollectiveRead(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints) ([]byte, error) {
+	var out bytes.Buffer
+	out.Grow(int(grid.TotalBytes(myRuns)))
+	if err := CollectiveReadTo(c, f, myRuns, h, &out); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// CollectiveReadTo is CollectiveRead delivering the bytes of the runs,
+// in order, to w instead of returning them: the segments are written
+// straight out of the aggregators' reply messages, so a caller that
+// decodes (volume.FloatDecoder) never holds the concatenation. w may be
+// written to in pieces of any size and must not keep them.
+func CollectiveReadTo(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints, w io.Writer) error {
 	tr := c.Trace()
 	sp := tr.Begin(trace.PhaseIO, "collective-read")
 	defer sp.End()
 	p := c.Size()
 	a := h.aggregators(p)
-	w := h.window()
+	win := h.window()
 
 	// Global span via allreduce.
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -223,148 +257,68 @@ func CollectiveRead(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints) ([]b
 	mn := c.Allreduce([]float64{lo}, comm.OpMin)[0]
 	mx := c.Allreduce([]float64{hi}, comm.OpMax)[0]
 	if math.IsInf(mn, 1) {
-		return nil, nil // nobody wants anything
+		return nil // nobody wants anything
 	}
 	st, end := int64(mn), int64(mx)
 	domLen := (end - st + int64(a) - 1) / int64(a)
 	if domLen < 1 {
 		domLen = 1
 	}
-	domOf := func(off int64) int {
-		d := int((off - st) / domLen)
-		if d >= a {
-			d = a - 1
+	// eachFragment splits my runs at the file-domain boundaries and
+	// calls fn with each piece and its domain, in offset order — so the
+	// pieces of one domain are consecutive.
+	eachFragment := func(fn func(d int, fr grid.Run) error) error {
+		for _, r := range myRuns {
+			for off := r.Offset; off < r.End(); {
+				d := min(int((off-st)/domLen), a-1)
+				dhi := min(st+int64(d+1)*domLen, end)
+				fr := grid.Run{Offset: off, Length: min(r.End(), dhi) - off}
+				if err := fn(d, fr); err != nil {
+					return err
+				}
+				off += fr.Length
+			}
 		}
-		return d
-	}
-	domBounds := func(d int) (int64, int64) {
-		dlo := st + int64(d)*domLen
-		dhi := min64(dlo+domLen, end)
-		return dlo, dhi
+		return nil
 	}
 
-	// Split my runs into per-domain fragments (offset order preserved).
-	frags := make([][]grid.Run, a)
-	for _, r := range myRuns {
-		off := r.Offset
-		for off < r.End() {
-			d := domOf(off)
-			_, dhi := domBounds(d)
-			l := min64(r.End(), dhi) - off
-			frags[d] = append(frags[d], grid.Run{Offset: off, Length: l})
-			off += l
-		}
-	}
-
-	// Request exchange: encode fragments as int64 pairs to aggregators.
+	// Request exchange: fragments as int64 pairs, written once into one
+	// buffer that is cut into the per-aggregator messages. A run splits
+	// only at a domain boundary, which bounds the fragment count.
 	reqSp := tr.Begin(trace.PhaseIO, "request-exchange")
 	reqBufs := make([][]byte, p)
-	for d := 0; d < a; d++ {
-		if len(frags[d]) == 0 {
-			continue
+	enc := make([]byte, 0, fragBytes*(len(myRuns)+a-1))
+	cur, from := -1, 0 // domain of the fragments since enc[from]
+	cut := func() {
+		if cur >= 0 {
+			reqBufs[AggRank(cur, a, p)] = enc[from:len(enc):len(enc)]
 		}
-		enc := make([]int64, 0, 2*len(frags[d]))
-		for _, fr := range frags[d] {
-			enc = append(enc, fr.Offset, fr.Length)
-		}
-		reqBufs[AggRank(d, a, p)] = comm.I64sToBytes(enc)
 	}
+	eachFragment(func(d int, fr grid.Run) error {
+		if d != cur {
+			cut()
+			cur, from = d, len(enc)
+		}
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(fr.Offset))
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(fr.Length))
+		return nil
+	})
+	cut()
 	c.SetDepKind(critpath.DepAggregator)
 	reqs := c.Alltoallv(reqBufs)
 	c.SetDepKind(critpath.DepAuto)
 	reqSp.End()
 
-	// Aggregator work: decode requests, read windows, build replies.
+	// Aggregator work: read windows, build replies.
 	aggSp := tr.Begin(trace.PhaseIO, "aggregator-read")
 	replies := make([][]byte, p)
-	myAggIdx := -1
 	for d := 0; d < a; d++ {
 		if AggRank(d, a, p) == c.Rank() {
-			myAggIdx = d
+			dlo := st + int64(d)*domLen
+			if err := aggregate(c, f, reqs, replies, dlo, min(dlo+domLen, end), win); err != nil {
+				return err
+			}
 			break
-		}
-	}
-	if myAggIdx >= 0 {
-		type srcReq struct {
-			src   int
-			runs  []grid.Run
-			reply []byte
-		}
-		var srcs []srcReq
-		var needed []grid.Run
-		for src := 0; src < p; src++ {
-			enc := comm.BytesToI64s(reqs[src])
-			if len(enc) == 0 {
-				continue
-			}
-			runs := make([]grid.Run, len(enc)/2)
-			var total int64
-			for i := range runs {
-				runs[i] = grid.Run{Offset: enc[2*i], Length: enc[2*i+1]}
-				total += runs[i].Length
-			}
-			srcs = append(srcs, srcReq{src: src, runs: runs, reply: make([]byte, 0, total)})
-			needed = append(needed, runs...)
-		}
-		if len(needed) > 0 {
-			sort.Slice(needed, func(i, j int) bool { return needed[i].Offset < needed[j].Offset })
-			needed = grid.CoalesceRuns(needed)
-			dlo, dhi := domBounds(myAggIdx)
-			firstNeeded := needed[0].Offset
-			lastNeeded := needed[len(needed)-1].End()
-			cursor := make([]int, len(srcs)) // per-src next fragment
-			// A window never reads more than the domain holds, so a small
-			// file does not cost a default 16 MB window per aggregator.
-			buf := make([]byte, min64(w, dhi-dlo))
-			ni := 0
-			stagePhase.Start((dhi - dlo + w - 1) / w)
-			defer stagePhase.End()
-			for wlo := dlo; wlo < dhi; wlo += w {
-				stagePhase.Add(1)
-				whi := min64(wlo+w, dhi)
-				for ni < len(needed) && needed[ni].End() <= wlo {
-					ni++
-				}
-				if ni >= len(needed) || needed[ni].Offset >= whi {
-					continue
-				}
-				rlo := max64(wlo, firstNeeded)
-				rhi := min64(whi, lastNeeded)
-				if rlo >= rhi {
-					continue
-				}
-				b := buf[:rhi-rlo]
-				if _, err := f.ReadAt(b, rlo); err != nil && err != io.EOF {
-					return nil, fmt.Errorf("mpiio: aggregator read at %d: %w", rlo, err)
-				}
-				tr.Add(trace.CounterAccesses, 1)
-				tr.Add(trace.CounterBytesRead, rhi-rlo)
-				cStageAccesses.Inc()
-				cStageBytes.Add(rhi - rlo)
-				c.Net().ObserveAccess(rhi - rlo)
-				// Scatter the window's fragments to each source's reply.
-				for si := range srcs {
-					for cursor[si] < len(srcs[si].runs) {
-						fr := srcs[si].runs[cursor[si]]
-						if fr.Offset >= whi {
-							break
-						}
-						flo := max64(fr.Offset, wlo)
-						fhi := min64(fr.End(), whi)
-						if flo < fhi {
-							srcs[si].reply = append(srcs[si].reply, b[flo-rlo:fhi-rlo]...)
-						}
-						if fr.End() <= whi {
-							cursor[si]++
-						} else {
-							break // rest of the fragment is in a later window
-						}
-					}
-				}
-			}
-			for _, s := range srcs {
-				replies[s.src] = s.reply
-			}
 		}
 	}
 	aggSp.End()
@@ -378,30 +332,95 @@ func CollectiveRead(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints) ([]b
 	// my runs, consuming from the right aggregator's stream.
 	reasmSp := tr.Begin(trace.PhaseIO, "reassemble")
 	defer reasmSp.End()
-	var total int64
-	for _, r := range myRuns {
-		total += r.Length
-	}
-	out := make([]byte, 0, total)
-	pos := make([]int64, p) // byte cursor per aggregator rank
-	for _, r := range myRuns {
-		off := r.Offset
-		for off < r.End() {
-			d := domOf(off)
-			ar := AggRank(d, a, p)
-			_, dhi := domBounds(d)
-			l := min64(r.End(), dhi) - off
-			seg := got[ar]
-			if pos[ar]+l > int64(len(seg)) {
-				return nil, fmt.Errorf("mpiio: rank %d short reply from aggregator %d: have %d, need %d",
-					c.Rank(), ar, len(seg), pos[ar]+l)
-			}
-			out = append(out, seg[pos[ar]:pos[ar]+l]...)
-			pos[ar] += l
-			off += l
+	return eachFragment(func(d int, fr grid.Run) error {
+		ar := AggRank(d, a, p)
+		if fr.Length > int64(len(got[ar])) {
+			return fmt.Errorf("mpiio: rank %d short reply from aggregator %d: have %d bytes, need %d more",
+				c.Rank(), ar, len(got[ar]), fr.Length)
+		}
+		_, err := w.Write(got[ar][:fr.Length])
+		got[ar] = got[ar][fr.Length:]
+		return err
+	})
+}
+
+// aggregate is one aggregator's part of a collective read: it walks its
+// file domain [dlo, dhi) in windows of win bytes, reads every window
+// that holds a requested byte, and copies the fragments requested in
+// reqs (indexed by source rank) into replies.
+func aggregate(c *comm.Comm, f vfile.File, reqs, replies [][]byte, dlo, dhi, win int64) error {
+	tr := c.Trace()
+	// One pass over the requests sizes each reply and finds the first
+	// and last needed byte of the domain, which clamp the window reads.
+	firstNeeded, lastNeeded := dhi, dlo
+	for src, req := range reqs {
+		var total int64
+		for i := 0; i < len(req)/fragBytes; i++ {
+			fr := fragAt(req, i)
+			total += fr.Length
+			firstNeeded = min(firstNeeded, fr.Offset)
+			lastNeeded = max(lastNeeded, fr.End())
+		}
+		if total > 0 {
+			replies[src] = make([]byte, 0, total)
 		}
 	}
-	return out, nil
+	if firstNeeded >= lastNeeded {
+		return nil
+	}
+	// A window never reads more than the domain holds, so a small file
+	// does not cost a default 16 MB window per aggregator.
+	bp := collectiveBuffer(min(win, dhi-dlo))
+	defer bufPool.Put(bp)
+	// cursor[src] is the first fragment of src that ends past the
+	// windows walked so far (fragments are offset-sorted per source).
+	cursor := make([]int, len(reqs))
+	stagePhase.Start((dhi - dlo + win - 1) / win)
+	defer stagePhase.End()
+	for wlo := dlo; wlo < dhi; wlo += win {
+		stagePhase.Add(1)
+		whi := min(wlo+win, dhi)
+		// The window is empty unless some source's next fragment starts
+		// inside it (it cannot end before wlo).
+		empty := true
+		for src, req := range reqs {
+			if cursor[src] < len(req)/fragBytes && fragAt(req, cursor[src]).Offset < whi {
+				empty = false
+				break
+			}
+		}
+		if empty {
+			continue
+		}
+		rlo := max(wlo, firstNeeded)
+		rhi := min(whi, lastNeeded)
+		b := (*bp)[:rhi-rlo]
+		if err := vfile.ReadFull(f, b, rlo); err != nil {
+			return fmt.Errorf("mpiio: aggregator: %w", err)
+		}
+		tr.Add(trace.CounterAccesses, 1)
+		tr.Add(trace.CounterBytesRead, rhi-rlo)
+		cStageAccesses.Inc()
+		cStageBytes.Add(rhi - rlo)
+		c.Net().ObserveAccess(rhi - rlo)
+		// Scatter the window's fragments to each source's reply.
+		for src, req := range reqs {
+			for cursor[src] < len(req)/fragBytes {
+				fr := fragAt(req, cursor[src])
+				if fr.Offset >= whi {
+					break
+				}
+				if flo, fhi := max(fr.Offset, wlo), min(fr.End(), whi); flo < fhi {
+					replies[src] = append(replies[src], b[flo-rlo:fhi-rlo]...)
+				}
+				if fr.End() > whi {
+					break // rest of the fragment is in a later window
+				}
+				cursor[src]++
+			}
+		}
+	}
+	return nil
 }
 
 // IndependentRead reads the given sorted runs without collective
@@ -410,30 +429,10 @@ func CollectiveRead(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints) ([]b
 // hole bytes are read and discarded). sieveHole = 0 reads each run
 // exactly. The concatenated run bytes are returned.
 func IndependentRead(f vfile.File, runs []grid.Run, sieveHole int64) ([]byte, error) {
-	var total int64
-	for _, r := range runs {
-		total += r.Length
+	var out bytes.Buffer
+	out.Grow(int(grid.TotalBytes(runs)))
+	if err := vfile.ReadRuns(f, runs, sieveHole, &out); err != nil {
+		return nil, fmt.Errorf("mpiio: independent read: %w", err)
 	}
-	out := make([]byte, 0, total)
-	i := 0
-	for i < len(runs) {
-		j := i
-		lo := runs[i].Offset
-		hi := runs[i].End()
-		for j+1 < len(runs) && runs[j+1].Offset-hi <= sieveHole {
-			j++
-			if e := runs[j].End(); e > hi {
-				hi = e
-			}
-		}
-		buf := make([]byte, hi-lo)
-		if _, err := f.ReadAt(buf, lo); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("mpiio: independent read at %d: %w", lo, err)
-		}
-		for k := i; k <= j; k++ {
-			out = append(out, buf[runs[k].Offset-lo:runs[k].End()-lo]...)
-		}
-		i = j + 1
-	}
-	return out, nil
+	return out.Bytes(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -341,35 +342,83 @@ func TestIndependentReadEmpty(t *testing.T) {
 	}
 }
 
-// The staging buffer is sized to the aggregator's file domain, not to
-// the window: a small file read under the default 16 MB window must not
-// cost 16 MB per aggregator per call.
-func TestCollectiveReadSmallFileAllocation(t *testing.T) {
-	const p, size = 8, 1 << 16
-	file := randomFile(size, 6)
+// discard counts the bytes written to it.
+type discard struct{ n int64 }
+
+func (d *discard) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
+
+// readTwice runs two collective reads, one after the other in one
+// world, of an n-byte contiguous union cut into runLen-byte runs dealt
+// round-robin to p ranks, and returns what each allocated: the first
+// finds whatever earlier tests left in the buffer pool, the second at
+// least the first's buffers.
+func readTwice(t *testing.T, p int, n, runLen int64, h Hints) (bytes, objects [2]uint64) {
+	t.Helper()
+	file := randomFile(n, 6)
 	reqs := make([][]grid.Run, p)
-	for r := range reqs {
-		reqs[r] = []grid.Run{{Offset: int64(r) * size / p, Length: size / p}}
+	for off := int64(0); off < n; off += runLen {
+		r := int(off/runLen) % p
+		reqs[r] = append(reqs[r], grid.Run{Offset: off, Length: min(runLen, n-off)})
 	}
-	w := comm.NewWorld(p)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := w.Run(func(c *comm.Comm) error {
-		got, err := CollectiveRead(c, file, reqs[c.Rank()], Hints{CBNodes: p})
-		if err == nil && !bytes.Equal(got, directBytes(file, reqs[c.Rank()])) {
-			err = fmt.Errorf("rank %d: wrong bytes", c.Rank())
+	var at [3]runtime.MemStats
+	err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
+		for pass := 0; ; pass++ {
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&at[pass])
+			}
+			c.Barrier()
+			if pass == 2 {
+				return nil
+			}
+			var got discard
+			if err := CollectiveReadTo(c, file, reqs[c.Rank()], h, &got); err != nil {
+				return err
+			}
+			if want := grid.TotalBytes(reqs[c.Rank()]); got.n != want {
+				return fmt.Errorf("rank %d: %d bytes delivered, want %d", c.Rank(), got.n, want)
+			}
 		}
-		return err
 	})
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Requests, staging, replies and results are each about the file's
-	// size; 32x leaves room for the runtime's own goroutine and channel
-	// allocations, and is 64x below one default window.
-	if got := after.TotalAlloc - before.TotalAlloc; got > 32*size {
-		t.Errorf("collective read of a %d-byte file allocated %d bytes (default window %d)",
-			size, got, DefaultCBBufferSize)
+	for i := range bytes {
+		bytes[i] = at[i+1].TotalAlloc - at[i].TotalAlloc
+		objects[i] = at[i+1].Mallocs - at[i].Mallocs
+	}
+	return bytes, objects
+}
+
+// What a collective read of an n-byte union allocates. The first call
+// adds at most the aggregators' buffers, min(window, domain) each and so
+// n in all — not a default 16 MB window apiece, 128 MB here. In the
+// steady state the buffers come from the pool and what is left is the
+// reply messages (the useful bytes, once), the request tables and a
+// fixed number of small objects: no concatenated result, nothing per
+// run.
+func TestCollectiveReadAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	// A collection between the two calls ages the pooled buffers, two of
+	// them empty the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const p, n = 8, 1 << 20
+	for _, h := range []Hints{{CBNodes: p}, {CBBufferSize: 1 << 14, CBNodes: 3}} {
+		// 4 KB runs: the request tables are 16 bytes a run, 0.4 % of n.
+		bytes, few := readTwice(t, p, n, 1<<12, h)
+		const steady = n + n/4 + 32<<10
+		if bytes[0] > n+steady || bytes[1] > steady {
+			t.Errorf("%+v: a %d-byte union allocated %d bytes, then %d; want at most %d, then %d",
+				h, n, bytes[0], bytes[1], n+steady, steady)
+		}
+		// Four times the runs, the same objects: the comm runtime's
+		// mailbox appends vary a little with scheduling, hence the slack.
+		_, many := readTwice(t, p, n, 1<<10, h)
+		if many[1] > few[1]+few[1]/4+64 {
+			t.Errorf("%+v: %d objects for 1024 runs, %d for 256: allocation grows with the runs", h, many[1], few[1])
+		}
+		t.Logf("%+v: %d then %d bytes, %d / %d objects", h, bytes[0], bytes[1], few[1], many[1])
 	}
 }

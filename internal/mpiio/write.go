@@ -54,7 +54,7 @@ func CollectiveWrite(c *comm.Comm, f io.WriterAt, myRuns []grid.Run, myData []by
 		}
 		return d
 	}
-	domEnd := func(d int) int64 { return min64(st+int64(d+1)*domLen, end) }
+	domEnd := func(d int) int64 { return min(st+int64(d+1)*domLen, end) }
 
 	// Ship (runs, data) fragments to the owning aggregators. The
 	// payload layout per aggregator: nfrags, [off len]..., raw bytes.
@@ -68,7 +68,7 @@ func CollectiveWrite(c *comm.Comm, f io.WriterAt, myRuns []grid.Run, myData []by
 		off := r.Offset
 		for off < r.End() {
 			d := domOf(off)
-			l := min64(r.End(), domEnd(d)) - off
+			l := min(r.End(), domEnd(d)) - off
 			outs[d].segs = append(outs[d].segs, off, l)
 			outs[d].data = append(outs[d].data, myData[pos:pos+int(l)]...)
 			pos += int(l)
@@ -122,7 +122,7 @@ func CollectiveWrite(c *comm.Comm, f io.WriterAt, myRuns []grid.Run, myData []by
 		// flushing at gaps or when the buffer reaches the window size.
 		// It never holds more than this aggregator received, so a small
 		// file does not cost a whole (16 MB by default) window.
-		buf := make([]byte, 0, min64(w, received))
+		buf := make([]byte, 0, min(w, received))
 		var bufOff int64 = -1
 		flush := func() error {
 			if len(buf) == 0 {

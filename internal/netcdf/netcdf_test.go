@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -369,6 +370,39 @@ func TestVarRunsLoneRecordVarCoalesces(t *testing.T) {
 	}
 	if len(runs) != 1 || runs[0].Length != dims.Count()*4 {
 		t.Errorf("runs = %v", runs)
+	}
+}
+
+// A record variable's runs are built in one pass into one slice; the
+// list is the one the per-plane grid.Runs + CoalesceRuns construction
+// gave, for sub-row, full-row and full-plane extents, five variables and
+// one.
+func TestVarRunsRecordOnePass(t *testing.T) {
+	dims := grid.I(7, 5, 6)
+	for _, names := range [][]string{{"a", "b", "c", "d", "e"}, {"only"}} {
+		f := mustVolumeFile(t, V2, dims, names, true)
+		v := &f.Vars[len(names)/2]
+		for _, ext := range []grid.Extent{
+			grid.WholeGrid(dims),
+			grid.Ext(grid.I(1, 1, 1), grid.I(6, 4, 5)),
+			grid.Ext(grid.I(0, 2, 0), grid.I(7, 4, 6)),
+			grid.Ext(grid.I(0, 0, 3), grid.I(7, 5, 4)),
+		} {
+			var want []grid.Run
+			plane := grid.I(dims.X, dims.Y, 1)
+			planeExt := grid.Ext(grid.I(ext.Lo.X, ext.Lo.Y, 0), grid.I(ext.Hi.X, ext.Hi.Y, 1))
+			for z := ext.Lo.Z; z < ext.Hi.Z; z++ {
+				want = append(want, grid.Runs(plane, planeExt, 4, v.Begin+int64(z)*f.RecSize())...)
+			}
+			want = grid.CoalesceRuns(want)
+			got, err := f.VarRuns(v, ext)
+			if err != nil || !slices.Equal(got, want) {
+				t.Errorf("%d variables, %v: runs %v (%v), want %v", len(names), ext, got, err, want)
+			}
+			if n := testing.AllocsPerRun(10, func() { f.VarRuns(v, ext) }); n != 1 {
+				t.Errorf("%d variables, %v: %v allocations, want 1", len(names), ext, n)
+			}
+		}
 	}
 }
 

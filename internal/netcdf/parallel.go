@@ -1,9 +1,7 @@
 package netcdf
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"bgpvr/internal/comm"
@@ -22,10 +20,8 @@ import (
 
 // EncodeFloats encodes float32s big-endian (the format's byte order).
 func EncodeFloats(v []float32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint32(b[4*i:], math.Float32bits(x))
-	}
+	b := make([]byte, volume.WireFloatBytes*len(v))
+	volume.PutFloats(b, v, volume.BigEndian)
 	return b
 }
 

@@ -1,10 +1,8 @@
 package netcdf
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"bgpvr/internal/grid"
 	"bgpvr/internal/vfile"
@@ -66,16 +64,16 @@ func (f *File) VarRuns(v *Var, ext grid.Extent) ([]grid.Run, error) {
 	if !f.IsRecordVar(v) {
 		return grid.Runs(dims, ext, es, v.Begin), nil
 	}
+	// One list for all records, sized from the extent; AppendRuns
+	// coalesces the adjacent records of a lone record variable.
 	recSize := f.RecSize()
 	plane := grid.IVec3{X: dims.X, Y: dims.Y, Z: 1}
 	planeExt := grid.Ext(grid.I(ext.Lo.X, ext.Lo.Y, 0), grid.I(ext.Hi.X, ext.Hi.Y, 1))
-	var runs []grid.Run
+	runs := make([]grid.Run, 0, ext.Size().Z*grid.RunCount(plane, planeExt))
 	for z := ext.Lo.Z; z < ext.Hi.Z; z++ {
-		base := v.Begin + int64(z)*recSize
-		runs = append(runs, grid.Runs(plane, planeExt, es, base)...)
+		runs = grid.AppendRuns(runs, plane, planeExt, es, v.Begin+int64(z)*recSize)
 	}
-	// Adjacent records of a lone record variable may coalesce.
-	return grid.CoalesceRuns(runs), nil
+	return runs, nil
 }
 
 // ReadVarExtent reads the subarray ext of float variable v into a
@@ -94,28 +92,15 @@ func ReadVarExtent(vf vfile.File, f *File, v *Var, ext grid.Extent) (*volume.Fie
 		return nil, err
 	}
 	fld := volume.NewField(dims, ext.Intersect(grid.WholeGrid(dims)))
-	buf := []byte(nil)
-	di := 0
-	for _, r := range runs {
-		if int64(cap(buf)) < r.Length {
-			buf = make([]byte, r.Length)
-		}
-		b := buf[:r.Length]
-		if _, err := vf.ReadAt(b, r.Offset); err != nil && err != io.EOF {
-			return nil, fmt.Errorf("netcdf: read at %d: %w", r.Offset, err)
-		}
-		DecodeFloats(b, fld.Data[di:di+len(b)/4])
-		di += len(b) / 4
+	dec := volume.NewFloatDecoder(fld.Data, volume.BigEndian)
+	if err := vfile.ReadRuns(vf, runs, 0, dec); err != nil {
+		return nil, fmt.Errorf("netcdf: %w", err)
 	}
-	if di != len(fld.Data) {
-		return nil, fmt.Errorf("netcdf: decoded %d of %d elements", di, len(fld.Data))
+	if err := dec.Close(); err != nil {
+		return nil, fmt.Errorf("netcdf: %w", err)
 	}
 	return fld, nil
 }
 
 // DecodeFloats decodes big-endian float32 bytes into dst.
-func DecodeFloats(b []byte, dst []float32) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.BigEndian.Uint32(b[4*i:]))
-	}
-}
+func DecodeFloats(b []byte, dst []float32) { volume.GetFloats(dst, b, volume.BigEndian) }

@@ -2,12 +2,11 @@ package netcdf
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 
 	"bgpvr/internal/grid"
+	"bgpvr/internal/volume"
 )
 
 // ComputeLayout assigns VSize and Begin for every variable: fixed
@@ -138,16 +137,17 @@ func WriteFile(path string, f *File, gen func(varIdx int, rec int64) []float32) 
 	if _, err := w.Write(EncodeHeader(f)); err != nil {
 		return fail(err)
 	}
+	var enc []byte // one variable's encoded values, reused
 	writeVals := func(vals []float32, want, padTo int64) error {
 		if int64(len(vals))*4 != want {
 			return fmt.Errorf("netcdf: generator returned %d bytes, want %d", len(vals)*4, want)
 		}
-		var t [4]byte
-		for _, x := range vals {
-			binary.BigEndian.PutUint32(t[:], math.Float32bits(x))
-			if _, err := w.Write(t[:]); err != nil {
-				return err
-			}
+		if int64(cap(enc)) < want {
+			enc = make([]byte, want)
+		}
+		volume.PutFloats(enc, vals, volume.BigEndian)
+		if _, err := w.Write(enc[:want]); err != nil {
+			return err
 		}
 		for pad := padTo - want; pad > 0; pad-- {
 			if err := w.WriteByte(0); err != nil {

@@ -9,9 +9,7 @@ package rawfmt
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 
 	"bgpvr/internal/grid"
@@ -42,18 +40,16 @@ func Write(path string, f *volume.Field) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(out, 1<<20)
-	var buf [ElemSize]byte
-	for _, v := range f.Data {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-		if _, err := w.Write(buf[:]); err != nil {
+	const chunk = 1 << 18 // samples encoded per write
+	enc := make([]byte, ElemSize*min(chunk, len(f.Data)))
+	for vals := f.Data; len(vals) > 0; {
+		n := min(chunk, len(vals))
+		volume.PutFloats(enc, vals[:n], volume.LittleEndian)
+		if _, err := out.Write(enc[:ElemSize*n]); err != nil {
 			out.Close()
 			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		out.Close()
-		return err
+		vals = vals[n:]
 	}
 	return out.Close()
 }
@@ -67,15 +63,17 @@ func WriteFunc(path string, dims grid.IVec3, gen func(x, y, z int) float32) erro
 		return err
 	}
 	w := bufio.NewWriterSize(out, 1<<20)
-	var buf [ElemSize]byte
+	row := make([]float32, dims.X)
+	enc := make([]byte, ElemSize*dims.X)
 	for z := 0; z < dims.Z; z++ {
 		for y := 0; y < dims.Y; y++ {
-			for x := 0; x < dims.X; x++ {
-				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(gen(x, y, z)))
-				if _, err := w.Write(buf[:]); err != nil {
-					out.Close()
-					return err
-				}
+			for x := range row {
+				row[x] = gen(x, y, z)
+			}
+			volume.PutFloats(enc, row, volume.LittleEndian)
+			if _, err := w.Write(enc); err != nil {
+				out.Close()
+				return err
 			}
 		}
 	}
@@ -101,34 +99,14 @@ func ReadExtent(f vfile.File, dims grid.IVec3, ext grid.Extent) (*volume.Field, 
 // ReadRunsInto reads the given byte runs in order, decoding float32s
 // into dst sequentially. dst must hold exactly the total element count.
 func ReadRunsInto(f vfile.File, runs []grid.Run, dst []float32) error {
-	var n int64
-	for _, r := range runs {
-		n += r.Length
-	}
-	if n != int64(len(dst))*ElemSize {
+	if n := grid.TotalBytes(runs); n != int64(len(dst))*ElemSize {
 		return fmt.Errorf("rawfmt: runs cover %d bytes but dst holds %d", n, len(dst)*ElemSize)
 	}
-	buf := make([]byte, 0)
-	di := 0
-	for _, r := range runs {
-		if int64(cap(buf)) < r.Length {
-			buf = make([]byte, r.Length)
-		}
-		b := buf[:r.Length]
-		if _, err := f.ReadAt(b, r.Offset); err != nil {
-			return fmt.Errorf("rawfmt: read at %d: %w", r.Offset, err)
-		}
-		for i := 0; i+ElemSize <= len(b); i += ElemSize {
-			dst[di] = math.Float32frombits(binary.LittleEndian.Uint32(b[i:]))
-			di++
-		}
+	if err := vfile.ReadRuns(f, runs, 0, volume.NewFloatDecoder(dst, volume.LittleEndian)); err != nil {
+		return fmt.Errorf("rawfmt: %w", err)
 	}
 	return nil
 }
 
 // DecodeInto decodes a contiguous little-endian float32 byte buffer.
-func DecodeInto(b []byte, dst []float32) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-}
+func DecodeInto(b []byte, dst []float32) { volume.GetFloats(dst, b, volume.LittleEndian) }

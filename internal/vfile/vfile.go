@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 
+	"bgpvr/internal/grid"
 	"bgpvr/internal/iotrace"
 )
 
@@ -123,3 +124,50 @@ func (t *Traced) ReadAt(p []byte, off int64) (int, error) {
 
 // Size returns the wrapped file's size.
 func (t *Traced) Size() int64 { return t.F.Size() }
+
+// ReadFull reads exactly len(p) bytes at off. Every data read in the
+// I/O stack goes through it, into scratch buffers that are reused from
+// window to window and, for the collective buffer, from call to call —
+// so a short read is an error (wrapping io.ErrUnexpectedEOF), never a
+// buffer whose tail still holds an earlier read's bytes.
+func ReadFull(f File, p []byte, off int64) error {
+	n, err := f.ReadAt(p, off)
+	if n == len(p) {
+		return nil // io.ReaderAt may report io.EOF with a full read at the end
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("vfile: read %d of %d bytes at %d: %w", n, len(p), off, err)
+}
+
+// ReadRuns reads the given offset-sorted runs and writes their bytes, in
+// order, to w — the one loop behind every independent read. Consecutive
+// runs separated by holes of at most sieveHole bytes are fetched in one
+// contiguous access (data sieving: the hole bytes are read and
+// discarded); sieveHole = 0 reads each run exactly.
+func ReadRuns(f File, runs []grid.Run, sieveHole int64, w io.Writer) error {
+	var buf []byte
+	for i := 0; i < len(runs); {
+		j := i
+		lo, hi := runs[i].Offset, runs[i].End()
+		for j+1 < len(runs) && runs[j+1].Offset-hi <= sieveHole {
+			j++
+			hi = max(hi, runs[j].End())
+		}
+		if int64(cap(buf)) < hi-lo {
+			buf = make([]byte, hi-lo)
+		}
+		b := buf[:hi-lo]
+		if err := ReadFull(f, b, lo); err != nil {
+			return err
+		}
+		for _, r := range runs[i : j+1] {
+			if _, err := w.Write(b[r.Offset-lo : r.End()-lo]); err != nil {
+				return err
+			}
+		}
+		i = j + 1
+	}
+	return nil
+}

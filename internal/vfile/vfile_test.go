@@ -2,10 +2,13 @@ package vfile
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bgpvr/internal/grid"
 )
 
 func TestMemFileReadAt(t *testing.T) {
@@ -180,5 +183,60 @@ func TestTracedRW(t *testing.T) {
 	}
 	if string(p) != "hi" {
 		t.Errorf("payload = %q", p)
+	}
+}
+
+// eofAtEnd reports io.EOF together with a read that reaches the end of
+// the file, as io.ReaderAt allows (and *os.File does not).
+type eofAtEnd struct{ *MemFile }
+
+func (e eofAtEnd) ReadAt(p []byte, off int64) (int, error) {
+	n, err := e.MemFile.ReadAt(p, off)
+	if err == nil && off+int64(n) == e.Size() {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// ReadFull is exact or an error: a read that ends at the end of the file
+// succeeds whether or not the file reports io.EOF with it, a short one
+// wraps io.ErrUnexpectedEOF, and a storage error comes through.
+func TestReadFull(t *testing.T) {
+	m := &MemFile{Data: []byte("0123456789")}
+	for _, f := range []File{m, eofAtEnd{m}} {
+		b := make([]byte, 4)
+		if err := ReadFull(f, b, 6); err != nil || string(b) != "6789" {
+			t.Errorf("%T: read to the end = %q, %v", f, b, err)
+		}
+		for _, off := range []int64{7, 10, 50} {
+			if err := ReadFull(f, b, off); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%T: 4 bytes at %d of 10: err = %v, want io.ErrUnexpectedEOF", f, off, err)
+			}
+		}
+	}
+	if err := ReadFull(&FaultyFile{F: m}, make([]byte, 1), 0); !errors.Is(err, ErrInjected) {
+		t.Errorf("injected fault: err = %v", err)
+	}
+}
+
+// ReadRuns delivers exactly the runs' bytes, in order, through a scratch
+// buffer it reuses — so a later, shorter access must not leak an
+// earlier one's tail.
+func TestReadRunsReusesScratch(t *testing.T) {
+	m := &MemFile{Data: []byte("abcdefghijklmnopqrstuvwxyz")}
+	runs := []grid.Run{{Offset: 0, Length: 8}, {Offset: 10, Length: 2}, {Offset: 13, Length: 1}, {Offset: 24, Length: 2}}
+	for hole, accesses := range map[int64]int{0: 4, 1: 3, 100: 1} {
+		tr := NewTraced(m)
+		var got bytes.Buffer
+		if err := ReadRuns(tr, runs, hole, &got); err != nil || got.String() != "abcdefghklnyz" {
+			t.Errorf("hole %d: %q, %v", hole, got.String(), err)
+		}
+		if n := len(tr.Log.Accesses()); n != accesses {
+			t.Errorf("hole %d: %d accesses, want %d", hole, n, accesses)
+		}
+	}
+	short := append(runs, grid.Run{Offset: 25, Length: 2})
+	if err := ReadRuns(m, short, 0, io.Discard); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("run past the end: err = %v", err)
 	}
 }
