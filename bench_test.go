@@ -315,6 +315,29 @@ func BenchmarkSupernovaEval(b *testing.B) {
 	_ = s
 }
 
+// BenchmarkSupernovaGenerate measures the row kernel on the three block
+// shapes the workloads generate: a whole grid, one ghost block of an
+// 8-way decomposition (a service miss generates 8 of them), and one of
+// the 64 blocks of a frame-composite frame.
+func BenchmarkSupernovaGenerate(b *testing.B) {
+	sn := volume.Supernova{Seed: 1530, Time: 1.1}
+	for _, c := range []struct {
+		name     string
+		n, procs int
+	}{{"whole=64", 64, 1}, {"ghost=33of64", 64, 8}, {"tiny=6of16", 16, 64}} {
+		b.Run(c.name, func(b *testing.B) {
+			dims := grid.Cube(c.n)
+			ext := grid.NewDecomp(dims, c.procs).GhostExtent(0, 1)
+			b.ReportAllocs()
+			var f *volume.Field
+			for i := 0; i < b.N; i++ {
+				f = sn.Generate(volume.VarVelocityX, dims, ext)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(f.Data))/float64(b.N), "ns/voxel")
+		})
+	}
+}
+
 // BenchmarkTorusPhase measures the network model on a 32K-rank
 // direct-send schedule — the heaviest model-mode computation.
 func BenchmarkTorusPhase(b *testing.B) {

@@ -20,7 +20,6 @@ import (
 	"bgpvr/internal/grid"
 	"bgpvr/internal/rawfmt"
 	"bgpvr/internal/stats"
-	"bgpvr/internal/volume"
 )
 
 func main() {
@@ -48,10 +47,7 @@ func run(in string, n, factor int, out string, procs int, generate bool) error {
 			in = fmt.Sprintf("supernova-%d.raw", n)
 		}
 		fmt.Printf("generating %d^3 synthetic supernova -> %s\n", n, in)
-		sn := volume.Supernova{Seed: 1530, Time: 1.1}
-		if err := rawfmt.WriteFunc(in, dims, func(x, y, z int) float32 {
-			return sn.Eval(volume.VarVelocityX, dims, x, y, z)
-		}); err != nil {
+		if err := core.WriteSceneFile(in, core.FormatRaw, core.DefaultScene(n, 0)); err != nil {
 			return err
 		}
 	}

@@ -63,15 +63,27 @@ func varNames() []string {
 
 // WriteSceneFile materializes the scene's time step at path in the given
 // format (raw stores only the scene variable; the multivariate formats
-// store all five variables, as VH-1 does).
+// store all five variables, as VH-1 does). The data is generated a
+// z-plane at a time, so a file larger than memory can be written.
 func WriteSceneFile(path string, f Format, s Scene) error {
 	sn := s.Supernova()
 	dims := s.Dims
+	plane := func(v volume.Var, z int) *volume.Field {
+		return sn.Generate(v, dims, grid.Ext(grid.I(0, 0, z), grid.I(dims.X, dims.Y, z+1)))
+	}
+	// The point-at-a-time writers ask in file order: serve them from the
+	// plane they are in.
+	var cur *volume.Field
+	var curVar volume.Var
+	at := func(v volume.Var, x, y, z int) float32 {
+		if cur == nil || v != curVar || z != cur.Ext.Lo.Z {
+			cur, curVar = plane(v, z), v
+		}
+		return cur.Data[y*dims.X+x]
+	}
 	switch f {
 	case FormatRaw:
-		return rawfmt.WriteFunc(path, dims, func(x, y, z int) float32 {
-			return sn.Eval(s.Variable, dims, x, y, z)
-		})
+		return rawfmt.WriteFunc(path, dims, func(x, y, z int) float32 { return at(s.Variable, x, y, z) })
 	case FormatNetCDF, FormatCDF5:
 		ver, record := netcdf.V2, true
 		if f == FormatCDF5 {
@@ -82,24 +94,13 @@ func WriteSceneFile(path string, f Format, s Scene) error {
 			return err
 		}
 		return netcdf.WriteFile(path, nf, func(varIdx int, rec int64) []float32 {
-			v := volume.Var(varIdx)
 			if rec < 0 {
-				return sn.GenerateFull(v, dims).Data
+				return sn.GenerateFull(volume.Var(varIdx), dims).Data
 			}
-			vals := make([]float32, dims.X*dims.Y)
-			i := 0
-			for y := 0; y < dims.Y; y++ {
-				for x := 0; x < dims.X; x++ {
-					vals[i] = sn.Eval(v, dims, x, y, int(rec))
-					i++
-				}
-			}
-			return vals
+			return plane(volume.Var(varIdx), int(rec)).Data
 		})
 	case FormatH5:
-		return h5lite.Write(path, dims, varNames(), func(v, x, y, z int) float32 {
-			return sn.Eval(volume.Var(v), dims, x, y, z)
-		})
+		return h5lite.Write(path, dims, varNames(), func(v, x, y, z int) float32 { return at(volume.Var(v), x, y, z) })
 	default:
 		return fmt.Errorf("core: cannot write format %v", f)
 	}

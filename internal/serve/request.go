@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"bgpvr/internal/core"
 )
@@ -68,6 +70,19 @@ type jobSpec struct {
 	m     int
 	algo  core.CompositeAlgo
 	image bool
+}
+
+// decodeRequest reads a POST /render body — one JSON object, unknown
+// fields refused — and validates it. Any error is the client's (400).
+func decodeRequest(body io.Reader, workers int) (RenderRequest, *jobSpec, error) {
+	var req RenderRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("bad request body: %w", err)
+	}
+	spec, err := req.validate(workers)
+	return req, spec, err
 }
 
 // validate applies defaults and bounds, returning the resolved job or

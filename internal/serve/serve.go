@@ -343,14 +343,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorReply{Error: "POST only", RequestID: id})
 		return
 	}
-	var req RenderRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad request body: " + err.Error(), RequestID: id})
-		return
-	}
-	spec, err := req.validate(s.cfg.Workers)
+	req, spec, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), s.cfg.Workers)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error(), RequestID: id})
 		return

@@ -2,6 +2,7 @@ package volume
 
 import (
 	"math"
+	"sync"
 
 	"bgpvr/internal/grid"
 )
@@ -72,60 +73,88 @@ func (s Supernova) phase(octave, k int) float64 {
 	return 2 * math.Pi * float64(h%1_000_003) / 1_000_003
 }
 
-// turbulence is a smooth pseudo-random field in roughly [-1, 1] built
-// from a few octaves of phase-shifted trigonometric products.
-func (s Supernova) turbulence(x, y, z float64, which int) float64 {
-	var sum, norm float64
-	freq := 3.0
-	amp := 1.0
-	for o := 0; o < 4; o++ {
-		p0 := s.phase(o, which*4+0)
-		p1 := s.phase(o, which*4+1)
-		p2 := s.phase(o, which*4+2)
-		v := math.Sin(freq*x+p0) * math.Sin(freq*y+p1) * math.Sin(freq*z+p2)
-		// Rotate the lattice between octaves so axes do not align.
-		x, y, z = 0.8*y+0.6*z, 0.8*z+0.6*x, 0.8*x+0.6*y
-		sum += amp * v
-		norm += amp
+// plan is what evaluating one variable of one Supernova needs that does
+// not depend on the point: the SASI mode amplitudes and the turbulence
+// ladder (frequency, amplitude and three phases per octave).
+type plan struct {
+	v          Var
+	sinT, cosT float64    // sin(Time), cos(0.7·Time)
+	freq, amp  [4]float64 // per turbulence octave
+	phase      [4][3]float64
+	norm       float64 // sum of amp
+}
+
+func (s Supernova) plan(v Var) plan {
+	p := plan{v: v, sinT: math.Sin(s.Time), cosT: math.Cos(0.7 * s.Time)}
+	freq, amp := 3.0, 1.0
+	for o := range p.phase {
+		for k := range p.phase[o] {
+			p.phase[o][k] = s.phase(o, int(v)*4+k)
+		}
+		p.freq[o], p.amp[o] = freq, amp
+		p.norm += amp
 		freq *= 2.1
 		amp *= 0.55
 	}
-	return sum / norm
+	return p
 }
 
-// EvalNorm evaluates variable v at normalized coordinates in [-1, 1]^3
-// (the volume cube), returning a value in [0, 1].
-func (s Supernova) EvalNorm(v Var, x, y, z float64) float64 {
+// rotate turns the lattice between octaves so axes do not align.
+func rotate(x, y, z float64) (float64, float64, float64) {
+	return 0.8*y + 0.6*z, 0.8*z + 0.6*x, 0.8*x + 0.6*y
+}
+
+// octave is octave o's term of the turbulence at that octave's
+// coordinates: a product of phase-shifted sines.
+func (p *plan) octave(o int, x, y, z float64) float64 {
+	f, ph := p.freq[o], &p.phase[o]
+	return math.Sin(f*x+ph[0]) * math.Sin(f*y+ph[1]) * math.Sin(f*z+ph[2])
+}
+
+// turbulence is a smooth pseudo-random field in roughly [-1, 1]: the
+// amplitude-weighted mean of the octaves, the lattice rotated between
+// them.
+func (p *plan) turbulence(x, y, z float64) float64 {
+	var sum float64
+	for o, amp := range p.amp {
+		sum += amp * p.octave(o, x, y, z)
+		x, y, z = rotate(x, y, z)
+	}
+	return sum / p.norm
+}
+
+// value is the plan's variable at normalized (x, y, z), in [0, 1], given
+// the turbulence there.
+func (p *plan) value(x, y, z, turb float64) float64 {
 	r := math.Sqrt(x*x + y*y + z*z)
 	if r < 1e-12 {
 		r = 1e-12
 	}
-	ux, uy, uz := x/r, y/r, z/r
+	uz := z / r
 
 	// Perturbed shock radius: base + l=1 sloshing mode (SASI) + l=2 mode.
-	slosh := 0.10 * math.Sin(s.Time) * uz
-	quad := 0.05 * math.Cos(0.7*s.Time) * (3*uz*uz - 1) / 2
+	slosh := 0.10 * p.sinT * uz
+	quad := 0.05 * p.cosT * (3*uz*uz - 1) / 2
 	shock := 0.72 + slosh + quad
 
 	// Smooth blend across the shock front.
 	inside := 0.5 * (1 - math.Tanh((r-shock)/0.035))
 
 	var raw float64
-	switch v {
+	switch p.v {
 	case VarPressure:
 		// High central pressure decaying outward, jump at the shock.
-		raw = 2.2*math.Exp(-3*r) + 0.9*inside + 0.15*inside*s.turbulence(x, y, z, 0)
+		raw = 2.2*math.Exp(-3*r) + 0.9*inside + 0.15*inside*turb
 		raw = raw/3.3*2 - 1 // to roughly [-1, 1]
 	case VarDensity:
-		raw = 1.8*math.Exp(-2.2*r) + 0.7*inside + 0.2*inside*s.turbulence(x, y, z, 1)
+		raw = 1.8*math.Exp(-2.2*r) + 0.7*inside + 0.2*inside*turb
 		raw = raw/2.7*2 - 1
 	default:
 		// Velocity: supersonic infall outside the shock (radial, toward
 		// the center), turbulent convection inside.
-		comp := int(v - VarVelocityX) // 0, 1, 2
-		u := [3]float64{ux, uy, uz}[comp]
+		u := [3]float64{x, y, z}[p.v-VarVelocityX] / r // radial unit vector's component
 		infall := -0.85 * u * math.Min(1, (r-shock)/0.25+1)
-		turb := s.turbulence(x, y, z, 2+comp) + 0.35*math.Sin(s.Time)*u
+		turb += 0.35 * p.sinT * u
 		raw = inside*turb + (1-inside)*infall
 	}
 	if raw > 1 {
@@ -137,20 +166,110 @@ func (s Supernova) EvalNorm(v Var, x, y, z float64) float64 {
 	return 0.5 * (raw + 1)
 }
 
+// EvalNorm evaluates variable v at normalized coordinates in [-1, 1]^3
+// (the volume cube), returning a value in [0, 1]. It is the pointwise
+// definition of the dataset; Generate computes the same bits by rows.
+func (s Supernova) EvalNorm(v Var, x, y, z float64) float64 {
+	p := s.plan(v)
+	return p.value(x, y, z, p.turbulence(x, y, z))
+}
+
+// coord is the normalized coordinate of lattice index i on an n-sample
+// axis: [0, n-1] onto [-1, 1], a one-sample axis at the centre.
+func coord(i, n int) float64 {
+	if n == 1 {
+		return 0
+	}
+	return 2*float64(i)/float64(n-1) - 1
+}
+
 // Eval evaluates variable v at global lattice point (x, y, z) of a
 // dims-sized grid.
 func (s Supernova) Eval(v Var, dims grid.IVec3, x, y, z int) float32 {
-	nx := 2*float64(x)/float64(dims.X-1) - 1
-	ny := 2*float64(y)/float64(dims.Y-1) - 1
-	nz := 2*float64(z)/float64(dims.Z-1) - 1
-	return float32(s.EvalNorm(v, nx, ny, nz))
+	return float32(s.EvalNorm(v, coord(x, dims.X), coord(y, dims.Y), coord(z, dims.Z)))
 }
 
-// Generate fills a new field covering ext of a dims grid with variable v.
+// rowPool keeps fillRows' tables across calls: a frame generates one
+// small block per rank, and a table set per call would outnumber the
+// fields.
+var rowPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// Generate fills a new field covering ext of a dims grid with variable
+// v: bit for bit Eval at every lattice point of ext, computed by rows.
 func (s Supernova) Generate(v Var, dims grid.IVec3, ext grid.Extent) *Field {
 	f := NewField(dims, ext)
-	f.Fill(func(x, y, z int) float32 { return s.Eval(v, dims, x, y, z) })
+	p := s.plan(v)
+	fillRows(f.Data, &p, dims, ext)
 	return f
+}
+
+// fillRows writes the plan's variable at the lattice points of ext into
+// out, X fastest. Of the 12 turbulence sines of a point, octave 0's
+// depend on one coordinate each and octave 1's on (y,z), (z,x) and
+// (x,y), so they come from tables and a per-row scalar; octaves 2-3 and
+// the shock stay per voxel. Every sum and product keeps Eval's operand
+// order. (The float64 instance is the tests': rounding to float32 would
+// hide a reordered product.)
+func fillRows[T float32 | float64](out []T, p *plan, dims grid.IVec3, ext grid.Extent) {
+	if len(out) == 0 {
+		return
+	}
+	n := ext.Size()
+	buf := rowPool.Get().(*[]float64)
+	defer rowPool.Put(buf)
+	if need := 2*(n.X+n.Y+n.Z) + 2*n.X + 2*n.X*n.Y; cap(*buf) < need {
+		*buf = make([]float64, need)
+	}
+	rest := *buf
+	take := func(m int) []float64 {
+		s := rest[:m:m]
+		rest = rest[m:]
+		return s
+	}
+	// Per axis: the extent's normalized coordinates, octave 0's sine of each.
+	var c, s0 [3][]float64
+	for a := range c {
+		c[a], s0[a] = take(n.Comp(a)), take(n.Comp(a))
+		for i := range c[a] {
+			c[a][i] = coord(ext.Lo.Comp(a)+i, dims.Comp(a))
+			s0[a][i] = math.Sin(p.freq[0]*c[a][i] + p.phase[0][a])
+		}
+	}
+	cx, cy, cz := c[0], c[1], c[2]
+	f1, ph1 := p.freq[1], &p.phase[1]
+	// Per field, by (x, y): octave 1's z coordinate and its sine.
+	z1s, sz1s := take(n.X*n.Y), take(n.X*n.Y)
+	for j, y := range cy {
+		for i, x := range cx {
+			z1s[j*n.X+i] = 0.8*x + 0.6*y
+			sz1s[j*n.X+i] = math.Sin(f1*z1s[j*n.X+i] + ph1[2])
+		}
+	}
+	y1, sy1 := take(n.X), take(n.X)
+	for k, z := range cz {
+		// Per plane, by x: octave 1's y coordinate and its sine.
+		for i, x := range cx {
+			y1[i] = 0.8*z + 0.6*x
+			sy1[i] = math.Sin(f1*y1[i] + ph1[1])
+		}
+		for j, y := range cy {
+			x1 := 0.8*y + 0.6*z
+			sx1 := math.Sin(f1*x1 + ph1[0])
+			z1, sz1 := z1s[j*n.X:][:n.X], sz1s[j*n.X:][:n.X]
+			sx0, sy0, sz0 := s0[0], s0[1][j], s0[2][k]
+			for i, x := range cx {
+				sum := 0.0
+				sum += p.amp[0] * (sx0[i] * sy0 * sz0)
+				sum += p.amp[1] * (sx1 * sy1[i] * sz1[i])
+				x2, y2, z2 := rotate(x1, y1[i], z1[i])
+				sum += p.amp[2] * p.octave(2, x2, y2, z2)
+				x3, y3, z3 := rotate(x2, y2, z2)
+				sum += p.amp[3] * p.octave(3, x3, y3, z3)
+				out[i] = T(p.value(x, y, z, sum/p.norm))
+			}
+			out = out[n.X:]
+		}
+	}
 }
 
 // GenerateFull fills the whole dims grid with variable v.
