@@ -76,8 +76,23 @@ type FlowScalePoint struct {
 	ObservedErr float64 // |approx-exact|/exact when ErrExact, else the self-measured bound gap
 	ErrExact    bool
 	Events      int64
+	KeptRounds  float64 // share of the reported leg's freeze rounds an event kept from the one before
 	WallSec     float64
 	Info        *flowsim.ApproxInfo // nil when eps <= 0
+}
+
+// flowsimRounds reads the kernel's process-wide freeze-round counters
+// (flowsim/obs.go): rounds in all, and those kept rather than redone.
+func flowsimRounds() (rounds, kept float64) {
+	for _, sm := range obs.Default.Snapshot() {
+		switch sm.Name {
+		case "bgpvr_flowsim_freeze_rounds_total":
+			rounds = sm.Value
+		case "bgpvr_flowsim_kept_rounds_total":
+			kept = sm.Value
+		}
+	}
+	return rounds, kept
 }
 
 // Stat converts the point into the perf report's flowsim section.
@@ -134,11 +149,15 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 	for _, m := range nm {
 		pt.Bytes += m.Bytes
 	}
+	rounds0, kept0 := flowsimRounds()
 	t0 := time.Now()
 	res, info := flowsim.SimulateOpt(top, p, nm, flowsim.Options{
 		ApproxEps: cfg.Eps, Workers: cfg.Workers, EndpointAgg: cfg.EndpointAgg,
 	})
 	pt.WallSec = time.Since(t0).Seconds()
+	if rounds, kept := flowsimRounds(); rounds > rounds0 {
+		pt.KeptRounds = (kept - kept0) / (rounds - rounds0)
+	}
 	if res.Completions != len(nm) {
 		return pt, fmt.Errorf("bench: flowsim completed %d of %d flows at %d cores", res.Completions, len(nm), procs)
 	}
@@ -177,8 +196,9 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 // refusal: an observed error (or, past the ceiling, a bound gap) above
 // eps aborts the sweep. The table is the wire-level Fig-4 view: the
 // direct-send exchange's effective aggregate bandwidth at each scale,
-// with the approximation's observed error alongside. The returned
-// points end with the scale point.
+// with the approximation's observed error alongside, and "kept" — the
+// share of freeze rounds the event loop reused instead of recomputing.
+// The returned points end with the scale point.
 func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) ([]FlowScalePoint, string, error) {
 	var counts []int
 	for _, p := range cfg.validation() {
@@ -207,7 +227,7 @@ func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (
 	t := Table{
 		Title: fmt.Sprintf("Flow-level compositing scale (direct-send, %d^2 image, eps=%g, %d workers)",
 			scene.ImageW, cfg.Eps, cfg.Workers),
-		Columns: []string{"cores", "m", "msgs", "phase", "agg BW", "err", "err kind", "events", "wall"},
+		Columns: []string{"cores", "m", "msgs", "phase", "agg BW", "err", "err kind", "events", "kept", "wall"},
 	}
 	for _, pt := range pts {
 		errKind := "bound gap"
@@ -219,7 +239,7 @@ func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (
 		}
 		t.AddRow(fmt.Sprint(pt.Procs), fmt.Sprint(pt.Compositors), fmt.Sprint(pt.Msgs),
 			secs(pt.ApproxSec), stats.Rate(pt.BW), fmt.Sprintf("%.4f", pt.ObservedErr), errKind,
-			fmt.Sprint(pt.Events), secs(pt.WallSec))
+			fmt.Sprint(pt.Events), fmt.Sprintf("%.1f%%", 100*pt.KeptRounds), secs(pt.WallSec))
 	}
 	return pts, t.String(), nil
 }

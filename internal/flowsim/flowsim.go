@@ -7,16 +7,19 @@
 // captures transient effects (short flows finishing early and returning
 // bandwidth) that a single-bottleneck bound cannot.
 //
-// Exact max-min fair sharing is recomputed after every flow completion,
-// but only over the *active* state: the kernel (kernel.go) keeps sparse
-// active sets (compacted in place as flows finish), groups same-route
-// flows so they freeze and complete together, and selects each round's
-// bottleneck from a monotone bucket queue (queue.go) instead of
-// rescanning every link. Every entry point runs that one kernel, at
-// any worker count (shard.go). The results are bit-identical to the
-// full-rescan formulation kept in the tests (the equivalence suite pins
-// this), which makes 16K-32K-rank direct-send phases tractable where a
-// rescan self-limits to a few thousand ranks.
+// Max-min fair sharing is exact after every flow completion, but an
+// event costs what the completion changed. The kernel (kernel.go) keeps
+// sparse active sets (compacted in place as flows finish), groups
+// same-route flows so they freeze and complete together, selects each
+// round's bottleneck from a monotone bucket queue (queue.go) instead of
+// rescanning every link, and logs each event's freeze rounds so the
+// next event can keep them: a flow that finished was frozen in some
+// round, the rounds before it cannot have been affected, so only the
+// rounds from there on are taken back and recomputed. Every entry point
+// runs that one kernel, at any worker count (shard.go). The results are
+// bit-identical to the full-rescan formulation kept in the tests (the
+// equivalence suite pins this), which makes 16K-128K-rank direct-send
+// phases tractable where a rescan self-limits to a few thousand ranks.
 package flowsim
 
 import (
@@ -193,7 +196,7 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 		info.UsedLinks = len(s.activeLinks)
 	}
 	// A phase no section of which can clear its threshold starts no gang.
-	if workers > 1 && (s.totalRoute >= shardMinTouches || s.nflows >= shardMinFlows) {
+	if workers > 1 && (len(s.routes.links) >= shardMinTouches || s.nflows >= shardMinFlows) {
 		s.gang = newGang(s, workers)
 		defer s.gang.Close()
 	}

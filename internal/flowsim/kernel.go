@@ -29,16 +29,53 @@ type linkState struct {
 }
 
 // groupState likewise packs each same-route group's hot state: the
-// freeze pass reads front/end/frozen and writes rate for every group
+// freeze pass reads front/end/round and writes rate for every group
 // on the bottleneck's list, round after round.
 type groupState struct {
 	rate       float64 // members' common rate (stale until refrozen)
 	front, end int32   // live members are mRemaining[front:end]
-	frozen     bool
+	round      int32   // the event's round that froze the group, -1 while unfrozen
 }
 
-// roundGroup is a group frozen this round and its live-member count.
+// roundGroup is a frozen group and its live-member count at the freeze.
 type roundGroup struct{ g, k int32 }
+
+// roundRec is one freeze round of the current event: its bottleneck
+// and where its groups start in sim.order.
+type roundRec struct{ bott, first int32 }
+
+// routeCSR holds every group's route — or, for a gang worker, the
+// links it owns of every route — in one backing array: group g's
+// entries are [off[g], off[g+1]). undo holds, per entry of the whole
+// CSR, the avail its claim overwrote in the current event, so a round
+// can be taken back; a worker's CSR shares it and pos says which slot
+// each of its entries logs to.
+type routeCSR struct {
+	links []int32 // model links in approx mode
+	mults []int32 // per-entry route weights; nil in exact mode
+	off   []int32
+	pos   []int32 // per-entry undo slot; nil on the whole CSR (the entry's own index)
+	undo  []float64
+}
+
+// slots returns group g's undo slice and the per-entry slot list to
+// index it with: a nil list means entry j logs to slot j.
+func (r *routeCSR) slots(g int32) ([]float64, []int32) {
+	lo, hi := r.off[g], r.off[g+1]
+	if r.pos == nil {
+		return r.undo[lo:hi], nil
+	}
+	return r.undo, r.pos[lo:hi]
+}
+
+// of returns group g's links and, in approx mode, their weights.
+func (r *routeCSR) of(g int32) (links, ws []int32) {
+	lo, hi := r.off[g], r.off[g+1]
+	if r.mults != nil {
+		ws = r.mults[lo:hi]
+	}
+	return r.links[lo:hi], ws
+}
 
 // sim is the state of one max-min simulation: built by newSim, driven
 // by run, read out by finish.
@@ -46,36 +83,44 @@ type roundGroup struct{ g, k int32 }
 // The active sets are sparse — the groups still in flight and the links
 // they cross, both compacted in place as members complete. Flows never
 // start mid-phase, so both sets only shrink; the scratch arrays stay
-// full-size but only active entries are ever read or reset, so a
-// simulation allocates the same slices however many events it runs.
+// full-size but only active entries are ever read or reset, and the
+// event log (rounds, order, the routes' undo) is sized by what one event
+// can freeze, so a simulation allocates the same slices however many
+// events it runs (the bucket queue's lists aside, which grow with the
+// distinct shares a run visits).
 type sim struct {
 	p  torus.Params
 	u  *telemetry.LinkUsage // nil in approx mode
 	ft *FlowTimes
 
-	routes       [][]int32 // per-group link list (model links in approx mode)
-	mults        [][]int32 // per-entry route weights; nil in exact mode
+	routes       routeCSR  // every group's whole route, with the event's undo log
 	mRemaining   []float64 // per-member bytes left, ascending within a group
 	mMsgOf       []int32   // per-member index into msgs
 	gs           []groupState
 	activeGroups []int32
-	roundGroups  []roundGroup // freezeRound pass 1's output
 
-	capOf       []float64 // per-link capacity; nil in exact mode (all LinkBandwidth)
-	bucketTab   []int32   // exact mode: bucket of fl(LinkBandwidth/n) per live count n
-	liveOnLink  []int32   // unfinished-flow count (weighted in approx mode)
-	linkGroups  [][]int32 // groups crossing each link, finished ones dropped lazily
-	ls          []linkState
-	activeLinks []int32
-	q           bucketQueue
-	refile      []refile // serial scan/claim refile buffer
-	gang        *gang    // nil when every section runs serially
+	// The current event's allocation in freeze order: its rounds, and
+	// the groups they froze. Between events it is the previous event's,
+	// of which beginEvent keeps the rounds below rmin.
+	rounds []roundRec
+	order  []roundGroup
+	rmin   int // lowest round that froze a flow retired since
 
-	nflows, totalRoute int
-	active             int     // flows not yet complete
-	now                float64 // simulated time, overheads excluded
-	overheadMax        float64
-	lbNow              float64 // approx mode: heaviest physical link's drain time
+	capOf        []float64 // per-link capacity; nil in exact mode (all LinkBandwidth)
+	liveOnLink   []int32   // unfinished-flow count (weighted in approx mode)
+	lgList       []int32   // groups crossing link l: lgList[lgOff[l]:lgEnd[l]],
+	lgOff, lgEnd []int32   // finished ones dropped lazily
+	ls           []linkState
+	activeLinks  []int32
+	q            bucketQueue
+	refile       []refile // serial scan/claim refile buffer
+	gang         *gang    // nil when every section runs serially
+
+	nflows      int
+	active      int     // flows not yet complete
+	now         float64 // simulated time, overheads excluded
+	overheadMax float64
+	lbNow       float64 // approx mode: heaviest physical link's drain time
 }
 
 // newSim is the build phase. Messages are grouped by (src, dst)
@@ -88,7 +133,9 @@ type sim struct {
 // sorted by size ascending once, and completions simply advance a
 // per-group front. In approx mode (rg != nil) each group's route is
 // mapped hop by hop into model-link space, consecutive hops through one
-// transit aggregate merged into one weighted entry.
+// transit aggregate merged into one weighted entry. Group ids follow
+// first appearance in msgs, so every per-link group list is in message
+// order.
 func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 	u *telemetry.LinkUsage, ft *FlowTimes, rg *torus.Regions) *sim {
 	s := &sim{p: p, u: u, ft: ft}
@@ -113,7 +160,9 @@ func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 	mem := make([]member, 0, len(msgs))
 	var loads []groupLoad // approx mode only
 	s.liveOnLink = make([]int32, nlinks)
-	s.linkGroups = make([][]int32, nlinks)
+	rt := &s.routes
+	rt.off = make([]int32, 1, len(msgs)+1)
+	addLink := func(l int) { rt.links = append(rt.links, int32(l)) }
 	for mi, m := range msgs {
 		if m.Src == m.Dst || m.Bytes == 0 {
 			if ft != nil {
@@ -124,29 +173,27 @@ func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 		key := int64(m.Src)<<32 | int64(m.Dst)
 		g, ok := gidOf[key]
 		if !ok {
-			g = int32(len(s.routes))
+			g = int32(len(rt.off) - 1)
 			gidOf[key] = g
-			var links, ws []int32
 			if rg != nil {
-				links, ws = rg.ModelRoute(m.Src, m.Dst)
-				s.mults = append(s.mults, ws)
+				links, ws := rg.ModelRoute(m.Src, m.Dst)
+				rt.links = append(rt.links, links...)
+				rt.mults = append(rt.mults, ws...)
 				loads = append(loads, groupLoad{src: int32(m.Src), dst: int32(m.Dst)})
 			} else {
-				top.Route(m.Src, m.Dst, func(l int) { links = append(links, int32(l)) })
+				top.Route(m.Src, m.Dst, addLink)
 			}
-			s.routes = append(s.routes, links)
-			for _, l := range links {
-				s.linkGroups[l] = append(s.linkGroups[l], g)
-			}
+			rt.off = append(rt.off, int32(len(rt.links)))
 		}
 		mem = append(mem, member{g, int32(mi), float64(m.Bytes)})
+		links, ws := rt.of(g)
 		if rg != nil {
-			for j, l := range s.routes[g] {
-				s.liveOnLink[l] += s.mults[g][j]
+			for j, l := range links {
+				s.liveOnLink[l] += ws[j]
 			}
 			loads[g].bytes += float64(m.Bytes)
 		} else {
-			for _, l := range s.routes[g] {
+			for _, l := range links {
 				s.liveOnLink[l]++
 				s.u.RecordLink(int(l), m.Bytes)
 			}
@@ -158,7 +205,7 @@ func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 	slices.SortFunc(mem, func(a, b member) int {
 		return cmp.Or(cmp.Compare(a.g, b.g), cmp.Compare(a.rem, b.rem))
 	})
-	ngroups := len(s.routes)
+	ngroups := len(rt.off) - 1
 	s.nflows = len(mem)
 	s.gs = make([]groupState, ngroups)
 	s.mRemaining = make([]float64, s.nflows)
@@ -172,9 +219,12 @@ func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 		if g > 0 {
 			s.gs[g].front = s.gs[g-1].end
 		}
+		s.gs[g].round = -1
 		s.activeGroups[g] = int32(g)
-		s.totalRoute += len(s.routes[g])
 	}
+	// An event freezes each live group once, in at most as many rounds.
+	s.rounds = make([]roundRec, 0, ngroups)
+	s.order = make([]roundGroup, 0, ngroups)
 	if rg != nil {
 		// The certifiable lower bound: every physical link must carry
 		// its routed payload at no more than its bandwidth, whatever
@@ -191,26 +241,40 @@ func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 		}
 	}
 
-	s.active = s.nflows
+	// The groups crossing each link, as one array: count, offset, fill
+	// in group order (the order per-group appends would give).
+	s.lgOff = make([]int32, nlinks)
+	s.lgEnd = make([]int32, nlinks)
+	for _, l := range rt.links {
+		s.lgEnd[l]++
+	}
 	s.activeLinks = make([]int32, 0, nlinks)
-	maxLive := int32(0)
-	for l, n := range s.liveOnLink {
+	at := int32(0)
+	for l, n := range s.lgEnd {
+		s.lgOff[l], s.lgEnd[l] = at, at
+		at += n
 		if n > 0 {
 			s.activeLinks = append(s.activeLinks, int32(l))
-			maxLive = max(maxLive, n)
 		}
 	}
-	// A round freezes at most the bottleneck's live groups, and each of
-	// those holds at least one unit of its live count.
-	s.roundGroups = make([]roundGroup, 0, min(int(maxLive), ngroups))
+	s.lgList = make([]int32, len(rt.links))
+	rt.undo = make([]float64, len(rt.links))
+	for g := int32(0); g < int32(ngroups); g++ {
+		links, _ := rt.of(g)
+		for _, l := range links {
+			s.lgList[s.lgEnd[l]] = g
+			s.lgEnd[l]++
+		}
+	}
+
+	// Every link starts the way a fully rewound event leaves it: nothing
+	// claimed, every live flow unfrozen.
+	s.active = s.nflows
 	s.ls = make([]linkState, nlinks)
-	// Live counts are small integers, so exact mode files event resets
-	// from a precomputed fl(BW/n) bucket table; approx mode divides per
-	// active link instead (capacities vary per link).
-	if s.capOf == nil {
-		s.bucketTab = make([]int32, maxLive+1)
-		for n := int32(1); n <= maxLive; n++ {
-			s.bucketTab[n] = int32(math.Float64bits(p.LinkBandwidth/float64(n)) >> bShift)
+	for _, l := range s.activeLinks {
+		s.ls[l] = linkState{avail: p.LinkBandwidth, unfrozen: s.liveOnLink[l]}
+		if s.capOf != nil {
+			s.ls[l].avail = s.capOf[l]
 		}
 	}
 	s.q.bucket = make([][]int32, nBuckets)
@@ -218,39 +282,31 @@ func newSim(top torus.Topology, p torus.Params, msgs []torus.Message,
 	return s
 }
 
-// run is the event loop: while flows remain, recompute the max-min
-// fair rates — each round freezes the flows crossing the currently
+// run is the event loop: while flows remain, bring the max-min fair
+// rates up to date — each round freezes the flows crossing the currently
 // most-contended link at its fair share — then advance to the next
-// completion. It returns the number of events processed. The next
-// completion time is folded into the rounds: every live group is
-// frozen exactly once per event at its members' common rate, and
+// completion. It returns the number of events processed.
+//
+// An event costs what the last completions changed. A retired flow was
+// frozen in some round r of the previous event, so it crosses none of
+// the bottlenecks of rounds below r (it would have frozen there): those
+// bottlenecks' (avail, unfrozen) are what they were, and every other
+// link the flow crossed only lost a contender, so its share can only
+// have risen — the (share, index) minimum of each round below r is the
+// same link with the same bits, freezing the same groups at the same
+// rate. beginEvent therefore keeps the rounds below rmin, the lowest
+// such r, as they stand and takes back only the rest; the first event
+// is the case of nothing to keep.
+//
+// The next completion time is folded into the rounds: every live group
+// is frozen exactly once per event at its members' common rate, and
 // rounding is monotone, so the running minimum of front-member
-// remaining/share over freezes equals the full scan's minimum of
-// remaining/rate over every flow.
+// remaining/share over kept and fresh freezes equals the full scan's
+// minimum of remaining/rate over every flow.
 func (s *sim) run() (events int) {
 	for s.active > 0 {
-		s.resetEvent()
-		dt := math.Inf(1)
-		unfrozen := s.active
-		rounds := 0 // flushed to the obs counters once per event
-		for unfrozen > 0 {
-			bott, sel := s.popBottleneck()
-			if bott < 0 {
-				break // flows with no links (cannot happen: newSim skips them)
-			}
-			s.u.AddBottleneck(bott)
-			rounds++
-			var k int
-			k, dt = s.freezeRound(bott, sel, dt)
-			unfrozen -= k
-		}
-		if unfrozen > 0 {
-			dt = s.staleRates(dt)
-		}
+		dt := s.freezeRest(s.beginEvent())
 		events++
-		cSimEvents.Inc()
-		cSimFreezeRounds.Add(int64(rounds))
-		cSimFrozenFlows.Add(int64(s.active - unfrozen))
 		if math.IsInf(dt, 1) {
 			break // starved flows: cannot progress (zero bandwidth)
 		}
@@ -259,57 +315,115 @@ func (s *sim) run() (events int) {
 	return events
 }
 
-// resetEvent drops finished groups and idle links from the active sets
-// (order preserved), clears the per-event freeze state, and files every
-// active link under its fresh share. The gang only computes the shares:
-// the pushes stay serial, in activeLinks order, at every width.
-func (s *sim) resetEvent() {
+// beginEvent rewinds the previous event to the start of round rmin and
+// makes it the current one. Rounds from rmin on are taken back in
+// reverse: avail restored by value (it depends only on earlier rounds'
+// claims, which stand), unfrozen by the claimed amount — a delta,
+// because retire has since taken the finished flows out of it, and a
+// saved count would bring them back. What is left unfrozen on each link
+// is then exactly its live flows minus the kept groups' members. It
+// also drops finished groups and idle links from the active sets (order
+// preserved), files every link with unfrozen flows under its share, and
+// folds the kept groups' completions, at their kept rates, into dt.
+// unfrozen is how many flows the rounds from rmin on must freeze.
+func (s *sim) beginEvent() (dt float64, unfrozen int) {
+	if s.rmin < len(s.rounds) {
+		first := s.rounds[s.rmin].first
+		s.unclaim(s.order[first:])
+		s.rounds, s.order = s.rounds[:s.rmin], s.order[:first]
+	}
+
+	// Groups still frozen are the kept ones. Folding them here, in group
+	// order, reads gs and mRemaining front to back; the minimum does not
+	// care about the order.
+	dt, unfrozen = math.Inf(1), s.active
 	w := 0
 	for _, g := range s.activeGroups {
-		if st := &s.gs[g]; st.front < st.end {
-			st.frozen = false
-			s.activeGroups[w] = g
-			w++
+		st := &s.gs[g]
+		if st.front == st.end {
+			continue
+		}
+		s.activeGroups[w] = g
+		w++
+		if st.round >= 0 {
+			dt = foldDt(dt, s.mRemaining[st.front], st.rate)
+			unfrozen -= int(st.end - st.front)
 		}
 	}
 	s.activeGroups = s.activeGroups[:w]
+
+	s.q.reset()
 	w = 0
 	for _, l := range s.activeLinks {
-		if s.liveOnLink[l] > 0 {
-			s.activeLinks[w] = l
-			w++
+		if s.liveOnLink[l] == 0 {
+			continue
+		}
+		s.activeLinks[w] = l
+		w++
+		if st := &s.ls[l]; st.unfrozen > 0 {
+			st.inBucket = int32(math.Float64bits(st.avail/float64(st.unfrozen)) >> bShift)
+			s.q.file(l, st.inBucket)
 		}
 	}
 	s.activeLinks = s.activeLinks[:w]
 
-	s.q.reset()
-	if s.gang != nil && len(s.activeLinks) >= shardMinLinks {
-		for pos, b := range s.gang.resetLinks() {
-			s.q.file(s.activeLinks[pos], b)
+	if s.u != nil {
+		for _, r := range s.rounds {
+			s.u.AddBottleneck(int(r.bott))
 		}
-		return
 	}
-	for _, l := range s.activeLinks {
-		s.q.file(l, s.resetLink(l))
+	return dt, unfrozen
+}
+
+// unclaim unfreezes the groups of tail and undoes their claims, last
+// claim first, so each link ends at the avail its earliest undone claim
+// found. It stays on the caller at every width: a rewind is one pass
+// of loads and stores, which a gang rendezvous costs more than it saves.
+func (s *sim) unclaim(tail []roundGroup) {
+	rt := &s.routes
+	for i := len(tail) - 1; i >= 0; i-- {
+		g, k := tail[i].g, tail[i].k
+		s.gs[g].round = -1
+		links, ws := rt.of(g)
+		undo := rt.undo[rt.off[g]:rt.off[g+1]]
+		for j := len(links) - 1; j >= 0; j-- {
+			st := &s.ls[links[j]]
+			st.avail = undo[j]
+			if ws != nil {
+				st.unfrozen += k * ws[j]
+			} else {
+				st.unfrozen += k
+			}
+		}
 	}
 }
 
-// resetLink restores link l for a new event and returns the bucket of
-// its fresh share.
-func (s *sim) resetLink(l int32) int32 {
-	st := &s.ls[l]
-	n := s.liveOnLink[l]
-	st.unfrozen = n
-	var b int32
-	if s.capOf == nil {
-		st.avail = s.p.LinkBandwidth
-		b = s.bucketTab[n]
-	} else {
-		st.avail = s.capOf[l]
-		b = int32(math.Float64bits(s.capOf[l]/float64(n)) >> bShift)
+// freezeRest runs the event's remaining freeze rounds — all of them
+// when beginEvent kept none — and returns the time to the next
+// completion. The event's counts are plain ints flushed to the obs
+// counters once, here.
+func (s *sim) freezeRest(dt float64, unfrozen int) float64 {
+	kept, claimed := len(s.rounds), 0
+	for unfrozen > 0 {
+		bott, sel := s.popBottleneck()
+		if bott < 0 {
+			break // flows with no links (cannot happen: newSim skips them)
+		}
+		s.u.AddBottleneck(bott)
+		var k, touches int
+		k, touches, dt = s.freezeRound(bott, sel, dt)
+		unfrozen -= k
+		claimed += touches
 	}
-	st.inBucket = b
-	return b
+	if unfrozen > 0 {
+		dt = s.staleRates(dt)
+	}
+	cSimEvents.Inc()
+	cSimFreezeRounds.Add(int64(len(s.rounds)))
+	cSimKeptRounds.Add(int64(kept))
+	cSimFrozenFlows.Add(int64(s.active - unfrozen))
+	cSimClaimedEntries.Add(int64(claimed))
+	return dt
 }
 
 // popBottleneck selects the round's bottleneck: the unsaturated link
@@ -383,120 +497,129 @@ func (s *sim) liftStale(b int32, stale []refile) {
 	}
 }
 
+// foldDt folds one group's next completion — its front member, rem
+// bytes from done at rate — into the running minimum dt. The guard is
+// the skip bound (see dtSlack): only near-minimum candidates pay the
+// division, and those divisions are the identical fl(rem/rate) the
+// rescan computes.
+func foldDt(dt, rem, rate float64) float64 {
+	if rate > 0 && rem < dt*rate*dtSlack {
+		if d := rem / rate; d < dt {
+			return d
+		}
+	}
+	return dt
+}
+
 // freezeRound freezes the live, not yet frozen groups crossing bott at
-// the share sel, folds their earliest completion into dt, and returns
-// how many flows it froze with the updated dt.
+// the share sel and logs the round, folds their earliest completion
+// into dt, and returns how many flows it froze, how many route entries
+// that claimed, and the updated dt.
 //
 // Pass 1 is serial at every width: it settles which groups freeze,
 // their live counts, the completion-time fold and the bottleneck's
 // compacted group list (finished groups dropped lazily, order kept) —
-// everything whose order the result can observe. dtThr is the fold's
-// skip bound (see dtSlack): only near-minimum candidates pay the
-// division, and those divisions are the identical fl(rem/sel) the
-// rescan computes. Pass 2 applies the bandwidth claims to the groups'
-// links, over the gang when the round touches enough route entries.
-func (s *sim) freezeRound(bott int, sel, dt float64) (int, float64) {
-	dtThr := dt * sel * dtSlack
-	round := s.roundGroups[:0]
-	frozen, touches := 0, 0
-	lg := s.linkGroups[bott][:0]
-	for _, g := range s.linkGroups[bott] {
+// everything whose order the result can observe. Pass 2 applies the
+// bandwidth claims to the groups' links, over the gang when the round
+// touches enough route entries.
+func (s *sim) freezeRound(bott int, sel, dt float64) (frozen, touches int, _ float64) {
+	first := len(s.order)
+	r := int32(len(s.rounds))
+	s.rounds = append(s.rounds, roundRec{int32(bott), int32(first)})
+	lg := s.lgList[s.lgOff[bott]:s.lgEnd[bott]]
+	w := 0
+	for _, g := range lg {
 		gst := &s.gs[g]
 		lo := gst.front
 		if lo == gst.end {
 			continue
 		}
-		lg = append(lg, g)
-		if gst.frozen {
+		lg[w] = g
+		w++
+		if gst.round >= 0 {
 			continue
 		}
-		gst.frozen = true
+		gst.round = r
 		gst.rate = sel
 		k := gst.end - lo
 		frozen += int(k)
-		if sel > 0 {
-			if rem := s.mRemaining[lo]; rem < dtThr {
-				if d := rem / sel; d < dt {
-					dt = d
-					dtThr = dt * sel * dtSlack
-				}
-			}
-		}
-		round = append(round, roundGroup{g, k})
-		touches += len(s.routes[g])
+		dt = foldDt(dt, s.mRemaining[lo], sel)
+		s.order = append(s.order, roundGroup{g, k})
+		touches += int(s.routes.off[g+1] - s.routes.off[g])
 	}
-	s.linkGroups[bott] = lg
-	s.roundGroups = round
+	s.lgEnd[bott] = s.lgOff[bott] + int32(w)
+	round := s.order[first:]
 
 	if s.gang != nil && touches >= shardMinTouches {
-		s.gang.claim(sel)
-		return frozen, dt
+		s.gang.claim(round, sel)
+		return frozen, touches, dt
 	}
-	dips := s.refile[:0]
-	for _, rgp := range round {
-		var ws []int32
-		if s.mults != nil {
-			ws = s.mults[rgp.g]
-		}
-		dips = claimRoute(s.ls, s.routes[rgp.g], ws, sel, rgp.k, dips)
-	}
-	s.q.fileAll(dips)
-	s.refile = dips
-	return frozen, dt
+	s.refile = s.routes.claim(s.ls, round, sel, s.refile[:0])
+	s.q.fileAll(s.refile)
+	return frozen, touches, dt
 }
 
-// claimRoute is pass 2 of a freeze round for one group: it takes sel
-// per live member (k of them, times ws[j] on a weighted entry) out of
-// every link in links — the group's route, or one worker's links of
-// it. A link whose share dipped below its filed bucket gets the new
-// bucket in inBucket and is appended to dips for the caller to file:
-// nothing reads the queue before the round ends.
+// claim is pass 2 of a freeze round: for each group of the round it
+// takes sel per live member (k of them, times the weight on a weighted
+// entry) out of every link r holds of the group's route, logging the
+// avail it overwrites. A link whose share dipped below its filed bucket
+// gets the new bucket in inBucket and is appended to dips for the
+// caller to file: nothing reads the queue before the round ends.
 //
 // A group's k live members all freeze at sel here, exactly as the
 // rescan freezes them one by one: the same-value clamped subtractions
 // per route link commute with the other freezes of the round, and the
 // intermediate shares are never observed.
-func claimRoute(ls []linkState, links, ws []int32, sel float64, k int32, dips []refile) []refile {
-	for j, l := range links {
-		st := &ls[l]
-		a := st.avail
-		kk := k
-		if ws != nil {
-			// Weighted (approx) entries claim their whole share in one
-			// multiply — aggregates can carry thousands of weight
-			// units, and approx mode has no rescan bit pattern to keep.
-			kk *= ws[j]
-			a -= sel * float64(kk)
-		} else {
-			// The unclamped chain is monotone decreasing (sel >= 0), so
-			// one clamp per segment lands on the same float64 the
-			// rescan's per-step clamps do.
-			for i := int32(0); i < kk; i++ {
-				a -= sel
+func (r *routeCSR) claim(ls []linkState, round []roundGroup, sel float64, dips []refile) []refile {
+	for _, rgp := range round {
+		links, ws := r.of(rgp.g)
+		undo, pos := r.slots(rgp.g)
+		for j, l := range links {
+			st := &ls[l]
+			a := st.avail
+			u := j
+			if pos != nil {
+				u = int(pos[j])
 			}
-		}
-		if a < 0 {
-			a = 0
-		}
-		st.avail = a
-		n := st.unfrozen - kk
-		if n <= 0 {
-			st.unfrozen = 0
-			continue
-		}
-		st.unfrozen = n
-		// Dip filter, division- and table-free: the filed bucket's
-		// floor times the live count bounds the avail below which the
-		// share could have dipped out of its bucket; the dtSlack-sized
-		// guard absorbs both roundings, so no genuine dip escapes. Only
-		// near-floor touches divide to decide, and only confirmed dips
-		// (rare: clamping or rounding moved the share down) refile.
-		floor := math.Float64frombits(uint64(st.inBucket) << bShift)
-		if a < floor*float64(n)*dtSlack {
-			sh := a / float64(n)
-			if db := int32(math.Float64bits(sh) >> bShift); db < st.inBucket {
-				st.inBucket = db
-				dips = append(dips, refile{l, db})
+			undo[u] = a
+			kk := rgp.k
+			if ws != nil {
+				// Weighted (approx) entries claim their whole share in one
+				// multiply — aggregates can carry thousands of weight
+				// units, and approx mode has no rescan bit pattern to keep.
+				kk *= ws[j]
+				a -= sel * float64(kk)
+			} else {
+				// The unclamped chain is monotone decreasing (sel >= 0), so
+				// one clamp per segment lands on the same float64 the
+				// rescan's per-step clamps do.
+				for i := int32(0); i < kk; i++ {
+					a -= sel
+				}
+			}
+			if a < 0 {
+				a = 0
+			}
+			st.avail = a
+			n := st.unfrozen - kk
+			if n <= 0 {
+				st.unfrozen = 0
+				continue
+			}
+			st.unfrozen = n
+			// Dip filter, division- and table-free: the filed bucket's
+			// floor times the live count bounds the avail below which the
+			// share could have dipped out of its bucket; the dtSlack-sized
+			// guard absorbs both roundings, so no genuine dip escapes. Only
+			// near-floor touches divide to decide, and only confirmed dips
+			// (rare: clamping or rounding moved the share down) refile.
+			floor := math.Float64frombits(uint64(st.inBucket) << bShift)
+			if a < floor*float64(n)*dtSlack {
+				sh := a / float64(n)
+				if db := int32(math.Float64bits(sh) >> bShift); db < st.inBucket {
+					st.inBucket = db
+					dips = append(dips, refile{l, db})
+				}
 			}
 		}
 	}
@@ -508,7 +631,7 @@ func claimRoute(ls []linkState, links, ws []int32, sel float64, k int32, dips []
 // exactly as the full rescan would.
 func (s *sim) staleRates(dt float64) float64 {
 	for _, g := range s.activeGroups {
-		if gst := &s.gs[g]; !gst.frozen && gst.rate > 0 {
+		if gst := &s.gs[g]; gst.round < 0 && gst.rate > 0 {
 			if d := s.mRemaining[gst.front] / gst.rate; d < dt {
 				dt = d
 			}
@@ -518,10 +641,13 @@ func (s *sim) staleRates(dt float64) float64 {
 }
 
 // advance moves the simulation dt forward to the next completion and
-// retires the members that finish. The gang only drains (disjoint
-// member ranges); the bookkeeping stays serial, in group order.
+// retires the members that finish, which sets rmin for the next event
+// (a step can retire nothing — rounding leaves its flow a sliver — and
+// then the whole event is kept). The gang only drains (disjoint member
+// ranges); the bookkeeping stays serial, in group order.
 func (s *sim) advance(dt float64) {
 	s.now += dt
+	s.rmin = len(s.rounds)
 	if s.u != nil {
 		for _, l := range s.activeLinks {
 			if s.liveOnLink[l] > 0 {
@@ -566,23 +692,29 @@ func (s *sim) drainGroup(g int32, dt float64) int32 {
 	return done - lo
 }
 
-// retire completes the first k live members of g at the current time.
+// retire completes the first k live members of g at the current time
+// and takes them off g's links: out of the live count and, ahead of the
+// rewind that will give g's claim back, out of unfrozen.
 func (s *sim) retire(g, k int32) {
-	lo := s.gs[g].front
-	s.gs[g].front = lo + k
+	gst := &s.gs[g]
+	lo := gst.front
+	gst.front = lo + k
 	s.active -= int(k)
+	s.rmin = min(s.rmin, max(int(gst.round), 0))
 	if s.ft != nil {
 		stamp := s.now + s.p.SendOverhead + s.p.RecvOverhead + s.p.RouteLatency
 		for _, mi := range s.mMsgOf[lo : lo+k] {
 			s.ft.Done[mi] = stamp
 		}
 	}
-	for j, l := range s.routes[g] {
-		if s.mults != nil {
-			s.liveOnLink[l] -= k * s.mults[g][j]
-		} else {
-			s.liveOnLink[l] -= k
+	links, ws := s.routes.of(g)
+	for j, l := range links {
+		kk := k
+		if ws != nil {
+			kk *= ws[j]
 		}
+		s.liveOnLink[l] -= kk
+		s.ls[l].unfrozen -= kk
 	}
 }
 

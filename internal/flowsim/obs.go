@@ -19,6 +19,10 @@ var (
 		"Max-min freeze rounds (bottleneck selections) processed.")
 	cSimFrozenFlows = obs.Default.NewCounter("bgpvr_flowsim_frozen_flows_total",
 		"Flow freezes applied across all freeze rounds.")
+	cSimKeptRounds = obs.Default.NewCounter("bgpvr_flowsim_kept_rounds_total",
+		"Freeze rounds an event kept from the one before instead of redoing.")
+	cSimClaimedEntries = obs.Default.NewCounter("bgpvr_flowsim_claimed_entries_total",
+		"Route entries (flow group x link) whose bandwidth claim was computed.")
 	cSimFlows = obs.Default.NewCounter("bgpvr_flowsim_flows_total",
 		"Flows handed to the flowsim kernel.")
 )

@@ -9,34 +9,32 @@ import "bgpvr/internal/par"
 // exercise every sharded path on small configs.
 var (
 	shardMinTouches = 2048 // freeze round: route entries touched
-	shardMinLinks   = 4096 // event reset: active links refiled
 	shardMinFlows   = 8192 // advance: live members drained
 	shardMinScan    = 4096 // pop scan: bucket entries scanned
 )
 
-// gang runs the kernel's four per-round sections (event reset, pop
-// scan, freeze pass 2, drain) over worker tiles — the same bodies the
-// serial path calls — and owns the scratch only a wide simulation
-// needs. Links are owned by worker (link index mod width), and each
-// worker gets a CSR view of every group's route restricted to its
-// links, built once. The shard bodies are bound once and read each
-// round's parameters here; every merge runs on the caller.
+// gang runs the kernel's per-round sections (pop scan, freeze pass 2,
+// drain) over worker tiles — the same bodies the serial path calls —
+// and owns the scratch only a wide simulation needs. Links are owned by
+// worker (link index mod width): worker w claims through shards[w], its
+// links of every route, built once. The shard bodies are bound once and
+// read each round's parameters here; every merge runs on the caller.
 type gang struct {
 	*par.Gang
 	s *sim
 
-	swLinks, swMults, swOff [][]int32 // per-worker route CSR
+	shards []routeCSR // per worker: the links it owns of every route, entry order kept
 
-	refBuf [][]refile // per worker: buffered refiles
-	fileB  []int32    // event reset: bucket per activeLinks position
-	doneK  []int32    // drain: finished members per activeGroups position
-	mins   []scanMin  // pop scan: per-worker result
-	sel    float64    // claim: the round's share
-	dt     float64    // drain: the event's time step
-	scan   []int32    // pop scan: the bucket list being scanned
-	scanB  int32      // pop scan: the bucket being scanned
+	refBuf [][]refile   // per worker: buffered refiles
+	doneK  []int32      // drain: finished members per activeGroups position
+	mins   []scanMin    // pop scan: per-worker result
+	round  []roundGroup // claim: the round's groups
+	sel    float64      // claim: the round's share
+	dt     float64      // drain: the event's time step
+	scan   []int32      // pop scan: the bucket list being scanned
+	scanB  int32        // pop scan: the bucket being scanned
 
-	resetFn, scanFn, claimFn, drainFn func(w int)
+	scanFn, claimFn, drainFn func(w int)
 }
 
 // scanMin is one worker's pop-scan result.
@@ -46,33 +44,32 @@ type scanMin struct {
 }
 
 func newGang(s *sim, workers int) *gang {
-	ngroups := len(s.routes)
 	g := &gang{
-		s:       s,
-		swLinks: make([][]int32, workers),
-		swMults: make([][]int32, workers),
-		swOff:   make([][]int32, workers),
-		refBuf:  make([][]refile, workers),
-		fileB:   make([]int32, len(s.activeLinks)),
-		doneK:   make([]int32, ngroups),
-		mins:    make([]scanMin, workers),
+		s:      s,
+		shards: make([]routeCSR, workers),
+		refBuf: make([][]refile, workers),
+		doneK:  make([]int32, len(s.gs)),
+		mins:   make([]scanMin, workers),
 	}
-	for w := range g.swOff {
-		g.swOff[w] = make([]int32, ngroups+1)
+	rt := &s.routes
+	for w := range g.shards {
+		g.shards[w].off = make([]int32, len(rt.off))
+		g.shards[w].undo = rt.undo
 	}
-	for gi, route := range s.routes {
-		for j, l := range route {
-			w := int(l) % workers
-			g.swLinks[w] = append(g.swLinks[w], l)
-			if s.mults != nil {
-				g.swMults[w] = append(g.swMults[w], s.mults[gi][j])
+	for gi := 1; gi < len(rt.off); gi++ {
+		for j := rt.off[gi-1]; j < rt.off[gi]; j++ {
+			sh := &g.shards[int(rt.links[j])%workers]
+			sh.links = append(sh.links, rt.links[j])
+			sh.pos = append(sh.pos, j)
+			if rt.mults != nil {
+				sh.mults = append(sh.mults, rt.mults[j])
 			}
 		}
-		for w := range g.swOff {
-			g.swOff[w][gi+1] = int32(len(g.swLinks[w]))
+		for w := range g.shards {
+			g.shards[w].off[gi] = int32(len(g.shards[w].links))
 		}
 	}
-	g.resetFn, g.scanFn, g.claimFn, g.drainFn = g.resetShard, g.scanShard, g.claimShard, g.drainShard
+	g.scanFn, g.claimFn, g.drainFn = g.scanShard, g.claimShard, g.drainShard
 	g.Gang = par.NewGang(workers)
 	return g
 }
@@ -81,21 +78,6 @@ func newGang(s *sim, workers int) *gang {
 // (no merge below depends on where the boundaries fall).
 func (g *gang) tile(n, w int) (int, int) {
 	return n * w / g.Width(), n * (w + 1) / g.Width()
-}
-
-// resetLinks resets every active link and returns each position's
-// fresh bucket for the caller to file in order.
-func (g *gang) resetLinks() []int32 {
-	g.Run(g.resetFn)
-	return g.fileB[:len(g.s.activeLinks)]
-}
-
-func (g *gang) resetShard(w int) {
-	links := g.s.activeLinks
-	lo, hi := g.tile(len(links), w)
-	for pos := lo; pos < hi; pos++ {
-		g.fileB[pos] = g.s.resetLink(links[pos])
-	}
 }
 
 // scanBucket is scanTile over worker tiles of lst. Workers compact
@@ -128,13 +110,13 @@ func (g *gang) scanShard(w int) {
 	m.kept, m.best, m.bestS, g.refBuf[w] = scanTile(g.s.ls, g.scan[lo:hi], g.scanB, g.refBuf[w][:0])
 }
 
-// claim is claimRoute over the workers' links of the round's groups.
-// Each link's updates happen in the same (group, route) order as
-// serially — a worker owns every occurrence of its links — and the
-// buffered dips are filed in worker order, which the bucket queue
-// cannot observe (selection is an order-independent minimum).
-func (g *gang) claim(sel float64) {
-	g.sel = sel
+// claim is routeCSR.claim over the workers' shards. Each link's
+// updates happen in the same (group, route) order as serially — a
+// worker owns every occurrence of its links — and the buffered dips are
+// filed in worker order, which the bucket queue cannot observe
+// (selection is an order-independent minimum).
+func (g *gang) claim(round []roundGroup, sel float64) {
+	g.round, g.sel = round, sel
 	g.Run(g.claimFn)
 	for _, dips := range g.refBuf {
 		g.s.q.fileAll(dips)
@@ -142,17 +124,7 @@ func (g *gang) claim(sel float64) {
 }
 
 func (g *gang) claimShard(w int) {
-	lks, off := g.swLinks[w], g.swOff[w]
-	dips := g.refBuf[w][:0]
-	for _, rgp := range g.s.roundGroups {
-		lo, hi := off[rgp.g], off[rgp.g+1]
-		var ws []int32
-		if g.s.mults != nil {
-			ws = g.swMults[w][lo:hi]
-		}
-		dips = claimRoute(g.s.ls, lks[lo:hi], ws, g.sel, rgp.k, dips)
-	}
-	g.refBuf[w] = dips
+	g.refBuf[w] = g.shards[w].claim(g.s.ls, g.round, g.sel, g.refBuf[w][:0])
 }
 
 // drain is drainGroup over tiles of activeGroups; it returns the

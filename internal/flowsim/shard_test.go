@@ -3,14 +3,14 @@ package flowsim
 import "testing"
 
 // forceSharding lowers the shard engagement thresholds so every gang
-// path (reset, pop scan, freeze, advance) runs even on the small configs the
+// path (pop scan, freeze, advance) runs even on the small configs the
 // equivalence suite uses, restoring them when the test ends.
 func forceSharding(t *testing.T) {
 	t.Helper()
-	touches, links, flows, scan := shardMinTouches, shardMinLinks, shardMinFlows, shardMinScan
-	shardMinTouches, shardMinLinks, shardMinFlows, shardMinScan = 1, 1, 1, 1
+	touches, flows, scan := shardMinTouches, shardMinFlows, shardMinScan
+	shardMinTouches, shardMinFlows, shardMinScan = 1, 1, 1
 	t.Cleanup(func() {
-		shardMinTouches, shardMinLinks, shardMinFlows, shardMinScan = touches, links, flows, scan
+		shardMinTouches, shardMinFlows, shardMinScan = touches, flows, scan
 	})
 }
 

@@ -21,6 +21,7 @@ func FuzzRenderRequest(f *testing.F) {
 		`{"procs": 1000}`,
 		`{"algo": "quantum"}`,
 		`{"deadline_ms": -5}`,
+		`{"deadline_ms": 9300000000000}`,
 		`{"unknown_field": 1}`,
 		`{"n": 16, "m": 99}`,
 		`{"n": 16, "procs": 1, "deadline_ms": 50}`,
@@ -66,7 +67,7 @@ func FuzzRenderRequest(f *testing.F) {
 		if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) || math.IsNaN(s.AzimuthDeg) || math.IsInf(s.AzimuthDeg, 0) {
 			t.Fatalf("accepted time %v, azimuth %v", s.Time, s.AzimuthDeg)
 		}
-		if req.DeadlineMS < 0 || (spec.image && spec.mode != "real") {
+		if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS || (spec.image && spec.mode != "real") {
 			t.Fatalf("accepted deadline_ms %d, image %v in mode %s", req.DeadlineMS, spec.image, spec.mode)
 		}
 	})

@@ -60,6 +60,9 @@ const (
 	maxModelN     = 8192
 	maxModelProcs = 1 << 16
 	maxModelImg   = 8192
+	// A day: far past any frame, far below the ~9.2e12 ms at which the
+	// conversion to time.Duration wraps into a negative deadline.
+	maxDeadlineMS = 24 * 60 * 60 * 1000
 )
 
 // jobSpec is a validated request, resolved to core configs.
@@ -126,8 +129,8 @@ func (rr *RenderRequest) validate(workers int) (*jobSpec, error) {
 	if rr.Step < 0 || rr.Step > 16 {
 		return nil, fmt.Errorf("step %g out of range (0, 16]", rr.Step)
 	}
-	if rr.DeadlineMS < 0 {
-		return nil, fmt.Errorf("deadline_ms %d negative", rr.DeadlineMS)
+	if rr.DeadlineMS < 0 || rr.DeadlineMS > maxDeadlineMS {
+		return nil, fmt.Errorf("deadline_ms %d out of range [0, %d]", rr.DeadlineMS, maxDeadlineMS)
 	}
 
 	spec := &jobSpec{mode: mode, procs: procs, m: rr.M, image: rr.IncludeImage && mode == "real"}

@@ -145,12 +145,14 @@ func TestRenderValidation(t *testing.T) {
 	for _, body := range []string{
 		`not json`,
 		`{"mode": "banana"}`,
-		`{"n": 4096}`,          // over real-mode bound
-		`{"procs": 1000}`,      // over real-mode bound
-		`{"algo": "quantum"}`,  //
-		`{"deadline_ms": -5}`,  //
-		`{"unknown_field": 1}`, // DisallowUnknownFields
-		`{"n": 16, "m": 99}`,   // m > procs
+		`{"n": 4096}`,                    // over real-mode bound
+		`{"procs": 1000}`,                // over real-mode bound
+		`{"algo": "quantum"}`,            //
+		`{"deadline_ms": -5}`,            //
+		`{"deadline_ms": 9300000000000}`, // wraps time.Duration negative
+		`{"deadline_ms": 86400001}`,      // over a day
+		`{"unknown_field": 1}`,           // DisallowUnknownFields
+		`{"n": 16, "m": 99}`,             // m > procs
 	} {
 		resp, b := postRender(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
