@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,86 +24,75 @@ import (
 	"time"
 
 	"bgpvr/internal/bench"
+	"bgpvr/internal/cli"
 	"bgpvr/internal/core"
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/machine"
 	"bgpvr/internal/mpiio"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/par"
-	"bgpvr/internal/runstore"
 	"bgpvr/internal/stats"
 	"bgpvr/internal/telemetry"
 	"bgpvr/internal/trace"
 )
 
-func main() {
-	mode := flag.String("mode", "real", "real or model")
-	n := flag.Int("n", 64, "volume grid size n^3")
-	imgSize := flag.Int("img", 256, "image size (square)")
-	procs := flag.Int("procs", 8, "number of ranks")
-	m := flag.Int("m", 0, "compositors (0: real=procs, model=paper's improved rule)")
-	format := flag.String("format", "generate", "generate, raw, netcdf, cdf5, h5")
-	path := flag.String("path", "", "data file (written if absent; default under temp)")
-	algo := flag.String("algo", "direct", "direct, binaryswap, radixk, gather (real mode)")
-	persp := flag.Bool("persp", false, "perspective camera")
-	window := flag.Int64("cb", 0, "MPI-IO cb_buffer_size hint (0 = default)")
-	ghostExchange := flag.Bool("ghost-exchange", false, "obtain ghost layers by neighbor messages instead of reading them")
-	shaded := flag.Bool("shaded", false, "gradient shading (real mode)")
-	frames := flag.Int("frames", 1, "time steps to render (real mode; >1 animates the SASI phase)")
-	out := flag.String("o", "", "output PPM path (real mode; %d inserted for -frames > 1)")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the frame (chrome://tracing, Perfetto)")
-	breakdown := flag.Bool("breakdown", false, "print the per-phase end-to-end breakdown table")
-	debugAddr := flag.String("debug-addr", "", "serve a live debug endpoint (net/http/pprof, expvar, /telemetry) on this address while the run executes")
-	perfReport := flag.String("perf-report", "", "write a machine-readable perf report (breakdown + telemetry + runtime stats) to this JSON file")
-	critOut := flag.String("critpath", "", "print the critical-path & load-imbalance report and write the full analysis as JSON to this file")
-	linkmap := flag.String("linkmap", "", "write the compositing phase's per-link contention map as <prefix>.csv and <prefix>.pgm (model mode)")
-	runRecord := flag.String("run-record", "", "append this run's perf report to the JSONL run registry (see cmd/perfhistory)")
-	workers := flag.Int("workers", 0, "worker goroutines for the parallel render loops (0 = all cores)")
-	flowsimApprox := flag.Float64("flowsim-approx", -1, "cross-check the model's compositing phase with the max-min flow kernel: 0 runs it exactly, eps > 0 the bounded-error clustered approximation (< 0 skips; model mode)")
-	flowsimEndpointAgg := flag.Bool("flowsim-endpoint-agg", false, "with -flowsim-approx, also pool endpoint-region interior hops onto the regional aggregates (only injection/ejection hops stay physical); engages above the decomposition's floor")
-	progress := flag.Bool("progress", false, "emit periodic structured progress heartbeats (phase done/total, rate, ETA) to stderr")
-	progressInterval := flag.Duration("progress-interval", obs.DefaultHeartbeatInterval, "heartbeat period for -progress")
-	crashDump := flag.String("crash-dump", "", "write a flight record (recent events, phase progress, metrics, goroutine stacks) to this file on SIGQUIT/SIGTERM or -soft-deadline, then exit")
-	softDeadline := flag.Duration("soft-deadline", 0, "dump the flight record and exit this long after start; set it just below an external kill budget so the run leaves a post-mortem (0 disables)")
-	serveAddr := flag.String("serve", "", "run as a persistent render service on this address (e.g. 127.0.0.1:8080); POST /render, GET /status, /metrics, pprof. Ignores -mode and the one-shot flags")
-	serveConcurrency := flag.Int("serve-concurrency", 0, "frames rendering at once in serve mode (0 = default 2)")
-	serveQueue := flag.Int("serve-queue", 0, "admitted requests waiting beyond the ones in flight before 429 (0 = default 8)")
-	serveDeadline := flag.Duration("serve-deadline", 0, "default per-request deadline in serve mode (0 = 30s)")
-	serveCacheMB := flag.Int("serve-cache-mb", 0, "volume field cache budget in MB (0 = 256)")
-	serveDrain := flag.Duration("serve-drain", 15*time.Second, "how long Shutdown waits for in-flight requests on SIGINT/SIGTERM")
-	serveSLO := flag.Duration("serve-slo", 0, "per-request latency objective in serve mode; requests over it are tail-sampled into the trace store and, with -diag-dir, dumped as diagnostic bundles (0 disables the SLO rule)")
-	diagDir := flag.String("diag-dir", "", "directory for SLO-breach diagnostic bundles (span tree + metrics + flight record per breaching request)")
-	serveTraceMB := flag.Int("serve-trace-mb", 0, "trace store byte budget in MB for tail-sampled request traces (0 = default 8, -1 disables tracing)")
-	serveTraceSample := flag.Int("serve-trace-sample", 0, "keep 1-in-N of requests that no tail rule selects (0 = default 16, -1 keeps none of them)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *progress {
-		hb := obs.StartHeartbeat(slog.New(slog.NewTextHandler(os.Stderr, nil)), *progressInterval)
-		defer hb.Stop()
+// frameArgs carries the parsed flags of a one-shot frame: the ones
+// cmd/experiments shares (cli.Run) and bgpvr's own.
+type frameArgs struct {
+	*cli.Run
+	mode, format, path, algo string
+	m, frames                int
+	persp, shaded            bool
+	window                   int64
+	ghostExchange            bool
+	out, linkmap             string
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bgpvr", flag.ContinueOnError)
+	a := frameArgs{Run: &cli.Run{Procs: 8, N: 64, Img: 256, FlowsimApprox: -1}}
+	a.Indent = "  " // report lines sit under the frame summary
+	a.Register(fs, nil)
+	fs.StringVar(&a.mode, "mode", "real", "real or model")
+	fs.IntVar(&a.m, "m", 0, "compositors (0: real=procs, model=paper's improved rule)")
+	fs.StringVar(&a.format, "format", "generate", "generate, raw, netcdf, cdf5, h5")
+	fs.StringVar(&a.path, "path", "", "data file (written if absent; default under temp)")
+	fs.StringVar(&a.algo, "algo", "direct", "direct, binaryswap, radixk, gather (real mode)")
+	fs.BoolVar(&a.persp, "persp", false, "perspective camera")
+	fs.Int64Var(&a.window, "cb", 0, "MPI-IO cb_buffer_size hint (0 = default)")
+	fs.BoolVar(&a.ghostExchange, "ghost-exchange", false, "obtain ghost layers by neighbor messages instead of reading them")
+	fs.BoolVar(&a.shaded, "shaded", false, "gradient shading (real mode)")
+	fs.IntVar(&a.frames, "frames", 1, "time steps to render (real mode; >1 animates the SASI phase)")
+	fs.StringVar(&a.out, "o", "", "output PPM path (real mode; %d inserted for -frames > 1)")
+	fs.StringVar(&a.linkmap, "linkmap", "", "write the compositing phase's per-link contention map as <prefix>.csv and <prefix>.pgm (model mode)")
+	sv := serveArgs{Run: a.Run}
+	fs.StringVar(&sv.addr, "serve", "", "run as a persistent render service on this address (e.g. 127.0.0.1:8080); POST /render, GET /status, /metrics, pprof. Ignores -mode and the one-shot flags")
+	fs.IntVar(&sv.cfg.MaxConcurrent, "serve-concurrency", 0, "frames rendering at once in serve mode (0 = default 2)")
+	fs.IntVar(&sv.cfg.QueueDepth, "serve-queue", 0, "admitted requests waiting beyond the ones in flight before 429 (0 = default 8)")
+	fs.DurationVar(&sv.cfg.DefaultDeadline, "serve-deadline", 0, "default per-request deadline in serve mode (0 = 30s)")
+	fs.IntVar(&sv.cfg.CacheMB, "serve-cache-mb", 0, "volume field cache budget in MB (0 = 256)")
+	fs.DurationVar(&sv.drain, "serve-drain", 15*time.Second, "how long Shutdown waits for in-flight requests on SIGINT/SIGTERM")
+	fs.DurationVar(&sv.cfg.SLO, "serve-slo", 0, "per-request latency objective in serve mode; requests over it are tail-sampled into the trace store and, with -diag-dir, dumped as diagnostic bundles (0 disables the SLO rule)")
+	fs.StringVar(&sv.cfg.DiagDir, "diag-dir", "", "directory for SLO-breach diagnostic bundles (span tree + metrics + flight record per breaching request)")
+	fs.IntVar(&sv.cfg.TraceBudgetMB, "serve-trace-mb", 0, "trace store byte budget in MB for tail-sampled request traces (0 = default 8, -1 disables tracing)")
+	fs.IntVar(&sv.cfg.TraceSampleN, "serve-trace-sample", 0, "keep 1-in-N of requests that no tail rule selects (0 = default 16, -1 keeps none of them)")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	if *serveAddr != "" {
-		if err := runServe(serveArgs{addr: *serveAddr, concurrency: *serveConcurrency,
-			queue: *serveQueue, deadline: *serveDeadline, cacheMB: *serveCacheMB,
-			drain: *serveDrain, workers: *workers, runRecord: *runRecord,
-			crashDump: *crashDump, softDeadline: *softDeadline,
-			slo: *serveSLO, diagDir: *diagDir,
-			traceMB: *serveTraceMB, traceSample: *serveTraceSample}); err != nil {
-			fmt.Fprintln(os.Stderr, "bgpvr:", err)
-			os.Exit(1)
-		}
-		return
+	a.Start(stdout, stderr)
+	defer a.Close()
+	var err error
+	if sv.addr != "" {
+		err = runServe(sv, stderr)
+	} else {
+		err = runFrame(&a)
 	}
-	if err := run(runArgs{mode: *mode, n: *n, imgSize: *imgSize, procs: *procs, m: *m,
-		format: *format, path: *path, algo: *algo, persp: *persp, shaded: *shaded,
-		window: *window, ghostExchange: *ghostExchange, frames: *frames, out: *out,
-		traceOut: *traceOut, breakdown: *breakdown, critpath: *critOut,
-		debugAddr: *debugAddr, perfReport: *perfReport, linkmap: *linkmap,
-		runRecord: *runRecord, flowsimEps: *flowsimApprox, flowsimEndpointAgg: *flowsimEndpointAgg,
-		crashDump: *crashDump, softDeadline: *softDeadline,
-		workers: par.Workers(*workers)}); err != nil {
-		fmt.Fprintln(os.Stderr, "bgpvr:", err)
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintln(stderr, "bgpvr:", err)
+		return 1
 	}
+	return 0
 }
 
 // patternize turns a path into a per-frame pattern: a path already
@@ -134,32 +122,6 @@ func parseFormat(s string) (core.Format, error) {
 	return 0, fmt.Errorf("unknown format %q", s)
 }
 
-// runArgs carries the parsed CLI flags.
-type runArgs struct {
-	mode               string
-	n, imgSize         int
-	procs, m           int
-	format, path       string
-	algo               string
-	persp, shaded      bool
-	window             int64
-	ghostExchange      bool
-	frames             int
-	out                string
-	traceOut           string
-	breakdown          bool
-	critpath           string
-	debugAddr          string
-	perfReport         string
-	linkmap            string
-	runRecord          string
-	flowsimEps         float64 // -flowsim-approx: < 0 off, 0 exact, > 0 eps
-	flowsimEndpointAgg bool
-	crashDump          string
-	softDeadline       time.Duration
-	workers            int // resolved pool width (par.Workers already applied)
-}
-
 // critTopK is how many straggler ranks each phase reports.
 const critTopK = 5
 
@@ -176,47 +138,36 @@ func analyze(g *critpath.Graph, tr *trace.Tracer, rec *critpath.Recorder) *critp
 	return critpath.Analyze(g, critTopK)
 }
 
-// finishTrace exports whatever the flags asked for after a traced run.
-func finishTrace(a runArgs, tr *trace.Tracer) error {
-	if tr == nil {
-		return nil
-	}
-	if a.traceOut != "" {
-		if err := tr.WriteChromeFile(a.traceOut); err != nil {
+// finishRun exports what the flags asked for after the frame: the trace
+// artifacts, the critical-path analysis and the merged perf report
+// (trace breakdown + network/I/O telemetry + critpath/imbalance + the
+// run's configuration; cli.Emit adds the runtime stats).
+func finishRun(a *frameArgs, tr *trace.Tracer, nt *telemetry.NetTelemetry, an *critpath.Analysis, fs *telemetry.FlowsimStat, totalSec float64) error {
+	if tr != nil && a.Trace != "" {
+		if err := tr.WriteChromeFile(a.Trace); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
-		fmt.Printf("  trace:      %s (open in chrome://tracing or Perfetto)\n", a.traceOut)
+		fmt.Fprintf(a.Out, "  trace:      %s (open in chrome://tracing or Perfetto)\n", a.Trace)
 	}
-	if a.breakdown {
-		fmt.Print(tr.Breakdown().Table())
+	if tr != nil && a.Breakdown {
+		fmt.Fprint(a.Out, tr.Breakdown().Table())
 	}
-	return nil
-}
-
-// finishRun exports the trace artifacts, the critical-path analysis,
-// and, when asked, the merged perf report (trace breakdown +
-// network/I/O telemetry + critpath/imbalance + runtime stats + the
-// run's configuration).
-func finishRun(a runArgs, tr *trace.Tracer, nt *telemetry.NetTelemetry, an *critpath.Analysis, fs *telemetry.FlowsimStat, totalSec float64, wallStart time.Time) error {
-	if err := finishTrace(a, tr); err != nil {
-		return err
-	}
-	if a.critpath != "" && an != nil {
-		fmt.Print(an.Text())
-		if err := an.WriteFile(a.critpath); err != nil {
+	if a.CritPath != "" && an != nil {
+		fmt.Fprint(a.Out, an.Text())
+		if err := an.WriteFile(a.CritPath); err != nil {
 			return fmt.Errorf("writing critpath analysis: %w", err)
 		}
-		fmt.Printf("  critpath:   %s\n", a.critpath)
+		fmt.Fprintf(a.Out, "  critpath:   %s\n", a.CritPath)
 	}
-	if a.perfReport == "" && a.runRecord == "" {
+	if !a.Wanted() {
 		return nil
 	}
 	r := telemetry.NewReport("bgpvr-" + a.mode)
 	r.Config = map[string]string{
 		"mode":   a.mode,
-		"n":      strconv.Itoa(a.n),
-		"img":    strconv.Itoa(a.imgSize),
-		"procs":  strconv.Itoa(a.procs),
+		"n":      strconv.Itoa(a.N),
+		"img":    strconv.Itoa(a.Img),
+		"procs":  strconv.Itoa(a.Procs),
 		"m":      strconv.Itoa(a.m),
 		"format": a.format,
 		"algo":   a.algo,
@@ -228,60 +179,42 @@ func finishRun(a runArgs, tr *trace.Tracer, nt *telemetry.NetTelemetry, an *crit
 	r.AddNetTelemetry(nt)
 	r.AddCritPath(an)
 	r.Flowsim = fs
-	r.AddRuntime(time.Since(wallStart).Seconds())
-	busy, wall := par.Stats()
-	r.AddParallel(a.workers, busy.Seconds(), wall.Seconds())
-	if a.perfReport != "" {
-		if err := r.WriteFile(a.perfReport); err != nil {
-			return fmt.Errorf("writing perf report: %w", err)
-		}
-		fmt.Printf("  perf report: %s\n", a.perfReport)
-	}
-	if a.runRecord != "" {
-		rec := runstore.NewRecord(r, runstore.GitRev(), time.Now().UTC().Format(time.RFC3339))
-		if err := runstore.Append(a.runRecord, rec); err != nil {
-			return fmt.Errorf("recording run: %w", err)
-		}
-		fmt.Printf("  run record: %s (run %s)\n", a.runRecord, rec.ID)
-	}
-	return nil
+	return a.Emit(r)
 }
 
 // writeLinkmap exports the model-mode compositing phase's per-link
 // contention map as CSV and PGM heatmaps plus a console summary.
-func writeLinkmap(a runArgs, mach machine.Machine, nt *telemetry.NetTelemetry) error {
-	top := mach.TorusFor(a.procs)
+func writeLinkmap(a *frameArgs, mach machine.Machine, nt *telemetry.NetTelemetry) error {
+	top := mach.TorusFor(a.Procs)
 	csvPath, pgmPath, err := telemetry.WriteHeatmapFiles(a.linkmap, top, nt.Links, telemetry.MetricFlows)
 	if err != nil {
 		return fmt.Errorf("writing linkmap: %w", err)
 	}
-	fmt.Printf("  linkmap:    %s, %s\n", csvPath, pgmPath)
-	fmt.Print(telemetry.UtilizationSummary(top, nt.Links))
+	fmt.Fprintf(a.Out, "  linkmap:    %s, %s\n", csvPath, pgmPath)
+	fmt.Fprint(a.Out, telemetry.UtilizationSummary(top, nt.Links))
 	return nil
 }
 
-func run(a runArgs) error {
-	mode, n, imgSize, procs, m := a.mode, a.n, a.imgSize, a.procs, a.m
-	format, path, algo, persp, window, out := a.format, a.path, a.algo, a.persp, a.window, a.out
-	ghostExchange := a.ghostExchange
+func runFrame(a *frameArgs) error {
+	mode, n, imgSize, procs, m := a.mode, a.N, a.Img, a.Procs, a.m
+	format, path, algo, out := a.format, a.path, a.algo, a.out
 	f, err := parseFormat(format)
 	if err != nil {
 		return err
 	}
 	scene := core.DefaultScene(n, imgSize)
-	scene.Perspective = persp
+	scene.Perspective = a.persp
 	scene.Shaded = a.shaded
-	scene.RenderWorkers = a.workers
-	hints := mpiio.Hints{CBBufferSize: window}
+	scene.RenderWorkers = a.Workers
+	hints := mpiio.Hints{CBBufferSize: a.window}
 
-	wantReport := a.perfReport != "" || a.runRecord != ""
-	wantCrit := a.critpath != "" || wantReport || a.debugAddr != ""
-	wantTrace := a.traceOut != "" || a.breakdown || wantReport || (wantCrit && mode != "model")
-	wantNet := wantReport || a.linkmap != "" || a.debugAddr != ""
+	wantCrit := a.CritPath != "" || a.Wanted() || a.DebugAddr != ""
+	wantTrace := a.Trace != "" || a.Breakdown || a.Wanted() || (wantCrit && mode != "model")
+	wantNet := a.Wanted() || a.linkmap != "" || a.DebugAddr != ""
 	if a.linkmap != "" && mode != "model" {
 		return fmt.Errorf("-linkmap requires -mode model")
 	}
-	if a.flowsimEps >= 0 && mode != "model" {
+	if a.FlowsimApprox >= 0 && mode != "model" {
 		return fmt.Errorf("-flowsim-approx requires -mode model")
 	}
 	var nt *telemetry.NetTelemetry
@@ -299,51 +232,23 @@ func run(a runArgs) error {
 	// critA holds the finished frame's critical-path analysis for the
 	// debug endpoint; /critpath answers 503 until the run completes.
 	var critA atomic.Pointer[critpath.Analysis]
-	if a.debugAddr != "" {
-		srv, err := telemetry.StartDebug(a.debugAddr, telemetry.DebugSource{
-			Tracer: tr, Net: nt,
-			Crit:     func() *critpath.Analysis { return critA.Load() },
-			RunsPath: a.runRecord,
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("debug endpoint: http://%s/ (pprof, expvar, /telemetry, /metrics, /critpath, /runs)\n", srv.Addr)
+	if err := a.Debug(telemetry.DebugSource{
+		Tracer: tr, Net: nt,
+		Crit: func() *critpath.Analysis { return critA.Load() },
+	}, "pprof, expvar, /telemetry, /metrics, /critpath, /runs"); err != nil {
+		return err
 	}
-	wallStart := time.Now()
 	obs.Note("bgpvr run: mode=%s n=%d img=%d procs=%d m=%d format=%s algo=%s workers=%d",
-		mode, n, imgSize, procs, m, format, algo, a.workers)
-	if a.crashDump != "" || a.softDeadline > 0 {
-		// The flight recorder: a kill (or the soft deadline) dumps recent
-		// events, phase progress, metrics, and goroutine stacks to the
-		// crash file, plus a best-effort partial perf report so even a
-		// killed run leaves machine-readable evidence.
-		wd := obs.StartWatchdog(obs.WatchdogConfig{
-			Path:         a.crashDump,
-			SoftDeadline: a.softDeadline,
-			Extra: func(w io.Writer) {
-				if a.perfReport == "" {
-					return
-				}
-				r := telemetry.NewReport("bgpvr-" + a.mode)
-				r.Config = map[string]string{"mode": a.mode, "partial": "true"}
-				if tr != nil {
-					r.AddBreakdown(tr.Breakdown())
-				}
-				r.AddNetTelemetry(nt)
-				r.AddRuntime(time.Since(wallStart).Seconds())
-				busy, wallT := par.Stats()
-				r.AddParallel(a.workers, busy.Seconds(), wallT.Seconds())
-				if err := r.WriteFile(a.perfReport); err != nil {
-					fmt.Fprintf(w, "\npartial perf report: write failed: %v\n", err)
-					return
-				}
-				fmt.Fprintf(w, "\npartial perf report written to %s\n", a.perfReport)
-			},
-		})
-		defer wd.Stop()
-	}
+		mode, n, imgSize, procs, m, format, algo, a.Workers)
+	a.Watch(func() *telemetry.Report {
+		r := telemetry.NewReport("bgpvr-" + mode)
+		r.Config = map[string]string{"mode": mode, "partial": "true"}
+		if tr != nil {
+			r.AddBreakdown(tr.Breakdown())
+		}
+		r.AddNetTelemetry(nt)
+		return r
+	})
 
 	switch mode {
 	case "model":
@@ -360,37 +265,37 @@ func run(a runArgs) error {
 		}
 		an := analyze(cg, nil, nil)
 		critA.Store(an)
-		fmt.Printf("model frame: %d^3 volume, %d^2 image, %d cores, format %v\n", n, imgSize, procs, f)
-		fmt.Printf("  I/O:        %s (%.1f%%)  read bw %s\n",
+		fmt.Fprintf(a.Out, "model frame: %d^3 volume, %d^2 image, %d cores, format %v\n", n, imgSize, procs, f)
+		fmt.Fprintf(a.Out, "  I/O:        %s (%.1f%%)  read bw %s\n",
 			stats.Seconds(res.Times.IO), core.Percent(res.Times.IO, res.Times.Total), stats.Rate(res.ReadBW))
-		fmt.Printf("  render:     %s (%.1f%%)\n",
+		fmt.Fprintf(a.Out, "  render:     %s (%.1f%%)\n",
 			stats.Seconds(res.Times.Render), core.Percent(res.Times.Render, res.Times.Total))
-		fmt.Printf("  composite:  %s (%.1f%%)  %d messages, mean %.0f B\n",
+		fmt.Fprintf(a.Out, "  composite:  %s (%.1f%%)  %d messages, mean %.0f B\n",
 			stats.Seconds(res.Times.Composite), core.Percent(res.Times.Composite, res.Times.Total),
 			res.Messages, res.MeanMessageBytes)
-		fmt.Printf("  total:      %s\n", stats.Seconds(res.Times.Total))
+		fmt.Fprintf(a.Out, "  total:      %s\n", stats.Seconds(res.Times.Total))
 		if f != core.FormatGenerate {
-			fmt.Printf("  physical I/O: %s in %d accesses (density %.3f)\n",
+			fmt.Fprintf(a.Out, "  physical I/O: %s in %d accesses (density %.3f)\n",
 				stats.Bytes(res.IO.PhysicalBytes), res.IO.Accesses, res.IO.Density())
 		}
 		var fs *telemetry.FlowsimStat
-		if a.flowsimEps >= 0 {
+		if eps := a.FlowsimApprox; eps >= 0 {
 			pt, err := bench.FlowScaleAt(mach, scene, bench.FlowScaleConfig{
-				Procs: procs, M: m, Eps: a.flowsimEps, Workers: a.workers,
-				EndpointAgg: a.flowsimEndpointAgg,
+				Procs: procs, M: m, Eps: eps, Workers: a.Workers,
+				EndpointAgg: a.FlowsimEndpointAgg,
 			})
 			if err != nil {
 				return err
 			}
-			fs = pt.Stat(a.flowsimEps, a.workers)
+			fs = pt.Stat(eps, a.Workers)
 			kernel, errKind := "exact kernel", "vs exact"
-			if a.flowsimEps > 0 {
-				kernel = fmt.Sprintf("eps=%g", a.flowsimEps)
+			if eps > 0 {
+				kernel = fmt.Sprintf("eps=%g", eps)
 				if !pt.ErrExact {
 					errKind = "bound gap"
 				}
 			}
-			fmt.Printf("  flowsim:    composite %s wire-level (%s, %d msgs, err %.4f %s, wall %s)\n",
+			fmt.Fprintf(a.Out, "  flowsim:    composite %s wire-level (%s, %d msgs, err %.4f %s, wall %s)\n",
 				stats.Seconds(pt.ApproxSec), kernel, pt.Msgs, pt.ObservedErr, errKind,
 				stats.Seconds(pt.WallSec))
 		}
@@ -399,7 +304,7 @@ func run(a runArgs) error {
 				return err
 			}
 		}
-		return finishRun(a, tr, nt, an, fs, res.Times.Total, wallStart)
+		return finishRun(a, tr, nt, an, fs, res.Times.Total)
 
 	case "real":
 		var rec *critpath.Recorder
@@ -407,7 +312,7 @@ func run(a runArgs) error {
 			rec = critpath.NewRecorder(tr, 1<<16)
 		}
 		cfg := core.RealConfig{Scene: scene, Procs: procs, Compositors: m, Format: f,
-			Hints: hints, GhostExchange: ghostExchange, Trace: tr, Net: nt, CritPath: rec}
+			Hints: hints, GhostExchange: a.ghostExchange, Trace: tr, Net: nt, CritPath: rec}
 		switch algo {
 		case "direct":
 			cfg.Algo = core.CompositeDirectSend
@@ -425,7 +330,7 @@ func run(a runArgs) error {
 				path = filepath.Join(os.TempDir(), fmt.Sprintf("bgpvr-%d-%v.dat", n, f))
 			}
 			if _, err := os.Stat(path); err != nil {
-				fmt.Printf("writing %v time step to %s ...\n", f, path)
+				fmt.Fprintf(a.Out, "writing %v time step to %s ...\n", f, path)
 				if err := core.WriteSceneFile(path, f, scene); err != nil {
 					return err
 				}
@@ -446,41 +351,41 @@ func run(a runArgs) error {
 				return err
 			}
 			tot := seq.TotalTimes()
-			fmt.Printf("sequence: %d frames, %d^3 volume, %d ranks\n", a.frames, n, procs)
-			fmt.Printf("  totals: io=%s render=%s composite=%s\n",
+			fmt.Fprintf(a.Out, "sequence: %d frames, %d^3 volume, %d ranks\n", a.frames, n, procs)
+			fmt.Fprintf(a.Out, "  totals: io=%s render=%s composite=%s\n",
 				stats.Seconds(tot.IO), stats.Seconds(tot.Render), stats.Seconds(tot.Composite))
 			for _, p := range seq.Images {
-				fmt.Println("  image:", p)
+				fmt.Fprintln(a.Out, "  image:", p)
 			}
 			an := analyze(nil, tr, rec)
 			critA.Store(an)
-			return finishRun(a, tr, nt, an, nil, tot.Total, wallStart)
+			return finishRun(a, tr, nt, an, nil, tot.Total)
 		}
 		res, err := core.RunReal(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("real frame: %d^3 volume, %d^2 image, %d ranks, format %v, algo %s\n",
+		fmt.Fprintf(a.Out, "real frame: %d^3 volume, %d^2 image, %d ranks, format %v, algo %s\n",
 			n, imgSize, procs, f, algo)
-		fmt.Printf("  I/O:        %s\n", stats.Seconds(res.Times.IO))
-		fmt.Printf("  render:     %s  (%d samples, imbalance %.2f)\n",
+		fmt.Fprintf(a.Out, "  I/O:        %s\n", stats.Seconds(res.Times.IO))
+		fmt.Fprintf(a.Out, "  render:     %s  (%d samples, imbalance %.2f)\n",
 			stats.Seconds(res.Times.Render), res.Samples, res.SampleBalance)
-		fmt.Printf("  composite:  %s  (%d messages, %s)\n",
+		fmt.Fprintf(a.Out, "  composite:  %s  (%d messages, %s)\n",
 			stats.Seconds(res.Times.Composite), res.Traffic.Messages, stats.Bytes(res.Traffic.TotalBytes))
-		fmt.Printf("  total:      %s\n", stats.Seconds(res.Times.Total))
+		fmt.Fprintf(a.Out, "  total:      %s\n", stats.Seconds(res.Times.Total))
 		if f != core.FormatGenerate {
-			fmt.Printf("  physical I/O: %s in %d accesses (density %.3f)\n",
+			fmt.Fprintf(a.Out, "  physical I/O: %s in %d accesses (density %.3f)\n",
 				stats.Bytes(res.IO.PhysicalBytes), res.IO.Accesses, res.IO.Density())
 		}
 		if out != "" {
 			if err := res.Image.WritePPM(out, 0); err != nil {
 				return err
 			}
-			fmt.Printf("  image:      %s\n", out)
+			fmt.Fprintf(a.Out, "  image:      %s\n", out)
 		}
 		an := analyze(nil, tr, rec)
 		critA.Store(an)
-		return finishRun(a, tr, nt, an, nil, res.Times.Total, wallStart)
+		return finishRun(a, tr, nt, an, nil, res.Times.Total)
 	}
 	return fmt.Errorf("unknown mode %q", mode)
 }

@@ -3,32 +3,26 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/obs"
 	"bgpvr/internal/serve"
 )
 
-// serveArgs carries the parsed -serve* flags.
+// serveArgs carries the parsed -serve* flags, most of them straight
+// into the service's Config; of the shared flags serve mode reads
+// -workers, -run-record, -crash-dump and -soft-deadline.
 type serveArgs struct {
-	addr         string
-	concurrency  int
-	queue        int
-	deadline     time.Duration
-	cacheMB      int
-	drain        time.Duration
-	workers      int
-	runRecord    string
-	crashDump    string
-	softDeadline time.Duration
-	slo          time.Duration
-	diagDir      string
-	traceMB      int
-	traceSample  int
+	*cli.Run
+	addr  string
+	drain time.Duration
+	cfg   serve.Config
 }
 
 // runServe runs the persistent render service until SIGINT/SIGTERM,
@@ -36,34 +30,16 @@ type serveArgs struct {
 // "drain", not "crash"), so when the flight recorder is armed it
 // watches SIGQUIT only; a hung drain is still guarded by the
 // recorder's soft deadline.
-func runServe(a serveArgs) error {
-	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if a.crashDump != "" || a.softDeadline > 0 {
-		wd := obs.StartWatchdog(obs.WatchdogConfig{
-			Path:         a.crashDump,
-			SoftDeadline: a.softDeadline,
-			Signals:      []os.Signal{syscall.SIGQUIT},
-		})
-		defer wd.Stop()
-	}
-	s := serve.New(serve.Config{
-		MaxConcurrent:   a.concurrency,
-		QueueDepth:      a.queue,
-		DefaultDeadline: a.deadline,
-		Workers:         a.workers,
-		CacheMB:         a.cacheMB,
-		RunsPath:        a.runRecord,
-		SLO:             a.slo,
-		DiagDir:         a.diagDir,
-		TraceBudgetMB:   a.traceMB,
-		TraceSampleN:    a.traceSample,
-		Log:             log,
-	})
+func runServe(a serveArgs, stderr io.Writer) error {
+	log := slog.New(slog.NewTextHandler(stderr, nil))
+	a.Watch(nil, syscall.SIGQUIT)
+	a.cfg.Workers, a.cfg.RunsPath, a.cfg.Log = a.Workers, a.RunRecord, log
+	s := serve.New(a.cfg)
 	if err := s.Start(a.addr); err != nil {
 		return err
 	}
-	fmt.Printf("render service: http://%s/ (POST /render, /status, /traces, /metrics, pprof)\n", s.Addr())
-	obs.Note("serve mode: addr=%s workers=%d", s.Addr(), a.workers)
+	fmt.Fprintf(a.Out, "render service: http://%s/ (POST /render, /status, /traces, /metrics, pprof)\n", s.Addr())
+	obs.Note("serve mode: addr=%s workers=%d", s.Addr(), a.Workers)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|table2|ablations|crossmachine]
+//	experiments [-exp all|<exhibit>]        (experiments -h lists the exhibits)
 //	experiments -exp fidelity [-scorecard card.json] [-perf-report rep.json] [-run-record runs.jsonl]
 //	experiments -exp flowscale [-procs 131072] [-flowsim-approx 0.25] [-flowsim-endpoint-agg] [-workers 4] [-n 256] [-img 1024]
 //	experiments -breakdown [-procs 16384] [-trace frame.json]
@@ -30,97 +30,169 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"bgpvr/internal/bench"
+	"bgpvr/internal/cli"
 	"bgpvr/internal/core"
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/fidelity"
 	"bgpvr/internal/machine"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/par"
-	"bgpvr/internal/runstore"
 	"bgpvr/internal/stats"
 	"bgpvr/internal/telemetry"
 	"bgpvr/internal/trace"
 )
 
-// record appends the report to the JSONL run registry at path.
-func record(path string, r *telemetry.Report) error {
-	rec := runstore.NewRecord(r, runstore.GitRev(), time.Now().UTC().Format(time.RFC3339))
-	if err := runstore.Append(path, rec); err != nil {
-		return fmt.Errorf("recording run: %w", err)
+// env is what an experiment runs with: the parsed flags, the machine
+// model, and the slots the debug endpoint's /critpath and /fidelity
+// views read.
+type env struct {
+	*cli.Run
+	mach      machine.Machine
+	scorecard string // -scorecard
+	critA     atomic.Pointer[critpath.Analysis]
+	fidA      atomic.Pointer[telemetry.FidelityStat]
+}
+
+// section prints one exhibit's report under a rule.
+func (e *env) section(s string) {
+	fmt.Fprintln(e.Out, s)
+	fmt.Fprintln(e.Out, strings.Repeat("-", 72))
+}
+
+// experiment is one -exp name. The table is the only list of them: the
+// flag's help text, the unknown-name error and -exp all (every row that
+// is not solo, in this order) are all read off it.
+type experiment struct {
+	name string
+	solo bool // runs only when named: it takes -procs/-n/-img, or writes its own perf report
+	run  func(*env) error
+}
+
+var experiments = []experiment{
+	{name: "table1", run: func(e *env) error { e.section(bench.Table1()); return nil }},
+	{name: "fig3", run: figure(bench.Fig3)},
+	{name: "fig4", run: figure(bench.Fig4)},
+	{name: "fig5", run: figure(bench.Fig5)},
+	{name: "table2", run: figure(bench.Table2)},
+	{name: "fig6", run: figure(bench.Fig6)},
+	{name: "fig7", run: figure(bench.Fig7)},
+	{name: "fig8", run: text(func(machine.Machine) (string, error) { return bench.Fig8(1120) })},
+	{name: "fig9", run: figure(bench.Fig9)},
+	{name: "fig10", run: figure(bench.Fig10)},
+	{name: "preprocess", run: text(bench.PreprocessModel)},
+	{name: "iosig", run: text(bench.IOSignature)},
+	{name: "imbalance", run: figure(bench.Imbalance)},
+	{name: "crossmachine", run: text(func(machine.Machine) (string, error) { return bench.CrossMachine() })},
+	{name: "ablations", run: func(e *env) error {
+		for _, run := range []func(*env) error{
+			figure(func(m machine.Machine) (map[int]float64, string, error) { return bench.AblationCompositors(m, 16384) }),
+			text(bench.AblationCompositeAlgo),
+			figure(bench.AblationCBBuffer),
+			text(bench.AblationContention),
+			text(bench.AblationAggregators),
+			text(func(m machine.Machine) (string, error) { return bench.AblationPlacement(m, 16384) }),
+			text(bench.AblationNetworkModel),
+		} {
+			if err := run(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{name: "linkmap", solo: true, run: func(e *env) error {
+		_, s, err := bench.LinkContention(e.mach, e.Procs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(e.Out, s)
+		return nil
+	}},
+	{name: "fidelity", solo: true, run: fidelityRun},
+	{name: "flowscale", solo: true, run: flowScaleRun},
+}
+
+// text adapts an exhibit that returns its report; figure one that also
+// returns the points behind it, which only the tests and the scorecard
+// read.
+func text(f func(machine.Machine) (string, error)) func(*env) error {
+	return func(e *env) error {
+		s, err := f(e.mach)
+		if err != nil {
+			return err
+		}
+		e.section(s)
+		return nil
 	}
-	fmt.Printf("run record: %s (run %s)\n", path, rec.ID)
-	return nil
+}
+
+func figure[T any](f func(machine.Machine) (T, string, error)) func(*env) error {
+	return text(func(m machine.Machine) (string, error) {
+		_, s, err := f(m)
+		return s, err
+	})
+}
+
+// names lists what -exp accepts.
+func names() string {
+	s := "all"
+	for _, x := range experiments {
+		s += ", " + x.name
+	}
+	return s
 }
 
 // fidelityRun regenerates the paper's exhibits, scores them against
-// the published claims, and exports whatever the flags asked for. It
-// returns the scorecard's report section for the debug endpoint.
-func fidelityRun(mach machine.Machine, workers int, scorecardOut, perfReport, runRecord string) (*telemetry.FidelityStat, error) {
-	wallStart := time.Now()
-	sc, err := fidelity.Evaluate(mach)
+// the published claims, and exports whatever the flags asked for.
+func fidelityRun(e *env) error {
+	sc, err := fidelity.Evaluate(e.mach)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fmt.Print(sc.Text())
+	fmt.Fprint(e.Out, sc.Text())
 	stat := sc.Stat()
-	if scorecardOut != "" {
-		if err := sc.WriteFile(scorecardOut); err != nil {
-			return stat, fmt.Errorf("writing scorecard: %w", err)
+	e.fidA.Store(stat)
+	if e.scorecard != "" {
+		if err := sc.WriteFile(e.scorecard); err != nil {
+			return fmt.Errorf("writing scorecard: %w", err)
 		}
-		fmt.Printf("scorecard: %s\n", scorecardOut)
+		fmt.Fprintf(e.Out, "scorecard: %s\n", e.scorecard)
 	}
-	if perfReport == "" && runRecord == "" {
-		return stat, nil
+	if !e.Wanted() {
+		return nil
 	}
 	r := telemetry.NewReport("experiments-fidelity")
 	r.Config = map[string]string{"exp": "fidelity", "machine": "bgp"}
 	r.Fidelity = stat
-	r.AddRuntime(time.Since(wallStart).Seconds())
-	busy, wall := par.Stats()
-	r.AddParallel(workers, busy.Seconds(), wall.Seconds())
-	if perfReport != "" {
-		if err := r.WriteFile(perfReport); err != nil {
-			return stat, fmt.Errorf("writing perf report: %w", err)
-		}
-		fmt.Printf("perf report: %s\n", perfReport)
-	}
-	if runRecord != "" {
-		if err := record(runRecord, r); err != nil {
-			return stat, err
-		}
-	}
-	return stat, nil
+	return e.Emit(r)
 }
 
 // flowScaleRun streams the direct-send compositing exchange through
 // the contention kernel at scale (bench.FlowScaleRun), prints the
 // wire-level Fig-4 view, and exports the scale point's flowsim section
 // when a perf report or run record was asked for.
-func flowScaleRun(mach machine.Machine, n, imgSize int, cfg bench.FlowScaleConfig, perfReport, runRecord string) error {
-	wallStart := time.Now()
-	scene := core.DefaultScene(n, imgSize)
-	pts, text, err := bench.FlowScaleRun(mach, scene, cfg)
+func flowScaleRun(e *env) error {
+	cfg := bench.FlowScaleConfig{
+		Procs: e.Procs, Eps: e.FlowsimApprox, Workers: e.Workers, EndpointAgg: e.FlowsimEndpointAgg,
+	}
+	pts, text, err := bench.FlowScaleRun(e.mach, core.DefaultScene(e.N, e.Img), cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println(text)
-	if perfReport == "" && runRecord == "" {
+	fmt.Fprintln(e.Out, text)
+	if !e.Wanted() {
 		return nil
 	}
 	pt := pts[len(pts)-1]
 	r := telemetry.NewReport("experiments-flowscale")
 	r.Config = map[string]string{
 		"exp":   "flowscale",
-		"n":     strconv.Itoa(n),
-		"img":   strconv.Itoa(imgSize),
+		"n":     strconv.Itoa(e.N),
+		"img":   strconv.Itoa(e.Img),
 		"procs": strconv.Itoa(cfg.Procs),
 		"eps":   strconv.FormatFloat(cfg.Eps, 'g', -1, 64),
 	}
@@ -129,360 +201,150 @@ func flowScaleRun(mach machine.Machine, n, imgSize int, cfg bench.FlowScaleConfi
 	}
 	r.TotalSec = pt.ApproxSec
 	r.Flowsim = pt.Stat(cfg.Eps, cfg.Workers)
-	r.AddRuntime(time.Since(wallStart).Seconds())
-	busy, wall := par.Stats()
-	r.AddParallel(cfg.Workers, busy.Seconds(), wall.Seconds())
-	if perfReport != "" {
-		if err := r.WriteFile(perfReport); err != nil {
-			return fmt.Errorf("writing perf report: %w", err)
-		}
-		fmt.Printf("perf report: %s\n", perfReport)
-	}
-	if runRecord != "" {
-		if err := record(runRecord, r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.Emit(r)
 }
 
 // tracedFrame runs one model-mode frame of the paper's base workload
-// with a virtual tracer (and, when asked, a causal event graph) and
-// exports what the flags asked for. It returns the critical-path
-// analysis (nil when no flag wanted one) for the debug endpoint.
-func tracedFrame(n, imgSize, procs, workers int, traceOut string, breakdown bool, perfReport, critOut, runRecord string) (*critpath.Analysis, error) {
-	wallStart := time.Now()
+// with a virtual tracer (and, when a flag wants one, a causal event
+// graph) and exports what the flags asked for.
+func tracedFrame(e *env) error {
 	tr := trace.NewVirtual(1)
-	wantReport := perfReport != "" || runRecord != ""
 	var nt *telemetry.NetTelemetry
-	if wantReport {
+	if e.Wanted() {
 		nt = &telemetry.NetTelemetry{}
 	}
 	var cg *critpath.Graph
-	if critOut != "" || wantReport {
-		cg = critpath.NewGraph(procs)
+	if e.CritPath != "" || e.Wanted() {
+		cg = critpath.NewGraph(e.Procs)
 	}
-	scene := core.DefaultScene(n, imgSize)
-	scene.RenderWorkers = workers
+	scene := core.DefaultScene(e.N, e.Img)
+	scene.RenderWorkers = e.Workers
 	res, err := core.RunModel(core.ModelConfig{
 		Scene:    scene,
-		Procs:    procs,
+		Procs:    e.Procs,
 		Format:   core.FormatRaw,
 		Trace:    tr,
 		Net:      nt,
 		CritPath: cg,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var an *critpath.Analysis
 	if cg != nil {
 		an = critpath.Analyze(cg, 5)
+		e.critA.Store(an)
 	}
-	fmt.Printf("model frame: %d^3 volume, %d^2 image, %d cores, total %s\n",
-		n, imgSize, procs, stats.Seconds(res.Times.Total))
-	if breakdown {
-		fmt.Print(tr.Breakdown().Table())
+	fmt.Fprintf(e.Out, "model frame: %d^3 volume, %d^2 image, %d cores, total %s\n",
+		e.N, e.Img, e.Procs, stats.Seconds(res.Times.Total))
+	if e.Breakdown {
+		fmt.Fprint(e.Out, tr.Breakdown().Table())
 	}
-	if traceOut != "" {
-		if err := tr.WriteChromeFile(traceOut); err != nil {
-			return an, fmt.Errorf("writing trace: %w", err)
+	if e.Trace != "" {
+		if err := tr.WriteChromeFile(e.Trace); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
 		}
-		fmt.Printf("trace: %s (open in chrome://tracing or Perfetto)\n", traceOut)
+		fmt.Fprintf(e.Out, "trace: %s (open in chrome://tracing or Perfetto)\n", e.Trace)
 	}
-	if critOut != "" {
-		fmt.Print(an.Text())
-		if err := an.WriteFile(critOut); err != nil {
-			return an, fmt.Errorf("writing critpath analysis: %w", err)
+	if e.CritPath != "" {
+		fmt.Fprint(e.Out, an.Text())
+		if err := an.WriteFile(e.CritPath); err != nil {
+			return fmt.Errorf("writing critpath analysis: %w", err)
 		}
-		fmt.Printf("critpath: %s\n", critOut)
+		fmt.Fprintf(e.Out, "critpath: %s\n", e.CritPath)
 	}
-	if wantReport {
-		r := telemetry.NewReport("experiments-frame")
-		r.Config = map[string]string{
-			"mode":   "model",
-			"n":      strconv.Itoa(n),
-			"img":    strconv.Itoa(imgSize),
-			"procs":  strconv.Itoa(procs),
-			"format": "raw",
-		}
-		r.TotalSec = res.Times.Total
-		r.AddBreakdown(tr.Breakdown())
-		r.AddNetTelemetry(nt)
-		r.AddCritPath(an)
-		r.AddRuntime(time.Since(wallStart).Seconds())
-		busy, wall := par.Stats()
-		r.AddParallel(workers, busy.Seconds(), wall.Seconds())
-		if perfReport != "" {
-			if err := r.WriteFile(perfReport); err != nil {
-				return an, fmt.Errorf("writing perf report: %w", err)
-			}
-			fmt.Printf("perf report: %s\n", perfReport)
-		}
-		if runRecord != "" {
-			if err := record(runRecord, r); err != nil {
-				return an, err
-			}
-		}
+	if !e.Wanted() {
+		return nil
 	}
-	return an, nil
+	r := telemetry.NewReport("experiments-frame")
+	r.Config = map[string]string{
+		"mode":   "model",
+		"n":      strconv.Itoa(e.N),
+		"img":    strconv.Itoa(e.Img),
+		"procs":  strconv.Itoa(e.Procs),
+		"format": "raw",
+	}
+	r.TotalSec = res.Times.Total
+	r.AddBreakdown(tr.Breakdown())
+	r.AddNetTelemetry(nt)
+	r.AddCritPath(an)
+	return e.Emit(r)
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig3..fig10, table2, ablations, linkmap, imbalance, fidelity, flowscale)")
-	traceOut := flag.String("trace", "", "trace one base-config model frame to this Chrome trace_event JSON instead of running experiments")
-	breakdown := flag.Bool("breakdown", false, "print the traced frame's per-phase breakdown table instead of running experiments")
-	procs := flag.Int("procs", 16384, "cores for the traced frame (-trace/-breakdown) or -exp linkmap")
-	n := flag.Int("n", 1120, "volume grid size n^3 for the traced frame")
-	imgSize := flag.Int("img", 1600, "image size for the traced frame")
-	perfReport := flag.String("perf-report", "", "write the run's perf report (breakdown + telemetry + runtime; -exp fidelity: the scorecard) to this JSON file")
-	critOut := flag.String("critpath", "", "print the traced frame's critical-path & load-imbalance report and write the analysis JSON to this file")
-	debugAddr := flag.String("debug-addr", "", "serve a live debug endpoint (net/http/pprof, expvar, /telemetry, /critpath, /fidelity, /runs) while running")
-	scorecardOut := flag.String("scorecard", "", "write the fidelity scorecard JSON to this file (-exp fidelity)")
-	runRecord := flag.String("run-record", "", "append this run's perf report to the JSONL run registry (see cmd/perfhistory)")
-	workers := flag.Int("workers", 0, "worker goroutines for the sweep and render loops (0 = all cores)")
-	flowsimApprox := flag.Float64("flowsim-approx", 0, "clustered-contention error bound eps for -exp flowscale (0 = exact kernel)")
-	flowsimEndpointAgg := flag.Bool("flowsim-endpoint-agg", false, "with -flowsim-approx, also pool endpoint-region interior hops onto the regional aggregates (only injection/ejection hops stay physical); engages above the decomposition's floor")
-	progress := flag.Bool("progress", false, "emit periodic structured progress heartbeats (phase done/total, rate, ETA) to stderr")
-	progressInterval := flag.Duration("progress-interval", obs.DefaultHeartbeatInterval, "heartbeat period for -progress")
-	crashDump := flag.String("crash-dump", "", "write a flight record (recent events, phase progress, metrics, goroutine stacks) to this file on SIGQUIT/SIGTERM or -soft-deadline, then exit")
-	softDeadline := flag.Duration("soft-deadline", 0, "dump the flight record and exit this long after start; set it just below an external kill budget so the run leaves a post-mortem (0 disables)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	w := par.Workers(*workers)
-	bench.Workers = w
-	mach := machine.NewBGP()
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	e := env{Run: &cli.Run{Procs: 16384, N: 1120, Img: 1600}, mach: machine.NewBGP()}
+	e.Register(fs, map[string]string{
+		"trace":          "trace one base-config model frame to this Chrome trace_event JSON instead of running experiments",
+		"breakdown":      "print the traced frame's per-phase breakdown table instead of running experiments",
+		"procs":          "cores for the traced frame (-trace/-breakdown) or -exp linkmap",
+		"n":              "volume grid size n^3 for the traced frame",
+		"img":            "image size for the traced frame",
+		"perf-report":    "write the run's perf report (breakdown + telemetry + runtime; -exp fidelity: the scorecard) to this JSON file",
+		"critpath":       "print the traced frame's critical-path & load-imbalance report and write the analysis JSON to this file",
+		"debug-addr":     "serve a live debug endpoint (net/http/pprof, expvar, /telemetry, /critpath, /fidelity, /runs) while running",
+		"workers":        "worker goroutines for the sweep and render loops (0 = all cores)",
+		"flowsim-approx": "clustered-contention error bound eps for -exp flowscale (0 = exact kernel)",
+	})
+	exp := fs.String("exp", "all", "experiment to run ("+names()+")")
+	fs.StringVar(&e.scorecard, "scorecard", "", "write the fidelity scorecard JSON to this file (-exp fidelity)")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	if *progress {
-		hb := obs.StartHeartbeat(slog.New(slog.NewTextHandler(os.Stderr, nil)), *progressInterval)
-		defer hb.Stop()
-	}
-	wallStart := time.Now()
+	e.Start(stdout, stderr)
+	defer e.Close()
+	bench.Workers = e.Workers
 	obs.Note("experiments run: exp=%s procs=%d n=%d img=%d workers=%d eps=%g",
-		*exp, *procs, *n, *imgSize, w, *flowsimApprox)
-	if *crashDump != "" || *softDeadline > 0 {
-		// Flight recorder: a kill or the soft deadline leaves a crash file
-		// plus a best-effort partial perf report (runtime + pool stats —
-		// the sweeps' own tables die with the run).
-		wd := obs.StartWatchdog(obs.WatchdogConfig{
-			Path:         *crashDump,
-			SoftDeadline: *softDeadline,
-			Extra: func(cw io.Writer) {
-				if *perfReport == "" {
-					return
-				}
-				r := telemetry.NewReport("experiments-" + *exp)
-				r.Config = map[string]string{"exp": *exp, "partial": "true"}
-				r.AddRuntime(time.Since(wallStart).Seconds())
-				busy, wallT := par.Stats()
-				r.AddParallel(w, busy.Seconds(), wallT.Seconds())
-				if err := r.WriteFile(*perfReport); err != nil {
-					fmt.Fprintf(cw, "\npartial perf report: write failed: %v\n", err)
-					return
-				}
-				fmt.Fprintf(cw, "\npartial perf report written to %s\n", *perfReport)
-			},
-		})
-		defer wd.Stop()
+		*exp, e.Procs, e.N, e.Img, e.Workers, e.FlowsimApprox)
+	// The sweeps' own tables die with a killed run; the partial report
+	// is runtime + pool stats.
+	e.Watch(func() *telemetry.Report {
+		r := telemetry.NewReport("experiments-" + *exp)
+		r.Config = map[string]string{"exp": *exp, "partial": "true"}
+		return r
+	})
+	err := e.Debug(telemetry.DebugSource{
+		Crit:     func() *critpath.Analysis { return e.critA.Load() },
+		Fidelity: func() *telemetry.FidelityStat { return e.fidA.Load() },
+	}, "pprof, expvar, /telemetry, /critpath, /fidelity, /runs")
+	if err == nil {
+		err = dispatch(&e, *exp)
 	}
-	var critA atomic.Pointer[critpath.Analysis]
-	var fidA atomic.Pointer[telemetry.FidelityStat]
-	if *debugAddr != "" {
-		srv, err := telemetry.StartDebug(*debugAddr, telemetry.DebugSource{
-			Crit:     func() *critpath.Analysis { return critA.Load() },
-			Fidelity: func() *telemetry.FidelityStat { return fidA.Load() },
-			RunsPath: *runRecord,
-		})
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		fmt.Printf("debug endpoint: http://%s/ (pprof, expvar, /telemetry, /critpath, /fidelity, /runs)\n", srv.Addr)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
-	if *exp == "fidelity" {
-		stat, err := fidelityRun(mach, w, *scorecardOut, *perfReport, *runRecord)
-		fidA.Store(stat)
-		if err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *exp == "flowscale" {
-		cfg := bench.FlowScaleConfig{
-			Procs: *procs, Eps: *flowsimApprox, Workers: w, EndpointAgg: *flowsimEndpointAgg,
-		}
-		if err := flowScaleRun(mach, *n, *imgSize, cfg, *perfReport, *runRecord); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *traceOut != "" || *breakdown || *perfReport != "" || *critOut != "" || *runRecord != "" {
-		an, err := tracedFrame(*n, *imgSize, *procs, w, *traceOut, *breakdown, *perfReport, *critOut, *runRecord)
-		critA.Store(an)
-		if err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *exp == "linkmap" {
-		_, s, err := bench.LinkContention(mach, *procs)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(s)
-		return
-	}
-	section := func(s string) {
-		fmt.Println(s)
-		fmt.Println(strings.Repeat("-", 72))
-	}
+	return 0
+}
 
-	ran := false
-	if want("table1") {
-		ran = true
-		section(bench.Table1())
+// dispatch runs what -exp names. A solo experiment runs when named;
+// otherwise any of the traced-frame flags replaces the experiments with
+// one traced model frame; otherwise the named exhibit, or all of them.
+func dispatch(e *env, exp string) error {
+	var named *experiment
+	for i := range experiments {
+		if experiments[i].name == exp {
+			named = &experiments[i]
+		}
 	}
-	if want("fig3") {
-		ran = true
-		_, s, err := bench.Fig3(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
+	switch {
+	case named != nil && named.solo:
+		return named.run(e)
+	case e.Trace != "" || e.Breakdown || e.CritPath != "" || e.Wanted():
+		return tracedFrame(e)
+	case named != nil:
+		return named.run(e)
+	case exp != "all":
+		return fmt.Errorf("unknown experiment %q (have %s)", exp, names())
 	}
-	if want("fig4") {
-		ran = true
-		_, s, err := bench.Fig4(mach)
-		if err != nil {
-			fail(err)
+	for _, x := range experiments {
+		if !x.solo {
+			if err := x.run(e); err != nil {
+				return err
+			}
 		}
-		section(s)
 	}
-	if want("fig5") {
-		ran = true
-		_, s, err := bench.Fig5(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("table2") {
-		ran = true
-		_, s, err := bench.Table2(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("fig6") {
-		ran = true
-		_, s, err := bench.Fig6(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("fig7") {
-		ran = true
-		_, s, err := bench.Fig7(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("fig8") {
-		ran = true
-		s, err := bench.Fig8(1120)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("fig9") {
-		ran = true
-		_, s, err := bench.Fig9(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("fig10") {
-		ran = true
-		_, s, err := bench.Fig10(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("preprocess") {
-		ran = true
-		s, err := bench.PreprocessModel(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("iosig") {
-		ran = true
-		s, err := bench.IOSignature(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("imbalance") {
-		ran = true
-		_, s, err := bench.Imbalance(mach)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("crossmachine") {
-		ran = true
-		s, err := bench.CrossMachine()
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if want("ablations") {
-		ran = true
-		_, s, err := bench.AblationCompositors(mach, 16384)
-		if err != nil {
-			fail(err)
-		}
-		section(s)
-		if s, err = bench.AblationCompositeAlgo(mach); err != nil {
-			fail(err)
-		}
-		section(s)
-		if _, s, err = bench.AblationCBBuffer(mach); err != nil {
-			fail(err)
-		}
-		section(s)
-		if s, err = bench.AblationContention(mach); err != nil {
-			fail(err)
-		}
-		section(s)
-		if s, err = bench.AblationAggregators(mach); err != nil {
-			fail(err)
-		}
-		section(s)
-		if s, err = bench.AblationPlacement(mach, 16384); err != nil {
-			fail(err)
-		}
-		section(s)
-		if s, err = bench.AblationNetworkModel(mach); err != nil {
-			fail(err)
-		}
-		section(s)
-	}
-	if !ran {
-		fail(fmt.Errorf("unknown experiment %q", *exp))
-	}
+	return nil
 }

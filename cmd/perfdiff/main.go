@@ -1,162 +1,74 @@
 // Command perfdiff compares two perf reports written by -perf-report
-// (schema telemetry.ReportSchema) and flags regressions across four
-// metric classes: timing (total and per-phase mean seconds), counters
-// (messages, bytes, physical accesses, tree ops), imbalance (per-phase
-// max/mean busy-time ratios plus the critical-path duration), fidelity
-// (the paper-fidelity aggregate score dropping or any individual
-// claim's pass/warn/fail status getting worse), flowsim (the
-// clustered contention approximation's observed error growing or
-// breaking its own requested eps bound), and service (a render-service
-// load test's p99 latency rising, throughput falling, or error rate
-// climbing at any matched concurrency level). CI runs it
-// against checked-in baselines so a PR that slows a modeled frame
-// down, distributes its load worse, or drifts away from the paper's
-// published curves is visible in the job log.
+// and flags what got worse. It joins the reports' own metric lists
+// (telemetry.Report.Metrics, which also says how each metric is judged)
+// by name, so it compares whatever both carry — a report of an older
+// schema just has fewer names — in six classes: timing, counters,
+// imbalance (with the critical-path duration), fidelity (the score, and
+// any claim's status), flowsim (observed error against the baseline and
+// against the run's own eps) and service (p99, throughput, error rate
+// per concurrency level). CI runs it against the checked-in baselines,
+// so a PR that slows a modeled frame down, distributes its load worse
+// or drifts from the paper's curves shows in the job log. Its one job
+// is deterministic virtual-time and model drift between exactly two
+// reports: trends over many runs are cmd/perfhistory's, wall-clock
+// comparison with measured noise is benchmark -compare's (DESIGN.md,
+// "Comparing two runs").
 //
 // Usage:
 //
 //	perfdiff [-threshold 10] [-only timing|counters|imbalance|fidelity|flowsim|service|all] [-warn] old.json new.json
-//	perfdiff [flags] reports-dir
-//
-// The one-argument form takes a directory of perf reports and diffs
-// the newest against the previous one (by modification time, names
-// breaking ties) — the hands-off mode for a directory that a CI job or
-// a run registry keeps appending reports to.
 //
 // Exit status: 0 when no metric regressed (or -warn is set), 2 when at
-// least one did, 1 on usage or read errors (including a schema
-// mismatch between the two reports).
+// least one did, 1 on usage or read errors (including a report whose
+// schema is newer than this build reads).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
-	"bgpvr/internal/stats"
+	"bgpvr/internal/cli"
 	"bgpvr/internal/telemetry"
 )
 
-func value(d telemetry.Delta, v float64) string {
-	switch d.Unit {
-	case "s":
-		return stats.Seconds(v)
-	case "ratio":
-		return fmt.Sprintf("%.3f", v)
-	case "score":
-		return fmt.Sprintf("%.3f", v)
-	case "status":
-		return [...]string{"pass", "warn", "fail"}[int(v)]
-	}
-	return fmt.Sprintf("%.0f", v)
-}
+const classes = "timing|counters|imbalance|fidelity|flowsim|service|all"
 
-// newestPair returns the two most recent perf reports in dir, old
-// first: ordered by modification time with the file name breaking
-// ties.
-func newestPair(dir string) (old, new string, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", "", err
-	}
-	type candidate struct {
-		path string
-		mod  int64
-	}
-	var cands []candidate
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return "", "", err
-		}
-		cands = append(cands, candidate{filepath.Join(dir, e.Name()), info.ModTime().UnixNano()})
-	}
-	if len(cands) < 2 {
-		return "", "", fmt.Errorf("%s holds %d perf report(s), need at least 2", dir, len(cands))
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].mod != cands[j].mod {
-			return cands[i].mod < cands[j].mod
-		}
-		return cands[i].path < cands[j].path
-	})
-	return cands[len(cands)-2].path, cands[len(cands)-1].path, nil
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	threshold := flag.Float64("threshold", 10, "regression threshold in percent")
-	only := flag.String("only", "all", "metric classes to diff: timing, counters, imbalance, fidelity, flowsim, service, all")
-	warn := flag.Bool("warn", false, "report regressions but exit 0 (CI warn-only mode)")
-	flag.Parse()
-	usage := func() {
-		fmt.Fprintln(os.Stderr, "usage: perfdiff [-threshold pct] [-only timing|counters|imbalance|fidelity|flowsim|service|all] [-warn] old.json new.json")
-		fmt.Fprintln(os.Stderr, "       perfdiff [flags] reports-dir   (diffs the two newest reports)")
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("perfdiff", flag.ContinueOnError)
+	threshold := fs.Float64("threshold", 10, "regression threshold in percent")
+	only := fs.String("only", "all", "metric classes to diff: "+strings.ReplaceAll(classes, "|", ", "))
+	warn := fs.Bool("warn", false, "report regressions but exit 0 (CI warn-only mode)")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	switch *only {
-	case "timing", "counters", "imbalance", "fidelity", "flowsim", "service", "all":
-	default:
-		usage()
+	if !slices.Contains(strings.Split(classes, "|"), *only) || fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: perfdiff [-threshold pct] [-only "+classes+"] [-warn] old.json new.json")
+		return 1
 	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "perfdiff:", err)
-		os.Exit(1)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "perfdiff:", err)
+		return 1
 	}
-	var oldPath, newPath string
-	switch flag.NArg() {
-	case 2:
-		oldPath, newPath = flag.Arg(0), flag.Arg(1)
-	case 1:
-		info, err := os.Stat(flag.Arg(0))
-		if err != nil {
-			fail(err)
-		}
-		if !info.IsDir() {
-			usage()
-		}
-		if oldPath, newPath, err = newestPair(flag.Arg(0)); err != nil {
-			fail(err)
-		}
-		fmt.Printf("diffing newest vs previous in %s:\n  old: %s\n  new: %s\n", flag.Arg(0), oldPath, newPath)
-	default:
-		usage()
-	}
+	oldPath, newPath := fs.Arg(0), fs.Arg(1)
 	old, err := telemetry.ReadReport(oldPath)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	cur, err := telemetry.ReadReport(newPath)
 	if err != nil {
-		fail(err)
-	}
-	th := *threshold / 100
-	var deltas []telemetry.Delta
-	if *only == "all" || *only == "timing" {
-		deltas = append(deltas, telemetry.CompareReports(old, cur, th)...)
-	}
-	if *only == "all" || *only == "counters" {
-		deltas = append(deltas, telemetry.CompareCounters(old, cur, th)...)
-	}
-	if *only == "all" || *only == "imbalance" {
-		deltas = append(deltas, telemetry.CompareImbalance(old, cur, th)...)
-	}
-	if *only == "all" || *only == "fidelity" {
-		deltas = append(deltas, telemetry.CompareFidelity(old, cur, th)...)
-	}
-	if *only == "all" || *only == "flowsim" {
-		deltas = append(deltas, telemetry.CompareFlowsim(old, cur, th)...)
-	}
-	if *only == "all" || *only == "service" {
-		deltas = append(deltas, telemetry.CompareService(old, cur, th)...)
+		return fail(err)
 	}
 	regressions := 0
-	for _, d := range deltas {
+	for _, d := range telemetry.Compare(old, cur, *threshold/100) {
+		if *only != "all" && *only != d.Class {
+			continue
+		}
 		mark := ""
 		if d.Regression {
 			mark = "  REGRESSION"
@@ -166,15 +78,16 @@ func main() {
 		if d.Unit == "status" { // a rank flip, not a percentage
 			change = "      -"
 		}
-		fmt.Printf("%-32s %12s -> %12s  %s%s\n",
-			d.Metric, value(d, d.Old), value(d, d.New), change, mark)
+		fmt.Fprintf(stdout, "%-32s %12s -> %12s  %s%s\n", d.Metric,
+			telemetry.FormatValue(d.Unit, d.Old), telemetry.FormatValue(d.Unit, d.New), change, mark)
 	}
 	if regressions > 0 {
-		fmt.Printf("%d metric(s) regressed beyond %.0f%% (%s vs %s)\n",
+		fmt.Fprintf(stdout, "%d metric(s) regressed beyond %.0f%% (%s vs %s)\n",
 			regressions, *threshold, oldPath, newPath)
 		if !*warn {
-			os.Exit(2)
+			return 2
 		}
-		fmt.Println("warn-only mode: not failing")
+		fmt.Fprintln(stdout, "warn-only mode: not failing")
 	}
+	return 0
 }

@@ -2,9 +2,13 @@
 // appended by -run-record) as per-metric trend tables: one line per
 // tracked metric with a sparkline over the last N stored runs, the
 // newest value, and a drift flag from a rolling changepoint test.
-// Where cmd/perfdiff compares exactly two reports, perfhistory watches
-// the whole trajectory, so a regression that creeps in over several
-// PRs — each step below the pairwise threshold — still surfaces.
+// The metrics are the stored reports' own lists
+// (telemetry.Report.Metrics, transposed by runstore.Metrics): every
+// name cmd/perfdiff compares is trended here, plus host wall-clock
+// time, which perfdiff never gates on. Where perfdiff compares exactly
+// two reports, perfhistory watches the whole trajectory, so a
+// regression that creeps in over several PRs — each step below the
+// pairwise threshold — still surfaces.
 //
 // Usage:
 //
@@ -17,71 +21,64 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/runstore"
 	"bgpvr/internal/stats"
+	"bgpvr/internal/telemetry"
 )
 
-func fmtVal(unit string, v float64) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	switch unit {
-	case "s":
-		return stats.Seconds(v)
-	case "score":
-		return fmt.Sprintf("%.3f", v)
-	case "ratio":
-		return fmt.Sprintf("%.3f", v)
-	}
-	return fmt.Sprintf("%.0f", v)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	last := flag.Int("last", 20, "number of most recent runs to analyze")
-	minSeg := flag.Int("minseg", 2, "minimum runs on each side of a changepoint split")
-	threshold := flag.Float64("threshold", 10, "drift threshold in percent")
-	failOnDrift := flag.Bool("fail", false, "exit 2 when any metric drifts in the degrading direction")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: perfhistory [-last n] [-minseg n] [-threshold pct] [-fail] runs.jsonl")
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("perfhistory", flag.ContinueOnError)
+	last := fs.Int("last", 20, "number of most recent runs to analyze")
+	minSeg := fs.Int("minseg", 2, "minimum runs on each side of a changepoint split")
+	threshold := fs.Float64("threshold", 10, "drift threshold in percent")
+	failOnDrift := fs.Bool("fail", false, "exit 2 when any metric drifts in the degrading direction")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	recs, err := runstore.Read(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: perfhistory [-last n] [-minseg n] [-threshold pct] [-fail] runs.jsonl")
+		return 1
+	}
+	recs, err := runstore.Read(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfhistory:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "perfhistory:", err)
+		return 1
 	}
 	if len(recs) == 0 {
-		fmt.Println("run store is empty")
-		return
+		fmt.Fprintln(stdout, "run store is empty")
+		return 0
 	}
 	if *last > 0 && len(recs) > *last {
 		recs = recs[len(recs)-*last:]
 	}
 	first, latest := recs[0], recs[len(recs)-1]
-	fmt.Printf("run history: %d runs, %s (%s) .. %s (%s)\n",
+	fmt.Fprintf(stdout, "run history: %d runs, %s (%s) .. %s (%s)\n",
 		len(recs), first.Time, first.GitRev, latest.Time, latest.GitRev)
 
-	series := runstore.Metrics(recs)
+	// A claim's status is a rank: perfdiff reports its flips, there is
+	// no trend to draw.
+	var series []runstore.Series
 	nameW := 0
-	for _, s := range series {
-		if s.Valid() >= 1 && len(s.Name) > nameW {
-			nameW = len(s.Name)
+	for _, s := range runstore.Metrics(recs) {
+		if s.Gate == telemetry.GateStatus || s.Valid() < 1 {
+			continue
 		}
+		series = append(series, s)
+		nameW = max(nameW, len(s.Name))
 	}
 	degraded := 0
 	for _, s := range series {
-		if s.Valid() < 1 {
-			continue
-		}
 		flagTxt := ""
 		cp := runstore.DetectChange(s.Values, *minSeg, *threshold/100)
 		if cp != nil {
 			dir := "improved"
-			if runstore.Worse(s.Unit, cp.Shift) {
+			if s.Gate.Worse(cp.Shift) {
 				dir = "DRIFT"
 				degraded++
 			}
@@ -91,15 +88,16 @@ func main() {
 			}
 			flagTxt = fmt.Sprintf("  %s %+.1f%% at run %d (%s): %s -> %s",
 				dir, 100*cp.Shift, cp.Index+1, rev,
-				fmtVal(s.Unit, cp.Before), fmtVal(s.Unit, cp.After))
+				telemetry.FormatValue(s.Unit, cp.Before), telemetry.FormatValue(s.Unit, cp.After))
 		}
-		fmt.Printf("%-*s  %-*s  latest %10s%s\n",
-			nameW, s.Name, len(recs), stats.Sparkline(s.Values), fmtVal(s.Unit, s.Last()), flagTxt)
+		fmt.Fprintf(stdout, "%-*s  %-*s  latest %10s%s\n",
+			nameW, s.Name, len(recs), stats.Sparkline(s.Values), telemetry.FormatValue(s.Unit, s.Last()), flagTxt)
 	}
 	if degraded > 0 {
-		fmt.Printf("%d metric(s) drifted beyond %.0f%% in the degrading direction\n", degraded, *threshold)
+		fmt.Fprintf(stdout, "%d metric(s) drifted beyond %.0f%% in the degrading direction\n", degraded, *threshold)
 		if *failOnDrift {
-			os.Exit(2)
+			return 2
 		}
 	}
+	return 0
 }

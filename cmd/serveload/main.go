@@ -38,8 +38,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/runstore"
 	"bgpvr/internal/serve"
 	"bgpvr/internal/telemetry"
 )
@@ -169,9 +169,12 @@ func main() {
 	skipEmpty := flag.Bool("skip-empty", false, "request empty-space skipping (exercises the mask cache)")
 	p99Budget := flag.Duration("p99-budget", 0, "fail (exit 1) when any level's p99 exceeds this")
 	min2xx := flag.Int64("min-2xx", 0, "fail (exit 1) when fewer than this many requests succeed overall")
-	perfReport := flag.String("perf-report", "", "write the load-test perf report (JSON) here")
-	runRecord := flag.String("run-record", "", "append the report to this runstore registry (JSONL)")
-	timestamp := flag.String("timestamp", "", "RFC3339 timestamp for the run record (default: now)")
+	emit := cli.Emitter{Out: os.Stdout, Started: time.Now()}
+	emit.Register(flag.CommandLine, map[string]string{
+		"perf-report": "write the load-test perf report (JSON) here",
+		"run-record":  "append the report to this runstore registry (JSONL)",
+	})
+	flag.StringVar(&emit.Timestamp, "timestamp", "", "RFC3339 timestamp for the run record (default: now)")
 	serveConc := flag.Int("serve-concurrency", 0, "in-process server: max concurrent frames")
 	serveQueue := flag.Int("serve-queue", 0, "in-process server: queue depth")
 	flag.Parse()
@@ -322,21 +325,8 @@ func main() {
 		"sweep":  *sweepArg,
 	}
 	rep.Service = stat
-	if *perfReport != "" {
-		if err := rep.WriteFile(*perfReport); err != nil {
-			fail(err)
-		}
-		fmt.Printf("perf report: %s\n", *perfReport)
-	}
-	if *runRecord != "" {
-		ts := *timestamp
-		if ts == "" {
-			ts = time.Now().UTC().Format(time.RFC3339)
-		}
-		if err := runstore.Append(*runRecord, runstore.NewRecord(rep, runstore.GitRev(), ts)); err != nil {
-			fail(err)
-		}
-		fmt.Printf("run record: %s\n", *runRecord)
+	if err := emit.Emit(rep); err != nil {
+		fail(err)
 	}
 
 	failed := false

@@ -4,17 +4,13 @@ import (
 	"context"
 
 	"bgpvr/internal/grid"
-	"bgpvr/internal/trace"
 	"bgpvr/internal/volume"
 )
 
 // ctxKey is the private key space for core's context values.
 type ctxKey int
 
-const (
-	requestIDKey ctxKey = iota
-	tracerKey
-)
+const requestIDKey ctxKey = iota
 
 // WithRequestID returns a context carrying a request identifier. The
 // render service stamps each incoming request with one; RunReal and
@@ -29,23 +25,6 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)
 	return id
-}
-
-// WithTracer returns a context carrying a request-scoped tracer.
-// RunReal and RunModel fall back to it when their config does not set
-// one explicitly, so a caller that already threads a context (the
-// render service) attaches per-request tracing without widening every
-// call signature on the way down. An explicit RealConfig.Trace /
-// ModelConfig.Trace still wins.
-func WithTracer(ctx context.Context, tr *trace.Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey, tr)
-}
-
-// TracerFrom returns the tracer carried by ctx, or nil when none was
-// attached (nil is the valid no-op tracer).
-func TracerFrom(ctx context.Context) *trace.Tracer {
-	tr, _ := ctx.Value(tracerKey).(*trace.Tracer)
-	return tr
 }
 
 // FieldKey identifies a synthesized block field: everything that

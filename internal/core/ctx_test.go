@@ -47,17 +47,15 @@ func TestRequestID(t *testing.T) {
 	}
 }
 
-// TestContextTracerFallback pins the context-carried tracer: RunReal
-// and RunModel fall back to WithTracer when cfg.Trace is nil, and the
-// field-cache-fill span appears exactly on cache misses.
-func TestContextTracerFallback(t *testing.T) {
-	if TracerFrom(context.Background()) != nil {
-		t.Error("bare context carries a tracer")
-	}
+// TestConfigTracerSpans pins what a frame records on cfg.Trace — the
+// one way to hand a frame its tracer: the stage spans, the
+// field-cache-fill span exactly on cache misses, and in model mode the
+// virtual timeline.
+func TestConfigTracerSpans(t *testing.T) {
 	s := DefaultScene(16, 32)
 	tr := trace.New(2)
 	cache := &countingFieldCache{}
-	cold := RealConfig{Ctx: WithTracer(context.Background(), tr), Scene: s, Procs: 2, Fields: cache}
+	cold := RealConfig{Trace: tr, Scene: s, Procs: 2, Fields: cache}
 	if _, err := RunReal(cold); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +65,7 @@ func TestContextTracerFallback(t *testing.T) {
 	}
 	for _, name := range []string{"io", "render", "composite"} {
 		if counts[name] == 0 {
-			t.Errorf("context tracer missing %q span", name)
+			t.Errorf("tracer missing %q span", name)
 		}
 	}
 	if counts["field-cache-fill"] != 2 {
@@ -76,19 +74,19 @@ func TestContextTracerFallback(t *testing.T) {
 
 	// A warm second frame hits every block: no fill spans.
 	warm := cold
-	warm.Ctx = WithTracer(context.Background(), trace.New(2))
+	warm.Trace = trace.New(2)
 	if _, err := RunReal(warm); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range TracerFrom(warm.Ctx).Events() {
+	for _, e := range warm.Trace.Events() {
 		if e.Name == "field-cache-fill" {
 			t.Fatal("warm frame recorded a field-cache-fill span")
 		}
 	}
 
-	// Model mode lays its virtual timeline on the context tracer too.
+	// Model mode lays its virtual timeline on the tracer too.
 	vt := trace.NewVirtual(1)
-	if _, err := RunModel(ModelConfig{Ctx: WithTracer(context.Background(), vt), Scene: s, Procs: 2}); err != nil {
+	if _, err := RunModel(ModelConfig{Trace: vt, Scene: s, Procs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var sawRender bool
@@ -96,7 +94,7 @@ func TestContextTracerFallback(t *testing.T) {
 		sawRender = sawRender || e.Name == "render"
 	}
 	if !sawRender {
-		t.Error("model virtual timeline missing on context tracer")
+		t.Error("model virtual timeline missing on the tracer")
 	}
 }
 

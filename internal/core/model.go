@@ -110,9 +110,6 @@ func RunModel(cfg ModelConfig) (*ModelResult, error) {
 	if id := RequestIDFrom(ctx); id != "" {
 		obs.Note("frame start: request %s (model, procs=%d)", id, cfg.Procs)
 	}
-	if cfg.Trace == nil {
-		cfg.Trace = TracerFrom(ctx)
-	}
 	s := cfg.Scene
 	d := grid.NewDecomp(s.Dims, cfg.Procs)
 	res := &ModelResult{}

@@ -189,12 +189,8 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	var usefulBytes int64
 	rankSamples := make([]int64, cfg.Procs)
 
-	frameTrace := cfg.Trace
-	if frameTrace == nil {
-		frameTrace = TracerFrom(ctx)
-	}
 	world := comm.NewWorld(cfg.Procs)
-	world.SetTracer(frameTrace)
+	world.SetTracer(cfg.Trace)
 	world.SetNetTelemetry(cfg.Net)
 	world.SetCritPath(cfg.CritPath)
 	err := world.Run(func(c *comm.Comm) error {

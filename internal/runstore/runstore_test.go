@@ -227,14 +227,74 @@ func TestDetectChange(t *testing.T) {
 	}
 }
 
+// fullReport fills every section a report can carry.
+func fullReport() *telemetry.Report {
+	r := testReport(1.0)
+	r.Phases = []telemetry.PhaseStat{{Name: "io", MeanSec: 0.5}}
+	r.Counters = map[string]int64{"messages": 100}
+	r.Imbalance = []telemetry.ImbalanceStat{{Phase: "render", Imbalance: 1.1}}
+	r.CritPath = &telemetry.CritPathStat{PathSec: 1.0}
+	r.Fidelity = &telemetry.FidelityStat{Score: 0.9, Claims: []telemetry.ClaimStat{{ID: "fig3/best-total", Status: "pass"}}}
+	r.Flowsim = &telemetry.FlowsimStat{ApproxEps: 0.08, ObservedErr: 0.01, ApproxSec: 1, WallSec: 2}
+	r.Service = &telemetry.ServiceStat{Points: []telemetry.ServicePoint{{Concurrency: 4, Requests: 100, OK: 100, RPS: 50, P99Ms: 100}}}
+	return r
+}
+
+// TestWorse pins which direction degrades, per metric as trended:
+// times, counts, ratios and error rates upward; the fidelity score and
+// throughput downward.
 func TestWorse(t *testing.T) {
-	if !Worse("s", 0.2) || Worse("s", -0.2) {
-		t.Error("seconds should degrade upward")
+	down := map[string]bool{"fidelity score": true, "service c=4 rps": true}
+	series := Metrics([]Record{NewRecord(fullReport(), "abc", "2026-08-06T00:00:00Z")})
+	if len(series) < 14 {
+		t.Fatalf("full report trended as %d series", len(series))
 	}
-	if !Worse("score", -0.2) || Worse("score", 0.2) {
-		t.Error("score should degrade downward")
+	for _, s := range series {
+		if got := s.Gate.Worse(-0.2); got != down[s.Name] {
+			t.Errorf("%s: a 20%% fall is worse = %v, want %v", s.Name, got, down[s.Name])
+		}
+		if got := s.Gate.Worse(0.2); got == down[s.Name] {
+			t.Errorf("%s: a 20%% rise is worse = %v, want %v", s.Name, got, !down[s.Name])
+		}
 	}
-	if !Worse("ratio", 0.2) {
-		t.Error("ratio should degrade upward")
+}
+
+// TestTrendCoversCompare pins the one-list contract from both ends:
+// every name perfdiff can print for a report with every section filled
+// (each metric moved, a claim flipped, eps changed, so nothing is
+// withheld as unchanged) is a series perfhistory trends, the exception
+// being claim statuses — ranks, which have flips but no trend — and the
+// trend adds only host wall-clock time, which perfdiff never gates on.
+func TestTrendCoversCompare(t *testing.T) {
+	old, cur := fullReport(), fullReport()
+	cur.TotalSec, cur.Phases[0].MeanSec, cur.Counters["messages"] = 2, 1, 200
+	cur.Imbalance[0].Imbalance, cur.CritPath.PathSec = 2, 2
+	cur.Fidelity.Score, cur.Fidelity.Claims[0].Status = 0.5, "fail"
+	cur.Flowsim.ApproxEps, cur.Flowsim.ObservedErr, cur.Flowsim.ApproxSec = 0.25, 0.2, 2
+	cur.Service.Points[0].P99Ms, cur.Service.Points[0].RPS, cur.Service.Points[0].OK = 200, 25, 50
+
+	trended := map[string]telemetry.Gate{}
+	for _, s := range Metrics([]Record{NewRecord(cur, "abc", "2026-08-06T00:00:00Z")}) {
+		trended[s.Name] = s.Gate
+	}
+	deltas := telemetry.Compare(old, cur, 0.10)
+	if len(deltas) != len(cur.Metrics())-1 {
+		t.Errorf("compared %d of %d metrics, want all but wall_sec", len(deltas), len(cur.Metrics()))
+	}
+	for _, d := range deltas {
+		if !d.Regression && d.Metric != "flowsim approx_eps" {
+			t.Errorf("%s got worse and was not flagged: %+v", d.Metric, d)
+		}
+		gate, ok := trended[d.Metric]
+		if !ok {
+			t.Errorf("perfdiff prints %q, perfhistory has no such series", d.Metric)
+		}
+		if (gate == telemetry.GateStatus) != (d.Unit == "status") {
+			t.Errorf("%s: gate %v with unit %q", d.Metric, gate, d.Unit)
+		}
+		delete(trended, d.Metric)
+	}
+	if len(trended) != 1 || trended["flowsim wall_sec"] != telemetry.GateWall {
+		t.Errorf("trended but never compared: %v, want only flowsim wall_sec", trended)
 	}
 }

@@ -1,11 +1,10 @@
 package runstore
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"bgpvr/internal/stats"
+	"bgpvr/internal/telemetry"
 )
 
 // Series is one metric's trajectory over the stored runs, oldest
@@ -13,7 +12,8 @@ import (
 // is index-aligned with the record list.
 type Series struct {
 	Name   string
-	Unit   string // "s", "ratio", "score", "count", "rate"
+	Unit   string         // picks the formatter (telemetry.FormatValue)
+	Gate   telemetry.Gate // which direction is worse
 	Values []float64
 }
 
@@ -38,94 +38,29 @@ func (s Series) Last() float64 {
 	return math.NaN()
 }
 
-// Metrics extracts the tracked metric series from the records: total
-// frame time, each phase's mean time, each phase's imbalance factor,
-// the critical-path duration, the aggregate fidelity score, for
-// records carrying a render-service load test each concurrency level's
-// p99 latency and throughput, and for records carrying a flowsim
-// section the simulation's wall time and observed approximation error.
-// Metric order is deterministic: the fixed metrics first, then phase
-// metrics sorted by name.
+// Metrics transposes the records' own metric lists
+// (telemetry.Report.Metrics) into one series per name, in order of
+// first appearance. What a report holds and what it is called is
+// decided there and nowhere else; this function knows no metric.
 func Metrics(recs []Record) []Series {
-	n := len(recs)
-	blank := func(name, unit string) *Series {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.NaN()
-		}
-		return &Series{Name: name, Unit: unit, Values: vals}
-	}
-	total := blank("total_sec", "s")
-	critpath := blank("critpath path_sec", "s")
-	fidelity := blank("fidelity score", "score")
-	flowsimWall := blank("flowsim wall_sec", "s")
-	flowsimErr := blank("flowsim observed_err", "ratio")
-	phase := map[string]*Series{}
-	imbal := map[string]*Series{}
-	service := map[string]*Series{}
+	var out []Series
+	index := map[string]int{}
 	for i, rec := range recs {
-		r := rec.Report
-		if r == nil {
+		if rec.Report == nil {
 			continue
 		}
-		if r.TotalSec > 0 {
-			total.Values[i] = r.TotalSec
-		}
-		if r.CritPath != nil {
-			critpath.Values[i] = r.CritPath.PathSec
-		}
-		if r.Fidelity != nil {
-			fidelity.Values[i] = r.Fidelity.Score
-		}
-		for _, p := range r.Phases {
-			s, ok := phase[p.Name]
+		for _, m := range rec.Report.Metrics() {
+			j, ok := index[m.Name]
 			if !ok {
-				s = blank("phase "+p.Name+" mean_sec", "s")
-				phase[p.Name] = s
-			}
-			s.Values[i] = p.MeanSec
-		}
-		for _, p := range r.Imbalance {
-			s, ok := imbal[p.Phase]
-			if !ok {
-				s = blank("imbalance "+p.Phase+" max/mean", "ratio")
-				imbal[p.Phase] = s
-			}
-			s.Values[i] = p.Imbalance
-		}
-		if r.Flowsim != nil {
-			if r.Flowsim.WallSec > 0 {
-				flowsimWall.Values[i] = r.Flowsim.WallSec
-			}
-			// 0 is a real observation (exact kernel, or a binding
-			// clamp) — record it whenever the section is present.
-			flowsimErr.Values[i] = r.Flowsim.ObservedErr
-		}
-		if r.Service != nil {
-			put := func(name, unit string, v float64) {
-				s, ok := service[name]
-				if !ok {
-					s = blank(name, unit)
-					service[name] = s
+				j = len(out)
+				index[m.Name] = j
+				vals := make([]float64, len(recs))
+				for k := range vals {
+					vals[k] = math.NaN()
 				}
-				s.Values[i] = v
+				out = append(out, Series{Name: m.Name, Unit: m.Unit, Gate: m.Gate, Values: vals})
 			}
-			for _, p := range r.Service.Points {
-				tag := fmt.Sprintf("service c=%d ", p.Concurrency)
-				put(tag+"p99_sec", "s", p.P99Ms/1e3)
-				put(tag+"rps", "rate", p.RPS)
-			}
-		}
-	}
-	out := []Series{*total, *fidelity, *critpath, *flowsimWall, *flowsimErr}
-	for _, m := range []map[string]*Series{phase, imbal, service} {
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			out = append(out, *m[name])
+			out[j].Values[i] = m.Value
 		}
 	}
 	return out
@@ -179,14 +114,4 @@ func segMean(vals []float64) stats.Summary {
 		s.Add(v) // Summary.Add already rejects NaN
 	}
 	return s
-}
-
-// Worse reports whether a shift in this unit is a degradation: times,
-// ratios, and counts degrade upward; scores and rates (throughput)
-// degrade downward.
-func Worse(unit string, shift float64) bool {
-	if unit == "score" || unit == "rate" {
-		return shift < 0
-	}
-	return shift > 0
 }

@@ -107,6 +107,9 @@ type Server struct {
 	mux     http.Handler
 	httpSrv *http.Server
 	ln      net.Listener
+	// readHeaderTimeout is telemetry.ReadHeaderTimeout, shortened by
+	// the slow-client test.
+	readHeaderTimeout time.Duration
 }
 
 // latencyBuckets spans 1ms..~16s log-2 — frame times from a cached
@@ -149,6 +152,8 @@ func New(cfg Config) *Server {
 		log:   cfg.Log,
 		start: time.Now(),
 		slots: make(chan struct{}, cfg.MaxConcurrent),
+
+		readHeaderTimeout: telemetry.ReadHeaderTimeout,
 
 		requests: r.NewCounterVec("bgpvr_serve_requests_total",
 			"Requests served, by endpoint and status code."),
@@ -218,7 +223,8 @@ func (s *Server) Start(addr string) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux,
+		ReadHeaderTimeout: s.readHeaderTimeout, IdleTimeout: telemetry.IdleTimeout}
 	go func() { _ = s.httpSrv.Serve(ln) }()
 	s.log.Info("render service listening", "addr", ln.Addr().String(),
 		"max_concurrent", s.cfg.MaxConcurrent, "queue_depth", s.cfg.QueueDepth,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -490,3 +491,38 @@ type atomicCounter struct {
 
 func (c *atomicCounter) add(d int64) { c.mu.Lock(); c.n += d; c.mu.Unlock() }
 func (c *atomicCounter) load() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.n }
+
+// TestStartDropsStalledRequest pins the service's ReadHeaderTimeout: a
+// client that sends half a request line and stalls is disconnected by
+// the server, and a prompt client is still served.
+func TestStartDropsStalledRequest(t *testing.T) {
+	s := testServer(t, Config{})
+	s.readHeaderTimeout = 50 * time.Millisecond
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /rend"); err != nil {
+		t.Fatal(err)
+	}
+	// The client's own deadline is far beyond the server's: only the
+	// server closing the connection (after a 400 or in silence, by Go
+	// version) ends this read without a timeout error.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Errorf("stalled request: %v after %q; want the server to close the connection", err, reply)
+	}
+	resp, err := http.Get("http://" + s.Addr() + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("prompt request after the drop: status %d", resp.StatusCode)
+	}
+}

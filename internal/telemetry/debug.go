@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/obs"
@@ -173,6 +174,21 @@ var (
 	expvarSrc  atomic.Pointer[snapshotSource]
 )
 
+// Timeouts of the two long-lived HTTP servers (this endpoint and the
+// render service, internal/serve): a client gets ReadHeaderTimeout to
+// finish its request line and headers, so a connection that trickles
+// them cannot hold a goroutine and a descriptor forever, and an idle
+// keep-alive connection is dropped after IdleTimeout. Neither bounds a
+// handler — /debug/pprof/profile and /render run as long as they need.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// readHeaderTimeout is ReadHeaderTimeout, shortened by the slow-client
+// test.
+var readHeaderTimeout = ReadHeaderTimeout
+
 // DebugServer is the opt-in -debug-addr HTTP endpoint: net/http/pprof
 // under /debug/pprof/, expvar under /debug/vars (including a "bgpvr"
 // var with the live telemetry snapshot), the JSON snapshot at
@@ -308,7 +324,8 @@ func StartDebug(addr string, ds DebugSource) (*DebugServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: debug endpoint: %w", err)
 	}
-	s := &DebugServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: NewDebugMux(ds)}}
+	s := &DebugServer{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{
+		Handler: NewDebugMux(ds), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: IdleTimeout}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

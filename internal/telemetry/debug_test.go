@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -454,5 +455,40 @@ func TestDebugServerShutdownDrains(t *testing.T) {
 	}
 	if (*DebugServer)(nil).Shutdown(ctx) != nil {
 		t.Error("nil server Shutdown must be a no-op")
+	}
+}
+
+// TestDebugServerDropsStalledRequest pins ReadHeaderTimeout: a client
+// that sends half a request line and stalls is disconnected by the
+// server instead of holding a goroutine and a descriptor forever, and a
+// client that finishes its request in time is still served.
+func TestDebugServerDropsStalledRequest(t *testing.T) {
+	readHeaderTimeout = 50 * time.Millisecond
+	defer func() { readHeaderTimeout = ReadHeaderTimeout }()
+	srv, err := StartDebug("127.0.0.1:0", DebugSource{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.srv.ReadHeaderTimeout != readHeaderTimeout || srv.srv.IdleTimeout != IdleTimeout {
+		t.Errorf("server timeouts = %v / %v", srv.srv.ReadHeaderTimeout, srv.srv.IdleTimeout)
+	}
+	conn, err := net.Dial("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /telem"); err != nil {
+		t.Fatal(err)
+	}
+	// The client's own deadline is far beyond the server's: only the
+	// server closing the connection (after a 400 or in silence, by Go
+	// version) ends this read without a timeout error.
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Errorf("stalled request: %v after %q; want the server to close the connection", err, reply)
+	}
+	if code, _ := get(t, "http://"+srv.Addr+"/telemetry"); code != http.StatusOK {
+		t.Errorf("prompt request after the drop: status %d", code)
 	}
 }

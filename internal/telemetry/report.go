@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,15 +12,22 @@ import (
 	"strings"
 
 	"bgpvr/internal/critpath"
+	"bgpvr/internal/stats"
 	"bgpvr/internal/trace"
 	"bgpvr/internal/tree"
 )
 
-// ReportSchema is the perf-report schema version. Bump it on any
-// incompatible change to Report's JSON layout; cmd/perfdiff refuses to
-// compare reports with different schemas.
+// ReportSchema is the newest perf-report layout this build reads and
+// the one it writes. Adding a field or a section is not a bump: a
+// reader ignores JSON it does not know and Report.Metrics lists only
+// what a report carries, so old and new reports compare on what both
+// hold and the checked-in baselines outlive the addition. Bump it only
+// when an existing field changes meaning — ReadReport accepts 1 up to
+// this number and refuses anything newer, whose fields it could
+// misread.
 //
-// Schema history:
+// Schema history (every step so far was an addition and, by the rule
+// above, would not be a bump today):
 //
 //	1 — phases, counters, histograms, network, runtime
 //	2 — adds the critpath and imbalance sections
@@ -416,20 +424,6 @@ func (r *Report) AddRuntime(wallSec float64) {
 	}
 }
 
-// AddParallel records the run's resolved pool width and realized
-// speedup (worker-busy time over pool elapsed time) in the runtime
-// section; call it after AddRuntime. Zero wallSec leaves the speedup
-// unset.
-func (r *Report) AddParallel(workers int, busySec, wallSec float64) {
-	if r.Runtime == nil {
-		r.Runtime = &RuntimeStat{}
-	}
-	r.Runtime.Workers = workers
-	if wallSec > 0 {
-		r.Runtime.ParallelSpeedup = busySec / wallSec
-	}
-}
-
 // WriteJSON writes the report as indented JSON with a trailing
 // newline. Struct field order and sorted map keys make the output
 // deterministic for golden tests.
@@ -455,7 +449,8 @@ func (r *Report) WriteFile(path string) error {
 	return r.WriteJSON(f)
 }
 
-// ReadReport loads a report from path and checks its schema version.
+// ReadReport loads a report from path. Any schema from 1 up to
+// ReportSchema reads (see the rule there); a newer one is an error.
 func ReadReport(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -465,185 +460,132 @@ func ReadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("telemetry: parsing report %s: %w", path, err)
 	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("telemetry: report %s has schema %d, want %d", path, r.Schema, ReportSchema)
+	if r.Schema < 1 || r.Schema > ReportSchema {
+		return nil, fmt.Errorf("telemetry: report %s has schema %d, this build reads 1..%d", path, r.Schema, ReportSchema)
 	}
 	return &r, nil
 }
 
-// Delta is one compared metric between two reports.
-type Delta struct {
-	Metric string
-	// Class groups deltas for filtering: "timing", "counter", or
-	// "imbalance".
+// Gate says how a change in a metric is judged: the two thresholded
+// directions, then every rule in the tree that is not a threshold.
+type Gate uint8
+
+const (
+	// GateRise: times, counts and ratios regress when they rise by more
+	// than the threshold over a baseline above 1e-6 (a microsecond, one
+	// count: below that a ratio is noise).
+	GateRise Gate = iota
+	// GateFall: scores and throughput regress when they fall by more
+	// than the threshold.
+	GateFall
+	// GateEps is GateRise plus the bounded-error contract: an observed
+	// error above the run's own eps regresses whatever the baseline said.
+	GateEps
+	// GateStatus: a claim's pass/warn/fail rank. Only a flip is worth a
+	// line, any worsening regresses, and there is no trend to draw.
+	GateStatus
+	// GateErrorRate regresses on a rise of more than 0.1 % absolute (one
+	// flaky request in thousands does not gate) that, off a non-zero
+	// baseline, is also beyond the threshold.
+	GateErrorRate
+	// GateDrift: a setting the run was given. A change is worth a line
+	// and is never a regression on its own.
+	GateDrift
+	// GateWall: host wall-clock time, trended by perfhistory and never
+	// gated pairwise — benchmark -compare does that, with measured noise.
+	GateWall
+)
+
+// Worse reports whether a relative shift in a metric judged by g is a
+// degradation: everything degrades upward but scores and throughput.
+func (g Gate) Worse(shift float64) bool {
+	if g == GateFall {
+		return shift < 0
+	}
+	return shift > 0
+}
+
+// Scalar is one comparable metric of a report. Report.Metrics is the
+// only place that says which scalars a report holds, what they are
+// called and how a change is judged; cmd/perfdiff joins two such lists
+// by name (Compare) and cmd/perfhistory transposes one list per stored
+// run (runstore.Metrics).
+type Scalar struct {
+	Name string
+	// Class is what perfdiff -only selects: timing, counters,
+	// imbalance, fidelity, flowsim, or service.
 	Class string
-	// Unit labels the values: "s", "count", or "ratio".
-	Unit       string
-	Old, New   float64
-	Regression bool // new is worse than old beyond the threshold
+	// Unit picks the formatter (FormatValue): s, count, ratio, score,
+	// rate, or status.
+	Unit  string
+	Value float64
+	Gate  Gate
 }
 
-// Change returns the relative change (new-old)/old, or 0 when old is 0.
-func (d Delta) Change() float64 {
-	if d.Old == 0 {
-		return 0
+// Metrics lists the report's comparable scalars in the order the tools
+// print them. A section the report does not carry contributes nothing,
+// so a report of an older schema simply has fewer names to join.
+func (r *Report) Metrics() []Scalar {
+	var ms []Scalar
+	add := func(class, name, unit string, v float64, g Gate) {
+		ms = append(ms, Scalar{Name: name, Class: class, Unit: unit, Value: v, Gate: g})
 	}
-	return (d.New - d.Old) / d.Old
-}
-
-// CompareReports compares the timing metrics of two reports: the total
-// and each phase's mean time present in both. threshold is the
-// relative slowdown (e.g. 0.10 for 10%) beyond which a metric is
-// flagged as a regression. Metrics are ordered total first, then
-// phases sorted by name.
-func CompareReports(old, new *Report, threshold float64) []Delta {
-	deltas := []Delta{flagDelta("total_sec", "timing", "s", old.TotalSec, new.TotalSec, threshold)}
-	oldPhases := map[string]PhaseStat{}
-	for _, p := range old.Phases {
-		oldPhases[p.Name] = p
+	// A scorecard or a load test has no frame time; 0 is "absent".
+	if r.TotalSec > 0 {
+		add("timing", "total_sec", "s", r.TotalSec, GateRise)
 	}
-	var names []string
-	for _, p := range new.Phases {
-		if _, ok := oldPhases[p.Name]; ok {
-			names = append(names, p.Name)
+	phases := append([]PhaseStat(nil), r.Phases...)
+	sort.Slice(phases, func(i, j int) bool { return phases[i].Name < phases[j].Name })
+	for _, p := range phases {
+		add("timing", "phase "+p.Name+" mean_sec", "s", p.MeanSec, GateRise)
+	}
+	counters := make([]string, 0, len(r.Counters))
+	for name := range r.Counters {
+		counters = append(counters, name)
+	}
+	sort.Strings(counters)
+	for _, name := range counters {
+		add("counters", "counter "+name, "count", float64(r.Counters[name]), GateRise)
+	}
+	imbalance := append([]ImbalanceStat(nil), r.Imbalance...)
+	sort.Slice(imbalance, func(i, j int) bool { return imbalance[i].Phase < imbalance[j].Phase })
+	for _, p := range imbalance {
+		add("imbalance", "imbalance "+p.Phase+" max/mean", "ratio", p.Imbalance, GateRise)
+	}
+	if r.CritPath != nil {
+		add("imbalance", "critpath path_sec", "s", r.CritPath.PathSec, GateRise)
+	}
+	if f := r.Fidelity; f != nil {
+		add("fidelity", "fidelity score", "score", f.Score, GateFall)
+		claims := append([]ClaimStat(nil), f.Claims...)
+		sort.Slice(claims, func(i, j int) bool { return claims[i].ID < claims[j].ID })
+		for _, c := range claims {
+			add("fidelity", "fidelity claim "+c.ID, "status", statusRank(c.Status), GateStatus)
 		}
 	}
-	sort.Strings(names)
-	newPhases := map[string]PhaseStat{}
-	for _, p := range new.Phases {
-		newPhases[p.Name] = p
-	}
-	for _, name := range names {
-		deltas = append(deltas, flagDelta("phase "+name+" mean_sec", "timing", "s",
-			oldPhases[name].MeanSec, newPhases[name].MeanSec, threshold))
-	}
-	return deltas
-}
-
-// CompareCounters compares the counter aggregates present in both
-// reports (messages, bytes, accesses, tree ops), sorted by name. A
-// counter growing beyond the threshold is a regression: more traffic
-// or more physical accesses for the same configuration.
-func CompareCounters(old, new *Report, threshold float64) []Delta {
-	var names []string
-	for name := range new.Counters {
-		if _, ok := old.Counters[name]; ok {
-			names = append(names, name)
+	if f := r.Flowsim; f != nil {
+		// 0 is a real observation (exact kernel, or a binding clamp).
+		add("flowsim", "flowsim observed_err", "ratio", f.ObservedErr, GateEps)
+		add("flowsim", "flowsim approx_eps", "ratio", f.ApproxEps, GateDrift)
+		if f.ApproxSec > 0 {
+			add("flowsim", "flowsim approx_sec", "s", f.ApproxSec, GateRise)
+		}
+		if f.WallSec > 0 {
+			add("flowsim", "flowsim wall_sec", "s", f.WallSec, GateWall)
 		}
 	}
-	sort.Strings(names)
-	var deltas []Delta
-	for _, name := range names {
-		deltas = append(deltas, flagDelta("counter "+name, "counter", "count",
-			float64(old.Counters[name]), float64(new.Counters[name]), threshold))
-	}
-	return deltas
-}
-
-// CompareImbalance compares the per-phase load-imbalance factors
-// (max/mean busy time) present in both reports, sorted by phase, plus
-// the critical-path duration when both reports carry one. Imbalance
-// growing beyond the threshold means the same configuration now
-// distributes its load worse — a regression the timing comparison can
-// miss while the mean stays flat.
-func CompareImbalance(old, new *Report, threshold float64) []Delta {
-	oldPhases := map[string]ImbalanceStat{}
-	for _, p := range old.Imbalance {
-		oldPhases[p.Phase] = p
-	}
-	var names []string
-	newPhases := map[string]ImbalanceStat{}
-	for _, p := range new.Imbalance {
-		newPhases[p.Phase] = p
-		if _, ok := oldPhases[p.Phase]; ok {
-			names = append(names, p.Phase)
+	if r.Service != nil {
+		for _, p := range r.Service.Points {
+			tag := fmt.Sprintf("service c=%d ", p.Concurrency)
+			add("service", tag+"p99_sec", "s", p.P99Ms/1e3, GateRise)
+			add("service", tag+"rps", "rate", p.RPS, GateFall)
+			add("service", tag+"error_rate", "ratio", p.ErrorRate(), GateErrorRate)
 		}
 	}
-	sort.Strings(names)
-	var deltas []Delta
-	for _, name := range names {
-		deltas = append(deltas, flagDelta("imbalance "+name+" max/mean", "imbalance", "ratio",
-			oldPhases[name].Imbalance, newPhases[name].Imbalance, threshold))
-	}
-	if old.CritPath != nil && new.CritPath != nil {
-		deltas = append(deltas, flagDelta("critpath path_sec", "imbalance", "s",
-			old.CritPath.PathSec, new.CritPath.PathSec, threshold))
-	}
-	return deltas
+	return ms
 }
 
-// CompareFlowsim compares the contention-kernel accuracy telemetry of
-// two reports. The observed error growing beyond the threshold is a
-// regression, and an observed error exceeding the run's own requested
-// eps is always one — the bounded-error contract is broken no matter
-// what the baseline said. Both reports must carry a flowsim section
-// for anything to compare.
-func CompareFlowsim(old, new *Report, threshold float64) []Delta {
-	if old.Flowsim == nil || new.Flowsim == nil {
-		return nil
-	}
-	d := flagDelta("flowsim observed_err", "flowsim", "ratio",
-		old.Flowsim.ObservedErr, new.Flowsim.ObservedErr, threshold)
-	if new.Flowsim.ApproxEps > 0 && new.Flowsim.ObservedErr > new.Flowsim.ApproxEps {
-		d.Regression = true
-	}
-	deltas := []Delta{d}
-	if old.Flowsim.ApproxEps != new.Flowsim.ApproxEps {
-		// A changed bound is a config drift worth a line, not a timing
-		// regression on its own.
-		deltas = append(deltas, Delta{Metric: "flowsim approx_eps", Class: "flowsim", Unit: "ratio",
-			Old: old.Flowsim.ApproxEps, New: new.Flowsim.ApproxEps})
-	}
-	if old.Flowsim.ApproxSec > 0 && new.Flowsim.ApproxSec > 0 {
-		deltas = append(deltas, flagDelta("flowsim approx_sec", "flowsim", "s",
-			old.Flowsim.ApproxSec, new.Flowsim.ApproxSec, threshold))
-	}
-	return deltas
-}
-
-// CompareService compares the render-service load-test sections of
-// two reports, matching sweep points by concurrency. p99 latency
-// rising beyond the threshold is a regression; throughput (rps)
-// *falling* beyond the threshold is a regression; the error rate
-// rising beyond the threshold relative (with a 0.1% absolute floor so
-// a single flaky request out of thousands doesn't gate) is a
-// regression. Both reports must carry a service section for anything
-// to compare.
-func CompareService(old, new *Report, threshold float64) []Delta {
-	if old.Service == nil || new.Service == nil {
-		return nil
-	}
-	oldPts := map[int]ServicePoint{}
-	for _, p := range old.Service.Points {
-		oldPts[p.Concurrency] = p
-	}
-	var deltas []Delta
-	for _, np := range new.Service.Points {
-		op, ok := oldPts[np.Concurrency]
-		if !ok {
-			continue
-		}
-		tag := fmt.Sprintf("service c=%d ", np.Concurrency)
-		deltas = append(deltas, flagDelta(tag+"p99_ms", "service", "s",
-			op.P99Ms/1e3, np.P99Ms/1e3, threshold))
-		rps := Delta{Metric: tag + "rps", Class: "service", Unit: "count",
-			Old: op.RPS, New: np.RPS}
-		if op.RPS > 0 && (op.RPS-np.RPS)/op.RPS > threshold {
-			rps.Regression = true
-		}
-		deltas = append(deltas, rps)
-		er := Delta{Metric: tag + "error_rate", Class: "service", Unit: "ratio",
-			Old: op.ErrorRate(), New: np.ErrorRate()}
-		if np.ErrorRate()-op.ErrorRate() > 0.001 &&
-			(op.ErrorRate() == 0 || (np.ErrorRate()-op.ErrorRate())/op.ErrorRate() > threshold) {
-			er.Regression = true
-		}
-		deltas = append(deltas, er)
-	}
-	return deltas
-}
-
-// statusRank orders claim statuses by badness for regression checks.
+// statusRank orders claim statuses by badness.
 func statusRank(s string) float64 {
 	switch s {
 	case "pass":
@@ -654,44 +596,75 @@ func statusRank(s string) float64 {
 	return 2
 }
 
-// CompareFidelity compares the fidelity scorecards of two reports.
-// The aggregate score *dropping* by more than threshold (relative) is
-// a regression, as is any individual claim's status getting worse
-// (pass -> warn/fail, warn -> fail) — shape predicates flipping from
-// holding to broken fail regardless of how the aggregate moves. Both
-// reports must carry a fidelity section for anything to compare.
-func CompareFidelity(old, new *Report, threshold float64) []Delta {
-	if old.Fidelity == nil || new.Fidelity == nil {
-		return nil
+// FormatValue renders a metric value in its unit — the one formatter
+// behind perfdiff's columns and perfhistory's tables. NaN (a run that
+// does not carry the metric) is "-".
+func FormatValue(unit string, v float64) string {
+	switch {
+	case math.IsNaN(v):
+		return "-"
+	case unit == "s":
+		return stats.Seconds(v)
+	case unit == "ratio" || unit == "score":
+		return fmt.Sprintf("%.3f", v)
+	case unit == "status":
+		return [...]string{"pass", "warn", "fail"}[int(v)]
 	}
-	d := Delta{Metric: "fidelity score", Class: "fidelity", Unit: "score",
-		Old: old.Fidelity.Score, New: new.Fidelity.Score}
-	if d.Old > 0 && (d.Old-d.New)/d.Old > threshold {
-		d.Regression = true
+	return fmt.Sprintf("%.0f", v)
+}
+
+// Delta is one metric both of two compared reports carry.
+type Delta struct {
+	Metric      string
+	Class, Unit string // as in Scalar
+	Old, New    float64
+	Regression  bool // new is worse than old by its gate's rule
+}
+
+// Change returns the relative change (new-old)/old, or 0 when old is 0.
+func (d Delta) Change() float64 {
+	if d.Old == 0 {
+		return 0
 	}
-	deltas := []Delta{d}
-	oldClaims := map[string]ClaimStat{}
-	for _, c := range old.Fidelity.Claims {
-		oldClaims[c.ID] = c
+	return (d.New - d.Old) / d.Old
+}
+
+// Compare joins the two reports' metric lists by name, in the new
+// report's order, and flags each metric that got worse by its gate's
+// rule; threshold is the relative change (0.10 for 10 %) the
+// thresholded gates allow. A metric only one side carries is skipped,
+// and so is host wall-clock time.
+func Compare(old, new *Report, threshold float64) []Delta {
+	was := map[string]float64{}
+	for _, m := range old.Metrics() {
+		was[m.Name] = m.Value
 	}
-	var ids []string
-	newClaims := map[string]ClaimStat{}
-	for _, c := range new.Fidelity.Claims {
-		newClaims[c.ID] = c
-		if _, ok := oldClaims[c.ID]; ok {
-			ids = append(ids, c.ID)
+	var deltas []Delta
+	for _, m := range new.Metrics() {
+		o, ok := was[m.Name]
+		if !ok || m.Gate == GateWall {
+			continue
 		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		o, n := statusRank(oldClaims[id].Status), statusRank(newClaims[id].Status)
-		if o == n {
-			continue // only status changes are worth a line
+		d := Delta{Metric: m.Name, Class: m.Class, Unit: m.Unit, Old: o, New: m.Value}
+		rise := d.New - d.Old
+		if m.Gate == GateFall {
+			rise = -rise
 		}
-		deltas = append(deltas, Delta{
-			Metric: "fidelity claim " + id, Class: "fidelity", Unit: "status",
-			Old: o, New: n, Regression: n > o,
-		})
+		switch m.Gate {
+		case GateStatus, GateDrift:
+			if rise == 0 {
+				continue
+			}
+			d.Regression = m.Gate == GateStatus && rise > 0
+		case GateErrorRate:
+			d.Regression = rise > 0.001 && (d.Old == 0 || rise/d.Old > threshold)
+		default:
+			d.Regression = d.Old > 1e-6 && rise/d.Old > threshold
+			if m.Gate == GateEps && new.Flowsim.ApproxEps > 0 && d.New > new.Flowsim.ApproxEps {
+				d.Regression = true
+			}
+		}
+		deltas = append(deltas, d)
 	}
 	return deltas
 }
@@ -718,14 +691,4 @@ func (f *FidelityStat) Table() string {
 			c.Status, w, c.ID, relerr, c.Paper, c.Measured)
 	}
 	return b.String()
-}
-
-func flagDelta(metric, class, unit string, old, new, threshold float64) Delta {
-	d := Delta{Metric: metric, Class: class, Unit: unit, Old: old, New: new}
-	// Tiny absolute baselines are noise: only flag metrics that
-	// register at least a microsecond (or one count) in the baseline.
-	if old > 1e-6 && (new-old)/old > threshold {
-		d.Regression = true
-	}
-	return d
 }

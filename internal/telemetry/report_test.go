@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,16 +96,54 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadReportSchemaMismatch pins the additive-schema rule: any
+// schema from 1 up to ReportSchema reads, a newer one (whose fields this
+// build could misread) or none at all is refused, and an older report
+// compares with a current one on the sections both carry.
 func TestReadReportSchemaMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema": 999, "total_sec": 1}`), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if _, err := ReadReport(path); err == nil {
-		t.Error("schema mismatch not rejected")
+	for _, body := range []string{
+		fmt.Sprintf(`{"schema": %d, "total_sec": 1}`, ReportSchema+1),
+		`{"schema": 0, "total_sec": 1}`,
+		`{"total_sec": 1}`,
+	} {
+		if _, err := ReadReport(write("bad.json", body)); err == nil {
+			t.Errorf("%s not rejected", body)
+		}
 	}
-	if _, err := ReadReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := ReadReport(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file not rejected")
+	}
+
+	// Schema 5 predates the service section and flowsim's wall_sec;
+	// schema 8 carries both. They join on total, phase and observed_err.
+	old, err := ReadReport(write("v5.json", `{"schema": 5, "total_sec": 1,
+		"phases": [{"name": "io", "mean_sec": 0.5}],
+		"flowsim": {"approx_eps": 0.08, "observed_err": 0.01}}`))
+	if err != nil {
+		t.Fatalf("schema 5 refused: %v", err)
+	}
+	cur, err := ReadReport(write("v8.json", `{"schema": 8, "total_sec": 1.5,
+		"phases": [{"name": "io", "mean_sec": 0.5}, {"name": "render", "mean_sec": 0.2}],
+		"flowsim": {"approx_eps": 0.08, "observed_err": 0.01, "approx_sec": 2, "wall_sec": 3},
+		"service": {"mode": "sweep", "points": [{"concurrency": 1, "requests": 1, "ok_2xx": 1}]}}`))
+	if err != nil {
+		t.Fatalf("schema 8 refused: %v", err)
+	}
+	got := map[string]bool{}
+	for _, d := range Compare(old, cur, 0.10) {
+		got[d.Metric] = d.Regression
+	}
+	want := map[string]bool{"total_sec": true, "phase io mean_sec": false, "flowsim observed_err": false}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("schema 5 vs 8 compared %v, want %v", got, want)
 	}
 }
 
@@ -116,17 +155,23 @@ func TestCompareReportsRegression(t *testing.T) {
 		{Name: "render", MeanSec: 0.3},
 	}}
 	cur := &Report{TotalSec: 1.25, Phases: []PhaseStat{
-		{Name: "io", MeanSec: 0.52}, // +4%: under threshold
 		{Name: "render", MeanSec: 0.45},
+		{Name: "io", MeanSec: 0.52},     // +4%: under threshold
 		{Name: "new-phase", MeanSec: 9}, // only in new: not compared
 	}}
-	deltas := CompareReports(old, cur, 0.10)
+	deltas := Compare(old, cur, 0.10)
+	var names []string
 	got := map[string]bool{}
 	for _, d := range deltas {
+		names = append(names, d.Metric)
 		got[d.Metric] = d.Regression
+		if d.Class != "timing" || d.Unit != "s" {
+			t.Errorf("delta %q class/unit = %q/%q", d.Metric, d.Class, d.Unit)
+		}
 	}
-	if len(deltas) != 3 {
-		t.Fatalf("%d deltas, want 3: %+v", len(deltas), deltas)
+	// The total first, then the phases sorted by name.
+	if want := []string{"total_sec", "phase io mean_sec", "phase render mean_sec"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("compared %q, want %q", names, want)
 	}
 	if !got["total_sec"] {
 		t.Error("total_sec +25% not flagged")
@@ -143,12 +188,12 @@ func TestCompareReportsNoiseGuard(t *testing.T) {
 	// Sub-microsecond baselines are noise, never regressions.
 	old := &Report{TotalSec: 5e-7}
 	cur := &Report{TotalSec: 5e-6}
-	if d := CompareReports(old, cur, 0.10); d[0].Regression {
+	if d := Compare(old, cur, 0.10); d[0].Regression {
 		t.Error("sub-microsecond baseline flagged")
 	}
 	// Improvement is never a regression.
 	old, cur = &Report{TotalSec: 1.0}, &Report{TotalSec: 0.5}
-	d := CompareReports(old, cur, 0.10)
+	d := Compare(old, cur, 0.10)
 	if d[0].Regression {
 		t.Error("speedup flagged as regression")
 	}
@@ -157,6 +202,11 @@ func TestCompareReportsNoiseGuard(t *testing.T) {
 	}
 	if (Delta{Old: 0, New: 1}).Change() != 0 {
 		t.Error("Change with zero old should be 0")
+	}
+	// A run without a frame time (a scorecard, a load test) has no
+	// total to compare.
+	if d := Compare(&Report{}, &Report{}, 0.10); len(d) != 0 {
+		t.Errorf("two empty reports compared %+v", d)
 	}
 }
 
@@ -175,7 +225,7 @@ func TestAddCritPathNil(t *testing.T) {
 func TestCompareCounters(t *testing.T) {
 	old := &Report{Counters: map[string]int64{"messages": 100, "bytes_sent": 1000, "gone": 5}}
 	cur := &Report{Counters: map[string]int64{"messages": 150, "bytes_sent": 1010, "fresh": 7}}
-	deltas := CompareCounters(old, cur, 0.10)
+	deltas := Compare(old, cur, 0.10)
 	if len(deltas) != 2 {
 		t.Fatalf("%d deltas, want 2: %+v", len(deltas), deltas)
 	}
@@ -189,7 +239,7 @@ func TestCompareCounters(t *testing.T) {
 		t.Error("messages +50% not flagged")
 	}
 	for _, d := range deltas {
-		if d.Class != "counter" || d.Unit != "count" {
+		if d.Class != "counters" || d.Unit != "count" {
 			t.Errorf("delta %q class/unit = %q/%q", d.Metric, d.Class, d.Unit)
 		}
 	}
@@ -206,7 +256,7 @@ func TestCompareImbalance(t *testing.T) {
 		Imbalance: []ImbalanceStat{{Phase: "render", Imbalance: 1.5}, {Phase: "composite", Imbalance: 1.2}},
 		CritPath:  &CritPathStat{PathSec: 1.05},
 	}
-	deltas := CompareImbalance(old, cur, 0.10)
+	deltas := Compare(old, cur, 0.10)
 	if len(deltas) != 3 {
 		t.Fatalf("%d deltas, want 3: %+v", len(deltas), deltas)
 	}
@@ -229,7 +279,7 @@ func TestCompareImbalance(t *testing.T) {
 
 	// Without a critpath section on one side, only the phases compare.
 	cur.CritPath = nil
-	if d := CompareImbalance(old, cur, 0.10); len(d) != 2 {
+	if d := Compare(old, cur, 0.10); len(d) != 2 {
 		t.Errorf("%d deltas without critpath, want 2", len(d))
 	}
 }
@@ -246,7 +296,7 @@ func TestCompareFidelity(t *testing.T) {
 		{ID: "fig4/fall-from-peak", Status: "pass"},              // unchanged
 		{ID: "fig7/raw-plateau", Status: "pass", RelErr: e(0.1)}, // improved
 	}}}
-	deltas := CompareFidelity(old, cur, 0.05)
+	deltas := Compare(old, cur, 0.05)
 	if len(deltas) != 3 {
 		t.Fatalf("%d deltas, want 3 (score + 2 status changes): %+v", len(deltas), deltas)
 	}
@@ -271,16 +321,16 @@ func TestCompareFidelity(t *testing.T) {
 
 	// A small score wobble under the threshold is not a regression.
 	cur2 := &Report{Fidelity: &FidelityStat{Score: 0.93}}
-	deltas = CompareFidelity(old, cur2, 0.05)
+	deltas = Compare(old, cur2, 0.05)
 	if len(deltas) != 1 || deltas[0].Regression {
 		t.Errorf("2%% score wobble at 5%% threshold flagged: %+v", deltas)
 	}
 
 	// Reports without fidelity sections compare to nothing.
-	if d := CompareFidelity(old, &Report{}, 0.05); d != nil {
+	if d := Compare(old, &Report{}, 0.05); d != nil {
 		t.Errorf("missing new-side fidelity produced deltas: %+v", d)
 	}
-	if d := CompareFidelity(&Report{}, cur, 0.05); d != nil {
+	if d := Compare(&Report{}, cur, 0.05); d != nil {
 		t.Errorf("missing old-side fidelity produced deltas: %+v", d)
 	}
 }
@@ -288,7 +338,7 @@ func TestCompareFidelity(t *testing.T) {
 func TestCompareFlowsim(t *testing.T) {
 	old := &Report{Flowsim: &FlowsimStat{ApproxEps: 0.08, ObservedErr: 0.01, ApproxSec: 1.0}}
 	cur := &Report{Flowsim: &FlowsimStat{ApproxEps: 0.08, ObservedErr: 0.05, ApproxSec: 1.02}}
-	deltas := CompareFlowsim(old, cur, 0.10)
+	deltas := Compare(old, cur, 0.10)
 	if len(deltas) != 2 {
 		t.Fatalf("%d deltas, want 2 (err + approx_sec): %+v", len(deltas), deltas)
 	}
@@ -306,13 +356,13 @@ func TestCompareFlowsim(t *testing.T) {
 	// worse baseline.
 	old2 := &Report{Flowsim: &FlowsimStat{ApproxEps: 0.08, ObservedErr: 0.10}}
 	cur2 := &Report{Flowsim: &FlowsimStat{ApproxEps: 0.08, ObservedErr: 0.09}}
-	if d := CompareFlowsim(old2, cur2, 0.10); !d[0].Regression {
+	if d := Compare(old2, cur2, 0.10); !d[0].Regression {
 		t.Errorf("err 0.09 > eps 0.08 not flagged: %+v", d[0])
 	}
 
 	// A changed eps shows up as an unflagged config-drift line.
 	cur3 := &Report{Flowsim: &FlowsimStat{ApproxEps: 0.25, ObservedErr: 0.01}}
-	d := CompareFlowsim(old, cur3, 0.10)
+	d := Compare(old, cur3, 0.10)
 	found := false
 	for _, dd := range d {
 		if dd.Metric == "flowsim approx_eps" {
@@ -327,7 +377,7 @@ func TestCompareFlowsim(t *testing.T) {
 	}
 
 	// Reports without flowsim sections compare to nothing.
-	if d := CompareFlowsim(old, &Report{}, 0.10); d != nil {
+	if d := Compare(old, &Report{}, 0.10); d != nil {
 		t.Errorf("missing flowsim section produced deltas: %+v", d)
 	}
 }
@@ -359,7 +409,7 @@ func TestCompareService(t *testing.T) {
 		{Concurrency: 4, Requests: 100, OK: 80, Rejected: 20, RPS: 30, P99Ms: 150},
 		{Concurrency: 16, Requests: 100, OK: 100, RPS: 90, P99Ms: 100},
 	}}}
-	deltas := CompareService(old, nw, 0.10)
+	deltas := Compare(old, nw, 0.10)
 	if len(deltas) != 3 {
 		t.Fatalf("got %d deltas, want 3 (only c=4 matches):\n%+v", len(deltas), deltas)
 	}
@@ -370,7 +420,7 @@ func TestCompareService(t *testing.T) {
 		}
 		byName[d.Metric] = d
 	}
-	if d := byName["service c=4 p99_ms"]; !d.Regression || d.Old != 0.1 || d.New != 0.15 {
+	if d := byName["service c=4 p99_sec"]; !d.Regression || d.Unit != "s" || d.Old != 0.1 || d.New != 0.15 {
 		t.Errorf("p99 delta = %+v, want regression 0.1->0.15 s", d)
 	}
 	if d := byName["service c=4 rps"]; !d.Regression {
@@ -384,16 +434,16 @@ func TestCompareService(t *testing.T) {
 	better := &Report{Service: &ServiceStat{Mode: "sweep", Points: []ServicePoint{
 		{Concurrency: 4, Requests: 10000, OK: 9999, Errors: 1, RPS: 60, P99Ms: 90},
 	}}}
-	for _, d := range CompareService(old, better, 0.10) {
+	for _, d := range Compare(old, better, 0.10) {
 		if d.Regression {
 			t.Errorf("improvement flagged as regression: %+v", d)
 		}
 	}
 
-	if got := CompareService(&Report{}, nw, 0.10); got != nil {
+	if got := Compare(&Report{}, nw, 0.10); got != nil {
 		t.Errorf("missing old service section compared non-nil: %+v", got)
 	}
-	if got := CompareService(old, &Report{}, 0.10); got != nil {
+	if got := Compare(old, &Report{}, 0.10); got != nil {
 		t.Errorf("missing new service section compared non-nil: %+v", got)
 	}
 }
