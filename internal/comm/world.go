@@ -14,6 +14,7 @@ package comm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/telemetry"
@@ -46,10 +47,21 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// TrafficStats aggregates the messages a World has carried.
+// TrafficStats aggregates the point-to-point messages a World has
+// carried: Sends with an application tag. What the collectives exchange
+// under their reserved tags is their own mechanism (a barrier signal
+// carries no payload) and is not counted, so a snapshot taken between
+// two barriers does not depend on how far the other ranks have got
+// through them.
 type TrafficStats struct {
 	Messages   int
 	TotalBytes int64
+}
+
+// rankTraffic is one rank's share of the counters: only its own Sends
+// add to it, so the send path takes no world-wide lock.
+type rankTraffic struct {
+	messages, bytes atomic.Int64
 }
 
 // World is a communicator over a fixed number of ranks.
@@ -57,8 +69,7 @@ type World struct {
 	size  int
 	boxes []*mailbox
 
-	statMu sync.Mutex
-	stats  TrafficStats
+	traffic []rankTraffic // indexed by sending rank
 
 	// failed is the first error (in time) any rank of a Run died with.
 	// It is sticky: a failed world's mailboxes are closed for good.
@@ -75,7 +86,7 @@ func NewWorld(p int) *World {
 	if p < 1 {
 		panic("comm: NewWorld requires p >= 1")
 	}
-	w := &World{size: p, boxes: make([]*mailbox, p)}
+	w := &World{size: p, boxes: make([]*mailbox, p), traffic: make([]rankTraffic, p)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -87,16 +98,21 @@ func (w *World) Size() int { return w.size }
 
 // Stats returns the cumulative traffic carried so far.
 func (w *World) Stats() TrafficStats {
-	w.statMu.Lock()
-	defer w.statMu.Unlock()
-	return w.stats
+	var st TrafficStats
+	for r := range w.traffic {
+		st.Messages += int(w.traffic[r].messages.Load())
+		st.TotalBytes += w.traffic[r].bytes.Load()
+	}
+	return st
 }
 
-// ResetStats zeroes the traffic counters (used between pipeline stages).
+// ResetStats zeroes the traffic counters (used between pipeline stages,
+// at a point where no rank is sending application messages).
 func (w *World) ResetStats() {
-	w.statMu.Lock()
-	defer w.statMu.Unlock()
-	w.stats = TrafficStats{}
+	for r := range w.traffic {
+		w.traffic[r].messages.Store(0)
+		w.traffic[r].bytes.Store(0)
+	}
 }
 
 // SetTracer attaches a tracer whose per-rank handles Run passes to
@@ -216,10 +232,11 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	if dst < 0 || dst >= c.w.size {
 		panic(fmt.Sprintf("comm: Send to invalid rank %d", dst))
 	}
-	c.w.statMu.Lock()
-	c.w.stats.Messages++
-	c.w.stats.TotalBytes += int64(len(data))
-	c.w.statMu.Unlock()
+	if tag < tagBarrier {
+		t := &c.w.traffic[c.rank]
+		t.messages.Add(1)
+		t.bytes.Add(int64(len(data)))
+	}
 	c.tr.Add(trace.CounterMessages, 1)
 	c.tr.Add(trace.CounterBytesSent, int64(len(data)))
 	c.w.net.ObserveSend(int64(len(data)))

@@ -60,15 +60,18 @@ func BinarySwap(c *comm.Comm, sub *render.Subimage, w, h int, order []int) (*img
 		} else {
 			img.OverWire(theirs, mine)
 		}
+		wire.Put(theirs)
 		span = keep
 		roundSp.End()
 	}
 	return gatherSpans(c, buf, span, w, h), nil
 }
 
-// fullFrame places a partial image in a transparent w x h frame.
+// fullFrame places a partial image in a transparent w x h frame, which
+// gatherSpans releases.
 func fullFrame(sub *render.Subimage, w, h int) []img.RGBA {
-	buf := make([]img.RGBA, w*h)
+	buf := img.Pixels.Get(w * h)
+	clear(buf)
 	sw := sub.Rect.W()
 	for ri, row := range img.RectSpanRows(sub.Rect, w) {
 		copy(buf[row.Lo:row.Hi], sub.Pix[ri*sw:(ri+1)*sw])
@@ -77,12 +80,14 @@ func fullFrame(sub *render.Subimage, w, h int) []img.RGBA {
 }
 
 // gatherSpans ends binary swap and radix-k: every rank sends the span of
-// the frame it finished with to rank 0, which decodes each into place
-// and returns the final image (nil elsewhere).
+// the frame it finished with to rank 0 and releases the frame; rank 0
+// decodes each span into place and returns the final image (nil
+// elsewhere).
 func gatherSpans(c *comm.Comm, buf []img.RGBA, span img.Span, w, h int) *img.Image {
 	sp := c.Trace().Begin(trace.PhaseComposite, "final-gather")
 	defer sp.End()
 	msg := encodePixels(8, buf[span.Lo:span.Hi])
+	img.Pixels.Put(buf)
 	putI64s(msg, int64(span.Lo))
 	c.Send(0, tagSpanGather, msg)
 	if c.Rank() != 0 {
@@ -92,6 +97,7 @@ func gatherSpans(c *comm.Comm, buf []img.RGBA, span img.Span, w, h int) *img.Ima
 	for received := 0; received < c.Size(); received++ {
 		_, b := c.Recv(comm.AnySource, tagSpanGather)
 		img.GetPixels(out.Pix[getI64(b):][:(len(b)-8)/img.WirePixelBytes], b[8:])
+		wire.Put(b)
 	}
 	return out
 }
@@ -133,6 +139,7 @@ func SerialGather(c *comm.Comm, sub *render.Subimage, rects []img.Rect, w, h int
 				img.UnderWire(row, wires[r][img.WirePixelBytes*y*rw:])
 			}
 		}
+		wire.Put(wires[r])
 	}
 	return out, nil
 }

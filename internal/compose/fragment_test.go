@@ -114,7 +114,9 @@ func TestBlendFromWireMatchesDecodeThenBlend(t *testing.T) {
 			want := makeSub(tile, 0.7, 99).Pix
 			got := append([]img.RGBA(nil), want...)
 			blendDecoded(want, tile, decodeFragment(msg))
-			blendFragment(got, tile, msg)
+			if err := blendFragment(got, tile, msg); err != nil {
+				t.Fatalf("frac=%v %s: %v", frac, o.name, err)
+			}
 			if string(pixelBytes(got)) != string(pixelBytes(want)) {
 				t.Errorf("frac=%v %s: blend from wire differs from decode-then-blend", frac, o.name)
 			}

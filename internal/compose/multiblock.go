@@ -77,11 +77,16 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 			_, msgs[k] = c.Recv(comm.AnySource, tagDirectSend)
 		}
 		sort.Slice(msgs, func(a, b int) bool { return getI64(msgs[a]) < getI64(msgs[b]) })
-		acc := make([]img.RGBA, tile.NumPixels())
+		acc := img.Pixels.Get(tile.NumPixels())
+		clear(acc)
 		for _, msg := range msgs {
-			blendFragment(acc, tile, msg)
+			if err := blendFragment(acc, tile, msg); err != nil {
+				return nil, err
+			}
+			wire.Put(msg)
 		}
 		payload := encodePixels(8, acc)
+		img.Pixels.Put(acc)
 		putI64s(payload, int64(ti))
 		c.Send(0, tagSpanGather, payload)
 	}
@@ -100,6 +105,7 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 		for y := tile.Y0; y < tile.Y1; y++ {
 			img.GetPixels(out.Pix[y*w+tile.X0:][:tw], b[8+img.WirePixelBytes*(y-tile.Y0)*tw:])
 		}
+		wire.Put(b)
 	}
 	return out, nil
 }

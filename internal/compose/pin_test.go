@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/img"
 	"bgpvr/internal/render"
+	"bgpvr/internal/scratch"
 )
 
 // The pins in this file were recorded at the commit before the pixel
@@ -230,36 +232,51 @@ func TestDirectSendMessagesMatchSchedule(t *testing.T) {
 	}
 }
 
-// One 1024^2 frame on 64 ranks with 16 compositors allocates, beyond
-// the subimages it is handed, one wire copy of every fragment pixel and
-// three image-sized buffers (tile accumulators, tile gather payloads,
-// the final image). The subimages are fully active, so every fragment
-// travels dense at 16 B a pixel; the ceiling allows a fourth image's
-// worth for headers, mailboxes and goroutines, and one more copy of the
-// fragments or of the tiles breaks it.
+// A steady-state 1024^2 frame on 64 ranks with 16 compositors allocates
+// the final image, which the caller keeps, and little else: fragment
+// messages, tile accumulators and gather payloads all come from the
+// recycler, which the frames before have filled. The subimages are fully
+// active, so every fragment travels dense at 16 B a pixel. The ceiling
+// is the image plus an eighth of one for headers, mailboxes, goroutines
+// and whatever the pool had to replace; one fresh copy of the fragments
+// (20 MB), of the accumulators or of the payloads (16.8 MB each) breaks
+// it.
 func TestDirectSendFrameAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of what is put into it under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	const p, m, w, h = 64, 16, 1024, 1024
 	subs, rects, order := pinScene(p, w, h)
-	fragPixels := 0
 	for b, r := range rects {
 		subs[b] = makeSub(r, 1, int64(b))
-		fragPixels += r.NumPixels()
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	out, _ := runCompose(t, p, func(c *comm.Comm) (*img.Image, error) {
-		return DirectSend(c, subs[c.Rank()], rects, w, h, m, order)
-	})
-	runtime.ReadMemStats(&after)
-	if out == nil {
-		t.Fatal("no image")
+	frame := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, _ := runCompose(t, p, func(c *comm.Comm) (*img.Image, error) {
+			return DirectSend(c, subs[c.Rank()], rects, w, h, m, order)
+		})
+		runtime.ReadMemStats(&after)
+		if out == nil {
+			t.Fatal("no image")
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	ceiling := uint64(4*16*w*h + 16*fragPixels)
-	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-		t.Errorf("frame allocated %.1f MB, ceiling %.1f MB (%d fragment pixels)",
-			float64(got)/1e6, float64(ceiling)/1e6, fragPixels)
+	// The pool settles over a few frames (a frame whose fragments are
+	// in flight in a different order needs a buffer the one before did
+	// not), so steady state is the fewest of several.
+	cold, warm := frame(), frame()
+	for i := 0; i < 4; i++ {
+		warm = min(warm, frame())
+	}
+	ceiling := uint64(16*w*h + 2*w*h)
+	if warm > ceiling {
+		t.Errorf("steady-state frame allocated %.1f MB, ceiling %.1f MB (the first allocated %.1f MB)",
+			float64(warm)/1e6, float64(ceiling)/1e6, float64(cold)/1e6)
 	} else {
-		t.Logf("frame allocated %.1f MB of a %.1f MB ceiling", float64(got)/1e6, float64(ceiling)/1e6)
+		t.Logf("steady-state frame allocated %.1f MB of a %.1f MB ceiling (the first %.1f MB)",
+			float64(warm)/1e6, float64(ceiling)/1e6, float64(cold)/1e6)
 	}
 }
 
@@ -267,6 +284,7 @@ func TestDirectSendFrameAllocationCeiling(t *testing.T) {
 // pre-rendered seeded subimages on 64 ranks: the paper's m < n (16
 // compositors) and m = n.
 func BenchmarkDirectSendFrame(b *testing.B) {
+	defer scratch.Poison(scratch.Poison(false)) // time the frame, not TestMain's poison fills
 	const p, w, h = 64, 1024, 1024
 	subs, rects, order := pinScene(p, w, h)
 	for _, m := range []int{16, 64} {

@@ -159,15 +159,18 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 			}
 			wires[(pos[src]/stride)%k] = b
 		}
-		acc := make([]img.RGBA, len(mine))
+		acc := img.Pixels.Get(len(mine))
+		clear(acc)
 		for d := 0; d < k; d++ {
 			if d == digit {
 				img.UnderSlices(acc, mine)
 			} else {
 				img.UnderWire(acc, wires[d])
+				wire.Put(wires[d])
 			}
 		}
 		copy(mine, acc)
+		img.Pixels.Put(acc)
 		span = img.Span{Lo: span.Lo + pieces[digit].Lo, Hi: span.Lo + pieces[digit].Hi}
 		stride *= k
 		roundSp.End()

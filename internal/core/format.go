@@ -116,19 +116,16 @@ type layout struct {
 	metaAccesses int // small per-process metadata reads on open
 }
 
-// readField reads extent ext of the layout's variable from f into a new
-// field, collectively: the samples are decoded straight out of the
-// aggregators' replies. All ranks must call it together.
-func (lay *layout) readField(c *comm.Comm, f vfile.File, dims grid.IVec3, ext grid.Extent, h mpiio.Hints) (*volume.Field, error) {
-	runs, err := lay.runsFor(ext)
+// readInto overwrites every sample of fld with the layout's variable
+// over fld's extent, read from f collectively: the samples are decoded
+// straight out of the aggregators' replies. All ranks must call it
+// together.
+func (lay *layout) readInto(c *comm.Comm, f vfile.File, fld *volume.Field, h mpiio.Hints) error {
+	runs, err := lay.runsFor(fld.Ext)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fld := volume.NewField(dims, ext)
-	if err := readFloats(c, f, runs, h, fld.Data, lay.order); err != nil {
-		return nil, err
-	}
-	return fld, nil
+	return readFloats(c, f, runs, h, fld.Data, lay.order)
 }
 
 // readFloats fills dst with the samples stored at runs, read

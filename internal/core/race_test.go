@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// Under the race detector sync.Pool drops a quarter of what is put into
+// it, so allocation ceilings that count on recycled buffers do not hold.
+const raceEnabled = true

@@ -183,6 +183,16 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		hints.CBNodes = min(cfg.Procs, 8)
 	}
 
+	// A field this frame makes is the frame's own, recycled once the
+	// render stage is through with it, unless a cache has seen it: the
+	// field cache keeps the field, the mask cache its pointer.
+	ownFields := cfg.Masks == nil &&
+		(cfg.Format != FormatGenerate || cfg.Fields == nil || cfg.GhostExchange)
+	newField := volume.NewField
+	if ownFields {
+		newField = volume.NewScratchField
+	}
+
 	res := &RealResult{}
 	var mu sync.Mutex
 	var t0, t1, t2, t3 time.Time
@@ -232,7 +242,9 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 					// a request trace distinguishes cold fills from hits.
 					sp := tr.Begin(trace.PhaseIO, "field-cache-fill")
 					defer sp.End()
-					return s.Supernova().Generate(s.Variable, s.Dims, readExt)
+					f := newField(s.Dims, readExt)
+					s.Supernova().Fill(f, s.Variable)
+					return f
 				}
 				// GhostExchange mutates the field in place below, so a
 				// shared cached copy would be corrupted — bypass.
@@ -246,8 +258,8 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 				}
 				continue
 			}
-			fld, err := lay.readField(c, file, s.Dims, readExt, hints)
-			if err != nil {
+			fld := newField(s.Dims, readExt)
+			if err := lay.readInto(c, file, fld, hints); err != nil {
 				return err
 			}
 			myUseful += volume.WireFloatBytes * int64(len(fld.Data))
@@ -259,11 +271,14 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 			mu.Unlock()
 		}
 		if cfg.GhostExchange {
-			var err error
-			fields[0], err = halo.Exchange(c, d, fields[0], ghost)
+			grown, err := halo.Exchange(c, d, fields[0], ghost)
 			if err != nil {
 				return err
 			}
+			if ownFields {
+				fields[0].Release()
+			}
+			fields[0] = grown
 		}
 		c.Barrier()
 		ioSp.End()
@@ -288,6 +303,11 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		// nothing: the per-rank totals are folded into res.Samples after
 		// the world finishes.
 		rankSamples[rank] = mySamples
+		if ownFields {
+			for _, f := range fields {
+				f.Release()
+			}
+		}
 		sub := subs[0]
 		c.Barrier()
 		renderSp.End()
@@ -322,6 +342,11 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		}
 		if err != nil {
 			return err
+		}
+		// The compositor has copied what it needed of the subimages into
+		// messages, and nobody else holds them.
+		for _, sub := range subs {
+			sub.Release()
 		}
 		if rank == 0 {
 			res.Image = final

@@ -12,6 +12,8 @@ package img
 import (
 	"fmt"
 	"math"
+
+	"bgpvr/internal/scratch"
 )
 
 // RGBA is one premultiplied-alpha pixel. Components are "energy"
@@ -62,6 +64,13 @@ func UnderSlices(back, incoming []RGBA) {
 	}
 }
 
+// Pixels recycles the pixel buffers whose lifetime is one frame —
+// subimages, tile accumulators — under internal/scratch's ownership
+// rule. (An Image is not among them: the caller keeps it.)
+var Pixels = scratch.Pool[RGBA]{Poison: RGBA{R: nan32, G: nan32, B: nan32, A: nan32}}
+
+var nan32 = float32(math.NaN())
+
 // Image is a W x H pixel buffer in row-major order (row 0 at the top).
 type Image struct {
 	W, H int
@@ -94,7 +103,9 @@ func (m *Image) Clone() *Image {
 }
 
 // MaxDiff returns the L-infinity distance between two images of equal
-// size, across all components of all pixels.
+// size, across all components of all pixels: +Inf when a difference is
+// NaN, so that a NaN pixel fails a tolerance test however it is written
+// (d > tol passes a NaN d).
 func MaxDiff(a, b *Image) float64 {
 	if a.W != b.W || a.H != b.H {
 		panic("img: MaxDiff size mismatch")
@@ -106,6 +117,9 @@ func MaxDiff(a, b *Image) float64 {
 			float64(p.R - q.R), float64(p.G - q.G),
 			float64(p.B - q.B), float64(p.A - q.A),
 		} {
+			if c != c {
+				return math.Inf(1)
+			}
 			d = math.Max(d, math.Abs(c))
 		}
 	}

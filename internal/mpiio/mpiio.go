@@ -34,13 +34,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/iotrace"
 	"bgpvr/internal/obs"
+	"bgpvr/internal/scratch"
 	"bgpvr/internal/trace"
 	"bgpvr/internal/vfile"
 )
@@ -189,24 +189,16 @@ func BuildPlan(union []grid.Run, h Hints) *Plan {
 	return p
 }
 
-// bufPool holds the aggregators' collective buffers between calls, as
-// ROMIO's collective buffer outlives the MPI_File_read_all: a frame's
-// aggregators would otherwise each allocate and zero a domain-sized
-// buffer per read. Reuse is safe because every byte scattered out of a
-// buffer was put there by the vfile.ReadFull just before — a short read
-// is an error, so stale bytes are never delivered. Pointers to slices
-// are pooled so that Put allocates no header.
-var bufPool sync.Pool
-
-// collectiveBuffer returns a pooled buffer of at least n bytes; the
-// caller returns it with bufPool.Put.
-func collectiveBuffer(n int64) *[]byte {
-	if bp, _ := bufPool.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
-		return bp
-	}
-	b := make([]byte, n)
-	return &b
-}
+// buffers recycles the two large byte buffers of a collective read.
+// The aggregators' collective buffers outlive the call, as ROMIO's does
+// the MPI_File_read_all: a frame's aggregators would otherwise each
+// allocate and zero a domain-sized buffer per read. Reuse is safe
+// because every byte scattered out of one was put there by the
+// vfile.ReadFull just before — a short read is an error, so stale bytes
+// are never delivered. The reply messages are taken by the aggregator
+// that fills them and released by the requester that receives them,
+// once CollectiveReadTo has written them out.
+var buffers = scratch.Pool[byte]{Poison: 0xFF}
 
 // fragBytes is the size of one fragment in a request message: offset
 // and length as little-endian int64s.
@@ -332,14 +324,27 @@ func CollectiveReadTo(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints, w 
 	// my runs, consuming from the right aggregator's stream.
 	reasmSp := tr.Begin(trace.PhaseIO, "reassemble")
 	defer reasmSp.End()
-	return eachFragment(func(d int, fr grid.Run) error {
-		ar := AggRank(d, a, p)
-		if fr.Length > int64(len(got[ar])) {
-			return fmt.Errorf("mpiio: rank %d short reply from aggregator %d: have %d bytes, need %d more",
-				c.Rank(), ar, len(got[ar]), fr.Length)
+	// The fragments arrive domain by domain (eachFragment), so one
+	// reply is open at a time: rest is what is left of it, and it is
+	// released when the walk moves on.
+	open, rest := -1, []byte(nil)
+	release := func() {
+		if open >= 0 {
+			buffers.Put(got[AggRank(open, a, p)])
 		}
-		_, err := w.Write(got[ar][:fr.Length])
-		got[ar] = got[ar][fr.Length:]
+	}
+	defer release()
+	return eachFragment(func(d int, fr grid.Run) error {
+		if d != open {
+			release()
+			open, rest = d, got[AggRank(d, a, p)]
+		}
+		if fr.Length > int64(len(rest)) {
+			return fmt.Errorf("mpiio: rank %d short reply from aggregator %d: have %d bytes, need %d more",
+				c.Rank(), AggRank(d, a, p), len(rest), fr.Length)
+		}
+		_, err := w.Write(rest[:fr.Length])
+		rest = rest[fr.Length:]
 		return err
 	})
 }
@@ -362,7 +367,7 @@ func aggregate(c *comm.Comm, f vfile.File, reqs, replies [][]byte, dlo, dhi, win
 			lastNeeded = max(lastNeeded, fr.End())
 		}
 		if total > 0 {
-			replies[src] = make([]byte, 0, total)
+			replies[src] = buffers.Get(int(total))[:0]
 		}
 	}
 	if firstNeeded >= lastNeeded {
@@ -370,8 +375,8 @@ func aggregate(c *comm.Comm, f vfile.File, reqs, replies [][]byte, dlo, dhi, win
 	}
 	// A window never reads more than the domain holds, so a small file
 	// does not cost a default 16 MB window per aggregator.
-	bp := collectiveBuffer(min(win, dhi-dlo))
-	defer bufPool.Put(bp)
+	buf := buffers.Get(int(min(win, dhi-dlo)))
+	defer buffers.Put(buf)
 	// cursor[src] is the first fragment of src that ends past the
 	// windows walked so far (fragments are offset-sorted per source).
 	cursor := make([]int, len(reqs))
@@ -394,7 +399,7 @@ func aggregate(c *comm.Comm, f vfile.File, reqs, replies [][]byte, dlo, dhi, win
 		}
 		rlo := max(wlo, firstNeeded)
 		rhi := min(whi, lastNeeded)
-		b := (*bp)[:rhi-rlo]
+		b := buf[:rhi-rlo]
 		if err := vfile.ReadFull(f, b, rlo); err != nil {
 			return fmt.Errorf("mpiio: aggregator: %w", err)
 		}

@@ -70,16 +70,30 @@ func NewOrtho(center, dir, up geom.Vec3, width, height float64, w, h int) *Ortho
 // Size implements Camera.
 func (o *Ortho) Size() (int, int) { return o.basis.w, o.basis.h }
 
-// Ray implements Camera.
+// Ray implements Camera. The origin is a sum of three terms: one that
+// depends only on the column, one only on the row and one on neither, so
+// a cast over a rectangle (castJob) builds each once instead of once per
+// pixel and adds them in this order, to the same bits.
 func (o *Ortho) Ray(px, py float64) geom.Ray {
-	dx := (px/float64(o.basis.w) - 0.5) * o.width
-	dy := (0.5 - py/float64(o.basis.h)) * o.height
-	origin := o.center.
-		Add(o.basis.right.Mul(dx)).
-		Add(o.basis.up.Mul(dy)).
-		Sub(o.basis.fwd.Mul(o.backoff))
+	origin := o.colTerm(px).Add(o.rowTerm(py)).Sub(o.backTerm())
 	return geom.Ray{Origin: origin, Dir: o.basis.fwd}
 }
+
+// colTerm is the part of a ray's origin its column fixes: the window
+// center moved along right.
+func (o *Ortho) colTerm(px float64) geom.Vec3 {
+	dx := (px/float64(o.basis.w) - 0.5) * o.width
+	return o.center.Add(o.basis.right.Mul(dx))
+}
+
+// rowTerm is the part its row fixes: the offset along up.
+func (o *Ortho) rowTerm(py float64) geom.Vec3 {
+	dy := (0.5 - py/float64(o.basis.h)) * o.height
+	return o.basis.up.Mul(dy)
+}
+
+// backTerm is how far behind the window plane every ray starts.
+func (o *Ortho) backTerm() geom.Vec3 { return o.basis.fwd.Mul(o.backoff) }
 
 // Project implements Camera.
 func (o *Ortho) Project(p geom.Vec3) (float64, float64, bool) {

@@ -51,12 +51,15 @@ func (j *castJob) castMulti(ray geom.Ray, k0, k1 int64, vals []float64) (img.RGB
 // ignored here.
 func RenderBlockMulti(fs []*volume.Field, own grid.Extent, cam Camera, cls MultiClassifier, cfg Config) *Subimage {
 	rect := ProjectedRect(cam, own)
-	sub := &Subimage{Rect: rect, Pix: make([]img.RGBA, rect.NumPixels())}
-	if rect.Empty() || len(fs) == 0 {
+	if len(fs) == 0 {
+		return &Subimage{Rect: rect, Pix: make([]img.RGBA, rect.NumPixels())}
+	}
+	sub := newSubimage(rect)
+	if rect.Empty() {
 		return sub
 	}
 	j := castJob{plan: newCastPlan(fs, &own, cfg), cls: cls, workers: cfg.Workers,
-		cam: cam, box: ownedBounds(own), rect: rect, pix: sub.Pix, stride: rect.W()}
+		cam: cam, box: ownedBounds(own), rect: rect, pix: sub.Pix, stride: rect.W(), spans: sub.Spans}
 	sub.Samples = j.run()
 	return sub
 }

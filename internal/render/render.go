@@ -8,6 +8,7 @@ import (
 	"bgpvr/internal/img"
 	"bgpvr/internal/obs"
 	"bgpvr/internal/par"
+	"bgpvr/internal/scratch"
 	"bgpvr/internal/trace"
 	"bgpvr/internal/volume"
 )
@@ -90,9 +91,46 @@ func DefaultConfig() Config { return Config{Step: 1.0} }
 type Subimage struct {
 	Rect img.Rect
 	Pix  []img.RGBA // len == Rect.NumPixels(), row-major within Rect
+	// Spans, when non-nil, bounds the non-transparent pixels of each row
+	// of Rect, so that whoever scans the subimage (the fragment encoder)
+	// skips what no ray hit. nil means every row may be active all along,
+	// which is what a subimage built by hand has.
+	Spans []RowSpan
 	// Samples counts field samples taken; it drives the rendering cost
 	// model and the load-imbalance analysis of Fig 3.
 	Samples int64
+}
+
+// RowSpan is the half-open column range [Lo, Hi), relative to the
+// subimage's Rect.X0, outside which a row's pixels are all transparent.
+// An empty row has Lo == Hi.
+type RowSpan struct{ Lo, Hi int32 }
+
+// The renderers' frame-lifetime buffers come from the recycler
+// (internal/scratch has the ownership rule): a subimage's pixels
+// (img.Pixels) and spans, released by Subimage.Release, and a cast's
+// column terms.
+var (
+	rowSpans = scratch.Pool[RowSpan]{Poison: RowSpan{Lo: -1, Hi: -1}}
+	colTerms = scratch.Pool[geom.Vec3]{Poison: geom.V(math.NaN(), math.NaN(), math.NaN())}
+)
+
+// newSubimage takes a subimage for rect from the recycler. Its pixels
+// and spans are unspecified until a cast has written every one.
+func newSubimage(rect img.Rect) *Subimage {
+	if rect.Empty() {
+		return &Subimage{Rect: rect}
+	}
+	return &Subimage{Rect: rect, Pix: img.Pixels.Get(rect.NumPixels()), Spans: rowSpans.Get(rect.H())}
+}
+
+// Release recycles the subimage's pixels and spans; it must not be used
+// again. The subimage's last consumer calls it — for a frame, whoever
+// ran the compositor, once that has returned.
+func (s *Subimage) Release() {
+	img.Pixels.Put(s.Pix)
+	rowSpans.Put(s.Spans)
+	s.Pix, s.Spans = nil, nil
 }
 
 // At returns the pixel at absolute image coordinates (x, y), which must
@@ -153,7 +191,7 @@ func RenderBlockTraced(f *volume.Field, own grid.Extent, cam Camera, tf *volume.
 	sp := tr.Begin(trace.PhaseRender, "render-block")
 	defer sp.End()
 	rect := ProjectedRect(cam, own)
-	sub := &Subimage{Rect: rect, Pix: make([]img.RGBA, rect.NumPixels())}
+	sub := newSubimage(rect)
 	if rect.Empty() {
 		return sub
 	}
@@ -161,7 +199,8 @@ func RenderBlockTraced(f *volume.Field, own grid.Extent, cam Camera, tf *volume.
 	mask := buildMask(f, tf, cfg)
 	maskSp.End()
 	j := castJob{plan: newCastPlan([]*volume.Field{f}, &own, cfg), tf: tf, mask: mask,
-		workers: cfg.Workers, cam: cam, box: ownedBounds(own), rect: rect, pix: sub.Pix, stride: rect.W()}
+		workers: cfg.Workers, cam: cam, box: ownedBounds(own), rect: rect,
+		pix: sub.Pix, stride: rect.W(), spans: sub.Spans}
 	sub.Samples = j.run()
 	tr.Add(trace.CounterSamples, sub.Samples)
 	return sub
@@ -282,13 +321,20 @@ type castJob struct {
 	cam     Camera
 	// Set by run when every ray shares one direction (an orthographic
 	// camera): the camera's concrete type, so generating a ray is not an
-	// interface call, and the direction's reciprocal for the slab test.
+	// interface call, the direction's reciprocal for the slab test, and
+	// the terms of Ortho.Ray's origin that do not change from pixel to
+	// pixel — one per column of rect, and the one no pixel changes.
 	ortho  *Ortho
 	inv    geom.Vec3
+	cols   []geom.Vec3
+	back   geom.Vec3
 	box    geom.AABB
 	rect   img.Rect
 	pix    []img.RGBA
 	stride int // row stride of pix
+	// spans, when non-nil, receives each row's non-transparent column
+	// range, indexed like the rows of rect.
+	spans []RowSpan
 }
 
 // cast accumulates samples k0..k1 of ray front to back and returns the
@@ -329,28 +375,44 @@ func (j *castJob) castRows(y0, y1 int) int64 {
 	}
 	for y := y0; y < y1; y++ {
 		i := (y - j.rect.Y0) * j.stride
+		var ray geom.Ray
+		var rowTerm geom.Vec3
+		if j.ortho != nil {
+			ray.Dir, rowTerm = j.ortho.basis.fwd, j.ortho.rowTerm(float64(y)+0.5)
+		}
+		lo, hi := 0, 0 // the row's span so far; hi == 0 while no pixel is active
 		for x := j.rect.X0; x < j.rect.X1; x++ {
-			var ray geom.Ray
 			inv := j.inv
 			if j.ortho != nil {
-				ray = j.ortho.Ray(float64(x)+0.5, float64(y)+0.5)
+				ray.Origin = j.orthoOrigin(x, rowTerm)
 			} else {
 				ray = j.cam.Ray(float64(x)+0.5, float64(y)+0.5)
 				inv = ray.InvDir()
 			}
+			// pix may be recycled memory: a ray that misses stores its
+			// transparent pixel like any other.
+			var px img.RGBA
 			if t0, t1, ok := j.box.RayIntersectInv(ray, inv); ok {
 				k0, k1 := j.plan.trim(ray, t0, t1)
-				var px img.RGBA
 				var n int64
 				if j.cls != nil {
 					px, n = j.castMulti(ray, k0, k1, vals)
 				} else {
 					px, n = j.cast(ray, k0, k1)
 				}
-				j.pix[i] = px
 				samples += n
+				if px != (img.RGBA{}) {
+					if hi == 0 {
+						lo = x - j.rect.X0
+					}
+					hi = x - j.rect.X0 + 1
+				}
 			}
+			j.pix[i] = px
 			i++
+		}
+		if j.spans != nil {
+			j.spans[y-j.rect.Y0] = RowSpan{Lo: int32(lo), Hi: int32(hi)}
 		}
 		renderPhase.Add(1) // one scanline done; zero-alloc tick
 	}
@@ -362,9 +424,27 @@ func (j *castJob) castRows(y0, y1 int) int64 {
 // frame's blocks.
 var renderPhase = obs.GetPhase("render")
 
+// setOrtho prepares the job for rays that share o's direction: the
+// column terms of rect's pixel centers come from the recycler, and the
+// caller releases j.cols when the cast is done.
+func (j *castJob) setOrtho(o *Ortho) {
+	j.ortho, j.inv = o, geom.Ray{Dir: o.basis.fwd}.InvDir()
+	j.cols, j.back = colTerms.Get(j.rect.W()), o.backTerm()
+	for i := range j.cols {
+		j.cols[i] = o.colTerm(float64(j.rect.X0+i) + 0.5)
+	}
+}
+
+// orthoOrigin is Ortho.Ray(x+0.5, y+0.5).Origin, given row y's term:
+// the same three terms added in the same order, so the same bits.
+func (j *castJob) orthoOrigin(x int, rowTerm geom.Vec3) geom.Vec3 {
+	return j.cols[x-j.rect.X0].Add(rowTerm).Sub(j.back)
+}
+
 func (j *castJob) run() int64 {
 	if o, ok := j.cam.(*Ortho); ok {
-		j.ortho, j.inv = o, geom.Ray{Dir: o.basis.fwd}.InvDir()
+		j.setOrtho(o)
+		defer colTerms.Put(j.cols)
 	}
 	rows := j.rect.Y1 - j.rect.Y0
 	renderPhase.Start(int64(rows))

@@ -8,8 +8,11 @@
 package volume
 
 import (
+	"math"
+
 	"bgpvr/internal/geom"
 	"bgpvr/internal/grid"
+	"bgpvr/internal/scratch"
 )
 
 // Field is a block of node-centered scalar samples. Values live on the
@@ -27,6 +30,24 @@ type Field struct {
 // NewField allocates a zero-filled field covering ext of a dims grid.
 func NewField(dims grid.IVec3, ext grid.Extent) *Field {
 	return &Field{Dims: dims, Ext: ext, Data: make([]float32, ext.Count())}
+}
+
+// fieldData recycles the samples of fields whose owner releases them.
+var fieldData = scratch.Pool[float32]{Poison: float32(math.NaN())}
+
+// NewScratchField is NewField on recycled memory: the samples are
+// unspecified until the taker has written every one, and the field's
+// last user hands them back with Release.
+func NewScratchField(dims grid.IVec3, ext grid.Extent) *Field {
+	return &Field{Dims: dims, Ext: ext, Data: fieldData.Get(int(ext.Count()))}
+}
+
+// Release recycles the field's samples; the field, and every Sampler
+// made of it, must not be used again. Only a field's sole owner may
+// release it — never one a cache holds or the caller supplied.
+func (f *Field) Release() {
+	fieldData.Put(f.Data)
+	f.Data = nil
 }
 
 // index converts global lattice coordinates to a position in Data.

@@ -2,9 +2,9 @@ package volume
 
 import (
 	"math"
-	"sync"
 
 	"bgpvr/internal/grid"
+	"bgpvr/internal/scratch"
 )
 
 // Supernova is an analytic stand-in for the VH-1 core-collapse supernova
@@ -189,18 +189,24 @@ func (s Supernova) Eval(v Var, dims grid.IVec3, x, y, z int) float32 {
 	return float32(s.EvalNorm(v, coord(x, dims.X), coord(y, dims.Y), coord(z, dims.Z)))
 }
 
-// rowPool keeps fillRows' tables across calls: a frame generates one
-// small block per rank, and a table set per call would outnumber the
-// fields.
-var rowPool = sync.Pool{New: func() any { return new([]float64) }}
+// rowTables recycles fillRows' tables across calls: a frame generates
+// one small block per rank, and a table set per call would outnumber
+// the fields.
+var rowTables = scratch.Pool[float64]{Poison: math.NaN()}
 
 // Generate fills a new field covering ext of a dims grid with variable
 // v: bit for bit Eval at every lattice point of ext, computed by rows.
 func (s Supernova) Generate(v Var, dims grid.IVec3, ext grid.Extent) *Field {
 	f := NewField(dims, ext)
-	p := s.plan(v)
-	fillRows(f.Data, &p, dims, ext)
+	s.Fill(f, v)
 	return f
+}
+
+// Fill overwrites every sample of f with variable v, as Generate does
+// for a field of its own.
+func (s Supernova) Fill(f *Field, v Var) {
+	p := s.plan(v)
+	fillRows(f.Data, &p, f.Dims, f.Ext)
 }
 
 // fillRows writes the plan's variable at the lattice points of ext into
@@ -215,12 +221,8 @@ func fillRows[T float32 | float64](out []T, p *plan, dims grid.IVec3, ext grid.E
 		return
 	}
 	n := ext.Size()
-	buf := rowPool.Get().(*[]float64)
-	defer rowPool.Put(buf)
-	if need := 2*(n.X+n.Y+n.Z) + 2*n.X + 2*n.X*n.Y; cap(*buf) < need {
-		*buf = make([]float64, need)
-	}
-	rest := *buf
+	rest := rowTables.Get(2*(n.X+n.Y+n.Z) + 2*n.X + 2*n.X*n.Y)
+	defer rowTables.Put(rest)
 	take := func(m int) []float64 {
 		s := rest[:m:m]
 		rest = rest[m:]
