@@ -8,27 +8,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/core"
 	"bgpvr/internal/render"
 	"bgpvr/internal/volume"
 )
 
-func main() {
-	n := flag.Int("n", 128, "volume grid size n^3")
-	imgSize := flag.Int("img", 512, "image size (square)")
-	varName := flag.String("var", "velocity_x", "variable: pressure, density, velocity_{x,y,z}")
-	persp := flag.Bool("persp", true, "perspective camera")
-	shaded := flag.Bool("shaded", true, "gradient (Lambertian) shading")
-	timeArg := flag.Float64("time", 1.1, "SASI phase (time step)")
-	out := flag.String("o", "supernova.ppm", "output PPM path")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("renderimg", flag.ContinueOnError)
+	n := fs.Int("n", 128, "volume grid size n^3")
+	imgSize := fs.Int("img", 512, "image size (square)")
+	varName := fs.String("var", "velocity_x", "variable: pressure, density, velocity_{x,y,z}")
+	persp := fs.Bool("persp", true, "perspective camera")
+	shaded := fs.Bool("shaded", true, "gradient (Lambertian) shading")
+	timeArg := fs.Float64("time", 1.1, "SASI phase (time step)")
+	out := fs.String("o", "supernova.ppm", "output PPM path")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
+	}
 
 	v, ok := varByName(*varName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "renderimg: unknown variable %q\n", *varName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "renderimg: unknown variable %q\n", *varName)
+		return 1
 	}
 	scene := core.DefaultScene(*n, *imgSize)
 	scene.Variable = v
@@ -37,18 +44,19 @@ func main() {
 	scene.Time = *timeArg
 	scene.Step = 0.5
 
-	fmt.Printf("generating %d^3 %s field...\n", *n, v.Name())
+	fmt.Fprintf(stdout, "generating %d^3 %s field...\n", *n, v.Name())
 	field := scene.Supernova().GenerateFull(v, scene.Dims)
-	fmt.Printf("ray casting %d^2 image...\n", *imgSize)
+	fmt.Fprintf(stdout, "ray casting %d^2 image...\n", *imgSize)
 	cfg := scene.RenderConfig()
 	cfg.EarlyTerminationAlpha = 0.999
 	cfg.SkipEmptySpace = true
 	img, samples := render.RenderFull(field, scene.Camera(), scene.Transfer(), cfg)
 	if err := img.WritePPM(*out, 0.02); err != nil {
-		fmt.Fprintln(os.Stderr, "renderimg:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "renderimg:", err)
+		return 1
 	}
-	fmt.Printf("wrote %s (%d samples)\n", *out, samples)
+	fmt.Fprintf(stdout, "wrote %s (%d samples)\n", *out, samples)
+	return 0
 }
 
 func varByName(name string) (volume.Var, bool) {

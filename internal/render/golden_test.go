@@ -16,17 +16,18 @@ import (
 )
 
 // The golden hashes pin the ray-casting kernel bit for bit: every pixel
-// and every sample count of three scenes, rendered serially and as
-// eight blocks. They were recorded at the commit before the per-block
-// cast plan replaced the predicate-per-sample loop (PR 13), so a kernel
-// change that alters which samples are taken, or the order of one
-// floating-point operation in sampling, classification or
+// and every sample count of five scenes, rendered serially and as
+// eight blocks. The first three were recorded at the commit before the
+// per-block cast plan replaced the predicate-per-sample loop (PR 13), so
+// a kernel change that alters which samples are taken, or the order of
+// one floating-point operation in sampling, classification or
 // accumulation, fails here rather than in a tolerance somewhere
 // downstream.
 
 type goldenScene struct {
 	name          string
 	n, w, h       int
+	nz            int // planes in z; 0 means n (a cube)
 	cam           func(n, w, h int) Camera
 	tf            *volume.Transfer
 	cfg           Config
@@ -55,6 +56,14 @@ func bandTransfer() *volume.Transfer {
 
 func scenePersp(n, w, h int) Camera { return centeredPersp(n, w, h) }
 
+// scenePlane looks along the z = 0 plane of a single-plane field: only
+// rays that lie in the plane take samples, which is the middle row of an
+// image with an odd number of rows (its origin's z is exactly 0).
+func scenePlane(n, w, h int) Camera {
+	c := float64(n-1) / 2
+	return NewOrtho(geom.V(c, c, 0), geom.V(1, 0.3, 0), geom.V(0, 0, 1), float64(n)*1.9, 3, w, h)
+}
+
 var goldenScenes = []goldenScene{
 	{name: "ortho-96-512", n: 96, w: 512, h: 512, cam: sceneOrtho, cfg: Config{Step: 1}, tf: volume.SupernovaTransfer(),
 		serial: "7ea357d3b0eeb9926a7056f8aa996fd33701db56b68b70f4691fdeab5dbdfe41",
@@ -74,6 +83,27 @@ var goldenScenes = []goldenScene{
 		p8:     "e847cf1658631aae2cae3661d234edbd72241c2add69cfed8d623f59b16769a6",
 		multi:  "8a19f090e5c49c2a52f73f1e29ced3c26351bc9fd0f4ecca1a03f857581a312a",
 		multi8: "a01c584af88eebf698ed65853ef8996623753577864aca7258ec4aff65c3931f"},
+	// The next two were recorded at the commit before the cast sampled a
+	// ray a chunk at a time (PR 24). The first turns on everything the
+	// chunk walk must get right at once: a mask that ends a chunk, shading
+	// between classification and Over, a ray that terminates inside a
+	// chunk, and two samples per cell. The second is a field with a
+	// single-plane axis, where the sampler's base cell clamps to the one
+	// plane and interpolates flat across it.
+	{name: "ortho-shaded-skip-term-step0.5", n: 40, w: 112, h: 96, cam: sceneOrtho,
+		cfg: Config{Step: 0.5, SkipEmptySpace: true, MacrocellSize: 4, EarlyTerminationAlpha: 0.9,
+			Shade: Shading{Enabled: true, LightDir: geom.V(0.4, 0.5, 1)}},
+		tf:     bandTransfer(),
+		serial: "07b992c6e17b2ac5293a9604b2086971b65631db2a1c2fc3f575acc2df9730bd",
+		p8:     "829c0c65283e2950ee99fdc4129a00c38b6cc87d423b59b638c49ac502feaacf",
+		multi:  "15dfb95c506ca653447221212d405078a7296e01e6d631f767d1be3b7b681c61",
+		multi8: "ad3dd052e7986cfe6719ff3d6424b8cef423595deb82024f5ed02dcf0bb766fc"},
+	{name: "single-plane-48x48x1", n: 48, nz: 1, w: 128, h: 3, cam: scenePlane, cfg: Config{Step: 0.25},
+		tf:     volume.SupernovaTransfer(),
+		serial: "075bd1f4905f56a13d6fd4ff36c108543e88432bf696f5b820eb1a9bab3efe48",
+		p8:     "6819434f0a93d5e90026abca7520e9ff231e4379878f97eb15e9626373ff44e1",
+		multi:  "3d2248ec676773dcceb833c7ba16b18e0c057e31d8c4721028a2349e5301b51b",
+		multi8: "6bbbf89238f7f6f3552d8f8ef8f8fb3a792928297f8c56209be46f5c1271afbb"},
 }
 
 func hashPixels(h hash.Hash, pix []img.RGBA, samples int64) {
@@ -106,6 +136,9 @@ func TestGoldenKernelHashes(t *testing.T) {
 	}
 	for _, sc := range goldenScenes {
 		dims := grid.Cube(sc.n)
+		if sc.nz != 0 {
+			dims.Z = sc.nz
+		}
 		sn := volume.Supernova{Seed: 1530, Time: 1.1}
 		full := sn.GenerateFull(volume.VarVelocityX, dims)
 		rho := sn.GenerateFull(volume.VarDensity, dims)
