@@ -281,14 +281,17 @@ func BenchmarkAblationGhost(b *testing.B) {
 // 1 -> 4 workers (given cores). block=48of96 casts one rank's share of
 // the benchmark's frame-render scene instead: a 48^3 block of a 96^3
 // volume under a 512^2 image, which stays in cache, so it shows the
-// kernel's arithmetic rather than its misses.
+// kernel's arithmetic rather than its misses; the sub-benchmarks after
+// it turn on, one at a time, each thing the cast's one sample walk also
+// serves, so that a kernel change shows which configuration paid for it
+// (ns per counted sample: skipping and early termination count fewer).
 func BenchmarkRenderBlock(b *testing.B) {
-	cast := func(scene core.Scene, blocks, workers int) func(b *testing.B) {
+	cast := func(scene core.Scene, blocks, workers int, earlyTermination float64) func(b *testing.B) {
 		return func(b *testing.B) {
 			d := grid.NewDecomp(scene.Dims, blocks)
-			fld := scene.Supernova().Generate(scene.Variable, scene.Dims, d.GhostExtent(0, 1))
 			cam, tf, cfg := scene.Camera(), scene.Transfer(), scene.RenderConfig()
-			cfg.Workers = workers
+			cfg.Workers, cfg.EarlyTerminationAlpha = workers, earlyTermination
+			fld := scene.Supernova().Generate(scene.Variable, scene.Dims, d.GhostExtent(0, render.GhostLayersFor(cfg)))
 			var samples int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -299,9 +302,17 @@ func BenchmarkRenderBlock(b *testing.B) {
 		}
 	}
 	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), cast(core.DefaultScene(256, 256), 1, w))
+		b.Run(fmt.Sprintf("workers=%d", w), cast(core.DefaultScene(256, 256), 1, w, 0))
 	}
-	b.Run("block=48of96", cast(core.DefaultScene(96, 512), 8, 1))
+	block := core.DefaultScene(96, 512)
+	b.Run("block=48of96", cast(block, 8, 1, 0))
+	shaded, persp, skip, half := block, block, block, block
+	shaded.Shaded, persp.Perspective, skip.SkipEmptySpace, half.Step = true, true, true, 0.5
+	b.Run("block=48of96-shaded", cast(shaded, 8, 1, 0))
+	b.Run("block=48of96-perspective", cast(persp, 8, 1, 0))
+	b.Run("block=48of96-skip-empty-space", cast(skip, 8, 1, 0))
+	b.Run("block=48of96-early-termination=0.9", cast(block, 8, 1, 0.9))
+	b.Run("block=48of96-step=0.5", cast(half, 8, 1, 0))
 }
 
 // BenchmarkSupernovaEval measures synthetic-data generation.

@@ -54,17 +54,26 @@ func BuildMinMax(f *volume.Field, cellSize int) *MinMaxGrid {
 	// A lattice point on a macrocell boundary participates in
 	// interpolation on both sides, so it must widen both cells' ranges:
 	// accumulate into every macrocell whose half-open region the point's
-	// *cell* neighborhood touches.
+	// *cell* neighborhood touches — its own cell plus the preceding cell
+	// along any axis where the point sits exactly on a macrocell boundary.
 	for z := f.Ext.Lo.Z; z < f.Ext.Hi.Z; z++ {
+		z0, z1 := cellAndPrev(z-g.ext.Lo.Z, cellSize, g.nz)
 		for y := f.Ext.Lo.Y; y < f.Ext.Hi.Y; y++ {
+			y0, y1 := cellAndPrev(y-g.ext.Lo.Y, cellSize, g.ny)
 			for x := f.Ext.Lo.X; x < f.Ext.Hi.X; x++ {
+				x0, x1 := cellAndPrev(x-g.ext.Lo.X, cellSize, g.nx)
 				v := f.At(x, y, z)
-				for _, ci := range g.cellsOfPoint(x, y, z) {
-					if v < g.mins[ci] {
-						g.mins[ci] = v
-					}
-					if v > g.maxs[ci] {
-						g.maxs[ci] = v
+				for cz := z0; cz <= z1; cz++ {
+					for cy := y0; cy <= y1; cy++ {
+						for cx := x0; cx <= x1; cx++ {
+							ci := (cz*g.ny+cy)*g.nx + cx
+							if v < g.mins[ci] {
+								g.mins[ci] = v
+							}
+							if v > g.maxs[ci] {
+								g.maxs[ci] = v
+							}
+						}
 					}
 				}
 			}
@@ -73,34 +82,16 @@ func BuildMinMax(f *volume.Field, cellSize int) *MinMaxGrid {
 	return g
 }
 
-// cellsOfPoint returns the macrocell indices whose interpolation range
-// includes lattice point (x, y, z): its own cell plus the preceding cell
-// along any axis where the point sits exactly on a macrocell boundary.
-func (g *MinMaxGrid) cellsOfPoint(x, y, z int) []int {
-	lx, ly, lz := x-g.ext.Lo.X, y-g.ext.Lo.Y, z-g.ext.Lo.Z
-	xs := cellAndPrev(lx, g.CellSize, g.nx)
-	ys := cellAndPrev(ly, g.CellSize, g.ny)
-	zs := cellAndPrev(lz, g.CellSize, g.nz)
-	out := make([]int, 0, 8)
-	for _, cz := range zs {
-		for _, cy := range ys {
-			for _, cx := range xs {
-				out = append(out, (cz*g.ny+cy)*g.nx+cx)
-			}
-		}
-	}
-	return out
-}
-
-func cellAndPrev(l, size, n int) []int {
-	c := l / size
-	if c >= n {
-		c = n - 1
-	}
+// cellAndPrev returns the range [c0, c1] of macrocells along one axis
+// that lattice offset l widens: the cell it lies in (the last one, for a
+// point past it) and, when it sits on that cell's lower boundary, the
+// cell before.
+func cellAndPrev(l, size, n int) (c0, c1 int) {
+	c := min(l/size, n-1)
 	if l%size == 0 && c > 0 {
-		return []int{c - 1, c}
+		return c - 1, c
 	}
-	return []int{c}
+	return c, c
 }
 
 // cellOf maps a continuous sample position to its macrocell index, or

@@ -182,29 +182,6 @@ func TestSubimageAt(t *testing.T) {
 	}
 }
 
-func TestEstimateSamplesTracksActual(t *testing.T) {
-	dims := grid.Cube(16)
-	sn := volume.Supernova{Seed: 8, Time: 0.1}
-	d := grid.NewDecomp(dims, 8)
-	tf := volume.SupernovaTransfer()
-	cfg := Config{Step: 0.8}
-	cam := centeredOrtho(16, 40, 40)
-	for r := 0; r < 8; r++ {
-		own := d.BlockExtent(r)
-		fld := sn.Generate(volume.VarVelocityX, dims, d.GhostExtent(r, 1))
-		sub := RenderBlock(fld, own, cam, tf, cfg)
-		est := EstimateSamples(own, dims, cam, cfg)
-		// The estimate ignores ownership rejections, so it may exceed the
-		// actual count, but should stay within ~20% for interior blocks.
-		if est < sub.Samples {
-			t.Errorf("block %d: estimate %d below actual %d", r, est, sub.Samples)
-		}
-		if float64(est) > 1.3*float64(sub.Samples)+50 {
-			t.Errorf("block %d: estimate %d far above actual %d", r, est, sub.Samples)
-		}
-	}
-}
-
 func TestRenderBlockEmptyWhenOffscreen(t *testing.T) {
 	// A camera window that looks away from the volume yields an empty
 	// or fully transparent subimage.

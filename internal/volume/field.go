@@ -83,7 +83,7 @@ func (f *Field) Sample(p geom.Vec3) (float64, bool) {
 
 // Sampler is a Field prepared for repeated trilinear sampling: what
 // Sample needs of the field that does not depend on the point — the
-// float bounds, the clamp limits of the base cell, and the offsets in
+// float bounds, the upper clamp of the base cell, and the offsets in
 // Data of the cell's eight corners — worked out once. It is a value with
 // no pointer back to the Field; it stays valid while the field's Data
 // and extent do.
@@ -92,11 +92,12 @@ type Sampler struct {
 	// Sample is defined on [Ext.Lo, Ext.Hi-1] per axis. (Not Bounds(),
 	// which orders its corners and would make an empty extent sampleable.)
 	bounds geom.AABB
-	// The base cell is clamped to [lo, top] = [Ext.Lo, Ext.Hi-2] per
-	// axis, top first, so a point exactly on the upper boundary
-	// interpolates within the last cell and a single-plane axis (where
-	// top < lo) lands on its one plane.
-	lo, top grid.IVec3
+	// The base cell's upper clamp, max(Ext.Hi-2, Ext.Lo) per axis: a
+	// point exactly on the upper boundary interpolates within the last
+	// cell, and a single-plane axis (Hi-2 < Lo) lands on its one plane.
+	// A point that Contains needs no lower clamp: its truncation is never
+	// below Ext.Lo.
+	top grid.IVec3
 	// Data index of lattice point (x, y, z) is base + x + y*sy + z*sz.
 	base, sy, sz int
 	// Offsets of the +1 neighbour along each axis; 0 on a single-plane
@@ -120,8 +121,7 @@ func (s *Sampler) init(f *Field) {
 		Min: geom.V(float64(lo.X), float64(lo.Y), float64(lo.Z)),
 		Max: geom.V(float64(hi.X-1), float64(hi.Y-1), float64(hi.Z-1)),
 	}
-	s.lo = lo
-	s.top = grid.IVec3{X: hi.X - 2, Y: hi.Y - 2, Z: hi.Z - 2}
+	s.top = grid.IVec3{X: max(hi.X-2, lo.X), Y: max(hi.Y-2, lo.Y), Z: max(hi.Z-2, lo.Z)}
 	s.sy = n.X
 	s.sz = n.X * n.Y
 	s.base = -(lo.X + lo.Y*s.sy + lo.Z*s.sz)
@@ -148,35 +148,38 @@ func (s *Sampler) Sample(p geom.Vec3) (float64, bool) {
 }
 
 // Interp returns the trilinearly interpolated value at p, which the
-// caller has established Contains. It is the one trilinear body: eight
-// loads and seven float64 lerps whose order is frozen, because the
-// parallel == serial pixel identity and the renderer's golden hashes
-// rest on every process computing each sample's bits the same way.
+// caller has established Contains. cell and lerp3 are the one trilinear
+// body, shared with InterpRay: eight loads and seven float64 lerps whose
+// order is frozen, because the parallel == serial pixel identity and the
+// renderer's golden hashes rest on every process computing each
+// sample's bits the same way.
 func (s *Sampler) Interp(p geom.Vec3) float64 {
-	x0, y0, z0 := int(p.X), int(p.Y), int(p.Z)
-	if x0 > s.top.X {
-		x0 = s.top.X
-	}
-	if y0 > s.top.Y {
-		y0 = s.top.Y
-	}
-	if z0 > s.top.Z {
-		z0 = s.top.Z
-	}
-	if x0 < s.lo.X {
-		x0 = s.lo.X
-	}
-	if y0 < s.lo.Y {
-		y0 = s.lo.Y
-	}
-	if z0 < s.lo.Z {
-		z0 = s.lo.Z
-	}
-	wx := p.X - float64(x0)
-	wy := p.Y - float64(y0)
-	wz := p.Z - float64(z0)
+	i, wx, wy, wz := s.cell(p.X, p.Y, p.Z)
+	return s.lerp3(i, wx, wy, wz)
+}
 
-	i := s.base + x0 + y0*s.sy + z0*s.sz
+// InterpRay is Interp along a ray: out[i] = Interp(o + d·(float64(k0+i)·step)),
+// the operands of Ray.At(float64(k)·step) in their order, for samples
+// the caller has established Contains. No iteration reads what another
+// wrote, so the processor overlaps the samples' convert → index → load →
+// lerp chains instead of waiting on one sample's; keep it that way.
+func (s *Sampler) InterpRay(o, d geom.Vec3, step float64, k0 int64, out []float64) {
+	for n := range out {
+		t := float64(k0+int64(n)) * step
+		i, wx, wy, wz := s.cell(o.X+d.X*t, o.Y+d.Y*t, o.Z+d.Z*t)
+		out[n] = s.lerp3(i, wx, wy, wz)
+	}
+}
+
+// cell returns the Data index of the base corner of the cell (x, y, z)
+// interpolates in, and the point's weights within it.
+func (s *Sampler) cell(x, y, z float64) (i int, wx, wy, wz float64) {
+	x0, y0, z0 := min(int(x), s.top.X), min(int(y), s.top.Y), min(int(z), s.top.Z)
+	return s.base + x0 + y0*s.sy + z0*s.sz, x - float64(x0), y - float64(y0), z - float64(z0)
+}
+
+// lerp3 interpolates the eight corners of the cell at Data index i.
+func (s *Sampler) lerp3(i int, wx, wy, wz float64) float64 {
 	near, far := s.data[i:], s.data[i+s.dz:]
 	c000 := float64(near[0])
 	c100 := float64(near[s.dx])

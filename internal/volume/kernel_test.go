@@ -171,3 +171,250 @@ func TestNaNClassifiesTransparent(t *testing.T) {
 		}
 	}
 }
+
+// InterpRay writes, for each sample of a run, the bits Interp returns
+// at Ray.At(float64(k)*step): the position built from the same operands
+// in the same order, then the one trilinear body.
+func TestInterpRayMatchesInterpBitForBit(t *testing.T) {
+	dims := grid.I(12, 9, 7)
+	exts := []grid.Extent{
+		grid.WholeGrid(dims),
+		grid.Ext(grid.I(3, 2, 1), grid.I(9, 8, 6)),  // interior block with ghost
+		grid.Ext(grid.I(5, 0, 0), grid.I(6, 9, 7)),  // single plane in x
+		grid.Ext(grid.I(0, 4, 0), grid.I(12, 5, 7)), // single plane in y
+		grid.Ext(grid.I(0, 0, 6), grid.I(12, 9, 7)), // single plane in z
+		grid.Ext(grid.I(2, 3, 4), grid.I(3, 4, 5)),  // one point
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, ext := range exts {
+		f := NewField(dims, ext)
+		for i := range f.Data {
+			f.Data[i] = rng.Float32()
+		}
+		s := f.Sampler()
+		b := f.Bounds()
+		size := b.Size()
+		var runs, onTop int
+		check := func(ray geom.Ray, step float64) {
+			// The run of samples inside the field, by testing every k
+			// of a generous range.
+			k0, k1 := int64(0), int64(-1)
+			for k := int64(-8); k <= int64(400/step)+8; k++ {
+				if s.Contains(ray.At(float64(k) * step)) {
+					if k1 < k0 {
+						k0 = k
+					}
+					k1 = k
+				}
+			}
+			if k1 < k0 {
+				return
+			}
+			runs++
+			// Whole, and cut at every length a chunked walk might use.
+			for _, n := range []int64{k1 - k0 + 1, 1, 7, 8, 9} {
+				n = min(n, k1-k0+1)
+				out := make([]float64, n)
+				s.InterpRay(ray.Origin, ray.Dir, step, k1-n+1, out)
+				for i, got := range out {
+					p := ray.At(float64(k1-n+1+int64(i)) * step)
+					if want := s.Interp(p); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("ext %v ray %+v step %v sample %d of %d: InterpRay %v, Interp %v", ext, ray, step, i, n, got, want)
+					}
+					if ref, ok := referenceSample(f, p); !ok || math.Float64bits(got) != math.Float64bits(ref) {
+						t.Fatalf("ext %v ray %+v step %v sample %d: InterpRay %v, reference (%v, %v)", ext, ray, step, i, got, ref, ok)
+					}
+					if p.X == b.Max.X || p.Y == b.Max.Y || p.Z == b.Max.Z {
+						onTop++
+					}
+				}
+			}
+		}
+		for _, step := range []float64{1, 0.7, 1.0 / 3, 16} {
+			for i := 0; i < 300; i++ {
+				in := geom.V(b.Min.X+size.X*rng.Float64(), b.Min.Y+size.Y*rng.Float64(), b.Min.Z+size.Z*rng.Float64())
+				dir := geom.V(rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1).Norm()
+				// Flat on the axes the extent is a single plane of (or no
+				// sample of a general ray would be inside it), and on a
+				// random axis now and then.
+				for a := 0; a < 3; a++ {
+					if size.Comp(a) == 0 || rng.Intn(8) == 0 {
+						dir = dir.SetComp(a, 0)
+					}
+				}
+				if dir == (geom.Vec3{}) {
+					dir = geom.V(0, 0, 1)
+				}
+				dir = dir.Norm()
+				check(geom.Ray{Origin: in.Sub(dir.Mul(float64(rng.Intn(40)))), Dir: dir}, step)
+			}
+			// Axis-parallel rays in the upper boundary planes, from an
+			// integer origin: their samples sit on lattice points of the
+			// field's last planes.
+			for a := 0; a < 3; a++ {
+				var dir geom.Vec3
+				dir = dir.SetComp(a, 1)
+				o := b.Max.SetComp(a, b.Min.Comp(a)-32)
+				check(geom.Ray{Origin: o, Dir: dir}, step)
+			}
+		}
+		if runs < 400 || onTop < 10 {
+			t.Errorf("ext %v: %d runs, %d samples on the upper boundary; the test is not testing", ext, runs, onTop)
+		}
+	}
+}
+
+// referenceClassify is Transfer.Classify as it stood before the run
+// form, on the binary-search lookup above.
+func referenceClassify(pts []TransferPoint, v, ds float64) img.RGBA {
+	if v != v {
+		return img.RGBA{}
+	}
+	r, g, b, a := referenceLookup(pts, v)
+	if a <= 0 {
+		return img.RGBA{}
+	}
+	if a > 1 {
+		a = 1
+	}
+	if ds == 1 {
+		a = 1 - (1 - a)
+	} else {
+		a = 1 - math.Pow(1-a, ds)
+	}
+	return img.RGBA{R: float32(r * a), G: float32(g * a), B: float32(b * a), A: float32(a)}
+}
+
+// ClassifyOver is a fold of Classify and img.Over over its values: the
+// same pixel bits and the same count, whatever segment the previous
+// value (or the previous call) left behind, with and without a shading
+// hook, and stopping after the value that reaches term.
+func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	pt := func(v float64) TransferPoint {
+		return TransferPoint{V: v, R: rng.Float64(), G: rng.Float64(), B: rng.Float64(), A: 0.4 * rng.Float64()}
+	}
+	tfs := []*Transfer{
+		SupernovaTransfer(),
+		GrayRampTransfer(0.7),
+		NewTransfer(pt(0.4)), // one point: no segment at all
+		NewTransfer(pt(0), pt(0.3), pt(0.3), pt(0.8), pt(1)),
+		NewTransfer(pt(0.1), pt(0.1), pt(0.5), pt(0.5), pt(0.5), pt(0.9), pt(0.9)),
+	}
+	shade := func(i int, s img.RGBA) img.RGBA {
+		k := float32(i%3+1) / 4
+		return img.RGBA{R: s.R * k, G: s.G * k, B: s.B * k, A: s.A}
+	}
+	fold := func(tf *Transfer, vals []float64, ds, term float64, shaded bool) (img.RGBA, int) {
+		var acc img.RGBA
+		for i, v := range vals {
+			s := referenceClassify(tf.pts, v, ds)
+			if s.A == 0 && s.R == 0 && s.G == 0 && s.B == 0 {
+				continue
+			}
+			if shaded {
+				s = shade(i, s)
+			}
+			acc = img.Over(acc, s)
+			if float64(acc.A) >= term {
+				return acc, i + 1
+			}
+		}
+		return acc, len(vals)
+	}
+	var stoppedFirst, stoppedMiddle, stoppedLast, ranOut int
+	for ti, tf := range tfs {
+		// At, just above and just below every control point, beyond both
+		// ends, NaN — then sequences that sweep up and down across the
+		// segments, slowly (the hint holds) and in jumps (it misses).
+		special := []float64{math.Inf(-1), -1, 2, math.Inf(1), math.NaN()}
+		for _, p := range tf.pts {
+			special = append(special, p.V, math.Nextafter(p.V, 2), math.Nextafter(p.V, -1))
+		}
+		var seqs [][]float64
+		seqs = append(seqs, special)
+		for n := 0; n < 200; n++ {
+			vals := make([]float64, 1+rng.Intn(24))
+			v, dv := rng.Float64(), (rng.Float64()-0.5)*0.2
+			for i := range vals {
+				switch rng.Intn(12) {
+				case 0:
+					vals[i] = special[rng.Intn(len(special))]
+					continue
+				case 1:
+					v = rng.Float64()*1.2 - 0.1 // a jump
+				case 2:
+					dv = -dv // turn round
+				}
+				v += dv
+				vals[i] = v
+			}
+			seqs = append(seqs, vals)
+		}
+		for _, vals := range seqs {
+			for _, ds := range []float64{1, 0.5, 16} {
+				// Opacities along the sequence, to pick terms reached on
+				// the first, a middle and the last contributing value.
+				terms := []float64{math.Inf(1)}
+				var acc img.RGBA
+				for _, v := range vals {
+					if s := referenceClassify(tf.pts, v, ds); s != (img.RGBA{}) {
+						acc = img.Over(acc, s)
+						terms = append(terms, float64(acc.A))
+					}
+				}
+				for _, term := range terms {
+					if term <= 0 {
+						continue
+					}
+					for _, shaded := range []bool{false, true} {
+						want, wantN := fold(tf, vals, ds, term, shaded)
+						hook := shade
+						if !shaded {
+							hook = nil
+						}
+						// In one call from every possible stale hint, and
+						// cut in two calls that hand the hint and the
+						// pixel on, as a chunked walk does.
+						for seg := 0; seg < max(1, len(tf.segs)); seg++ {
+							hint := seg
+							got, n := tf.ClassifyOver(img.RGBA{}, vals, ds, term, &hint, hook)
+							if got != want || n != wantN {
+								t.Fatalf("transfer %d vals %v ds %v term %v shaded %v hint %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, term, shaded, seg, got, n, want, wantN)
+							}
+						}
+						cut := len(vals) / 2
+						var hint int
+						got, n := tf.ClassifyOver(img.RGBA{}, vals[:cut], ds, term, &hint, hook)
+						if n == cut && !(float64(got.A) >= term) {
+							var m int
+							rest := hook
+							if shaded {
+								rest = func(i int, s img.RGBA) img.RGBA { return shade(cut+i, s) }
+							}
+							got, m = tf.ClassifyOver(got, vals[cut:], ds, term, &hint, rest)
+							n += m
+						}
+						if got != want || n != wantN {
+							t.Fatalf("transfer %d vals %v ds %v term %v shaded %v cut at %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, term, shaded, cut, got, n, want, wantN)
+						}
+						switch {
+						case !(float64(want.A) >= term):
+							ranOut++
+						case wantN == 1:
+							stoppedFirst++
+						case wantN == len(vals):
+							stoppedLast++
+						default:
+							stoppedMiddle++
+						}
+					}
+				}
+			}
+		}
+	}
+	if stoppedFirst < 100 || stoppedMiddle < 100 || stoppedLast < 100 || ranOut < 100 {
+		t.Errorf("term reached on the first value %d times, a middle one %d, the last %d, never %d: the test needs all four",
+			stoppedFirst, stoppedMiddle, stoppedLast, ranOut)
+	}
+}

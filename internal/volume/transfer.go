@@ -53,37 +53,56 @@ func NewTransfer(pts ...TransferPoint) *Transfer {
 // at or beyond the end control points take those points' classification;
 // NaN (a missing value in a data file) is transparent.
 func (t *Transfer) Lookup(v float64) (r, g, b, a float64) {
+	r, g, b, a, _ = t.lookup(v, 0)
+	return r, g, b, a
+}
+
+// lookup is the one segment body: Lookup given the segment a previous
+// value landed in (0 when there is none), returning the segment this one
+// did (hint when v has none).
+func (t *Transfer) lookup(v float64, hint int) (r, g, b, a float64, seg int) {
 	pts := t.pts
 	if v <= pts[0].V {
-		p := pts[0]
-		return p.R, p.G, p.B, p.A
+		p := &pts[0]
+		return p.R, p.G, p.B, p.A, hint
 	}
 	if v >= pts[len(pts)-1].V {
-		p := pts[len(pts)-1]
-		return p.R, p.G, p.B, p.A
+		p := &pts[len(pts)-1]
+		return p.R, p.G, p.B, p.A, hint
 	}
 	if v != v {
-		return 0, 0, 0, 0
+		return 0, 0, 0, 0, hint
 	}
-	// v lies strictly inside the control range, so the scan stops at the
-	// first segment whose upper point reaches v, and that segment has
-	// dv > 0 (its lower point is below v): the same piece and the same
-	// arithmetic as a binary search for the first control point >= v,
-	// in fewer steps for the handful of points a transfer function has.
-	i := 0
-	for t.segs[i].hi < v {
-		i++
+	// v lies strictly inside the control range, so its segment is the
+	// first whose upper point reaches v, and that segment has dv > 0 (its
+	// lower point is below v): the same piece and the same arithmetic as
+	// a binary search for the first control point >= v. Every earlier
+	// segment ends at or before this one's lower point, so a segment with
+	// lo.V < v <= hi is that first one: the hint is tried before the
+	// forward scan, which finds the same segment in more steps.
+	s := &t.segs[hint]
+	if !(s.lo.V < v && v <= s.hi) {
+		hint = 0
+		for t.segs[hint].hi < v {
+			hint++
+		}
+		s = &t.segs[hint]
 	}
-	s := &t.segs[i]
 	w := (v - s.lo.V) / s.dv
-	return s.lo.R + w*s.dr, s.lo.G + w*s.dg, s.lo.B + w*s.db, s.lo.A + w*s.da
+	return s.lo.R + w*s.dr, s.lo.G + w*s.dg, s.lo.B + w*s.db, s.lo.A + w*s.da, hint
 }
 
 // Classify returns the premultiplied RGBA sample for scalar v with the
 // opacity scaled for step length ds relative to a unit reference step
 // (opacity correction: a' = 1-(1-a)^ds).
 func (t *Transfer) Classify(v, ds float64) img.RGBA {
-	r, g, b, a := t.Lookup(v)
+	r, g, b, a, _ := t.lookup(v, 0)
+	return premultiply(r, g, b, a, ds)
+}
+
+// premultiply is Classify's tail: the opacity correction and the
+// premultiplied float32 sample.
+func premultiply(r, g, b, a, ds float64) img.RGBA {
 	if a <= 0 {
 		return img.RGBA{}
 	}
@@ -92,6 +111,36 @@ func (t *Transfer) Classify(v, ds float64) img.RGBA {
 	}
 	a = 1 - pow1m(a, ds)
 	return img.RGBA{R: float32(r * a), G: float32(g * a), B: float32(b * a), A: float32(a)}
+}
+
+// ClassifyOver is Classify and img.Over along a ray: it classifies vals
+// in order and accumulates each non-transparent sample behind acc (the
+// traversal is front to back), stopping after the one that brings acc's
+// opacity to term (+Inf: never). It returns acc and how many of vals it
+// consumed. *seg carries the segment the last value landed in from call
+// to call; consecutive samples of a ray mostly share it. shade, when
+// non-nil, recolours sample i before it is accumulated; the caller keeps
+// it from escaping so that a cast allocates nothing per ray.
+func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds, term float64, seg *int, shade func(i int, s img.RGBA) img.RGBA) (img.RGBA, int) {
+	hint, n := *seg, len(vals)
+	for i, v := range vals {
+		var r, g, b, a float64
+		r, g, b, a, hint = t.lookup(v, hint)
+		s := premultiply(r, g, b, a, ds)
+		if s == (img.RGBA{}) {
+			continue
+		}
+		if shade != nil {
+			s = shade(i, s)
+		}
+		acc = img.Over(acc, s) // acc is in front of s
+		if float64(acc.A) >= term {
+			n = i + 1
+			break
+		}
+	}
+	*seg = hint
+	return acc, n
 }
 
 // pow1m computes (1-a)^ds, short-circuiting the common unit-step case.
