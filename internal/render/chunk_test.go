@@ -152,10 +152,7 @@ func TestCastMaskRunEndsOnChunkEdge(t *testing.T) {
 // scenes' own steps and at two that do not divide anything.
 func TestTrimOnGoldenScenes(t *testing.T) {
 	for _, sc := range goldenScenes {
-		dims := grid.Cube(sc.n)
-		if sc.nz != 0 {
-			dims.Z = sc.nz
-		}
+		dims := sc.dims()
 		cam := sc.cam(sc.n, sc.w, sc.h)
 		d := grid.NewDecomp(dims, 8)
 		type block struct {

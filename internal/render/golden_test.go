@@ -35,6 +35,14 @@ type goldenScene struct {
 	multi, multi8 string // the same through the multivariate entry points
 }
 
+func (sc goldenScene) dims() grid.IVec3 {
+	d := grid.Cube(sc.n)
+	if sc.nz != 0 {
+		d.Z = sc.nz
+	}
+	return d
+}
+
 // sceneOrtho mirrors core.DefaultScene's camera (core imports render,
 // so the test cannot ask it).
 func sceneOrtho(n, w, h int) Camera {
@@ -135,10 +143,7 @@ func TestGoldenKernelHashes(t *testing.T) {
 		t.Skip("hashes were recorded on amd64; other architectures may fuse multiply-adds")
 	}
 	for _, sc := range goldenScenes {
-		dims := grid.Cube(sc.n)
-		if sc.nz != 0 {
-			dims.Z = sc.nz
-		}
+		dims := sc.dims()
 		sn := volume.Supernova{Seed: 1530, Time: 1.1}
 		full := sn.GenerateFull(volume.VarVelocityX, dims)
 		rho := sn.GenerateFull(volume.VarDensity, dims)
