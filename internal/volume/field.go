@@ -148,38 +148,17 @@ func (s *Sampler) Sample(p geom.Vec3) (float64, bool) {
 }
 
 // Interp returns the trilinearly interpolated value at p, which the
-// caller has established Contains. cell and lerp3 are the one trilinear
-// body, shared with InterpRay: eight loads and seven float64 lerps whose
-// order is frozen, because the parallel == serial pixel identity and the
-// renderer's golden hashes rest on every process computing each
-// sample's bits the same way.
+// caller has established Contains. It is the one trilinear body: eight
+// loads and seven float64 lerps whose order is frozen, because the
+// parallel == serial pixel identity and the renderer's golden hashes
+// rest on every process computing each sample's bits the same way.
 func (s *Sampler) Interp(p geom.Vec3) float64 {
-	i, wx, wy, wz := s.cell(p.X, p.Y, p.Z)
-	return s.lerp3(i, wx, wy, wz)
-}
+	x0, y0, z0 := min(int(p.X), s.top.X), min(int(p.Y), s.top.Y), min(int(p.Z), s.top.Z)
+	wx := p.X - float64(x0)
+	wy := p.Y - float64(y0)
+	wz := p.Z - float64(z0)
 
-// InterpRay is Interp along a ray: out[i] = Interp(o + d·(float64(k0+i)·step)),
-// the operands of Ray.At(float64(k)·step) in their order, for samples
-// the caller has established Contains. No iteration reads what another
-// wrote, so the processor overlaps the samples' convert → index → load →
-// lerp chains instead of waiting on one sample's; keep it that way.
-func (s *Sampler) InterpRay(o, d geom.Vec3, step float64, k0 int64, out []float64) {
-	for n := range out {
-		t := float64(k0+int64(n)) * step
-		i, wx, wy, wz := s.cell(o.X+d.X*t, o.Y+d.Y*t, o.Z+d.Z*t)
-		out[n] = s.lerp3(i, wx, wy, wz)
-	}
-}
-
-// cell returns the Data index of the base corner of the cell (x, y, z)
-// interpolates in, and the point's weights within it.
-func (s *Sampler) cell(x, y, z float64) (i int, wx, wy, wz float64) {
-	x0, y0, z0 := min(int(x), s.top.X), min(int(y), s.top.Y), min(int(z), s.top.Z)
-	return s.base + x0 + y0*s.sy + z0*s.sz, x - float64(x0), y - float64(y0), z - float64(z0)
-}
-
-// lerp3 interpolates the eight corners of the cell at Data index i.
-func (s *Sampler) lerp3(i int, wx, wy, wz float64) float64 {
+	i := s.base + x0 + y0*s.sy + z0*s.sz
 	near, far := s.data[i:], s.data[i+s.dz:]
 	c000 := float64(near[0])
 	c100 := float64(near[s.dx])
@@ -197,6 +176,19 @@ func (s *Sampler) lerp3(i int, wx, wy, wz float64) float64 {
 	c0 := c00*(1-wy) + c10*wy
 	c1 := c01*(1-wy) + c11*wy
 	return c0*(1-wz) + c1*wz
+}
+
+// InterpRay is Interp along a ray: out[i] = Interp(o + d·(float64(k0+i)·step)),
+// the operands of Ray.At(float64(k)·step) in their order, for samples
+// the caller has established Contains. (Origin and direction apart: a
+// Ray is too wide for the compiler to keep in registers.) No iteration
+// reads what another wrote, so the processor overlaps the samples'
+// convert → index → load → lerp chains instead of waiting on one
+// sample's; keep it that way.
+func (s *Sampler) InterpRay(o, d geom.Vec3, step float64, k0 int64, out []float64) {
+	for i := range out {
+		out[i] = s.Interp(o.Add(d.Mul(float64(k0+int64(i)) * step)))
+	}
 }
 
 // Fill evaluates fn at every lattice point of the field's extent.

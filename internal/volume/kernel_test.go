@@ -173,8 +173,7 @@ func TestNaNClassifiesTransparent(t *testing.T) {
 }
 
 // InterpRay writes, for each sample of a run, the bits Interp returns
-// at Ray.At(float64(k)*step): the position built from the same operands
-// in the same order, then the one trilinear body.
+// at Ray.At(float64(k)*step) — and the pre-sampler Field.Sample's.
 func TestInterpRayMatchesInterpBitForBit(t *testing.T) {
 	dims := grid.I(12, 9, 7)
 	exts := []grid.Extent{
