@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&a.path, "path", "", "data file (written if absent; default under temp)")
 	fs.StringVar(&a.algo, "algo", "direct", "direct, binaryswap, radixk, gather (real mode)")
 	fs.BoolVar(&a.persp, "persp", false, "perspective camera")
-	fs.Int64Var(&a.window, "cb", 0, "MPI-IO cb_buffer_size hint (0 = default)")
+	fs.Int64Var(&a.window, "cb", 0, "MPI-IO cb_buffer_size hint (0 = chosen by the read planner)")
 	fs.BoolVar(&a.ghostExchange, "ghost-exchange", false, "obtain ghost layers by neighbor messages instead of reading them")
 	fs.BoolVar(&a.shaded, "shaded", false, "gradient shading (real mode)")
 	fs.IntVar(&a.frames, "frames", 1, "time steps to render (real mode; >1 animates the SASI phase)")

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"bgpvr/internal/core"
 	"bgpvr/internal/machine"
+	"bgpvr/internal/mpiio"
+	"bgpvr/internal/volume"
 )
 
 var mach = machine.NewBGP()
@@ -346,6 +349,58 @@ func TestFig10Claims(t *testing.T) {
 	}
 	if !strings.Contains(report, "Fig 10") {
 		t.Error("report missing title")
+	}
+}
+
+// The read planner on the machine the paper measured. Every Fig 7 point
+// reads the 1120^3 netCDF record file, whose 5,017,600-byte record is
+// under the default window: there a frame with Hints{} must plan the
+// paper's hand tuning and reproduce the tuned column bit for bit. At
+// every Fig 7, 9 and 10 point, in every format, the planned window's
+// modeled read time must be no worse than ROMIO's default window's.
+func TestReadPlannerOnPaperPoints(t *testing.T) {
+	pts, _, err := Fig7(mach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene, err := core.PaperScene(1120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := func(s core.Scene, p int, f core.Format, h mpiio.Hints) *core.ModelResult {
+		t.Helper()
+		r, err := core.RunModel(core.ModelConfig{Scene: s, Procs: p, Format: f, Hints: h, Machine: mach})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, pt := range pts {
+		if bw := model(scene, pt.Procs, core.FormatNetCDF, mpiio.Hints{}).ReadBW; bw != pt.TunedBW {
+			t.Errorf("p=%d: planned netCDF read %v B/s, tuned column %v", pt.Procs, bw, pt.TunedBW)
+		}
+	}
+	pressure := scene
+	pressure.Variable = volume.VarPressure // Fig 9 and 10 read it
+	type point struct {
+		scene   core.Scene
+		procs   int
+		formats []core.Format
+	}
+	var points []point
+	for _, p := range ProcSweep {
+		points = append(points, point{scene, p, []core.Format{core.FormatRaw, core.FormatNetCDF}})
+	}
+	points = append(points, point{pressure, 2048,
+		[]core.Format{core.FormatRaw, core.FormatNetCDF, core.FormatCDF5, core.FormatH5}})
+	for _, pt := range points {
+		for _, f := range pt.formats {
+			planned := model(pt.scene, pt.procs, f, mpiio.Hints{}).Times.IO
+			def := model(pt.scene, pt.procs, f, mpiio.Hints{CBBufferSize: mpiio.DefaultCBBufferSize}).Times.IO
+			if planned > def {
+				t.Errorf("p=%d %v: planned window reads in %.3f s, the default in %.3f s", pt.procs, f, planned, def)
+			}
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func Fig9(mach machine.Machine) ([]Fig9Mode, string, error) {
 		format core.Format
 		window int64
 	}{
-		{"netCDF untuned", core.FormatNetCDF, 0},
+		{"netCDF untuned", core.FormatNetCDF, mpiio.DefaultCBBufferSize},
 		{"netCDF tuned (cb=record)", core.FormatNetCDF, recSize},
 		{"HDF5-like (contiguous)", core.FormatH5, 0},
 		{"netCDF CDF-5 (64-bit, contiguous)", core.FormatCDF5, 0},
@@ -151,7 +151,7 @@ func Fig10(mach machine.Machine) ([]Fig10Mode, string, error) {
 		{"new netCDF (CDF-5)", core.FormatCDF5, 0},
 		{"HDF5-like", core.FormatH5, 0},
 		{"tuned netCDF", core.FormatNetCDF, recSize},
-		{"untuned netCDF", core.FormatNetCDF, 0},
+		{"untuned netCDF", core.FormatNetCDF, mpiio.DefaultCBBufferSize},
 	}
 	var out []Fig10Mode
 	for _, m := range modes {

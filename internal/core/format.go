@@ -138,6 +138,22 @@ func readFloats(c *comm.Comm, f vfile.File, runs []grid.Run, h mpiio.Hints, dst 
 	return dec.Close()
 }
 
+// frameHints resolves the hints a frame left zero, once and before its
+// world starts, so that every rank reads under the same hints without a
+// collective: CBNodes to the mode's aggregator count, CBBufferSize to
+// the window mpiio.ChooseWindow plans for union (the whole variable's
+// runs) under those aggregators. Hints given explicitly are kept as
+// they are. Below core a zero window keeps meaning mpiio's default.
+func frameHints(h mpiio.Hints, aggregators int, union []grid.Run) mpiio.Hints {
+	if h.CBNodes <= 0 {
+		h.CBNodes = aggregators
+	}
+	if h.CBBufferSize <= 0 {
+		h.CBBufferSize = mpiio.ChooseWindow(union, h.CBNodes)
+	}
+	return h
+}
+
 // formatLayout builds the layout analytically (no file access) for model
 // mode and for planning.
 func formatLayout(f Format, s Scene) (*layout, error) {

@@ -37,8 +37,11 @@ type ModelConfig struct {
 	// original scheme.
 	Compositors int
 	Format      Format
-	Hints       mpiio.Hints // CBNodes 0 -> Machine.Aggregators(Procs)
-	Machine     machine.Machine
+	// Hints are the MPI-IO hints; CBNodes 0 means
+	// Machine.Aggregators(Procs) and CBBufferSize 0 the window the read
+	// planner chooses (mpiio.ChooseWindow).
+	Hints   mpiio.Hints
+	Machine machine.Machine
 	// NoContention disables the shared-link term of the network model
 	// (ablation 5 of DESIGN.md).
 	NoContention bool
@@ -127,10 +130,7 @@ func RunModel(cfg ModelConfig) (*ModelResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		hints := cfg.Hints
-		if hints.CBNodes <= 0 {
-			hints.CBNodes = mach.Aggregators(cfg.Procs)
-		}
+		hints := frameHints(cfg.Hints, mach.Aggregators(cfg.Procs), union)
 		plan := mpiio.BuildPlan(union, hints)
 		res.IO = plan.Stats()
 		if cfg.Net != nil {

@@ -55,7 +55,10 @@ type RealConfig struct {
 	// skips I/O and synthesizes blocks in memory.
 	Format Format
 	Path   string
-	Hints  mpiio.Hints
+	// Hints are the MPI-IO hints; CBNodes 0 means min(Procs, 8) and
+	// CBBufferSize 0 the window the read planner chooses
+	// (mpiio.ChooseWindow).
+	Hints mpiio.Hints
 	// Ghost layers read around each block (1 is required for exact
 	// trilinear interpolation at block boundaries).
 	Ghost int
@@ -165,22 +168,24 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 
 	var lay *layout
 	var file *vfile.Traced
+	var hints mpiio.Hints
 	if cfg.Format != FormatGenerate {
 		var err error
 		lay, err = formatLayout(cfg.Format, s)
 		if err != nil {
 			return nil, err
 		}
+		union, err := lay.runsFor(grid.WholeGrid(s.Dims))
+		if err != nil {
+			return nil, err
+		}
+		hints = frameHints(cfg.Hints, min(cfg.Procs, 8), union)
 		tr, closeFn, err := openTraced(cfg.Path)
 		if err != nil {
 			return nil, err
 		}
 		defer closeFn()
 		file = tr
-	}
-	hints := cfg.Hints
-	if hints.CBNodes <= 0 {
-		hints.CBNodes = min(cfg.Procs, 8)
 	}
 
 	// A field this frame makes is the frame's own, recycled once the
@@ -370,7 +375,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		Total:     t3.Sub(t0).Seconds(),
 	}
 	if file != nil {
-		res.IO = iotrace.Analyze(file.Log.Accesses(), nil)
+		res.IO = file.Log.Stats()
 		res.IO.UsefulBytes = usefulBytes
 	}
 	var sum stats.Summary

@@ -6,8 +6,10 @@
 package iotrace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -21,9 +23,18 @@ type Log struct {
 	accesses []grid.Run
 }
 
+// minLogCap is a log's first capacity. A collective read records one
+// access per non-empty window of every aggregator, tens to hundreds a
+// frame, and a log grown by append from one entry reallocates at every
+// doubling: six times on the way to 64.
+const minLogCap = 64
+
 // Record appends one physical access.
 func (l *Log) Record(offset, length int64) {
 	l.mu.Lock()
+	if l.accesses == nil {
+		l.accesses = make([]grid.Run, 0, minLogCap)
+	}
 	l.accesses = append(l.accesses, grid.Run{Offset: offset, Length: length})
 	l.mu.Unlock()
 }
@@ -36,6 +47,14 @@ func (l *Log) Accesses() []grid.Run {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]grid.Run(nil), l.accesses...)
+}
+
+// Stats analyzes the recorded accesses as Analyze(l.Accesses(), nil)
+// does, under the lock and without the copy.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Analyze(l.accesses, nil)
 }
 
 // Reset clears the log.
@@ -75,15 +94,25 @@ func (s Stats) String() string {
 }
 
 // Analyze computes Stats for a set of physical accesses against the
-// useful (requested) runs.
+// useful (requested) runs. Its one allocation is the offset-sorted copy
+// of physical that UniqueBytes is counted over.
 func Analyze(physical, useful []grid.Run) Stats {
-	var st Stats
-	st.Accesses = len(physical)
-	st.PhysicalBytes = grid.TotalBytes(physical)
-	sorted := append([]grid.Run(nil), physical...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Offset < sorted[j].Offset })
-	st.UniqueBytes = grid.TotalBytes(grid.CoalesceRuns(sorted))
-	st.UsefulBytes = grid.TotalBytes(useful)
+	st := Stats{
+		Accesses:      len(physical),
+		PhysicalBytes: grid.TotalBytes(physical),
+		UsefulBytes:   grid.TotalBytes(useful),
+	}
+	sorted := slices.Clone(physical)
+	slices.SortFunc(sorted, byOffset)
+	// One pass over the sorted accesses: each adds what it reaches past
+	// the highest byte seen so far.
+	hi := int64(math.MinInt64)
+	for _, r := range sorted {
+		if lo := max(r.Offset, hi); r.End() > lo {
+			st.UniqueBytes += r.End() - lo
+		}
+		hi = max(hi, r.End())
+	}
 	if st.Accesses > 0 {
 		st.MeanAccess = float64(st.PhysicalBytes) / float64(st.Accesses)
 	}
@@ -101,6 +130,8 @@ func Analyze(physical, useful []grid.Run) Stats {
 	return st
 }
 
+func byOffset(a, b grid.Run) int { return cmp.Compare(a.Offset, b.Offset) }
+
 // Map rasterizes accesses over a file of the given size into bins
 // fractions in [0, 1]: bin value = fraction of its bytes touched. This
 // is the data behind the Fig 9 visualization (dark block = read).
@@ -110,8 +141,8 @@ func Map(accesses []grid.Run, fileSize int64, bins int) []float64 {
 		return out
 	}
 	binSize := float64(fileSize) / float64(bins)
-	sorted := append([]grid.Run(nil), accesses...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Offset < sorted[j].Offset })
+	sorted := slices.Clone(accesses)
+	slices.SortFunc(sorted, byOffset)
 	for _, r := range grid.CoalesceRuns(sorted) {
 		lo, hi := r.Offset, r.End()
 		if hi > fileSize {

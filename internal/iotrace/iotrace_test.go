@@ -2,6 +2,8 @@ package iotrace
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -155,5 +157,84 @@ func TestMeanSeek(t *testing.T) {
 	}
 	if st := Analyze(nil, nil); st.MeanSeek != 0 {
 		t.Error("empty MeanSeek should be 0")
+	}
+}
+
+// analyzeReference is Analyze as it was before it counted unique bytes
+// in one pass over a slices.SortFunc copy: sort.Slice, then
+// grid.CoalesceRuns.
+func analyzeReference(physical, useful []grid.Run) Stats {
+	var st Stats
+	st.Accesses = len(physical)
+	st.PhysicalBytes = grid.TotalBytes(physical)
+	sorted := append([]grid.Run(nil), physical...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Offset < sorted[j].Offset })
+	st.UniqueBytes = grid.TotalBytes(grid.CoalesceRuns(sorted))
+	st.UsefulBytes = grid.TotalBytes(useful)
+	if st.Accesses > 0 {
+		st.MeanAccess = float64(st.PhysicalBytes) / float64(st.Accesses)
+	}
+	var seek float64
+	for i := 1; i < len(physical); i++ {
+		d := physical[i].Offset - physical[i-1].End()
+		if d < 0 {
+			d = -d
+		}
+		seek += float64(d)
+	}
+	if len(physical) > 1 {
+		st.MeanSeek = seek / float64(len(physical)-1)
+	}
+	return st
+}
+
+// Analyze equals the reference on random access lists: unsorted,
+// overlapping, nested, duplicated, zero-length, and empty.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(40)
+		if trial%50 == 0 {
+			n = 0
+		}
+		span := int64(1 + rng.Intn(1<<rng.Intn(20)))
+		physical := make([]grid.Run, n)
+		for i := range physical {
+			physical[i] = grid.Run{Offset: rng.Int63n(span), Length: rng.Int63n(span/4 + 1)}
+			if i > 0 && rng.Intn(8) == 0 {
+				physical[i] = physical[rng.Intn(i)] // an access issued twice
+			}
+		}
+		useful := physical[:rng.Intn(n+1)]
+		got, want := Analyze(physical, useful), analyzeReference(physical, useful)
+		if got != want {
+			t.Fatalf("trial %d, %v: Analyze %+v, reference %+v", trial, physical, got, want)
+		}
+		var l Log
+		for _, r := range physical {
+			l.RecordRun(r)
+		}
+		if got, want := l.Stats(), analyzeReference(physical, nil); got != want {
+			t.Fatalf("trial %d: Log.Stats %+v, reference %+v", trial, got, want)
+		}
+	}
+}
+
+// Analyze allocates its sorted copy and nothing else; Log.Stats adds no
+// copy of its own.
+func TestAnalyzeAllocations(t *testing.T) {
+	physical := []grid.Run{{Offset: 300, Length: 50}, {Offset: 0, Length: 100}, {Offset: 50, Length: 100}}
+	if n := testing.AllocsPerRun(50, func() { Analyze(physical, physical[:1]) }); n != 1 {
+		t.Errorf("Analyze: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { Analyze(nil, nil) }); n != 0 {
+		t.Errorf("Analyze of nothing: %v allocations, want 0", n)
+	}
+	var l Log
+	for _, r := range physical {
+		l.RecordRun(r)
+	}
+	if n := testing.AllocsPerRun(50, func() { l.Stats() }); n != 1 {
+		t.Errorf("Log.Stats: %v allocations, want 1", n)
 	}
 }

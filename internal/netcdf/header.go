@@ -204,7 +204,7 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) nonNeg() int64 {
 	if d.v == V5 {
-		return int64(d.u64())
+		return d.positive(d.u64())
 	}
 	return int64(d.u32())
 }
@@ -213,7 +213,18 @@ func (d *dec) offset() int64 {
 	if d.v == V1 {
 		return int64(d.u32())
 	}
-	return int64(d.u64())
+	return d.positive(d.u64())
+}
+
+// positive reads a 64-bit count, size or offset, which the format
+// defines as non-negative: one with the top bit set fails the decode
+// instead of reaching a make or an offset computation negative.
+func (d *dec) positive(x uint64) int64 {
+	if int64(x) < 0 {
+		d.fail(fmt.Errorf("netcdf: negative 64-bit field 0x%x", x))
+		return 0
+	}
+	return int64(x)
 }
 
 func (d *dec) name() string {

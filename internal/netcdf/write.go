@@ -76,6 +76,7 @@ func NewVolumeFile(version Version, dims grid.IVec3, varNames []string, record b
 		f.Dims = []Dim{{Name: "z", Len: int64(dims.Z)}, {Name: "y", Len: int64(dims.Y)}, {Name: "x", Len: int64(dims.X)}}
 	}
 	f.GAtts = []Att{{Name: "source", Type: Char, Text: "bgpvr synthetic supernova (VH-1 analogue)"}}
+	f.Vars = make([]Var, 0, len(varNames))
 	for _, n := range varNames {
 		f.Vars = append(f.Vars, Var{
 			Name:   n,

@@ -145,8 +145,15 @@ func ReadFull(f File, p []byte, off int64) error {
 // order, to w — the one loop behind every independent read. Consecutive
 // runs separated by holes of at most sieveHole bytes are fetched in one
 // contiguous access (data sieving: the hole bytes are read and
-// discarded); sieveHole = 0 reads each run exactly.
+// discarded); sieveHole = 0 reads each run exactly. Runs out of order,
+// or of a negative offset or length, are an error: they come from a
+// corrupt header, and the loop below would index out of its buffer.
 func ReadRuns(f File, runs []grid.Run, sieveHole int64, w io.Writer) error {
+	for i, r := range runs {
+		if r.Offset < 0 || r.End() < r.Offset || i > 0 && r.Offset < runs[i-1].Offset {
+			return fmt.Errorf("vfile: run %d %+v is out of order or negative", i, r)
+		}
+	}
 	var buf []byte
 	for i := 0; i < len(runs); {
 		j := i
