@@ -13,9 +13,7 @@ const (
 	tagBarrier  = 1 << 20
 	tagBcast    = 2 << 20
 	tagReduce   = 3 << 20
-	tagGather   = 4 << 20
 	tagAlltoall = 5 << 20
-	tagScan     = 6 << 20
 )
 
 // Barrier blocks until every rank has entered it, using the
@@ -65,13 +63,6 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 
 // ReduceOp combines src into dst element-wise; both have equal length.
 type ReduceOp func(dst, src []float64)
-
-// OpSum adds src into dst.
-func OpSum(dst, src []float64) {
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
 
 // OpMin keeps the element-wise minimum in dst.
 func OpMin(dst, src []float64) {
@@ -135,26 +126,6 @@ func (c *Comm) Allreduce(vals []float64, op ReduceOp) []float64 {
 	return BytesToF64s(c.Bcast(0, b))
 }
 
-// Gather collects each rank's data at root. Root returns a slice of
-// length Size() indexed by source rank (its own entry aliases data);
-// other ranks return nil.
-func (c *Comm) Gather(root int, data []byte) [][]byte {
-	sp := c.tr.Begin(trace.PhaseComm, "gather")
-	defer sp.End()
-	c.w.net.ObserveCollective(int64(len(data)))
-	if c.rank != root {
-		c.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([][]byte, c.Size())
-	out[root] = data
-	for i := 0; i < c.Size()-1; i++ {
-		src, b := c.Recv(AnySource, tagGather)
-		out[src] = b
-	}
-	return out
-}
-
 // Alltoallv sends bufs[d] to rank d for every d and returns the buffers
 // received, indexed by source rank (entry [rank] aliases bufs[rank]).
 // The pairwise-exchange schedule avoids flooding any single receiver.
@@ -180,33 +151,4 @@ func (c *Comm) Alltoallv(bufs [][]byte) [][]byte {
 		out[src] = b
 	}
 	return out
-}
-
-// ExScan returns the exclusive prefix sum of each rank's value: rank r
-// receives sum of values from ranks < r (0 on rank 0). Used by the
-// I/O aggregators to assign file-domain offsets deterministically.
-func (c *Comm) ExScan(v float64) float64 {
-	sp := c.tr.Begin(trace.PhaseComm, "exscan")
-	defer sp.End()
-	c.w.net.ObserveCollective(8)
-	p := c.Size()
-	// Simple binomial up-sweep is overkill at our scales; use a
-	// dissemination scan: after round k, each rank holds the sum of the
-	// 2^k ranks ending at itself.
-	total := v // inclusive running value
-	var excl float64
-	for k := 1; k < p; k <<= 1 {
-		dst := c.rank + k
-		src := c.rank - k
-		if dst < p {
-			c.Send(dst, tagScan+k, F64sToBytes([]float64{total}))
-		}
-		if src >= 0 {
-			_, b := c.Recv(src, tagScan+k)
-			got := BytesToF64s(b)[0]
-			total += got
-			excl += got
-		}
-	}
-	return excl
 }

@@ -95,8 +95,8 @@ func TestSetDepKindOverride(t *testing.T) {
 func TestNoRecorderNoEdges(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
-		if c.CritPath() != nil {
-			t.Error("CritPath() should be nil by default")
+		if c.w.cp != nil {
+			t.Error("a world should start with no recorder")
 		}
 		if c.Rank() == 0 {
 			c.Send(1, 3, []byte{1})

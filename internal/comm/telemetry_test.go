@@ -25,7 +25,7 @@ func TestWorldNetTelemetry(t *testing.T) {
 		c.Barrier()
 		buf := make([]byte, 128)
 		c.Bcast(0, buf)
-		_ = c.Reduce(0, []float64{1, 2}, OpSum)
+		_ = c.Reduce(0, []float64{1, 2}, opSum)
 		return nil
 	})
 	if err != nil {

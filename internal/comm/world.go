@@ -1,7 +1,7 @@
 // Package comm is the message-passing substrate that stands in for MPI:
 // a World of ranks, each executing on its own goroutine, exchanging
 // tagged point-to-point messages and running collective operations
-// (barrier, broadcast, reduce, allreduce, gather, all-to-all) built on
+// (barrier, broadcast, reduce, allreduce, all-to-all) built on
 // the same binomial/dissemination algorithms MPI implementations use.
 //
 // Real mode executes the actual algorithms with real data at laptop
@@ -92,9 +92,6 @@ func NewWorld(p int) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Stats returns the cumulative traffic carried so far.
 func (w *World) Stats() TrafficStats {
@@ -209,10 +206,6 @@ func (c *Comm) Trace() *trace.Rank { return c.tr }
 // sink) when none is attached — so the layers above the runtime (the
 // MPI-IO aggregators, compositors) can record their own histograms.
 func (c *Comm) Net() *telemetry.NetTelemetry { return c.w.net }
-
-// CritPath returns the world's critical-path recorder — nil (a valid
-// no-op recorder) when none is attached.
-func (c *Comm) CritPath() *critpath.Recorder { return c.w.cp }
 
 // SetDepKind sets how this rank's subsequent Recv matches classify
 // their dependency edges, overriding the tag-based default. Pass

@@ -59,19 +59,6 @@ func DirectSendSchedule(rects []img.Rect, w, h, m int, pixBytes int64) []RankMes
 	return MultiBlockSchedule(rects, len(rects), w, h, m, pixBytes)
 }
 
-// GatherSchedule returns the messages of the trivial baseline: every
-// renderer sends its whole rectangle to rank 0.
-func GatherSchedule(rects []img.Rect, pixBytes int64) []RankMessage {
-	var msgs []RankMessage
-	for r, rect := range rects {
-		if r == 0 || rect.Empty() {
-			continue
-		}
-		msgs = append(msgs, RankMessage{Src: r, Dst: 0, Bytes: int64(rect.NumPixels()) * pixBytes})
-	}
-	return msgs
-}
-
 // BinarySwapSchedule returns the messages of binary swap over p ranks
 // (p must be a power of two): log2(p) rounds of pairwise half-image
 // exchanges. Classic binary swap exchanges full image halves regardless

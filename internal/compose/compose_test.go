@@ -263,17 +263,6 @@ func TestDirectSendScheduleMessageScaling(t *testing.T) {
 	}
 }
 
-func TestGatherSchedule(t *testing.T) {
-	rects := []img.Rect{{X0: 0, Y0: 0, X1: 4, Y1: 4}, {X0: 0, Y0: 0, X1: 2, Y1: 2}, {}}
-	msgs := GatherSchedule(rects, 4)
-	if len(msgs) != 1 {
-		t.Fatalf("msgs = %+v", msgs)
-	}
-	if msgs[0].Src != 1 || msgs[0].Dst != 0 || msgs[0].Bytes != 4*4 {
-		t.Errorf("msg = %+v", msgs[0])
-	}
-}
-
 func TestBinarySwapScheduleCounts(t *testing.T) {
 	p, w, h := 16, 64, 64
 	msgs, err := BinarySwapSchedule(p, w, h, PixelBytes)

@@ -74,37 +74,6 @@ func validateRadix(p int, ks []int) error {
 	return nil
 }
 
-// RadixKSchedule returns the message schedule of radix-k over p ranks:
-// in round i, each rank sends ki-1 messages of its current region's
-// 1/ki share.
-func RadixKSchedule(p, w, h int, ks []int, pixBytes int64) ([]RankMessage, error) {
-	if err := validateRadix(p, ks); err != nil {
-		return nil, err
-	}
-	var msgs []RankMessage
-	region := int64(w*h) * pixBytes
-	stride := 1
-	for _, k := range ks {
-		if k == 1 {
-			continue
-		}
-		piece := region / int64(k)
-		for r := 0; r < p; r++ {
-			digit := (r / stride) % k
-			base := r - digit*stride
-			for d := 0; d < k; d++ {
-				if d == digit {
-					continue
-				}
-				msgs = append(msgs, RankMessage{Src: r, Dst: base + d*stride, Bytes: piece})
-			}
-		}
-		region = piece
-		stride *= k
-	}
-	return msgs, nil
-}
-
 // RadixK composites with the radix-k algorithm and returns the final
 // image on rank 0 (nil elsewhere). ks must multiply to the world size;
 // order is the shared front-to-back visibility permutation.

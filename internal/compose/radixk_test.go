@@ -37,41 +37,6 @@ func TestRadixKFactor(t *testing.T) {
 	}
 }
 
-func TestRadixKScheduleCounts(t *testing.T) {
-	// k=[p] is direct-send shape: p*(p-1) messages in one round.
-	msgs, err := RadixKSchedule(8, 64, 64, []int{8}, PixelBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 8*7 {
-		t.Errorf("k=[8] messages = %d, want 56", len(msgs))
-	}
-	// k=[2,2,2] matches binary swap counts and bytes.
-	rk, err := RadixKSchedule(8, 64, 64, []int{2, 2, 2}, PixelBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := BinarySwapSchedule(8, 64, 64, PixelBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rk) != len(bs) {
-		t.Fatalf("radix-2 %d messages, binary swap %d", len(rk), len(bs))
-	}
-	var rkB, bsB int64
-	for i := range rk {
-		rkB += rk[i].Bytes
-		bsB += bs[i].Bytes
-	}
-	if rkB != bsB {
-		t.Errorf("radix-2 bytes %d != binary swap %d", rkB, bsB)
-	}
-	// Bad factorization rejected.
-	if _, err := RadixKSchedule(8, 64, 64, []int{3, 3}, PixelBytes); err == nil {
-		t.Error("bad factorization accepted")
-	}
-}
-
 // Radix-k must reproduce the serial image for any factorization,
 // including mixed radices and non-powers of two.
 func TestRadixKMatchesSerial(t *testing.T) {

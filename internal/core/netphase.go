@@ -19,7 +19,7 @@ import (
 // own).
 // This is the wire-level workload the max-min flow cross-checks
 // stream — the same exchange the analytic model times with
-// PhaseOnTorus.
+// machine.PhaseOnTorusRecorded.
 func CompositePhaseMessages(mach machine.Machine, scene Scene, procs, m int, pixBytes int64) (torus.Topology, torus.Params, []torus.Message) {
 	d := grid.NewDecomp(scene.Dims, procs)
 	cam := scene.Camera()

@@ -66,7 +66,7 @@ func (p Path) DominantPhase() trace.Phase {
 // first activity and stops. The empty graph yields a zero Path.
 func (g *Graph) CriticalPath() Path {
 	var p Path
-	if g == nil || g.lite {
+	if g == nil {
 		return p
 	}
 	g.prepare()
@@ -252,9 +252,7 @@ func (g *Graph) attribute(out *[]Segment, p *Path, rank int, a, b float64) {
 }
 
 // BusyByPhase returns, for each phase, the per-rank busy seconds (the
-// sum of non-nested span durations). Lite graphs return a copy of the
-// streaming aggregates; both modes fold spans in insertion order, so
-// the sums are bit-identical between them.
+// sum of non-nested span durations, folded in insertion order).
 func (g *Graph) BusyByPhase() [trace.NumPhases][]float64 {
 	var out [trace.NumPhases][]float64
 	if g == nil {
@@ -262,12 +260,6 @@ func (g *Graph) BusyByPhase() [trace.NumPhases][]float64 {
 	}
 	for ph := range out {
 		out[ph] = make([]float64, g.ranks)
-	}
-	if g.lite {
-		for ph := range out {
-			copy(out[ph], g.liteBusy[ph])
-		}
-		return out
 	}
 	for i := range g.nStart {
 		if g.nNested[i] {
@@ -344,51 +336,38 @@ var stagePhases = []trace.Phase{trace.PhaseIO, trace.PhaseRender, trace.PhaseCom
 // Analyze extracts the critical path and the per-phase imbalance
 // metrics from the graph, keeping the topK most-loaded ranks of each
 // phase as stragglers. A nil or empty graph yields a zero Analysis.
-// Lite graphs skip the path walk (no per-node storage to walk) but
-// produce the same imbalance, straggler, and what-if sections as the
-// full graph, bit-for-bit.
 func Analyze(g *Graph, topK int) *Analysis {
 	a := &Analysis{
 		Ranks:        g.Ranks(),
 		Deps:         g.NumDeps(),
 		PathPhaseSec: map[string]float64{},
 	}
-	if g == nil || (g.lite && g.endRank < 0) || (!g.lite && g.NumNodes() == 0) {
+	if g.NumNodes() == 0 {
 		return a
 	}
 	if a.Deps > 0 {
 		a.DepsByKind = map[string]int{}
-		if g.lite {
-			for k, c := range g.liteDeps {
-				if c > 0 {
-					a.DepsByKind[DepKind(k).String()] = c
-				}
-			}
-		} else {
-			for _, k := range g.dKind {
-				a.DepsByKind[DepKind(k).String()]++
-			}
+		for _, k := range g.dKind {
+			a.DepsByKind[DepKind(k).String()]++
 		}
 	}
 
 	a.TotalSec = g.End()
-	if !g.lite {
-		p := g.CriticalPath()
-		a.PathSec = p.Total()
-		a.IdleSec = p.IdleSec
-		a.Hops = p.Hops
-		a.Dominant = p.DominantPhase().String()
-		for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
-			if p.PhaseSec[ph] > 0 {
-				a.PathPhaseSec[ph.String()] = p.PhaseSec[ph]
-			}
+	p := g.CriticalPath()
+	a.PathSec = p.Total()
+	a.IdleSec = p.IdleSec
+	a.Hops = p.Hops
+	a.Dominant = p.DominantPhase().String()
+	for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
+		if p.PhaseSec[ph] > 0 {
+			a.PathPhaseSec[ph.String()] = p.PhaseSec[ph]
 		}
-		for _, s := range p.Segments {
-			a.Path = append(a.Path, PathSegment{
-				Rank: s.Rank, Phase: s.Phase.String(), Name: s.Name,
-				StartSec: s.Start, DurSec: s.Dur(),
-			})
-		}
+	}
+	for _, s := range p.Segments {
+		a.Path = append(a.Path, PathSegment{
+			Rank: s.Rank, Phase: s.Phase.String(), Name: s.Name,
+			StartSec: s.Start, DurSec: s.Dur(),
+		})
 	}
 
 	busy := g.BusyByPhase()

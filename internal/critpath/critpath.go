@@ -44,14 +44,13 @@ const (
 	// DepBarrier is a collective barrier round (dissemination signal).
 	DepBarrier
 	// DepCollective is an internal exchange of a collective operation
-	// (bcast, reduce, gather, all-to-all, scan).
+	// (bcast, reduce, all-to-all).
 	DepCollective
 	// DepAggregator is the MPI-IO two-phase exchange with an I/O
 	// aggregator (request scatter or data reply).
 	DepAggregator
 	// DepFragment is a compositing fragment or tile exchange.
 	DepFragment
-	NumDepKinds // count sentinel, not a kind
 )
 
 func (k DepKind) String() string {
@@ -145,23 +144,6 @@ func (r *Recorder) Deps() []Dep {
 	return out
 }
 
-// Node is one activity interval on one rank's timeline. Nested marks
-// a span recorded inside another span of the same phase on the same
-// rank: the path walk uses nested nodes (they are the innermost wait
-// intervals), but busy-time aggregation skips them so a phase is not
-// double-counted.
-type Node struct {
-	Rank   int
-	Phase  trace.Phase
-	Name   string
-	Start  float64
-	End    float64
-	Nested bool
-}
-
-// Dur returns the node's duration.
-func (n Node) Dur() float64 { return n.End - n.Start }
-
 // Graph is the assembled causal event graph of one frame: per-rank
 // activity nodes plus the dependency edges between ranks. The nil
 // *Graph is a valid no-op sink, so model-mode graph population costs
@@ -172,13 +154,16 @@ func (n Node) Dur() float64 { return n.End - n.Start }
 // struct-of-everything layout, and the prepared per-rank indices are
 // flat int32 CSR arrays instead of per-rank slices. At 100K+ ranks a
 // model-mode frame graph holds tens of millions of fragment edges, so
-// halving the footprint is what keeps -critpath usable there; the
-// aggregate-only variant (NewGraphLite) drops per-node storage
-// entirely for runs past what even the compact graph should hold.
+// halving the footprint is what keeps -critpath usable there.
 type Graph struct {
 	ranks int
 
-	// Node columns; names are interned into names/nameID.
+	// Node columns: one activity interval on one rank's timeline;
+	// names are interned into names/nameID. nNested marks a span
+	// recorded inside another span of the same phase on the same rank:
+	// the path walk uses nested nodes (they are the innermost wait
+	// intervals), but busy-time aggregation skips them so a phase is
+	// not double-counted.
 	nRank   []int32
 	nPhase  []uint8
 	nName   []uint16
@@ -195,12 +180,6 @@ type Graph struct {
 	dSrcT  []float64
 	dDstT  []float64
 	dBytes []int64
-
-	// Lite (aggregate-only) mode: spans fold straight into per-rank
-	// busy sums and edges into per-kind counts; no columns are kept.
-	lite     bool
-	liteBusy [trace.NumPhases][]float64
-	liteDeps [NumDepKinds]int
 
 	// Built lazily by prepare():
 	prepared bool
@@ -221,25 +200,7 @@ func NewGraph(ranks int) *Graph {
 	return &Graph{ranks: ranks, endRank: -1}
 }
 
-// NewGraphLite creates an aggregate-only graph: AddNode folds spans
-// into per-rank busy time and the frame end, AddDep counts edges by
-// kind, and nothing per-node is retained. Analyze still produces the
-// imbalance, straggler, and what-if sections (bit-identical to the
-// full graph's, the same sums in the same order) but no critical path
-// — the streaming trade that keeps -critpath alive at 100K+ ranks.
-func NewGraphLite(ranks int) *Graph {
-	g := NewGraph(ranks)
-	g.lite = true
-	for ph := range g.liteBusy {
-		g.liteBusy[ph] = make([]float64, g.ranks)
-	}
-	return g
-}
-
-// Lite reports whether the graph is aggregate-only (false on nil).
-func (g *Graph) Lite() bool { return g != nil && g.lite }
-
-// NumNodes returns the stored node count (0 on nil or lite graphs).
+// NumNodes returns the stored node count (0 on nil).
 func (g *Graph) NumNodes() int {
 	if g == nil {
 		return 0
@@ -247,28 +208,12 @@ func (g *Graph) NumNodes() int {
 	return len(g.nStart)
 }
 
-// NumDeps returns the dependency edge count (lite graphs report the
-// counted total).
+// NumDeps returns the dependency edge count (0 on nil).
 func (g *Graph) NumDeps() int {
 	if g == nil {
 		return 0
 	}
-	if g.lite {
-		n := 0
-		for _, c := range g.liteDeps {
-			n += c
-		}
-		return n
-	}
 	return len(g.dSrcT)
-}
-
-// node materializes node i from the columns.
-func (g *Graph) node(i int32) Node {
-	return Node{
-		Rank: int(g.nRank[i]), Phase: trace.Phase(g.nPhase[i]), Name: g.names[g.nName[i]],
-		Start: g.nStart[i], End: g.nEnd[i], Nested: g.nNested[i],
-	}
 }
 
 // dep materializes edge i from the columns.
@@ -307,21 +252,8 @@ func (g *Graph) Ranks() int {
 	return g.ranks
 }
 
-// addSpan is the single append point for both modes. Lite graphs fold
-// the span straight into the per-rank busy sums (skipping nested spans
-// exactly as BusyByPhase does) and track the frame end incrementally
-// in insertion order, so the aggregates match the full graph's
-// bit-for-bit.
+// addSpan is the single append point for both pipelines.
 func (g *Graph) addSpan(rank int32, phase trace.Phase, name string, start, end float64, nested bool) {
-	if g.lite {
-		if !nested && int(phase) < len(g.liteBusy) {
-			g.liteBusy[phase][rank] += end - start
-		}
-		if end > g.end || g.endRank < 0 {
-			g.end, g.endRank = end, int(rank)
-		}
-		return
-	}
 	g.nRank = append(g.nRank, rank)
 	g.nPhase = append(g.nPhase, uint8(phase))
 	g.nName = append(g.nName, g.intern(name))
@@ -357,12 +289,6 @@ func (g *Graph) AddDep(d Dep) {
 	if g == nil || d.Src < 0 || d.Src >= g.ranks || d.Dst < 0 || d.Dst >= g.ranks {
 		return
 	}
-	if g.lite {
-		if d.Kind < NumDepKinds {
-			g.liteDeps[d.Kind]++
-		}
-		return
-	}
 	g.dKind = append(g.dKind, uint8(d.Kind))
 	g.dSrc = append(g.dSrc, int32(d.Src))
 	g.dDst = append(g.dDst, int32(d.Dst))
@@ -370,35 +296,6 @@ func (g *Graph) AddDep(d Dep) {
 	g.dDstT = append(g.dDstT, d.DstT)
 	g.dBytes = append(g.dBytes, d.Bytes)
 	g.prepared = false
-}
-
-// Nodes materializes the graph's activity nodes from the columns (nil
-// on the nil receiver or an empty graph). It is a freshly allocated
-// copy per call — a diagnostics/test surface, not an iteration path;
-// analyses walk the columns directly.
-func (g *Graph) Nodes() []Node {
-	if g == nil || len(g.nStart) == 0 {
-		return nil
-	}
-	out := make([]Node, len(g.nStart))
-	for i := range out {
-		out[i] = g.node(int32(i))
-	}
-	return out
-}
-
-// Deps materializes the graph's dependency edges (nil on the nil
-// receiver or an empty graph). Same contract as Nodes: a copy per
-// call.
-func (g *Graph) Deps() []Dep {
-	if g == nil || len(g.dSrcT) == 0 {
-		return nil
-	}
-	out := make([]Dep, len(g.dSrcT))
-	for i := range out {
-		out[i] = g.dep(int32(i))
-	}
-	return out
 }
 
 // End returns the frame's end time: the maximum node end (0 when
@@ -437,11 +334,6 @@ func FromTrace(tr *trace.Tracer, rec *Recorder) *Graph {
 // the per-rank append slices used to.
 func (g *Graph) prepare() {
 	if g == nil || g.prepared {
-		return
-	}
-	if g.lite {
-		// Lite graphs track end/endRank incrementally and index nothing.
-		g.prepared = true
 		return
 	}
 	n := len(g.nStart)

@@ -166,8 +166,8 @@ func TestFromTrace(t *testing.T) {
 	rec := NewRecorder(tr, 4)
 	rec.Record(DepMessage, 1, 0, 2, 2, 128)
 	g := FromTrace(tr, rec)
-	if len(g.Nodes()) != 3 || len(g.Deps()) != 1 {
-		t.Fatalf("nodes=%d deps=%d", len(g.Nodes()), len(g.Deps()))
+	if g.NumNodes() != 3 || g.NumDeps() != 1 {
+		t.Fatalf("nodes=%d deps=%d", g.NumNodes(), g.NumDeps())
 	}
 	// Nested span excluded from busy aggregation.
 	busy := g.BusyByPhase()
@@ -183,7 +183,7 @@ func TestNilSafety(t *testing.T) {
 	var g *Graph
 	g.AddNode(0, trace.PhaseIO, "x", 0, 1)
 	g.AddDep(Dep{})
-	if g.Ranks() != 0 || g.End() != 0 || g.Nodes() != nil || g.Deps() != nil {
+	if g.Ranks() != 0 || g.End() != 0 || g.NumNodes() != 0 || g.NumDeps() != 0 {
 		t.Error("nil graph accessors not neutral")
 	}
 	if p := g.CriticalPath(); p.Total() != 0 || len(p.Segments) != 0 {
@@ -226,7 +226,7 @@ func TestDepKindString(t *testing.T) {
 	want := map[DepKind]string{
 		DepAuto: "auto", DepMessage: "message", DepBarrier: "barrier",
 		DepCollective: "collective", DepAggregator: "aggregator",
-		DepFragment: "fragment", NumDepKinds: "unknown",
+		DepFragment: "fragment", DepFragment + 1: "unknown",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -235,10 +235,12 @@ func TestDepKindString(t *testing.T) {
 	}
 }
 
-// populate streams the same frame into any graph: varied per-rank
-// loads, nested comm waits, and a mix of dep kinds. Used to compare
-// full and lite graphs built from an identical insertion order.
-func populate(g *Graph, ranks int) {
+// TestAggregatesOfPopulatedGraph checks the per-rank aggregates of a
+// frame with varied loads, nested comm waits and two dep kinds against
+// the values the frame was built from.
+func TestAggregatesOfPopulatedGraph(t *testing.T) {
+	const ranks = 13
+	g := NewGraph(ranks)
 	for r := 0; r < ranks; r++ {
 		load := float64(1+(r*7)%5) * 0.25
 		g.AddNode(r, trace.PhaseIO, "read", 0, 1+float64(r%3)*0.125)
@@ -250,98 +252,41 @@ func populate(g *Graph, ranks int) {
 		g.AddDep(Dep{Kind: DepBarrier, Src: 0, Dst: r, SrcT: 7, DstT: 7.5})
 		g.AddDep(Dep{Kind: DepFragment, Src: r - 1, Dst: r, SrcT: 8, DstT: 8.25, Bytes: 4096})
 	}
-}
-
-// TestLiteMatchesFull pins the streaming-aggregation contract: a lite
-// graph fed the identical insertion sequence reproduces the full
-// graph's imbalance, straggler, what-if, and dep-census sections
-// bit-for-bit, while storing no nodes; only the path sections differ
-// (lite has none).
-func TestLiteMatchesFull(t *testing.T) {
-	const ranks = 13
-	full, lite := NewGraph(ranks), NewGraphLite(ranks)
-	populate(full, ranks)
-	populate(lite, ranks)
-	if lite.NumNodes() != 0 {
-		t.Fatalf("lite graph stored %d nodes", lite.NumNodes())
+	if g.NumNodes() != 4*ranks || g.NumDeps() != 2*(ranks-1) {
+		t.Fatalf("counts = %d nodes, %d deps", g.NumNodes(), g.NumDeps())
 	}
-	if !lite.Lite() || full.Lite() {
-		t.Fatal("Lite() mode flags wrong")
+	if g.End() != 8.5625 {
+		t.Fatalf("End = %v, want 8.5625", g.End())
 	}
-	if lite.End() != full.End() {
-		t.Fatalf("End: lite %v, full %v", lite.End(), full.End())
-	}
-	if lite.NumDeps() != full.NumDeps() {
-		t.Fatalf("NumDeps: lite %d, full %d", lite.NumDeps(), full.NumDeps())
-	}
-	bf, bl := full.BusyByPhase(), lite.BusyByPhase()
-	for ph := range bf {
-		for r := range bf[ph] {
-			if bf[ph][r] != bl[ph][r] {
-				t.Fatalf("busy[%d][%d]: full %v, lite %v", ph, r, bf[ph][r], bl[ph][r])
+	busy := g.BusyByPhase()
+	for r := 0; r < ranks; r++ {
+		want := map[trace.Phase]float64{
+			trace.PhaseIO:        1 + float64(r%3)*0.125,
+			trace.PhaseRender:    float64(1+(r*7)%5) * 0.25,
+			trace.PhaseComm:      0,
+			trace.PhaseComposite: 0.5 + float64(r%2)*0.0625,
+		}
+		for ph, w := range want {
+			if busy[ph][r] != w {
+				t.Errorf("busy[%s][%d] = %v, want %v", ph, r, busy[ph][r], w)
 			}
 		}
 	}
-	af, al := Analyze(full, 4), Analyze(lite, 4)
-	if al.Ranks != af.Ranks || al.Deps != af.Deps || al.TotalSec != af.TotalSec {
-		t.Errorf("headline: lite %+v, full %+v", al, af)
+	a := Analyze(g, 4)
+	if a.Ranks != ranks || a.Deps != 2*(ranks-1) || a.TotalSec != g.End() {
+		t.Errorf("headline = %+v", a)
 	}
-	for k, v := range af.DepsByKind {
-		if al.DepsByKind[k] != v {
-			t.Errorf("deps_by_kind[%s]: lite %d, full %d", k, al.DepsByKind[k], v)
+	if a.DepsByKind["barrier"] != ranks-1 || a.DepsByKind["fragment"] != ranks-1 || len(a.DepsByKind) != 2 {
+		t.Errorf("deps_by_kind = %v", a.DepsByKind)
+	}
+	render := a.PhaseInfo("render")
+	if render == nil || render.MaxSec != 1.25 || render.MinSec != 0.25 || len(render.Stragglers) != 4 {
+		t.Fatalf("render section = %+v", render)
+	}
+	for i, s := range render.Stragglers {
+		if want := []float64{1.25, 1.25, 1.25, 1}[i]; s.BusySec != want {
+			t.Errorf("render straggler %d = %+v, want busy %v", i, s, want)
 		}
-	}
-	if len(al.Phases) != len(af.Phases) {
-		t.Fatalf("phase sections: lite %d, full %d", len(al.Phases), len(af.Phases))
-	}
-	for i := range af.Phases {
-		pf, pl := af.Phases[i], al.Phases[i]
-		if pl.Phase != pf.Phase || pl.MeanSec != pf.MeanSec || pl.MaxSec != pf.MaxSec ||
-			pl.MinSec != pf.MinSec || pl.CoV != pf.CoV || pl.Gini != pf.Gini ||
-			pl.P95Sec != pf.P95Sec || pl.Imbalance != pf.Imbalance || pl.SlackSec != pf.SlackSec {
-			t.Errorf("phase %s: lite %+v, full %+v", pf.Phase, pl, pf)
-		}
-		if len(pl.Stragglers) != len(pf.Stragglers) {
-			t.Fatalf("phase %s stragglers: lite %d, full %d", pf.Phase, len(pl.Stragglers), len(pf.Stragglers))
-		}
-		for j := range pf.Stragglers {
-			if pl.Stragglers[j] != pf.Stragglers[j] {
-				t.Errorf("straggler %d: lite %+v, full %+v", j, pl.Stragglers[j], pf.Stragglers[j])
-			}
-		}
-	}
-	if len(al.WhatIf) != len(af.WhatIf) {
-		t.Fatalf("what-if sections: lite %d, full %d", len(al.WhatIf), len(af.WhatIf))
-	}
-	for i := range af.WhatIf {
-		if al.WhatIf[i] != af.WhatIf[i] {
-			t.Errorf("what-if %d: lite %+v, full %+v", i, al.WhatIf[i], af.WhatIf[i])
-		}
-	}
-	// Lite has no path sections; its CriticalPath is the zero path.
-	if al.PathSec != 0 || len(al.Path) != 0 || al.Hops != 0 {
-		t.Errorf("lite analysis grew path sections: %+v", al)
-	}
-	if p := lite.CriticalPath(); p.Total() != 0 || len(p.Segments) != 0 {
-		t.Errorf("lite CriticalPath non-zero: %+v", p)
-	}
-}
-
-// TestNodesDepsAreCopies pins the materializing accessor contract:
-// mutating a returned slice must not corrupt the graph.
-func TestNodesDepsAreCopies(t *testing.T) {
-	g := twoRankFrame()
-	n0, d0 := g.Nodes()[0], g.Deps()[0]
-	g.Nodes()[0] = Node{Rank: 1, Name: "clobbered"}
-	g.Deps()[0] = Dep{Src: 1, Dst: 1}
-	if got := g.Nodes()[0]; got != n0 {
-		t.Errorf("Nodes()[0] changed after caller mutation: %+v", got)
-	}
-	if got := g.Deps()[0]; got != d0 {
-		t.Errorf("Deps()[0] changed after caller mutation: %+v", got)
-	}
-	if g.NumNodes() != 6 || g.NumDeps() != 2 {
-		t.Errorf("counts = %d nodes, %d deps", g.NumNodes(), g.NumDeps())
 	}
 }
 
@@ -356,7 +301,7 @@ func TestNameInterning(t *testing.T) {
 	if len(g.names) != 1 {
 		t.Errorf("interned %d names, want 1", len(g.names))
 	}
-	if g.Nodes()[199].Name != "render" {
-		t.Errorf("interned name lost: %q", g.Nodes()[199].Name)
+	if name := g.names[g.nName[199]]; name != "render" {
+		t.Errorf("interned name lost: %q", name)
 	}
 }

@@ -13,14 +13,6 @@ type AABB struct {
 // ordered.
 func Box(a, b Vec3) AABB { return AABB{a.Min(b), a.Max(b)} }
 
-// Empty reports whether the box contains no points.
-func (b AABB) Empty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
-}
-
-// Center returns the centroid of the box.
-func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Mul(0.5) }
-
 // Size returns the extent of the box along each axis.
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
 
@@ -29,22 +21,6 @@ func (b AABB) Contains(p Vec3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Union returns the smallest box containing both b and c.
-func (b AABB) Union(c AABB) AABB {
-	if b.Empty() {
-		return c
-	}
-	if c.Empty() {
-		return b
-	}
-	return AABB{b.Min.Min(c.Min), b.Max.Max(c.Max)}
-}
-
-// Intersect returns the intersection of b and c (possibly empty).
-func (b AABB) Intersect(c AABB) AABB {
-	return AABB{b.Min.Max(c.Min), b.Max.Min(c.Max)}
 }
 
 // Corners returns the eight corner points of the box.

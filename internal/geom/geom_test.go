@@ -28,9 +28,6 @@ func TestVecBasics(t *testing.T) {
 	if got := a.Dot(b); got != 1*4-2*5+3*6 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := a.Hadamard(b); got != V(4, -10, 18) {
-		t.Errorf("Hadamard = %v", got)
-	}
 }
 
 func TestCrossOrthogonal(t *testing.T) {
@@ -89,12 +86,6 @@ func TestBoxConstructionUnordered(t *testing.T) {
 	if b.Min != V(1, -1, 0) || b.Max != V(5, 3, 2) {
 		t.Errorf("Box = %+v", b)
 	}
-	if b.Empty() {
-		t.Error("box should not be empty")
-	}
-	if b.Center() != V(3, 1, 1) {
-		t.Errorf("Center = %v", b.Center())
-	}
 	if b.Size() != V(4, 4, 2) {
 		t.Errorf("Size = %v", b.Size())
 	}
@@ -107,32 +98,6 @@ func TestBoxContains(t *testing.T) {
 	}
 	if b.Contains(V(1.01, 0.5, 0.5)) {
 		t.Error("exterior point should not be contained")
-	}
-}
-
-func TestBoxUnionIntersect(t *testing.T) {
-	a := Box(V(0, 0, 0), V(2, 2, 2))
-	b := Box(V(1, 1, 1), V(3, 3, 3))
-	u := a.Union(b)
-	if u.Min != V(0, 0, 0) || u.Max != V(3, 3, 3) {
-		t.Errorf("Union = %+v", u)
-	}
-	i := a.Intersect(b)
-	if i.Min != V(1, 1, 1) || i.Max != V(2, 2, 2) {
-		t.Errorf("Intersect = %+v", i)
-	}
-	d := Box(V(5, 5, 5), V(6, 6, 6))
-	if !a.Intersect(d).Empty() {
-		t.Error("disjoint intersection should be empty")
-	}
-	var empty AABB
-	empty.Min = V(1, 1, 1)
-	empty.Max = V(0, 0, 0)
-	if got := empty.Union(a); got != a {
-		t.Errorf("empty union: %+v", got)
-	}
-	if got := a.Union(empty); got != a {
-		t.Errorf("union empty: %+v", got)
 	}
 }
 

@@ -88,20 +88,6 @@ func (m *Image) At(x, y int) RGBA { return m.Pix[y*m.W+x] }
 // Set stores the pixel at (x, y).
 func (m *Image) Set(x, y int, p RGBA) { m.Pix[y*m.W+x] = p }
 
-// Clear resets all pixels to transparent black.
-func (m *Image) Clear() {
-	for i := range m.Pix {
-		m.Pix[i] = RGBA{}
-	}
-}
-
-// Clone returns a deep copy of the image.
-func (m *Image) Clone() *Image {
-	c := New(m.W, m.H)
-	copy(c.Pix, m.Pix)
-	return c
-}
-
 // MaxDiff returns the L-infinity distance between two images of equal
 // size, across all components of all pixels: +Inf when a difference is
 // NaN, so that a NaN pixel fails a tolerance test however it is written
@@ -178,11 +164,6 @@ func (s Span) Len() int {
 		return 0
 	}
 	return s.Hi - s.Lo
-}
-
-// Intersect clips s to t.
-func (s Span) Intersect(t Span) Span {
-	return Span{Lo: max(s.Lo, t.Lo), Hi: min(s.Hi, t.Hi)}
 }
 
 // PartitionSpans divides the n pixels of an image among m owners as

@@ -108,15 +108,6 @@ func TestImageBasics(t *testing.T) {
 	if m.Pix[1*4+2] != p {
 		t.Error("row-major layout violated")
 	}
-	c := m.Clone()
-	c.Set(0, 0, p)
-	if m.At(0, 0) == p {
-		t.Error("Clone aliases storage")
-	}
-	m.Clear()
-	if m.At(2, 1) != (RGBA{}) {
-		t.Error("Clear failed")
-	}
 }
 
 func TestMaxDiff(t *testing.T) {
@@ -172,16 +163,6 @@ func TestPartitionSpansQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpanIntersect(t *testing.T) {
-	s := Span{10, 20}.Intersect(Span{15, 30})
-	if s != (Span{15, 20}) || s.Len() != 5 {
-		t.Errorf("got %v", s)
-	}
-	if (Span{10, 20}).Intersect(Span{25, 30}).Len() != 0 {
-		t.Error("disjoint spans should intersect empty")
 	}
 }
 

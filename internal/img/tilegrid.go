@@ -1,7 +1,14 @@
 package img
 
-// TileGrid is the regular (MX x MY) tile decomposition behind
-// PartitionTiles, with O(1) rect-to-tile-range queries. The schedule
+// TileGrid divides a w x h image into m rectangular tiles, one per
+// compositor, as close to square as possible. Direct-send assigns each
+// compositor such a subregion of the final image; compact 2D tiles (as
+// opposed to scanline spans) are what give direct-send its O(m * n^(1/3))
+// total message count — a tile overlaps roughly one column of projected
+// blocks. The remainder pixels go to the lowest-index rows/columns, so
+// the m tiles partition the image exactly.
+//
+// Range answers rect-to-tile-range queries in O(1). The schedule
 // generators need this: at 32K renderers and 32K compositors, probing
 // every (rect, tile) pair would cost a billion intersections, while each
 // rect actually overlaps only a handful of tiles.
@@ -10,8 +17,8 @@ type TileGrid struct {
 	MX, MY int
 }
 
-// NewTileGrid chooses the near-square (MX, MY) factorization of m for a
-// w x h image (same choice as PartitionTiles).
+// NewTileGrid chooses the factorization (MX, MY) of m whose tile shape
+// is closest to square for a w x h image.
 func NewTileGrid(w, h, m int) TileGrid {
 	if m <= 0 {
 		panic("img: NewTileGrid requires m > 0")
@@ -28,9 +35,6 @@ func NewTileGrid(w, h, m int) TileGrid {
 	}
 	return TileGrid{W: w, H: h, MX: bestX, MY: m / bestX}
 }
-
-// Tiles returns the number of tiles (MX*MY).
-func (g TileGrid) Tiles() int { return g.MX * g.MY }
 
 // Tile returns the rectangle of tile i (row-major: i = ty*MX + tx).
 func (g TileGrid) Tile(i int) Rect {
@@ -67,14 +71,4 @@ func (g TileGrid) Range(rect Rect) (tx0, tx1, ty0, ty1 int) {
 	ty0 = axisIndex(g.H, g.MY, rect.Y0)
 	ty1 = axisIndex(g.H, g.MY, rect.Y1-1) + 1
 	return
-}
-
-// All returns every tile in index order; PartitionTiles is equivalent
-// to NewTileGrid(w, h, m).All().
-func (g TileGrid) All() []Rect {
-	out := make([]Rect, g.Tiles())
-	for i := range out {
-		out[i] = g.Tile(i)
-	}
-	return out
 }

@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-func TestTileGridMatchesPartitionTiles(t *testing.T) {
-	for _, c := range []struct{ w, h, m int }{
-		{10, 10, 2}, {100, 60, 12}, {7, 31, 5}, {1600, 1600, 2048}, {64, 64, 64},
-	} {
-		g := NewTileGrid(c.w, c.h, c.m)
-		tiles := PartitionTiles(c.w, c.h, c.m)
-		if g.Tiles() != len(tiles) {
-			t.Fatalf("%+v: tile counts differ", c)
-		}
-		for i, want := range tiles {
-			if got := g.Tile(i); got != want {
-				t.Fatalf("%+v tile %d: %v vs %v", c, i, got, want)
-			}
-		}
-	}
-}
-
 func TestAxisIndexInvertsAxisSplit(t *testing.T) {
 	for _, c := range []struct{ l, n int }{{10, 3}, {100, 7}, {5, 5}, {3, 7}, {1600, 45}} {
 		for i := 0; i < c.n; i++ {
@@ -49,7 +32,7 @@ func TestTileGridRangeExact(t *testing.T) {
 			tx, ty := i%g.MX, i/g.MX
 			return tx >= tx0 && tx < tx1 && ty >= ty0 && ty < ty1
 		}
-		for i := 0; i < g.Tiles(); i++ {
+		for i := 0; i < g.MX*g.MY; i++ {
 			overlaps := !g.Tile(i).Intersect(rect).Empty()
 			if overlaps != inRange(i) {
 				t.Fatalf("w=%d h=%d m=%d rect=%v tile %d (%v): overlaps=%v inRange=%v",

@@ -1,20 +1,5 @@
 package img
 
-// PartitionTiles divides a w x h image into m rectangular tiles, one per
-// compositor, as close to square as possible. Direct-send assigns each
-// compositor such a subregion of the final image; compact 2D tiles (as
-// opposed to scanline spans) are what give direct-send its O(m * n^(1/3))
-// total message count — a tile overlaps roughly one column of projected
-// blocks.
-//
-// The tile grid (mx, my) is the factorization of m whose tile shape is
-// closest to square for the given image, with the remainder pixels
-// distributed to the lowest-index rows/columns. The m tiles partition
-// the image exactly.
-func PartitionTiles(w, h, m int) []Rect {
-	return NewTileGrid(w, h, m).All()
-}
-
 // tileScore measures how far a (mx, my) grid's tiles are from square;
 // lower is better.
 func tileScore(w, h, mx, my int) float64 {

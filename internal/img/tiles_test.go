@@ -5,12 +5,22 @@ import (
 	"testing/quick"
 )
 
-// Property: PartitionTiles partitions the image exactly — every pixel is
+// allTiles returns every tile of NewTileGrid(w, h, m) in index order.
+func allTiles(w, h, m int) []Rect {
+	g := NewTileGrid(w, h, m)
+	out := make([]Rect, g.MX*g.MY)
+	for i := range out {
+		out[i] = g.Tile(i)
+	}
+	return out
+}
+
+// Property: a TileGrid's tiles partition the image exactly — every pixel is
 // covered by exactly one tile.
 func TestPartitionTilesPartition(t *testing.T) {
 	f := func(ww, hh, mm uint8) bool {
 		w, h, m := int(ww%40)+1, int(hh%40)+1, int(mm%16)+1
-		tiles := PartitionTiles(w, h, m)
+		tiles := allTiles(w, h, m)
 		if len(tiles) != m {
 			return false
 		}
@@ -39,21 +49,21 @@ func TestPartitionTilesPartition(t *testing.T) {
 
 func TestPartitionTilesNearSquare(t *testing.T) {
 	// A square image with a square tile count gives a square grid.
-	tiles := PartitionTiles(100, 100, 16)
+	tiles := allTiles(100, 100, 16)
 	for _, tile := range tiles {
 		if tile.W() != 25 || tile.H() != 25 {
 			t.Fatalf("tile %v not 25x25", tile)
 		}
 	}
 	// A wide image prefers more columns.
-	tiles = PartitionTiles(200, 50, 4)
+	tiles = allTiles(200, 50, 4)
 	if tiles[0].W() != 50 || tiles[0].H() != 50 {
 		t.Errorf("wide image tile = %v, want 50x50", tiles[0])
 	}
 }
 
 func TestPartitionTilesSingle(t *testing.T) {
-	tiles := PartitionTiles(7, 9, 1)
+	tiles := allTiles(7, 9, 1)
 	if len(tiles) != 1 || tiles[0] != (Rect{X0: 0, Y0: 0, X1: 7, Y1: 9}) {
 		t.Errorf("tiles = %v", tiles)
 	}
@@ -65,12 +75,12 @@ func TestPartitionTilesPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	PartitionTiles(10, 10, 0)
+	NewTileGrid(10, 10, 0)
 }
 
 func TestPartitionTilesPrimeCount(t *testing.T) {
 	// A prime m forces a 1 x m or m x 1 grid; the partition must hold.
-	tiles := PartitionTiles(64, 64, 7)
+	tiles := allTiles(64, 64, 7)
 	var total int
 	for _, tile := range tiles {
 		total += tile.NumPixels()

@@ -39,9 +39,6 @@ func (l *Log) Record(offset, length int64) {
 	l.mu.Unlock()
 }
 
-// RecordRun appends one physical access given as a Run.
-func (l *Log) RecordRun(r grid.Run) { l.Record(r.Offset, r.Length) }
-
 // Accesses returns a copy of the recorded accesses in the order issued.
 func (l *Log) Accesses() []grid.Run {
 	l.mu.Lock()
@@ -55,13 +52,6 @@ func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Analyze(l.accesses, nil)
-}
-
-// Reset clears the log.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	l.accesses = nil
-	l.mu.Unlock()
 }
 
 // Stats summarizes an access pattern against the set of bytes the

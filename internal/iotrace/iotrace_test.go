@@ -11,10 +11,10 @@ import (
 	"bgpvr/internal/grid"
 )
 
-func TestLogRecordAndReset(t *testing.T) {
+func TestLogRecord(t *testing.T) {
 	var l Log
 	l.Record(0, 10)
-	l.RecordRun(grid.Run{Offset: 20, Length: 5})
+	l.Record(20, 5)
 	acc := l.Accesses()
 	if len(acc) != 2 || acc[0] != (grid.Run{Offset: 0, Length: 10}) || acc[1] != (grid.Run{Offset: 20, Length: 5}) {
 		t.Fatalf("accesses = %v", acc)
@@ -23,10 +23,6 @@ func TestLogRecordAndReset(t *testing.T) {
 	acc[0].Offset = 99
 	if l.Accesses()[0].Offset != 0 {
 		t.Error("Accesses should copy")
-	}
-	l.Reset()
-	if len(l.Accesses()) != 0 {
-		t.Error("Reset failed")
 	}
 }
 
@@ -212,7 +208,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		}
 		var l Log
 		for _, r := range physical {
-			l.RecordRun(r)
+			l.Record(r.Offset, r.Length)
 		}
 		if got, want := l.Stats(), analyzeReference(physical, nil); got != want {
 			t.Fatalf("trial %d: Log.Stats %+v, reference %+v", trial, got, want)
@@ -232,7 +228,7 @@ func TestAnalyzeAllocations(t *testing.T) {
 	}
 	var l Log
 	for _, r := range physical {
-		l.RecordRun(r)
+		l.Record(r.Offset, r.Length)
 	}
 	if n := testing.AllocsPerRun(50, func() { l.Stats() }); n != 1 {
 		t.Errorf("Log.Stats: %v allocations, want 1", n)

@@ -20,7 +20,7 @@ func TestCrayXTProfile(t *testing.T) {
 	if xt.Storage.SatBW <= bgp.Storage.SatBW {
 		t.Error("Lustre streaming ceiling should exceed the BG/P workload ceiling")
 	}
-	if xt.TotalCores() < 32768 {
-		t.Errorf("XT model too small for the experiments: %d cores", xt.TotalCores())
+	if cores := xt.CoresPerNode * xt.NodesPerRack * xt.Racks; cores < 32768 {
+		t.Errorf("XT model too small for the experiments: %d cores", cores)
 	}
 }

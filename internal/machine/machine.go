@@ -51,11 +51,6 @@ func NewBGP() Machine {
 	}
 }
 
-// TotalCores returns the full system size (163,840 for the real machine).
-func (m Machine) TotalCores() int {
-	return m.CoresPerNode * m.NodesPerRack * m.Racks
-}
-
 // Nodes returns the compute nodes a p-core job occupies (virtual-node
 // mode: all four cores per node run ranks, as the paper's runs did).
 func (m Machine) Nodes(p int) int {
@@ -86,13 +81,8 @@ func (m Machine) TorusFor(p int) torus.Topology {
 // per node).
 func (m Machine) NodeOf(rank int) int { return rank / m.CoresPerNode }
 
-// PhaseOnTorus times a set of rank-level messages on the partition's
-// torus by folding ranks onto nodes with the default block placement.
-func (m Machine) PhaseOnTorus(p int, msgs []compose.RankMessage, contention bool) torus.PhaseStats {
-	return m.PhaseOnTorusPlaced(p, msgs, contention, PlacementBlock)
-}
-
-// PhaseOnTorusPlaced is PhaseOnTorus under an explicit rank placement.
+// PhaseOnTorusPlaced times a set of rank-level messages on the
+// partition's torus by folding ranks onto nodes under placement pl.
 func (m Machine) PhaseOnTorusPlaced(p int, msgs []compose.RankMessage, contention bool, pl Placement) torus.PhaseStats {
 	return m.PhaseOnTorusRecorded(p, msgs, contention, pl, nil)
 }

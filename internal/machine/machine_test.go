@@ -8,8 +8,8 @@ import (
 
 func TestBGPPublishedNumbers(t *testing.T) {
 	m := NewBGP()
-	if m.TotalCores() != 163840 {
-		t.Errorf("total cores = %d, want 163840 (40 racks)", m.TotalCores())
+	if cores := m.CoresPerNode * m.NodesPerRack * m.Racks; cores != 163840 {
+		t.Errorf("total cores = %d, want 163840 (40 racks)", cores)
 	}
 	if m.CoreHz != 850e6 {
 		t.Errorf("core clock = %v", m.CoreHz)
@@ -66,11 +66,11 @@ func TestImprovedCompositorsRule(t *testing.T) {
 func TestPhaseOnTorusFoldsRanks(t *testing.T) {
 	m := NewBGP()
 	// Ranks 0-3 share node 0; a message between them is a self-message.
-	st := m.PhaseOnTorus(64, []compose.RankMessage{{Src: 0, Dst: 3, Bytes: 100}}, true)
+	st := m.PhaseOnTorusPlaced(64, []compose.RankMessage{{Src: 0, Dst: 3, Bytes: 100}}, true, PlacementBlock)
 	if st.MaxHops != 0 {
 		t.Errorf("same-node message has %d hops", st.MaxHops)
 	}
-	st = m.PhaseOnTorus(64, []compose.RankMessage{{Src: 0, Dst: 63, Bytes: 100}}, true)
+	st = m.PhaseOnTorusPlaced(64, []compose.RankMessage{{Src: 0, Dst: 63, Bytes: 100}}, true, PlacementBlock)
 	if st.MaxHops == 0 {
 		t.Error("cross-node message should hop")
 	}
@@ -82,5 +82,5 @@ func TestPhaseOnTorusPanicsOnBadRank(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewBGP().PhaseOnTorus(8, []compose.RankMessage{{Src: 0, Dst: 100, Bytes: 1}}, true)
+	NewBGP().PhaseOnTorusPlaced(8, []compose.RankMessage{{Src: 0, Dst: 100, Bytes: 1}}, true, PlacementBlock)
 }

@@ -159,16 +159,6 @@ type File struct {
 	Vars    []Var
 }
 
-// RecDimID returns the index of the record dimension, or -1.
-func (f *File) RecDimID() int {
-	for i, d := range f.Dims {
-		if d.IsRecord() {
-			return i
-		}
-	}
-	return -1
-}
-
 // IsRecordVar reports whether v's first dimension is the record
 // dimension.
 func (f *File) IsRecordVar(v *Var) bool {

@@ -7,7 +7,7 @@ import (
 
 // TestExemplarRoundTrip pins the exemplar contract: ObserveEx on an
 // armed histogram stamps the landing bucket, the last write wins,
-// BucketExemplar/SlowestExemplar read it back, and the exposition
+// BucketExemplar reads it back, and the exposition
 // carries the OpenMetrics-style suffix on exactly the stamped buckets.
 func TestExemplarRoundTrip(t *testing.T) {
 	r := NewRegistry()
@@ -26,8 +26,8 @@ func TestExemplarRoundTrip(t *testing.T) {
 	if _, ok := h.BucketExemplar(0); ok {
 		t.Error("bucket 0 has an exemplar without an ObserveEx landing there")
 	}
-	if e, ok := h.SlowestExemplar(); !ok || e.TraceID != "req-slow" {
-		t.Errorf("slowest exemplar = %+v ok=%v, want req-slow", e, ok)
+	if e, ok := h.BucketExemplar(3); !ok || e.TraceID != "req-slow" {
+		t.Errorf("+Inf bucket exemplar = %+v ok=%v, want req-slow", e, ok)
 	}
 
 	var b strings.Builder
@@ -75,9 +75,6 @@ func TestExemplarDisabledZeroAlloc(t *testing.T) {
 	}
 	if _, ok := h.BucketExemplar(2); ok {
 		t.Error("disabled histogram stored an exemplar")
-	}
-	if _, ok := h.SlowestExemplar(); ok {
-		t.Error("disabled histogram reports a slowest exemplar")
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

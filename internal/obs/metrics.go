@@ -82,13 +82,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	}).(*Counter)
 }
 
-// NewGauge registers (or returns) the named settable gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(name, "gauge", func() metric {
-		return &Gauge{name: name, help: help}
-	}).(*Gauge)
-}
-
 // NewGaugeFunc registers a gauge whose value is read from fn at
 // collection time — the natural shape for layers that already keep
 // their own totals (par.Stats, runtime stats).
@@ -194,24 +187,6 @@ func (c *Counter) typ() string      { return "counter" }
 func (c *Counter) helpText() string { return c.help }
 func (c *Counter) collect(out []Sample) []Sample {
 	return append(out, Sample{Name: c.name, Labels: c.labels, Value: float64(c.v.Load()), Int: true})
-}
-
-// Gauge is a settable atomic float64 gauge.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return floatFromBits(g.bits.Load()) }
-
-func (g *Gauge) typ() string      { return "gauge" }
-func (g *Gauge) helpText() string { return g.help }
-func (g *Gauge) collect(out []Sample) []Sample {
-	return append(out, Sample{Name: g.name, Value: g.Value()})
 }
 
 // gaugeFunc reads its value from a callback at collection time.
@@ -487,22 +462,6 @@ func (h *Histogram) BucketExemplar(i int) (Exemplar, bool) {
 		return Exemplar{}, false
 	}
 	return *e, true
-}
-
-// SlowestExemplar returns the exemplar from the highest populated
-// bucket — the trace of (one of) the slowest requests the histogram
-// has seen — or ok=false when there is none.
-func (h *Histogram) SlowestExemplar() (Exemplar, bool) {
-	slots := h.exemplars.Load()
-	if slots == nil {
-		return Exemplar{}, false
-	}
-	for i := len(*slots) - 1; i >= 0; i-- {
-		if e := (*slots)[i].Load(); e != nil {
-			return *e, true
-		}
-	}
-	return Exemplar{}, false
 }
 
 // Count returns the number of observations so far.

@@ -14,8 +14,6 @@ func TestPrometheusGolden(t *testing.T) {
 	c := r.NewCounter("test_ops_total", "Operations performed.")
 	c.Add(41)
 	c.Inc()
-	g := r.NewGauge("test_depth", "Current depth.")
-	g.Set(2.5)
 	r.NewGaugeFunc("test_cores", "Cores available.", func() float64 { return 4 })
 	h := r.NewHistogram("test_sizes", "Sizes observed.", []float64{1, 10})
 	h.Observe(0.5)
@@ -30,9 +28,6 @@ func TestPrometheusGolden(t *testing.T) {
 	want := `# HELP test_cores Cores available.
 # TYPE test_cores gauge
 test_cores 4
-# HELP test_depth Current depth.
-# TYPE test_depth gauge
-test_depth 2.5
 # HELP test_ops_total Operations performed.
 # TYPE test_ops_total counter
 test_ops_total 42
@@ -63,7 +58,7 @@ func TestRegistryReRegister(t *testing.T) {
 			t.Error("kind clash did not panic")
 		}
 	}()
-	r.NewGauge("x_total", "x")
+	r.NewGaugeFunc("x_total", "x", func() float64 { return 0 })
 }
 
 // TestRegistryConcurrent hammers every metric kind from concurrent
@@ -72,7 +67,6 @@ func TestRegistryReRegister(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("conc_ops_total", "ops")
-	g := r.NewGauge("conc_gauge", "g")
 	h := r.NewHistogram("conc_sizes", "sizes", []float64{8, 64, 512})
 	const workers, perWorker = 8, 5000
 	var wg sync.WaitGroup
@@ -82,7 +76,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Add(1)
-				g.Set(float64(i))
 				h.Observe(float64(i % 1000))
 				if i%512 == 0 {
 					_ = r.Snapshot()

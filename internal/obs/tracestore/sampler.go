@@ -97,9 +97,6 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	}
 }
 
-// SLO returns the configured latency SLO (0 when unset).
-func (s *Sampler) SLO() time.Duration { return s.cfg.SLO }
-
 // Decide judges one completed request and returns whether its trace
 // should be retained and why. Precedence: errors, then SLO breaches,
 // then rolling-p90 outliers, then the 1-in-N baseline. Every call

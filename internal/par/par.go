@@ -35,9 +35,6 @@ func Workers(w int) int {
 // Tile is one contiguous chunk [Lo, Hi) of a 1-D index space.
 type Tile struct{ Lo, Hi int }
 
-// Len returns the number of indices in the tile.
-func (t Tile) Len() int { return t.Hi - t.Lo }
-
 // Tiles splits [0, n) into min(parts, n) contiguous tiles in ascending
 // order, sized within one of each other (the first n%parts tiles are
 // one longer). The ordered decomposition is what makes tile-parallel

@@ -43,9 +43,9 @@ func TestTilesCoverDisjointOrdered(t *testing.T) {
 			t.Fatalf("Tiles(%d,%d) cover [0,%d), want [0,%d)", tc.n, tc.parts, next, tc.n)
 		}
 		// Near-equal sizes: max-min <= 1.
-		min, max := tiles[0].Len(), tiles[0].Len()
+		min, max := tiles[0].Hi-tiles[0].Lo, tiles[0].Hi-tiles[0].Lo
 		for _, tile := range tiles {
-			if l := tile.Len(); l < min {
+			if l := tile.Hi - tile.Lo; l < min {
 				min = l
 			} else if l > max {
 				max = l

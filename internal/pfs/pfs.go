@@ -146,16 +146,6 @@ func (p Params) WriteTime(j ReadJob) float64 {
 	return w * p.ReadTime(j)
 }
 
-// Bandwidth returns the effective application bandwidth (useful bytes
-// per second) of a job that read usefulBytes of payload.
-func (p Params) Bandwidth(j ReadJob, usefulBytes int64) float64 {
-	t := p.ReadTime(j)
-	if t <= 0 {
-		return 0
-	}
-	return float64(usefulBytes) / t
-}
-
 // ServerOf maps a file offset to the file server holding it under
 // round-robin striping.
 func (p Params) ServerOf(offset int64) int {

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"math"
 	"testing"
 
 	"bgpvr/internal/grid"
@@ -103,7 +102,7 @@ func TestFig7Shape(t *testing.T) {
 		nodes := (procs + 3) / 4
 		ions := (nodes + 63) / 64
 		j := ReadJob{PhysicalBytes: useful, Accesses: 1405, Aggregators: 8 * ions, IONs: ions, Procs: procs}
-		bw[procs] = p.Bandwidth(j, useful)
+		bw[procs] = float64(useful) / p.ReadTime(j)
 	}
 	if !(bw[64] < bw[1024] && bw[1024] < bw[16384]) {
 		t.Errorf("bandwidth should rise with scale: %v", bw)
@@ -153,12 +152,5 @@ func TestServerLoadsConserveAndBalance(t *testing.T) {
 	}
 	if nz != 1 {
 		t.Errorf("tiny access hit %d servers", nz)
-	}
-}
-
-func TestBandwidthZeroGuard(t *testing.T) {
-	p := NewBGPStorage()
-	if !math.IsNaN(0.0) && p.Bandwidth(ReadJob{}, 0) < 0 {
-		t.Error("bandwidth must be non-negative")
 	}
 }

@@ -112,16 +112,6 @@ func (g *MinMaxGrid) cellOf(p geom.Vec3) int {
 	return (cz*g.ny+cy)*g.nx + cx
 }
 
-// Range returns the scalar min/max of the macrocell containing p;
-// ok is false outside the grid.
-func (g *MinMaxGrid) Range(p geom.Vec3) (lo, hi float32, ok bool) {
-	ci := g.cellOf(p)
-	if ci < 0 {
-		return 0, 0, false
-	}
-	return g.mins[ci], g.maxs[ci], true
-}
-
 // OpacityMask precomputes, for a transfer function, whether each
 // macrocell can produce any opacity: a cell whose [min, max] value range
 // classifies to zero opacity everywhere is skippable.

@@ -86,10 +86,6 @@ func GhostLayersFor(cfg Config) int {
 	return 1
 }
 
-// DefaultConfig returns a unit-step configuration without early
-// termination.
-func DefaultConfig() Config { return Config{Step: 1.0} }
-
 // Subimage is the partial image a process produces for its block: the
 // rectangle of pixels its block projects to and their premultiplied
 // accumulated color/opacity.

@@ -117,7 +117,7 @@ func TestRenderFullTransparentOnZeroOpacity(t *testing.T) {
 	f := testVolume(12)
 	tf := volume.NewTransfer(volume.TransferPoint{V: 0, A: 0}, volume.TransferPoint{V: 1, A: 0})
 	cam := centeredOrtho(12, 24, 24)
-	out, samples := RenderFull(f, cam, tf, DefaultConfig())
+	out, samples := RenderFull(f, cam, tf, Config{Step: 1})
 	if samples == 0 {
 		t.Fatal("no samples taken")
 	}
@@ -134,7 +134,7 @@ func TestRenderFullOpaqueCenter(t *testing.T) {
 	f.Fill(func(x, y, z int) float32 { return 1 })
 	tf := volume.GrayRampTransfer(0.6)
 	cam := centeredOrtho(n, 32, 32)
-	out, _ := RenderFull(f, cam, tf, DefaultConfig())
+	out, _ := RenderFull(f, cam, tf, Config{Step: 1})
 	c := out.At(16, 16)
 	if c.A < 0.9 {
 		t.Errorf("center alpha = %v, want nearly opaque", c.A)
@@ -171,7 +171,7 @@ func TestSubimageAt(t *testing.T) {
 	tf := volume.SupernovaTransfer()
 	cam := centeredOrtho(12, 24, 24)
 	own := grid.Ext(grid.I(0, 0, 0), grid.I(12, 12, 12))
-	sub := RenderBlock(f, own, cam, tf, DefaultConfig())
+	sub := RenderBlock(f, own, cam, tf, Config{Step: 1})
 	if sub.Rect.Empty() || sub.Samples == 0 {
 		t.Fatal("whole-volume block should render something")
 	}
@@ -189,7 +189,7 @@ func TestRenderBlockEmptyWhenOffscreen(t *testing.T) {
 	f := volume.NewField(dims, grid.WholeGrid(dims))
 	f.Fill(func(x, y, z int) float32 { return 1 })
 	cam := NewOrtho(geom.V(1000, 1000, 1000), geom.V(0, 0, -1), geom.V(0, 1, 0), 8, 8, 16, 16)
-	sub := RenderBlock(f, grid.WholeGrid(dims), cam, volume.GrayRampTransfer(1), DefaultConfig())
+	sub := RenderBlock(f, grid.WholeGrid(dims), cam, volume.GrayRampTransfer(1), Config{Step: 1})
 	for _, p := range sub.Pix {
 		if p.A != 0 {
 			t.Fatal("off-screen block rendered pixels")

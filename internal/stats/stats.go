@@ -127,46 +127,6 @@ func Gini(xs []float64) float64 {
 	return 2*weighted/(n*sum) - (n+1)/n
 }
 
-// Lorenz returns the Lorenz curve of the non-negative values in xs
-// sampled at the given number of evenly spaced population fractions:
-// point i is the share of the total carried by the poorest
-// i/(points-1) of the ranks. It returns nil for empty, zero-sum, or
-// sub-2-point requests.
-func Lorenz(xs []float64, points int) []float64 {
-	if points < 2 {
-		return nil
-	}
-	vals := make([]float64, 0, len(xs))
-	var sum float64
-	for _, x := range xs {
-		if math.IsNaN(x) || x < 0 {
-			continue
-		}
-		vals = append(vals, x)
-		sum += x
-	}
-	if len(vals) == 0 || sum == 0 {
-		return nil
-	}
-	sort.Float64s(vals)
-	cum := make([]float64, len(vals)+1)
-	for i, x := range vals {
-		cum[i+1] = cum[i] + x
-	}
-	out := make([]float64, points)
-	for i := range out {
-		pos := float64(i) / float64(points-1) * float64(len(vals))
-		lo := int(pos)
-		if lo >= len(vals) {
-			out[i] = 1
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = (cum[lo] + frac*vals[lo]) / sum
-	}
-	return out
-}
-
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d min=%.4g max=%.4g mean=%.4g std=%.4g", s.N, s.MinV, s.MaxV, s.mean, s.Std())
 }

@@ -113,29 +113,6 @@ func TestGini(t *testing.T) {
 	}
 }
 
-func TestLorenz(t *testing.T) {
-	if Lorenz(nil, 5) != nil || Lorenz([]float64{1}, 1) != nil || Lorenz([]float64{0}, 3) != nil {
-		t.Error("degenerate Lorenz inputs should be nil")
-	}
-	got := Lorenz([]float64{1, 1, 1, 1}, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("uniform Lorenz = %v, want %v", got, want)
-		}
-	}
-	// Curve ends at 1 and is monotone for a skewed load.
-	got = Lorenz([]float64{0, 1, 9}, 4)
-	if got[len(got)-1] != 1 {
-		t.Errorf("Lorenz must end at 1: %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Errorf("Lorenz not monotone: %v", got)
-		}
-	}
-}
-
 func TestSummaryMatchesDirectComputation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var s Summary

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -336,14 +335,4 @@ func (s *DebugServer) Close() error {
 		return nil
 	}
 	return s.srv.Close()
-}
-
-// Shutdown drains the server gracefully: no new connections are
-// accepted and in-flight requests run to completion, bounded by the
-// context's deadline.
-func (s *DebugServer) Shutdown(ctx context.Context) error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Shutdown(ctx)
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -396,65 +395,6 @@ func TestDebugServerIndexAndExtras(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("POST /render status %d, want 200 (extras own their methods)", resp.StatusCode)
-	}
-}
-
-// TestDebugServerShutdownDrains pins graceful shutdown: a request in
-// flight when Shutdown is called completes instead of being dropped.
-func TestDebugServerShutdownDrains(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	srv, err := StartDebug("127.0.0.1:0", DebugSource{
-		Extra: []DebugEndpoint{{Path: "/slow", Desc: "slow", Handler: http.HandlerFunc(
-			func(w http.ResponseWriter, r *http.Request) {
-				close(entered)
-				<-release
-				fmt.Fprint(w, "drained")
-			})}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		code int
-		body string
-		err  error
-	}
-	got := make(chan result, 1)
-	go func() {
-		resp, err := http.Get("http://" + srv.Addr + "/slow")
-		if err != nil {
-			got <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		got <- result{code: resp.StatusCode, body: string(b)}
-	}()
-	<-entered
-
-	done := make(chan error, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	go func() { done <- srv.Shutdown(ctx) }()
-	// Shutdown must wait for the in-flight request; release it and both
-	// sides must finish cleanly.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-done:
-		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
-	default:
-	}
-	close(release)
-	r := <-got
-	if r.err != nil || r.code != http.StatusOK || r.body != "drained" {
-		t.Errorf("in-flight request = %+v, want 200 drained", r)
-	}
-	if err := <-done; err != nil {
-		t.Errorf("Shutdown: %v", err)
-	}
-	if (*DebugServer)(nil).Shutdown(ctx) != nil {
-		t.Error("nil server Shutdown must be a no-op")
 	}
 }
 

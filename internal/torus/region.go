@@ -74,9 +74,6 @@ func NewRegionsOpt(top Topology, side int, endpointAgg bool) *Regions {
 // NumRegions returns the number of clusters in the decomposition.
 func (r *Regions) NumRegions() int { return len(r.size) }
 
-// RegionOf returns the region id of a node.
-func (r *Regions) RegionOf(node int) int { return int(r.regOf[node]) }
-
 // NumModelLinks returns the size of the model link id space: the
 // regional aggregates followed by the physical links.
 func (r *Regions) NumModelLinks() int { return 6*r.NumRegions() + r.Top.NumLinks() }

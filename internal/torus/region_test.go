@@ -27,7 +27,7 @@ func TestRegionsPartition(t *testing.T) {
 				tc.nodes, tc.side, total, top.Nodes())
 		}
 		for id := 0; id < top.Nodes(); id++ {
-			if reg := r.RegionOf(id); reg < 0 || reg >= r.NumRegions() {
+			if reg := int(r.regOf[id]); reg < 0 || reg >= r.NumRegions() {
 				t.Fatalf("nodes=%d side=%d: node %d region %d out of range",
 					tc.nodes, tc.side, id, reg)
 			}
@@ -37,9 +37,9 @@ func TestRegionsPartition(t *testing.T) {
 		for id := 0; id < top.Nodes(); id++ {
 			c := top.Coord(id)
 			want := (c.Z/tc.side*r.RDims.Y+c.Y/tc.side)*r.RDims.X + c.X/tc.side
-			if r.RegionOf(id) != want {
+			if int(r.regOf[id]) != want {
 				t.Fatalf("nodes=%d side=%d: node %d region %d, want block %d",
-					tc.nodes, tc.side, id, r.RegionOf(id), want)
+					tc.nodes, tc.side, id, int(r.regOf[id]), want)
 			}
 		}
 	}
@@ -77,12 +77,12 @@ func TestMapLinkEndpointExact(t *testing.T) {
 	top := NewTopology(512) // 8x8x8
 	r := NewRegions(top, 2)
 	src, dst := 0, top.Nodes()-1
-	srcReg, dstReg := r.RegionOf(src), r.RegionOf(dst)
+	srcReg, dstReg := int(r.regOf[src]), int(r.regOf[dst])
 	sawExact, sawAgg := false, false
 	top.Route(src, dst, func(link int) {
 		ml := r.MapLink(srcReg, dstReg, link)
 		node, dir := LinkOf(link)
-		reg := r.RegionOf(node)
+		reg := int(r.regOf[node])
 		if reg == srcReg || reg == dstReg {
 			sawExact = true
 			if ml != 6*r.NumRegions()+link {
@@ -116,8 +116,8 @@ func TestRegionsDegenerateSingleRegion(t *testing.T) {
 			t.Fatalf("side %d: region holds %d nodes, want %d", side, r.size[0], top.Nodes())
 		}
 		for id := 0; id < top.Nodes(); id++ {
-			if r.RegionOf(id) != 0 {
-				t.Fatalf("side %d: node %d region %d, want 0", side, id, r.RegionOf(id))
+			if int(r.regOf[id]) != 0 {
+				t.Fatalf("side %d: node %d region %d, want 0", side, id, int(r.regOf[id]))
 			}
 		}
 		for l := 0; l < top.NumLinks(); l++ {
@@ -167,7 +167,7 @@ func TestRegionsRaggedExtent(t *testing.T) {
 	}
 }
 
-// TestRegionOfRoundTrip is the property test tying RegionOf to the
+// TestRegionOfRoundTrip is the property test tying a node's region to the
 // coordinate arithmetic: for random nodes across assorted topologies
 // and sides, the region id decodes back to the node's block coordinates
 // (Coord(id)/side per axis) and stays within the region grid.
@@ -182,7 +182,7 @@ func TestRegionOfRoundTrip(t *testing.T) {
 			r := NewRegions(top, side)
 			for trial := 0; trial < 200; trial++ {
 				id := rng.Intn(top.Nodes())
-				reg := r.RegionOf(id)
+				reg := int(r.regOf[id])
 				rx := reg % r.RDims.X
 				ry := (reg / r.RDims.X) % r.RDims.Y
 				rz := reg / (r.RDims.X * r.RDims.Y)
@@ -210,7 +210,7 @@ func TestModelRouteMatchesMapLink(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
 		src, dst := rng.Intn(top.Nodes()), rng.Intn(top.Nodes())
-		srcReg, dstReg := r.RegionOf(src), r.RegionOf(dst)
+		srcReg, dstReg := int(r.regOf[src]), int(r.regOf[dst])
 		var want []int32
 		top.Route(src, dst, func(l int) {
 			want = append(want, int32(r.MapLink(srcReg, dstReg, l)))

@@ -329,12 +329,6 @@ func PhaseRecorded(t Topology, p Params, msgs []Message, contention bool, rec Li
 	return st
 }
 
-// PointToPoint returns the modeled time for a single message of the
-// given size between two nodes, i.e. a phase with one message.
-func PointToPoint(t Topology, p Params, src, dst int, bytes int64) float64 {
-	return Phase(t, p, []Message{{src, dst, bytes}}, true).Time
-}
-
 // PeakPhaseTime returns the idealized time for moving the same payload
 // with no overheads and no contention: every node-to-node transfer runs
 // at full link bandwidth in parallel. It provides the "peak" reference

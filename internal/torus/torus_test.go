@@ -242,8 +242,8 @@ func TestPhasePanicsOnBadEndpoint(t *testing.T) {
 func TestPointToPointAndPeak(t *testing.T) {
 	top := NewTopology(64)
 	p := NewBGP()
-	t1 := PointToPoint(top, p, 0, 1, 1<<20)
-	t2 := PointToPoint(top, p, 0, 63, 1<<20)
+	t1 := Phase(top, p, []Message{{0, 1, 1 << 20}}, true).Time
+	t2 := Phase(top, p, []Message{{0, 63, 1 << 20}}, true).Time
 	if t2 <= t1 {
 		t.Errorf("longer route should cost more latency: %v vs %v", t1, t2)
 	}

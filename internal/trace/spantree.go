@@ -15,16 +15,6 @@ type SpanNode struct {
 	Children []*SpanNode `json:"children,omitempty"`
 }
 
-// SpanCount returns the total number of spans in the forest rooted at
-// nodes.
-func SpanCount(nodes []*SpanNode) int {
-	n := 0
-	for _, nd := range nodes {
-		n += 1 + SpanCount(nd.Children)
-	}
-	return n
-}
-
 // SpanTree assembles the recorded events into a forest of nested
 // spans: per rank, a span becomes the child of the innermost earlier
 // span whose interval contains its start. Events carry only start and

@@ -21,8 +21,16 @@ func TestSpanTreeNesting(t *testing.T) {
 	if len(roots) != 4 {
 		t.Fatalf("roots = %d, want 4 (io, render, composite on rank 0; render on rank 1)", len(roots))
 	}
-	if got := SpanCount(roots); got != 5 {
-		t.Errorf("SpanCount = %d, want 5", got)
+	var count func([]*SpanNode) int
+	count = func(nodes []*SpanNode) int {
+		n := len(nodes)
+		for _, nd := range nodes {
+			n += count(nd.Children)
+		}
+		return n
+	}
+	if got := count(roots); got != 5 {
+		t.Errorf("span count = %d, want 5", got)
 	}
 	var render *SpanNode
 	for _, r := range roots {

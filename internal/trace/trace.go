@@ -219,14 +219,6 @@ type Rank struct {
 	counters [NumCounters]int64 // atomic
 }
 
-// ID returns the rank index (-1 for the nil handle).
-func (r *Rank) ID() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
-}
-
 // Span is an open interval created by Begin and closed by End. The
 // zero Span (from a nil *Rank) is a valid no-op.
 type Span struct {
@@ -296,12 +288,4 @@ func (r *Rank) Add(c Counter, n int64) {
 		return
 	}
 	atomic.AddInt64(&r.counters[c], n)
-}
-
-// Counter returns this rank's current value of c.
-func (r *Rank) Counter(c Counter) int64 {
-	if r == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&r.counters[c])
 }

@@ -4,9 +4,10 @@
 // paper's algorithm uses it for barriers and small reductions between
 // stages, and I/O traffic to the IONs traverses it.
 //
-// Costs follow the standard pipelined-tree model: a payload of b bytes
-// streams through the tree at link bandwidth while each level adds one
-// hop of latency, so a reduce or broadcast costs b/BW + depth*latency.
+// Costs follow the standard pipelined-tree model: a payload streams
+// through the tree at link bandwidth while each level adds one hop of
+// latency, so a barrier (no payload) costs one hop per level up and
+// one per level down.
 package tree
 
 import "math"
@@ -35,34 +36,10 @@ func Depth(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
 }
 
-// BcastTime models broadcasting b bytes from the root to n nodes.
-func BcastTime(p Params, n int, b int64) float64 {
-	return float64(b)/p.LinkBandwidth + float64(Depth(n))*p.HopLatency
-}
-
-// ReduceTime models reducing b bytes from n nodes to the root. The tree
-// network performs the combine in hardware at line rate, so the cost is
-// symmetric with broadcast.
-func ReduceTime(p Params, n int, b int64) float64 {
-	return BcastTime(p, n, b)
-}
-
-// AllreduceTime models an allreduce of b bytes over n nodes
-// (reduce + broadcast).
-func AllreduceTime(p Params, n int, b int64) float64 {
-	return ReduceTime(p, n, b) + BcastTime(p, n, b)
-}
-
 // BarrierTime models a barrier over n nodes: a zero-payload reduce
 // followed by a zero-payload broadcast.
 func BarrierTime(p Params, n int) float64 {
 	return 2 * float64(Depth(n)) * p.HopLatency
-}
-
-// GatherTime models gathering b bytes from each of n nodes at the root:
-// the root's ingest link carries all n*b bytes.
-func GatherTime(p Params, n int, b int64) float64 {
-	return float64(n)*float64(b)/p.LinkBandwidth + float64(Depth(n))*p.HopLatency
 }
 
 // Op identifies a tree-network operation for telemetry.

@@ -14,34 +14,16 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-func TestBcastTimeComponents(t *testing.T) {
-	p := NewBGP()
-	// Zero payload: pure latency.
-	if got := BcastTime(p, 1024, 0); math.Abs(got-10*p.HopLatency) > 1e-15 {
-		t.Errorf("latency-only bcast = %v", got)
-	}
-	// Large payload: bandwidth dominates.
-	b := int64(1 << 30)
-	got := BcastTime(p, 2, b)
-	want := float64(b)/p.LinkBandwidth + p.HopLatency
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("bcast = %v, want %v", got, want)
-	}
-}
-
 func TestCollectiveMonotonicity(t *testing.T) {
 	p := NewBGP()
-	// More nodes or more bytes never get cheaper.
+	// More nodes never make a barrier cheaper.
 	prev := 0.0
-	for _, n := range []int{2, 64, 4096, 1 << 15} {
-		c := AllreduceTime(p, n, 4096)
+	for _, n := range []int{2, 3, 64, 4096, 1 << 15, 163840} {
+		c := BarrierTime(p, n)
 		if c < prev {
-			t.Errorf("allreduce got cheaper with more nodes: %v < %v", c, prev)
+			t.Errorf("barrier got cheaper with more nodes: %v < %v at %d", c, prev, n)
 		}
 		prev = c
-	}
-	if ReduceTime(p, 64, 100) > ReduceTime(p, 64, 1000) {
-		t.Error("reduce got cheaper with more bytes")
 	}
 }
 
@@ -56,19 +38,6 @@ func TestBarrierPureLatency(t *testing.T) {
 	// BG/P full-system barrier is on the order of 5 µs.
 	if got := BarrierTime(p, 1<<15); got > 10e-6 {
 		t.Errorf("barrier %v unreasonably slow", got)
-	}
-}
-
-func TestGatherRootBottleneck(t *testing.T) {
-	p := NewBGP()
-	n, b := 64, int64(1<<20)
-	got := GatherTime(p, n, b)
-	if got < float64(n)*float64(b)/p.LinkBandwidth {
-		t.Error("gather cannot beat the root link")
-	}
-	// Gather scales linearly with n; broadcast does not.
-	if GatherTime(p, 2*n, b) < 1.9*got-1e-6 {
-		t.Error("gather should roughly double with node count")
 	}
 }
 

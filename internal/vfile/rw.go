@@ -2,18 +2,8 @@ package vfile
 
 import (
 	"fmt"
-	"io"
 	"os"
-
-	"bgpvr/internal/iotrace"
 )
-
-// RWFile extends File with writes; the collective write path (used by
-// the parallel upsampling preprocessor) targets it.
-type RWFile interface {
-	File
-	io.WriterAt
-}
 
 // OSRWFile adapts an *os.File for reading and writing.
 type OSRWFile struct {
@@ -23,15 +13,6 @@ type OSRWFile struct {
 // Create creates (or truncates) path for read/write access.
 func Create(path string) (*OSRWFile, error) {
 	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &OSRWFile{f: f}, nil
-}
-
-// OpenRW opens an existing file for read/write access.
-func OpenRW(path string) (*OSRWFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -74,30 +55,3 @@ func (m *MemFile) WriteAt(p []byte, off int64) (int, error) {
 	copy(m.Data[off:], p)
 	return len(p), nil
 }
-
-// TracedRW wraps an RWFile, logging reads and writes to separate logs.
-type TracedRW struct {
-	F        RWFile
-	ReadLog  *iotrace.Log
-	WriteLog *iotrace.Log
-}
-
-// NewTracedRW wraps f with fresh logs.
-func NewTracedRW(f RWFile) *TracedRW {
-	return &TracedRW{F: f, ReadLog: &iotrace.Log{}, WriteLog: &iotrace.Log{}}
-}
-
-// ReadAt implements io.ReaderAt with logging.
-func (t *TracedRW) ReadAt(p []byte, off int64) (int, error) {
-	t.ReadLog.Record(off, int64(len(p)))
-	return t.F.ReadAt(p, off)
-}
-
-// WriteAt implements io.WriterAt with logging.
-func (t *TracedRW) WriteAt(p []byte, off int64) (int, error) {
-	t.WriteLog.Record(off, int64(len(p)))
-	return t.F.WriteAt(p, off)
-}
-
-// Size returns the wrapped file's size.
-func (t *TracedRW) Size() int64 { return t.F.Size() }

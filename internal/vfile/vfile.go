@@ -1,6 +1,5 @@
 // Package vfile abstracts the file that the I/O stack reads: a real
-// on-disk file in real mode, or a purely synthetic one whose bytes are
-// generated on demand in tests. A tracing wrapper logs every physical
+// on-disk file in real mode, or an in-memory one in tests. A tracing wrapper logs every physical
 // access so that identical code paths feed both the Fig 9/10 analyses
 // and the storage timing model.
 package vfile
@@ -72,38 +71,6 @@ func (m *MemFile) ReadAt(p []byte, off int64) (int, error) {
 
 // Size returns the buffer length.
 func (m *MemFile) Size() int64 { return int64(len(m.Data)) }
-
-// SynthFile is a File whose contents are computed on demand from a
-// generator function; it lets tests exercise huge logical files without
-// writing them to disk. Gen fills p with the bytes at [off, off+len(p)).
-type SynthFile struct {
-	N   int64
-	Gen func(p []byte, off int64)
-}
-
-// ReadAt implements io.ReaderAt.
-func (s *SynthFile) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("vfile: negative offset %d", off)
-	}
-	if off >= s.N {
-		return 0, io.EOF
-	}
-	n := len(p)
-	short := false
-	if off+int64(n) > s.N {
-		n = int(s.N - off)
-		short = true
-	}
-	s.Gen(p[:n], off)
-	if short {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Size returns the logical file size.
-func (s *SynthFile) Size() int64 { return s.N }
 
 // Traced wraps a File so that every ReadAt is recorded in the log.
 type Traced struct {

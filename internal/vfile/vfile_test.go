@@ -34,35 +34,6 @@ func TestMemFileReadAt(t *testing.T) {
 	}
 }
 
-func TestSynthFile(t *testing.T) {
-	s := &SynthFile{
-		N: 100,
-		Gen: func(p []byte, off int64) {
-			for i := range p {
-				p[i] = byte(off + int64(i))
-			}
-		},
-	}
-	p := make([]byte, 5)
-	n, err := s.ReadAt(p, 10)
-	if err != nil || n != 5 {
-		t.Fatalf("ReadAt = %d, %v", n, err)
-	}
-	for i, b := range p {
-		if b != byte(10+i) {
-			t.Errorf("byte %d = %d", i, b)
-		}
-	}
-	// Truncated at logical EOF.
-	n, err = s.ReadAt(p, 98)
-	if n != 2 || err != io.EOF {
-		t.Errorf("eof read = %d, %v", n, err)
-	}
-	if _, err := s.ReadAt(p, 200); err != io.EOF {
-		t.Errorf("past-EOF = %v", err)
-	}
-}
-
 func TestOSFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.bin")
 	if err := os.WriteFile(path, []byte("hello world"), 0o644); err != nil {
@@ -143,17 +114,6 @@ func TestOSRWFile(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := OpenRW(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 64 {
-		t.Errorf("reopened size = %d", g.Size())
-	}
-	g.Close()
-	if _, err := OpenRW(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file accepted")
-	}
 }
 
 func TestMemFileWriteAtGrows(t *testing.T) {
@@ -166,23 +126,6 @@ func TestMemFileWriteAtGrows(t *testing.T) {
 	}
 	if _, err := m.WriteAt([]byte("a"), -1); err == nil {
 		t.Error("negative offset accepted")
-	}
-}
-
-func TestTracedRW(t *testing.T) {
-	m := &MemFile{Data: make([]byte, 32)}
-	tr := NewTracedRW(m)
-	tr.WriteAt([]byte("hi"), 4)
-	p := make([]byte, 2)
-	tr.ReadAt(p, 4)
-	if tr.Size() != 32 {
-		t.Errorf("size = %d", tr.Size())
-	}
-	if len(tr.WriteLog.Accesses()) != 1 || len(tr.ReadLog.Accesses()) != 1 {
-		t.Error("logs incomplete")
-	}
-	if string(p) != "hi" {
-		t.Errorf("payload = %q", p)
 	}
 }
 
