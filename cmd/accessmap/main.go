@@ -12,31 +12,38 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"bgpvr/internal/bench"
+	"bgpvr/internal/cli"
 	"bgpvr/internal/img"
 	"bgpvr/internal/machine"
 )
 
-func main() {
-	pgmDir := flag.String("pgm-dir", "", "also write one PGM image per mode")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("accessmap", flag.ContinueOnError)
+	pgmDir := fs.String("pgm-dir", "", "also write one PGM image per mode")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
+	}
 
 	modes, report, err := bench.Fig9(machine.NewBGP())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "accessmap:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "accessmap:", err)
+		return 1
 	}
-	fmt.Print(report)
+	fmt.Fprint(stdout, report)
 	if *pgmDir == "" {
-		return
+		return 0
 	}
 	if err := os.MkdirAll(*pgmDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "accessmap:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "accessmap:", err)
+		return 1
 	}
 	for _, m := range modes {
 		name := strings.Map(func(r rune) rune {
@@ -48,17 +55,24 @@ func main() {
 			}
 		}, m.Name)
 		path := filepath.Join(*pgmDir, name+".pgm")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "accessmap:", err)
-			os.Exit(1)
+		if err := writePGM(path, m); err != nil {
+			fmt.Fprintln(stderr, "accessmap:", err)
+			return 1
 		}
-		w := len(m.Map) / m.Rows
-		if err := img.EncodePGM(f, w, m.Rows, m.Map); err != nil {
-			fmt.Fprintln(os.Stderr, "accessmap:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Println("wrote", path)
+		fmt.Fprintln(stdout, "wrote", path)
 	}
+	return 0
+}
+
+// writePGM writes one mode's access map as a PGM image.
+func writePGM(path string, m bench.Fig9Mode) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := img.EncodePGM(f, len(m.Map)/m.Rows, m.Rows, m.Map); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,8 +1,9 @@
-// Command iobench runs the paper's synthetic I/O benchmark (Fig 10) in
-// both modes: real mode writes a small multivariate time step in each of
-// the five formats and reads one variable back collectively, reporting
-// measured time, physical bytes, access counts, and data density;
-// model mode reports the same at the paper's 1120^3 / 2K-core scale.
+// Command iobench runs the paper's synthetic I/O benchmark (Fig 10) for
+// real: it writes a small multivariate time step in each of the five
+// formats and reads one variable back collectively, reporting measured
+// time, physical bytes, access counts, and data density. The model's
+// numbers at the paper's 1120^3 / 2K-core scale are experiments -exp
+// fig10.
 //
 //	iobench -n 48 -procs 8
 package main
@@ -13,9 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"bgpvr/internal/bench"
 	"bgpvr/internal/core"
-	"bgpvr/internal/machine"
 	"bgpvr/internal/mpiio"
 	"bgpvr/internal/stats"
 )
@@ -23,15 +22,14 @@ import (
 func main() {
 	n := flag.Int("n", 48, "real-mode volume grid size n^3")
 	procs := flag.Int("procs", 8, "real-mode ranks")
-	skipModel := flag.Bool("skip-model", false, "skip the paper-scale model run")
 	flag.Parse()
-	if err := run(*n, *procs, !*skipModel); err != nil {
+	if err := run(*n, *procs); err != nil {
 		fmt.Fprintln(os.Stderr, "iobench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(n, procs int, model bool) error {
+func run(n, procs int) error {
 	scene := core.DefaultScene(n, 64)
 	dir, err := os.MkdirTemp("", "iobench")
 	if err != nil {
@@ -69,15 +67,6 @@ func run(n, procs int, model bool) error {
 		fmt.Printf("%-20s %10s %12s %10d %8.3f\n", m.name,
 			stats.Seconds(res.Times.IO), stats.Bytes(res.IO.PhysicalBytes),
 			res.IO.Accesses, res.IO.Density())
-	}
-
-	if model {
-		fmt.Println()
-		_, report, err := bench.Fig10(machine.NewBGP())
-		if err != nil {
-			return err
-		}
-		fmt.Print(report)
 	}
 	return nil
 }

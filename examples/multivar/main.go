@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -29,6 +30,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	scene := core.DefaultScene(80, 320)
 	scene.Perspective = true
 	scene.Step = 0.5
@@ -36,23 +43,23 @@ func main() {
 
 	dir, err := os.MkdirTemp("", "multivar")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "step.nc")
-	fmt.Printf("writing %d^3 x 5 variable netCDF time step...\n", scene.Dims.X)
+	fmt.Fprintf(stdout, "writing %d^3 x 5 variable netCDF time step...\n", scene.Dims.X)
 	if err := core.WriteSceneFile(path, core.FormatNetCDF, scene); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	f, err := vfile.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	hdr, err := netcdf.ReadHeader(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vx, _ := hdr.VarByName("velocity_x")
 	rho, _ := hdr.VarByName("density")
@@ -104,13 +111,14 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := final.WritePPM("multivar.ppm", 0.02); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote multivar.ppm (velocity colored, density-modulated, %s file)\n",
+	fmt.Fprintf(stdout, "wrote multivar.ppm (velocity colored, density-modulated, %s file)\n",
 		stats.Bytes(f.Size()))
+	return nil
 }
 
 // compose runs direct-send with four compositors.

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bgpvr/internal/core"
 	"bgpvr/internal/img"
@@ -17,6 +19,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	// A scene is the volume + camera + transfer function. DefaultScene
 	// gives a 64^3 synthetic supernova viewed off-axis.
 	scene := core.DefaultScene(64, 256)
@@ -29,9 +37,9 @@ func main() {
 		Format:      core.FormatGenerate,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("frame: io=%.1fms render=%.1fms composite=%.1fms (%d samples)\n",
+	fmt.Fprintf(stdout, "frame: io=%.1fms render=%.1fms composite=%.1fms (%d samples)\n",
 		res.Times.IO*1e3, res.Times.Render*1e3, res.Times.Composite*1e3, res.Samples)
 
 	// Cross-check against the serial renderer — the pipeline's central
@@ -39,12 +47,13 @@ func main() {
 	field := scene.Supernova().GenerateFull(scene.Variable, scene.Dims)
 	ref, _ := render.RenderFull(field, scene.Camera(), scene.Transfer(), scene.RenderConfig())
 	if d := img.MaxDiff(res.Image, ref); d > 1e-5 {
-		log.Fatalf("parallel image differs from serial by %v", d)
+		return fmt.Errorf("parallel image differs from serial by %v", d)
 	}
-	fmt.Println("parallel == serial ✓")
+	fmt.Fprintln(stdout, "parallel == serial ✓")
 
 	if err := res.Image.WritePPM("quickstart.ppm", 0.02); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("wrote quickstart.ppm")
+	fmt.Fprintln(stdout, "wrote quickstart.ppm")
+	return nil
 }

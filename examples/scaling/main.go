@@ -10,49 +10,58 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"runtime"
 
 	"bgpvr/internal/core"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	// Real mode: strong scaling of the rendering stage. Wall-clock
 	// speedups on a laptop are bounded by physical cores, so expect the
 	// curve to flatten past runtime.NumCPU().
 	scene := core.DefaultScene(96, 192)
-	fmt.Printf("real mode: %d^3 volume, %d^2 image, host has %d cores\n",
+	fmt.Fprintf(stdout, "real mode: %d^3 volume, %d^2 image, host has %d cores\n",
 		scene.Dims.X, scene.ImageW, runtime.NumCPU())
-	fmt.Printf("%6s %12s %12s %12s\n", "ranks", "render", "composite", "total")
+	fmt.Fprintf(stdout, "%6s %12s %12s %12s\n", "ranks", "render", "composite", "total")
 	for _, p := range []int{1, 2, 4, 8, 16} {
 		res, err := core.RunReal(core.RealConfig{Scene: scene, Procs: p, Format: core.FormatGenerate})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%6d %10.1fms %10.1fms %10.1fms\n",
+		fmt.Fprintf(stdout, "%6d %10.1fms %10.1fms %10.1fms\n",
 			p, res.Times.Render*1e3, res.Times.Composite*1e3, res.Times.Total*1e3)
 	}
 
 	// Model mode: the paper's sweep.
 	paper, err := core.PaperScene(1120)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nmodel mode: 1120^3 raw, 1600^2 image on the Blue Gene/P model\n")
-	fmt.Printf("%6s %9s %9s %11s %11s %9s\n", "cores", "I/O", "render", "comp(m=n)", "comp(impr)", "total")
+	fmt.Fprintf(stdout, "\nmodel mode: 1120^3 raw, 1600^2 image on the Blue Gene/P model\n")
+	fmt.Fprintf(stdout, "%6s %9s %9s %11s %11s %9s\n", "cores", "I/O", "render", "comp(m=n)", "comp(impr)", "total")
 	for _, p := range []int{64, 256, 1024, 4096, 16384, 32768} {
 		orig, err := core.RunModel(core.ModelConfig{Scene: paper, Procs: p, Compositors: p, Format: core.FormatRaw})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		impr, err := core.RunModel(core.ModelConfig{Scene: paper, Procs: p, Format: core.FormatRaw})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%6d %8.2fs %8.2fs %10.3fs %10.3fs %8.2fs\n",
+		fmt.Fprintf(stdout, "%6d %8.2fs %8.2fs %10.3fs %10.3fs %8.2fs\n",
 			p, impr.Times.IO, impr.Times.Render,
 			orig.Times.Composite, impr.Times.Composite, impr.Times.Total)
 	}
-	fmt.Println("\nnote the original compositing blow-up beyond 1K cores and the")
-	fmt.Println("I/O-dominated totals — the paper's two headline observations.")
+	fmt.Fprintln(stdout, "\nnote the original compositing blow-up beyond 1K cores and the")
+	fmt.Fprintln(stdout, "I/O-dominated totals — the paper's two headline observations.")
+	return nil
 }

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -21,6 +22,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	scene := core.DefaultScene(96, 384)
 	scene.Variable = volume.VarVelocityX
 	scene.Perspective = true
@@ -28,17 +35,17 @@ func main() {
 
 	dir, err := os.MkdirTemp("", "supernova")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "vh1-step1530.nc")
 
-	fmt.Printf("writing %d^3 x 5 variables netCDF time step...\n", scene.Dims.X)
+	fmt.Fprintf(stdout, "writing %d^3 x 5 variables netCDF time step...\n", scene.Dims.X)
 	if err := core.WriteSceneFile(path, core.FormatNetCDF, scene); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st, _ := os.Stat(path)
-	fmt.Printf("  %s (%s)\n", path, stats.Bytes(st.Size()))
+	fmt.Fprintf(stdout, "  %s (%s)\n", path, stats.Bytes(st.Size()))
 
 	// Read one of five interleaved record variables collectively and
 	// render. The record size is the natural cb_buffer_size (the
@@ -52,16 +59,17 @@ func main() {
 		Hints:  mpiio.Hints{CBBufferSize: recSize, CBNodes: 4},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("frame: io=%s render=%s composite=%s\n",
+	fmt.Fprintf(stdout, "frame: io=%s render=%s composite=%s\n",
 		stats.Seconds(res.Times.IO), stats.Seconds(res.Times.Render), stats.Seconds(res.Times.Composite))
-	fmt.Printf("I/O: %s physical in %d accesses for %s useful (density %.2f)\n",
+	fmt.Fprintf(stdout, "I/O: %s physical in %d accesses for %s useful (density %.2f)\n",
 		stats.Bytes(res.IO.PhysicalBytes), res.IO.Accesses,
 		stats.Bytes(res.IO.UsefulBytes), res.IO.Density())
 
 	if err := res.Image.WritePPM("supernova.ppm", 0.02); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("wrote supernova.ppm (cf. the paper's Fig 1)")
+	fmt.Fprintln(stdout, "wrote supernova.ppm (cf. the paper's Fig 1)")
+	return nil
 }

@@ -1,8 +1,8 @@
-// Package clitest is the smoke-test harness the cmd/ binaries share:
-// it drives a command's run(args, stdout, stderr) through declarative
-// rows, one per invocation, and compares the transcript — arguments,
-// exit status, stdout, stderr — with one golden file per command.
-// go test -update rewrites the golden files.
+// Package clitest is the smoke-test harness the cmd/ binaries and the
+// examples share: it drives a command's run(args, stdout, stderr)
+// through declarative rows, one per invocation, and compares the
+// transcript — arguments, exit status, stdout, stderr — with one golden
+// file per command. go test -update rewrites the golden files.
 package clitest
 
 import (
@@ -86,4 +86,24 @@ func GoldenReport(t *testing.T, report, golden string) {
 		t.Fatal(err)
 	}
 	Golden(t, golden, buf.Bytes())
+}
+
+// InTempDir moves the test into a fresh temporary directory until it
+// ends, for a program that writes its output into the working
+// directory.
+func InTempDir(t *testing.T) {
+	t.Helper()
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
 }

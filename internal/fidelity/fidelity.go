@@ -13,8 +13,6 @@ package fidelity
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"bgpvr/internal/telemetry"
@@ -243,16 +241,6 @@ func (s *Scorecard) Stat() *telemetry.FidelityStat {
 // WriteFile writes the scorecard (its report-section form) as JSON,
 // creating missing parent directories — the CI scorecard artifact.
 func (s *Scorecard) WriteFile(path string) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	r := telemetry.Report{Schema: telemetry.ReportSchema, Label: "fidelity-scorecard", Fidelity: s.Stat()}
-	return r.WriteJSON(f)
+	return r.WriteFile(path)
 }

@@ -93,11 +93,11 @@ func Append(path string, rec Record) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
 		return fmt.Errorf("runstore: appending to %s: %w", path, err)
 	}
-	return nil
+	return f.Close()
 }
 
 // Read loads every record of the store, oldest first. A corrupt or

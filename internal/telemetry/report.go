@@ -445,8 +445,11 @@ func (r *Report) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return r.WriteJSON(f)
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadReport loads a report from path. Any schema from 1 up to
