@@ -282,21 +282,17 @@ func runFrame(a *frameArgs) error {
 		if eps := a.FlowsimApprox; eps >= 0 {
 			pt, err := bench.FlowScaleAt(mach, scene, bench.FlowScaleConfig{
 				Procs: procs, M: m, Eps: eps, Workers: a.Workers,
-				EndpointAgg: a.FlowsimEndpointAgg,
 			})
 			if err != nil {
 				return err
 			}
 			fs = pt.Stat(eps, a.Workers)
-			kernel, errKind := "exact kernel", "vs exact"
+			kernel := "exact kernel"
 			if eps > 0 {
 				kernel = fmt.Sprintf("eps=%g", eps)
-				if !pt.ErrExact {
-					errKind = "bound gap"
-				}
 			}
 			fmt.Fprintf(a.Out, "  flowsim:    composite %s wire-level (%s, %d msgs, err %.4f %s, wall %s)\n",
-				stats.Seconds(pt.ApproxSec), kernel, pt.Msgs, pt.ObservedErr, errKind,
+				stats.Seconds(pt.ApproxSec), kernel, pt.Msgs, pt.ObservedErr, pt.ErrKind(),
 				stats.Seconds(pt.WallSec))
 		}
 		if a.linkmap != "" {

@@ -5,7 +5,7 @@
 //
 //	experiments [-exp all|<exhibit>]        (experiments -h lists the exhibits)
 //	experiments -exp fidelity [-scorecard card.json] [-perf-report rep.json] [-run-record runs.jsonl]
-//	experiments -exp flowscale [-procs 131072] [-flowsim-approx 0.25] [-flowsim-endpoint-agg] [-workers 4] [-n 256] [-img 1024]
+//	experiments -exp flowscale [-procs 131072] [-flowsim-approx 0.25] [-workers 4] [-n 256] [-img 1024]
 //	experiments -breakdown [-procs 16384] [-trace frame.json]
 //
 // The output rows mirror what the paper plots; EXPERIMENTS.md records
@@ -176,9 +176,7 @@ func fidelityRun(e *env) error {
 // wire-level Fig-4 view, and exports the scale point's flowsim section
 // when a perf report or run record was asked for.
 func flowScaleRun(e *env) error {
-	cfg := bench.FlowScaleConfig{
-		Procs: e.Procs, Eps: e.FlowsimApprox, Workers: e.Workers, EndpointAgg: e.FlowsimEndpointAgg,
-	}
+	cfg := bench.FlowScaleConfig{Procs: e.Procs, Eps: e.FlowsimApprox, Workers: e.Workers}
 	pts, text, err := bench.FlowScaleRun(e.mach, core.DefaultScene(e.N, e.Img), cfg)
 	if err != nil {
 		return err
@@ -195,9 +193,6 @@ func flowScaleRun(e *env) error {
 		"img":   strconv.Itoa(e.Img),
 		"procs": strconv.Itoa(cfg.Procs),
 		"eps":   strconv.FormatFloat(cfg.Eps, 'g', -1, 64),
-	}
-	if cfg.EndpointAgg {
-		r.Config["endpoint_agg"] = "true"
 	}
 	r.TotalSec = pt.ApproxSec
 	r.Flowsim = pt.Stat(cfg.Eps, cfg.Workers)

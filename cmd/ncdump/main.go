@@ -9,29 +9,38 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/h5lite"
 	"bgpvr/internal/netcdf"
 	"bgpvr/internal/stats"
 	"bgpvr/internal/vfile"
 )
 
-func main() {
-	layout := flag.Bool("layout", false, "also print the byte layout")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ncdump [-layout] <file>")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ncdump", flag.ContinueOnError)
+	layout := fs.Bool("layout", false, "also print the byte layout")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
-	if err := run(flag.Arg(0), *layout); err != nil {
-		fmt.Fprintln(os.Stderr, "ncdump:", err)
-		os.Exit(1)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ncdump [-layout] <file>")
+		return 2
 	}
+	if err := dump(stdout, fs.Arg(0), *layout); err != nil {
+		fmt.Fprintln(stderr, "ncdump:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(path string, layout bool) error {
+func dump(w io.Writer, path string, layout bool) error {
 	f, err := vfile.Open(path)
 	if err != nil {
 		return err
@@ -40,16 +49,16 @@ func run(path string, layout bool) error {
 
 	name := filepath.Base(path)
 	if h, err := netcdf.ReadHeader(f); err == nil {
-		fmt.Print(h.CDL(name))
+		fmt.Fprint(w, h.CDL(name))
 		if layout {
-			fmt.Println("\n// layout:")
+			fmt.Fprintln(w, "\n// layout:")
 			for i := range h.Vars {
 				v := &h.Vars[i]
 				kind := "fixed"
 				if h.IsRecordVar(v) {
 					kind = fmt.Sprintf("record (stride %d)", h.RecSize())
 				}
-				fmt.Printf("//\t%-16s begin %12d  vsize %10d  %s\n", v.Name, v.Begin, v.VSize, kind)
+				fmt.Fprintf(w, "//\t%-16s begin %12d  vsize %10d  %s\n", v.Name, v.Begin, v.VSize, kind)
 			}
 		}
 		return nil
@@ -60,14 +69,19 @@ func run(path string, layout bool) error {
 	if err != nil {
 		return fmt.Errorf("not a netCDF classic or h5lite file: %w", err)
 	}
-	fmt.Printf("h5lite %s {\n", name)
+	fmt.Fprintf(w, "h5lite %s {\n", name)
 	for _, d := range h5.Datasets {
-		fmt.Printf("\tfloat %s(%d, %d, %d) ;  // %s at offset %d\n",
+		fmt.Fprintf(w, "\tfloat %s(%d, %d, %d) ;  // %s at offset %d\n",
 			d.Name, d.Dims.Z, d.Dims.Y, d.Dims.X, stats.Bytes(d.Size), d.Offset)
-		for k, v := range d.Attrs {
-			fmt.Printf("\t\t%s:%s = %q ;\n", d.Name, k, v)
+		keys := make([]string, 0, len(d.Attrs))
+		for k := range d.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(w, "\t\t%s:%s = %q ;\n", d.Name, k, d.Attrs[k])
 		}
 	}
-	fmt.Println("}")
+	fmt.Fprintln(w, "}")
 	return nil
 }

@@ -13,11 +13,16 @@ import (
 	"bgpvr/internal/telemetry"
 )
 
-// DefaultFlowScaleExactMax is the default largest core count the
-// flow-scale sweep cross-checks against the exact kernel: past it the
+// The flow-scale sweep re-validates the approximation at the small
+// core counts of flowScaleValidation below its scale point (larger ones
+// are skipped), and cross-checks every point of at most
+// flowScaleExactMax cores against the exact kernel: past that the
 // exact leg costs minutes and the self-measured bound gap stands in
-// for the true error.
-const DefaultFlowScaleExactMax = 2048
+// for the true error. Tests shorten both.
+var (
+	flowScaleValidation = []int{256, 512}
+	flowScaleExactMax   = 2048
+)
 
 // FlowScaleConfig parameterizes one contention-kernel scale sweep.
 // The zero value of every field but Procs picks the sweep's defaults,
@@ -33,32 +38,6 @@ type FlowScaleConfig struct {
 	Eps float64
 	// Workers is the gang width for the sharded kernel sections.
 	Workers int
-	// EndpointAgg dials on endpoint-hop aggregation: above the
-	// engagement floor only each flow's injection and ejection hops
-	// stay physical and interior endpoint-region hops pool onto the
-	// regional aggregates. Ignored when Eps == 0.
-	EndpointAgg bool
-	// ExactMax is the largest core count cross-checked against the
-	// exact kernel; 0 means DefaultFlowScaleExactMax.
-	ExactMax int
-	// Validation lists the small core counts re-validated exactly
-	// before the scale point; nil means 256 and 512. Counts >= Procs
-	// are skipped.
-	Validation []int
-}
-
-func (cfg FlowScaleConfig) exactMax() int {
-	if cfg.ExactMax > 0 {
-		return cfg.ExactMax
-	}
-	return DefaultFlowScaleExactMax
-}
-
-func (cfg FlowScaleConfig) validation() []int {
-	if cfg.Validation != nil {
-		return cfg.Validation
-	}
-	return []int{256, 512}
 }
 
 // FlowScalePoint is one core count of the contention-kernel scale
@@ -79,6 +58,20 @@ type FlowScalePoint struct {
 	KeptRounds  float64 // share of the reported leg's freeze rounds an event kept from the one before
 	WallSec     float64
 	Info        *flowsim.ApproxInfo // nil when eps <= 0
+}
+
+// ErrKind names what ObservedErr measures: "exact" when the exact
+// kernel produced the reported time (eps 0, or the approximation
+// degraded to it), "vs exact" when an exact leg scored the
+// approximation, and "bound gap" when the self-measured band stands in.
+func (pt FlowScalePoint) ErrKind() string {
+	switch {
+	case pt.Info == nil || pt.Info.Side == 1:
+		return "exact"
+	case pt.ErrExact:
+		return "vs exact"
+	}
+	return "bound gap"
 }
 
 // flowsimRounds reads the kernel's process-wide freeze-round counters
@@ -113,21 +106,21 @@ func (pt FlowScalePoint) Stat(eps float64, workers int) *telemetry.FlowsimStat {
 		st.ModelLinks = pt.Info.ModelLinks
 		st.PhysLinks = pt.Info.PhysLinks
 		st.LowerBoundSec = pt.Info.LowerBound
-		st.EndpointAgg = pt.Info.EndpointAgg
 		st.UsedLinks = pt.Info.UsedLinks
 	}
 	return st
 }
 
 // FlowScaleAt streams one direct-send compositing exchange through the
-// contention kernel at cfg.Procs cores. When cfg.Eps > 0 and the core
-// count is within cfg's exact-check ceiling, the exact kernel also
-// runs and the true relative error is scored; past the ceiling
-// ObservedErr is the approximation's self-measured bound gap, which
-// bounds the truth from above. Either way the run is refused with an
-// error when the observed error exceeds cfg.Eps — a scale point whose
-// own certificate cannot place it inside the requested band is not
-// reported.
+// contention kernel at cfg.Procs cores. When the approximation engaged
+// and the core count is within the exact-check ceiling, the exact
+// kernel also runs and the true relative error is scored; past the
+// ceiling ObservedErr is the approximation's self-measured bound gap,
+// which bounds the truth from above. Where the exact kernel produced
+// the time itself, the error is zero and nothing runs twice. Either
+// way the run is refused with an error when the observed error exceeds
+// cfg.Eps — a scale point whose own certificate cannot place it inside
+// the requested band is not reported.
 func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (FlowScalePoint, error) {
 	procs := cfg.Procs
 	top, p, nm := core.CompositePhaseMessages(mach, scene, procs, cfg.M, 0)
@@ -152,7 +145,7 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 	rounds0, kept0 := flowsimRounds()
 	t0 := time.Now()
 	res, info := flowsim.SimulateOpt(top, p, nm, flowsim.Options{
-		ApproxEps: cfg.Eps, Workers: cfg.Workers, EndpointAgg: cfg.EndpointAgg,
+		ApproxEps: cfg.Eps, Workers: cfg.Workers,
 	})
 	pt.WallSec = time.Since(t0).Seconds()
 	if rounds, kept := flowsimRounds(); rounds > rounds0 {
@@ -165,15 +158,16 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 	if info != nil {
 		pt.ObservedErr = info.BoundGap
 	}
-	if cfg.Eps > 0 && procs <= cfg.exactMax() {
+	if info == nil || info.Side == 1 {
+		// The exact kernel ran: its time is exact, its error zero.
+		pt.ExactSec, pt.ErrExact = res.Time, info != nil
+	} else if procs <= flowScaleExactMax {
 		ex := flowsim.SimulateTimed(top, p, nm, nil, nil)
 		pt.ExactSec = ex.Time
 		if ex.Time > 0 {
 			pt.ObservedErr = math.Abs(res.Time-ex.Time) / ex.Time
 			pt.ErrExact = true
 		}
-	} else if cfg.Eps <= 0 {
-		pt.ExactSec = res.Time
 	}
 	if cfg.Eps > 0 && pt.ObservedErr > cfg.Eps {
 		kind := "self-measured bound gap"
@@ -191,7 +185,7 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 // FlowScaleRun is the contention-kernel scale experiment: the
 // validation core counts re-check the approximation against the exact
 // kernel, then the scale point runs at cfg.Procs — approximately when
-// cfg.Eps > 0 (with an exact cross-check only up to cfg's exact-check
+// cfg.Eps > 0 (with an exact cross-check only up to the exact-check
 // ceiling), exactly otherwise. Every point inherits FlowScaleAt's
 // refusal: an observed error (or, past the ceiling, a bound gap) above
 // eps aborts the sweep. The table is the wire-level Fig-4 view: the
@@ -201,7 +195,7 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 // The returned points end with the scale point.
 func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) ([]FlowScalePoint, string, error) {
 	var counts []int
-	for _, p := range cfg.validation() {
+	for _, p := range flowScaleValidation {
 		if p < cfg.Procs {
 			counts = append(counts, p)
 		}
@@ -215,7 +209,7 @@ func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (
 		ptCfg := cfg
 		ptCfg.Procs = p
 		obs.Note("flowscale point %d/%d: %d cores (exact cross-check %v)",
-			i+1, len(counts), p, cfg.Eps > 0 && p <= cfg.exactMax())
+			i+1, len(counts), p, cfg.Eps > 0 && p <= flowScaleExactMax)
 		pt, err := FlowScaleAt(mach, scene, ptCfg)
 		if err != nil {
 			return nil, "", err
@@ -230,15 +224,8 @@ func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (
 		Columns: []string{"cores", "m", "msgs", "phase", "agg BW", "err", "err kind", "events", "kept", "wall"},
 	}
 	for _, pt := range pts {
-		errKind := "bound gap"
-		if pt.ErrExact {
-			errKind = "vs exact"
-		}
-		if pt.Info == nil {
-			errKind = "exact"
-		}
 		t.AddRow(fmt.Sprint(pt.Procs), fmt.Sprint(pt.Compositors), fmt.Sprint(pt.Msgs),
-			secs(pt.ApproxSec), stats.Rate(pt.BW), fmt.Sprintf("%.4f", pt.ObservedErr), errKind,
+			secs(pt.ApproxSec), stats.Rate(pt.BW), fmt.Sprintf("%.4f", pt.ObservedErr), pt.ErrKind(),
 			fmt.Sprint(pt.Events), fmt.Sprintf("%.1f%%", 100*pt.KeptRounds), secs(pt.WallSec))
 	}
 	return pts, t.String(), nil

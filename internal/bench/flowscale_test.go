@@ -28,7 +28,7 @@ func TestFlowScaleSmall(t *testing.T) {
 			t.Errorf("degenerate point at %d cores: %+v", pt.Procs, pt)
 		}
 		if !pt.ErrExact {
-			t.Errorf("%d cores is below DefaultFlowScaleExactMax but was not exact-checked", pt.Procs)
+			t.Errorf("%d cores is below flowScaleExactMax but was not exact-checked", pt.Procs)
 		}
 		if pt.ObservedErr > eps {
 			t.Errorf("observed error %.4f exceeds eps %g at %d cores", pt.ObservedErr, eps, pt.Procs)
@@ -42,8 +42,8 @@ func TestFlowScaleSmall(t *testing.T) {
 	if st.ApproxEps != eps || st.Workers != 2 || st.Events != last.Events {
 		t.Errorf("Stat round-trip mismatch: %+v vs point %+v", st, last)
 	}
-	if st.RegionSide == 0 || st.LowerBoundSec <= 0 {
-		t.Errorf("Stat missing approximation info: %+v", st)
+	if st.RegionSide != 1 || st.LowerBoundSec != last.ApproxSec || st.ExactSec != last.ApproxSec {
+		t.Errorf("Stat of a point below the approximation's floor is not the exact kernel's: %+v", st)
 	}
 	for _, col := range []string{"cores", "agg BW", "err kind", "1024"} {
 		if !strings.Contains(table, col) {
@@ -52,19 +52,17 @@ func TestFlowScaleSmall(t *testing.T) {
 	}
 }
 
-// TestFlowScaleConfig exercises the config surface: a custom
-// validation list and exact-check ceiling, with endpoint-hop
-// aggregation dialed on. The scale point sits past the ceiling, so its
-// error is the self-measured bound gap; the decomposition at 2048
-// cores (512 nodes, side 4) clears the engagement floor, so the point
-// and its perf-report stat must record the dial.
+// TestFlowScaleConfig shortens the validation list and the exact-check
+// ceiling. The scale point sits past the ceiling, so its error is the
+// self-measured bound gap; the decomposition at 2048 cores (512 nodes,
+// side 4) clears the approximation's floor, so the point and its
+// perf-report stat must record the aggregated model.
 func TestFlowScaleConfig(t *testing.T) {
+	defer func(v []int, m int) { flowScaleValidation, flowScaleExactMax = v, m }(flowScaleValidation, flowScaleExactMax)
+	flowScaleValidation, flowScaleExactMax = []int{256}, 512
 	mach := machine.NewBGP()
 	scene := core.DefaultScene(64, 256)
-	cfg := FlowScaleConfig{
-		Procs: 2048, Eps: 0.08, Workers: 2, EndpointAgg: true,
-		ExactMax: 512, Validation: []int{256},
-	}
+	cfg := FlowScaleConfig{Procs: 2048, Eps: 0.08, Workers: 2}
 	pts, table, err := FlowScaleRun(mach, scene, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,22 +70,22 @@ func TestFlowScaleConfig(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("want the 256 validation point plus the 2048 scale point, got %d points", len(pts))
 	}
-	if !pts[0].ErrExact {
-		t.Errorf("validation point below ExactMax was not exact-checked: %+v", pts[0])
+	if !pts[0].ErrExact || pts[0].ErrKind() != "exact" {
+		t.Errorf("validation point below the floor did not run the exact kernel: %+v", pts[0])
 	}
 	last := pts[1]
 	if last.ErrExact {
-		t.Errorf("scale point above ExactMax was exact-checked: %+v", last)
+		t.Errorf("scale point above the exact-check ceiling was exact-checked: %+v", last)
 	}
-	if last.Info == nil || !last.Info.EndpointAgg {
-		t.Fatalf("endpoint aggregation did not engage at the scale point: %+v", last.Info)
+	if last.Info == nil || last.Info.Side != 4 {
+		t.Fatalf("the approximation did not engage at the scale point: %+v", last.Info)
 	}
 	if last.ObservedErr > cfg.Eps {
 		t.Errorf("bound gap %.4f exceeds eps %g", last.ObservedErr, cfg.Eps)
 	}
 	st := last.Stat(cfg.Eps, cfg.Workers)
-	if !st.EndpointAgg || st.UsedLinks <= 0 || st.WallSec <= 0 {
-		t.Errorf("Stat missing endpoint-aggregation fields: %+v", st)
+	if st.RegionSide != 4 || st.UsedLinks <= 0 || st.WallSec <= 0 {
+		t.Errorf("Stat missing approximation fields: %+v", st)
 	}
 	if st.UsedLinks > st.ModelLinks {
 		t.Errorf("UsedLinks %d exceeds model link space %d", st.UsedLinks, st.ModelLinks)

@@ -105,17 +105,16 @@ func (e *Emitter) Emit(r *telemetry.Report) error {
 // Start, and defer Close.
 type Run struct {
 	Emitter
-	Trace              string
-	Breakdown          bool
-	Procs, N, Img      int
-	CritPath           string
-	DebugAddr          string
-	FlowsimApprox      float64
-	FlowsimEndpointAgg bool
-	Progress           bool
-	ProgressInterval   time.Duration
-	CrashDump          string
-	SoftDeadline       time.Duration
+	Trace            string
+	Breakdown        bool
+	Procs, N, Img    int
+	CritPath         string
+	DebugAddr        string
+	FlowsimApprox    float64
+	Progress         bool
+	ProgressInterval time.Duration
+	CrashDump        string
+	SoftDeadline     time.Duration
 
 	stop []func()
 }
@@ -132,8 +131,7 @@ func (r *Run) Register(fs *flag.FlagSet, help map[string]string) {
 	fs.StringVar(&r.CritPath, "critpath", "", "print the critical-path & load-imbalance report and write the full analysis as JSON to this file")
 	fs.StringVar(&r.DebugAddr, "debug-addr", "", "serve a live debug endpoint (net/http/pprof, expvar, /telemetry) on this address while the run executes")
 	fs.IntVar(&r.Workers, "workers", 0, "worker goroutines for the parallel render loops (0 = all cores)")
-	fs.Float64Var(&r.FlowsimApprox, "flowsim-approx", r.FlowsimApprox, "cross-check the model's compositing phase with the max-min flow kernel: 0 runs it exactly, eps > 0 the bounded-error clustered approximation (< 0 skips; model mode)")
-	fs.BoolVar(&r.FlowsimEndpointAgg, "flowsim-endpoint-agg", false, "with -flowsim-approx, also pool endpoint-region interior hops onto the regional aggregates (only injection/ejection hops stay physical); engages above the decomposition's floor")
+	fs.Float64Var(&r.FlowsimApprox, "flowsim-approx", r.FlowsimApprox, "cross-check the model's compositing phase with the max-min flow kernel: 0 runs it exactly, eps > 0 the bounded-error clustered approximation where the torus clears its floor and the exact kernel elsewhere (< 0 skips; model mode)")
 	fs.BoolVar(&r.Progress, "progress", false, "emit periodic structured progress heartbeats (phase done/total, rate, ETA) to stderr")
 	fs.DurationVar(&r.ProgressInterval, "progress-interval", obs.DefaultHeartbeatInterval, "heartbeat period for -progress")
 	fs.StringVar(&r.CrashDump, "crash-dump", "", "write a flight record (recent events, phase progress, metrics, goroutine stacks) to this file on SIGQUIT/SIGTERM or -soft-deadline, then exit")

@@ -15,7 +15,7 @@ import (
 	"bgpvr/internal/telemetry"
 )
 
-// TestRegister pins the shared registration: sixteen flags, the
+// TestRegister pins the shared registration: fifteen flags, the
 // caller's defaults, the caller's help where it names a flag, and
 // values landing in the fields.
 func TestRegister(t *testing.T) {
@@ -24,8 +24,8 @@ func TestRegister(t *testing.T) {
 	r.Register(fs, map[string]string{"procs": "cores, here"})
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 16 {
-		t.Errorf("%d shared flags registered, want 16", n)
+	if n != 15 {
+		t.Errorf("%d shared flags registered, want 15", n)
 	}
 	for name, def := range map[string]string{"procs": "8", "n": "64", "img": "256", "flowsim-approx": "-1",
 		"workers": "0", "progress-interval": obs.DefaultHeartbeatInterval.String()} {

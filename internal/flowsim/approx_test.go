@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bgpvr/internal/telemetry"
 	"bgpvr/internal/torus"
 )
 
@@ -31,7 +32,9 @@ func approxRefConfigs() []struct {
 
 // TestApproxErrorWithinEps is the bounded-error property test: for
 // every seeded reference config and every calibrated eps band, the
-// approximate phase time is within eps of the exact kernel's.
+// approximate phase time is within eps of the exact kernel's, and the
+// aggregation engages only above its floor (side >= 4 with at least
+// approxMinRegions regions).
 func TestApproxErrorWithinEps(t *testing.T) {
 	p := params()
 	for _, cfg := range approxRefConfigs() {
@@ -58,6 +61,9 @@ func TestApproxErrorWithinEps(t *testing.T) {
 				}
 				if info.BoundGap < 0 || info.BoundGap >= 1 {
 					t.Errorf("BoundGap %v out of range", info.BoundGap)
+				}
+				if info.Side > 1 && (info.Regions < approxMinRegions || info.UsedLinks <= 0) {
+					t.Errorf("aggregation engaged below its floor or unmeasured: %+v", info)
 				}
 			})
 		}
@@ -91,49 +97,12 @@ func TestApproxSkewedPattern(t *testing.T) {
 	}
 }
 
-// TestApproxEndpointAggWithinEps repeats the bounded-error property
-// test with endpoint-hop aggregation dialed on: wherever the
-// decomposition clears the engagement floor (side >= 4 with at least
-// endpointAggMinRegions regions) the coarser model — only injection
-// and ejection hops physical — must still land within eps of the
-// exact kernel, and the certified lower bound must still hold.
-func TestApproxEndpointAggWithinEps(t *testing.T) {
-	p := params()
-	for _, cfg := range approxRefConfigs() {
-		top := torus.NewTopology(cfg.nodes)
-		rng := rand.New(rand.NewSource(cfg.seed))
-		msgs := randomMsgs(rng, top.Nodes(), cfg.n)
-		exact := SimulateTimed(top, p, msgs, nil, nil)
-		for _, eps := range []float64{0.02, 0.08, 0.25} {
-			t.Run(fmt.Sprintf("nodes%d/seed%d/eps%g", cfg.nodes, cfg.seed, eps), func(t *testing.T) {
-				res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, EndpointAgg: true})
-				if info == nil {
-					t.Fatal("approx mode returned no ApproxInfo")
-				}
-				if err := math.Abs(res.Time-exact.Time) / exact.Time; err > eps {
-					t.Errorf("observed error %.4f exceeds eps %g (side %d, endpoint %v, exact %.6g, approx %.6g)",
-						err, eps, info.Side, info.EndpointAgg, exact.Time, res.Time)
-				}
-				if exact.Time < info.LowerBound*(1-1e-9) {
-					t.Errorf("exact time %.6g below certified lower bound %.6g", exact.Time, info.LowerBound)
-				}
-				if info.EndpointAgg && (info.Side < 4 || info.Regions < endpointAggMinRegions) {
-					t.Errorf("endpoint aggregation engaged below its floor: %+v", info)
-				}
-				if info.UsedLinks <= 0 && res.Completions > 0 {
-					t.Errorf("UsedLinks not measured: %+v", info)
-				}
-			})
-		}
-	}
-}
-
-// TestApproxEndpointAggShrinksModel pins the point of the dial: on a
-// direct-send-like skewed pattern over a decomposition above the
-// engagement floor, endpoint aggregation must (a) reference strictly
-// fewer model links than the endpoint-exact clustering, (b) stay
-// within eps of the exact kernel, and (c) keep worker-count
-// determinism.
+// TestApproxEndpointAggShrinksModel pins the point of the aggregation:
+// on a direct-send-like skewed pattern over a decomposition above the
+// floor, it must (a) shrink the flows' constraint sets — strictly fewer
+// route entries than the exact kernel's, on at most the exact kernel's
+// links plus the regional aggregates — (b) stay within eps of the
+// exact kernel, and (c) keep worker-count determinism.
 func TestApproxEndpointAggShrinksModel(t *testing.T) {
 	p := params()
 	const nodes, eps = 512, 0.08
@@ -149,28 +118,30 @@ func TestApproxEndpointAggShrinksModel(t *testing.T) {
 		}
 	}
 	exact := SimulateTimed(top, p, msgs, nil, nil)
-	base, baseInfo := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
-	res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, EndpointAgg: true})
-	if !info.EndpointAgg {
-		t.Fatalf("endpoint aggregation did not engage: %+v", info)
+	res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
+	if info.Side == 1 {
+		t.Fatalf("aggregation did not engage: %+v", info)
 	}
-	if baseInfo.EndpointAgg {
-		t.Fatalf("endpoint aggregation engaged without the dial: %+v", baseInfo)
+	ex := newSim(top, p, msgs, nil, nil, nil)
+	ag := newSim(top, p, msgs, nil, nil, torus.NewRegions(top, info.Side))
+	if info.UsedLinks > len(ex.activeLinks)+6*info.Regions {
+		t.Errorf("aggregation uses %d model links, more than the exact kernel's %d plus %d aggregates",
+			info.UsedLinks, len(ex.activeLinks), 6*info.Regions)
 	}
-	if info.UsedLinks >= baseInfo.UsedLinks {
-		t.Errorf("endpoint aggregation kept %d model links, endpoint-exact %d — no reduction",
-			info.UsedLinks, baseInfo.UsedLinks)
+	if len(ag.routes.links) >= len(ex.routes.links) {
+		t.Errorf("aggregation kept %d route entries, exact kernel %d — no reduction",
+			len(ag.routes.links), len(ex.routes.links))
 	}
 	if err := math.Abs(res.Time-exact.Time) / exact.Time; err > eps {
-		t.Errorf("observed error %.4f exceeds eps %g (exact %.6g, approx %.6g, base %.6g)",
-			err, eps, exact.Time, res.Time, base.Time)
+		t.Errorf("observed error %.4f exceeds eps %g (exact %.6g, approx %.6g)",
+			err, eps, exact.Time, res.Time)
 	}
 	var ft1 FlowTimes
-	want, _ := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, EndpointAgg: true, Workers: 1, Times: &ft1})
+	want, _ := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, Workers: 1, Times: &ft1})
 	forceSharding(t)
 	for _, workers := range []int{2, 4} {
 		var ftW FlowTimes
-		got, _ := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, EndpointAgg: true, Workers: workers, Times: &ftW})
+		got, _ := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, Workers: workers, Times: &ftW})
 		if got != want {
 			t.Errorf("workers=%d Result %+v, want %+v", workers, got, want)
 		}
@@ -182,21 +153,37 @@ func TestApproxEndpointAggShrinksModel(t *testing.T) {
 	}
 }
 
-// TestApproxDegradesToExact pins the floor of the eps mapping: a bound
-// tighter than the smallest calibrated band runs the exact kernel and
-// reports a zero-width error band.
+// TestApproxDegradesToExact pins the approximation's floor: a bound
+// tighter than the smallest calibrated band, or a torus too small for
+// the decomposition to reach approxMinRegions regions, runs the exact
+// kernel — Result, completion times and link usage bit-identical to
+// SimulateTimed — and reports side 1 with a zero-width error band.
 func TestApproxDegradesToExact(t *testing.T) {
-	top := torus.NewTopology(64)
 	p := params()
-	rng := rand.New(rand.NewSource(3))
-	msgs := randomMsgs(rng, top.Nodes(), 120)
-	want := SimulateTimed(top, p, msgs, nil, nil)
-	got, info := SimulateOpt(top, p, msgs, Options{ApproxEps: 0.005})
-	if got != want {
-		t.Errorf("eps below floor: Result %+v, exact %+v", got, want)
-	}
-	if info == nil || info.Side != 1 || info.Regions != top.Nodes() || info.BoundGap != 0 {
-		t.Errorf("degraded ApproxInfo %+v, want side 1, %d regions, zero band", info, top.Nodes())
+	for _, tc := range []struct {
+		nodes int
+		eps   float64
+	}{
+		{64, 0.005}, {64, 0.02}, {512, 0.02}, {256, 0.08}, {1024, 0.25},
+	} {
+		t.Run(fmt.Sprintf("nodes%d/eps%g", tc.nodes, tc.eps), func(t *testing.T) {
+			top := torus.NewTopology(tc.nodes)
+			rng := rand.New(rand.NewSource(3))
+			msgs := randomMsgs(rng, top.Nodes(), 2*tc.nodes)
+			var wantT, gotT FlowTimes
+			wantU := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+			gotU := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+			want := SimulateTimed(top, p, msgs, wantU, &wantT)
+			got, info := SimulateOpt(top, p, msgs, Options{ApproxEps: tc.eps, Usage: gotU, Times: &gotT})
+			if got != want {
+				t.Errorf("Result %+v, exact %+v", got, want)
+			}
+			sameTimes(t, &gotT, &wantT)
+			sameUsage(t, gotU, wantU)
+			if info == nil || info.Side != 1 || info.Regions != top.Nodes() || info.BoundGap != 0 || info.LowerBound != want.Time {
+				t.Errorf("degraded ApproxInfo %+v, want side 1, %d regions, zero band", info, top.Nodes())
+			}
+		})
 	}
 }
 

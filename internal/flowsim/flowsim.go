@@ -87,50 +87,35 @@ type Options struct {
 	Workers int
 	// ApproxEps > 0 enables the clustered contention approximation
 	// with the given relative-error budget: torus links are grouped
-	// into regions (torus.SideForEps picks the cluster side), flows
-	// contend exactly on links inside their endpoint regions and
-	// against pooled directional capacity in transit regions, and the
-	// result is clamped to the certifiable physical-bottleneck lower
-	// bound. Eps below the smallest calibrated band degrades to the
-	// exact kernel.
+	// into regions (torus.SideForEps picks the cluster side), each
+	// flow's injection and ejection hops contend exactly on their
+	// physical links, every other hop against its region's pooled
+	// directional capacity (torus.Regions), and the result is clamped
+	// to the certifiable physical-bottleneck lower bound. Below the
+	// approximation's floor — eps under the smallest calibrated band,
+	// or fewer than approxMinRegions regions — it runs the exact
+	// kernel instead.
 	ApproxEps float64
-	// EndpointAgg additionally aggregates the interior hops of each
-	// flow's endpoint regions (torus.Regions.EndpointAgg): only the
-	// injection hop out of the source node and the ejection hop into
-	// the destination node keep their physical identity, so the
-	// per-flow endpoint fan — the dominant model-link population on
-	// direct-send workloads past 32K ranks — collapses onto the same
-	// regional aggregates transit hops use. Only meaningful with
-	// ApproxEps > 0; it engages when the decomposition is coarse
-	// enough to pay (side >= 4 and at least endpointAggMinRegions
-	// regions — below that nearly every hop is an injection/ejection
-	// hop already and pooling would spend accuracy for nothing).
-	// ApproxInfo.EndpointAgg reports whether it actually engaged.
-	EndpointAgg bool
 }
 
-// endpointAggMinRegions is the engagement floor for Options.EndpointAgg:
-// decompositions with fewer regions keep endpoint hops physical even
-// when the dial is on (they are dominated by injection/ejection hops,
-// which stay physical regardless).
-const endpointAggMinRegions = 8
+// approxMinRegions is the approximation's floor: a decomposition with
+// fewer regions runs the exact kernel, because nearly every hop is an
+// injection or ejection hop already and pooling the rest would spend
+// accuracy for nothing.
+const approxMinRegions = 8
 
 // ApproxInfo reports what the clustered contention approximation did;
 // SimulateOpt returns nil when ApproxEps was not engaged.
 type ApproxInfo struct {
 	Eps        float64 // the requested bound
-	Side       int     // cluster side chosen by SideForEps
+	Side       int     // cluster side chosen by SideForEps; 1 when the exact kernel ran
 	Regions    int     // clusters in the decomposition
 	PhysLinks  int     // physical directed links
 	ModelLinks int     // simulated model links (aggregates + exact)
-	// EndpointAgg reports whether endpoint-hop aggregation engaged
-	// (Options.EndpointAgg requested it and the decomposition cleared
-	// the engagement floor).
-	EndpointAgg bool
 	// UsedLinks counts the model links the streamed flows actually
 	// reference — the live population the event loop iterates, and the
-	// number endpoint aggregation exists to shrink (ModelLinks is just
-	// the id-space size).
+	// number the aggregation exists to shrink (ModelLinks is just the
+	// id-space size). 0 when the exact kernel ran.
 	UsedLinks int
 	// LowerBound is the certifiable completion-time floor: the
 	// heaviest physical link's load over its bandwidth, plus the
@@ -158,25 +143,23 @@ func SimulateOpt(top torus.Topology, p torus.Params, msgs []torus.Message, opt O
 	if opt.ApproxEps <= 0 {
 		return simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil), nil
 	}
-	side := torus.SideForEps(opt.ApproxEps)
-	info := &ApproxInfo{Eps: opt.ApproxEps, Side: side, PhysLinks: top.NumLinks()}
-	if side <= 1 {
-		// Degrade to exact: the clustering would keep every hop's
-		// physical identity anyway, so run the exact kernel and report
-		// a zero-width error band.
+	info := &ApproxInfo{Eps: opt.ApproxEps, Side: 1, PhysLinks: top.NumLinks()}
+	var rg *torus.Regions
+	if side := torus.SideForEps(opt.ApproxEps); side > 1 {
+		rg = torus.NewRegions(top, side)
+	}
+	if rg == nil || rg.NumRegions() < approxMinRegions {
+		// Degrade to exact: below the floor, run the exact kernel and
+		// report a zero-width error band.
 		res := simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil)
 		info.Regions = top.Nodes()
 		info.ModelLinks = top.NumLinks()
 		info.LowerBound = res.Time
 		return res, info
 	}
-	rg := torus.NewRegions(top, side)
-	if opt.EndpointAgg && side >= 4 && rg.NumRegions() >= endpointAggMinRegions {
-		rg.EndpointAgg = true
-	}
+	info.Side = rg.Side
 	info.Regions = rg.NumRegions()
 	info.ModelLinks = rg.NumModelLinks()
-	info.EndpointAgg = rg.EndpointAgg
 	res := simulateFlex(top, p, msgs, nil, opt.Times, workers, rg, info)
 	return res, info
 }

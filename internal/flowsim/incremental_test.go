@@ -216,7 +216,7 @@ func TestEventStateMatchesScratch(t *testing.T) {
 	// aggregation, as SimulateOpt builds it.
 	big := torus.NewTopology(512)
 	rng = rand.New(rand.NewSource(11))
-	phases = append(phases, phase{name: "weighted", top: big, rg: torus.NewRegionsOpt(big, 4, true),
+	phases = append(phases, phase{name: "weighted", top: big, rg: torus.NewRegions(big, 4),
 		msgs: randomMsgs(rng, big.Nodes(), 300)})
 
 	for _, ph := range phases {

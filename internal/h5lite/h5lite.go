@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"bgpvr/internal/grid"
 	"bgpvr/internal/vfile"
@@ -116,13 +117,7 @@ func encodeAttrs(attrs map[string]string) []byte {
 	for k := range attrs {
 		keys = append(keys, k)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	sort.Strings(keys)
 	for _, k := range keys {
 		writeStr(&b, k)
 		writeStr(&b, attrs[k])

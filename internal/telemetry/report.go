@@ -42,7 +42,9 @@ import (
 //	    the service points' slowest-request / failed-request IDs
 //	8 — flowsim section gains approx_endpoint (endpoint-hop
 //	    aggregation engaged), approx_used_links (distinct model links
-//	    the flow set references), and wall_sec (simulation wall time)
+//	    the flow set references), and wall_sec (simulation wall time);
+//	    approx_endpoint is no longer written, since the aggregation
+//	    stopped being optional, and is ignored where a report has it
 const ReportSchema = 8
 
 // Report is the machine-readable perf record of one run: the trace
@@ -160,13 +162,9 @@ type FlowsimStat struct {
 	ApproxSec     float64 `json:"approx_sec,omitempty"`
 	Events        int64   `json:"events,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
-	// EndpointAgg marks that endpoint-hop aggregation engaged: only
-	// injection and ejection hops kept physical identity, interior
-	// endpoint-region hops pooled onto regional aggregates.
-	EndpointAgg bool `json:"approx_endpoint,omitempty"`
 	// UsedLinks is the number of distinct model links the flow set
 	// actually referenced — the working-set size the kernel iterates,
-	// which endpoint aggregation exists to shrink.
+	// which the aggregation exists to shrink.
 	UsedLinks int `json:"approx_used_links,omitempty"`
 	// WallSec is the simulation's wall-clock cost (not simulated
 	// time), the quantity the scale sweeps optimize.

@@ -2,6 +2,7 @@ package torus
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bgpvr/internal/grid"
@@ -70,41 +71,8 @@ func TestRegionsCapacityConserved(t *testing.T) {
 	}
 }
 
-// TestMapLinkEndpointExact checks that hops inside a flow's endpoint
-// regions keep their physical identity and transit hops collapse onto
-// the owning region's directional aggregate.
-func TestMapLinkEndpointExact(t *testing.T) {
-	top := NewTopology(512) // 8x8x8
-	r := NewRegions(top, 2)
-	src, dst := 0, top.Nodes()-1
-	srcReg, dstReg := int(r.regOf[src]), int(r.regOf[dst])
-	sawExact, sawAgg := false, false
-	top.Route(src, dst, func(link int) {
-		ml := r.MapLink(srcReg, dstReg, link)
-		node, dir := LinkOf(link)
-		reg := int(r.regOf[node])
-		if reg == srcReg || reg == dstReg {
-			sawExact = true
-			if ml != 6*r.NumRegions()+link {
-				t.Fatalf("endpoint hop %d mapped to %d, want physical identity", link, ml)
-			}
-		} else {
-			sawAgg = true
-			if ml != 6*reg+dir {
-				t.Fatalf("transit hop %d mapped to %d, want aggregate %d", link, ml, 6*reg+dir)
-			}
-		}
-	})
-	if !sawExact || !sawAgg {
-		t.Fatalf("route exercised exact=%v aggregate=%v; want both", sawExact, sawAgg)
-	}
-}
-
 // TestRegionsDegenerateSingleRegion pins the side >= extent corner:
-// the decomposition collapses to one region holding every node, and
-// every hop of every route is an endpoint hop — MapLink keeps the
-// whole torus physical, so the model adds capacity without changing
-// any flow's constraint set.
+// the decomposition collapses to one region holding every node.
 func TestRegionsDegenerateSingleRegion(t *testing.T) {
 	top := NewTopology(64) // 4x4x4
 	for _, side := range []int{4, 5, 16} {
@@ -118,11 +86,6 @@ func TestRegionsDegenerateSingleRegion(t *testing.T) {
 		for id := 0; id < top.Nodes(); id++ {
 			if int(r.regOf[id]) != 0 {
 				t.Fatalf("side %d: node %d region %d, want 0", side, id, int(r.regOf[id]))
-			}
-		}
-		for l := 0; l < top.NumLinks(); l++ {
-			if ml := r.MapLink(0, 0, l); ml != 6+l {
-				t.Fatalf("side %d: link %d mapped to %d, want physical %d", side, l, ml, 6+l)
 			}
 		}
 	}
@@ -199,77 +162,49 @@ func TestRegionOfRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelRouteMatchesMapLink checks that without EndpointAgg,
-// ModelRoute is exactly the MapLink mapping of the route with
-// consecutive duplicates merged: expanding each entry by its weight
-// reproduces the hop-by-hop MapLink sequence, so the weighted form is
-// pure compression.
-func TestModelRouteMatchesMapLink(t *testing.T) {
+// TestModelRouteEndpointAgg checks the mapping: exactly the injection
+// hop (sourced at src) and the ejection hop (landing on dst) stay
+// physical, every other hop collapses onto its region's directional
+// aggregate, and expanding each entry by its weight gives back that
+// hop-by-hop sequence — the weighted form is pure compression.
+func TestModelRouteEndpointAgg(t *testing.T) {
 	top := NewTopology(512)
 	r := NewRegions(top, 2)
-	rng := rand.New(rand.NewSource(23))
+	base := int32(6 * r.NumRegions())
+	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
 		src, dst := rng.Intn(top.Nodes()), rng.Intn(top.Nodes())
-		srcReg, dstReg := int(r.regOf[src]), int(r.regOf[dst])
 		var want []int32
 		top.Route(src, dst, func(l int) {
-			want = append(want, int32(r.MapLink(srcReg, dstReg, l)))
+			node, dir := LinkOf(l)
+			if node == src || top.Neighbor(node, dir) == dst {
+				want = append(want, base+int32(l))
+			} else {
+				want = append(want, int32(6*int(r.regOf[node])+dir))
+			}
 		})
 		links, ws := r.ModelRoute(src, dst)
 		var got []int32
+		physical := 0
 		for i, ml := range links {
 			if ws[i] < 1 {
 				t.Fatalf("src %d dst %d: nonpositive weight %d", src, dst, ws[i])
+			}
+			if i > 0 && ml == links[i-1] {
+				t.Fatalf("src %d dst %d: consecutive duplicate model link %d not merged", src, dst, ml)
+			}
+			if ml >= base {
+				physical++
+				if ws[i] != 1 {
+					t.Fatalf("src %d dst %d: physical hop weight %d, want 1", src, dst, ws[i])
+				}
 			}
 			for k := int32(0); k < ws[i]; k++ {
 				got = append(got, ml)
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("src %d dst %d: expanded %d hops, want %d", src, dst, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("src %d dst %d hop %d: model link %d, want %d", src, dst, i, got[i], want[i])
-			}
-		}
-		for i := 1; i < len(links); i++ {
-			if links[i] == links[i-1] {
-				t.Fatalf("src %d dst %d: consecutive duplicate model link %d not merged", src, dst, links[i])
-			}
-		}
-	}
-}
-
-// TestModelRouteEndpointAgg checks the EndpointAgg mapping: exactly the
-// injection hop (sourced at src) and the ejection hop (landing on dst)
-// stay physical, every other hop collapses onto a directional
-// aggregate, and the weights still sum to the route's hop count.
-func TestModelRouteEndpointAgg(t *testing.T) {
-	top := NewTopology(512)
-	r := NewRegionsOpt(top, 2, true)
-	base := int32(6 * r.NumRegions())
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 300; trial++ {
-		src, dst := rng.Intn(top.Nodes()), rng.Intn(top.Nodes())
-		links, ws := r.ModelRoute(src, dst)
-		var hops int32
-		physical := 0
-		for i, ml := range links {
-			hops += ws[i]
-			if ml >= base {
-				physical++
-				node, dir := LinkOf(int(ml - base))
-				if node != src && top.Neighbor(node, dir) != dst {
-					t.Fatalf("src %d dst %d: interior hop %d kept physical", src, dst, ml-base)
-				}
-				if ws[i] != 1 {
-					t.Fatalf("src %d dst %d: physical hop weight %d, want 1", src, dst, ws[i])
-				}
-			}
-		}
-		if hops != int32(top.Hops(src, dst)) {
-			t.Fatalf("src %d dst %d: weights sum to %d, want %d hops", src, dst, hops, top.Hops(src, dst))
+		if !slices.Equal(got, want) {
+			t.Fatalf("src %d dst %d: expanded route %v, want %v", src, dst, got, want)
 		}
 		if want := min(top.Hops(src, dst), 2); physical != want {
 			t.Fatalf("src %d dst %d: %d physical hops, want %d", src, dst, physical, want)
@@ -278,13 +213,13 @@ func TestModelRouteEndpointAgg(t *testing.T) {
 }
 
 // TestSideForEps pins the eps -> cluster-side bands, including the
-// degrade-to-exact floor.
+// degrade-to-exact floor below 0.08.
 func TestSideForEps(t *testing.T) {
 	for _, tc := range []struct {
 		eps  float64
 		side int
 	}{
-		{0.30, 8}, {0.25, 8}, {0.10, 4}, {0.08, 4}, {0.05, 2}, {0.02, 2}, {0.01, 1}, {0, 1},
+		{0.30, 8}, {0.25, 8}, {0.10, 4}, {0.08, 4}, {0.05, 1}, {0.01, 1}, {0, 1},
 	} {
 		if got := SideForEps(tc.eps); got != tc.side {
 			t.Errorf("SideForEps(%g) = %d, want %d", tc.eps, got, tc.side)
