@@ -32,9 +32,7 @@ func approxRefConfigs() []struct {
 
 // TestApproxErrorWithinEps is the bounded-error property test: for
 // every seeded reference config and every calibrated eps band, the
-// approximate phase time is within eps of the exact kernel's, and the
-// aggregation engages only above its floor (side >= 4 with at least
-// approxMinRegions regions).
+// approximate phase time is within eps of the exact kernel's.
 func TestApproxErrorWithinEps(t *testing.T) {
 	p := params()
 	for _, cfg := range approxRefConfigs() {
@@ -62,8 +60,48 @@ func TestApproxErrorWithinEps(t *testing.T) {
 				if info.BoundGap < 0 || info.BoundGap >= 1 {
 					t.Errorf("BoundGap %v out of range", info.BoundGap)
 				}
-				if info.Side > 1 && (info.Regions < approxMinRegions || info.UsedLinks <= 0) {
-					t.Errorf("aggregation engaged below its floor or unmeasured: %+v", info)
+			})
+		}
+	}
+}
+
+// TestApproxEndpointAggWithinEps walks the same configs and eps bands
+// and pins where endpoint aggregation engages: exactly when
+// SideForEps's side yields at least approxMinRegions regions. Engaged,
+// it reports that side and a measured link population, lands within
+// eps, and never undershoots its certified lower bound; below the floor
+// it is the exact kernel, bit for bit.
+func TestApproxEndpointAggWithinEps(t *testing.T) {
+	p := params()
+	for _, cfg := range approxRefConfigs() {
+		top := torus.NewTopology(cfg.nodes)
+		rng := rand.New(rand.NewSource(cfg.seed))
+		msgs := randomMsgs(rng, top.Nodes(), cfg.n)
+		exact := SimulateTimed(top, p, msgs, nil, nil)
+		for _, eps := range []float64{0.02, 0.08, 0.25} {
+			t.Run(fmt.Sprintf("nodes%d/seed%d/eps%g", cfg.nodes, cfg.seed, eps), func(t *testing.T) {
+				side := torus.SideForEps(eps)
+				engages := side > 1 && torus.NewRegions(top, side).NumRegions() >= approxMinRegions
+				res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
+				if info == nil {
+					t.Fatal("approx mode returned no ApproxInfo")
+				}
+				if !engages {
+					if info.Side != 1 || res != exact {
+						t.Errorf("below the floor (side %d): Result %+v info %+v, want exact %+v", side, res, info, exact)
+					}
+					return
+				}
+				if info.Side != side || info.Regions < approxMinRegions || info.UsedLinks <= 0 {
+					t.Errorf("aggregation engaged as %+v, want side %d over >= %d regions with measured links",
+						info, side, approxMinRegions)
+				}
+				if err := math.Abs(res.Time-exact.Time) / exact.Time; err > eps {
+					t.Errorf("observed error %.4f exceeds eps %g (side %d, exact %.6g, approx %.6g)",
+						err, eps, info.Side, exact.Time, res.Time)
+				}
+				if exact.Time < info.LowerBound*(1-1e-9) {
+					t.Errorf("exact time %.6g below certified lower bound %.6g", exact.Time, info.LowerBound)
 				}
 			})
 		}

@@ -162,30 +162,34 @@ func TestRegionOfRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelRouteEndpointAgg checks the mapping: exactly the injection
-// hop (sourced at src) and the ejection hop (landing on dst) stay
-// physical, every other hop collapses onto its region's directional
-// aggregate, and expanding each entry by its weight gives back that
-// hop-by-hop sequence — the weighted form is pure compression.
-func TestModelRouteEndpointAgg(t *testing.T) {
+// mapLink is the hop-by-hop reference for ModelRoute: the injection hop
+// (sourced at src) and the ejection hop (landing on dst) keep their
+// physical identity, every other hop maps onto its region's directional
+// aggregate.
+func mapLink(top Topology, r *Regions, src, dst, l int) int32 {
+	node, dir := LinkOf(l)
+	if node == src || top.Neighbor(node, dir) == dst {
+		return int32(6*r.NumRegions() + l)
+	}
+	return int32(6*int(r.regOf[node]) + dir)
+}
+
+// TestModelRouteMatchesMapLink checks that ModelRoute is exactly the
+// mapLink mapping of the route with consecutive duplicates merged:
+// expanding each entry by its weight reproduces the hop-by-hop
+// sequence, so the weighted form is pure compression.
+func TestModelRouteMatchesMapLink(t *testing.T) {
 	top := NewTopology(512)
 	r := NewRegions(top, 2)
-	base := int32(6 * r.NumRegions())
-	rng := rand.New(rand.NewSource(29))
+	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
 		src, dst := rng.Intn(top.Nodes()), rng.Intn(top.Nodes())
 		var want []int32
 		top.Route(src, dst, func(l int) {
-			node, dir := LinkOf(l)
-			if node == src || top.Neighbor(node, dir) == dst {
-				want = append(want, base+int32(l))
-			} else {
-				want = append(want, int32(6*int(r.regOf[node])+dir))
-			}
+			want = append(want, mapLink(top, r, src, dst, l))
 		})
 		links, ws := r.ModelRoute(src, dst)
 		var got []int32
-		physical := 0
 		for i, ml := range links {
 			if ws[i] < 1 {
 				t.Fatalf("src %d dst %d: nonpositive weight %d", src, dst, ws[i])
@@ -193,18 +197,44 @@ func TestModelRouteEndpointAgg(t *testing.T) {
 			if i > 0 && ml == links[i-1] {
 				t.Fatalf("src %d dst %d: consecutive duplicate model link %d not merged", src, dst, ml)
 			}
-			if ml >= base {
-				physical++
-				if ws[i] != 1 {
-					t.Fatalf("src %d dst %d: physical hop weight %d, want 1", src, dst, ws[i])
-				}
-			}
 			for k := int32(0); k < ws[i]; k++ {
 				got = append(got, ml)
 			}
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("src %d dst %d: expanded route %v, want %v", src, dst, got, want)
+		}
+	}
+}
+
+// TestModelRouteEndpointAgg checks the endpoint rule on ModelRoute's
+// own output: exactly the injection and ejection hops stay physical,
+// each at weight 1, and the weights sum to the route's hop count.
+func TestModelRouteEndpointAgg(t *testing.T) {
+	top := NewTopology(512)
+	r := NewRegions(top, 2)
+	base := int32(6 * r.NumRegions())
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		src, dst := rng.Intn(top.Nodes()), rng.Intn(top.Nodes())
+		links, ws := r.ModelRoute(src, dst)
+		var hops int32
+		physical := 0
+		for i, ml := range links {
+			hops += ws[i]
+			if ml >= base {
+				physical++
+				node, dir := LinkOf(int(ml - base))
+				if node != src && top.Neighbor(node, dir) != dst {
+					t.Fatalf("src %d dst %d: interior hop %d kept physical", src, dst, ml-base)
+				}
+				if ws[i] != 1 {
+					t.Fatalf("src %d dst %d: physical hop weight %d, want 1", src, dst, ws[i])
+				}
+			}
+		}
+		if hops != int32(top.Hops(src, dst)) {
+			t.Fatalf("src %d dst %d: weights sum to %d, want %d hops", src, dst, hops, top.Hops(src, dst))
 		}
 		if want := min(top.Hops(src, dst), 2); physical != want {
 			t.Fatalf("src %d dst %d: %d physical hops, want %d", src, dst, physical, want)
