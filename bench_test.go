@@ -329,9 +329,14 @@ func BenchmarkSupernovaEval(b *testing.B) {
 // BenchmarkSupernovaGenerate measures the row kernel on the three block
 // shapes the workloads generate: a whole grid, one ghost block of an
 // 8-way decomposition (a service miss generates 8 of them), and one of
-// the 64 blocks of a frame-composite frame.
+// the 64 blocks of a frame-composite frame. On the service's block it
+// also times each half alone: building the Time-independent turbulence
+// table, and the resident path that regenerates a step from it.
 func BenchmarkSupernovaGenerate(b *testing.B) {
 	sn := volume.Supernova{Seed: 1530, Time: 1.1}
+	perVoxel := func(b *testing.B, ext grid.Extent) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ext.Count())/float64(b.N), "ns/voxel")
+	}
 	for _, c := range []struct {
 		name     string
 		n, procs int
@@ -340,13 +345,31 @@ func BenchmarkSupernovaGenerate(b *testing.B) {
 			dims := grid.Cube(c.n)
 			ext := grid.NewDecomp(dims, c.procs).GhostExtent(0, 1)
 			b.ReportAllocs()
-			var f *volume.Field
 			for i := 0; i < b.N; i++ {
-				f = sn.Generate(volume.VarVelocityX, dims, ext)
+				sn.Generate(volume.VarVelocityX, dims, ext)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(f.Data))/float64(b.N), "ns/voxel")
+			perVoxel(b, ext)
 		})
 	}
+	dims := grid.Cube(64)
+	ext := grid.NewDecomp(dims, 8).GhostExtent(0, 1)
+	b.Run("ghost=33of64-turbulence", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sn.Turbulence(volume.VarVelocityX, dims, ext)
+		}
+		perVoxel(b, ext)
+	})
+	b.Run("ghost=33of64-resident", func(b *testing.B) {
+		turb := sn.Turbulence(volume.VarVelocityX, dims, ext)
+		f := volume.NewField(dims, ext)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sn.FillFrom(f, volume.VarVelocityX, turb)
+		}
+		perVoxel(b, ext)
+	})
 }
 
 // BenchmarkTorusPhase measures the network model on a 32K-rank

@@ -13,57 +13,65 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/core"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/rawfmt"
 	"bgpvr/internal/stats"
 )
 
-func main() {
-	in := flag.String("in", "", "input raw file (n^3 float32)")
-	n := flag.Int("n", 0, "input grid size n^3")
-	factor := flag.Int("factor", 2, "upsampling factor")
-	out := flag.String("out", "upsampled.raw", "output raw file")
-	procs := flag.Int("procs", 8, "parallel ranks")
-	generate := flag.Bool("generate", false, "synthesize the input first")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*in, *n, *factor, *out, *procs, *generate); err != nil {
-		fmt.Fprintln(os.Stderr, "upsample:", err)
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("upsample", flag.ContinueOnError)
+	in := fs.String("in", "", "input raw file (n^3 float32)")
+	n := fs.Int("n", 0, "input grid size n^3")
+	factor := fs.Int("factor", 2, "upsampling factor")
+	out := fs.String("out", "upsampled.raw", "output raw file")
+	procs := fs.Int("procs", 8, "parallel ranks")
+	generate := fs.Bool("generate", false, "synthesize the input first")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
+	if *n <= 0 {
+		fmt.Fprintln(stderr, "upsample: -n is required")
+		return 2
+	}
+	if *in == "" && !*generate {
+		fmt.Fprintln(stderr, "upsample: -in is required (or use -generate)")
+		return 2
+	}
+	if err := upsample(stdout, *in, *n, *factor, *out, *procs, *generate); err != nil {
+		fmt.Fprintln(stderr, "upsample:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(in string, n, factor int, out string, procs int, generate bool) error {
-	if n <= 0 {
-		return fmt.Errorf("-n is required")
-	}
-	dims := grid.Cube(n)
+func upsample(stdout io.Writer, in string, n, factor int, out string, procs int, generate bool) error {
 	if generate {
 		if in == "" {
 			in = fmt.Sprintf("supernova-%d.raw", n)
 		}
-		fmt.Printf("generating %d^3 synthetic supernova -> %s\n", n, in)
+		fmt.Fprintf(stdout, "generating %d^3 synthetic supernova -> %s\n", n, in)
 		if err := core.WriteSceneFile(in, core.FormatRaw, core.DefaultScene(n, 0)); err != nil {
 			return err
 		}
 	}
-	if in == "" {
-		return fmt.Errorf("-in is required (or use -generate)")
-	}
 	start := time.Now()
 	dst, err := core.RunUpsample(core.UpsampleConfig{
-		SrcDims: dims, Factor: factor, Procs: procs, SrcPath: in, DstPath: out,
+		SrcDims: grid.Cube(n), Factor: factor, Procs: procs, SrcPath: in, DstPath: out,
 	})
 	if err != nil {
 		return err
 	}
 	el := time.Since(start).Seconds()
 	outBytes := rawfmt.FileSize(dst)
-	fmt.Printf("upsampled %d^3 -> %d^3 with %d ranks in %s (%s written, %s)\n",
+	fmt.Fprintf(stdout, "upsampled %d^3 -> %d^3 with %d ranks in %s (%s written, %s)\n",
 		n, dst.X, procs, stats.Seconds(el), stats.Bytes(outBytes),
 		stats.Rate(float64(outBytes)/el))
 	return nil

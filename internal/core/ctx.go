@@ -27,23 +27,33 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// FieldKey identifies a synthesized block field: everything that
-// determines the bytes of Supernova().Generate for one block extent.
-// It is comparable, so it works directly as a map key.
-type FieldKey struct {
+// TurbulenceKey identifies a block's turbulence table: everything that
+// determines Supernova().Turbulence for one block extent, which is a
+// FieldKey without Time.
+type TurbulenceKey struct {
 	Variable volume.Var
 	Dims     grid.IVec3
 	Ext      grid.Extent
 	Seed     int64
-	Time     float64
+}
+
+// FieldKey identifies a synthesized block field: everything that
+// determines the bytes of Supernova().Generate for one block extent.
+// It is comparable, so it works directly as a map key.
+type FieldKey struct {
+	TurbulenceKey
+	Time float64
 }
 
 // FieldCache lets a long-lived caller (the render service) reuse
-// generated block fields across frames. Get returns the cached field
-// for key or, on a miss, calls generate, stores the result, and
-// returns it. Implementations must be safe for concurrent use and
-// must treat cached fields as immutable (renderers only read them).
-// A nil FieldCache in RealConfig disables caching entirely.
+// generated block fields across frames, and the Time-independent
+// turbulence tables a new step's fields are built from. Get returns the
+// cached field for key or, on a miss, calls generate, stores the
+// result, and returns it; Turbulence does the same for a table.
+// Implementations must be safe for concurrent use and must treat what
+// they hold as immutable (renderers only read fields, FillFrom only
+// tables). A nil FieldCache in RealConfig disables caching entirely.
 type FieldCache interface {
 	Get(key FieldKey, generate func() *volume.Field) *volume.Field
+	Turbulence(key TurbulenceKey, build func() *volume.Turbulence) *volume.Turbulence
 }

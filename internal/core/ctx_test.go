@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -11,27 +12,49 @@ import (
 	"bgpvr/internal/volume"
 )
 
-// countingFieldCache is a minimal FieldCache for tests: a map plus
-// hit/miss counters.
+// countingFieldCache is a minimal FieldCache for tests: a map per kind
+// plus hit/miss counters.
 type countingFieldCache struct {
 	mu     sync.Mutex
 	m      map[FieldKey]*volume.Field
 	hits   int
 	misses int
+	turbs  map[TurbulenceKey]*volume.Turbulence
+	builds int // turbulence tables built
 }
 
+func (c *countingFieldCache) Turbulence(key TurbulenceKey, build func() *volume.Turbulence) *volume.Turbulence {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.turbs == nil {
+		c.turbs = map[TurbulenceKey]*volume.Turbulence{}
+	}
+	if t, ok := c.turbs[key]; ok {
+		return t
+	}
+	c.builds++
+	t := build()
+	c.turbs[key] = t
+	return t
+}
+
+// Get generates outside the lock, since generate asks for the block's
+// turbulence table.
 func (c *countingFieldCache) Get(key FieldKey, generate func() *volume.Field) *volume.Field {
+	c.mu.Lock()
+	if f, ok := c.m[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		return f
+	}
+	c.misses++
+	c.mu.Unlock()
+	f := generate()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
 		c.m = map[FieldKey]*volume.Field{}
 	}
-	if f, ok := c.m[key]; ok {
-		c.hits++
-		return f
-	}
-	c.misses++
-	f := generate()
 	c.m[key] = f
 	return f
 }
@@ -49,8 +72,9 @@ func TestRequestID(t *testing.T) {
 
 // TestConfigTracerSpans pins what a frame records on cfg.Trace — the
 // one way to hand a frame its tracer: the stage spans, the
-// field-cache-fill span exactly on cache misses, and in model mode the
-// virtual timeline.
+// field-cache-fill span exactly on field cache misses, the
+// turbulence-fill span exactly on turbulence table misses, and in model
+// mode the virtual timeline.
 func TestConfigTracerSpans(t *testing.T) {
 	s := DefaultScene(16, 32)
 	tr := trace.New(2)
@@ -68,8 +92,9 @@ func TestConfigTracerSpans(t *testing.T) {
 			t.Errorf("tracer missing %q span", name)
 		}
 	}
-	if counts["field-cache-fill"] != 2 {
-		t.Errorf("cold frame field-cache-fill spans = %d, want 2 (one per rank)", counts["field-cache-fill"])
+	if counts["field-cache-fill"] != 2 || counts["turbulence-fill"] != 2 {
+		t.Errorf("cold frame field-cache-fill, turbulence-fill spans = %d, %d, want 2 each (one per rank)",
+			counts["field-cache-fill"], counts["turbulence-fill"])
 	}
 
 	// A warm second frame hits every block: no fill spans.
@@ -79,9 +104,25 @@ func TestConfigTracerSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range warm.Trace.Events() {
-		if e.Name == "field-cache-fill" {
-			t.Fatal("warm frame recorded a field-cache-fill span")
+		if e.Name == "field-cache-fill" || e.Name == "turbulence-fill" {
+			t.Fatalf("warm frame recorded a %s span", e.Name)
 		}
+	}
+
+	// A new Time misses every field but no table.
+	step := warm
+	step.Scene.Time++
+	step.Trace = trace.New(2)
+	if _, err := RunReal(step); err != nil {
+		t.Fatal(err)
+	}
+	counts = map[string]int{}
+	for _, e := range step.Trace.Events() {
+		counts[e.Name]++
+	}
+	if counts["field-cache-fill"] != 2 || counts["turbulence-fill"] != 0 {
+		t.Errorf("new-step frame field-cache-fill, turbulence-fill spans = %d, %d, want 2, 0",
+			counts["field-cache-fill"], counts["turbulence-fill"])
 	}
 
 	// Model mode lays its virtual timeline on the tracer too.
@@ -156,5 +197,38 @@ func TestFieldCacheReuse(t *testing.T) {
 	}
 	if cache.misses != 4 || cache.hits != 4 {
 		t.Errorf("GhostExchange touched the cache: %d misses %d hits", cache.misses, cache.hits)
+	}
+}
+
+// TestResidentTurbulenceFrames pins what the service's animation
+// traffic relies on: frames of one seed at several Times, each field
+// built from the block's cached turbulence table, are bit-identical to
+// uncached frames, and each block's table is built once.
+func TestResidentTurbulenceFrames(t *testing.T) {
+	cache := &countingFieldCache{}
+	times := []float64{1.1, 0.5, 2.75, -3}
+	for _, tm := range times {
+		s := DefaultScene(16, 32)
+		s.Time = tm
+		plain, err := RunReal(RealConfig{Scene: s, Procs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := RunReal(RealConfig{Scene: s, Procs: 4, Fields: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range plain.Image.Pix {
+			q := cached.Image.Pix[i]
+			for _, c := range [4][2]float32{{p.R, q.R}, {p.G, q.G}, {p.B, q.B}, {p.A, q.A}} {
+				if math.Float32bits(c[0]) != math.Float32bits(c[1]) {
+					t.Fatalf("time %v pixel %d: cached %+v, uncached %+v", tm, i, q, p)
+				}
+			}
+		}
+	}
+	if cache.builds != 4 || cache.misses != 4*len(times) || cache.hits != 0 {
+		t.Errorf("%d table builds, %d field misses, %d hits; want 4, %d, 0",
+			cache.builds, cache.misses, cache.hits, 4*len(times))
 	}
 }

@@ -242,25 +242,13 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 				readExt = own
 			}
 			if cfg.Format == FormatGenerate {
-				gen := func() *volume.Field {
-					// Only runs on a cache miss, so the span's presence in
-					// a request trace distinguishes cold fills from hits.
-					sp := tr.Begin(trace.PhaseIO, "field-cache-fill")
-					defer sp.End()
-					f := newField(s.Dims, readExt)
-					s.Supernova().Fill(f, s.Variable)
-					return f
-				}
 				// GhostExchange mutates the field in place below, so a
 				// shared cached copy would be corrupted — bypass.
-				if cfg.Fields != nil && !cfg.GhostExchange {
-					fields[i] = cfg.Fields.Get(FieldKey{
-						Variable: s.Variable, Dims: s.Dims, Ext: readExt,
-						Seed: s.Seed, Time: s.Time,
-					}, gen)
-				} else {
-					fields[i] = gen()
+				cache := cfg.Fields
+				if cfg.GhostExchange {
+					cache = nil
 				}
+				fields[i] = generateBlock(cache, tr, s, readExt, newField)
 				continue
 			}
 			fld := newField(s.Dims, readExt)
@@ -385,4 +373,34 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	}
 	res.SampleBalance = sum.Imbalance()
 	return res, nil
+}
+
+// generateBlock synthesizes the scene's variable over ext. Without a
+// cache it Fills a new field. With one it returns the cached field, or
+// on a miss builds it from the block's cached turbulence table, which
+// every step of the seed shares. The fill spans open only on misses, so
+// their presence in a request trace tells cold fills from hits.
+func generateBlock(cache FieldCache, tr *trace.Rank, s Scene, ext grid.Extent,
+	newField func(grid.IVec3, grid.Extent) *volume.Field) *volume.Field {
+	sn := s.Supernova()
+	if cache == nil {
+		sp := tr.Begin(trace.PhaseIO, "field-cache-fill")
+		defer sp.End()
+		f := newField(s.Dims, ext)
+		sn.Fill(f, s.Variable)
+		return f
+	}
+	key := TurbulenceKey{Variable: s.Variable, Dims: s.Dims, Ext: ext, Seed: s.Seed}
+	return cache.Get(FieldKey{key, s.Time}, func() *volume.Field {
+		sp := tr.Begin(trace.PhaseIO, "field-cache-fill")
+		defer sp.End()
+		turb := cache.Turbulence(key, func() *volume.Turbulence {
+			sp := tr.Begin(trace.PhaseIO, "turbulence-fill")
+			defer sp.End()
+			return sn.Turbulence(s.Variable, s.Dims, ext)
+		})
+		f := newField(s.Dims, ext)
+		sn.FillFrom(f, s.Variable, turb)
+		return f
+	})
 }

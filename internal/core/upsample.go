@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/grid"
@@ -33,6 +34,13 @@ func RunUpsample(cfg UpsampleConfig) (grid.IVec3, error) {
 		return grid.IVec3{}, fmt.Errorf("core: Procs must be >= 1")
 	}
 	dstDims := grid.IVec3{X: cfg.SrcDims.X * cfg.Factor, Y: cfg.SrcDims.Y * cfg.Factor, Z: cfg.SrcDims.Z * cfg.Factor}
+	// Creating the output truncates it, so an output that is the input
+	// (by any path or link) would destroy the source before it is read.
+	if si, err := os.Stat(cfg.SrcPath); err == nil {
+		if di, err := os.Stat(cfg.DstPath); err == nil && os.SameFile(si, di) {
+			return grid.IVec3{}, fmt.Errorf("core: upsample output %s is the input %s", cfg.DstPath, cfg.SrcPath)
+		}
+	}
 
 	src, err := vfile.Open(cfg.SrcPath)
 	if err != nil {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bgpvr/internal/grid"
@@ -97,5 +100,38 @@ func TestRunUpsampleErrors(t *testing.T) {
 	if _, err := RunUpsample(UpsampleConfig{SrcDims: grid.Cube(4), Factor: 2, Procs: 1,
 		SrcPath: srcPath, DstPath: filepath.Join(dir, "out")}); err == nil {
 		t.Error("wrong-size source accepted")
+	}
+}
+
+// An output that is the input — by the same path, a relative path, a
+// symbolic or a hard link — is refused before anything is created, so
+// the source survives.
+func TestRunUpsampleRefusesItsInput(t *testing.T) {
+	dir := t.TempDir()
+	srcPath := filepath.Join(dir, "src.raw")
+	dims := grid.Cube(4)
+	if err := rawfmt.Write(srcPath, volume.Supernova{Seed: 1}.GenerateFull(volume.VarDensity, dims)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(srcPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, hard := filepath.Join(dir, "sym.raw"), filepath.Join(dir, "hard.raw")
+	if err := os.Symlink(srcPath, sym); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(srcPath, hard); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	for _, dst := range []string{srcPath, "src.raw", filepath.Join("..", filepath.Base(dir), "src.raw"), sym, hard} {
+		_, err := RunUpsample(UpsampleConfig{SrcDims: dims, Factor: 2, Procs: 2, SrcPath: srcPath, DstPath: dst})
+		if err == nil || !strings.Contains(err.Error(), "is the input") {
+			t.Errorf("output %s: %v, want a refusal", dst, err)
+		}
+		if got, err := os.ReadFile(srcPath); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("output %s: source changed (%v)", dst, err)
+		}
 	}
 }

@@ -34,50 +34,73 @@ func sameBits(a, b []RGBA) bool {
 	return len(a) == len(b)
 }
 
-// The wire form is four little-endian float32s a pixel, and decoding
-// returns the exact bit patterns.
-func TestPixelWireRoundTrip(t *testing.T) {
-	pix := wirePixels(37, 1)
-	wire := make([]byte, WirePixelBytes*len(pix)+5) // room to spare is left alone
-	PutPixels(wire, pix)
-	for i, p := range pix {
-		for k, v := range [4]float32{p.R, p.G, p.B, p.A} {
-			if got := binary.LittleEndian.Uint32(wire[WirePixelBytes*i+4*k:]); got != math.Float32bits(v) {
-				t.Fatalf("pixel %d component %d: wire %#x, want %#x", i, k, got, math.Float32bits(v))
-			}
-		}
+// codecPaths runs test on the portable byte loops and, on a
+// little-endian host, on the in-place path too.
+func codecPaths(t *testing.T, test func(t *testing.T)) {
+	native := nativeWire
+	defer func() { nativeWire = native }()
+	paths := []bool{false}
+	if native {
+		paths = append(paths, true)
 	}
-	if string(wire[len(wire)-5:]) != "\x00\x00\x00\x00\x00" {
-		t.Error("PutPixels wrote past its pixels")
-	}
-	back := make([]RGBA, len(pix))
-	GetPixels(back, wire)
-	if !sameBits(back, pix) {
-		t.Error("GetPixels(PutPixels(pix)) != pix")
+	for _, nativeWire = range paths {
+		t.Run(map[bool]string{false: "portable", true: "native"}[nativeWire], test)
 	}
 }
 
-// Blending from the wire is blending the decoded pixels, bit for bit.
+// The wire form is four little-endian float32s a pixel, and decoding
+// returns the exact bit patterns.
+func TestPixelWireRoundTrip(t *testing.T) {
+	codecPaths(t, func(t *testing.T) {
+		pix := wirePixels(37, 1)
+		wire := make([]byte, WirePixelBytes*len(pix)+5) // room to spare is left alone
+		PutPixels(wire, pix)
+		for i, p := range pix {
+			for k, v := range [4]float32{p.R, p.G, p.B, p.A} {
+				if got := binary.LittleEndian.Uint32(wire[WirePixelBytes*i+4*k:]); got != math.Float32bits(v) {
+					t.Fatalf("pixel %d component %d: wire %#x, want %#x", i, k, got, math.Float32bits(v))
+				}
+			}
+		}
+		if string(wire[len(wire)-5:]) != "\x00\x00\x00\x00\x00" {
+			t.Error("PutPixels wrote past its pixels")
+		}
+		back := make([]RGBA, len(pix)+1)
+		GetPixels(back[:len(pix)], wire)
+		if !sameBits(back[:len(pix)], pix) || back[len(pix)] != (RGBA{}) {
+			t.Error("GetPixels(PutPixels(pix)) != pix")
+		}
+	})
+}
+
+// Blending from the wire is blending the decoded pixels, bit for bit,
+// wherever the message starts: a wire that is not aligned for a float32
+// takes the byte loop.
 func TestWireBlendsMatchSliceBlends(t *testing.T) {
-	incoming, acc := wirePixels(41, 2), wirePixels(41, 3)
-	wire := make([]byte, WirePixelBytes*len(incoming))
-	PutPixels(wire, incoming)
+	codecPaths(t, func(t *testing.T) {
+		incoming, acc := wirePixels(41, 2), wirePixels(41, 3)
+		buf := make([]byte, WirePixelBytes*len(incoming)+1)
+		for _, off := range []int{0, 1} {
+			wire := buf[off:][:WirePixelBytes*len(incoming)]
+			PutPixels(wire, incoming)
 
-	want := append([]RGBA(nil), acc...)
-	UnderSlices(want, incoming)
-	got := append([]RGBA(nil), acc...)
-	UnderWire(got, wire)
-	if !sameBits(got, want) {
-		t.Error("UnderWire differs from UnderSlices")
-	}
+			want := append([]RGBA(nil), acc...)
+			UnderSlices(want, incoming)
+			got := append([]RGBA(nil), acc...)
+			UnderWire(got, wire)
+			if !sameBits(got, want) {
+				t.Errorf("offset %d: UnderWire differs from UnderSlices", off)
+			}
 
-	want = append([]RGBA(nil), acc...)
-	OverSlices(incoming, want)
-	got = append([]RGBA(nil), acc...)
-	OverWire(wire, got)
-	if !sameBits(got, want) {
-		t.Error("OverWire differs from OverSlices")
-	}
+			want = append([]RGBA(nil), acc...)
+			OverSlices(incoming, want)
+			got = append([]RGBA(nil), acc...)
+			OverWire(wire, got)
+			if !sameBits(got, want) {
+				t.Errorf("offset %d: OverWire differs from OverSlices", off)
+			}
+		}
+	})
 }
 
 // BenchmarkPixelCodec times the three things a composited pixel costs:

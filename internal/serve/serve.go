@@ -38,8 +38,9 @@ type Config struct {
 	// Workers is the per-frame render pool width (default: all cores,
 	// par.Workers(0)).
 	Workers int
-	// CacheMB bounds the volume field cache (default 256 MB); the mask
-	// cache is entry-bounded by MaskEntries (default 64).
+	// CacheMB bounds the volume field cache, block fields and the
+	// turbulence tables they are built from together (default 256 MB);
+	// the mask cache is entry-bounded by MaskEntries (default 64).
 	CacheMB     int
 	MaskEntries int
 	// RunsPath, when set, streams the runstore JSONL registry at /runs.
@@ -166,8 +167,7 @@ func New(cfg Config) *Server {
 	}
 	hits := r.NewCounterVec("bgpvr_serve_cache_hits_total", "Cache hits by cache.")
 	misses := r.NewCounterVec("bgpvr_serve_cache_misses_total", "Cache misses by cache.")
-	s.fields = newFieldCache(int64(cfg.CacheMB)<<20,
-		hits.With(obs.Labels("cache", "field")), misses.With(obs.Labels("cache", "field")))
+	s.fields = newFieldCache(int64(cfg.CacheMB)<<20, hits, misses)
 	s.masks = newMaskCache(cfg.MaskEntries,
 		hits.With(obs.Labels("cache", "mask")), misses.With(obs.Labels("cache", "mask")))
 	r.NewGaugeFunc("bgpvr_serve_inflight", "Frames currently rendering.",

@@ -322,8 +322,14 @@ func TestStatusQuantiles(t *testing.T) {
 	}
 	tb, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(tb), "/render") || !strings.Contains(string(tb), "15.92") {
+	if !strings.Contains(string(tb), "/render") || !strings.Contains(string(tb), "15.92") ||
+		!strings.Contains(string(tb), "turbulence 0 hits / 0 misses (0 entries, 0 bytes)") {
 		t.Errorf("text status missing expected fields:\n%s", tb)
+	}
+	for _, key := range []string{"turbulence_hits", "turbulence_misses", "turbulence_entries", "turbulence_bytes"} {
+		if !strings.Contains(string(b), `"`+key+`"`) {
+			t.Errorf("status JSON missing %s:\n%s", key, b)
+		}
 	}
 }
 
@@ -354,6 +360,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bgpvr_serve_inflight 0",
 		"bgpvr_serve_queue_depth 0",
 		`bgpvr_serve_cache_misses_total{cache="field"}`,
+		`bgpvr_serve_cache_misses_total{cache="turbulence"}`,
 		"bgpvr_serve_rejected_total",
 		"bgpvr_serve_deadline_total",
 	} {

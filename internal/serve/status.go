@@ -25,15 +25,21 @@ type EndpointStatus struct {
 	P99Ms    float64          `json:"p99_ms"`
 }
 
-// CacheStatus reports both caches.
+// CacheStatus reports both caches. The field cache's two kinds of entry
+// are reported apart: field_* counts block fields only, turbulence_*
+// the turbulence tables they share the budget with.
 type CacheStatus struct {
-	FieldHits    int64 `json:"field_hits"`
-	FieldMisses  int64 `json:"field_misses"`
-	FieldEntries int   `json:"field_entries"`
-	FieldBytes   int64 `json:"field_bytes"`
-	MaskHits     int64 `json:"mask_hits"`
-	MaskMisses   int64 `json:"mask_misses"`
-	MaskEntries  int   `json:"mask_entries"`
+	FieldHits         int64 `json:"field_hits"`
+	FieldMisses       int64 `json:"field_misses"`
+	FieldEntries      int   `json:"field_entries"`
+	FieldBytes        int64 `json:"field_bytes"`
+	TurbulenceHits    int64 `json:"turbulence_hits"`
+	TurbulenceMisses  int64 `json:"turbulence_misses"`
+	TurbulenceEntries int   `json:"turbulence_entries"`
+	TurbulenceBytes   int64 `json:"turbulence_bytes"`
+	MaskHits          int64 `json:"mask_hits"`
+	MaskMisses        int64 `json:"mask_misses"`
+	MaskEntries       int   `json:"mask_entries"`
 }
 
 // StatusReply is the GET /status body.
@@ -111,15 +117,19 @@ func (s *Server) Status() StatusReply {
 		ts := s.traces.Stats()
 		st.TraceStore = &ts
 	}
-	fe, fb := s.fields.Stats()
+	fs, ts := s.fields.Stats()
 	st.Cache = CacheStatus{
-		FieldHits:    s.fields.hits.Value(),
-		FieldMisses:  s.fields.misses.Value(),
-		FieldEntries: fe,
-		FieldBytes:   fb,
-		MaskHits:     s.masks.hits.Value(),
-		MaskMisses:   s.masks.misses.Value(),
-		MaskEntries:  s.masks.Stats(),
+		FieldHits:         s.fields.hits.Value(),
+		FieldMisses:       s.fields.misses.Value(),
+		FieldEntries:      fs.entries,
+		FieldBytes:        fs.bytes,
+		TurbulenceHits:    s.fields.turbHits.Value(),
+		TurbulenceMisses:  s.fields.turbMisses.Value(),
+		TurbulenceEntries: ts.entries,
+		TurbulenceBytes:   ts.bytes,
+		MaskHits:          s.masks.hits.Value(),
+		MaskMisses:        s.masks.misses.Value(),
+		MaskEntries:       s.masks.Stats(),
 	}
 	return st
 }
@@ -155,9 +165,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "%-10s %9d %9.2f %9.2f %9.2f %9.2f  %s\n",
 			e.Endpoint, e.Requests, e.MeanMs, e.P50Ms, e.P90Ms, e.P99Ms, strings.Join(codes, " "))
 	}
-	fmt.Fprintf(&b, "cache: field %d hits / %d misses (%d entries, %d bytes); mask %d hits / %d misses (%d entries)\n",
-		st.Cache.FieldHits, st.Cache.FieldMisses, st.Cache.FieldEntries, st.Cache.FieldBytes,
-		st.Cache.MaskHits, st.Cache.MaskMisses, st.Cache.MaskEntries)
+	c := st.Cache
+	fmt.Fprintf(&b, "cache: field %d hits / %d misses (%d entries, %d bytes); turbulence %d hits / %d misses (%d entries, %d bytes); mask %d hits / %d misses (%d entries)\n",
+		c.FieldHits, c.FieldMisses, c.FieldEntries, c.FieldBytes,
+		c.TurbulenceHits, c.TurbulenceMisses, c.TurbulenceEntries, c.TurbulenceBytes,
+		c.MaskHits, c.MaskMisses, c.MaskEntries)
 	if ts := st.TraceStore; ts != nil {
 		reasons := make([]string, 0, len(ts.ByReason))
 		for reason, n := range ts.ByReason {

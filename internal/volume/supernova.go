@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"fmt"
 	"math"
 
 	"bgpvr/internal/grid"
@@ -189,9 +190,9 @@ func (s Supernova) Eval(v Var, dims grid.IVec3, x, y, z int) float32 {
 	return float32(s.EvalNorm(v, coord(x, dims.X), coord(y, dims.Y), coord(z, dims.Z)))
 }
 
-// rowTables recycles fillRows' tables across calls: a frame generates
-// one small block per rank, and a table set per call would outnumber
-// the fields.
+// rowTables recycles the row kernel's tables across calls: a frame
+// generates one small block per rank, and a table set per call would
+// outnumber the fields.
 var rowTables = scratch.Pool[float64]{Poison: math.NaN()}
 
 // Generate fills a new field covering ext of a dims grid with variable
@@ -209,68 +210,180 @@ func (s Supernova) Fill(f *Field, v Var) {
 	fillRows(f.Data, &p, f.Dims, f.Ext)
 }
 
+// Turbulence is the half of one variable of a block that does not
+// depend on Time: at every lattice point of the extent, X fastest, the
+// float64 turbulence that the row kernel hands to the shock term. A
+// caller rendering many steps of one seed keeps it and regenerates a
+// step with FillFrom. It is immutable once built.
+type Turbulence struct {
+	seed int64
+	v    Var
+	dims grid.IVec3
+	ext  grid.Extent
+	data []float64
+}
+
+// Bytes is the table's resident size, 8 bytes a voxel.
+func (t *Turbulence) Bytes() int64 { return 8 * int64(len(t.data)) }
+
+// Turbulence builds variable v's turbulence table over ext of a dims
+// grid: the first half of the row kernel alone.
+func (s Supernova) Turbulence(v Var, dims grid.IVec3, ext grid.Extent) *Turbulence {
+	t := &Turbulence{seed: s.Seed, v: v, dims: dims, ext: ext, data: make([]float64, ext.Count())}
+	if len(t.data) == 0 {
+		return t
+	}
+	p := s.plan(v)
+	k := newRowKernel(&p, dims, ext)
+	defer k.release()
+	n := ext.Size()
+	for r := 0; r < n.Y*n.Z; r++ {
+		k.turbulence(&p, r, t.data[r*n.X:][:n.X])
+	}
+	return t
+}
+
+// FillFrom overwrites every sample of f with variable v computed from
+// t, this seed's turbulence of v over f's extent: bit for bit what Fill
+// writes, for the cost of the Time-dependent half alone.
+func (s Supernova) FillFrom(f *Field, v Var, t *Turbulence) {
+	if t.seed != s.Seed || t.v != v || t.dims != f.Dims || t.ext != f.Ext {
+		panic(fmt.Sprintf("volume: turbulence of seed %d %s over %v of %v cannot fill seed %d %s over %v of %v",
+			t.seed, t.v.Name(), t.ext, t.dims, s.Seed, v.Name(), f.Ext, f.Dims))
+	}
+	p := s.plan(v)
+	fillFrom(f.Data, &p, t)
+}
+
+// The row kernel computes a block a row at a time in two halves, each
+// with one body: rowKernel.turbulence, which does not depend on Time,
+// and valueRow, the shock term, which does. fillRows runs both through
+// a pooled row buffer; Turbulence keeps the first half's rows and
+// FillFrom runs the second over them. The turbulence crosses between
+// the halves as the float64 the pointwise definition computes, and every
+// sum and product keeps Eval's operand order, so all three are Eval bit
+// for bit. (The float64 instances are the tests': rounding to float32
+// would hide a reordered product.)
+
 // fillRows writes the plan's variable at the lattice points of ext into
-// out, X fastest. Of the 12 turbulence sines of a point, octave 0's
-// depend on one coordinate each and octave 1's on (y,z), (z,x) and
-// (x,y), so they come from tables and a per-row scalar; octaves 2-3 and
-// the shock stay per voxel. Every sum and product keeps Eval's operand
-// order. (The float64 instance is the tests': rounding to float32 would
-// hide a reordered product.)
+// out, X fastest.
 func fillRows[T float32 | float64](out []T, p *plan, dims grid.IVec3, ext grid.Extent) {
 	if len(out) == 0 {
 		return
 	}
+	k := newRowKernel(p, dims, ext)
+	defer k.release()
 	n := ext.Size()
-	rest := rowTables.Get(2*(n.X+n.Y+n.Z) + 2*n.X + 2*n.X*n.Y)
-	defer rowTables.Put(rest)
+	for r := 0; r < n.Y*n.Z; r++ {
+		k.turbulence(p, r, k.row)
+		valueRow(out[r*n.X:][:n.X], p, k.c[0], k.c[1][r%n.Y], k.c[2][r/n.Y], k.row)
+	}
+}
+
+// fillFrom writes the plan's variable at the lattice points of t's
+// extent into out, X fastest, from t's turbulence.
+func fillFrom[T float32 | float64](out []T, p *plan, t *Turbulence) {
+	if len(out) == 0 {
+		return
+	}
+	n := t.ext.Size()
+	cx := rowTables.Get(n.X)
+	defer rowTables.Put(cx)
+	for i := range cx {
+		cx[i] = coord(t.ext.Lo.X+i, t.dims.X)
+	}
+	for r := 0; r < n.Y*n.Z; r++ {
+		y, z := coord(t.ext.Lo.Y+r%n.Y, t.dims.Y), coord(t.ext.Lo.Z+r/n.Y, t.dims.Z)
+		valueRow(out[r*n.X:][:n.X], p, cx, y, z, t.data[r*n.X:][:n.X])
+	}
+}
+
+// valueRow is the row kernel's Time-dependent half: out[i] is the
+// plan's variable at (cx[i], y, z), where the turbulence is turb[i].
+func valueRow[T float32 | float64](out []T, p *plan, cx []float64, y, z float64, turb []float64) {
+	cx, turb = cx[:len(out)], turb[:len(out)]
+	for i, x := range cx {
+		out[i] = T(p.value(x, y, z, turb[i]))
+	}
+}
+
+// rowKernel is the row kernel's turbulence half over one extent. Of the
+// 12 turbulence sines of a point, octave 0's depend on one coordinate
+// each and octave 1's on (y,z), (z,x) and (x,y), so they come from
+// tables and a per-row scalar; octaves 2-3 stay per voxel.
+// (The plan is the methods' argument, not a field: the pool takes the
+// tables back, so whatever the kernel points to escapes with them.)
+type rowKernel struct {
+	n grid.IVec3
+	// Per axis: the extent's normalized coordinates, octave 0's sine of each.
+	c, s0 [3][]float64
+	// Per extent, by (x, y): octave 1's z coordinate and its sine.
+	z1s, sz1s []float64
+	// Per plane, by x: octave 1's y coordinate and its sine.
+	y1, sy1 []float64
+	// row is a row's worth of scratch for a caller that keeps no table.
+	row    []float64
+	tables []float64 // the pooled memory all of the above share
+}
+
+func newRowKernel(p *plan, dims grid.IVec3, ext grid.Extent) rowKernel {
+	n := ext.Size()
+	k := rowKernel{n: n, tables: rowTables.Get(2*(n.X+n.Y+n.Z) + 3*n.X + 2*n.X*n.Y)}
+	rest := k.tables
 	take := func(m int) []float64 {
 		s := rest[:m:m]
 		rest = rest[m:]
 		return s
 	}
-	// Per axis: the extent's normalized coordinates, octave 0's sine of each.
-	var c, s0 [3][]float64
-	for a := range c {
-		c[a], s0[a] = take(n.Comp(a)), take(n.Comp(a))
-		for i := range c[a] {
-			c[a][i] = coord(ext.Lo.Comp(a)+i, dims.Comp(a))
-			s0[a][i] = math.Sin(p.freq[0]*c[a][i] + p.phase[0][a])
+	for a := range k.c {
+		k.c[a], k.s0[a] = take(n.Comp(a)), take(n.Comp(a))
+		for i := range k.c[a] {
+			k.c[a][i] = coord(ext.Lo.Comp(a)+i, dims.Comp(a))
+			k.s0[a][i] = math.Sin(p.freq[0]*k.c[a][i] + p.phase[0][a])
 		}
 	}
-	cx, cy, cz := c[0], c[1], c[2]
 	f1, ph1 := p.freq[1], &p.phase[1]
-	// Per field, by (x, y): octave 1's z coordinate and its sine.
-	z1s, sz1s := take(n.X*n.Y), take(n.X*n.Y)
-	for j, y := range cy {
-		for i, x := range cx {
-			z1s[j*n.X+i] = 0.8*x + 0.6*y
-			sz1s[j*n.X+i] = math.Sin(f1*z1s[j*n.X+i] + ph1[2])
+	k.z1s, k.sz1s = take(n.X*n.Y), take(n.X*n.Y)
+	for j, y := range k.c[1] {
+		for i, x := range k.c[0] {
+			k.z1s[j*n.X+i] = 0.8*x + 0.6*y
+			k.sz1s[j*n.X+i] = math.Sin(f1*k.z1s[j*n.X+i] + ph1[2])
 		}
 	}
-	y1, sy1 := take(n.X), take(n.X)
-	for k, z := range cz {
-		// Per plane, by x: octave 1's y coordinate and its sine.
-		for i, x := range cx {
+	k.y1, k.sy1, k.row = take(n.X), take(n.X), take(n.X)
+	return k
+}
+
+func (k *rowKernel) release() { rowTables.Put(k.tables) }
+
+// turbulence writes the turbulence at row r of the extent (Y fastest,
+// then Z) into turb. Rows go in order from 0: a plane's first row fills
+// the per-plane tables.
+func (k *rowKernel) turbulence(p *plan, r int, turb []float64) {
+	nx := k.n.X
+	j, kz := r%k.n.Y, r/k.n.Y
+	y, z := k.c[1][j], k.c[2][kz]
+	f1, ph1 := p.freq[1], &p.phase[1]
+	y1, sy1 := k.y1[:nx], k.sy1[:nx]
+	if j == 0 {
+		for i, x := range k.c[0] {
 			y1[i] = 0.8*z + 0.6*x
 			sy1[i] = math.Sin(f1*y1[i] + ph1[1])
 		}
-		for j, y := range cy {
-			x1 := 0.8*y + 0.6*z
-			sx1 := math.Sin(f1*x1 + ph1[0])
-			z1, sz1 := z1s[j*n.X:][:n.X], sz1s[j*n.X:][:n.X]
-			sx0, sy0, sz0 := s0[0], s0[1][j], s0[2][k]
-			for i, x := range cx {
-				sum := 0.0
-				sum += p.amp[0] * (sx0[i] * sy0 * sz0)
-				sum += p.amp[1] * (sx1 * sy1[i] * sz1[i])
-				x2, y2, z2 := rotate(x1, y1[i], z1[i])
-				sum += p.amp[2] * p.octave(2, x2, y2, z2)
-				x3, y3, z3 := rotate(x2, y2, z2)
-				sum += p.amp[3] * p.octave(3, x3, y3, z3)
-				out[i] = T(p.value(x, y, z, sum/p.norm))
-			}
-			out = out[n.X:]
-		}
+	}
+	x1 := 0.8*y + 0.6*z
+	sx1 := math.Sin(f1*x1 + ph1[0])
+	z1, sz1 := k.z1s[j*nx:][:nx], k.sz1s[j*nx:][:nx]
+	sx0, sy0, sz0 := k.s0[0][:nx], k.s0[1][j], k.s0[2][kz]
+	for i := range turb[:nx] {
+		sum := 0.0
+		sum += p.amp[0] * (sx0[i] * sy0 * sz0)
+		sum += p.amp[1] * (sx1 * sy1[i] * sz1[i])
+		x2, y2, z2 := rotate(x1, y1[i], z1[i])
+		sum += p.amp[2] * p.octave(2, x2, y2, z2)
+		x3, y3, z3 := rotate(x2, y2, z2)
+		sum += p.amp[3] * p.octave(3, x3, y3, z3)
+		turb[i] = sum / p.norm
 	}
 }
 
