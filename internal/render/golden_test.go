@@ -16,8 +16,8 @@ import (
 )
 
 // The golden hashes pin the ray-casting kernel bit for bit: every pixel
-// and every sample count of five scenes, rendered serially and as
-// eight blocks. The first three were recorded at the commit before the
+// and every sample count of seven scenes, rendered serially and as
+// blocks (eight, unless the scene says otherwise). The first three were recorded at the commit before the
 // per-block cast plan replaced the predicate-per-sample loop (PR 13), so
 // a kernel change that alters which samples are taken, or the order of
 // one floating-point operation in sampling, classification or
@@ -28,10 +28,11 @@ type goldenScene struct {
 	name          string
 	n, w, h       int
 	nz            int // planes in z; 0 means n (a cube)
+	blocks        int // blocks of the parallel cast; 0 means 8
 	cam           func(n, w, h int) Camera
 	tf            *volume.Transfer
 	cfg           Config
-	serial, p8    string // SHA-256 of RenderFull / of the 8 RenderBlock subimages
+	serial, p8    string // SHA-256 of RenderFull / of the blocks' RenderBlock subimages
 	multi, multi8 string // the same through the multivariate entry points
 }
 
@@ -60,6 +61,14 @@ func bandTransfer() *volume.Transfer {
 		volume.TransferPoint{V: 0.60, R: 1.0, G: 0.9, B: 0.5, A: 0},
 		volume.TransferPoint{V: 1.00, R: 0.9, G: 0.1, B: 0.1, A: 0.8},
 	)
+}
+
+// sceneAxis looks straight along x: the view direction has two zero
+// components and right (z) two, so every sample of a row shares its y.
+func sceneAxis(n, w, h int) Camera {
+	c := float64(n-1) / 2
+	side := float64(n) * 1.9
+	return NewOrtho(geom.V(c, c, c), geom.V(1, 0, 0), geom.V(0, 1, 0), side, side, w, h)
 }
 
 func scenePersp(n, w, h int) Camera { return centeredPersp(n, w, h) }
@@ -112,6 +121,24 @@ var goldenScenes = []goldenScene{
 		p8:     "6819434f0a93d5e90026abca7520e9ff231e4379878f97eb15e9626373ff44e1",
 		multi:  "3d2248ec676773dcceb833c7ba16b18e0c057e31d8c4721028a2349e5301b51b",
 		multi8: "6bbbf89238f7f6f3552d8f8ef8f8fb3a792928297f8c56209be46f5c1271afbb"},
+	// The last two were recorded at the commit before an orthographic cast
+	// computed a sample window per row. The first is the benchmark's
+	// frame-composite scene at a quarter of its image: 64 blocks of 4^3 at
+	// step 16, so a ray takes at most one sample of a block. The second
+	// looks along an axis, so the view direction and right each have zero
+	// components.
+	{name: "composite-16-step16-64-blocks", n: 16, w: 256, h: 256, blocks: 64, cam: sceneOrtho, cfg: Config{Step: 16},
+		tf:     volume.SupernovaTransfer(),
+		serial: "5bab8c2ae91dde7febb9ff752ed0aae29d41de4e79ed116c69a980606f99d3fa",
+		p8:     "7afeacda27b0e1a07c672d7db0195af15c0d39c8a224cc3c4def13504f64f220",
+		multi:  "43911ae5a52f0981eacfc045b134b63744bd9ce5c8be46e6e386499f7518b787",
+		multi8: "4de3922058e58a1a4e2390f315d43a20bb34bb62659ee7fd2eca2915cf75cafb"},
+	{name: "axis-aligned-x-step0.5", n: 32, w: 96, h: 96, cam: sceneAxis, cfg: Config{Step: 0.5},
+		tf:     volume.SupernovaTransfer(),
+		serial: "556dddf616722fa64fd05f6213af8d1d8fac7aafccbc4468a2370b3c64717fcd",
+		p8:     "8d9ae539c72d016f6dd3af543282c100f88059b4a685210790f1d112ed7f99cc",
+		multi:  "735679d59a4dd9863dbc68b921c7329f4bcbd14acd132da0fa25d1dc03116c47",
+		multi8: "71204267df7d492162a71070044cce42c251971d7d2fc790b39f3a7c53078ca0"},
 }
 
 func hashPixels(h hash.Hash, pix []img.RGBA, samples int64) {
@@ -150,7 +177,11 @@ func TestGoldenKernelHashes(t *testing.T) {
 		tf := sc.tf
 		cls := ModulatedClassifier(tf, 0.2, 0.9)
 		cam := sc.cam(sc.n, sc.w, sc.h)
-		d := grid.NewDecomp(dims, 8)
+		nb := sc.blocks
+		if nb == 0 {
+			nb = 8
+		}
+		d := grid.NewDecomp(dims, nb)
 		ghost := GhostLayersFor(sc.cfg)
 		blocks := make([]*volume.Field, d.NumBlocks())
 		rhoBlocks := make([]*volume.Field, d.NumBlocks())
@@ -179,7 +210,7 @@ func TestGoldenKernelHashes(t *testing.T) {
 			for r := range blocks {
 				hashSub(h, RenderBlock(blocks[r], d.BlockExtent(r), cam, tf, cfg))
 			}
-			check("8-block", sc.p8, h)
+			check("block", sc.p8, h)
 
 			// The multivariate path is pinned on the two small scenes
 			// only (it ignores shading and skipping, so they give it a
@@ -196,7 +227,7 @@ func TestGoldenKernelHashes(t *testing.T) {
 			for r := range blocks {
 				hashSub(h, RenderBlockMulti([]*volume.Field{blocks[r], rhoBlocks[r]}, d.BlockExtent(r), cam, cls, cfg))
 			}
-			check("multi 8-block", sc.multi8, h)
+			check("multi block", sc.multi8, h)
 		}
 	}
 }
