@@ -237,3 +237,36 @@ func TestSrgb8Monotone(t *testing.T) {
 		t.Error("clamping broken")
 	}
 }
+
+// The threshold table EncodePPM converts with is srgb8, byte for byte:
+// within 4096 float64 and float32 steps of every threshold (where a
+// table that is off would differ first), across the range and past its
+// ends, and at the values a float32 component can take.
+func TestSrgb8TableMatchesSrgb8(t *testing.T) {
+	tab := srgb8s()
+	thr := tab.thr[:256]
+	check := func(v float64) {
+		if got, want := tab.encode(v), srgb8(v); got != want {
+			t.Fatalf("at %v (bits %#x): table %d, srgb8 %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	for b := 1; b < len(thr); b++ {
+		if srgb8(thr[b]) != byte(b) || srgb8(math.Nextafter(thr[b], 0)) != byte(b-1) {
+			t.Fatalf("threshold %d at %v is not where srgb8 reaches %d", b, thr[b], b)
+		}
+		bits := math.Float64bits(thr[b])
+		bits32 := math.Float32bits(float32(thr[b]))
+		for d := uint64(0); d <= 4096; d++ {
+			check(math.Float64frombits(bits + d))
+			check(math.Float64frombits(bits - d))
+			check(float64(math.Float32frombits(bits32 + uint32(d))))
+			check(float64(math.Float32frombits(bits32 - uint32(d))))
+		}
+	}
+	for v := -0.25; v <= 1.25; v += 1.0 / 65536 {
+		check(v)
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 0), math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), 255} {
+		check(v)
+	}
+}
