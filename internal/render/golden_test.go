@@ -16,7 +16,7 @@ import (
 )
 
 // The golden hashes pin the ray-casting kernel bit for bit: every pixel
-// and every sample count of seven scenes, rendered serially and as
+// and every sample count of eight scenes, rendered serially and as
 // blocks (eight, unless the scene says otherwise). The first three were recorded at the commit before the
 // per-block cast plan replaced the predicate-per-sample loop (PR 13), so
 // a kernel change that alters which samples are taken, or the order of
@@ -139,6 +139,19 @@ var goldenScenes = []goldenScene{
 		p8:     "8d9ae539c72d016f6dd3af543282c100f88059b4a685210790f1d112ed7f99cc",
 		multi:  "735679d59a4dd9863dbc68b921c7329f4bcbd14acd132da0fa25d1dc03116c47",
 		multi8: "71204267df7d492162a71070044cce42c251971d7d2fc790b39f3a7c53078ca0"},
+	// Recorded at the commit before a step of an integer length other than
+	// one corrected opacity without math.Pow, and before a block's rect
+	// bracketed its samples once for all its rows. Step 3 runs both
+	// multiplies of the square-and-multiply loop (3 is 0b11), and of the
+	// 512 blocks of 2^3 cells 361 rects hold one sample index and 4 none,
+	// so both ways a rect bracket decides its rows are taken, beside 147
+	// rects whose rows search their own.
+	{name: "ortho-16-step3-512-blocks", n: 16, w: 128, h: 128, blocks: 512, cam: sceneOrtho, cfg: Config{Step: 3},
+		tf:     volume.SupernovaTransfer(),
+		serial: "3e9338eafe0b724d1851cb2370569fdeb81d680f5d418b4c81674a2d8272a5da",
+		p8:     "30441d74d34251655388e0ce7c99e2ccdb6558c251e09278b745cf6c8cd798d6",
+		multi:  "548e3db82b610969a67dc903893402b308da8d3cab880394d3501004945d77d1",
+		multi8: "66ba55e9d1241536f8daafd85e1235380ee80c9a428a59600a26984362daab79"},
 }
 
 func hashPixels(h hash.Hash, pix []img.RGBA, samples int64) {
