@@ -292,6 +292,11 @@ func (pl *castPlan) bound(a int, upper bool) float64 {
 	return pl.lo[a]
 }
 
+// at is a coordinate of sample k of a ray whose origin and direction
+// have o and d on that axis: the component of ray.At(float64(k)*step),
+// by the same operations on the same operands.
+func (pl *castPlan) at(o, d float64, k int64) float64 { return o + d*(float64(k)*pl.step) }
+
 // takes reports whether the sample at p is this block's to take: owned,
 // and inside every field's bounds.
 func (pl *castPlan) takes(p geom.Vec3) bool {
@@ -404,6 +409,10 @@ type castJob struct {
 	dirBox geom.DirBox
 	cols   []geom.Vec3
 	back   geom.Vec3
+	// kA, kB bracket the samples any ray of rect can take, when that is
+	// one sample or none (kA >= kB); otherwise they are -kLimit, kLimit
+	// and each row searches its own.
+	kA, kB int64
 	box    geom.AABB
 	rect   img.Rect
 	pix    []img.RGBA
@@ -528,49 +537,72 @@ func (j *castJob) castRows(y0, y1 int) int64 {
 	return samples
 }
 
+// bracket returns the samples [kA, kB] outside which no ray of the
+// job whose origin lies between the given end origins takes one: two,
+// the ends of a row, or four, the corners of the rect. Each coordinate
+// of a sample is monotone in k, in the column and in the row (DESIGN.md,
+// "The ray-casting kernel"), so for a fixed k every such ray's
+// coordinate lies between the ends' ones, and below and above are
+// monotone in the coordinate: on every axis the samples at which all
+// ends fail the same way fail for every ray, and they are a prefix and a
+// suffix of the ks. A bound that is not found within ±kLimit stays at
+// -kLimit or kLimit; the search stops at the first axis that empties
+// the bracket.
+func (j *castJob) bracket(ends []geom.Vec3) (kA, kB int64) {
+	pl, fwd := &j.plan, j.ortho.basis.fwd
+	kA, kB = -kLimit, kLimit
+	for a := 0; a < 3 && kA <= kB; a++ {
+		d := fwd.Comp(a)
+		if d == 0 {
+			continue // the ends' columns and rows decide this axis alone
+		}
+		// The coordinate crosses the block's lower plane and then its
+		// upper one as k rises, or the reverse: all ends fail the same
+		// way before the samples they may take and after them.
+		rising := d > 0
+		all := func(upper bool, k int64) bool {
+			for _, o := range ends {
+				if !pl.fails(a, upper, pl.at(o.Comp(a), d, k)) {
+					return false
+				}
+			}
+			return true
+		}
+		// cross is where the first and the last end cross a bound.
+		cross := func(upper bool) (first, last float64) {
+			b := pl.bound(a, upper)
+			first, last = math.Inf(1), math.Inf(-1)
+			for _, o := range ends {
+				c := (b - o.Comp(a)) / (d * pl.step)
+				first, last = min(first, c), max(last, c)
+			}
+			return first, last
+		}
+		first, _ := cross(!rising)
+		if k := least(-kLimit, kLimit, clampK(first), func(k int64) bool { return !all(!rising, k) }); k > -kLimit {
+			kA = max(kA, k)
+		}
+		_, last := cross(rising)
+		if k := least(-kLimit, kLimit, clampK(last), func(k int64) bool { return all(rising, k) }) - 1; k < kLimit {
+			kB = min(kB, k)
+		}
+	}
+	return kA, kB
+}
+
 // window returns the sample window of the row whose ray origins share
 // rowTerm: the samples [kA, kB] outside which no ray of the row takes
 // one, and the columns [xa, xb) outside which no ray takes any. When kA
-// == kB the columns are exactly those whose ray takes sample kA. Each
-// coordinate of a sample is monotone in k and in the column (DESIGN.md,
-// "The ray-casting kernel"), and below and above are monotone in the
-// coordinate, so on every axis the samples both end rays fail the same
-// way bound [kA, kB], and the columns that fail the same way at both
-// kA and kB — and so at every k between — are a prefix or a suffix of
-// the row.
+// == kB the columns are exactly those whose ray takes sample kA. The
+// samples are the rect's when it has one or none (setOrtho), else the
+// row's own bracket. The columns that fail the same way on an axis at
+// both kA and kB — and so at every k between — are a prefix or a suffix
+// of the row, since each coordinate is monotone in the column.
 func (j *castJob) window(rowTerm geom.Vec3) (xa, xb int, kA, kB int64) {
 	pl, fwd := &j.plan, j.ortho.basis.fwd
 	x0, x1 := j.rect.X0, j.rect.X1-1 // the row's end columns
-	ends := [2]geom.Vec3{j.orthoOrigin(x0, rowTerm), j.orthoOrigin(x1, rowTerm)}
-	// at is coordinate a of sample k of the ray from o, as trim has it.
-	at := func(o geom.Vec3, a int, k int64) float64 {
-		return geom.Ray{Origin: o, Dir: fwd}.At(float64(k) * pl.step).Comp(a)
-	}
-	kA, kB = -kLimit, kLimit
-	for a := 0; a < 3; a++ {
-		d := fwd.Comp(a)
-		if d == 0 {
-			continue // the row's columns decide this axis alone
-		}
-		// The coordinate crosses the block's lower plane and then its
-		// upper one as k rises, or the reverse: both end rays fail the
-		// same way before the samples they may take and after them.
-		rising := d > 0
-		both := func(upper bool, k int64) bool {
-			return pl.fails(a, upper, at(ends[0], a, k)) && pl.fails(a, upper, at(ends[1], a, k))
-		}
-		cross := func(upper bool) (float64, float64) {
-			b := pl.bound(a, upper)
-			return (b - ends[0].Comp(a)) / (d * pl.step), (b - ends[1].Comp(a)) / (d * pl.step)
-		}
-		c0, c1 := cross(!rising)
-		if k := least(-kLimit, kLimit, clampK(min(c0, c1)), func(k int64) bool { return !both(!rising, k) }); k > -kLimit {
-			kA = max(kA, k)
-		}
-		c0, c1 = cross(rising)
-		if k := least(-kLimit, kLimit, clampK(max(c0, c1)), func(k int64) bool { return both(rising, k) }) - 1; k < kLimit {
-			kB = min(kB, k)
-		}
+	if kA, kB = j.kA, j.kB; kA < kB {
+		kA, kB = j.bracket([]geom.Vec3{j.orthoOrigin(x0, rowTerm), j.orthoOrigin(x1, rowTerm)})
 	}
 	if kA > kB {
 		return x0, x0, kA, kB
@@ -580,10 +612,12 @@ func (j *castJob) window(rowTerm geom.Vec3) (xa, xb int, kA, kB int64) {
 	}
 	xa, xb = x0, x1+1
 	for a := 0; a < 3; a++ {
+		d := fwd.Comp(a)
+		// at is coordinate a of column x's ray at sample k.
+		at := func(x int, k int64) float64 { return pl.at(j.origin(x, rowTerm, a), d, k) }
 		for _, upper := range [2]bool{false, true} {
 			out := func(x int64) bool {
-				o := j.orthoOrigin(int(x), rowTerm)
-				return pl.fails(a, upper, at(o, a, kA)) && pl.fails(a, upper, at(o, a, kB))
+				return pl.fails(a, upper, at(int(x), kA)) && pl.fails(a, upper, at(int(x), kB))
 			}
 			outL, outR := out(int64(x0)), out(int64(x1))
 			if outL == outR {
@@ -594,7 +628,7 @@ func (j *castJob) window(rowTerm geom.Vec3) (xa, xb int, kA, kB int64) {
 			}
 			// Where the row's coordinate at kA meets the bound, by
 			// interpolation between the ends.
-			vL, vR := at(ends[0], a, kA), at(ends[1], a, kA)
+			vL, vR := at(x0, kA), at(x1, kA)
 			guess := float64(x0) + (pl.bound(a, upper)-vL)/(vR-vL)*float64(x1-x0)
 			if outL {
 				xa = max(xa, int(least(int64(x0), int64(x1), clampK(guess), func(x int64) bool { return !out(x) })))
@@ -613,19 +647,44 @@ var renderPhase = obs.GetPhase("render")
 
 // setOrtho prepares the job for rays that share o's direction: the
 // column terms of rect's pixel centers come from the recycler, and the
-// caller releases j.cols when the cast is done.
+// caller releases j.cols when the cast is done. It also brackets the
+// samples of the whole rect by its four corner rays; a bracket of one
+// sample or none is every row's, and any other is left to the rows.
 func (j *castJob) setOrtho(o *Ortho) {
 	j.ortho, j.dirBox = o, j.box.ForDir(o.basis.fwd)
 	j.cols, j.back = colTerms.Get(j.rect.W()), o.backTerm()
 	for i := range j.cols {
 		j.cols[i] = o.colTerm(float64(j.rect.X0+i) + 0.5)
 	}
+	j.kA, j.kB = -kLimit, kLimit
+	if kA, kB := j.rectBracket(); kA >= kB {
+		j.kA, j.kB = kA, kB
+	}
+}
+
+// rectBracket is bracket over the rays of the rect's four corner pixels:
+// a coordinate monotone in the column and in the row lies between the
+// corners' ones. An empty rect has no rays, and no bracket.
+func (j *castJob) rectBracket() (kA, kB int64) {
+	if j.rect.Empty() {
+		return -kLimit, kLimit
+	}
+	x0, x1 := j.rect.X0, j.rect.X1-1
+	top, bottom := j.ortho.rowTerm(float64(j.rect.Y0)+0.5), j.ortho.rowTerm(float64(j.rect.Y1-1)+0.5)
+	return j.bracket([]geom.Vec3{j.orthoOrigin(x0, top), j.orthoOrigin(x1, top),
+		j.orthoOrigin(x0, bottom), j.orthoOrigin(x1, bottom)})
 }
 
 // orthoOrigin is Ortho.Ray(x+0.5, y+0.5).Origin, given row y's term:
 // the same three terms added in the same order, so the same bits.
 func (j *castJob) orthoOrigin(x int, rowTerm geom.Vec3) geom.Vec3 {
 	return j.cols[x-j.rect.X0].Add(rowTerm).Sub(j.back)
+}
+
+// origin is coordinate a of orthoOrigin(x, rowTerm), by the same two
+// operations on the same operands.
+func (j *castJob) origin(x int, rowTerm geom.Vec3, a int) float64 {
+	return j.cols[x-j.rect.X0].Comp(a) + rowTerm.Comp(a) - j.back.Comp(a)
 }
 
 func (j *castJob) run() int64 {

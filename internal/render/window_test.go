@@ -25,8 +25,11 @@ type windowCase struct {
 	ghost int
 }
 
-// counts tallies what the checked rows exercised.
+// counts tallies what the checked rows exercised: rects whose corner
+// bracket holds one sample or none, rows that search their own bracket
+// and find it non-empty, and rows and columns as below.
 type windowCounts struct {
+	rectOne, rectNone, rowBrackets                                     int
 	rows, oneSample, oneSampleCols, outside, inside, sampled, narrowed int
 }
 
@@ -36,6 +39,9 @@ type windowCounts struct {
 // trim, every trim lies inside [kA, kB], and on a row with kA == kB
 // every column inside takes sample kA and has trim [kA, kA] — or none,
 // where its Intersect or trim's guess leaves kA out, as castRows does.
+// It checks the rect's bracket [KA, KB] of the four corner rays too:
+// every trim of the block lies inside it, so KA > KB leaves every trim
+// empty, and so does every non-empty bracket a row finds on its own.
 func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 	t.Helper()
 	tf := volume.SupernovaTransfer()
@@ -68,10 +74,24 @@ func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 	for i := range j.pix {
 		j.pix[i] = img.RGBA{R: float32(math.NaN())} // what castRows leaves alone shows
 	}
+	rkA, rkB := j.rectBracket()
+	switch {
+	case rkA == rkB:
+		n.rectOne++
+	case rkA > rkB:
+		n.rectNone++
+	}
 	vals := make([]float64, len(fs))
 	for y := rect.Y0; y < rect.Y1; y++ {
 		n.rows++
-		xa, xb, kA, kB := j.window(c.cam.rowTerm(float64(y) + 0.5))
+		rowTerm := c.cam.rowTerm(float64(y) + 0.5)
+		xa, xb, kA, kB := j.window(rowTerm)
+		if a, b := j.bracket([]geom.Vec3{j.orthoOrigin(rect.X0, rowTerm), j.orthoOrigin(rect.X1-1, rowTerm)}); a <= b {
+			n.rowBrackets++
+			if a < rkA || b > rkB {
+				t.Fatalf("%+v row %d: the row's bracket [%d, %d] is not inside the rect's [%d, %d]", c, y, a, b, rkA, rkB)
+			}
+		}
 		if xa < rect.X0 || xb > rect.X1 || xa > xb {
 			t.Fatalf("%+v row %d: window [%d, %d) outside the rect %v", c, y, xa, xb, rect)
 		}
@@ -91,6 +111,10 @@ func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 			}
 			inside := xa <= x && x < xb
 			switch {
+			case rkA > rkB && k0 <= k1:
+				t.Fatalf("%+v row %d column %d: trim [%d, %d] in a rect whose bracket [%d, %d] is empty", c, y, x, k0, k1, rkA, rkB)
+			case k0 <= k1 && (k0 < rkA || k1 > rkB):
+				t.Fatalf("%+v row %d column %d: trim [%d, %d] outside the rect's bracket [%d, %d]", c, y, x, k0, k1, rkA, rkB)
 			case !inside && k0 <= k1:
 				t.Fatalf("%+v row %d: column %d is outside the window [%d, %d) but trim is [%d, %d]", c, y, x, xa, xb, k0, k1)
 			case k0 <= k1 && (k0 < kA || k1 > kB):
@@ -186,14 +210,17 @@ func randomWindowCase(rng *rand.Rand) windowCase {
 
 // The window of every row of random orthographic casts drops only
 // columns with no sample and, on a one-sample row, keeps only columns
-// that take it; castRows with it writes the per-pixel path's bits.
+// that take it; castRows with it writes the per-pixel path's bits. The
+// rect's bracket holds every trim and every row's own bracket, on rects
+// of one sample, of none, and of more.
 func TestWindowMatchesTrim(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var n windowCounts
 	for i := 0; i < 3000; i++ {
 		randomWindowCase(rng).check(t, i%4 == 0, &n)
 	}
-	if n.oneSample < 2500 || n.oneSampleCols < 5000 || n.narrowed < 10000 || n.sampled < 20000 || n.outside < 100000 {
+	if n.oneSample < 2500 || n.oneSampleCols < 5000 || n.narrowed < 10000 || n.sampled < 20000 || n.outside < 100000 ||
+		n.rectOne < 500 || n.rectNone < 500 || n.rowBrackets < 8000 {
 		t.Errorf("%+v: the cases do not exercise the window", n)
 	}
 }
@@ -225,7 +252,41 @@ func FuzzWindowMatchesTrim(f *testing.F) {
 	})
 }
 
-// A row's window allocates nothing, nor does casting a row with it.
+// The step-3 golden scene takes both ways a rect's bracket decides every
+// row — one sample, and none — and leaves other rects to their rows.
+func TestRectBracketOnGoldenScene(t *testing.T) {
+	var sc goldenScene
+	for _, s := range goldenScenes {
+		if s.name == "ortho-16-step3-512-blocks" {
+			sc = s
+		}
+	}
+	cam := sc.cam(sc.n, sc.w, sc.h).(*Ortho)
+	d := grid.NewDecomp(sc.dims(), sc.blocks)
+	var one, none, rows int
+	for r := 0; r < d.NumBlocks(); r++ {
+		own := d.BlockExtent(r)
+		f := volume.NewField(sc.dims(), d.GhostExtent(r, GhostLayersFor(sc.cfg)))
+		j := castJob{plan: newCastPlan([]*volume.Field{f}, &own, sc.cfg), cam: cam, box: ownedBounds(own),
+			rect: ProjectedRect(cam, own)}
+		j.setOrtho(cam)
+		switch {
+		case j.kA == j.kB:
+			one++
+		case j.kA > j.kB:
+			none++
+		default:
+			rows++
+		}
+		colTerms.Put(j.cols)
+	}
+	if one != 361 || none != 4 || rows != 147 {
+		t.Errorf("%s: %d rects of one sample, %d of none, %d left to their rows; want 361, 4, 147", sc.name, one, none, rows)
+	}
+}
+
+// A row's window allocates nothing, nor does the rect's bracket or
+// casting a row with it.
 func TestWindowAllocatesNothing(t *testing.T) {
 	dims := grid.Cube(16)
 	own := grid.Ext(grid.I(4, 4, 4), grid.I(8, 8, 8))
@@ -243,6 +304,9 @@ func TestWindowAllocatesNothing(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { j.window(rowTerm) }); a != 0 {
 		t.Errorf("window: %v allocations a row", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { j.rectBracket() }); a != 0 {
+		t.Errorf("the rect's bracket: %v allocations a block", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { j.castRows(rect.Y0, rect.Y1) }); a != 0 {
 		t.Errorf("castRows: %v allocations a call", a)

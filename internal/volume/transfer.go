@@ -144,10 +144,37 @@ func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds, term float64, 
 }
 
 // pow1m computes (1-a)^ds, short-circuiting the common unit-step case.
+// It stays small enough to inline into premultiply; every other step
+// length is powStep's.
 func pow1m(a, ds float64) float64 {
 	base := 1 - a
 	if ds == 1 {
 		return base
+	}
+	return powStep(base, ds)
+}
+
+// powStep is math.Pow(base, ds), bit for bit. For an integer ds in
+// [2, 64] it runs the square-and-multiply loop math.Pow runs on Frexp's
+// significand, on base itself: Pow's doublings and final Ldexp only move
+// the exponent, which commutes with rounding while every value is
+// normal. A result in [0x1p-1000, 1] means |base| <= 1, so every partial
+// product and factor was at least as large, and normal (DESIGN.md, "The
+// opacity correction without math.Pow"). Anything else is math.Pow's.
+func powStep(base, ds float64) float64 {
+	if ds >= 2 && ds <= 64 {
+		if n := int(ds); float64(n) == ds {
+			r, x := 1.0, base
+			for ; n > 0; n >>= 1 {
+				if n&1 != 0 {
+					r *= x
+				}
+				x *= x
+			}
+			if r >= 0x1p-1000 && r <= 1 {
+				return r
+			}
+		}
 	}
 	return math.Pow(base, ds)
 }
