@@ -171,6 +171,10 @@ var goldenImages = map[string]struct {
 	"direct-send 2 blocks/rank": {"efbba7db6d99d9509c7ed4ec9c15482994a96e993c376c5442e8927ff1a4f28d", 47, 252656},
 	"binary-swap":               {"a1a9d502176e413393b603036531906954931025dc69a4b5685b29851fc12b69", 32, 983104},
 	"radix-k 4":                 {"a1a9d502176e413393b603036531906954931025dc69a4b5685b29851fc12b69", 40, 983104},
+	"radix-k 8":                 {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 64, 983104},
+	"radix-k 2,4":               {"868eecca0cde793fbb4e8d2ebe37a8c7dac9fcf9fbc4d076d657bfc9e71a37bb", 40, 983104},
+	"binary-swap 97x81":         {"51572a9b1a006b4faa5b4c4cfbd47e8f9ecd2c9f00e0c5f10418c9018e0567e1", 32, 1005760},
+	"radix-k 2,2,2 97x81":       {"51572a9b1a006b4faa5b4c4cfbd47e8f9ecd2c9f00e0c5f10418c9018e0567e1", 32, 1005760},
 	"serial-gather":             {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 7, 133120},
 }
 
@@ -181,6 +185,9 @@ func TestGoldenCompositeImages(t *testing.T) {
 	const p, w, h = 8, 96, 80
 	subs, rects, order := pinScene(p, w, h)
 	subs2, rects2, order2 := pinScene(2*p, w, h)
+	// An odd frame splits every span unevenly.
+	const wOdd, hOdd = 97, 81
+	subsOdd, _, orderOdd := pinScene(p, wOdd, hOdd)
 	cases := []struct {
 		name string
 		fn   func(c *comm.Comm) (*img.Image, error)
@@ -200,6 +207,18 @@ func TestGoldenCompositeImages(t *testing.T) {
 		}},
 		{"radix-k 4", func(c *comm.Comm) (*img.Image, error) {
 			return RadixK(c, subs[c.Rank()], w, h, RadixKFactor(p, 4), order)
+		}},
+		{"radix-k 8", func(c *comm.Comm) (*img.Image, error) {
+			return RadixK(c, subs[c.Rank()], w, h, []int{8}, order)
+		}},
+		{"radix-k 2,4", func(c *comm.Comm) (*img.Image, error) {
+			return RadixK(c, subs[c.Rank()], w, h, []int{2, 4}, order)
+		}},
+		{"binary-swap 97x81", func(c *comm.Comm) (*img.Image, error) {
+			return BinarySwap(c, subsOdd[c.Rank()], wOdd, hOdd, orderOdd)
+		}},
+		{"radix-k 2,2,2 97x81", func(c *comm.Comm) (*img.Image, error) {
+			return RadixK(c, subsOdd[c.Rank()], wOdd, hOdd, []int{2, 2, 2}, orderOdd)
 		}},
 		{"serial-gather", func(c *comm.Comm) (*img.Image, error) {
 			return SerialGather(c, subs[c.Rank()], rects, w, h, order)
