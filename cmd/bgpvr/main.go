@@ -309,17 +309,8 @@ func runFrame(a *frameArgs) error {
 		}
 		cfg := core.RealConfig{Scene: scene, Procs: procs, Compositors: m, Format: f,
 			Hints: hints, GhostExchange: a.ghostExchange, Trace: tr, Net: nt, CritPath: rec}
-		switch algo {
-		case "direct":
-			cfg.Algo = core.CompositeDirectSend
-		case "binaryswap":
-			cfg.Algo = core.CompositeBinarySwap
-		case "radixk":
-			cfg.Algo = core.CompositeRadixK
-		case "gather":
-			cfg.Algo = core.CompositeSerialGather
-		default:
-			return fmt.Errorf("unknown algorithm %q", algo)
+		if cfg.Algo, err = core.ParseCompositeAlgo(algo); err != nil {
+			return err
 		}
 		if f != core.FormatGenerate {
 			if path == "" {

@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -60,6 +61,52 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
+// fieldAllowList keeps exported fields under internal/ that no code
+// outside the tests writes. Each entry says why the field stays; an
+// entry the check no longer needs fails the test.
+var fieldAllowList = map[string]string{
+	"render.Shading.LightDir":          "the render goldens pin a light off the default direction",
+	"render.Shading.Ambient":           "the parallel ≡ serial render test sets the light's terms",
+	"render.Shading.Diffuse":           "the parallel ≡ serial render test sets the light's terms",
+	"render.Config.MacrocellSize":      "the render goldens and macrocell tests pin a 4-cell edge",
+	"core.RealConfig.BlocksPerRank":    "the paper's static over-decomposition, which a blocks-per-rank sweep will set",
+	"core.SequenceConfig.AzimuthDelta": "the orbit sequence test turns the camera between frames",
+	"flowsim.Options.Times":            "the sharding equivalence suite compares per-flow finish times",
+	"flowsim.Options.Usage":            "the sharding equivalence suite compares per-link usage",
+	"vfile.FaultyFile.FailAfter":       "fault injection for the readers' tests in other packages",
+}
+
+// TestFieldsHaveWriters fails on an exported field of an exported struct
+// under internal/ that no non-test code in the module or the benchmark
+// module writes: a setting only a test can change is a setting nobody
+// has. A write is a keyed element of a composite literal, a positional
+// literal of the struct, an assignment, an inc/dec, an &, or a write
+// through the field (x.F.G, x.F[i], a method call on x.F). Fields with
+// a json tag are decoded from outside the program, and embedded fields
+// promote their type's members, so neither counts.
+func TestFieldsHaveWriters(t *testing.T) {
+	prog, err := loadProgram(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwritten := prog.unwrittenFields()
+	var msgs []string
+	for name, pos := range unwritten {
+		if _, ok := fieldAllowList[name]; !ok {
+			msgs = append(msgs, fmt.Sprintf("%s: %s is written only by tests, if at all", pos, name))
+		}
+	}
+	for name := range fieldAllowList {
+		if _, ok := unwritten[name]; !ok {
+			msgs = append(msgs, fmt.Sprintf("allow-list entry %s is no longer needed: delete it", name))
+		}
+	}
+	sort.Strings(msgs)
+	for _, m := range msgs {
+		t.Error(m)
+	}
+}
+
 const modulePath = "bgpvr"
 
 // pkgDir is one directory's files that match the default build context,
@@ -77,8 +124,8 @@ type program struct {
 	dirs   map[string]*pkgDir        // by import path
 	plain  map[string]*types.Package // as importers see it; nil while being checked
 	std    types.Importer
-	pkgs   []*types.Package // every check: plain, with tests, external tests
-	uses   []map[*ast.Ident]types.Object
+	pkgs   []*types.Package              // every check: plain, with tests, external tests
+	checks []checked                     // the same checks' files and what they resolve to
 	ifaces map[string][]*types.Interface // by method name
 	errs   []error
 }
@@ -241,14 +288,21 @@ func (p *program) importPlain(path string) (*types.Package, error) {
 	return p.plain[path], nil
 }
 
-// check type-checks files as the package path, recording their uses and
-// the interface types they spell out. Errors collect in p.errs.
+// checked is one type-check's files and its record of them.
+type checked struct {
+	files []*ast.File
+	info  *types.Info
+}
+
+// check type-checks files as the package path, recording their uses,
+// their expressions' types and the interface types they spell out.
+// Errors collect in p.errs.
 func (p *program) check(path string, files []*ast.File, imp types.Importer) *types.Package {
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: imp, Error: func(err error) { p.errs = append(p.errs, err) }}
 	pkg, _ := conf.Check(path, p.fset, files, info)
 	p.pkgs = append(p.pkgs, pkg)
-	p.uses = append(p.uses, info.Uses)
+	p.checks = append(p.checks, checked{files, info})
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if it, ok := n.(*ast.InterfaceType); ok {
@@ -358,8 +412,8 @@ func (p *program) deadExports() map[string]token.Position {
 		}
 	}
 
-	for _, uses := range p.uses {
-		for id, obj := range uses {
+	for _, c := range p.checks {
+		for id, obj := range c.info.Uses {
 			e := decls[origin(obj).Pos()]
 			if e == nil || e.live {
 				continue
@@ -424,4 +478,117 @@ func origin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
+}
+
+// unwrittenFields returns the position of every exported field of an
+// exported struct under internal/ that no non-test file writes, keyed by
+// name (core.RealConfig.Procs). Fields with a json tag and embedded
+// fields are left out.
+func (p *program) unwrittenFields() map[string]token.Position {
+	fields := map[token.Pos]string{}
+	for path, pd := range p.dirs {
+		rel, ok := strings.CutPrefix(path, modulePath+"/internal/")
+		if !ok {
+			continue
+		}
+		for _, f := range pd.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					st, ok := p.plain[path].Scope().Lookup(ts.Name.Name).Type().Underlying().(*types.Struct)
+					if !ok {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						v := st.Field(i)
+						if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); v.Exported() && !v.Embedded() && !decoded {
+							fields[v.Pos()] = rel + "." + ts.Name.Name + "." + v.Name()
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for _, c := range p.checks {
+		mark := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				delete(fields, v.Origin().Pos())
+			}
+		}
+		// through marks every field that e reaches its target through.
+		through := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					mark(c.info.Uses[x.Sel])
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range c.files {
+			if strings.HasSuffix(p.fset.File(f.Pos()).Name(), "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := c.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							mark(c.info.Uses[kv.Key.(*ast.Ident)])
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						through(e)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						through(n.Key)
+						through(n.Value)
+					}
+				case *ast.IncDecStmt:
+					through(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						through(n.X)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if _, method := c.info.Uses[sel.Sel].(*types.Func); method {
+							through(sel.X)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	unwritten := map[string]token.Position{}
+	for pos, name := range fields {
+		unwritten[name] = p.fset.Position(pos)
+	}
+	return unwritten
 }

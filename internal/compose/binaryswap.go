@@ -2,7 +2,6 @@ package compose
 
 import (
 	"fmt"
-	"math/bits"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/critpath"
@@ -17,54 +16,14 @@ import (
 // front-to-back visibility order; in each of log2(p) rounds a pair of
 // ranks splits its current image region in half, exchanges halves, and
 // composites, so each rank finishes owning 1/p of the image. The final
-// image is gathered on rank 0 (nil elsewhere).
+// image is gathered on rank 0 (nil elsewhere). It runs as RadixK with
+// every factor 2.
 func BinarySwap(c *comm.Comm, sub *render.Subimage, w, h int, order []int) (*img.Image, error) {
-	tr := c.Trace()
-	sp := tr.Begin(trace.PhaseComposite, "binary-swap")
-	defer sp.End()
-	c.SetDepKind(critpath.DepFragment)
-	defer c.SetDepKind(critpath.DepAuto)
 	p := c.Size()
 	if p&(p-1) != 0 {
 		return nil, fmt.Errorf("compose: binary swap requires a power-of-two process count, got %d", p)
 	}
-	pos := make([]int, p)    // rank -> visibility position (virtual rank)
-	rankAt := make([]int, p) // virtual rank -> rank
-	for k, r := range order {
-		pos[r] = k
-		rankAt[k] = r
-	}
-	vr := pos[c.Rank()]
-
-	span := img.Span{Lo: 0, Hi: w * h}
-	buf := fullFrame(sub, w, h)
-
-	for round := 1; round < p; round <<= 1 {
-		roundSp := tr.Begin(trace.PhaseComposite, "bswap-round")
-		partner := vr ^ round
-		mid := span.Lo + span.Len()/2
-		var keep, give img.Span
-		if vr&round == 0 {
-			keep, give = img.Span{Lo: span.Lo, Hi: mid}, img.Span{Lo: mid, Hi: span.Hi}
-		} else {
-			keep, give = img.Span{Lo: mid, Hi: span.Hi}, img.Span{Lo: span.Lo, Hi: mid}
-		}
-		// Send the half the partner keeps; receive mine and composite it
-		// straight from the message: the lower virtual rank is nearer
-		// (front).
-		tag := tagBinarySwap + bits.TrailingZeros(uint(round))
-		c.Send(rankAt[partner], tag, encodePixels(0, buf[give.Lo:give.Hi]))
-		_, theirs := c.Recv(rankAt[partner], tag)
-		if mine := buf[keep.Lo:keep.Hi]; vr < partner {
-			img.UnderWire(mine, theirs)
-		} else {
-			img.OverWire(theirs, mine)
-		}
-		wire.Put(theirs)
-		span = keep
-		roundSp.End()
-	}
-	return gatherSpans(c, buf, span, w, h), nil
+	return RadixK(c, sub, w, h, RadixKFactor(p, 2), order)
 }
 
 // fullFrame places a partial image in a transparent w x h frame, which

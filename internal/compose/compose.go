@@ -12,12 +12,14 @@
 // a 30x compositing speedup at 32K cores (Fig 3/4).
 //
 // Binary swap (Ma et al. 1994) and a serial gather are provided as
-// baselines for the ablation benchmarks.
+// baselines for the ablation benchmarks. Binary swap runs as radix-k
+// (radixk.go) with every factor 2, so one round executor serves both.
 //
-// Every algorithm is written twice in one body: the real execution runs
-// over the comm runtime and moves actual pixels; the Schedule functions
-// emit the identical message lists (source, destination, bytes) for the
-// network model to time at scales where pixels are not materialized.
+// The executors move actual pixels over the comm runtime; the Schedule
+// functions list messages (source, destination, bytes) for the network
+// model. Only DirectSendSchedule is its executor's own list (tested);
+// BinarySwapSchedule pairs ranks by id, not visibility, at PixelBytes a
+// pixel, and radix-k and the serial gather have no schedule.
 //
 // Every executor moves pixels through one codec (img.PutPixels,
 // GetPixels, UnderWire, OverWire): a pixel is written once, from the
@@ -82,7 +84,7 @@ func BinarySwapSchedule(p, w, h int, pixBytes int64) ([]RankMessage, error) {
 const (
 	tagDirectSend = 100
 	tagSpanGather = 101
-	tagBinarySwap = 110 // + round
+	tagRound      = 110 // + radix-k round
 )
 
 // DirectSend composites the partial images of all ranks with m

@@ -318,3 +318,34 @@ func BenchmarkDirectSendFrame(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTreeComposite times one 1024^2 tree composite of
+// pre-rendered seeded subimages on 16 ranks: binary swap, radix-k with
+// target radix 4 ([4, 4]) and one round of 16 ([16]).
+func BenchmarkTreeComposite(b *testing.B) {
+	defer scratch.Poison(scratch.Poison(false)) // time the frame, not TestMain's poison fills
+	const p, w, h = 16, 1024, 1024
+	subs, _, order := pinScene(p, w, h)
+	for _, tc := range []struct {
+		name string
+		fn   func(c *comm.Comm) (*img.Image, error)
+	}{
+		{"binary-swap", func(c *comm.Comm) (*img.Image, error) {
+			return BinarySwap(c, subs[c.Rank()], w, h, order)
+		}},
+		{"radix-k=4", func(c *comm.Comm) (*img.Image, error) {
+			return RadixK(c, subs[c.Rank()], w, h, RadixKFactor(p, 4), order)
+		}},
+		{"radix-k=16", func(c *comm.Comm) (*img.Image, error) {
+			return RadixK(c, subs[c.Rank()], w, h, []int{p}, order)
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runCompose(b, p, tc.fn)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w*h), "ns/px")
+		})
+	}
+}

@@ -109,7 +109,7 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 		// Pieces of my current span, one per group member.
 		pieces := img.PartitionSpans(span.Len(), k)
 		piece := func(d int) []img.RGBA { return buf[span.Lo+pieces[d].Lo : span.Lo+pieces[d].Hi] }
-		tag := tagBinarySwap + 64 + round
+		tag := tagRound + round
 
 		// Send every other member its piece of my buffer.
 		for d := 0; d < k; d++ {
@@ -118,7 +118,7 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 			}
 		}
 		// Receive k-1 versions of my piece and composite them, still
-		// encoded, in group (visibility) order: lower digit = nearer.
+		// encoded, into it.
 		mine := piece(digit)
 		wires := make([][]byte, k)
 		for recv := 0; recv < k-1; recv++ {
@@ -128,21 +128,38 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 			}
 			wires[(pos[src]/stride)%k] = b
 		}
-		acc := img.Pixels.Get(len(mine))
-		clear(acc)
-		for d := 0; d < k; d++ {
-			if d == digit {
-				img.UnderSlices(acc, mine)
-			} else {
-				img.UnderWire(acc, wires[d])
-				wire.Put(wires[d])
-			}
-		}
-		copy(mine, acc)
-		img.Pixels.Put(acc)
+		foldRound(mine, wires, digit)
 		span = img.Span{Lo: span.Lo + pieces[digit].Lo, Hi: span.Lo + pieces[digit].Hi}
 		stride *= k
 		roundSp.End()
 	}
 	return gatherSpans(c, buf, span, w, h), nil
+}
+
+// foldRound composites the k pieces of a radix-k round into mine, in
+// place, in group (visibility) order: lower digit = nearer. wires[d] is
+// member d's piece, still encoded; wires[digit] is unused. The pieces in
+// front of mine fold into one front, which goes over mine, and each
+// piece behind goes under it. That is the chain a transparent
+// accumulator would build (0 under x is x exactly), without the
+// accumulator or its copy back. foldRound releases the wires.
+func foldRound(mine []img.RGBA, wires [][]byte, digit int) {
+	switch {
+	case digit == 1:
+		img.OverWire(wires[0], mine)
+	case digit >= 2:
+		front := img.Pixels.Get(len(mine))
+		img.GetPixels(front, wires[0])
+		for _, b := range wires[1:digit] {
+			img.UnderWire(front, b)
+		}
+		img.OverSlices(front, mine)
+		img.Pixels.Put(front)
+	}
+	for _, b := range wires[digit+1:] {
+		img.UnderWire(mine, b)
+	}
+	for _, b := range wires {
+		wire.Put(b)
+	}
 }

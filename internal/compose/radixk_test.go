@@ -80,3 +80,67 @@ func TestRadixKRejectsBadFactors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// accumulateRound is the radix-k round's blend before it folded in
+// place: every piece, mine included, goes under a transparent
+// accumulator in group order, which is then copied back over mine.
+func accumulateRound(mine []img.RGBA, wires [][]byte, digit int) {
+	acc := make([]img.RGBA, len(mine))
+	for d, b := range wires {
+		if d == digit {
+			img.UnderSlices(acc, mine)
+		} else {
+			img.UnderWire(acc, b)
+		}
+	}
+	copy(mine, acc)
+}
+
+// foldRound must give accumulateRound's bits for every group size and
+// position in it, on random, sparse, opaque and transparent pieces.
+func TestRoundFoldMatchesAccumulate(t *testing.T) {
+	const n = 37
+	piece := func(kind string, seed int64) []img.RGBA {
+		frac := map[string]float64{"random": 1, "sparse": 0.1, "opaque": 1, "transparent": 0}[kind]
+		pix := makeSub(img.Rect{X1: n, Y1: 1}, frac, seed).Pix
+		if kind == "opaque" {
+			for i := range pix {
+				pix[i].A = 1
+			}
+		}
+		return pix
+	}
+	encode := func(pix []img.RGBA) []byte {
+		b := make([]byte, img.WirePixelBytes*len(pix))
+		img.PutPixels(b, pix)
+		return b
+	}
+	seed := int64(0)
+	for k := 2; k <= 8; k++ {
+		for digit := 0; digit < k; digit++ {
+			for _, kind := range []string{"random", "sparse", "opaque", "transparent"} {
+				pieces := make([][]img.RGBA, k)
+				for d := range pieces {
+					seed++
+					pieces[d] = piece(kind, seed)
+				}
+				// Each blend gets its own copies: foldRound releases the
+				// wires, and both write mine.
+				run := func(fold func([]img.RGBA, [][]byte, int)) []byte {
+					mine := append([]img.RGBA(nil), pieces[digit]...)
+					wires := make([][]byte, k)
+					for d := range wires {
+						if d != digit {
+							wires[d] = encode(pieces[d])
+						}
+					}
+					fold(mine, wires, digit)
+					return pixelBytes(mine)
+				}
+				if got, want := run(foldRound), run(accumulateRound); string(got) != string(want) {
+					t.Errorf("k=%d digit=%d %s: in-place fold differs from the accumulator", k, digit, kind)
+				}
+			}
+		}
+	}
+}

@@ -32,10 +32,25 @@ const (
 	CompositeBinarySwap
 	CompositeSerialGather
 	// CompositeRadixK uses the radix-k generalization (the paper's
-	// follow-on work); the factorization comes from RealConfig.RadixK
-	// or defaults to target radix 4.
+	// follow-on work) with target radix 4.
 	CompositeRadixK
 )
+
+// ParseCompositeAlgo returns the algorithm a name selects: "" or
+// "direct", "binaryswap", "radixk", or "gather".
+func ParseCompositeAlgo(name string) (CompositeAlgo, error) {
+	switch name {
+	case "", "direct":
+		return CompositeDirectSend, nil
+	case "binaryswap":
+		return CompositeBinarySwap, nil
+	case "radixk":
+		return CompositeRadixK, nil
+	case "gather":
+		return CompositeSerialGather, nil
+	}
+	return 0, fmt.Errorf("algo %q: want direct, binaryswap, radixk, or gather", name)
+}
 
 // RealConfig configures a real-mode end-to-end frame.
 type RealConfig struct {
@@ -59,17 +74,11 @@ type RealConfig struct {
 	// CBBufferSize 0 the window the read planner chooses
 	// (mpiio.ChooseWindow).
 	Hints mpiio.Hints
-	// Ghost layers read around each block (1 is required for exact
-	// trilinear interpolation at block boundaries).
-	Ghost int
 	// GhostExchange obtains the ghost layers by neighbor messages after
 	// reading only each block's own extent, instead of folding the halo
 	// into the collective read (the default). Both produce identical
 	// fields; the ghost ablation weighs extra I/O against messages.
 	GhostExchange bool
-	// RadixK is the round factorization for CompositeRadixK (its product
-	// must equal Procs); nil picks RadixKFactor(Procs, 4).
-	RadixK []int
 	// BlocksPerRank assigns several blocks to each process round-robin
 	// (the paper "statically allocates a small number of blocks to each
 	// process"), which evens out the spatial load. Default 1. Values
@@ -140,10 +149,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		return nil, fmt.Errorf("core: Compositors %d > Procs %d", m, cfg.Procs)
 	}
 	s := cfg.Scene
-	ghost := cfg.Ghost
-	if ghost == 0 {
-		ghost = render.GhostLayersFor(s.RenderConfig())
-	}
+	ghost := render.GhostLayersFor(s.RenderConfig())
 	bpr := cfg.BlocksPerRank
 	if bpr <= 0 {
 		bpr = 1
@@ -325,11 +331,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		case CompositeSerialGather:
 			final, err = compose.SerialGather(c, sub, rects, s.ImageW, s.ImageH, order)
 		case CompositeRadixK:
-			ks := cfg.RadixK
-			if ks == nil {
-				ks = compose.RadixKFactor(cfg.Procs, 4)
-			}
-			final, err = compose.RadixK(c, sub, s.ImageW, s.ImageH, ks, order)
+			final, err = compose.RadixK(c, sub, s.ImageW, s.ImageH, compose.RadixKFactor(cfg.Procs, 4), order)
 		default:
 			err = fmt.Errorf("core: unknown composite algorithm %d", cfg.Algo)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bgpvr/internal/img"
@@ -44,24 +45,19 @@ func TestRunRealGhostExchangeMatches(t *testing.T) {
 	}
 }
 
-// Radix-k in the pipeline matches serial for mixed factorizations.
+// Radix-k in the pipeline matches serial, on a power of two and on a
+// count whose default factorization mixes radices ([4, 3]).
 func TestRunRealRadixK(t *testing.T) {
 	s := smallScene()
 	ref := serialImage(s)
-	for _, ks := range [][]int{nil, {2, 2, 2}, {4, 2}, {8}} {
-		res, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatGenerate,
-			Algo: CompositeRadixK, RadixK: ks})
+	for _, procs := range []int{8, 12} {
+		res, err := RunReal(RealConfig{Scene: s, Procs: procs, Format: FormatGenerate, Algo: CompositeRadixK})
 		if err != nil {
-			t.Fatalf("ks=%v: %v", ks, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
-			t.Errorf("ks=%v: differs from serial by %v", ks, d)
+			t.Errorf("procs=%d: differs from serial by %v", procs, d)
 		}
-	}
-	// Wrong product fails cleanly.
-	if _, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatGenerate,
-		Algo: CompositeRadixK, RadixK: []int{3, 3}}); err == nil {
-		t.Error("bad radix factors accepted")
 	}
 }
 
@@ -129,5 +125,19 @@ func TestRunRealBlocksPerRank(t *testing.T) {
 	if _, err := RunReal(RealConfig{Scene: s, Procs: 4, Format: FormatGenerate,
 		BlocksPerRank: 2, GhostExchange: true}); err == nil {
 		t.Error("multi-block ghost exchange accepted")
+	}
+}
+
+// Every name the CLI and the render service accept selects its
+// algorithm; any other name is an error that lists them.
+func TestParseCompositeAlgo(t *testing.T) {
+	for name, want := range map[string]CompositeAlgo{"": CompositeDirectSend, "direct": CompositeDirectSend,
+		"binaryswap": CompositeBinarySwap, "radixk": CompositeRadixK, "gather": CompositeSerialGather} {
+		if got, err := ParseCompositeAlgo(name); err != nil || got != want {
+			t.Errorf("%q: got %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseCompositeAlgo("bswap"); err == nil || !strings.Contains(err.Error(), "want direct, binaryswap, radixk, or gather") {
+		t.Errorf("bswap: error %v", err)
 	}
 }

@@ -51,9 +51,8 @@ type Scene struct {
 	RenderWorkers int
 	// SkipEmptySpace enables macrocell empty-space skipping (see
 	// render.Config.SkipEmptySpace; bit-identical output, fewer
-	// samples). MacrocellSize 0 keeps the renderer's default edge.
+	// samples) with the renderer's default macrocell edge.
 	SkipEmptySpace bool
-	MacrocellSize  int
 }
 
 // DefaultScene returns the standard experiment scene: an n^3 volume of
@@ -131,7 +130,7 @@ func (s Scene) RenderConfig() render.Config {
 		step = 1
 	}
 	return render.Config{Step: step, Shade: render.Shading{Enabled: s.Shaded},
-		Workers: s.RenderWorkers, SkipEmptySpace: s.SkipEmptySpace, MacrocellSize: s.MacrocellSize}
+		Workers: s.RenderWorkers, SkipEmptySpace: s.SkipEmptySpace}
 }
 
 // FrontToBack returns the block visibility order for p blocks.

@@ -21,7 +21,6 @@ type UpsampleConfig struct {
 	Procs   int
 	SrcPath string
 	DstPath string
-	Hints   mpiio.Hints
 }
 
 // RunUpsample executes the preprocessor and returns the target
@@ -60,10 +59,7 @@ func RunUpsample(cfg UpsampleConfig) (grid.IVec3, error) {
 		return grid.IVec3{}, err
 	}
 
-	hints := cfg.Hints
-	if hints.CBNodes <= 0 {
-		hints.CBNodes = min(cfg.Procs, 8)
-	}
+	hints := mpiio.Hints{CBNodes: min(cfg.Procs, 8)}
 	d := grid.NewDecomp(dstDims, cfg.Procs)
 	world := comm.NewWorld(cfg.Procs)
 	err = world.Run(func(c *comm.Comm) error {

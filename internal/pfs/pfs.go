@@ -43,10 +43,6 @@ type Params struct {
 	HalfSatIONs     float64 // IONs at which half of SatBW is reached
 	AccessLatency   float64 // s per physical access (request + seek)
 	IONLinkBW       float64 // bytes/s per ION (10 GbE), hard cap
-	// WritePenalty scales ReadTime for collective writes: parallel file
-	// systems pay extra for write serialization (locking/tokens, RAID
-	// read-modify-write). 0 defaults to 1.25.
-	WritePenalty float64
 }
 
 // NewBGPStorage returns the calibrated Blue Gene/P storage model.
@@ -137,13 +133,11 @@ func (p Params) ReadTime(j ReadJob) float64 {
 }
 
 // WriteTime returns the modeled time of a collective write with the
-// same shape as a read job, scaled by the write penalty.
+// same shape as a read job: 1.25 times the read, because parallel file
+// systems pay extra for write serialization (locking/tokens, RAID
+// read-modify-write).
 func (p Params) WriteTime(j ReadJob) float64 {
-	w := p.WritePenalty
-	if w <= 0 {
-		w = 1.25
-	}
-	return w * p.ReadTime(j)
+	return 1.25 * p.ReadTime(j)
 }
 
 // ServerOf maps a file offset to the file server holding it under

@@ -133,19 +133,12 @@ func (rr *RenderRequest) validate(workers int) (*jobSpec, error) {
 		return nil, fmt.Errorf("deadline_ms %d out of range [0, %d]", rr.DeadlineMS, maxDeadlineMS)
 	}
 
-	spec := &jobSpec{mode: mode, procs: procs, m: rr.M, image: rr.IncludeImage && mode == "real"}
-	switch rr.Algo {
-	case "", "direct":
-		spec.algo = core.CompositeDirectSend
-	case "binaryswap":
-		spec.algo = core.CompositeBinarySwap
-	case "radixk":
-		spec.algo = core.CompositeRadixK
-	case "gather":
-		spec.algo = core.CompositeSerialGather
-	default:
-		return nil, fmt.Errorf("algo %q: want direct, binaryswap, radixk, or gather", rr.Algo)
+	algo, err := core.ParseCompositeAlgo(rr.Algo)
+	if err != nil {
+		return nil, err
 	}
+
+	spec := &jobSpec{mode: mode, procs: procs, m: rr.M, algo: algo, image: rr.IncludeImage && mode == "real"}
 
 	s := core.DefaultScene(n, img)
 	s.Perspective = rr.Persp

@@ -63,14 +63,9 @@ type Config struct {
 	// resident bytes (default 8 MiB). -1 disables request tracing, the
 	// store, and the /traces query surface entirely.
 	TraceBudgetMB int
-	// TraceQuota caps retained traces per endpoint (default 64).
-	TraceQuota int
 	// TraceSampleN keeps 1 in N requests that no tail rule retained
 	// (default 16; 1 keeps everything, negative disables the baseline).
 	TraceSampleN int
-	// TraceSeed seeds the baseline sampler (default 1), so load tests
-	// can be made reproducible.
-	TraceSeed int64
 
 	// renderGate, when non-nil, is called while holding a render slot
 	// before the frame runs — a test hook for deterministic admission
@@ -178,10 +173,9 @@ func New(cfg Config) *Server {
 	if cfg.TraceBudgetMB > 0 {
 		s.traces = tracestore.New(tracestore.Config{
 			BudgetBytes: int64(cfg.TraceBudgetMB) << 20,
-			PerEndpoint: cfg.TraceQuota,
 		})
 		s.sampler = tracestore.NewSampler(tracestore.SamplerConfig{
-			SLO: cfg.SLO, RandN: cfg.TraceSampleN, Seed: cfg.TraceSeed,
+			SLO: cfg.SLO, RandN: cfg.TraceSampleN,
 		})
 		// Exemplars link latency buckets back to retained traces; off
 		// with the store so the disabled path stays allocation-free.
