@@ -25,7 +25,11 @@
 // GetPixels, UnderWire, OverWire): a pixel is written once, from the
 // row it was rendered or accumulated in into the message that carries
 // it, and the receiver blends or places it straight from the message
-// bytes. fragment.go holds the direct-send fragment format.
+// bytes. fragment.go holds the direct-send fragment format, which both
+// of direct-send's exchanges use: a renderer's overlap with a tile, and
+// a compositor's tile on its way to rank 0 — only the pixels the tile's
+// fragments blended, which rank 0 places in an image it zeroed while
+// the other ranks worked.
 package compose
 
 import (

@@ -60,7 +60,9 @@ func encodePixels(head int, pix []img.RGBA) []byte {
 // correctly. It reads the overlap rows of sub.Pix in place and writes
 // each pixel once, into a message taken at its final size. Of each row
 // it scans only what sub.Spans says can be active: the pixels outside a
-// span are transparent, so a run open at a span's edge ends there.
+// span are transparent. A span is loose (a cast bounds a row by the rays
+// that could take a sample), so the runs are the non-transparent
+// stretches the scan finds inside it.
 func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
 	ow, oh, sw := ov.W(), ov.H(), sub.Rect.W()
 	x0, y0 := ov.X0-sub.Rect.X0, ov.Y0-sub.Rect.Y0 // the overlap's corner in sub
@@ -79,24 +81,18 @@ func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
 		return a, b
 	}
 
-	runs, active, inRun := 0, 0, false
+	runs, active, next := 0, 0, -1 // next: the index that continues the last run
 	for y := 0; y < oh; y++ {
 		a, b := span(y)
-		if a > 0 {
-			inRun = false
-		}
-		for _, p := range row(y)[a:b] {
-			on := p != img.RGBA{}
-			if on {
-				active++
-				if !inRun {
+		for x, p := range row(y)[a:b] {
+			if (p != img.RGBA{}) {
+				i := y*ow + a + x
+				if i != next {
 					runs++
 				}
+				active++
+				next = i + 1
 			}
-			inRun = on
-		}
-		if b < ow {
-			inRun = false
 		}
 	}
 
@@ -109,53 +105,102 @@ func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
 		}
 		return msg
 	}
-	msg := wire.Get(fragHeadBytes + 8 + 16*runs + img.WirePixelBytes*active)
-	putI64s(msg, pos, fragActive, int64(ov.X0), int64(ov.Y0), int64(ov.X1), int64(ov.Y1), int64(runs))
-	table := msg[fragHeadBytes+8:]
-	pix := table[16*runs:]
-	lo := -1 // start of the open run, -1 when none
-	closeRun := func(end int) {
-		if lo >= 0 {
-			putI64s(table, int64(lo), int64(end))
-			table, lo = table[16:], -1
-		}
-	}
+	rw := newRunWriter(pos, ov, runs, active)
 	for y := 0; y < oh; y++ {
 		r := row(y)
 		a, b := span(y)
-		if a > 0 {
-			closeRun(y * ow)
-		}
 		for x := a; x < b; {
 			if (r[x] == img.RGBA{}) {
-				closeRun(y*ow + x)
 				x++
 				continue
-			}
-			if lo < 0 {
-				lo = y*ow + x
 			}
 			end := x + 1
 			for end < b && (r[end] != img.RGBA{}) {
 				end++
 			}
-			img.PutPixels(pix, r[x:end])
-			pix = pix[img.WirePixelBytes*(end-x):]
+			rw.put(y*ow+x, r[x:end])
 			x = end
 		}
-		if b < ow {
-			closeRun(y*ow + b)
-		}
 	}
-	closeRun(n)
-	return msg
+	return rw.finish()
 }
 
-// checkFragment validates an encoded fragment against the tile it was
-// sent to — mode, rectangle inside the tile, run table ascending and
-// inside the rectangle, payload length — so that blendFragment indexes
-// the accumulator only where the message is entitled to write.
-func checkFragment(tile img.Rect, msg []byte) error {
+// encodeSpans serializes a composited tile for the final gather: rect
+// with its pixels pix (row-major), of which spans bounds what was
+// blended, row by row relative to rect.X0. It writes the active format
+// with one run per non-empty span, merged where a span reaching the
+// row end meets one starting the next row, and copies the span pixels
+// without looking at them: a pixel the compositor blended may be
+// transparent, but one outside every span is, and is never read.
+func encodeSpans(pos int64, rect img.Rect, pix []img.RGBA, spans []render.RowSpan) []byte {
+	w := rect.W()
+	runs, active, next := 0, 0, -1
+	for y, s := range spans {
+		if s.Lo < s.Hi {
+			if y*w+int(s.Lo) != next {
+				runs++
+			}
+			active += int(s.Hi - s.Lo)
+			next = y*w + int(s.Hi)
+		}
+	}
+	rw := newRunWriter(pos, rect, runs, active)
+	for y, s := range spans {
+		if s.Lo < s.Hi {
+			rw.put(y*w+int(s.Lo), pix[y*w+int(s.Lo):y*w+int(s.Hi)])
+		}
+	}
+	return rw.finish()
+}
+
+// runWriter is the one writer of the active format. It takes the
+// message at its final size, for the run and pixel counts the caller has
+// made, and writes the header; put then appends pixels in rectangle
+// order, continuing the open run when they start where it ends, so a
+// run crosses a row end whenever its pixels do.
+type runWriter struct {
+	msg, table, pix []byte
+	lo, hi          int // the open run [lo, hi); empty before the first put
+}
+
+func newRunWriter(pos int64, rect img.Rect, runs, active int) runWriter {
+	msg := wire.Get(fragHeadBytes + 8 + 16*runs + img.WirePixelBytes*active)
+	putI64s(msg, pos, fragActive, int64(rect.X0), int64(rect.Y0), int64(rect.X1), int64(rect.Y1), int64(runs))
+	table := msg[fragHeadBytes+8:]
+	return runWriter{msg: msg, table: table, pix: table[16*runs:]}
+}
+
+// put appends the pixels p of the rectangle's row-major positions
+// [i, i+len(p)); len(p) > 0 and i is past every pixel put before.
+func (rw *runWriter) put(i int, p []img.RGBA) {
+	if i != rw.hi {
+		rw.closeRun()
+		rw.lo = i
+	}
+	img.PutPixels(rw.pix, p)
+	rw.pix = rw.pix[img.WirePixelBytes*len(p):]
+	rw.hi = i + len(p)
+}
+
+func (rw *runWriter) closeRun() {
+	if rw.lo < rw.hi {
+		putI64s(rw.table, int64(rw.lo), int64(rw.hi))
+		rw.table = rw.table[16:]
+	}
+}
+
+// finish closes the last run and returns the message.
+func (rw *runWriter) finish() []byte {
+	rw.closeRun()
+	return rw.msg
+}
+
+// checkFragment validates an encoded fragment against the area it is
+// decoded into (a compositor's tile, or the image for a gathered tile) —
+// mode, rectangle inside the area, run table ascending and inside the
+// rectangle, payload length — so that eachRun indexes the area's pixels
+// only where the message is entitled to write.
+func checkFragment(area img.Rect, msg []byte) error {
 	if len(msg) < fragHeadBytes {
 		return fmt.Errorf("compose: fragment of %d bytes is shorter than its header", len(msg))
 	}
@@ -164,11 +209,11 @@ func checkFragment(tile img.Rect, msg []byte) error {
 	for i := range c {
 		c[i] = getI64(msg[16+8*i:])
 	}
-	if c[0] < int64(tile.X0) || c[1] < int64(tile.Y0) || c[2] > int64(tile.X1) || c[3] > int64(tile.Y1) ||
+	if c[0] < int64(area.X0) || c[1] < int64(area.Y0) || c[2] > int64(area.X1) || c[3] > int64(area.Y1) ||
 		c[0] >= c[2] || c[1] >= c[3] {
-		return fmt.Errorf("compose: fragment rectangle (%d,%d)-(%d,%d) is empty or outside tile %v", c[0], c[1], c[2], c[3], tile)
+		return fmt.Errorf("compose: fragment rectangle (%d,%d)-(%d,%d) is empty or outside %v", c[0], c[1], c[2], c[3], area)
 	}
-	n := (c[2] - c[0]) * (c[3] - c[1]) // at most the tile's pixels: no overflow
+	n := (c[2] - c[0]) * (c[3] - c[1]) // at most the area's pixels: no overflow
 	body := int64(len(msg) - fragHeadBytes)
 	switch mode {
 	case fragDense:
@@ -204,30 +249,29 @@ func checkFragment(tile img.Rect, msg []byte) error {
 	}
 }
 
-// blendFragment composites an encoded fragment under the accumulator of
-// the tile it was sent to, straight from the message bytes, after
-// checkFragment has passed it. Pixels outside the active runs are
-// transparent and leave the accumulator as it is (acc + t*0 == acc for
-// every finite accumulator), so only the run pixels are touched, each
-// run split at the fragment's row ends.
-func blendFragment(acc []img.RGBA, tile img.Rect, msg []byte) error {
-	if err := checkFragment(tile, msg); err != nil {
-		return err
-	}
+// eachRun walks a fragment that checkFragment has passed against area
+// and calls fn with every run, split at the fragment's row ends: the
+// piece's first pixel as an index into area's row-major pixels, its
+// length, and the wire bytes of its pixels. Pixels outside the runs are
+// left alone. It is the one decoder of both formats; the operation is
+// the caller's — img.UnderWire to blend a fragment under a tile's
+// accumulator (a transparent pixel leaves it as it is: acc + t*0 == acc
+// for every finite acc), img.GetPixels to place a gathered tile in the
+// final image.
+func eachRun(area img.Rect, msg []byte, fn func(i, n int, pix []byte)) {
 	x0, y0 := int(getI64(msg[16:])), int(getI64(msg[24:]))
 	fw := int(getI64(msg[32:])) - x0
 	fh := int(getI64(msg[40:])) - y0
-	tw := tile.W()
-	origin := (y0-tile.Y0)*tw + x0 - tile.X0 // the fragment's first pixel in acc
-	under := func(lo, hi int, wire []byte) { // pixels [lo, hi) of one fragment row
-		y, x := lo/fw, lo%fw
-		img.UnderWire(acc[origin+y*tw+x:][:hi-lo], wire)
+	aw := area.W()
+	origin := (y0-area.Y0)*aw + x0 - area.X0 // the fragment's first pixel in area
+	piece := func(lo, hi int, pix []byte) {  // pixels [lo, hi) of one fragment row
+		fn(origin+(lo/fw)*aw+lo%fw, hi-lo, pix)
 	}
 	if getI64(msg[8:]) == fragDense {
 		for y := 0; y < fh; y++ {
-			under(y*fw, (y+1)*fw, msg[fragHeadBytes+img.WirePixelBytes*y*fw:])
+			piece(y*fw, (y+1)*fw, msg[fragHeadBytes+img.WirePixelBytes*y*fw:])
 		}
-		return nil
+		return
 	}
 	runs := int(getI64(msg[fragHeadBytes:]))
 	table := msg[fragHeadBytes+8:]
@@ -236,10 +280,9 @@ func blendFragment(acc []img.RGBA, tile img.Rect, msg []byte) error {
 		lo, hi := int(getI64(table)), int(getI64(table[8:]))
 		for lo < hi {
 			end := min(hi, (lo/fw+1)*fw)
-			under(lo, end, pix)
+			piece(lo, end, pix)
 			pix = pix[img.WirePixelBytes*(end-lo):]
 			lo = end
 		}
 	}
-	return nil
 }

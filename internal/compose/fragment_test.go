@@ -65,6 +65,18 @@ func blendDecoded(acc []img.RGBA, tile img.Rect, f fragment) {
 	}
 }
 
+// blendFragment decodes msg into the pixels of area the way both of its
+// users do: checked against area first, then op applied under every
+// run — img.UnderWire for a compositor's blend, img.GetPixels for rank
+// 0's placement of a gathered tile.
+func blendFragment(acc []img.RGBA, area img.Rect, msg []byte, op func([]img.RGBA, []byte)) error {
+	if err := checkFragment(area, msg); err != nil {
+		return err
+	}
+	eachRun(area, msg, func(i, n int, pix []byte) { op(acc[i:][:n], pix) })
+	return nil
+}
+
 // makeSub builds a subimage with a given fraction of active pixels.
 func makeSub(rect img.Rect, activeFrac float64, seed int64) *render.Subimage {
 	rng := rand.New(rand.NewSource(seed))
@@ -114,7 +126,7 @@ func TestBlendFromWireMatchesDecodeThenBlend(t *testing.T) {
 			want := makeSub(tile, 0.7, 99).Pix
 			got := append([]img.RGBA(nil), want...)
 			blendDecoded(want, tile, decodeFragment(msg))
-			if err := blendFragment(got, tile, msg); err != nil {
+			if err := blendFragment(got, tile, msg, img.UnderWire); err != nil {
 				t.Fatalf("frac=%v %s: %v", frac, o.name, err)
 			}
 			if string(pixelBytes(got)) != string(pixelBytes(want)) {

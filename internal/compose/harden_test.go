@@ -86,7 +86,7 @@ func TestFragmentSpansLeaveWireBytesUnchanged(t *testing.T) {
 			t.Errorf("overlap %v: %d bytes with spans differ from %d without", ov, len(got), len(want))
 		}
 		acc := make([]img.RGBA, ov.NumPixels())
-		if err := blendFragment(acc, ov, want); err != nil {
+		if err := blendFragment(acc, ov, want, img.UnderWire); err != nil {
 			t.Errorf("overlap %v: %v", ov, err)
 		}
 		for i, p := range acc {
@@ -156,26 +156,56 @@ func TestBlendFragmentRejectsMalformed(t *testing.T) {
 		{"active payload one pixel short", active[:len(active)-img.WirePixelBytes], "carries"},
 	}
 	for _, tc := range cases {
-		acc := makeSub(fuzzTile, 0.7, 99).Pix
-		before := append([]img.RGBA(nil), acc...)
-		err := blendFragment(acc, fuzzTile, tc.msg)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
-		}
-		if string(pixelBytes(acc)) != string(pixelBytes(before)) {
-			t.Errorf("%s: a refused message changed the accumulator", tc.name)
+		for _, op := range placeOps {
+			acc := makeSub(fuzzTile, 0.7, 99).Pix
+			before := append([]img.RGBA(nil), acc...)
+			err := blendFragment(acc, fuzzTile, tc.msg, op.fn)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s %s: err = %v, want one mentioning %q", op.name, tc.name, err, tc.want)
+			}
+			if string(pixelBytes(acc)) != string(pixelBytes(before)) {
+				t.Errorf("%s %s: a refused message changed the pixels", op.name, tc.name)
+			}
 		}
 	}
 	for i, msg := range fuzzSeeds() {
-		if err := blendFragment(makeSub(fuzzTile, 0.7, 99).Pix, fuzzTile, msg); err != nil {
+		if err := blendFragment(makeSub(fuzzTile, 0.7, 99).Pix, fuzzTile, msg, img.UnderWire); err != nil {
 			t.Errorf("seed %d refused: %v", i, err)
 		}
 	}
 }
 
-// FuzzBlendFragment feeds arbitrary bytes to the compositor's decoder:
-// it never panics, and a message it accepts writes only inside the
-// rectangle its header names.
+// placeOps are the two operations the fragment decoder runs under.
+var placeOps = []struct {
+	name string
+	fn   func([]img.RGBA, []byte)
+}{{"blend", img.UnderWire}, {"place", img.GetPixels}}
+
+// runMask marks the pixels of msg's rectangle, row-major, that its runs
+// cover: every one for a dense fragment. It reads the run table itself,
+// sharing no code with the decoder, and expects a checked message.
+func runMask(msg []byte) []bool {
+	rect := img.Rect{X0: int(getI64(msg[16:])), Y0: int(getI64(msg[24:])), X1: int(getI64(msg[32:])), Y1: int(getI64(msg[40:]))}
+	mask := make([]bool, rect.NumPixels())
+	if getI64(msg[8:]) == fragDense {
+		for i := range mask {
+			mask[i] = true
+		}
+		return mask
+	}
+	for r := 0; r < int(getI64(msg[fragHeadBytes:])); r++ {
+		for i := getI64(msg[fragHeadBytes+8+16*r:]); i < getI64(msg[fragHeadBytes+16+16*r:]); i++ {
+			mask[i] = true
+		}
+	}
+	return mask
+}
+
+// FuzzBlendFragment feeds arbitrary bytes to the fragment decoder under
+// both of its operations: it never panics, blending and placing accept
+// or refuse the same messages, a refused message writes nothing, and an
+// accepted one writes only the pixels its runs cover — placing gives
+// each of them the message's pixel bit for bit.
 func FuzzBlendFragment(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -183,21 +213,34 @@ func FuzzBlendFragment(f *testing.F) {
 	f.Add([]byte{})
 	tw := fuzzTile.W()
 	f.Fuzz(func(t *testing.T, msg []byte) {
-		acc := makeSub(fuzzTile, 0.7, 99).Pix
-		before := append([]img.RGBA(nil), acc...)
-		if err := blendFragment(acc, fuzzTile, msg); err != nil {
-			if string(pixelBytes(acc)) != string(pixelBytes(before)) {
-				t.Fatalf("refused (%v) but the accumulator changed", err)
+		before := makeSub(fuzzTile, 0.7, 99).Pix
+		blended := append([]img.RGBA(nil), before...)
+		placed := append([]img.RGBA(nil), before...)
+		errB := blendFragment(blended, fuzzTile, msg, img.UnderWire)
+		errP := blendFragment(placed, fuzzTile, msg, img.GetPixels)
+		if (errB == nil) != (errP == nil) {
+			t.Fatalf("blend says %v, place says %v", errB, errP)
+		}
+		// Bit patterns, so a NaN the message put there counts as written.
+		bits := func(pix []img.RGBA, i int) string { return string(pixelBytes(pix[i : i+1])) }
+		if errB != nil {
+			if string(pixelBytes(blended)) != string(pixelBytes(before)) || string(pixelBytes(placed)) != string(pixelBytes(before)) {
+				t.Fatalf("refused (%v) but the pixels changed", errB)
 			}
 			return
 		}
-		rect := img.Rect{X0: int(getI64(msg[16:])), Y0: int(getI64(msg[24:])), X1: int(getI64(msg[32:])), Y1: int(getI64(msg[40:]))}
-		for i := range acc {
+		frag := decodeFragment(msg)
+		mask := runMask(msg)
+		for i := range before {
 			x, y := fuzzTile.X0+i%tw, fuzzTile.Y0+i/tw
-			inside := x >= rect.X0 && x < rect.X1 && y >= rect.Y0 && y < rect.Y1
-			// Bit patterns, so a NaN the message put there counts as written.
-			if !inside && string(pixelBytes(acc[i:i+1])) != string(pixelBytes(before[i:i+1])) {
-				t.Fatalf("accepted message with rectangle %v wrote pixel (%d, %d)", rect, x, y)
+			inside := x >= frag.rect.X0 && x < frag.rect.X1 && y >= frag.rect.Y0 && y < frag.rect.Y1
+			k := (y-frag.rect.Y0)*frag.rect.W() + x - frag.rect.X0
+			if !(inside && mask[k]) {
+				if bits(blended, i) != bits(before, i) || bits(placed, i) != bits(before, i) {
+					t.Fatalf("accepted message with rectangle %v wrote pixel (%d, %d) outside its runs", frag.rect, x, y)
+				}
+			} else if bits(placed, i) != bits(frag.pix, k) {
+				t.Fatalf("placed pixel (%d, %d) = %+v, the message carries %+v", x, y, placed[i], frag.pix[k])
 			}
 		}
 	})

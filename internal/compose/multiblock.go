@@ -1,13 +1,15 @@
 package compose
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/img"
 	"bgpvr/internal/render"
+	"bgpvr/internal/scratch"
 	"bgpvr/internal/trace"
 )
 
@@ -45,6 +47,13 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 		pos[b] = int64(k)
 	}
 	g := img.NewTileGrid(w, h, m)
+	var out *img.Image
+	if c.Rank() == 0 {
+		// Zeroed here, while the other ranks send and blend, rather than
+		// alone after them: the gather writes only the pixels the
+		// compositors blended.
+		out = img.New(w, h)
+	}
 
 	// Send each of my blocks' overlaps: the schedule's loop, with pixels.
 	sendSp := tr.Begin(trace.PhaseComposite, "fragment-send")
@@ -76,18 +85,11 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 		for k := range msgs {
 			_, msgs[k] = c.Recv(comm.AnySource, tagDirectSend)
 		}
-		sort.Slice(msgs, func(a, b int) bool { return getI64(msgs[a]) < getI64(msgs[b]) })
-		acc := img.Pixels.Get(tile.NumPixels())
-		clear(acc)
-		for _, msg := range msgs {
-			if err := blendFragment(acc, tile, msg); err != nil {
-				return nil, err
-			}
-			wire.Put(msg)
+		slices.SortFunc(msgs, func(a, b []byte) int { return cmp.Compare(getI64(a), getI64(b)) })
+		payload, err := compositeTile(ti, tile, msgs)
+		if err != nil {
+			return nil, err
 		}
-		payload := encodePixels(8, acc)
-		img.Pixels.Put(acc)
-		putI64s(payload, int64(ti))
 		c.Send(0, tagSpanGather, payload)
 	}
 	blendSp.End()
@@ -97,17 +99,62 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 	}
 	gatherSp := tr.Begin(trace.PhaseComposite, "final-gather")
 	defer gatherSp.End()
-	out := img.New(w, h)
+	full := img.Rect{X1: w, Y1: h}
 	for received := 0; received < m; received++ {
 		_, b := c.Recv(comm.AnySource, tagSpanGather)
-		tile := g.Tile(int(getI64(b)))
-		tw := tile.W()
-		for y := tile.Y0; y < tile.Y1; y++ {
-			img.GetPixels(out.Pix[y*w+tile.X0:][:tw], b[8+img.WirePixelBytes*(y-tile.Y0)*tw:])
+		if err := checkFragment(full, b); err != nil {
+			return nil, err
 		}
+		eachRun(full, b, func(i, n int, pix []byte) { img.GetPixels(out.Pix[i:][:n], pix) })
 		wire.Put(b)
 	}
 	return out, nil
+}
+
+// tileSpans recycles the row spans of a compositor's tile (the
+// ownership rule is internal/scratch's; compositeTile takes and releases
+// them).
+var tileSpans = scratch.Pool[render.RowSpan]{Poison: render.RowSpan{Lo: -1, Hi: -1}}
+
+// compositeTile blends the fragments msgs, in visibility order, under a
+// transparent tile ti and returns the tile's gather message, releasing
+// the fragments. Every fragment is checked before anything is written.
+// One walk of their rectangles and run tables then bounds, row by row,
+// the pixels any of them will blend, and the recycled accumulator is
+// cleared only inside those spans: nothing outside them is blended,
+// cleared, read or sent, and the final image holds +0 there from
+// img.New.
+func compositeTile(ti int, tile img.Rect, msgs [][]byte) ([]byte, error) {
+	for _, msg := range msgs {
+		if err := checkFragment(tile, msg); err != nil {
+			return nil, err
+		}
+	}
+	tw := tile.W()
+	spans := tileSpans.Get(tile.H())
+	clear(spans)
+	for _, msg := range msgs {
+		eachRun(tile, msg, func(i, n int, _ []byte) {
+			s, lo, hi := &spans[i/tw], int32(i%tw), int32(i%tw+n)
+			if s.Lo == s.Hi {
+				s.Lo, s.Hi = lo, hi
+			} else {
+				s.Lo, s.Hi = min(s.Lo, lo), max(s.Hi, hi)
+			}
+		})
+	}
+	acc := img.Pixels.Get(tile.NumPixels())
+	for y, s := range spans {
+		clear(acc[y*tw+int(s.Lo) : y*tw+int(s.Hi)])
+	}
+	for _, msg := range msgs {
+		eachRun(tile, msg, func(i, n int, pix []byte) { img.UnderWire(acc[i:][:n], pix) })
+		wire.Put(msg)
+	}
+	payload := encodeSpans(int64(ti), tile, acc, spans)
+	img.Pixels.Put(acc)
+	tileSpans.Put(spans)
+	return payload, nil
 }
 
 // eachOverlap calls fn with every tile of g that rect overlaps and the
