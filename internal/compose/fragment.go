@@ -17,13 +17,16 @@ import (
 //	dense:  float32 RGBA for every pixel of the rectangle, row-major
 //	active: int64 nruns; int64 lo, hi per run; float32 RGBA per run pixel
 //
-// The dense format carries every pixel of the overlap; the active-pixel
-// format (an IceT-style optimization) carries only runs of
-// non-transparent pixels, which shrinks messages dramatically for blocks
-// whose bounding rectangle is mostly empty. Runs index the rectangle's
-// row-major pixel order, so one run may continue across a row end. The
-// encoder picks whichever is smaller, so the optimization is always
-// safe; the mode word keeps the receiver format-agnostic.
+// The dense format carries every pixel of the rectangle; the active-pixel
+// format (an IceT-style optimization) carries only runs, which shrinks
+// messages dramatically for blocks whose bounding rectangle is mostly
+// empty. A run is what the sender vouches may be non-transparent: every
+// pixel outside the runs is transparent, one inside may be too.
+// encodeFragment's runs are exactly the non-transparent stretches, and
+// it picks whichever format is smaller; a compositor's tile gather
+// (encodeSpans) sends the spans it blended. Runs index the rectangle's
+// row-major pixel order, so one run may continue across a row end; the
+// mode word keeps the receiver format-agnostic.
 const (
 	fragDense  = 0
 	fragActive = 1
@@ -60,9 +63,8 @@ func encodePixels(head int, pix []img.RGBA) []byte {
 // correctly. It reads the overlap rows of sub.Pix in place and writes
 // each pixel once, into a message taken at its final size. Of each row
 // it scans only what sub.Spans says can be active: the pixels outside a
-// span are transparent. A span is loose (a cast bounds a row by the rays
-// that could take a sample), so the runs are the non-transparent
-// stretches the scan finds inside it.
+// span are transparent, but a cast's span is loose, so the scan is
+// still needed inside it.
 func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
 	ow, oh, sw := ov.W(), ov.H(), sub.Rect.W()
 	x0, y0 := ov.X0-sub.Rect.X0, ov.Y0-sub.Rect.Y0 // the overlap's corner in sub
@@ -125,13 +127,10 @@ func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
 	return rw.finish()
 }
 
-// encodeSpans serializes a composited tile for the final gather: rect
-// with its pixels pix (row-major), of which spans bounds what was
-// blended, row by row relative to rect.X0. It writes the active format
-// with one run per non-empty span, merged where a span reaching the
-// row end meets one starting the next row, and copies the span pixels
-// without looking at them: a pixel the compositor blended may be
-// transparent, but one outside every span is, and is never read.
+// encodeSpans serializes a composited tile for the final gather: rect's
+// pixels pix (row-major) inside spans (per row, relative to rect.X0),
+// one run a non-empty span, merged across row ends. It copies the span
+// pixels without scanning them, and never reads one outside a span.
 func encodeSpans(pos int64, rect img.Rect, pix []img.RGBA, spans []render.RowSpan) []byte {
 	w := rect.W()
 	runs, active, next := 0, 0, -1
@@ -153,11 +152,10 @@ func encodeSpans(pos int64, rect img.Rect, pix []img.RGBA, spans []render.RowSpa
 	return rw.finish()
 }
 
-// runWriter is the one writer of the active format. It takes the
-// message at its final size, for the run and pixel counts the caller has
-// made, and writes the header; put then appends pixels in rectangle
-// order, continuing the open run when they start where it ends, so a
-// run crosses a row end whenever its pixels do.
+// runWriter is the one writer of the active format: the header, for run
+// and pixel counts the caller has made, then pixels put in rectangle
+// order, each put continuing the open run when it starts where the run
+// ends.
 type runWriter struct {
 	msg, table, pix []byte
 	lo, hi          int // the open run [lo, hi); empty before the first put
@@ -170,8 +168,8 @@ func newRunWriter(pos int64, rect img.Rect, runs, active int) runWriter {
 	return runWriter{msg: msg, table: table, pix: table[16*runs:]}
 }
 
-// put appends the pixels p of the rectangle's row-major positions
-// [i, i+len(p)); len(p) > 0 and i is past every pixel put before.
+// put appends the pixels p of row-major positions [i, i+len(p));
+// len(p) > 0 and i is past every pixel put before.
 func (rw *runWriter) put(i int, p []img.RGBA) {
 	if i != rw.hi {
 		rw.closeRun()
@@ -249,15 +247,14 @@ func checkFragment(area img.Rect, msg []byte) error {
 	}
 }
 
-// eachRun walks a fragment that checkFragment has passed against area
-// and calls fn with every run, split at the fragment's row ends: the
-// piece's first pixel as an index into area's row-major pixels, its
-// length, and the wire bytes of its pixels. Pixels outside the runs are
-// left alone. It is the one decoder of both formats; the operation is
-// the caller's — img.UnderWire to blend a fragment under a tile's
-// accumulator (a transparent pixel leaves it as it is: acc + t*0 == acc
-// for every finite acc), img.GetPixels to place a gathered tile in the
-// final image.
+// eachRun is the one decoder of both formats. It walks a fragment that
+// checkFragment has passed against area and calls fn with every run,
+// split at the fragment's row ends: the piece's first pixel as an index
+// into area's row-major pixels, its length, and its wire bytes. The
+// caller's operation is img.UnderWire to blend a fragment under a tile
+// (a transparent pixel outside the runs would leave the accumulator as
+// it is: acc + t*0 == acc for every finite acc), or img.GetPixels to
+// place a gathered tile in the final image.
 func eachRun(area img.Rect, msg []byte, fn func(i, n int, pix []byte)) {
 	x0, y0 := int(getI64(msg[16:])), int(getI64(msg[24:]))
 	fw := int(getI64(msg[32:])) - x0

@@ -111,18 +111,14 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 	return out, nil
 }
 
-// tileSpans recycles the row spans of a compositor's tile (the
-// ownership rule is internal/scratch's; compositeTile takes and releases
-// them).
+// tileSpans recycles compositeTile's row spans.
 var tileSpans = scratch.Pool[render.RowSpan]{Poison: render.RowSpan{Lo: -1, Hi: -1}}
 
 // compositeTile blends the fragments msgs, in visibility order, under a
 // transparent tile ti and returns the tile's gather message, releasing
-// the fragments. Every fragment is checked before anything is written.
-// One walk of their rectangles and run tables then bounds, row by row,
-// the pixels any of them will blend, and the recycled accumulator is
-// cleared only inside those spans: nothing outside them is blended,
-// cleared, read or sent, and the final image holds +0 there from
+// the fragments. It checks every fragment before writing anything, then
+// bounds, row by row, the pixels any fragment will blend, and clears,
+// blends and sends only those: the final image holds +0 elsewhere from
 // img.New.
 func compositeTile(ti int, tile img.Rect, msgs [][]byte) ([]byte, error) {
 	for _, msg := range msgs {
