@@ -247,14 +247,24 @@ func checkFragment(area img.Rect, msg []byte) error {
 	}
 }
 
+// blendFragment checks msg against area and then applies op to dst,
+// area's row-major pixels, under every run of msg: img.UnderWire blends
+// a fragment under a tile (a transparent pixel outside the runs would
+// leave the pixel as it is: acc + t*0 == acc for every finite acc), and
+// img.GetPixels places a gathered tile in the final image. A refused
+// message writes nothing.
+func blendFragment(dst []img.RGBA, area img.Rect, msg []byte, op func([]img.RGBA, []byte)) error {
+	if err := checkFragment(area, msg); err != nil {
+		return err
+	}
+	eachRun(area, msg, func(i, n int, pix []byte) { op(dst[i:][:n], pix) })
+	return nil
+}
+
 // eachRun is the one decoder of both formats. It walks a fragment that
 // checkFragment has passed against area and calls fn with every run,
 // split at the fragment's row ends: the piece's first pixel as an index
-// into area's row-major pixels, its length, and its wire bytes. The
-// caller's operation is img.UnderWire to blend a fragment under a tile
-// (a transparent pixel outside the runs would leave the accumulator as
-// it is: acc + t*0 == acc for every finite acc), or img.GetPixels to
-// place a gathered tile in the final image.
+// into area's row-major pixels, its length, and its wire bytes.
 func eachRun(area img.Rect, msg []byte, fn func(i, n int, pix []byte)) {
 	x0, y0 := int(getI64(msg[16:])), int(getI64(msg[24:]))
 	fw := int(getI64(msg[32:])) - x0

@@ -65,18 +65,6 @@ func blendDecoded(acc []img.RGBA, tile img.Rect, f fragment) {
 	}
 }
 
-// blendFragment decodes msg into the pixels of area the way both of its
-// users do: checked against area first, then op applied under every
-// run — img.UnderWire for a compositor's blend, img.GetPixels for rank
-// 0's placement of a gathered tile.
-func blendFragment(acc []img.RGBA, area img.Rect, msg []byte, op func([]img.RGBA, []byte)) error {
-	if err := checkFragment(area, msg); err != nil {
-		return err
-	}
-	eachRun(area, msg, func(i, n int, pix []byte) { op(acc[i:][:n], pix) })
-	return nil
-}
-
 // makeSub builds a subimage with a given fraction of active pixels.
 func makeSub(rect img.Rect, activeFrac float64, seed int64) *render.Subimage {
 	rng := rand.New(rand.NewSource(seed))

@@ -95,16 +95,18 @@ func TestTileGatherMatchesDense(t *testing.T) {
 }
 
 // DirectSendBlocks's image is the dense gather's, bit for bit, with one
-// and two blocks a rank, m = n and m < n, on an even frame and on an odd
-// one that splits every tile unevenly. Each case runs twice, so the
-// second frame's accumulators are poisoned buffers the first released.
+// and two blocks a rank, m = n and m < n, on an even frame, on an odd
+// one that splits every tile unevenly, and on an 8x8 frame split into
+// 1x11 tiles, three of them empty. Each case runs twice, so the second
+// frame's accumulators are poisoned buffers the first released.
 func TestDirectSendMatchesDenseGather(t *testing.T) {
-	const p = 8
-	for _, tc := range []struct{ w, h, bpr, m int }{
-		{96, 80, 1, p}, {96, 80, 1, 3}, {96, 80, 2, 4},
-		{97, 81, 1, p}, {97, 81, 1, 3}, {97, 81, 2, 5},
+	for _, tc := range []struct{ w, h, p, bpr, m int }{
+		{96, 80, 8, 1, 8}, {96, 80, 8, 1, 3}, {96, 80, 8, 2, 4},
+		{97, 81, 8, 1, 8}, {97, 81, 8, 1, 3}, {97, 81, 8, 2, 5},
+		{8, 8, 11, 1, 11},
 	} {
-		name := fmt.Sprintf("%dx%d %d blocks/rank m=%d", tc.w, tc.h, tc.bpr, tc.m)
+		p := tc.p
+		name := fmt.Sprintf("%dx%d p=%d %d blocks/rank m=%d", tc.w, tc.h, p, tc.bpr, tc.m)
 		subs, rects, order := pinScene(tc.bpr*p, tc.w, tc.h)
 		pos := make([]int64, len(order))
 		for k, b := range order {

@@ -2,8 +2,11 @@ package compose
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bgpvr/internal/img"
 	"bgpvr/internal/render"
@@ -166,6 +169,27 @@ func TestBlendFragmentRejectsMalformed(t *testing.T) {
 			if string(pixelBytes(acc)) != string(pixelBytes(before)) {
 				t.Errorf("%s %s: a refused message changed the pixels", op.name, tc.name)
 			}
+		}
+		// A compositor handed the malformed message between two good ones
+		// refuses the tile before it takes an accumulator: the recyclers
+		// were just emptied by two collections, so taking one would be a
+		// fresh allocation of the tile's size. It releases (under
+		// TestMain's poison, overwrites) none of the messages either.
+		msgs := [][]byte{slices.Clone(dense), slices.Clone(tc.msg), slices.Clone(active)}
+		runtime.GC()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		payload, err := compositeTile(0, fuzzTile, msgs)
+		runtime.ReadMemStats(&m1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || payload != nil {
+			t.Errorf("compositeTile %s: err = %v with %d payload bytes, want an error mentioning %q", tc.name, err, len(payload), tc.want)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= uint64(fuzzTile.NumPixels())*uint64(unsafe.Sizeof(img.RGBA{})) {
+			t.Errorf("compositeTile %s: refused after allocating %d bytes, an accumulator's worth", tc.name, grew)
+		}
+		if !bytes.Equal(msgs[0], dense) || !bytes.Equal(msgs[1], tc.msg) || !bytes.Equal(msgs[2], active) {
+			t.Errorf("compositeTile %s: a refused tile changed its messages", tc.name)
 		}
 	}
 	for i, msg := range fuzzSeeds() {

@@ -67,10 +67,11 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 	// Composite my tile (m <= p, so CompRank gives a rank at most one):
 	// keep the received messages as they are, order them by the
 	// visibility position in their first word and blend each straight
-	// from its bytes.
+	// from its bytes. A tile left empty by more tiles than image rows or
+	// columns receives nothing and has nothing to gather.
 	blendSp := tr.Begin(trace.PhaseComposite, "tile-blend")
 	for ti := 0; ti < m; ti++ {
-		if CompRank(ti, m, p) != c.Rank() {
+		if CompRank(ti, m, p) != c.Rank() || g.Tile(ti).Empty() {
 			continue
 		}
 		tile, tx, ty := g.Tile(ti), ti%g.MX, ti/g.MX
@@ -99,13 +100,18 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 	}
 	gatherSp := tr.Begin(trace.PhaseComposite, "final-gather")
 	defer gatherSp.End()
+	gathers := 0
+	for ti := 0; ti < m; ti++ {
+		if !g.Tile(ti).Empty() {
+			gathers++
+		}
+	}
 	full := img.Rect{X1: w, Y1: h}
-	for received := 0; received < m; received++ {
+	for ; gathers > 0; gathers-- {
 		_, b := c.Recv(comm.AnySource, tagSpanGather)
-		if err := checkFragment(full, b); err != nil {
+		if err := blendFragment(out.Pix, full, b, img.GetPixels); err != nil {
 			return nil, err
 		}
-		eachRun(full, b, func(i, n int, pix []byte) { img.GetPixels(out.Pix[i:][:n], pix) })
 		wire.Put(b)
 	}
 	return out, nil

@@ -11,12 +11,10 @@ import (
 	"testing"
 
 	"bgpvr/internal/comm"
-	"bgpvr/internal/geom"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/img"
 	"bgpvr/internal/render"
 	"bgpvr/internal/scratch"
-	"bgpvr/internal/volume"
 )
 
 // The pins in this file were recorded at the commit before the pixel
@@ -235,20 +233,31 @@ func TestGoldenCompositeImages(t *testing.T) {
 	}
 }
 
-// The executor sends exactly the schedule's messages plus the m tile
-// gathers: the send loop and the compositor's expected count walk the
-// same tile ranges the schedule does.
+// The executor sends exactly the schedule's messages plus one gather a
+// non-empty tile: the send loop and the compositor's expected count walk
+// the same tile ranges the schedule does, and an 8x8 frame in 1x11
+// tiles leaves three with nothing to send.
 func TestDirectSendMessagesMatchSchedule(t *testing.T) {
-	const p, w, h = 8, 96, 80
-	for _, tc := range []struct{ m, bpr int }{{p, 1}, {3, 1}, {4, 2}} {
-		subs, rects, order := pinScene(tc.bpr*p, w, h)
-		_, traffic := runCompose(t, p, func(c *comm.Comm) (*img.Image, error) {
-			mine, ids := blocksOf(subs, c.Rank(), p)
-			return DirectSendBlocks(c, mine, ids, rects, w, h, tc.m, order)
+	for _, tc := range []struct{ w, h, p, m, bpr int }{
+		{96, 80, 8, 8, 1}, {96, 80, 8, 3, 1}, {96, 80, 8, 4, 2}, {8, 8, 11, 11, 1},
+	} {
+		subs, rects, order := pinScene(tc.bpr*tc.p, tc.w, tc.h)
+		_, traffic := runCompose(t, tc.p, func(c *comm.Comm) (*img.Image, error) {
+			mine, ids := blocksOf(subs, c.Rank(), tc.p)
+			return DirectSendBlocks(c, mine, ids, rects, tc.w, tc.h, tc.m, order)
 		})
-		want := len(MultiBlockSchedule(rects, p, w, h, tc.m, PixelBytes))
-		if got := traffic.Messages - tc.m; got != want {
-			t.Errorf("m=%d blocks/rank=%d: executor sent %d fragments, schedule lists %d", tc.m, tc.bpr, got, want)
+		g, gathers := img.NewTileGrid(tc.w, tc.h, tc.m), 0
+		for ti := 0; ti < tc.m; ti++ {
+			if !g.Tile(ti).Empty() {
+				gathers++
+			}
+		}
+		want := len(MultiBlockSchedule(rects, tc.p, tc.w, tc.h, tc.m, PixelBytes))
+		if got := traffic.Messages - gathers; got != want {
+			t.Errorf("%dx%d m=%d blocks/rank=%d: executor sent %d fragments, schedule lists %d", tc.w, tc.h, tc.m, tc.bpr, got, want)
+		}
+		if tc.w == 8 && gathers != 8 {
+			t.Errorf("8x8 in %d tiles: %d non-empty, want 8", tc.m, gathers)
 		}
 	}
 }
@@ -301,55 +310,19 @@ func TestDirectSendFrameAllocationCeiling(t *testing.T) {
 	}
 }
 
-// castScene renders the benchmark's frame-composite scene on p blocks:
-// core.DefaultScene's 16^3 supernova (seed, time, variable, off-axis
-// orthographic camera) sampled at step 16, so the subimages carry the
-// cast's spans and the workload's sparsity (17 % of the composited image
-// is non-transparent). core imports this package, so the scene is
-// spelled out here.
-func castScene(p, w, h int) (subs []*render.Subimage, rects []img.Rect, order []int) {
-	const n = 16
-	dims := grid.Cube(n)
-	c := float64(n-1) / 2
-	cam := render.NewOrtho(geom.V(c, c, c), geom.V(0.35, -0.25, -1), geom.V(0, 1, 0), n*1.9, n*1.9, w, h)
-	sn, tf := volume.Supernova{Seed: 1530, Time: 1.1}, volume.SupernovaTransfer()
-	d := grid.NewDecomp(dims, p)
-	eye := cam.Eye()
-	order = d.FrontToBack([3]float64{eye.X, eye.Y, eye.Z})
-	for b := 0; b < p; b++ {
-		f := sn.Generate(volume.VarVelocityX, dims, d.GhostExtent(b, 1))
-		subs = append(subs, render.RenderBlock(f, d.BlockExtent(b), cam, tf, render.Config{Step: n}))
-		rects = append(rects, render.ProjectedRect(cam, d.BlockExtent(b)))
-	}
-	return subs, rects, order
-}
-
-// BenchmarkDirectSendFrame times one 1024^2 direct-send composite on 64
-// ranks: pre-rendered seeded subimages (every pixel of a quarter of them
-// active) with the paper's m < n (16 compositors) and m = n, and the
-// cast subimages of the benchmark's frame-composite scene with its 16
-// compositors.
+// BenchmarkDirectSendFrame times one 1024^2 direct-send composite of
+// pre-rendered seeded subimages on 64 ranks: the paper's m < n (16
+// compositors) and m = n.
 func BenchmarkDirectSendFrame(b *testing.B) {
 	defer scratch.Poison(scratch.Poison(false)) // time the frame, not TestMain's poison fills
 	const p, w, h = 64, 1024, 1024
-	seeded, seededRects, seededOrder := pinScene(p, w, h)
-	cast, castRects, castOrder := castScene(p, w, h)
-	for _, tc := range []struct {
-		name  string
-		subs  []*render.Subimage
-		rects []img.Rect
-		order []int
-		m     int
-	}{
-		{"m=16", seeded, seededRects, seededOrder, 16},
-		{"m=64", seeded, seededRects, seededOrder, 64},
-		{"cast/m=16", cast, castRects, castOrder, 16},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
+	subs, rects, order := pinScene(p, w, h)
+	for _, m := range []int{16, 64} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				runCompose(b, p, func(c *comm.Comm) (*img.Image, error) {
-					return DirectSend(c, tc.subs[c.Rank()], tc.rects, w, h, tc.m, tc.order)
+					return DirectSend(c, subs[c.Rank()], rects, w, h, m, order)
 				})
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w*h), "ns/px")
