@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"bgpvr/internal/bench"
+	"bgpvr/internal/comm"
 	"bgpvr/internal/compose"
 	"bgpvr/internal/core"
 	"bgpvr/internal/grid"
@@ -335,6 +336,38 @@ func BenchmarkRenderBlock(b *testing.B) {
 	composite := core.DefaultScene(16, 1024)
 	composite.Step = 16
 	b.Run("blocks=4of16-step=16", cast(composite, 64, 1, 0, true))
+}
+
+// BenchmarkDirectSendCast times one direct-send composite of
+// frame-composite's scene: the 64 cast subimages of a 16^3 volume at
+// step 16 under a 1024^2 image, composited by 16 of the 64 ranks. The
+// cast's spans and sparsity (17 % of the image is non-transparent) are
+// what the fragment encoder and the span gather see in that workload.
+func BenchmarkDirectSendCast(b *testing.B) {
+	const p, m, n, size = 64, 16, 16, 1024
+	s := core.DefaultScene(n, size)
+	s.Step = n
+	d := grid.NewDecomp(s.Dims, p)
+	cam, tf, cfg := s.Camera(), s.Transfer(), s.RenderConfig()
+	order := s.FrontToBack(d)
+	subs, rects := make([]*render.Subimage, p), make([]img.Rect, p)
+	for r := range subs {
+		f := s.Supernova().Generate(s.Variable, s.Dims, d.GhostExtent(r, render.GhostLayersFor(cfg)))
+		subs[r] = render.RenderBlock(f, d.BlockExtent(r), cam, tf, cfg)
+		rects[r] = render.ProjectedRect(cam, d.BlockExtent(r))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
+			_, err := compose.DirectSend(c, subs[c.Rank()], rects, size, size, m, order)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size*size), "ns/px")
 }
 
 // BenchmarkSupernovaEval measures synthetic-data generation.
