@@ -56,9 +56,14 @@ func newShader(s Shading, dims geom.Vec3) *shader {
 // clampedSample samples vol at p with each coordinate clamped to the
 // sampleable region, so gradients at the volume boundary are one-sided.
 // Both the serial and the parallel renderer clamp to the same *volume*
-// bounds, which is what keeps their shaded images identical.
+// bounds, which is what keeps their shaded images identical. The clamp
+// is the builtin max and min, which take ±0 and infinities as math.Max
+// and math.Min do, without the call each of those makes on amd64: only
+// a NaN may come out with other bits, and a NaN point is outside every
+// field, so it samples 0 either way.
 func (sh *shader) clampedSample(vol *volume.Sampler, p geom.Vec3) float64 {
-	p = p.Max(sh.bounds.Min).Min(sh.bounds.Max)
+	lo, hi := &sh.bounds.Min, &sh.bounds.Max
+	p = geom.V(min(max(p.X, lo.X), hi.X), min(max(p.Y, lo.Y), hi.Y), min(max(p.Z, lo.Z), hi.Z))
 	v, ok := vol.Sample(p)
 	if !ok {
 		return 0

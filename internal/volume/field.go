@@ -148,46 +148,58 @@ func (s *Sampler) Sample(p geom.Vec3) (float64, bool) {
 }
 
 // Interp returns the trilinearly interpolated value at p, which the
-// caller has established Contains. It is the one trilinear body: eight
-// loads and seven float64 lerps whose order is frozen, because the
-// parallel == serial pixel identity and the renderer's golden hashes
-// rest on every process computing each sample's bits the same way.
+// caller has established Contains: InterpRay's one-point case. Its ray
+// is p itself, along the direction (−0, −0, −0): p + (−0)·(0·0) adds −0
+// to each coordinate, which leaves every value as it is, ±0 included (a
+// +0 direction would turn a −0 coordinate into +0).
 func (s *Sampler) Interp(p geom.Vec3) float64 {
-	x0, y0, z0 := min(int(p.X), s.top.X), min(int(p.Y), s.top.Y), min(int(p.Z), s.top.Z)
-	wx := p.X - float64(x0)
-	wy := p.Y - float64(y0)
-	wz := p.Z - float64(z0)
-
-	i := s.base + x0 + y0*s.sy + z0*s.sz
-	near, far := s.data[i:], s.data[i+s.dz:]
-	c000 := float64(near[0])
-	c100 := float64(near[s.dx])
-	c010 := float64(near[s.dy])
-	c110 := float64(near[s.dy+s.dx])
-	c001 := float64(far[0])
-	c101 := float64(far[s.dx])
-	c011 := float64(far[s.dy])
-	c111 := float64(far[s.dy+s.dx])
-
-	c00 := c000*(1-wx) + c100*wx
-	c10 := c010*(1-wx) + c110*wx
-	c01 := c001*(1-wx) + c101*wx
-	c11 := c011*(1-wx) + c111*wx
-	c0 := c00*(1-wy) + c10*wy
-	c1 := c01*(1-wy) + c11*wy
-	return c0*(1-wz) + c1*wz
+	var out [1]float64
+	s.InterpRay(p, negZeroDir, 0, 0, out[:])
+	return out[0]
 }
 
-// InterpRay is Interp along a ray: out[i] = Interp(o + d·(float64(k0+i)·step)),
-// the operands of Ray.At(float64(k)·step) in their order, for samples
-// the caller has established Contains. (Origin and direction apart: a
-// Ray is too wide for the compiler to keep in registers.) No iteration
-// reads what another wrote, so the processor overlaps the samples'
-// convert → index → load → lerp chains instead of waiting on one
-// sample's; keep it that way.
+// negZeroDir is Interp's direction.
+var negZeroDir = geom.V(math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1))
+
+// InterpRay sets out[i] to the trilinearly interpolated value at
+// o + d·(float64(k0+i)·step), the operands of Ray.At(float64(k0+i)·step)
+// in their order, for samples the caller has established Contains. (Origin
+// and direction apart: a Ray is too wide for the compiler to keep in
+// registers.) It is the one trilinear body: eight loads and seven float64
+// lerps whose order is frozen, because the parallel == serial pixel
+// identity and the renderer's golden hashes rest on every process
+// computing each sample's bits the same way. The loop makes no call: Go's
+// register ABI has no callee-saved float registers, so a call per sample
+// would spill and reload the ray around it. No iteration reads what
+// another wrote, so the processor overlaps the samples' convert → index →
+// load → lerp chains instead of waiting on one sample's; keep it that way.
 func (s *Sampler) InterpRay(o, d geom.Vec3, step float64, k0 int64, out []float64) {
 	for i := range out {
-		out[i] = s.Interp(o.Add(d.Mul(float64(k0+int64(i)) * step)))
+		p := o.Add(d.Mul(float64(k0+int64(i)) * step))
+		x0, y0, z0 := min(int(p.X), s.top.X), min(int(p.Y), s.top.Y), min(int(p.Z), s.top.Z)
+		wx := p.X - float64(x0)
+		wy := p.Y - float64(y0)
+		wz := p.Z - float64(z0)
+
+		near := s.base + x0 + y0*s.sy + z0*s.sz
+		far := near + s.dz
+		data := s.data
+		c000 := float64(data[near])
+		c100 := float64(data[near+s.dx])
+		c010 := float64(data[near+s.dy])
+		c110 := float64(data[near+s.dy+s.dx])
+		c001 := float64(data[far])
+		c101 := float64(data[far+s.dx])
+		c011 := float64(data[far+s.dy])
+		c111 := float64(data[far+s.dy+s.dx])
+
+		c00 := c000*(1-wx) + c100*wx
+		c10 := c010*(1-wx) + c110*wx
+		c01 := c001*(1-wx) + c101*wx
+		c11 := c011*(1-wx) + c111*wx
+		c0 := c00*(1-wy) + c10*wy
+		c1 := c01*(1-wy) + c11*wy
+		out[i] = c0*(1-wz) + c1*wz
 	}
 }
 

@@ -59,15 +59,21 @@ func TestSamplerMatchesReferenceBitForBit(t *testing.T) {
 		grid.Ext(grid.I(10, 7, 5), grid.I(12, 9, 7)), // two points per axis, at the volume's corner
 	}
 	rng := rand.New(rand.NewSource(7))
+	var signedZeros int
 	for _, ext := range exts {
 		f := NewField(dims, ext)
 		for i := range f.Data {
 			f.Data[i] = rng.Float32()
+			if rng.Intn(3) == 0 {
+				// Zeros of both signs, so that a sample whose weights
+				// are zero keeps or loses a −0 the way the reference does.
+				f.Data[i] = float32(math.Copysign(0, float64(1-2*rng.Intn(2))))
+			}
 		}
 		s := f.Sampler()
 		lo, n := ext.Lo, ext.Size()
 		coord := func(l, n int) float64 {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				return float64(l + n - 1) // exact upper boundary
 			case 1:
@@ -76,6 +82,12 @@ func TestSamplerMatchesReferenceBitForBit(t *testing.T) {
 				return float64(l) + float64(n-1)*rng.Float64() + (rng.Float64()-0.5)*3 // may fall outside
 			case 3:
 				return math.Nextafter(float64(l+n-1), math.Inf(1-2*rng.Intn(2))) // one ulp off the boundary
+			case 4: // the lower boundary: ±0 on a Lo = 0 face
+				if l != 0 {
+					return float64(l)
+				}
+				signedZeros++
+				return math.Copysign(0, float64(1-2*rng.Intn(2)))
 			default:
 				return float64(l) + float64(n-1)*rng.Float64()
 			}
@@ -102,6 +114,9 @@ func TestSamplerMatchesReferenceBitForBit(t *testing.T) {
 		if inside < 500 {
 			t.Errorf("ext %v: only %d of 4000 points inside; the test is not testing", ext, inside)
 		}
+	}
+	if signedZeros < 1000 {
+		t.Errorf("%d signed-zero coordinates; the test is not testing", signedZeros)
 	}
 }
 
@@ -137,6 +152,9 @@ func TestLookupMatchesBinarySearchBitForBit(t *testing.T) {
 		// Duplicate V: a step in the interior, and one at each end.
 		NewTransfer(pt(0), pt(0.3), pt(0.3), pt(0.8), pt(1)),
 		NewTransfer(pt(0.1), pt(0.1), pt(0.5), pt(0.5), pt(0.5), pt(0.9), pt(0.9)),
+		// Zero colour channels, an opacity whose correction rounds to
+		// zero, and one above 1.
+		NewTransfer(TransferPoint{V: 0.2, A: 0.5}, TransferPoint{V: 0.6, R: 1, A: 1e-300}, TransferPoint{V: 0.9, G: 0.5, A: 2}),
 	}
 	for ti, tf := range tfs {
 		vals := []float64{math.Inf(-1), -1, 0, 1, 2, math.Inf(1)}
@@ -149,11 +167,51 @@ func TestLookupMatchesBinarySearchBitForBit(t *testing.T) {
 		for _, v := range vals {
 			r, g, b, a := tf.Lookup(v)
 			wr, wg, wb, wa := referenceLookup(tf.pts, v)
-			if [4]float64{r, g, b, a} != [4]float64{wr, wg, wb, wa} {
-				t.Fatalf("transfer %d v=%v: got %v, binary search %v", ti, v,
-					[4]float64{r, g, b, a}, [4]float64{wr, wg, wb, wa})
+			got, want := [4]float64{r, g, b, a}, [4]float64{wr, wg, wb, wa}
+			for c := range got {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("transfer %d v=%v: got %v, binary search %v", ti, v, got, want)
+				}
+			}
+			// Classify, ClassifyOver's one-value case, against the
+			// classification as it stood before ClassifyOver took its body.
+			for _, ds := range []float64{1, 0.5, 16} {
+				if got, want := tf.Classify(v, ds), referenceClassify(tf.pts, v, ds); !sameRGBA(got, want) {
+					t.Fatalf("transfer %d v=%v ds=%v: Classify %+v, reference %+v", ti, v, ds, got, want)
+				}
 			}
 		}
+	}
+}
+
+// sameRGBA compares two pixels bit for bit: −0 is not +0.
+func sameRGBA(a, b img.RGBA) bool {
+	return math.Float32bits(a.R) == math.Float32bits(b.R) && math.Float32bits(a.G) == math.Float32bits(b.G) &&
+		math.Float32bits(a.B) == math.Float32bits(b.B) && math.Float32bits(a.A) == math.Float32bits(b.A)
+}
+
+// A negative colour channel, −0 included, would classify to a −0 channel
+// that Classify's zero accumulator turns into +0; NewTransfer rejects it,
+// and NaN with it. +0 and above are accepted.
+func TestNewTransferRejectsNegativeColour(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, c := range []float64{negZero, -1e-300, -0.5, math.Inf(-1), math.NaN()} {
+		for ch := 0; ch < 3; ch++ {
+			p := TransferPoint{V: 0.5, R: 0.2, G: 0.2, B: 0.2, A: 0.5}
+			*[3]*float64{&p.R, &p.G, &p.B}[ch] = c
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("NewTransfer accepted colour channel %d = %v", ch, c)
+					}
+				}()
+				NewTransfer(TransferPoint{V: 0, R: 1, G: 1, B: 1, A: 1}, p)
+			}()
+		}
+	}
+	tf := NewTransfer(TransferPoint{V: 0}, TransferPoint{V: 1, R: 1, G: 0, B: math.Inf(1), A: 1})
+	if s := tf.Classify(1, 1); math.Signbit(float64(s.G)) || s.R != 1 || !math.IsInf(float64(s.B), 1) || s.A != 1 {
+		t.Errorf("Classify(1, 1) = %+v, want (1, +0, +Inf, 1)", s)
 	}
 }
 
@@ -172,8 +230,10 @@ func TestNaNClassifiesTransparent(t *testing.T) {
 	}
 }
 
-// InterpRay writes, for each sample of a run, the bits Interp returns
-// at Ray.At(float64(k)*step) — and the pre-sampler Field.Sample's.
+// InterpRay writes, for each sample of a run, the bits the pre-sampler
+// Field.Sample returns at Ray.At(float64(k)*step), and so does Interp,
+// InterpRay's one-point case, at the same point: each is held to the
+// reference, not to the other.
 func TestInterpRayMatchesInterpBitForBit(t *testing.T) {
 	dims := grid.I(12, 9, 7)
 	exts := []grid.Extent{
@@ -217,11 +277,12 @@ func TestInterpRayMatchesInterpBitForBit(t *testing.T) {
 				s.InterpRay(ray.Origin, ray.Dir, step, k1-n+1, out)
 				for i, got := range out {
 					p := ray.At(float64(k1-n+1+int64(i)) * step)
-					if want := s.Interp(p); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("ext %v ray %+v step %v sample %d of %d: InterpRay %v, Interp %v", ext, ray, step, i, n, got, want)
+					ref, ok := referenceSample(f, p)
+					if !ok || math.Float64bits(got) != math.Float64bits(ref) {
+						t.Fatalf("ext %v ray %+v step %v sample %d of %d: InterpRay %v, reference (%v, %v)", ext, ray, step, i, n, got, ref, ok)
 					}
-					if ref, ok := referenceSample(f, p); !ok || math.Float64bits(got) != math.Float64bits(ref) {
-						t.Fatalf("ext %v ray %+v step %v sample %d: InterpRay %v, reference (%v, %v)", ext, ray, step, i, got, ref, ok)
+					if v := s.Interp(p); math.Float64bits(v) != math.Float64bits(ref) {
+						t.Fatalf("ext %v ray %+v step %v sample %d: Interp %v, reference %v", ext, ray, step, i, v, ref)
 					}
 					if p.X == b.Max.X || p.Y == b.Max.Y || p.Z == b.Max.Z {
 						onTop++
@@ -284,10 +345,11 @@ func referenceClassify(pts []TransferPoint, v, ds float64) img.RGBA {
 	return img.RGBA{R: float32(r * a), G: float32(g * a), B: float32(b * a), A: float32(a)}
 }
 
-// ClassifyOver is a fold of Classify and img.Over over its values: the
-// same pixel bits and the same count, whatever segment the previous
-// value (or the previous call) left behind, with and without a shading
-// hook, and stopping after the value that reaches term.
+// ClassifyOver is a fold of the reference Classify and img.Over over its
+// values: the same pixel bits and the same count, whatever segment the
+// previous value (or the previous call, on any earlier sequence) left
+// behind, with and without a shading hook, and stopping after the value
+// that reaches term.
 func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	pt := func(v float64) TransferPoint {
@@ -323,6 +385,7 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 	}
 	var stoppedFirst, stoppedMiddle, stoppedLast, ranOut int
 	for ti, tf := range tfs {
+		var carried int // the hint the calls below hand on, across sequences
 		// At, just above and just below every control point, beyond both
 		// ends, NaN — then sequences that sweep up and down across the
 		// segments, slowly (the hint holds) and in jumps (it misses).
@@ -378,23 +441,22 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 						for seg := 0; seg < max(1, len(tf.segs)); seg++ {
 							hint := seg
 							got, n := tf.ClassifyOver(img.RGBA{}, vals, ds, term, &hint, hook)
-							if got != want || n != wantN {
+							if !sameRGBA(got, want) || n != wantN {
 								t.Fatalf("transfer %d vals %v ds %v term %v shaded %v hint %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, term, shaded, seg, got, n, want, wantN)
 							}
 						}
 						cut := len(vals) / 2
-						var hint int
-						got, n := tf.ClassifyOver(img.RGBA{}, vals[:cut], ds, term, &hint, hook)
+						got, n := tf.ClassifyOver(img.RGBA{}, vals[:cut], ds, term, &carried, hook)
 						if n == cut && !(float64(got.A) >= term) {
 							var m int
 							rest := hook
 							if shaded {
 								rest = func(i int, s img.RGBA) img.RGBA { return shade(cut+i, s) }
 							}
-							got, m = tf.ClassifyOver(got, vals[cut:], ds, term, &hint, rest)
+							got, m = tf.ClassifyOver(got, vals[cut:], ds, term, &carried, rest)
 							n += m
 						}
-						if got != want || n != wantN {
+						if !sameRGBA(got, want) || n != wantN {
 							t.Fatalf("transfer %d vals %v ds %v term %v shaded %v cut at %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, term, shaded, cut, got, n, want, wantN)
 						}
 						switch {

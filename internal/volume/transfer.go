@@ -33,10 +33,20 @@ type transferSeg struct {
 }
 
 // NewTransfer builds a transfer function from control points, which are
-// sorted by V. At least one point is required.
+// sorted by V. At least one point is required, and every colour channel
+// must be +0 or above: a negative one (−0 too) panics, as the one input
+// whose classification would lose the sign of a zero channel to Classify's
+// zero accumulator.
 func NewTransfer(pts ...TransferPoint) *Transfer {
 	if len(pts) == 0 {
 		panic("volume: NewTransfer requires control points")
+	}
+	for _, p := range pts {
+		for _, c := range [3]float64{p.R, p.G, p.B} {
+			if math.Signbit(c) || c != c {
+				panic("volume: NewTransfer colour channels must be +0 or above")
+			}
+		}
 	}
 	sorted := append([]TransferPoint(nil), pts...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].V < sorted[j].V })
@@ -49,6 +59,14 @@ func NewTransfer(pts ...TransferPoint) *Transfer {
 	return t
 }
 
+// at is the segment's straight-alpha classification of v, a value in
+// (lo.V, hi]: the one segment body. It is small enough to inline into
+// the loop that runs it.
+func (s *transferSeg) at(v float64) (r, g, b, a float64) {
+	w := (v - s.lo.V) / s.dv
+	return s.lo.R + w*s.dr, s.lo.G + w*s.dg, s.lo.B + w*s.db, s.lo.A + w*s.da
+}
+
 // Lookup returns the straight-alpha classification of scalar v. Values
 // at or beyond the end control points take those points' classification;
 // NaN (a missing value in a data file) is transparent.
@@ -57,7 +75,7 @@ func (t *Transfer) Lookup(v float64) (r, g, b, a float64) {
 	return r, g, b, a
 }
 
-// lookup is the one segment body: Lookup given the segment a previous
+// lookup is the one full search: Lookup given the segment a previous
 // value landed in (0 when there is none), returning the segment this one
 // did (hint when v has none).
 func (t *Transfer) lookup(v float64, hint int) (r, g, b, a float64, seg int) {
@@ -88,29 +106,20 @@ func (t *Transfer) lookup(v float64, hint int) (r, g, b, a float64, seg int) {
 		}
 		s = &t.segs[hint]
 	}
-	w := (v - s.lo.V) / s.dv
-	return s.lo.R + w*s.dr, s.lo.G + w*s.dg, s.lo.B + w*s.db, s.lo.A + w*s.da, hint
+	r, g, b, a = s.at(v)
+	return r, g, b, a, hint
 }
 
 // Classify returns the premultiplied RGBA sample for scalar v with the
 // opacity scaled for step length ds relative to a unit reference step
-// (opacity correction: a' = 1-(1-a)^ds).
+// (opacity correction: a' = 1-(1-a)^ds). It is ClassifyOver's one-value
+// case from a zero accumulator: img.Over(0, s) is s, bit for bit, but
+// for a −0 channel, which becomes +0 — and only a negative control
+// colour, which NewTransfer rejects, classifies to one.
 func (t *Transfer) Classify(v, ds float64) img.RGBA {
-	r, g, b, a, _ := t.lookup(v, 0)
-	return premultiply(r, g, b, a, ds)
-}
-
-// premultiply is Classify's tail: the opacity correction and the
-// premultiplied float32 sample.
-func premultiply(r, g, b, a, ds float64) img.RGBA {
-	if a <= 0 {
-		return img.RGBA{}
-	}
-	if a > 1 {
-		a = 1
-	}
-	a = 1 - pow1m(a, ds)
-	return img.RGBA{R: float32(r * a), G: float32(g * a), B: float32(b * a), A: float32(a)}
+	var seg int
+	s, _ := t.ClassifyOver(img.RGBA{}, []float64{v}, ds, math.Inf(1), &seg, nil)
+	return s
 }
 
 // ClassifyOver is Classify and img.Over along a ray: it classifies vals
@@ -118,15 +127,37 @@ func premultiply(r, g, b, a, ds float64) img.RGBA {
 // traversal is front to back), stopping after the one that brings acc's
 // opacity to term (+Inf: never). It returns acc and how many of vals it
 // consumed. *seg carries the segment the last value landed in from call
-// to call; consecutive samples of a ray mostly share it. shade, when
-// non-nil, recolours sample i before it is accumulated; the caller keeps
-// it from escaping so that a cast allocates nothing per ray.
+// to call; consecutive samples of a ray, and of neighbouring rays, mostly
+// share it. shade, when non-nil, recolours sample i before it is
+// accumulated; the caller keeps it from escaping so that a cast
+// allocates nothing per ray.
+//
+// The loop owns the opacity correction and the premultiply, and it makes
+// no call per sample unless the value leaves the hinted segment: Go's
+// register ABI has no callee-saved float registers, so a call would spill
+// and reload the accumulator, the step and term around it. A value
+// strictly inside the hinted segment, lo.V < v < hi, is that segment's
+// (see lookup), and is classified by its inlined body; everything else —
+// the ends, NaN, a value on a control point, another segment — goes
+// through lookup's full search.
 func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds, term float64, seg *int, shade func(i int, s img.RGBA) img.RGBA) (img.RGBA, int) {
 	hint, n := *seg, len(vals)
+	segs := t.segs
 	for i, v := range vals {
 		var r, g, b, a float64
-		r, g, b, a, hint = t.lookup(v, hint)
-		s := premultiply(r, g, b, a, ds)
+		if hint < len(segs) && segs[hint].lo.V < v && v < segs[hint].hi {
+			r, g, b, a = segs[hint].at(v)
+		} else {
+			r, g, b, a, hint = t.lookup(v, hint)
+		}
+		if a <= 0 {
+			continue // transparent
+		}
+		if a > 1 {
+			a = 1
+		}
+		a = 1 - pow1m(a, ds)
+		s := img.RGBA{R: float32(r * a), G: float32(g * a), B: float32(b * a), A: float32(a)}
 		if s == (img.RGBA{}) {
 			continue
 		}
@@ -144,7 +175,7 @@ func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds, term float64, 
 }
 
 // pow1m computes (1-a)^ds, short-circuiting the common unit-step case.
-// It stays small enough to inline into premultiply; every other step
+// It stays small enough to inline into ClassifyOver; every other step
 // length is powStep's.
 func pow1m(a, ds float64) float64 {
 	base := 1 - a
