@@ -71,41 +71,47 @@ func TestMultiDegeneratesToSingle(t *testing.T) {
 func TestModulatedClassifierClamping(t *testing.T) {
 	tf := volume.GrayRampTransfer(0.8)
 	cls := ModulatedClassifier(tf, 0.2, 0.6)
+	base := tf.Classify(1, 1)
 	// Below lo: erased.
-	if px := cls([]float64{1, 0.1}, 1); px != (img.RGBA{}) {
+	if px := cls.modulate(base, 0.1); px != (img.RGBA{}) {
 		t.Errorf("below-lo = %v", px)
 	}
 	// A missing (NaN) value in either field: erased, like below lo.
-	if px := cls([]float64{1, math.NaN()}, 1); px != (img.RGBA{}) {
+	if px := cls.modulate(base, math.NaN()); px != (img.RGBA{}) {
 		t.Errorf("NaN modulator = %v", px)
 	}
-	if px := cls([]float64{math.NaN(), 0.9}, 1); px != (img.RGBA{}) {
+	if px := cls.modulate(tf.Classify(math.NaN(), 1), 0.9); px != (img.RGBA{}) {
 		t.Errorf("NaN primary = %v", px)
 	}
 	// Above hi: full strength.
-	full := cls([]float64{1, 0.9}, 1)
-	base := tf.Classify(1, 1)
-	if full != base {
+	if full := cls.modulate(base, 0.9); full != base {
 		t.Errorf("above-hi = %v, want %v", full, base)
 	}
 	// Midpoint: half strength.
-	half := cls([]float64{1, 0.4}, 1)
+	half := cls.modulate(base, 0.4)
 	if absf32(half.A-base.A/2) > 1e-6 {
 		t.Errorf("midpoint alpha = %v, want %v", half.A, base.A/2)
 	}
-	// Single value: passthrough.
-	if cls([]float64{1}, 1) != base {
-		t.Error("single-value passthrough broken")
+	// A single field: passthrough, the single-field render bit for bit.
+	dims := grid.Cube(12)
+	f := volume.Supernova{Seed: 3, Time: 0.5}.GenerateFull(volume.VarVelocityX, dims)
+	cam, cfg := centeredPersp(12, 16, 16), Config{Step: 0.7}
+	single, n := RenderFull(f, cam, tf, cfg)
+	multi, m := RenderFullMulti([]*volume.Field{f}, cam, cls, cfg)
+	for i := range single.Pix {
+		if !samePixel(single.Pix[i], multi.Pix[i]) || n != m {
+			t.Fatalf("single-field passthrough: pixel %d %v, %d samples; single-field render %v, %d", i, multi.Pix[i], m, single.Pix[i], n)
+		}
 	}
 }
 
 func TestRenderMultiEmptyFields(t *testing.T) {
 	cam := centeredOrtho(8, 8, 8)
-	sub := RenderBlockMulti(nil, grid.WholeGrid(grid.Cube(8)), cam, nil, Config{Step: 1})
+	sub := RenderBlockMulti(nil, grid.WholeGrid(grid.Cube(8)), cam, MultiClassifier{}, Config{Step: 1})
 	if sub.Samples != 0 {
 		t.Error("no fields should render nothing")
 	}
-	out, n := RenderFullMulti(nil, cam, nil, Config{Step: 1})
+	out, n := RenderFullMulti(nil, cam, MultiClassifier{}, Config{Step: 1})
 	if n != 0 || out == nil {
 		t.Error("empty multi render broken")
 	}
