@@ -53,7 +53,7 @@ func sceneOrtho(n, w, h int) Camera {
 }
 
 // bandTransfer is transparent over the middle of the value range, so
-// macrocell skipping has whole cells to skip.
+// whole runs of a ray's samples classify to zero opacity.
 func bandTransfer() *volume.Transfer {
 	return volume.NewTransfer(
 		volume.TransferPoint{V: 0.00, R: 0.1, G: 0.2, B: 0.9, A: 0.8},
@@ -93,26 +93,26 @@ var goldenScenes = []goldenScene{
 		p8:     "00bc5d6e8d91312de2500968d52769cb038f843be237412518a0b0b354bc2473",
 		multi:  "fa0e12df539bfff8c796d1481b0ab0abc9a26dc997372e9f2477d52d29953e1a",
 		multi8: "a08088983be69974914e13731accf79f4d620e4d849dcdec50d9c427b075d5ad"},
-	{name: "skip-empty-space", n: 48, w: 128, h: 128, cam: sceneOrtho,
-		cfg:    Config{Step: 0.9, SkipEmptySpace: true, MacrocellSize: 4, EarlyTerminationAlpha: 0.9},
+	{name: "band-term0.9-step0.9", n: 48, w: 128, h: 128, cam: sceneOrtho,
+		cfg:    Config{Step: 0.9, EarlyTerminationAlpha: 0.9},
 		tf:     bandTransfer(),
-		serial: "67ce54e938596ed7d140503517820e53282cca374517ccc1235ab8ea4a1b1fb6",
-		p8:     "e847cf1658631aae2cae3661d234edbd72241c2add69cfed8d623f59b16769a6",
+		serial: "e8e903af6479640b8c5329a0ae3aff4244cb392db5d14f348edf3c37656d6ff8",
+		p8:     "031cc2f2c9dd62317173dbd0753042579c0f02f1114e77dd4c8eec997749b69e",
 		multi:  "8a19f090e5c49c2a52f73f1e29ced3c26351bc9fd0f4ecca1a03f857581a312a",
 		multi8: "a01c584af88eebf698ed65853ef8996623753577864aca7258ec4aff65c3931f"},
 	// The next two were recorded at the commit before the cast sampled a
 	// ray a chunk at a time (PR 24). The first turns on everything the
-	// chunk walk must get right at once: a mask that ends a chunk, shading
-	// between classification and Over, a ray that terminates inside a
-	// chunk, and two samples per cell. The second is a field with a
+	// chunk walk must get right at once: shading between classification
+	// and Over, a ray that terminates inside a chunk, and two samples per
+	// cell. The second is a field with a
 	// single-plane axis, where the sampler's base cell clamps to the one
 	// plane and interpolates flat across it.
-	{name: "ortho-shaded-skip-term-step0.5", n: 40, w: 112, h: 96, cam: sceneOrtho,
-		cfg: Config{Step: 0.5, SkipEmptySpace: true, MacrocellSize: 4, EarlyTerminationAlpha: 0.9,
+	{name: "ortho-shaded-term-step0.5", n: 40, w: 112, h: 96, cam: sceneOrtho,
+		cfg: Config{Step: 0.5, EarlyTerminationAlpha: 0.9,
 			Shade: Shading{Enabled: true, LightDir: geom.V(0.4, 0.5, 1)}},
 		tf:     bandTransfer(),
-		serial: "07b992c6e17b2ac5293a9604b2086971b65631db2a1c2fc3f575acc2df9730bd",
-		p8:     "829c0c65283e2950ee99fdc4129a00c38b6cc87d423b59b638c49ac502feaacf",
+		serial: "e756c7caef80c7ae747b73095acc3351d13f68101c61753ed5cb19ed9144eb51",
+		p8:     "cb812bdf3933e1d2ca5414e99defbaba7a55496b3209e173f52f215eb3e9c5fe",
 		multi:  "15dfb95c506ca653447221212d405078a7296e01e6d631f767d1be3b7b681c61",
 		multi8: "ad3dd052e7986cfe6719ff3d6424b8cef423595deb82024f5ed02dcf0bb766fc"},
 	{name: "single-plane-48x48x1", n: 48, nz: 1, w: 128, h: 3, cam: scenePlane, cfg: Config{Step: 0.25},
@@ -225,9 +225,9 @@ func TestGoldenKernelHashes(t *testing.T) {
 			}
 			check("block", sc.p8, h)
 
-			// The multivariate path is pinned on the two small scenes
-			// only (it ignores shading and skipping, so they give it a
-			// perspective step-0.7 cast and an orthographic step-0.9 one).
+			// The multivariate path is pinned on every scene but the
+			// largest (it ignores shading, so the shaded scenes give it
+			// a plain cast at their step).
 			if sc.multi == "-" {
 				continue
 			}
