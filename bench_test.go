@@ -285,7 +285,7 @@ func BenchmarkAblationGhost(b *testing.B) {
 // kernel's arithmetic rather than its misses; the sub-benchmarks after
 // it turn on, one at a time, each thing the cast's one sample walk also
 // serves, so that a kernel change shows which configuration paid for it
-// (ns per counted sample: skipping and early termination count fewer).
+// (ns per counted sample: early termination counts fewer).
 // blocks=4of16-step=16 casts every rank's share of frame-composite in
 // turn: the 64 4^3 blocks of a 16^3 volume at step 16 under a 1024^2
 // image, where a ray takes at most one sample and nine rays in ten none,
@@ -326,11 +326,10 @@ func BenchmarkRenderBlock(b *testing.B) {
 	}
 	block := core.DefaultScene(96, 512)
 	b.Run("block=48of96", cast(block, 8, 1, 0, false))
-	shaded, persp, skip, half := block, block, block, block
-	shaded.Shaded, persp.Perspective, skip.SkipEmptySpace, half.Step = true, true, true, 0.5
+	shaded, persp, half := block, block, block
+	shaded.Shaded, persp.Perspective, half.Step = true, true, 0.5
 	b.Run("block=48of96-shaded", cast(shaded, 8, 1, 0, false))
 	b.Run("block=48of96-perspective", cast(persp, 8, 1, 0, false))
-	b.Run("block=48of96-skip-empty-space", cast(skip, 8, 1, 0, false))
 	b.Run("block=48of96-early-termination=0.9", cast(block, 8, 1, 0.9, false))
 	b.Run("block=48of96-step=0.5", cast(half, 8, 1, 0, false))
 	composite := core.DefaultScene(16, 1024)

@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "ray casting %d^2 image...\n", *imgSize)
 	cfg := scene.RenderConfig()
 	cfg.EarlyTerminationAlpha = 0.999
-	cfg.SkipEmptySpace = true
 	img, samples := render.RenderFull(field, scene.Camera(), scene.Transfer(), cfg)
 	if err := img.WritePPM(*out, 0.02); err != nil {
 		fmt.Fprintln(stderr, "renderimg:", err)

@@ -13,7 +13,7 @@ import (
 
 // TestRun pins the flag surface, the argument errors and one small
 // image from outside the renderer: the defaults cast a perspective,
-// shaded, empty-space-skipping, early-terminating ray at step 0.5, so
+// shaded, early-terminating ray at step 0.5, so
 // the transcript's sample count and the PPM's SHA-256 hold the kernel
 // to the same bits as render's golden scenes do, through the binary a
 // user runs.

@@ -18,8 +18,9 @@
 // port — the hermetic mode CI uses, and the quickest way to profile
 // the service without deploying it.
 //
-// Exit status: 0 on success, 1 when -min-2xx or -p99-budget is set
-// and violated, or on setup/usage errors.
+// Exit status: 0 on success (and after -h), 1 when -min-2xx or
+// -p99-budget is set and violated, on a bad -sweep or -mode, or on a
+// setup error, 2 on a flag that does not parse.
 package main
 
 import (
@@ -155,34 +156,41 @@ func cacheCounters(client *http.Client, base string) (hits, misses int64, ok boo
 	return st.Cache.FieldHits, st.Cache.FieldMisses, true
 }
 
-func main() {
-	addr := flag.String("addr", "", "service address host:port (empty: start an in-process server)")
-	sweepArg := flag.String("sweep", "1,2,4", "comma-separated concurrency levels to sweep")
-	requests := flag.Int("requests", 20, "requests per sweep level")
-	soak := flag.Duration("soak", 0, "soak duration; nonzero switches from sweep to a single soak point")
-	concurrency := flag.Int("concurrency", 4, "soak concurrency")
-	mode := flag.String("mode", "real", "render mode: real or model")
-	n := flag.Int("n", 32, "volume edge (n^3 voxels)")
-	img := flag.Int("img", 0, "image edge (0: 2n)")
-	procs := flag.Int("procs", 4, "rank count")
-	deadlineMS := flag.Int64("deadline-ms", 0, "per-request deadline (0: server default)")
-	skipEmpty := flag.Bool("skip-empty", false, "request empty-space skipping (exercises the mask cache)")
-	p99Budget := flag.Duration("p99-budget", 0, "fail (exit 1) when any level's p99 exceeds this")
-	min2xx := flag.Int64("min-2xx", 0, "fail (exit 1) when fewer than this many requests succeed overall")
-	emit := cli.Emitter{Out: os.Stdout, Started: time.Now()}
-	emit.Register(flag.CommandLine, map[string]string{
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("serveload", flag.ContinueOnError)
+	addr := fs.String("addr", "", "service address host:port (empty: start an in-process server)")
+	sweepArg := fs.String("sweep", "1,2,4", "comma-separated concurrency levels to sweep")
+	requests := fs.Int("requests", 20, "requests per sweep level")
+	soak := fs.Duration("soak", 0, "soak duration; nonzero switches from sweep to a single soak point")
+	concurrency := fs.Int("concurrency", 4, "soak concurrency")
+	mode := fs.String("mode", "real", "render mode: real or model")
+	n := fs.Int("n", 32, "volume edge (n^3 voxels)")
+	img := fs.Int("img", 0, "image edge (0: 2n)")
+	procs := fs.Int("procs", 4, "rank count")
+	deadlineMS := fs.Int64("deadline-ms", 0, "per-request deadline (0: server default)")
+	p99Budget := fs.Duration("p99-budget", 0, "fail (exit 1) when any level's p99 exceeds this")
+	min2xx := fs.Int64("min-2xx", 0, "fail (exit 1) when fewer than this many requests succeed overall")
+	emit := cli.Emitter{Out: stdout, Started: time.Now()}
+	emit.Register(fs, map[string]string{
 		"perf-report": "write the load-test perf report (JSON) here",
 		"run-record":  "append the report to this runstore registry (JSONL)",
 	})
-	flag.StringVar(&emit.Timestamp, "timestamp", "", "RFC3339 timestamp for the run record (default: now)")
-	serveConc := flag.Int("serve-concurrency", 0, "in-process server: max concurrent frames")
-	serveQueue := flag.Int("serve-queue", 0, "in-process server: queue depth")
-	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "serveload:", err)
-		os.Exit(1)
+	fs.StringVar(&emit.Timestamp, "timestamp", "", "RFC3339 timestamp for the run record (default: now)")
+	serveConc := fs.Int("serve-concurrency", 0, "in-process server: max concurrent frames")
+	serveQueue := fs.Int("serve-queue", 0, "in-process server: queue depth")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "serveload:", err)
+		return 1
 	}
 
+	if *mode != "real" && *mode != "model" {
+		return fail(fmt.Errorf("bad -mode %q: want real or model", *mode))
+	}
 	var levels []int
 	if *soak > 0 {
 		levels = []int{*concurrency}
@@ -190,7 +198,7 @@ func main() {
 		for _, part := range strings.Split(*sweepArg, ",") {
 			c, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || c < 1 {
-				fail(fmt.Errorf("bad -sweep level %q", part))
+				return fail(fmt.Errorf("bad -sweep level %q", part))
 			}
 			levels = append(levels, c)
 		}
@@ -208,7 +216,7 @@ func main() {
 			Log: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError})),
 		})
 		if err := s.Start("127.0.0.1:0"); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -220,10 +228,10 @@ func main() {
 	base := "http://" + target
 	body, err := json.Marshal(serve.RenderRequest{
 		Mode: *mode, N: *n, Img: *img, Procs: *procs,
-		DeadlineMS: *deadlineMS, SkipEmptySpace: *skipEmpty,
+		DeadlineMS: *deadlineMS,
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	client := &http.Client{}
 
@@ -241,8 +249,8 @@ func main() {
 	// client- and server-side percentiles are directly comparable.
 	buckets := obs.ExpBuckets(0.001, 2, 15)
 
-	fmt.Printf("serveload: %s against %s (%s mode, n=%d, procs=%d)\n", kind, base, *mode, *n, *procs)
-	fmt.Printf("%5s %9s %7s %7s %7s %7s %9s %9s %9s %9s %9s\n",
+	fmt.Fprintf(stdout, "serveload: %s against %s (%s mode, n=%d, procs=%d)\n", kind, base, *mode, *n, *procs)
+	fmt.Fprintf(stdout, "%5s %9s %7s %7s %7s %7s %9s %9s %9s %9s %9s\n",
 		"conc", "requests", "2xx", "429", "503", "err", "rps", "mean_ms", "p50_ms", "p90_ms", "p99_ms")
 	var total2xx int64
 	var budgetViolations []string
@@ -294,17 +302,17 @@ func main() {
 		stat.Points = append(stat.Points, sp)
 		total2xx += sp.OK
 		allFailIDs = append(allFailIDs, sp.FailIDs...)
-		fmt.Printf("%5d %9d %7d %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %9.2f\n",
+		fmt.Fprintf(stdout, "%5d %9d %7d %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %9.2f\n",
 			c, sp.Requests, sp.OK, sp.Rejected, sp.Deadline, sp.Errors,
 			sp.RPS, sp.MeanMs, sp.P50Ms, sp.P90Ms, sp.P99Ms)
 		// The server tail-samples slow and failed requests, so these IDs
 		// are the handles into its /traces/{id} span trees.
 		if sp.SlowestID != "" {
-			fmt.Printf("      slowest: %.2fms id=%s (GET %s/traces/%s)\n",
+			fmt.Fprintf(stdout, "      slowest: %.2fms id=%s (GET %s/traces/%s)\n",
 				sp.SlowestMs, sp.SlowestID, base, sp.SlowestID)
 		}
 		if len(sp.FailIDs) > 0 {
-			fmt.Printf("      failed ids (first %d): %s\n", maxFailIDs, strings.Join(sp.FailIDs, " "))
+			fmt.Fprintf(stdout, "      failed ids (first %d): %s\n", maxFailIDs, strings.Join(sp.FailIDs, " "))
 		}
 		if *p99Budget > 0 && sp.P99Ms > float64(p99Budget.Milliseconds()) {
 			v := fmt.Sprintf("c=%d p99 %.2fms > budget %v", c, sp.P99Ms, *p99Budget)
@@ -326,7 +334,7 @@ func main() {
 	}
 	rep.Service = stat
 	if err := emit.Emit(rep); err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	failed := false
@@ -335,14 +343,15 @@ func main() {
 		if len(allFailIDs) > 0 {
 			msg += " (failed request ids: " + strings.Join(allFailIDs, " ") + ")"
 		}
-		fmt.Fprintf(os.Stderr, "serveload: FAIL: %s\n", msg)
+		fmt.Fprintf(stderr, "serveload: FAIL: %s\n", msg)
 		failed = true
 	}
 	for _, v := range budgetViolations {
-		fmt.Fprintf(os.Stderr, "serveload: FAIL: %s\n", v)
+		fmt.Fprintf(stderr, "serveload: FAIL: %s\n", v)
 		failed = true
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -68,7 +68,6 @@ var fieldAllowList = map[string]string{
 	"render.Shading.LightDir":          "the render goldens pin a light off the default direction",
 	"render.Shading.Ambient":           "the parallel ≡ serial render test sets the light's terms",
 	"render.Shading.Diffuse":           "the parallel ≡ serial render test sets the light's terms",
-	"render.Config.MacrocellSize":      "the render goldens and macrocell tests pin a 4-cell edge",
 	"core.RealConfig.BlocksPerRank":    "the paper's static over-decomposition, which a blocks-per-rank sweep will set",
 	"core.SequenceConfig.AzimuthDelta": "the orbit sequence test turns the camera between frames",
 	"flowsim.Options.Times":            "the sharding equivalence suite compares per-flow finish times",

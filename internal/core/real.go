@@ -108,10 +108,6 @@ type RealConfig struct {
 	// also bypasses the cache). The render service supplies one so
 	// repeated requests for the same scene skip regeneration.
 	Fields FieldCache
-	// Masks, when non-nil, is passed through to the renderers so
-	// macrocell opacity masks are reused across frames (see
-	// render.Config.MaskCache).
-	Masks render.MaskCache
 }
 
 // RealResult is the outcome of one real-mode frame.
@@ -165,7 +161,6 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	cam := s.Camera()
 	tf := s.Transfer()
 	rcfg := s.RenderConfig()
-	rcfg.MaskCache = cfg.Masks
 	order := s.FrontToBack(d)
 	rects := make([]img.Rect, nblocks)
 	for b := range rects {
@@ -195,10 +190,8 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	}
 
 	// A field this frame makes is the frame's own, recycled once the
-	// render stage is through with it, unless a cache has seen it: the
-	// field cache keeps the field, the mask cache its pointer.
-	ownFields := cfg.Masks == nil &&
-		(cfg.Format != FormatGenerate || cfg.Fields == nil || cfg.GhostExchange)
+	// render stage is through with it, unless the field cache keeps it.
+	ownFields := cfg.Format != FormatGenerate || cfg.Fields == nil || cfg.GhostExchange
 	newField := volume.NewField
 	if ownFields {
 		newField = volume.NewScratchField

@@ -49,10 +49,6 @@ type Scene struct {
 	// it reaches the renderers via RenderConfig. Output is bit-identical
 	// at every width.
 	RenderWorkers int
-	// SkipEmptySpace enables macrocell empty-space skipping (see
-	// render.Config.SkipEmptySpace; bit-identical output, fewer
-	// samples) with the renderer's default macrocell edge.
-	SkipEmptySpace bool
 }
 
 // DefaultScene returns the standard experiment scene: an n^3 volume of
@@ -130,7 +126,7 @@ func (s Scene) RenderConfig() render.Config {
 		step = 1
 	}
 	return render.Config{Step: step, Shade: render.Shading{Enabled: s.Shaded},
-		Workers: s.RenderWorkers, SkipEmptySpace: s.SkipEmptySpace}
+		Workers: s.RenderWorkers}
 }
 
 // FrontToBack returns the block visibility order for p blocks.

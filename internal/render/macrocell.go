@@ -3,20 +3,18 @@ package render
 import (
 	"math"
 
-	"bgpvr/internal/geom"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/volume"
 )
 
-// Empty-space skipping: a coarse min-max grid ("macrocells", Levoy's
-// classic acceleration) over a field lets the ray caster skip sample
-// positions whose surrounding region is entirely transparent under the
-// current transfer function. Software ray casting on 850 MHz cores is
-// the paper's rendering stage; skipping is the natural optimization a
-// production renderer adds, exposed here behind Config so the exactness
-// tests can keep it off (skipping never changes accumulated values —
-// skipped samples classify to zero opacity — but early termination
-// interacts with it in sample counting).
+// A coarse min-max grid ("macrocells", Levoy's empty-space skipping)
+// over a field, and the opacity mask a transfer function makes of it.
+// No renderer consults them, and none should: the supernova transfer
+// function is transparent only at one value, so no macrocell of any
+// scene the program renders is skippable (EXPERIMENTS.md, "Empty-space
+// skipping skips nothing"). They are kept only as the work the
+// benchmark's render.mask_build_ms layer row times, and go, with
+// Transfer.MaxOpacityIn, when that row is retired.
 
 // MinMaxGrid holds per-macrocell scalar ranges of a field.
 type MinMaxGrid struct {
@@ -94,29 +92,10 @@ func cellAndPrev(l, size, n int) (c0, c1 int) {
 	return c, c
 }
 
-// cellOf maps a continuous sample position to its macrocell index, or
-// -1 when outside the covered extent.
-func (g *MinMaxGrid) cellOf(p geom.Vec3) int {
-	lx := p.X - float64(g.ext.Lo.X)
-	ly := p.Y - float64(g.ext.Lo.Y)
-	lz := p.Z - float64(g.ext.Lo.Z)
-	if lx < 0 || ly < 0 || lz < 0 {
-		return -1
-	}
-	cx := int(lx) / g.CellSize
-	cy := int(ly) / g.CellSize
-	cz := int(lz) / g.CellSize
-	if cx >= g.nx || cy >= g.ny || cz >= g.nz {
-		return -1
-	}
-	return (cz*g.ny+cy)*g.nx + cx
-}
-
-// OpacityMask precomputes, for a transfer function, whether each
-// macrocell can produce any opacity: a cell whose [min, max] value range
-// classifies to zero opacity everywhere is skippable.
+// OpacityMask holds, for a transfer function, whether each macrocell can
+// produce any opacity: a cell whose [min, max] value range classifies to
+// zero opacity everywhere is one a ray could skip.
 type OpacityMask struct {
-	g       *MinMaxGrid
 	visible []bool
 }
 
@@ -124,7 +103,7 @@ type OpacityMask struct {
 // functions, whether each macrocell's value range can classify to any
 // opacity.
 func BuildOpacityMask(g *MinMaxGrid, tf *volume.Transfer) *OpacityMask {
-	m := &OpacityMask{g: g, visible: make([]bool, len(g.mins))}
+	m := &OpacityMask{visible: make([]bool, len(g.mins))}
 	for i := range g.mins {
 		lo, hi := float64(g.mins[i]), float64(g.maxs[i])
 		if lo > hi {
@@ -133,14 +112,4 @@ func BuildOpacityMask(g *MinMaxGrid, tf *volume.Transfer) *OpacityMask {
 		m.visible[i] = tf.MaxOpacityIn(lo, hi) > 0
 	}
 	return m
-}
-
-// Visible reports whether the macrocell containing p could contribute
-// opacity. Points outside the grid report true (never skip blindly).
-func (m *OpacityMask) Visible(p geom.Vec3) bool {
-	ci := m.g.cellOf(p)
-	if ci < 0 {
-		return true
-	}
-	return m.visible[ci]
 }

@@ -82,8 +82,7 @@ func (j *castJob) castMulti(ray geom.Ray, k0, k1 int64, runs [][chunk]float64, s
 
 // RenderBlockMulti renders one block's partial image from several
 // co-extent fields (each must cover the block plus one ghost layer).
-// Macrocell skipping and shading are single-field features and are
-// ignored here.
+// Shading is a single-field feature and is ignored here.
 func RenderBlockMulti(fs []*volume.Field, own grid.Extent, cam Camera, cls MultiClassifier, cfg Config) *Subimage {
 	rect := ProjectedRect(cam, own)
 	if len(fs) == 0 {

@@ -19,7 +19,7 @@ func TestRenderBlockParallelBitIdentical(t *testing.T) {
 	d := grid.NewDecomp(dims, 4)
 	tf := volume.SupernovaTransfer()
 	cam := centeredPersp(40, 48, 48)
-	cfg := Config{Step: 0.8, SkipEmptySpace: true, MacrocellSize: 4,
+	cfg := Config{Step: 0.8,
 		Shade: Shading{Enabled: true, Ambient: 0.3, Diffuse: 0.7, LightDir: geom.V(0.4, 0.5, 1)}}
 	for r := 0; r < d.NumBlocks(); r++ {
 		own := d.BlockExtent(r)

@@ -39,14 +39,6 @@ type Config struct {
 	// result must match the composited parallel rendering exactly,
 	// since blocks cannot terminate each other's rays).
 	EarlyTerminationAlpha float64
-	// SkipEmptySpace enables min-max macrocell skipping: samples whose
-	// macrocell cannot classify to any opacity are skipped without a
-	// field fetch. The accumulated image is bit-identical with or
-	// without it (skipped samples contribute nothing); only the sample
-	// count changes.
-	SkipEmptySpace bool
-	// MacrocellSize is the macrocell edge in lattice cells (default 8).
-	MacrocellSize int
 	// Workers is the number of concurrent scanline-tile workers the
 	// renderers use; 0 or 1 casts serially on the calling goroutine.
 	// Parallel rendering is bit-identical to serial at every width:
@@ -60,20 +52,6 @@ type Config struct {
 	// one interpolation cell from the block face, so probes reach up to
 	// 1+gradStep lattice units outside the owned region.
 	Shade Shading
-	// MaskCache, when non-nil, memoizes macrocell opacity masks across
-	// renders of the same field (only consulted when SkipEmptySpace is
-	// on). A long-lived caller rendering the same blocks repeatedly —
-	// the frame service — supplies one; batch runs leave it nil and
-	// rebuild per frame as before.
-	MaskCache MaskCache
-}
-
-// MaskCache memoizes opacity masks keyed by the field they classify.
-// Get returns the cached mask for f or, on a miss, calls build, stores
-// the result, and returns it. Implementations must be safe for
-// concurrent use; masks are immutable after construction.
-type MaskCache interface {
-	Get(f *volume.Field, build func() *OpacityMask) *OpacityMask
 }
 
 // GhostLayersFor returns the halo width a configuration needs for exact
@@ -185,8 +163,7 @@ func RenderBlock(f *volume.Field, own grid.Extent, cam Camera, tf *volume.Transf
 }
 
 // RenderBlockTraced is RenderBlock with instrumentation: it wraps the
-// block in a render-phase span (mask construction gets its own) and
-// adds the block's sample count to the tracing handle's counter. A nil
+// block in a render-phase span and adds the block's sample count to the tracing handle's counter. A nil
 // handle costs nothing.
 func RenderBlockTraced(f *volume.Field, own grid.Extent, cam Camera, tf *volume.Transfer, cfg Config, tr *trace.Rank) *Subimage {
 	sp := tr.Begin(trace.PhaseRender, "render-block")
@@ -196,10 +173,7 @@ func RenderBlockTraced(f *volume.Field, own grid.Extent, cam Camera, tf *volume.
 	if rect.Empty() {
 		return sub
 	}
-	maskSp := tr.Begin(trace.PhaseRender, "build-mask")
-	mask := buildMask(f, tf, cfg)
-	maskSp.End()
-	j := castJob{plan: newCastPlan([]*volume.Field{f}, &own, cfg), tf: tf, mask: mask,
+	j := castJob{plan: newCastPlan([]*volume.Field{f}, &own, cfg), tf: tf,
 		workers: cfg.Workers, cam: cam, box: ownedBounds(own), rect: rect,
 		pix: sub.Pix, stride: rect.W(), spans: sub.Spans}
 	sub.Samples = j.run()
@@ -386,8 +360,8 @@ func least(lo, hi, guess int64, in func(int64) bool) int64 {
 // per-tile bookkeeping.
 const tilesPerWorker = 4
 
-// castJob is one block's cast: the plan, the classification (tf and
-// mask, or cls for a multivariate cast), and which rays go where. run
+// castJob is one block's cast: the plan, the classification (tf, or
+// cls for a multivariate cast), and which rays go where. run
 // casts the job's rect into pix — serially, or over scanline tiles on
 // workers goroutines. Rays are independent and every tile writes a
 // disjoint row range of pix, so the pixels are bit-identical at any
@@ -396,7 +370,6 @@ const tilesPerWorker = 4
 type castJob struct {
 	plan    castPlan
 	tf      *volume.Transfer
-	mask    *OpacityMask    // nil: no empty-space skipping
 	cls     MultiClassifier // cls.tf non-nil: a multivariate cast
 	workers int
 	cam     Camera
@@ -426,9 +399,8 @@ type castJob struct {
 // pixel and the samples taken. Every k in the range is the block's
 // (trim), so each is sampled without a test. It is one walk over chunks
 // of samples, whatever the configuration: a chunk is up to chunk
-// consecutive samples the macrocell mask does not hide (an invisible
-// sample ends the chunk before it and is neither fetched nor counted),
-// interpolated as a run and then classified and accumulated as a run,
+// consecutive samples, interpolated as a run and then classified and
+// accumulated as a run,
 // which is where shading recolours a sample and where early termination
 // stops — inside the chunk, so that Samples counts what was accumulated
 // and nothing interpolated past it. *seg is the transfer function's
@@ -437,7 +409,7 @@ type castJob struct {
 func (j *castJob) cast(ray geom.Ray, k0, k1 int64, seg *int) (img.RGBA, int64) {
 	var acc img.RGBA
 	var samples int64
-	pl, mask := &j.plan, j.mask
+	pl := &j.plan
 	var vals [chunk]float64
 	k := k0 // the chunk's first sample; shade sees it move
 	var shade func(i int, s img.RGBA) img.RGBA
@@ -449,17 +421,6 @@ func (j *castJob) cast(ray geom.Ray, k0, k1 int64, seg *int) (img.RGBA, int64) {
 	}
 	for k <= k1 {
 		n := int(min(k1-k+1, chunk))
-		if mask != nil {
-			m := 0
-			for m < n && mask.Visible(ray.At(float64(k+int64(m))*pl.step)) {
-				m++
-			}
-			if m == 0 {
-				k++
-				continue
-			}
-			n = m
-		}
 		pl.vol.InterpRay(ray.Origin, ray.Dir, pl.step, k, vals[:n])
 		var used int
 		acc, used = j.tf.ClassifyOver(acc, vals[:n], pl.step, pl.term, seg, shade)
@@ -724,29 +685,13 @@ func (j *castJob) run() int64 {
 	return samples
 }
 
-// buildMask constructs the empty-space mask when the config asks for it.
-func buildMask(f *volume.Field, tf *volume.Transfer, cfg Config) *OpacityMask {
-	if !cfg.SkipEmptySpace {
-		return nil
-	}
-	size := cfg.MacrocellSize
-	if size <= 0 {
-		size = 8
-	}
-	build := func() *OpacityMask { return BuildOpacityMask(BuildMinMax(f, size), tf) }
-	if cfg.MaskCache != nil {
-		return cfg.MaskCache.Get(f, build)
-	}
-	return build()
-}
-
 // RenderFull renders the whole volume serially — the reference the
 // parallel pipeline is tested against, and the renderer used by the
 // single-process examples.
 func RenderFull(f *volume.Field, cam Camera, tf *volume.Transfer, cfg Config) (*img.Image, int64) {
 	w, h := cam.Size()
 	out := img.New(w, h)
-	j := castJob{plan: newCastPlan([]*volume.Field{f}, nil, cfg), tf: tf, mask: buildMask(f, tf, cfg),
+	j := castJob{plan: newCastPlan([]*volume.Field{f}, nil, cfg), tf: tf,
 		workers: cfg.Workers, cam: cam, box: f.Bounds(),
 		rect: img.Rect{X0: 0, Y0: 0, X1: w, Y1: h}, pix: out.Pix, stride: w}
 	return out, j.run()

@@ -1,7 +1,7 @@
 // Package serve implements the persistent render service: a long-lived
 // HTTP frontend that schedules render requests over the in-process rank
-// runtime with admission control, reuses generated volumes and
-// macrocell masks across requests, and makes every request observable
+// runtime with admission control, reuses generated volumes across
+// requests, and makes every request observable
 // (request IDs, RED metrics, per-request perf reports, latency
 // quantiles).
 package serve
@@ -12,7 +12,6 @@ import (
 
 	"bgpvr/internal/core"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/render"
 	"bgpvr/internal/volume"
 )
 
@@ -22,9 +21,8 @@ import (
 // each entry counting its own bytes (4 a voxel for a field, 8 for a
 // table). Building happens outside the lock, so concurrent misses for
 // different blocks proceed in parallel; concurrent misses for the same
-// key may build twice, but exactly one result is kept — callers always
-// share the stored pointer, which is what keeps the mask cache (keyed
-// by field pointer) coherent.
+// key may build twice, but exactly one result is kept and every caller
+// shares the stored pointer.
 type fieldCache struct {
 	mu     sync.Mutex
 	capB   int64
@@ -137,66 +135,4 @@ func (c *fieldCache) Stats() (fields, turbs cacheSize) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cacheSize{len(c.fields), c.fieldB}, cacheSize{len(c.turbs), c.turbB}
-}
-
-// maskCache is an entry-bounded LRU over macrocell opacity masks,
-// satisfying render.MaskCache. It keys on the field pointer: fields
-// come from the field cache, so the same volume block keeps the same
-// pointer across requests, and an evicted (regenerated) field simply
-// misses here too.
-type maskCache struct {
-	mu     sync.Mutex
-	capN   int
-	ll     *list.List // values are *maskEntry
-	m      map[*volume.Field]*list.Element
-	hits   *obs.Counter
-	misses *obs.Counter
-}
-
-type maskEntry struct {
-	f    *volume.Field
-	mask *render.OpacityMask
-}
-
-func newMaskCache(capEntries int, hits, misses *obs.Counter) *maskCache {
-	return &maskCache{capN: capEntries, ll: list.New(),
-		m: map[*volume.Field]*list.Element{}, hits: hits, misses: misses}
-}
-
-// Get implements render.MaskCache.
-func (c *maskCache) Get(f *volume.Field, build func() *render.OpacityMask) *render.OpacityMask {
-	c.mu.Lock()
-	if el, ok := c.m[f]; ok {
-		c.ll.MoveToFront(el)
-		mk := el.Value.(*maskEntry).mask
-		c.mu.Unlock()
-		c.hits.Inc()
-		return mk
-	}
-	c.mu.Unlock()
-
-	mk := build()
-	c.misses.Inc()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[f]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*maskEntry).mask
-	}
-	c.m[f] = c.ll.PushFront(&maskEntry{f: f, mask: mk})
-	for c.ll.Len() > c.capN {
-		back := c.ll.Back()
-		e := back.Value.(*maskEntry)
-		c.ll.Remove(back)
-		delete(c.m, e.f)
-	}
-	return mk
-}
-
-// Stats returns the live entry count.
-func (c *maskCache) Stats() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

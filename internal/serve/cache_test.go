@@ -88,7 +88,7 @@ func TestCacheEvictionMatchesColdFrames(t *testing.T) {
 	for _, seed := range []int64{0, 77} {
 		for _, tm := range []float64{0.5, 1.1, 1.7} {
 			bodies = append(bodies, fmt.Sprintf(
-				`{"n": 48, "img": 40, "procs": 4, "seed": %d, "time": %g, "skip_empty_space": true, "include_image": true}`, seed, tm))
+				`{"n": 48, "img": 40, "procs": 4, "seed": %d, "time": %g, "include_image": true}`, seed, tm))
 		}
 	}
 	want := map[string][]byte{}

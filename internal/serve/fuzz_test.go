@@ -14,7 +14,7 @@ import (
 // usable step and a finite time and view angle.
 func FuzzRenderRequest(f *testing.F) {
 	for _, body := range []string{
-		`{"n": 16, "img": 32, "procs": 2, "skip_empty_space": true}`,
+		`{"n": 16, "img": 32, "procs": 2}`,
 		`{"mode": "model", "n": 1120, "img": 1600, "procs": 4096}`,
 		`{"mode": "banana"}`,
 		`{"n": 4096}`,

@@ -34,10 +34,6 @@ type RenderRequest struct {
 	AzimuthDeg float64 `json:"azimuth_deg,omitempty"`
 	// Step is the sampling step in voxels (default 1).
 	Step float64 `json:"step,omitempty"`
-	// SkipEmptySpace turns on macrocell empty-space skipping; the
-	// service's mask cache then reuses the macrocell classification
-	// across requests.
-	SkipEmptySpace bool `json:"skip_empty_space,omitempty"`
 	// Seed and Time select the synthesized time step (defaults from
 	// core.DefaultScene).
 	Seed int64   `json:"seed,omitempty"`
@@ -154,7 +150,6 @@ func (rr *RenderRequest) validate(workers int) (*jobSpec, error) {
 	if rr.Time != 0 {
 		s.Time = rr.Time
 	}
-	s.SkipEmptySpace = rr.SkipEmptySpace
 	spec.scene = s
 	return spec, nil
 }

@@ -39,10 +39,8 @@ type Config struct {
 	// par.Workers(0)).
 	Workers int
 	// CacheMB bounds the volume field cache, block fields and the
-	// turbulence tables they are built from together (default 256 MB);
-	// the mask cache is entry-bounded by MaskEntries (default 64).
-	CacheMB     int
-	MaskEntries int
+	// turbulence tables they are built from together (default 256 MB).
+	CacheMB int
 	// RunsPath, when set, streams the runstore JSONL registry at /runs.
 	RunsPath string
 	// Registry receives the service's metrics (default obs.Default,
@@ -87,7 +85,6 @@ type Server struct {
 	reqSeq   atomic.Int64
 
 	fields *fieldCache
-	masks  *maskCache
 
 	// traces/sampler are the tail-sampled trace store (nil when
 	// disabled with TraceBudgetMB = -1); diagWritten caps SLO bundles.
@@ -130,9 +127,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheMB <= 0 {
 		cfg.CacheMB = 256
 	}
-	if cfg.MaskEntries <= 0 {
-		cfg.MaskEntries = 64
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
 	}
@@ -163,8 +157,6 @@ func New(cfg Config) *Server {
 	hits := r.NewCounterVec("bgpvr_serve_cache_hits_total", "Cache hits by cache.")
 	misses := r.NewCounterVec("bgpvr_serve_cache_misses_total", "Cache misses by cache.")
 	s.fields = newFieldCache(int64(cfg.CacheMB)<<20, hits, misses)
-	s.masks = newMaskCache(cfg.MaskEntries,
-		hits.With(obs.Labels("cache", "mask")), misses.With(obs.Labels("cache", "mask")))
 	r.NewGaugeFunc("bgpvr_serve_inflight", "Frames currently rendering.",
 		func() float64 { return float64(s.inflight.Load()) })
 	r.NewGaugeFunc("bgpvr_serve_queue_depth", "Admitted requests waiting for a render slot.",
@@ -445,7 +437,7 @@ func (s *Server) renderFrame(ctx context.Context, id string, spec *jobSpec, tr *
 		res, err := core.RunReal(core.RealConfig{
 			Ctx: ctx, Scene: spec.scene, Procs: spec.procs, Compositors: spec.m,
 			Algo: spec.algo, Format: core.FormatGenerate, Trace: tr, Net: nt,
-			Fields: s.fields, Masks: s.masks,
+			Fields: s.fields,
 		})
 		if err != nil {
 			return nil, tr, err

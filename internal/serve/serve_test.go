@@ -52,13 +52,13 @@ func postRender(t *testing.T, ts *httptest.Server, body string) (*http.Response,
 // TestRenderEndToEnd pins the happy path: a real-mode render answers
 // 200 with a per-request perf report carrying the request ID, the
 // X-Request-ID header round-trips, and a second identical request hits
-// the field and mask caches.
+// the field cache.
 func TestRenderEndToEnd(t *testing.T) {
 	s := testServer(t, Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `{"n": 16, "img": 32, "procs": 2, "skip_empty_space": true}`
+	body := `{"n": 16, "img": 32, "procs": 2}`
 	resp, b := postRender(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
@@ -86,17 +86,14 @@ func TestRenderEndToEnd(t *testing.T) {
 		t.Errorf("total time %v", rr.Times.Total)
 	}
 
-	// Same scene again: every block field and mask must hit.
-	fh0, mh0 := s.fields.hits.Value(), s.masks.hits.Value()
+	// Same scene again: every block field must hit.
+	fh0 := s.fields.hits.Value()
 	resp, b = postRender(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second request status %d: %s", resp.StatusCode, b)
 	}
 	if got := s.fields.hits.Value() - fh0; got != 2 {
 		t.Errorf("field cache hits on repeat = %d, want 2 (one per rank)", got)
-	}
-	if got := s.masks.hits.Value() - mh0; got != 2 {
-		t.Errorf("mask cache hits on repeat = %d, want 2", got)
 	}
 
 	// A supplied request ID round-trips into the report.
@@ -153,6 +150,7 @@ func TestRenderValidation(t *testing.T) {
 		`{"deadline_ms": 9300000000000}`, // wraps time.Duration negative
 		`{"deadline_ms": 86400001}`,      // over a day
 		`{"unknown_field": 1}`,           // DisallowUnknownFields
+		`{"skip_empty_space": true}`,     // unknown: the renderer has no skipping
 		`{"n": 16, "m": 99}`,             // m > procs
 	} {
 		resp, b := postRender(t, ts, body)
@@ -463,7 +461,7 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				switch w % 3 {
 				case 0:
-					resp, _ := postRender(t, ts, `{"n": 16, "img": 16, "procs": 2, "skip_empty_space": true}`)
+					resp, _ := postRender(t, ts, `{"n": 16, "img": 16, "procs": 2}`)
 					if resp.StatusCode == http.StatusOK {
 						ok.add(1)
 					} else {

@@ -25,8 +25,8 @@ type EndpointStatus struct {
 	P99Ms    float64          `json:"p99_ms"`
 }
 
-// CacheStatus reports both caches. The field cache's two kinds of entry
-// are reported apart: field_* counts block fields only, turbulence_*
+// CacheStatus reports the field cache. Its two kinds of entry are
+// reported apart: field_* counts block fields only, turbulence_*
 // the turbulence tables they share the budget with.
 type CacheStatus struct {
 	FieldHits         int64 `json:"field_hits"`
@@ -37,9 +37,6 @@ type CacheStatus struct {
 	TurbulenceMisses  int64 `json:"turbulence_misses"`
 	TurbulenceEntries int   `json:"turbulence_entries"`
 	TurbulenceBytes   int64 `json:"turbulence_bytes"`
-	MaskHits          int64 `json:"mask_hits"`
-	MaskMisses        int64 `json:"mask_misses"`
-	MaskEntries       int   `json:"mask_entries"`
 }
 
 // StatusReply is the GET /status body.
@@ -127,9 +124,6 @@ func (s *Server) Status() StatusReply {
 		TurbulenceMisses:  s.fields.turbMisses.Value(),
 		TurbulenceEntries: ts.entries,
 		TurbulenceBytes:   ts.bytes,
-		MaskHits:          s.masks.hits.Value(),
-		MaskMisses:        s.masks.misses.Value(),
-		MaskEntries:       s.masks.Stats(),
 	}
 	return st
 }
@@ -166,10 +160,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			e.Endpoint, e.Requests, e.MeanMs, e.P50Ms, e.P90Ms, e.P99Ms, strings.Join(codes, " "))
 	}
 	c := st.Cache
-	fmt.Fprintf(&b, "cache: field %d hits / %d misses (%d entries, %d bytes); turbulence %d hits / %d misses (%d entries, %d bytes); mask %d hits / %d misses (%d entries)\n",
+	fmt.Fprintf(&b, "cache: field %d hits / %d misses (%d entries, %d bytes); turbulence %d hits / %d misses (%d entries, %d bytes)\n",
 		c.FieldHits, c.FieldMisses, c.FieldEntries, c.FieldBytes,
-		c.TurbulenceHits, c.TurbulenceMisses, c.TurbulenceEntries, c.TurbulenceBytes,
-		c.MaskHits, c.MaskMisses, c.MaskEntries)
+		c.TurbulenceHits, c.TurbulenceMisses, c.TurbulenceEntries, c.TurbulenceBytes)
 	if ts := st.TraceStore; ts != nil {
 		reasons := make([]string, 0, len(ts.ByReason))
 		for reason, n := range ts.ByReason {

@@ -213,9 +213,9 @@ func powStep(base, ds float64) float64 {
 // MaxOpacityIn returns the exact maximum opacity the transfer function
 // takes over the closed value interval [lo, hi]. For a piecewise-linear
 // function the maximum is attained at an endpoint or at a control point
-// inside the interval, so the computation is exact — the renderer's
-// empty-space skipping relies on this to never skip a contributing
-// sample.
+// inside the interval, so the computation is exact: an opacity mask
+// built on it (render.BuildOpacityMask) never marks a contributing cell
+// transparent.
 func (t *Transfer) MaxOpacityIn(lo, hi float64) float64 {
 	if hi < lo {
 		lo, hi = hi, lo
