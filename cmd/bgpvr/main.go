@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bgpvr/internal/bench"
@@ -208,9 +207,12 @@ func runFrame(a *frameArgs) error {
 	scene.RenderWorkers = a.Workers
 	hints := mpiio.Hints{CBBufferSize: a.window}
 
-	wantCrit := a.CritPath != "" || a.Wanted() || a.DebugAddr != ""
-	wantTrace := a.Trace != "" || a.Breakdown || a.Wanted() || (wantCrit && mode != "model")
-	wantNet := a.Wanted() || a.linkmap != "" || a.DebugAddr != ""
+	// A real frame's tracer also feeds the critpath recorder and the
+	// debug endpoint's trace counters on /metrics.
+	wantCrit := a.CritPath != "" || a.Wanted()
+	wantTrace := a.Trace != "" || a.Breakdown || a.Wanted() ||
+		((a.CritPath != "" || a.DebugAddr != "") && mode != "model")
+	wantNet := a.Wanted() || a.linkmap != ""
 	if a.linkmap != "" && mode != "model" {
 		return fmt.Errorf("-linkmap requires -mode model")
 	}
@@ -229,13 +231,7 @@ func runFrame(a *frameArgs) error {
 			tr = trace.New(procs)
 		}
 	}
-	// critA holds the finished frame's critical-path analysis for the
-	// debug endpoint; /critpath answers 503 until the run completes.
-	var critA atomic.Pointer[critpath.Analysis]
-	if err := a.Debug(telemetry.DebugSource{
-		Tracer: tr, Net: nt,
-		Crit: func() *critpath.Analysis { return critA.Load() },
-	}, "pprof, expvar, /telemetry, /metrics, /critpath, /runs"); err != nil {
+	if err := a.Debug(telemetry.DebugSource{Tracer: tr}); err != nil {
 		return err
 	}
 	obs.Note("bgpvr run: mode=%s n=%d img=%d procs=%d m=%d format=%s algo=%s workers=%d",
@@ -264,7 +260,6 @@ func runFrame(a *frameArgs) error {
 			return err
 		}
 		an := analyze(cg, nil, nil)
-		critA.Store(an)
 		fmt.Fprintf(a.Out, "model frame: %d^3 volume, %d^2 image, %d cores, format %v\n", n, imgSize, procs, f)
 		fmt.Fprintf(a.Out, "  I/O:        %s (%.1f%%)  read bw %s\n",
 			stats.Seconds(res.Times.IO), core.Percent(res.Times.IO, res.Times.Total), stats.Rate(res.ReadBW))
@@ -345,7 +340,6 @@ func runFrame(a *frameArgs) error {
 				fmt.Fprintln(a.Out, "  image:", p)
 			}
 			an := analyze(nil, tr, rec)
-			critA.Store(an)
 			return finishRun(a, tr, nt, an, nil, tot.Total)
 		}
 		res, err := core.RunReal(cfg)
@@ -371,7 +365,6 @@ func runFrame(a *frameArgs) error {
 			fmt.Fprintf(a.Out, "  image:      %s\n", out)
 		}
 		an := analyze(nil, tr, rec)
-		critA.Store(an)
 		return finishRun(a, tr, nt, an, nil, res.Times.Total)
 	}
 	return fmt.Errorf("unknown mode %q", mode)

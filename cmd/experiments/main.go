@@ -33,7 +33,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"bgpvr/internal/bench"
 	"bgpvr/internal/cli"
@@ -47,15 +46,12 @@ import (
 	"bgpvr/internal/trace"
 )
 
-// env is what an experiment runs with: the parsed flags, the machine
-// model, and the slots the debug endpoint's /critpath and /fidelity
-// views read.
+// env is what an experiment runs with: the parsed flags and the machine
+// model.
 type env struct {
 	*cli.Run
 	mach      machine.Machine
 	scorecard string // -scorecard
-	critA     atomic.Pointer[critpath.Analysis]
-	fidA      atomic.Pointer[telemetry.FidelityStat]
 }
 
 // section prints one exhibit's report under a rule.
@@ -154,8 +150,6 @@ func fidelityRun(e *env) error {
 		return err
 	}
 	fmt.Fprint(e.Out, sc.Text())
-	stat := sc.Stat()
-	e.fidA.Store(stat)
 	if e.scorecard != "" {
 		if err := sc.WriteFile(e.scorecard); err != nil {
 			return fmt.Errorf("writing scorecard: %w", err)
@@ -167,7 +161,7 @@ func fidelityRun(e *env) error {
 	}
 	r := telemetry.NewReport("experiments-fidelity")
 	r.Config = map[string]string{"exp": "fidelity", "machine": "bgp"}
-	r.Fidelity = stat
+	r.Fidelity = sc.Stat()
 	return e.Emit(r)
 }
 
@@ -228,7 +222,6 @@ func tracedFrame(e *env) error {
 	var an *critpath.Analysis
 	if cg != nil {
 		an = critpath.Analyze(cg, 5)
-		e.critA.Store(an)
 	}
 	fmt.Fprintf(e.Out, "model frame: %d^3 volume, %d^2 image, %d cores, total %s\n",
 		e.N, e.Img, e.Procs, stats.Seconds(res.Times.Total))
@@ -279,7 +272,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"img":            "image size for the traced frame",
 		"perf-report":    "write the run's perf report (breakdown + telemetry + runtime; -exp fidelity: the scorecard) to this JSON file",
 		"critpath":       "print the traced frame's critical-path & load-imbalance report and write the analysis JSON to this file",
-		"debug-addr":     "serve a live debug endpoint (net/http/pprof, expvar, /telemetry, /critpath, /fidelity, /runs) while running",
 		"workers":        "worker goroutines for the sweep and render loops (0 = all cores)",
 		"flowsim-approx": "clustered-contention error bound eps for -exp flowscale (0 = exact kernel)",
 	})
@@ -300,10 +292,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r.Config = map[string]string{"exp": *exp, "partial": "true"}
 		return r
 	})
-	err := e.Debug(telemetry.DebugSource{
-		Crit:     func() *critpath.Analysis { return e.critA.Load() },
-		Fidelity: func() *telemetry.FidelityStat { return e.fidA.Load() },
-	}, "pprof, expvar, /telemetry, /critpath, /fidelity, /runs")
+	err := e.Debug(telemetry.DebugSource{})
 	if err == nil {
 		err = dispatch(&e, *exp)
 	}

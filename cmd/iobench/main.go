@@ -11,25 +11,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"bgpvr/internal/cli"
 	"bgpvr/internal/core"
 	"bgpvr/internal/mpiio"
 	"bgpvr/internal/stats"
 )
 
-func main() {
-	n := flag.Int("n", 48, "real-mode volume grid size n^3")
-	procs := flag.Int("procs", 8, "real-mode ranks")
-	flag.Parse()
-	if err := run(*n, *procs); err != nil {
-		fmt.Fprintln(os.Stderr, "iobench:", err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iobench", flag.ContinueOnError)
+	n := fs.Int("n", 48, "real-mode volume grid size n^3")
+	procs := fs.Int("procs", 8, "real-mode ranks")
+	if code, ok := cli.Parse(fs, args, stderr); !ok {
+		return code
 	}
+	if *n < 1 || *procs < 1 {
+		fmt.Fprintf(stderr, "iobench: -n and -procs must be at least 1 (got %d, %d)\n", *n, *procs)
+		return 2
+	}
+	if err := bench(stdout, *n, *procs); err != nil {
+		fmt.Fprintln(stderr, "iobench:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(n, procs int) error {
+func bench(stdout io.Writer, n, procs int) error {
 	scene := core.DefaultScene(n, 64)
 	dir, err := os.MkdirTemp("", "iobench")
 	if err != nil {
@@ -50,8 +62,8 @@ func run(n, procs int) error {
 		{"tuned netCDF", core.FormatNetCDF, rec},
 		{"untuned netCDF", core.FormatNetCDF, 4 * rec},
 	}
-	fmt.Printf("real mode: %d^3 volume, %d ranks, files under %s\n", n, procs, dir)
-	fmt.Printf("%-20s %10s %12s %10s %8s\n", "mode", "read time", "physical", "accesses", "density")
+	fmt.Fprintf(stdout, "real mode: %d^3 volume, %d ranks, files under %s\n", n, procs, dir)
+	fmt.Fprintf(stdout, "%-20s %10s %12s %10s %8s\n", "mode", "read time", "physical", "accesses", "density")
 	for _, m := range modes {
 		path := filepath.Join(dir, "step."+m.format.String()+fmt.Sprint(m.window))
 		if err := core.WriteSceneFile(path, m.format, scene); err != nil {
@@ -64,7 +76,7 @@ func run(n, procs int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-20s %10s %12s %10d %8.3f\n", m.name,
+		fmt.Fprintf(stdout, "%-20s %10s %12s %10d %8.3f\n", m.name,
 			stats.Seconds(res.Times.IO), stats.Bytes(res.IO.PhysicalBytes),
 			res.IO.Accesses, res.IO.Density())
 	}

@@ -57,7 +57,7 @@ func LinkContention(mach machine.Machine, procs int) ([2]LinkContentionRun, stri
 		mb, _ := u.MaxBytes()
 		t.AddRow(fmt.Sprint(r.Compositors), fmt.Sprint(r.Result.Messages),
 			fmt.Sprintf("%.0f", r.Result.MeanMessageBytes), f3(r.Result.Times.Composite),
-			fmt.Sprint(countActiveLinks(u)), fmt.Sprint(mf),
+			fmt.Sprint(u.ActiveLinks()), fmt.Sprint(mf),
 			fmt.Sprintf("%.1f%%", 100*u.PeakUtilization()), stats.Bytes(mb))
 	}
 	var sb strings.Builder
@@ -67,14 +67,4 @@ func LinkContention(mach machine.Machine, procs int) ([2]LinkContentionRun, stri
 			telemetry.HottestLinks(top, r.Net.Links, 10))
 	}
 	return runs, sb.String(), nil
-}
-
-func countActiveLinks(u *telemetry.LinkUsage) int {
-	n := 0
-	for l := range u.Bytes {
-		if u.Bytes[l] > 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -129,7 +129,7 @@ func (r *Run) Register(fs *flag.FlagSet, help map[string]string) {
 	fs.IntVar(&r.N, "n", r.N, "volume grid size n^3")
 	fs.IntVar(&r.Img, "img", r.Img, "image size (square)")
 	fs.StringVar(&r.CritPath, "critpath", "", "print the critical-path & load-imbalance report and write the full analysis as JSON to this file")
-	fs.StringVar(&r.DebugAddr, "debug-addr", "", "serve a live debug endpoint (net/http/pprof, expvar, /telemetry) on this address while the run executes")
+	fs.StringVar(&r.DebugAddr, "debug-addr", "", "serve a live debug endpoint (net/http/pprof, /metrics) on this address while the run executes")
 	fs.IntVar(&r.Workers, "workers", 0, "worker goroutines for the parallel render loops (0 = all cores)")
 	fs.Float64Var(&r.FlowsimApprox, "flowsim-approx", r.FlowsimApprox, "cross-check the model's compositing phase with the max-min flow kernel: 0 runs it exactly, eps > 0 the bounded-error clustered approximation where the torus clears its floor and the exact kernel elsewhere (< 0 skips; model mode)")
 	fs.BoolVar(&r.Progress, "progress", false, "emit periodic structured progress heartbeats (phase done/total, rate, ETA) to stderr")
@@ -179,10 +179,8 @@ func (r *Run) writePartial(w io.Writer, rep *telemetry.Report) {
 	fmt.Fprintf(w, "\npartial perf report written to %s\n", r.PerfReport)
 }
 
-// Debug serves the live debug endpoint when -debug-addr asks for one;
-// views names what this binary's endpoint offers, for the line that
-// announces it.
-func (r *Run) Debug(src telemetry.DebugSource, views string) error {
+// Debug serves the live debug endpoint when -debug-addr asks for one.
+func (r *Run) Debug(src telemetry.DebugSource) error {
 	if r.DebugAddr == "" {
 		return nil
 	}
@@ -192,7 +190,7 @@ func (r *Run) Debug(src telemetry.DebugSource, views string) error {
 		return err
 	}
 	r.stop = append(r.stop, func() { _ = srv.Close() })
-	fmt.Fprintf(r.Out, "debug endpoint: http://%s/ (%s)\n", srv.Addr, views)
+	fmt.Fprintf(r.Out, "debug endpoint: http://%s/ (pprof, /metrics)\n", srv.Addr)
 	return nil
 }
 

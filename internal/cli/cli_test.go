@@ -122,17 +122,17 @@ func TestRunLifecycle(t *testing.T) {
 		t.Errorf("Start left workers %d, started %v", r.Workers, r.Started)
 	}
 	r.Watch(func() *telemetry.Report { return telemetry.NewReport("never asked for") })
-	if err := r.Debug(telemetry.DebugSource{}, "a, b"); err != nil {
+	if err := r.Debug(telemetry.DebugSource{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.stop) != 2 {
 		t.Errorf("%d things held open, want the watchdog and the endpoint", len(r.stop))
 	}
 	line := out.String()
-	if !strings.HasPrefix(line, "debug endpoint: http://127.0.0.1:") || !strings.HasSuffix(line, "/ (a, b)\n") {
+	if !strings.HasPrefix(line, "debug endpoint: http://127.0.0.1:") || !strings.HasSuffix(line, "/ (pprof, /metrics)\n") {
 		t.Fatalf("announced %q", line)
 	}
-	url := strings.TrimSuffix(strings.TrimPrefix(line, "debug endpoint: "), " (a, b)\n")
+	url := strings.TrimSuffix(strings.TrimPrefix(line, "debug endpoint: "), " (pprof, /metrics)\n")
 	if err := runstore.Append(r.RunRecord, runstore.NewRecord(telemetry.NewReport("x"), "abc", "2026-08-06T00:00:00Z")); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRunLifecycle(t *testing.T) {
 	var idle Run
 	idle.Start(&out, io.Discard)
 	idle.Watch(nil)
-	if err := idle.Debug(telemetry.DebugSource{}, ""); err != nil || len(idle.stop) != 0 {
+	if err := idle.Debug(telemetry.DebugSource{}); err != nil || len(idle.stop) != 0 {
 		t.Errorf("a run with no flags set holds %d things open (err %v)", len(idle.stop), err)
 	}
 }

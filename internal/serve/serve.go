@@ -482,6 +482,5 @@ func (s *Server) buildReport(id string, spec *jobSpec, tr *trace.Tracer, nt *tel
 	if nt != nil {
 		r.AddNetTelemetry(nt)
 	}
-	r.AddRuntime(time.Since(s.start).Seconds())
 	return r
 }

@@ -82,6 +82,11 @@ func TestRenderEndToEnd(t *testing.T) {
 	if len(rr.Report.Phases) == 0 {
 		t.Error("perf report has no phase breakdown")
 	}
+	// Scoped to the frame: the runtime section would be the service's
+	// uptime and the process-wide heap.
+	if rr.Report.Runtime != nil {
+		t.Errorf("per-request report carries a runtime section: %+v", rr.Report.Runtime)
+	}
 	if rr.Times.Total <= 0 {
 		t.Errorf("total time %v", rr.Times.Total)
 	}
@@ -254,6 +259,9 @@ func TestDeadline(t *testing.T) {
 	}
 	if er.Report.Config["partial"] != "true" {
 		t.Errorf("partial report not marked: %+v", er.Report.Config)
+	}
+	if er.Report.Runtime != nil {
+		t.Errorf("partial report carries a runtime section: %+v", er.Report.Runtime)
 	}
 	if got := s.deadline.Value(); got != 2 {
 		t.Errorf("deadline counter = %d, want 2", got)

@@ -258,9 +258,6 @@ func TestDebugIndexListsAllRoutes(t *testing.T) {
 		"/traces",
 		"/traces/{id}",
 		"/metrics",
-		"/telemetry",
-		"/critpath",
-		"/fidelity",
 		"/runs",
 		"/debug/pprof/",
 		"/debug/vars",

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"html"
@@ -12,85 +11,18 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"bgpvr/internal/critpath"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/par"
 	"bgpvr/internal/trace"
 )
 
-// serveView writes v as indented JSON, or the text rendering with
-// ?text=1 — the shared contract of the analysis views.
-func serveView(w http.ResponseWriter, r *http.Request, v any, text func() string) {
-	if r.URL.Query().Get("text") != "" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, text())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// Snapshot is the live view served at /telemetry and published through
-// expvar: the trace counter totals plus histogram and link-usage
-// aggregates. It is rebuilt on every request, so a long model sweep
-// can be watched while it runs.
-type Snapshot struct {
-	Counters   map[string]int64 `json:"counters,omitempty"`
-	Histograms []HistogramStat  `json:"histograms,omitempty"`
-	Network    *NetworkStat     `json:"network,omitempty"`
-	Parallel   *ParallelSnap    `json:"parallel,omitempty"`
-}
-
-// ParallelSnap is the live pool/gang utilization view inside the
-// /telemetry snapshot — the same accumulators the perf report freezes
-// at exit and /metrics exposes as gauges.
-type ParallelSnap struct {
-	PoolBusySeconds float64 `json:"pool_busy_seconds"`
-	PoolWallSeconds float64 `json:"pool_wall_seconds"`
-	PoolSpeedup     float64 `json:"pool_speedup"`
-	GangBusySeconds float64 `json:"gang_busy_seconds"`
-	GangWallSeconds float64 `json:"gang_wall_seconds"`
-	GangRuns        int64   `json:"gang_runs"`
-}
-
-func parallelSnap() *ParallelSnap {
-	busy, wall := par.Stats()
-	gb, gw, runs := par.GangStats()
-	if wall <= 0 && gw <= 0 && runs == 0 {
-		return nil
-	}
-	ps := &ParallelSnap{
-		PoolBusySeconds: busy.Seconds(),
-		PoolWallSeconds: wall.Seconds(),
-		GangBusySeconds: gb.Seconds(),
-		GangWallSeconds: gw.Seconds(),
-		GangRuns:        runs,
-	}
-	if wall > 0 {
-		ps.PoolSpeedup = busy.Seconds() / wall.Seconds()
-	}
-	return ps
-}
-
 // DebugSource bundles what the debug endpoint serves. Every field is
-// optional; views whose source is absent answer 404.
+// optional; /runs answers 404 without its file.
 type DebugSource struct {
-	// Tracer and Net feed the live /telemetry snapshot and expvar.
+	// Tracer adds its counter totals to /metrics as the
+	// bgpvr_trace_events_total family.
 	Tracer *trace.Tracer
-	Net    *NetTelemetry
-	// Crit is invoked on each /critpath request to produce a live
-	// critical-path analysis; return nil while the run is still going
-	// (the view answers 503 until then).
-	Crit func() *critpath.Analysis
-	// Fidelity is invoked on each /fidelity request to produce the
-	// paper-fidelity scorecard; same nil-means-pending contract.
-	Fidelity func() *FidelityStat
 	// RunsPath, when set, is the runstore JSONL file streamed verbatim
 	// at /runs (application/x-ndjson): one perf record per line.
 	RunsPath string
@@ -106,39 +38,6 @@ type DebugEndpoint struct {
 	Path    string // mux pattern, e.g. "/status"
 	Desc    string // one-line description for the index page
 	Handler http.Handler
-}
-
-// snapshotSource is what the debug server reads on each request. The
-// expvar publication reads it through a package-level atomic so that
-// restarting a server (tests, repeated runs) never re-publishes a
-// duplicate var.
-type snapshotSource struct {
-	tracer *trace.Tracer
-	net    *NetTelemetry
-}
-
-func (s *snapshotSource) snapshot() Snapshot {
-	var snap Snapshot
-	if s == nil {
-		return snap
-	}
-	if s.tracer != nil {
-		tot := s.tracer.Totals()
-		snap.Counters = map[string]int64{}
-		for c := trace.Counter(0); c < trace.NumCounters; c++ {
-			if tot[c] != 0 {
-				snap.Counters[c.String()] = tot[c]
-			}
-		}
-	}
-	if s.net != nil {
-		var r Report
-		r.AddNetTelemetry(s.net)
-		snap.Histograms = r.Histograms
-		snap.Network = r.Network
-	}
-	snap.Parallel = parallelSnap()
-	return snap
 }
 
 // writeTraceMetrics appends the tracer's counter totals to the
@@ -168,11 +67,6 @@ func readOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-var (
-	expvarOnce sync.Once
-	expvarSrc  atomic.Pointer[snapshotSource]
-)
-
 // Timeouts of the two long-lived HTTP servers (this endpoint and the
 // render service, internal/serve): a client gets ReadHeaderTimeout to
 // finish its request line and headers, so a connection that trickles
@@ -189,32 +83,22 @@ const (
 var readHeaderTimeout = ReadHeaderTimeout
 
 // DebugServer is the opt-in -debug-addr HTTP endpoint: net/http/pprof
-// under /debug/pprof/, expvar under /debug/vars (including a "bgpvr"
-// var with the live telemetry snapshot), the JSON snapshot at
-// /telemetry, Prometheus text metrics at /metrics, and the analysis
-// views /critpath, /fidelity, /runs. All views are read-only: anything
-// but GET/HEAD answers 405.
+// under /debug/pprof/, Go's expvar (memstats, cmdline) under
+// /debug/vars, the live numbers as Prometheus text at /metrics, and the
+// run registry at /runs. All views are read-only: anything but GET/HEAD
+// answers 405.
 type DebugServer struct {
 	Addr string // the bound address (resolves ":0")
 	ln   net.Listener
 	srv  *http.Server
 }
 
-// NewDebugMux assembles the debug endpoint's mux: pprof, expvar, the
-// live /telemetry snapshot, Prometheus /metrics, the analysis views,
-// any Extra endpoints, and an index page at "/" listing everything.
-// StartDebug wraps it in a background server; the render service
-// mounts it directly so one port serves both the API and the
-// observability surfaces.
+// NewDebugMux assembles the debug endpoint's mux: pprof, expvar,
+// Prometheus /metrics, /runs, any Extra endpoints, and an index page at
+// "/" listing everything. StartDebug wraps it in a background server;
+// the render service mounts it directly so one port serves both the API
+// and the observability surfaces.
 func NewDebugMux(ds DebugSource) *http.ServeMux {
-	src := &snapshotSource{tracer: ds.Tracer, net: ds.Net}
-	expvarSrc.Store(src)
-	expvarOnce.Do(func() {
-		expvar.Publish("bgpvr", expvar.Func(func() any {
-			return expvarSrc.Load().snapshot()
-		}))
-	})
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -222,42 +106,12 @@ func NewDebugMux(ds DebugSource) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/telemetry", readOnly(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(src.snapshot())
-	}))
 	mux.HandleFunc("/metrics", readOnly(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := obs.WriteMetricsTo(w); err != nil {
 			return
 		}
 		writeTraceMetrics(w, ds.Tracer)
-	}))
-	mux.HandleFunc("/critpath", readOnly(func(w http.ResponseWriter, r *http.Request) {
-		if ds.Crit == nil {
-			http.Error(w, "no critical-path source attached (run with -critpath)", http.StatusNotFound)
-			return
-		}
-		a := ds.Crit()
-		if a == nil {
-			http.Error(w, "critical-path analysis not available yet", http.StatusServiceUnavailable)
-			return
-		}
-		serveView(w, r, a, a.Text)
-	}))
-	mux.HandleFunc("/fidelity", readOnly(func(w http.ResponseWriter, r *http.Request) {
-		if ds.Fidelity == nil {
-			http.Error(w, "no fidelity source attached (run experiments -exp fidelity)", http.StatusNotFound)
-			return
-		}
-		f := ds.Fidelity()
-		if f == nil {
-			http.Error(w, "fidelity scorecard not available yet", http.StatusServiceUnavailable)
-			return
-		}
-		serveView(w, r, f, f.Table)
 	}))
 	mux.HandleFunc("/runs", readOnly(func(w http.ResponseWriter, r *http.Request) {
 		if ds.RunsPath == "" {
@@ -277,11 +131,8 @@ func NewDebugMux(ds DebugSource) *http.ServeMux {
 	// so operators can discover the surfaces without reading the source.
 	index := []DebugEndpoint{
 		{Path: "/debug/pprof/", Desc: "net/http/pprof profiles (heap, goroutine, CPU, ...)"},
-		{Path: "/debug/vars", Desc: "expvar JSON (includes the live bgpvr telemetry snapshot)"},
-		{Path: "/telemetry", Desc: "live telemetry snapshot: trace counters, histograms, network, parallel"},
+		{Path: "/debug/vars", Desc: "expvar JSON (Go runtime memstats, cmdline)"},
 		{Path: "/metrics", Desc: "Prometheus text exposition of the live metrics registry"},
-		{Path: "/critpath", Desc: "critical-path & load-imbalance analysis (?text=1 for the report)"},
-		{Path: "/fidelity", Desc: "paper-fidelity scorecard (?text=1 for the table)"},
 		{Path: "/runs", Desc: "run registry stream (application/x-ndjson)"},
 	}
 	for _, e := range ds.Extra {
@@ -314,10 +165,7 @@ func NewDebugMux(ds DebugSource) *http.ServeMux {
 }
 
 // StartDebug binds addr and serves the debug endpoint in the
-// background until Close (or Shutdown, which drains in-flight
-// requests). Every DebugSource field is optional; /critpath and
-// /fidelity serve JSON, or the text report with ?text=1, and answer
-// 503 while their producer still returns nil.
+// background until Close. Every DebugSource field is optional.
 func StartDebug(addr string, ds DebugSource) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

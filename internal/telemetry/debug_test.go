@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"bgpvr/internal/critpath"
 	"bgpvr/internal/obs"
 	"bgpvr/internal/par"
 	"bgpvr/internal/trace"
@@ -32,66 +30,43 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// TestDebugServer pins the endpoint's one live view: /metrics is
+// served, the index lists it, and the views that copied its numbers or
+// served end-of-run analyses are gone — as is the "bgpvr" expvar var;
+// /debug/vars is Go's own.
 func TestDebugServer(t *testing.T) {
 	tr := trace.NewVirtual(1)
 	tr.Rank(0).Add(trace.CounterMessages, 7)
-	nt := &NetTelemetry{}
-	nt.ObserveSend(1024)
-	_, u := goldenUsage()
-	nt.Links = u
-
-	srv, err := StartDebug("127.0.0.1:0", DebugSource{Tracer: tr, Net: nt})
+	srv, err := StartDebug("127.0.0.1:0", DebugSource{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr
 
-	code, body := get(t, base+"/telemetry")
-	if code != http.StatusOK {
-		t.Fatalf("/telemetry status %d", code)
+	if code, body := get(t, base+"/metrics"); code != http.StatusOK ||
+		!strings.Contains(body, `bgpvr_trace_events_total{counter="messages"} 7`) {
+		t.Errorf("/metrics status %d body %q", code, body)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/telemetry not JSON: %v\n%s", err, body)
-	}
-	if snap.Counters["messages"] != 7 {
-		t.Errorf("snapshot counters = %v", snap.Counters)
-	}
-	if len(snap.Histograms) == 0 || snap.Histograms[0].Name != "send_sizes" {
-		t.Errorf("snapshot histograms = %+v", snap.Histograms)
-	}
-	if snap.Network == nil || snap.Network.ActiveLinks == 0 {
-		t.Errorf("snapshot network = %+v", snap.Network)
-	}
-
-	code, body = get(t, base+"/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, `"bgpvr"`) {
-		t.Errorf("/debug/vars status %d, bgpvr var present: %v", code, strings.Contains(body, `"bgpvr"`))
+	code, body := get(t, base+"/debug/vars")
+	if code != http.StatusOK || !strings.Contains(body, `"memstats"`) || strings.Contains(body, `"bgpvr"`) {
+		t.Errorf("/debug/vars status %d, memstats present: %v, bgpvr var present: %v",
+			code, strings.Contains(body, `"memstats"`), strings.Contains(body, `"bgpvr"`))
 	}
 	code, body = get(t, base+"/")
-	if code != http.StatusOK || !strings.Contains(body, "/telemetry") {
+	if code != http.StatusOK || !strings.Contains(body, "/metrics") {
 		t.Errorf("index status %d body %q", code, body)
+	}
+	for _, path := range []string{"/telemetry", "/critpath", "/fidelity"} {
+		if strings.Contains(body, path) {
+			t.Errorf("index still lists %s:\n%s", path, body)
+		}
+		if code, _ := get(t, base+path); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, code)
+		}
 	}
 	if code, _ := get(t, base+"/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path status %d", code)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second server must not panic on duplicate expvar publication and
-	// must serve the new source.
-	tr2 := trace.NewVirtual(1)
-	tr2.Rank(0).Add(trace.CounterMessages, 99)
-	srv2, err := StartDebug("127.0.0.1:0", DebugSource{Tracer: tr2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	_, body = get(t, "http://"+srv2.Addr+"/debug/vars")
-	if !strings.Contains(body, `"messages": 99`) && !strings.Contains(body, `"messages":99`) {
-		t.Errorf("expvar snapshot not re-pointed at new source:\n%s", body)
 	}
 }
 
@@ -102,104 +77,6 @@ func TestDebugServerNilClose(t *testing.T) {
 	}
 	if _, err := StartDebug("256.0.0.1:99999", DebugSource{}); err == nil {
 		t.Error("bad address accepted")
-	}
-}
-
-// TestDebugServerCritPath covers the /critpath view: 404 with no
-// source attached, 503 while the analysis is pending, then JSON and
-// the ?text=1 plain report once it exists.
-func TestDebugServerCritPath(t *testing.T) {
-	srvNone, err := StartDebug("127.0.0.1:0", DebugSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvNone.Close()
-	if code, _ := get(t, "http://"+srvNone.Addr+"/critpath"); code != http.StatusNotFound {
-		t.Errorf("no source: status %d, want 404", code)
-	}
-
-	var an *critpath.Analysis
-	srv, err := StartDebug("127.0.0.1:0", DebugSource{Crit: func() *critpath.Analysis { return an }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr
-	if code, _ := get(t, base+"/critpath"); code != http.StatusServiceUnavailable {
-		t.Errorf("pending analysis: status %d, want 503", code)
-	}
-
-	g := critpath.NewGraph(2)
-	g.AddNode(0, trace.PhaseRender, "render", 0, 2)
-	g.AddNode(1, trace.PhaseRender, "render", 0, 1)
-	g.AddNode(1, trace.PhaseComposite, "composite", 2, 1)
-	g.AddDep(critpath.Dep{Kind: critpath.DepFragment, Src: 0, Dst: 1, SrcT: 2, DstT: 2})
-	an = critpath.Analyze(g, 2)
-
-	code, body := get(t, base+"/critpath")
-	if code != http.StatusOK {
-		t.Fatalf("/critpath status %d", code)
-	}
-	var got critpath.Analysis
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("/critpath not JSON: %v\n%s", err, body)
-	}
-	if got.Ranks != 2 || got.PathSec != 3 {
-		t.Errorf("analysis over the wire: ranks=%d path=%v", got.Ranks, got.PathSec)
-	}
-	code, body = get(t, base+"/critpath?text=1")
-	if code != http.StatusOK || !strings.Contains(body, "critical path") {
-		t.Errorf("text view: status %d body %q", code, body)
-	}
-	if code, body := get(t, base+"/"); code != http.StatusOK || !strings.Contains(body, "/critpath") {
-		t.Errorf("index missing /critpath: status %d body %q", code, body)
-	}
-}
-
-// TestDebugServerFidelity covers the /fidelity view: 404 with no
-// source, 503 while pending, then JSON and the ?text=1 table.
-func TestDebugServerFidelity(t *testing.T) {
-	srvNone, err := StartDebug("127.0.0.1:0", DebugSource{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvNone.Close()
-	if code, _ := get(t, "http://"+srvNone.Addr+"/fidelity"); code != http.StatusNotFound {
-		t.Errorf("no source: status %d, want 404", code)
-	}
-
-	var fs *FidelityStat
-	srv, err := StartDebug("127.0.0.1:0", DebugSource{Fidelity: func() *FidelityStat { return fs }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr
-	if code, _ := get(t, base+"/fidelity"); code != http.StatusServiceUnavailable {
-		t.Errorf("pending scorecard: status %d, want 503", code)
-	}
-
-	relerr := 0.07
-	fs = &FidelityStat{Score: 0.9, Pass: 1, Warn: 1, Claims: []ClaimStat{
-		{ID: "fig3/best-total", Figure: "fig3", Kind: "point", Paper: "5.9 s",
-			Measured: "6.33 s", RelErr: &relerr, Status: "pass"},
-		{ID: "fig6/io-dominates", Figure: "fig6", Kind: "shape", Paper: "I/O dominates",
-			Measured: "97% at 16K", Status: "warn"},
-	}}
-	code, body := get(t, base+"/fidelity")
-	if code != http.StatusOK {
-		t.Fatalf("/fidelity status %d", code)
-	}
-	var got FidelityStat
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("/fidelity not JSON: %v\n%s", err, body)
-	}
-	if got.Score != 0.9 || len(got.Claims) != 2 || *got.Claims[0].RelErr != relerr {
-		t.Errorf("scorecard over the wire: %+v", got)
-	}
-	code, body = get(t, base+"/fidelity?text=1")
-	if code != http.StatusOK || !strings.Contains(body, "fig3/best-total") || !strings.Contains(body, "score 0.900") {
-		t.Errorf("text view: status %d body %q", code, body)
 	}
 }
 
@@ -252,15 +129,6 @@ func TestDebugServerMetrics(t *testing.T) {
 		t.Errorf("index missing /metrics: status %d body %q", code, body)
 	}
 
-	// The /telemetry snapshot mirrors the pool/gang accumulators.
-	_, body = get(t, base+"/telemetry")
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/telemetry not JSON: %v\n%s", err, body)
-	}
-	if snap.Parallel == nil || snap.Parallel.PoolWallSeconds <= 0 {
-		t.Errorf("snapshot parallel section = %+v", snap.Parallel)
-	}
 }
 
 // TestDebugServerMethodNotAllowed pins the read-only contract: POST
@@ -273,7 +141,7 @@ func TestDebugServerMethodNotAllowed(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr
-	for _, path := range []string{"/", "/telemetry", "/metrics", "/critpath", "/fidelity", "/runs"} {
+	for _, path := range []string{"/", "/metrics", "/runs"} {
 		resp, err := http.Post(base+path, "text/plain", strings.NewReader("x"))
 		if err != nil {
 			t.Fatal(err)
@@ -358,7 +226,7 @@ func TestDebugServerIndexAndExtras(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("index status %d", code)
 	}
-	for _, want := range []string{"/debug/pprof/", "/telemetry", "/metrics", "/critpath", "/fidelity", "/runs", "/status", "/render"} {
+	for _, want := range []string{"/debug/pprof/", "/debug/vars", "/metrics", "/runs", "/status", "/render"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("index missing %s:\n%s", want, body)
 		}
@@ -418,7 +286,7 @@ func TestDebugServerDropsStalledRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := io.WriteString(conn, "GET /telem"); err != nil {
+	if _, err := io.WriteString(conn, "GET /metr"); err != nil {
 		t.Fatal(err)
 	}
 	// The client's own deadline is far beyond the server's: only the
@@ -428,7 +296,7 @@ func TestDebugServerDropsStalledRequest(t *testing.T) {
 	if reply, err := io.ReadAll(conn); err != nil {
 		t.Errorf("stalled request: %v after %q; want the server to close the connection", err, reply)
 	}
-	if code, _ := get(t, "http://"+srv.Addr+"/telemetry"); code != http.StatusOK {
+	if code, _ := get(t, "http://"+srv.Addr+"/metrics"); code != http.StatusOK {
 		t.Errorf("prompt request after the drop: status %d", code)
 	}
 }

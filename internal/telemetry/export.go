@@ -79,7 +79,7 @@ func HottestLinks(top torus.Topology, u *LinkUsage, k int) string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "hottest links (%d of %d carrying traffic; phase %s)\n",
-		len(order), countActive(u), stats.Seconds(u.Duration))
+		len(order), u.ActiveLinks(), stats.Seconds(u.Duration))
 	fmt.Fprintf(&sb, "%-14s %-4s %10s %7s %7s %10s %6s\n",
 		"node", "dir", "bytes", "flows", "util", "busy", "bneck")
 	for _, l := range order {
@@ -93,16 +93,6 @@ func HottestLinks(top torus.Topology, u *LinkUsage, k int) string {
 	return sb.String()
 }
 
-func countActive(u *LinkUsage) int {
-	n := 0
-	for l := range u.Bytes {
-		if u.Bytes[l] > 0 || u.Flows[l] > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // UtilizationSummary renders the aggregate view of a phase's link
 // usage: totals, the heaviest and most contended links, and peak
 // utilization.
@@ -111,7 +101,7 @@ func UtilizationSummary(top torus.Topology, u *LinkUsage) string {
 	mb, mbl := u.MaxBytes()
 	mf, mfl := u.MaxFlows()
 	fmt.Fprintf(&sb, "link usage: %d links, %d carrying traffic, total %s (bytes x hops)\n",
-		u.Links(), countActive(u), stats.Bytes(u.TotalBytes()))
+		u.Links(), u.ActiveLinks(), stats.Bytes(u.TotalBytes()))
 	if mbl >= 0 {
 		node, dir := torus.LinkOf(mbl)
 		c := top.Coord(node)

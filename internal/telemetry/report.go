@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 
 	"bgpvr/internal/critpath"
 	"bgpvr/internal/stats"
@@ -364,7 +363,7 @@ func (r *Report) AddNetTelemetry(n *NetTelemetry) {
 		mf, _ := u.MaxFlows()
 		r.Network = &NetworkStat{
 			Links:            u.Links(),
-			ActiveLinks:      countActive(u),
+			ActiveLinks:      u.ActiveLinks(),
 			TotalLinkBytes:   u.TotalBytes(),
 			MaxLinkBytes:     mb,
 			MaxLinkFlows:     mf,
@@ -668,28 +667,4 @@ func Compare(old, new *Report, threshold float64) []Delta {
 		deltas = append(deltas, d)
 	}
 	return deltas
-}
-
-// Table renders the scorecard as an aligned text table — the compact
-// view the debug endpoint serves at /fidelity?text=1. The full report
-// with per-figure sections is fidelity.Scorecard.Text.
-func (f *FidelityStat) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "paper-fidelity scorecard: score %.3f (%d pass, %d warn, %d fail of %d claims)\n",
-		f.Score, f.Pass, f.Warn, f.Fail, len(f.Claims))
-	w := 0
-	for _, c := range f.Claims {
-		if len(c.ID) > w {
-			w = len(c.ID)
-		}
-	}
-	for _, c := range f.Claims {
-		relerr := "      -"
-		if c.RelErr != nil {
-			relerr = fmt.Sprintf("%6.1f%%", 100**c.RelErr)
-		}
-		fmt.Fprintf(&b, "%-4s %-*s  %s  paper %s, measured %s\n",
-			c.Status, w, c.ID, relerr, c.Paper, c.Measured)
-	}
-	return b.String()
 }

@@ -382,20 +382,6 @@ func TestCompareFlowsim(t *testing.T) {
 	}
 }
 
-func TestFidelityStatTable(t *testing.T) {
-	e := 0.074
-	f := &FidelityStat{Score: 0.957, Pass: 1, Warn: 1, Claims: []ClaimStat{
-		{ID: "fig3/best-total", Status: "pass", RelErr: &e, Paper: "5.90 s", Measured: "6.33 s"},
-		{ID: "fig4/fall-from-peak", Status: "warn", Paper: "falls", Measured: "falls, barely"},
-	}}
-	got := f.Table()
-	for _, want := range []string{"score 0.957", "1 pass, 1 warn, 0 fail", "fig3/best-total", "7.4%", "paper 5.90 s, measured 6.33 s"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("table missing %q:\n%s", want, got)
-		}
-	}
-}
-
 // TestCompareService pins the service-section gate: p99 rising and RPS
 // falling beyond the threshold are regressions, error rate needs both
 // the absolute floor and the relative rise, points are matched by

@@ -3,7 +3,7 @@
 // for the torus (bytes carried, concurrent flows, bottleneck events,
 // time-weighted utilization), log2 message- and access-size histograms
 // for the comm runtime and the MPI-IO aggregators, a live debug HTTP
-// endpoint (net/http/pprof + expvar + a JSON snapshot), and a
+// endpoint (net/http/pprof + Prometheus /metrics), and a
 // machine-readable perf report that CI tracks across PRs.
 //
 // The paper's two headline results are network effects — direct-send
@@ -179,6 +179,21 @@ func (u *LinkUsage) Links() int {
 		return 0
 	}
 	return len(u.Bytes)
+}
+
+// ActiveLinks returns the number of links that carried a flow or a
+// byte (0 on nil).
+func (u *LinkUsage) ActiveLinks() int {
+	if u == nil {
+		return 0
+	}
+	n := 0
+	for l := range u.Bytes {
+		if u.Bytes[l] > 0 || u.Flows[l] > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // RecordLink adds one flow of the given payload to link l. It
