@@ -26,14 +26,15 @@ func BinarySwap(c *comm.Comm, sub *render.Subimage, w, h int, order []int) (*img
 	return RadixK(c, sub, w, h, RadixKFactor(p, 2), order)
 }
 
-// fullFrame places a partial image in a transparent w x h frame, which
-// gatherSpans releases.
+// fullFrame places a partial image's spans in a transparent w x h
+// frame, which gatherSpans releases.
 func fullFrame(sub *render.Subimage, w, h int) []img.RGBA {
 	buf := img.Pixels.Get(w * h)
 	clear(buf)
 	sw := sub.Rect.W()
 	for ri, row := range img.RectSpanRows(sub.Rect, w) {
-		copy(buf[row.Lo:row.Hi], sub.Pix[ri*sw:(ri+1)*sw])
+		sp := sub.Span(ri)
+		copy(buf[row.Lo+int(sp.Lo):row.Lo+int(sp.Hi)], sub.Pix[ri*sw+int(sp.Lo):ri*sw+int(sp.Hi)])
 	}
 	return buf
 }
@@ -74,7 +75,9 @@ func SerialGather(c *comm.Comm, sub *render.Subimage, rects []img.Rect, w, h int
 	}
 	if c.Rank() != 0 {
 		if !sub.Rect.Empty() {
-			c.Send(0, tagDirectSend, encodePixels(0, sub.Pix))
+			msg := wire.Get(img.WirePixelBytes * sub.Rect.NumPixels())
+			putDense(msg, sub, sub.Rect)
+			c.Send(0, tagDirectSend, msg)
 		}
 		return nil, nil
 	}
@@ -93,7 +96,10 @@ func SerialGather(c *comm.Comm, sub *render.Subimage, rects []img.Rect, w, h int
 		for y := 0; y < rect.H(); y++ {
 			row := out.Pix[(rect.Y0+y)*w+rect.X0:][:rw]
 			if r == 0 {
-				img.UnderSlices(row, sub.Pix[y*rw:][:rw])
+				// Outside the span the pixel is transparent, and
+				// blending it under would leave the image as it is.
+				sp := sub.Span(y)
+				img.UnderSlices(row[sp.Lo:sp.Hi], sub.Pix[y*rw:][sp.Lo:sp.Hi])
 			} else {
 				img.UnderWire(row, wires[r][img.WirePixelBytes*y*rw:])
 			}

@@ -57,36 +57,63 @@ func encodePixels(head int, pix []img.RGBA) []byte {
 	return msg
 }
 
+// overlap is the overlap ov of a block's subimage with a tile, read
+// row by row through the subimage's spans: outside them a pixel is
+// transparent, whatever sub.Pix holds there.
+type overlap struct {
+	sub *render.Subimage
+	ov  img.Rect
+}
+
+// row returns the pixels of overlap row y.
+func (o overlap) row(y int) []img.RGBA {
+	r := o.sub.Rect
+	return o.sub.Pix[(o.ov.Y0-r.Y0+y)*r.W()+o.ov.X0-r.X0:][:o.ov.W()]
+}
+
+// span returns the columns [a, b) of overlap row y that can be active;
+// an empty one is [0, 0).
+func (o overlap) span(y int) (a, b int) {
+	x0 := o.ov.X0 - o.sub.Rect.X0
+	sp := o.sub.Span(o.ov.Y0 - o.sub.Rect.Y0 + y)
+	a, b = max(int(sp.Lo)-x0, 0), min(int(sp.Hi)-x0, o.ov.W())
+	if a >= b {
+		return 0, 0
+	}
+	return a, b
+}
+
+// putDense writes the overlap ov of sub into msg in wire form, every
+// pixel of it row-major: the span pixels as they are, and +0 for the
+// transparent ones around them.
+func putDense(msg []byte, sub *render.Subimage, ov img.Rect) {
+	o := overlap{sub, ov}
+	lw := img.WirePixelBytes * ov.W()
+	for y := 0; y < ov.H(); y++ {
+		line := msg[lw*y:][:lw]
+		a, b := o.span(y)
+		clear(line[:img.WirePixelBytes*a])
+		img.PutPixels(line[img.WirePixelBytes*a:], o.row(y)[a:b])
+		clear(line[img.WirePixelBytes*b:])
+	}
+}
+
 // encodeFragment serializes the overlap ov of a block's subimage with a
 // tile, tagged with the block's visibility position (not the sender's
 // rank), so a compositor orders pieces of one rank's several blocks
 // correctly. It reads the overlap rows of sub.Pix in place and writes
 // each pixel once, into a message taken at its final size. Of each row
-// it scans only what sub.Spans says can be active: the pixels outside a
-// span are transparent, but a cast's span is loose, so the scan is
-// still needed inside it.
+// it reads only what sub's spans say can be active: the pixels outside
+// a span are transparent (and unspecified in sub.Pix), but a cast's
+// span is loose, so the scan is still needed inside it.
 func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
-	ow, oh, sw := ov.W(), ov.H(), sub.Rect.W()
-	x0, y0 := ov.X0-sub.Rect.X0, ov.Y0-sub.Rect.Y0 // the overlap's corner in sub
-	row := func(y int) []img.RGBA { return sub.Pix[(y0+y)*sw+x0:][:ow] }
-	// span returns the columns [a, b) of overlap row y that can be
-	// active; an empty one is [0, 0).
-	span := func(y int) (a, b int) {
-		if sub.Spans == nil {
-			return 0, ow
-		}
-		sp := sub.Spans[y0+y]
-		a, b = max(int(sp.Lo)-x0, 0), min(int(sp.Hi)-x0, ow)
-		if a >= b {
-			return 0, 0
-		}
-		return a, b
-	}
+	ow, oh := ov.W(), ov.H()
+	o := overlap{sub, ov}
 
 	runs, active, next := 0, 0, -1 // next: the index that continues the last run
 	for y := 0; y < oh; y++ {
-		a, b := span(y)
-		for x, p := range row(y)[a:b] {
+		a, b := o.span(y)
+		for x, p := range o.row(y)[a:b] {
 			if (p != img.RGBA{}) {
 				i := y*ow + a + x
 				if i != next {
@@ -102,15 +129,13 @@ func encodeFragment(pos int64, sub *render.Subimage, ov img.Rect) []byte {
 	if activeBytes := 8 + 16*runs + 16*active; activeBytes >= 16*n {
 		msg := wire.Get(fragHeadBytes + img.WirePixelBytes*n)
 		putI64s(msg, pos, fragDense, int64(ov.X0), int64(ov.Y0), int64(ov.X1), int64(ov.Y1))
-		for y := 0; y < oh; y++ {
-			img.PutPixels(msg[fragHeadBytes+img.WirePixelBytes*y*ow:], row(y))
-		}
+		putDense(msg[fragHeadBytes:], sub, ov)
 		return msg
 	}
 	rw := newRunWriter(pos, ov, runs, active)
 	for y := 0; y < oh; y++ {
-		r := row(y)
-		a, b := span(y)
+		r := o.row(y)
+		a, b := o.span(y)
 		for x := a; x < b; {
 			if (r[x] == img.RGBA{}) {
 				x++

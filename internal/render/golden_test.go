@@ -154,26 +154,43 @@ var goldenScenes = []goldenScene{
 		multi8: "66ba55e9d1241536f8daafd85e1235380ee80c9a428a59600a26984362daab79"},
 }
 
-func hashPixels(h hash.Hash, pix []img.RGBA, samples int64) {
+func hashPixel(h hash.Hash, p img.RGBA) {
 	var b [16]byte
-	for _, p := range pix {
-		binary.LittleEndian.PutUint32(b[0:], math.Float32bits(p.R))
-		binary.LittleEndian.PutUint32(b[4:], math.Float32bits(p.G))
-		binary.LittleEndian.PutUint32(b[8:], math.Float32bits(p.B))
-		binary.LittleEndian.PutUint32(b[12:], math.Float32bits(p.A))
-		h.Write(b[:])
-	}
-	binary.LittleEndian.PutUint64(b[:8], uint64(samples))
-	h.Write(b[:8])
+	binary.LittleEndian.PutUint32(b[0:], math.Float32bits(p.R))
+	binary.LittleEndian.PutUint32(b[4:], math.Float32bits(p.G))
+	binary.LittleEndian.PutUint32(b[8:], math.Float32bits(p.B))
+	binary.LittleEndian.PutUint32(b[12:], math.Float32bits(p.A))
+	h.Write(b[:])
 }
 
+func hashSamples(h hash.Hash, samples int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(samples))
+	h.Write(b[:])
+}
+
+func hashPixels(h hash.Hash, pix []img.RGBA, samples int64) {
+	for _, p := range pix {
+		hashPixel(h, p)
+	}
+	hashSamples(h, samples)
+}
+
+// hashSub hashes a block's subimage through its spans: a pixel outside
+// its row's span is unspecified, and hashes as the transparent +0 that
+// the cast stored there when these hashes were recorded.
 func hashSub(h hash.Hash, s *Subimage) {
 	var b [32]byte
 	for i, v := range []int{s.Rect.X0, s.Rect.Y0, s.Rect.X1, s.Rect.Y1} {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(v)))
 	}
 	h.Write(b[:])
-	hashPixels(h, s.Pix, s.Samples)
+	for y := s.Rect.Y0; y < s.Rect.Y1; y++ {
+		for x := s.Rect.X0; x < s.Rect.X1; x++ {
+			hashPixel(h, s.At(x, y))
+		}
+	}
+	hashSamples(h, s.Samples)
 }
 
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
@@ -221,7 +238,9 @@ func TestGoldenKernelHashes(t *testing.T) {
 
 			h = sha256.New()
 			for r := range blocks {
-				hashSub(h, RenderBlock(blocks[r], d.BlockExtent(r), cam, tf, cfg))
+				sub := RenderBlock(blocks[r], d.BlockExtent(r), cam, tf, cfg)
+				hashSub(h, sub)
+				sub.Release() // the next block casts into its poisoned pixels
 			}
 			check("block", sc.p8, h)
 
@@ -238,7 +257,9 @@ func TestGoldenKernelHashes(t *testing.T) {
 
 			h = sha256.New()
 			for r := range blocks {
-				hashSub(h, RenderBlockMulti([]*volume.Field{blocks[r], rhoBlocks[r]}, d.BlockExtent(r), cam, cls, cfg))
+				sub := RenderBlockMulti([]*volume.Field{blocks[r], rhoBlocks[r]}, d.BlockExtent(r), cam, cls, cfg)
+				hashSub(h, sub)
+				sub.Release()
 			}
 			check("multi block", sc.multi8, h)
 		}

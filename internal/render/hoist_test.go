@@ -80,29 +80,39 @@ func spanScene(t *testing.T) (*volume.Field, grid.Extent, *volume.Transfer) {
 
 // Every row's span is exactly its first and one-past-last
 // non-transparent pixel, at any worker count and for the multivariate
-// cast too; a row with none has an empty span.
+// cast too; a row with none has an empty span. The block is the whole
+// volume, so the serial render of the same view is its reference, pixel
+// for pixel: outside the spans the subimage's pixels are unspecified,
+// and the reference says which are transparent.
 func TestCastRowsRecordsSpans(t *testing.T) {
 	f, own, tf := spanScene(t)
 	cams := map[string]Camera{
 		"ortho": NewOrtho(geom.V(11.5, 11.5, 11.5), geom.V(0.3, -0.2, 1), geom.V(0, 1, 0), 60, 60, 80, 72),
 		"persp": NewPersp(geom.V(11.5, 11.5, -60), geom.V(11.5, 11.5, 11.5), geom.V(0, 1, 0), 50, 80, 72),
 	}
+	cls := ModulatedClassifier(tf, 0.2, 0.8)
 	for name, cam := range cams {
 		for _, workers := range []int{1, 3} {
 			cfg := Config{Step: 0.9, Workers: workers}
-			subs := map[string]*Subimage{
-				"single": RenderBlock(f, own, cam, tf, cfg),
-				"multi":  RenderBlockMulti([]*volume.Field{f, f}, own, cam, ModulatedClassifier(tf, 0.2, 0.8), cfg),
+			single, _ := RenderFull(f, cam, tf, cfg)
+			multi, _ := RenderFullMulti([]*volume.Field{f, f}, cam, cls, cfg)
+			subs := map[string]struct {
+				sub *Subimage
+				ref *img.Image
+			}{
+				"single": {RenderBlock(f, own, cam, tf, cfg), single},
+				"multi":  {RenderBlockMulti([]*volume.Field{f, f}, own, cam, cls, cfg), multi},
 			}
-			for kind, sub := range subs {
+			for kind, c := range subs {
+				sub := c.sub
 				if len(sub.Spans) != sub.Rect.H() {
 					t.Fatalf("%s %s: %d spans for %d rows", name, kind, len(sub.Spans), sub.Rect.H())
 				}
 				w, empty, margins := sub.Rect.W(), 0, 0
 				for y, sp := range sub.Spans {
 					lo, hi := 0, 0
-					for x, p := range sub.Pix[y*w:][:w] {
-						if p != (img.RGBA{}) {
+					for x := 0; x < w; x++ {
+						if c.ref.At(sub.Rect.X0+x, sub.Rect.Y0+y) != (img.RGBA{}) {
 							if hi == 0 {
 								lo = x
 							}
@@ -111,6 +121,11 @@ func TestCastRowsRecordsSpans(t *testing.T) {
 					}
 					if int(sp.Lo) != lo || int(sp.Hi) != hi {
 						t.Fatalf("%s %s workers=%d: row %d span [%d, %d), pixels say [%d, %d)", name, kind, workers, y, sp.Lo, sp.Hi, lo, hi)
+					}
+					for x := lo; x < hi; x++ {
+						if p, q := sub.Pix[y*w+x], c.ref.At(sub.Rect.X0+x, sub.Rect.Y0+y); !samePixel(p, q) {
+							t.Fatalf("%s %s workers=%d: row %d column %d is %+v, the serial render's %+v", name, kind, workers, y, x, p, q)
+						}
 					}
 					if lo == hi {
 						empty++
@@ -128,8 +143,8 @@ func TestCastRowsRecordsSpans(t *testing.T) {
 }
 
 // A subimage rendered into recycled memory — which TestMain's poisoning
-// has filled with NaN — is the one rendered into fresh memory: a ray
-// that misses the block stores its transparent pixel.
+// has filled with NaN — is the one rendered into fresh memory: the same
+// spans, and the same pixels inside them.
 func TestRenderBlockIntoRecycledMemory(t *testing.T) {
 	f, own, tf := spanScene(t)
 	cam := NewOrtho(geom.V(11.5, 11.5, 11.5), geom.V(0.3, -0.2, 1), geom.V(0, 1, 0), 60, 60, 80, 72)
@@ -141,16 +156,17 @@ func TestRenderBlockIntoRecycledMemory(t *testing.T) {
 	if first.Pix != nil || first.Spans != nil {
 		t.Error("Release left the subimage holding its buffers")
 	}
+	w := first.Rect.W()
 	for round := 0; round < 4; round++ {
 		sub := RenderBlock(f, own, cam, tf, cfg)
-		for i, p := range sub.Pix {
-			if p != want[i] {
-				t.Fatalf("round %d: pixel %d = %+v, want %+v", round, i, p, want[i])
-			}
-		}
 		for y, sp := range sub.Spans {
 			if sp != wantSpans[y] {
 				t.Fatalf("round %d: row %d span %+v, want %+v", round, y, sp, wantSpans[y])
+			}
+			for x := int(sp.Lo); x < int(sp.Hi); x++ {
+				if p := sub.Pix[y*w+x]; !samePixel(p, want[y*w+x]) {
+					t.Fatalf("round %d: row %d column %d = %+v, want %+v", round, y, x, p, want[y*w+x])
+				}
 			}
 		}
 		sub.Release()

@@ -69,11 +69,15 @@ func GhostLayersFor(cfg Config) int {
 // accumulated color/opacity.
 type Subimage struct {
 	Rect img.Rect
-	Pix  []img.RGBA // len == Rect.NumPixels(), row-major within Rect
+	// Pix holds Rect's pixels, row-major (len == Rect.NumPixels()). Only
+	// those inside a row's span are specified: a pixel outside it is
+	// transparent, whatever Pix holds there, so every reader goes through
+	// Span (or At).
+	Pix []img.RGBA
 	// Spans, when non-nil, bounds the non-transparent pixels of each row
-	// of Rect, so that whoever scans the subimage (the fragment encoder)
-	// skips what no ray hit. nil means every row may be active all along,
-	// which is what a subimage built by hand has.
+	// of Rect, so that a cast need not store, and whoever reads the
+	// subimage need not scan, what no ray hit. nil means every row is
+	// specified all along, which is what a subimage built by hand has.
 	Spans []RowSpan
 	// Samples counts field samples taken; it drives the rendering cost
 	// model and the load-imbalance analysis of Fig 3.
@@ -112,10 +116,23 @@ func (s *Subimage) Release() {
 	s.Pix, s.Spans = nil, nil
 }
 
+// Span returns the span of row i of Rect (counted from Rect.Y0): its
+// entry of Spans, or the whole row when Spans is nil.
+func (s *Subimage) Span(i int) RowSpan {
+	if s.Spans == nil {
+		return RowSpan{Lo: 0, Hi: int32(s.Rect.W())}
+	}
+	return s.Spans[i]
+}
+
 // At returns the pixel at absolute image coordinates (x, y), which must
-// lie inside Rect.
+// lie inside Rect: the transparent pixel outside its row's span.
 func (s *Subimage) At(x, y int) img.RGBA {
-	return s.Pix[(y-s.Rect.Y0)*s.Rect.W()+(x-s.Rect.X0)]
+	i, c := y-s.Rect.Y0, int32(x-s.Rect.X0)
+	if sp := s.Span(i); c < sp.Lo || c >= sp.Hi {
+		return img.RGBA{}
+	}
+	return s.Pix[i*s.Rect.W()+int(c)]
 }
 
 // ownedBounds returns the continuous sample-ownership box of an owned
@@ -435,8 +452,13 @@ func (j *castJob) cast(ray geom.Ray, k0, k1 int64, seg *int) (img.RGBA, int64) {
 
 // castRows casts scanlines [y0, y1) of the job's rect (absolute image
 // coordinates) and returns the samples taken. An orthographic row casts
-// only its window's columns and stores the transparent pixel in the
-// rest. Neighbouring rays mostly sample the same segment of the transfer
+// only its window's columns; on a row whose window is one sample on the
+// rays (oneSample), each of them casts that sample and nothing else,
+// since the window holds exactly the columns that take it, so no ray of
+// the row is intersected or trimmed. The rest of the row is transparent: a job with spans
+// leaves it as it is (outside the span, a subimage's pixels are
+// unspecified), and one without stores the transparent pixel there.
+// Neighbouring rays mostly sample the same segment of the transfer
 // function, so one segment hint serves every ray of the call.
 func (j *castJob) castRows(y0, y1 int) int64 {
 	var samples int64
@@ -455,14 +477,19 @@ func (j *castJob) castRows(y0, y1 int) int64 {
 		var ray geom.Ray
 		var rowTerm geom.Vec3
 		xa, xb := j.rect.X0, j.rect.X1
+		one := false // every column of [xa, xb) takes sample kA, and only it
+		var kA, kB int64
 		if j.ortho != nil {
 			ray.Dir, rowTerm = j.ortho.basis.fwd, j.ortho.rowTerm(float64(y)+0.5)
-			xa, xb, _, _ = j.window(rowTerm)
+			xa, xb, kA, kB = j.window(rowTerm)
+			one = oneSample(kA, kB)
 		}
-		// pix may be recycled memory: a ray that misses, or hits and has
-		// no sample to take, stores its transparent pixel like any other.
-		clear(row[:xa-j.rect.X0])
-		clear(row[xb-j.rect.X0:])
+		if j.spans == nil {
+			// pix may be recycled memory: without spans to say where the
+			// row ends, the pixels no ray of the window reaches are stored.
+			clear(row[:xa-j.rect.X0])
+			clear(row[xb-j.rect.X0:])
+		}
 		lo, hi := 0, 0 // the row's span so far; hi == 0 while no pixel is active
 		for x := xa; x < xb; x++ {
 			if j.ortho != nil {
@@ -473,22 +500,29 @@ func (j *castJob) castRows(y0, y1 int) int64 {
 				ray = j.cam.Ray(float64(x)+0.5, float64(y)+0.5)
 				rayBox = j.box.ForDir(ray.Dir)
 			}
+			k0, k1 := kA, kA
+			if !one {
+				k0, k1 = 0, -1
+				if t0, t1, ok := dirBox.Intersect(ray.Origin); ok {
+					k0, k1 = j.plan.trim(ray, t0, t1)
+				}
+			}
+			// A ray that misses, or hits and has no sample to take, stores
+			// its transparent pixel like any other.
 			var px img.RGBA
-			if t0, t1, ok := dirBox.Intersect(ray.Origin); ok {
-				if k0, k1 := j.plan.trim(ray, t0, t1); k0 <= k1 {
-					var n int64
-					if j.cls.tf != nil {
-						px, n = j.castMulti(ray, k0, k1, runs, &seg)
-					} else {
-						px, n = j.cast(ray, k0, k1, &seg)
+			if k0 <= k1 {
+				var n int64
+				if j.cls.tf != nil {
+					px, n = j.castMulti(ray, k0, k1, runs, &seg)
+				} else {
+					px, n = j.cast(ray, k0, k1, &seg)
+				}
+				samples += n
+				if px != (img.RGBA{}) {
+					if hi == 0 {
+						lo = x - j.rect.X0
 					}
-					samples += n
-					if px != (img.RGBA{}) {
-						if hi == 0 {
-							lo = x - j.rect.X0
-						}
-						hi = x - j.rect.X0 + 1
-					}
+					hi = x - j.rect.X0 + 1
 				}
 			}
 			row[x-j.rect.X0] = px
@@ -603,6 +637,13 @@ func (j *castJob) window(rowTerm geom.Vec3) (xa, xb int, kA, kB int64) {
 	}
 	return xa, max(xa, xb), kA, kB
 }
+
+// oneSample reports whether a row window's samples [kA, kB] are one
+// sample that the window found within reach and that lies on the rays,
+// not behind their origins: then the window's columns are exactly those
+// whose ray takes it. A ray starts at its origin (Intersect clips at
+// t = 0), so a window of one sample k < 0 keeps columns that take none.
+func oneSample(kA, kB int64) bool { return kA == kB && kA >= 0 && kA != kLimit }
 
 // renderPhase feeds the -progress heartbeat: sessions overlap across
 // per-rank RenderBlock calls, so totals accumulate over the whole

@@ -34,11 +34,14 @@ type windowCounts struct {
 }
 
 // check casts every row of the case through castRows and compares it,
-// pixel bits and samples, with the per-pixel path; and checks the
+// pixel bits and samples, with the per-pixel path — a block's through
+// the spans castRows records, as RenderBlock's is read, and a serial
+// cast's, which has none, whole; and checks the
 // window itself against trim: every column outside it has an empty
-// trim, every trim lies inside [kA, kB], and on a row with kA == kB
-// every column inside takes sample kA and has trim [kA, kA] — or none,
-// where its Intersect or trim's guess leaves kA out, as castRows does.
+// trim, every trim lies inside [kA, kB], and on a one-sample row
+// (oneSample: kA == kB, on the rays) every column inside takes sample
+// kA and has trim [kA, kA], which is the sample castRows casts there
+// without intersecting or trimming the ray.
 // It checks the rect's bracket [KA, KB] of the four corner rays too:
 // every trim of the block lies inside it, so KA > KB leaves every trim
 // empty, and so does every non-empty bracket a row finds on its own.
@@ -67,6 +70,9 @@ func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 	if multi {
 		fs = append(fs, sn.Generate(volume.VarDensity, c.dims, fieldExt))
 		j.cls = ModulatedClassifier(tf, 0.2, 0.9)
+	}
+	if c.own != nil {
+		j.spans = make([]RowSpan, rect.H())
 	}
 	j.plan = newCastPlan(fs, c.own, Config{Step: c.step})
 	j.setOrtho(c.cam)
@@ -98,7 +104,8 @@ func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 		if xb-xa < rect.W() {
 			n.narrowed++
 		}
-		if kA == kB {
+		one := oneSample(kA, kB)
+		if one {
 			n.oneSample++
 		}
 		got := j.castRows(y, y+1)
@@ -120,12 +127,12 @@ func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 				t.Fatalf("%+v row %d: column %d is outside the window [%d, %d) but trim is [%d, %d]", c, y, x, xa, xb, k0, k1)
 			case k0 <= k1 && (k0 < kA || k1 > kB):
 				t.Fatalf("%+v row %d column %d: trim [%d, %d] outside the window's samples [%d, %d]", c, y, x, k0, k1, kA, kB)
-			case inside && kA == kB && !j.plan.takes(ray.At(float64(kA)*c.step)):
+			case inside && one && !j.plan.takes(ray.At(float64(kA)*c.step)):
 				t.Fatalf("%+v row %d: column %d is inside the one-sample window [%d, %d) but does not take sample %d (trim [%d, %d])", c, y, x, xa, xb, kA, k0, k1)
-			case inside && kA == kB && k0 <= k1 && (k0 != kA || k1 != kA):
+			case inside && one && (k0 != kA || k1 != kA):
 				t.Fatalf("%+v row %d column %d: trim [%d, %d] in a window of the one sample %d", c, y, x, k0, k1, kA)
 			}
-			if inside && kA == kB {
+			if inside && one {
 				n.oneSampleCols++
 			}
 			if inside {
@@ -144,7 +151,13 @@ func (c windowCase) check(t *testing.T, multi bool, n *windowCounts) {
 				}
 				want += s
 			}
-			if p := j.pix[(y-rect.Y0)*rect.W()+x-rect.X0]; !samePixel(p, px) {
+			p := j.pix[(y-rect.Y0)*rect.W()+x-rect.X0]
+			if j.spans != nil {
+				if sp := j.spans[y-rect.Y0]; x-rect.X0 < int(sp.Lo) || x-rect.X0 >= int(sp.Hi) {
+					p = img.RGBA{} // unspecified outside the span: read as transparent
+				}
+			}
+			if !samePixel(p, px) {
 				t.Fatalf("%+v row %d column %d: castRows wrote %+v, the per-pixel path %+v", c, y, x, p, px)
 			}
 		}
@@ -234,6 +247,9 @@ func FuzzWindowMatchesTrim(f *testing.F) {
 	f.Add(int64(2), 1.0, 0.0, 0.0, 15.5, 15.5, 15.5, 60.8, 0.5)
 	f.Add(int64(3), 0.0, 0.0, 1.0, 3.0, 4.0, 5.0, 10.0, 1.0)
 	f.Add(int64(4), 0.6, -0.35, 0.72, 5.5, 5.5, 5.5, 4.0, 0.3)
+	// A row whose window is the one sample k = -2, behind the rays'
+	// origins: its columns take no sample, and castRows must trim them.
+	f.Add(int64(-47), -10.0, 0.0, 53.0, 0.375, 4.0, 63.333333333333336, 10.0, 9.0)
 	f.Fuzz(func(t *testing.T, seed int64, dx, dy, dz, cx, cy, cz, side, step float64) {
 		for _, v := range []float64{dx, dy, dz, cx, cy, cz, side, step} {
 			if math.IsNaN(v) || math.Abs(v) > 1e4 {
