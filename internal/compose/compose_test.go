@@ -293,7 +293,7 @@ func TestLimitedCompositorsIdenticalImage(t *testing.T) {
 	ortho, orthoEye, _, _ := cameras(16, w, h)
 	full := runPipeline(t, dims, 8, 8, w, h, ortho, orthoEye, DirectSend)
 	limited := runPipeline(t, dims, 8, 2, w, h, ortho, orthoEye, DirectSend)
-	if d := img.MaxDiff(full, limited); d > 1e-6 {
+	if d := img.MaxDiff(full, limited); d != 0 {
 		t.Errorf("m=8 vs m=2 differ by %v", d)
 	}
 }

@@ -125,7 +125,8 @@ type RealResult struct {
 // RunReal executes the full pipeline with p goroutine ranks and returns
 // the frame. All three stages are separated by barriers and timed, as in
 // the paper's instrumentation ("the time from the start of reading the
-// time step from disk to the time that the final image is completed").
+// time step from disk to the time that the final image is completed"):
+// each stage ends when the last rank reaches its closing barrier.
 func RunReal(cfg RealConfig) (*RealResult, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("core: Procs must be >= 1")
@@ -199,9 +200,13 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 
 	res := &RealResult{}
 	var mu sync.Mutex
-	var t0, t1, t2, t3 time.Time
 	var usefulBytes int64
 	rankSamples := make([]int64, cfg.Procs)
+	// stamps[rank] is rank-private like rankSamples: each rank's own
+	// arrival at each stage barrier, folded by stageTimes after the world
+	// ends.
+	start := time.Now()
+	stamps := make([]stageStamps, cfg.Procs)
 
 	world := comm.NewWorld(cfg.Procs)
 	world.SetTracer(cfg.Trace)
@@ -222,10 +227,8 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: frame canceled before io: %w", err)
 		}
+		stamps[rank][0] = time.Since(start)
 		c.Barrier()
-		if rank == 0 {
-			t0 = time.Now()
-		}
 
 		// Stage 1: I/O (or in-memory generation), one collective round
 		// per block slot so the ranks stay aligned. The halo comes
@@ -272,10 +275,10 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 			}
 			fields[0] = grown
 		}
+		stamps[rank][1] = time.Since(start)
 		c.Barrier()
 		ioSp.End()
 		if rank == 0 {
-			t1 = time.Now()
 			world.ResetStats()
 		}
 		if err := ctx.Err(); err != nil {
@@ -301,10 +304,10 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 			}
 		}
 		sub := subs[0]
+		stamps[rank][2] = time.Since(start)
 		c.Barrier()
 		renderSp.End()
 		if rank == 0 {
-			t2 = time.Now()
 			world.ResetStats() // barrier traffic is not compositing traffic
 		}
 		if err := ctx.Err(); err != nil {
@@ -339,10 +342,10 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		if rank == 0 {
 			res.Image = final
 		}
+		stamps[rank][3] = time.Since(start)
 		c.Barrier()
 		compSp.End()
 		if rank == 0 {
-			t3 = time.Now()
 			res.Traffic = world.Stats()
 		}
 		return nil
@@ -351,12 +354,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		return nil, err
 	}
 
-	res.Times = StageTimes{
-		IO:        t1.Sub(t0).Seconds(),
-		Render:    t2.Sub(t1).Seconds(),
-		Composite: t3.Sub(t2).Seconds(),
-		Total:     t3.Sub(t0).Seconds(),
-	}
+	res.Times = stageTimes(stamps)
 	if file != nil {
 		res.IO = file.Log.Stats()
 		res.IO.UsefulBytes = usefulBytes
@@ -368,6 +366,30 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	}
 	res.SampleBalance = sum.Imbalance()
 	return res, nil
+}
+
+// stageStamps are one rank's arrivals at the frame's four stage
+// barriers (before io, after io, after render, after composite), as
+// offsets from the frame's start.
+type stageStamps [4]time.Duration
+
+// stageTimes folds the ranks' barrier arrivals into the frame's stage
+// times. A barrier completes at its last arrival, so each stage
+// boundary is the latest stamp over the ranks; no rank's clock waits
+// for it to be scheduled after the barrier.
+func stageTimes(stamps []stageStamps) StageTimes {
+	var last stageStamps
+	for _, st := range stamps {
+		for i, t := range st {
+			last[i] = max(last[i], t)
+		}
+	}
+	return StageTimes{
+		IO:        (last[1] - last[0]).Seconds(),
+		Render:    (last[2] - last[1]).Seconds(),
+		Composite: (last[3] - last[2]).Seconds(),
+		Total:     (last[3] - last[0]).Seconds(),
+	}
 }
 
 // generateBlock synthesizes the scene's variable over ext. Without a

@@ -36,7 +36,7 @@ func TestRunRealGhostExchangeMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := img.MaxDiff(inRead.Image, exch.Image); d > 1e-6 {
+	if d := img.MaxDiff(inRead.Image, exch.Image); d != 0 {
 		t.Errorf("ghost modes disagree by %v", d)
 	}
 	// Exchange mode reads fewer useful bytes (no halo duplication).

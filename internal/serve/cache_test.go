@@ -3,8 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -175,11 +173,7 @@ func renderMatches(client *http.Client, url, body string, want []byte) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: status %d: %s", body, resp.StatusCode, raw)
 	}
-	var rr RenderResponse
-	if err := json.Unmarshal(raw, &rr); err != nil {
-		return err
-	}
-	ppm, err := base64.StdEncoding.DecodeString(rr.ImagePPM)
+	ppm, err := wireImage(raw)
 	if err != nil {
 		return err
 	}

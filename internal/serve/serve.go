@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -296,9 +294,7 @@ func carrierFrom(ctx context.Context) *traceCarrier {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorReply is the JSON body of every non-2xx answer.
@@ -319,8 +315,9 @@ type RenderResponse struct {
 	// Report is the per-request perf report: the same schema the CLI
 	// writes with -perf-report, scoped to this one frame.
 	Report *telemetry.Report `json:"report"`
-	// ImagePPM is the base64-encoded PPM when include_image was set.
-	ImagePPM string `json:"image_ppm,omitempty"`
+	// ImagePPM is the PPM when include_image was set. encoding/json
+	// writes it as a standard padded base64 string.
+	ImagePPM []byte `json:"image_ppm,omitempty"`
 }
 
 const maxBodyBytes = 1 << 20
@@ -447,12 +444,7 @@ func (s *Server) renderFrame(ctx context.Context, id string, spec *jobSpec, tr *
 		resp.Report = s.buildReport(id, spec, tr, nt, res.Times.Total, false)
 		if spec.image {
 			enc := tr.Rank(0).Begin(trace.PhaseOther, "encode")
-			var buf bytes.Buffer
-			if err := res.Image.EncodePPM(&buf, 0); err != nil {
-				enc.End()
-				return nil, tr, err
-			}
-			resp.ImagePPM = base64.StdEncoding.EncodeToString(buf.Bytes())
+			resp.ImagePPM = res.Image.PPM(0)
 			enc.End()
 		}
 		return resp, tr, nil

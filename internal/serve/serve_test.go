@@ -49,6 +49,19 @@ func postRender(t *testing.T, ts *httptest.Server, body string) (*http.Response,
 	return resp, b
 }
 
+// wireImage reads a /render reply's image the way a client does: the
+// JSON string, then standard base64. It holds the wire bytes to what
+// they were when RenderResponse.ImagePPM was that string.
+func wireImage(raw []byte) ([]byte, error) {
+	var rr struct {
+		ImagePPM string `json:"image_ppm"`
+	}
+	if err := json.Unmarshal(raw, &rr); err != nil {
+		return nil, err
+	}
+	return base64.StdEncoding.DecodeString(rr.ImagePPM)
+}
+
 // TestRenderEndToEnd pins the happy path: a real-mode render answers
 // 200 with a per-request perf report carrying the request ID, the
 // X-Request-ID header round-trips, and a second identical request hits
@@ -385,16 +398,12 @@ func TestIncludeImage(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}
-	var rr RenderResponse
-	if err := json.Unmarshal(b, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.ImagePPM == "" {
-		t.Fatal("include_image set but no image returned")
-	}
-	dec, err := base64.StdEncoding.DecodeString(rr.ImagePPM)
+	dec, err := wireImage(b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(dec) == 0 {
+		t.Fatal("include_image set but no image returned")
 	}
 	if !bytes.HasPrefix(dec, []byte("P6\n24 24\n")) {
 		t.Errorf("decoded payload is not a 24x24 PPM: %q", dec[:min(20, len(dec))])

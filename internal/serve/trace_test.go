@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -195,7 +196,7 @@ func TestSlowRequestTraceLifecycle(t *testing.T) {
 // 404.
 func TestTracingOffBitIdentical(t *testing.T) {
 	body := `{"n": 16, "img": 24, "procs": 2, "include_image": true, "seed": 5}`
-	render := func(cfg Config) (RenderResponse, *Server, *httptest.Server) {
+	render := func(cfg Config) (RenderResponse, []byte, *Server, *httptest.Server) {
 		s := testServer(t, cfg)
 		ts := httptest.NewServer(s.Handler())
 		resp, b := postRender(t, ts, body)
@@ -206,15 +207,19 @@ func TestTracingOffBitIdentical(t *testing.T) {
 		if err := json.Unmarshal(b, &rr); err != nil {
 			t.Fatal(err)
 		}
-		return rr, s, ts
+		ppm, err := wireImage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr, ppm, s, ts
 	}
 
-	on, _, tsOn := render(Config{TraceSampleN: 1}) // keep everything
+	on, onPPM, _, tsOn := render(Config{TraceSampleN: 1}) // keep everything
 	defer tsOn.Close()
-	off, sOff, tsOff := render(Config{TraceBudgetMB: -1})
+	off, offPPM, sOff, tsOff := render(Config{TraceBudgetMB: -1})
 	defer tsOff.Close()
 
-	if on.ImagePPM == "" || on.ImagePPM != off.ImagePPM {
+	if len(onPPM) == 0 || !bytes.Equal(onPPM, offPPM) {
 		t.Error("image differs between tracing on and off")
 	}
 	if on.Report.Trace == nil || !on.Report.Trace.Retained {
