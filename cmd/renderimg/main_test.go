@@ -13,10 +13,11 @@ import (
 
 // TestRun pins the flag surface, the argument errors and one small
 // image from outside the renderer: the defaults cast a perspective,
-// shaded, early-terminating ray at step 0.5, so
-// the transcript's sample count and the PPM's SHA-256 hold the kernel
-// to the same bits as render's golden scenes do, through the binary a
-// user runs.
+// shaded ray at step 0.5, so the transcript's sample count and the PPM's
+// SHA-256 hold the kernel to the same bits as render's golden scenes do,
+// through the binary a user runs. Both images were re-recorded when the
+// command stopped setting a 0.999 opacity threshold, which changed
+// pixels, and its rays took the renderer's one stop, exactly at opacity 1.
 func TestRun(t *testing.T) {
 	// hashed appends the SHA-256 of the image a row wrote (and removes
 	// it, so a later row that fails cannot show an earlier row's).
