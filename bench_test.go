@@ -285,7 +285,7 @@ func BenchmarkAblationGhost(b *testing.B) {
 // kernel's arithmetic rather than its misses; the sub-benchmarks after
 // it turn on, one at a time, each thing the cast's one sample walk also
 // serves, so that a kernel change shows which configuration paid for it
-// (ns per counted sample: early termination counts fewer).
+// (ns per counted sample).
 // blocks=4of16-step=16 casts every rank's share of frame-composite in
 // turn: the 64 4^3 blocks of a 16^3 volume at step 16 under a 1024^2
 // image, where a ray takes at most one sample and nine rays in ten none,
@@ -293,11 +293,11 @@ func BenchmarkAblationGhost(b *testing.B) {
 // of the rays, not of the samples.
 func BenchmarkRenderBlock(b *testing.B) {
 	// cast renders block 0 of the decomposition, or with all every block.
-	cast := func(scene core.Scene, blocks, workers int, earlyTermination float64, all bool) func(b *testing.B) {
+	cast := func(scene core.Scene, blocks, workers int, all bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			d := grid.NewDecomp(scene.Dims, blocks)
 			cam, tf, cfg := scene.Camera(), scene.Transfer(), scene.RenderConfig()
-			cfg.Workers, cfg.EarlyTerminationAlpha = workers, earlyTermination
+			cfg.Workers = workers
 			flds := make([]*volume.Field, 1)
 			if all {
 				flds = make([]*volume.Field, blocks)
@@ -322,19 +322,18 @@ func BenchmarkRenderBlock(b *testing.B) {
 		}
 	}
 	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), cast(core.DefaultScene(256, 256), 1, w, 0, false))
+		b.Run(fmt.Sprintf("workers=%d", w), cast(core.DefaultScene(256, 256), 1, w, false))
 	}
 	block := core.DefaultScene(96, 512)
-	b.Run("block=48of96", cast(block, 8, 1, 0, false))
+	b.Run("block=48of96", cast(block, 8, 1, false))
 	shaded, persp, half := block, block, block
 	shaded.Shaded, persp.Perspective, half.Step = true, true, 0.5
-	b.Run("block=48of96-shaded", cast(shaded, 8, 1, 0, false))
-	b.Run("block=48of96-perspective", cast(persp, 8, 1, 0, false))
-	b.Run("block=48of96-early-termination=0.9", cast(block, 8, 1, 0.9, false))
-	b.Run("block=48of96-step=0.5", cast(half, 8, 1, 0, false))
+	b.Run("block=48of96-shaded", cast(shaded, 8, 1, false))
+	b.Run("block=48of96-perspective", cast(persp, 8, 1, false))
+	b.Run("block=48of96-step=0.5", cast(half, 8, 1, false))
 	composite := core.DefaultScene(16, 1024)
 	composite.Step = 16
-	b.Run("blocks=4of16-step=16", cast(composite, 64, 1, 0, true))
+	b.Run("blocks=4of16-step=16", cast(composite, 64, 1, true))
 }
 
 // BenchmarkDirectSendCast times one direct-send composite of

@@ -3,6 +3,7 @@ package render
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bgpvr/internal/geom"
@@ -13,34 +14,38 @@ import (
 
 // referenceCast is castJob.cast as it stood before a ray was sampled a
 // chunk at a time: one loop over k that interpolates, classifies, shades
-// and accumulates one sample. It interpolates f, the field j's plan
-// samples, and classifies by Lookup with the per-sample bodies below,
-// not by the loops under test. stop, when non-nil, hears the k the ray
-// stops at.
+// and accumulates one sample (referenceSample), and stops after the
+// sample that brings the opacity to 1. stop, when non-nil, hears the k
+// the ray stops at.
 func referenceCast(j *castJob, f *volume.Field, ray geom.Ray, k0, k1 int64, stop func(k int64)) (img.RGBA, int64) {
 	var acc img.RGBA
 	var samples int64
-	pl := &j.plan
 	for k := k0; k <= k1; k++ {
-		p := ray.At(float64(k) * pl.step)
 		samples++
-		s := referenceClassify(j.tf, referenceInterp(f, p), pl.step)
-		stopped := false
-		if !(s.A == 0 && s.R == 0 && s.G == 0 && s.B == 0) {
-			if pl.sh != nil {
-				s.R, s.G, s.B = pl.sh.shade(&pl.vol, p, s.R, s.G, s.B)
+		if s := referenceSample(j, f, ray, k); s != (img.RGBA{}) {
+			if acc = img.Over(acc, s); acc.A >= 1 {
+				if stop != nil {
+					stop(k)
+				}
+				break
 			}
-			acc = img.Over(acc, s)
-			stopped = float64(acc.A) >= pl.term
-		}
-		if stopped {
-			if stop != nil {
-				stop(k)
-			}
-			break
 		}
 	}
 	return acc, samples
+}
+
+// referenceSample is sample k of ray as the per-sample loop takes it: it
+// interpolates f, the field j's plan samples, and classifies by Lookup
+// with the per-sample bodies below, not by the loops under test, and
+// shades what is not transparent.
+func referenceSample(j *castJob, f *volume.Field, ray geom.Ray, k int64) img.RGBA {
+	pl := &j.plan
+	p := ray.At(float64(k) * pl.step)
+	s := referenceClassify(j.tf, referenceInterp(f, p), pl.step)
+	if s != (img.RGBA{}) && pl.sh != nil {
+		s.R, s.G, s.B = pl.sh.shade(&pl.vol, p, s.R, s.G, s.B)
+	}
+	return s
 }
 
 // referenceInterp is the trilinear body as Sampler.Interp had it before
@@ -88,21 +93,53 @@ func sameCast(t *testing.T, j *castJob, f *volume.Field, seg *int, ray geom.Ray,
 	}
 }
 
+// opaqueTransfer is SupernovaTransfer with its outer segments made
+// opaque: a value there classifies to opacity 1 at any step, which brings
+// a ray's accumulated opacity to exactly 1, so a ray stops wherever it
+// first meets one.
+func opaqueTransfer() *volume.Transfer {
+	return volume.NewTransfer(
+		volume.TransferPoint{V: 0.00, R: 0.05, G: 0.15, B: 0.85, A: 1},
+		volume.TransferPoint{V: 0.30, R: 0.15, G: 0.45, B: 0.95, A: 1},
+		volume.TransferPoint{V: 0.45, R: 0.60, G: 0.80, B: 1.00, A: 0.02},
+		volume.TransferPoint{V: 0.50, R: 1.00, G: 1.00, B: 1.00, A: 0.00},
+		volume.TransferPoint{V: 0.55, R: 1.00, G: 0.90, B: 0.55, A: 0.02},
+		volume.TransferPoint{V: 0.70, R: 1.00, G: 0.55, B: 0.10, A: 1},
+		volume.TransferPoint{V: 1.00, R: 0.95, G: 0.10, B: 0.05, A: 1},
+	)
+}
+
+// stopCounts tallies where casts stopped: by the place in its chunk of
+// the sample that brought the opacity to 1, or not at all.
+type stopCounts struct {
+	at     [chunk]int
+	ranOut int
+}
+
+func (c *stopCounts) check(t *testing.T, casts, minCasts, minEach int) {
+	t.Helper()
+	if casts < minCasts || c.ranOut < minEach || slices.Min(c.at[:]) < minEach {
+		t.Errorf("%d casts; stops at each place in a chunk %v, none %d: the test needs %d casts and %d of each",
+			casts, c.at, c.ranOut, minCasts, minEach)
+	}
+}
+
 // The chunk walk is the per-sample loop, pixel bits and sample count,
-// for every combination of shading and early termination, on rays of
-// every length around one and two chunks.
+// shaded and unshaded, on rays of every length around one and two
+// chunks, through a transfer function under which few rays reach opacity
+// 1 and one under which rays stop at each place in a chunk.
 func TestCastMatchesPerSampleLoop(t *testing.T) {
 	dims := grid.Cube(24)
 	f := volume.Supernova{Seed: 7, Time: 0.9}.GenerateFull(volume.VarVelocityX, dims)
-	tf := volume.SupernovaTransfer()
 	rng := rand.New(rand.NewSource(24))
 	box := f.Bounds()
-	var casts, stoppedOnChunkEdge, stoppedInside int
-	var seg int // every cast's hint: one transfer function throughout
-	for _, step := range []float64{1, 0.5, 0.3} {
-		for _, shaded := range []bool{false, true} {
-			for _, term := range []float64{0, 0.3, 0.6, 0.9} {
-				cfg := Config{Step: step, EarlyTerminationAlpha: term, Shade: Shading{Enabled: shaded}}
+	var casts int
+	var stops stopCounts
+	for _, tf := range []*volume.Transfer{volume.SupernovaTransfer(), opaqueTransfer()} {
+		var seg int // every cast's hint for this transfer function
+		for _, step := range []float64{1, 0.5, 0.3} {
+			for _, shaded := range []bool{false, true} {
+				cfg := Config{Step: step, Shade: Shading{Enabled: shaded}}
 				j := castJob{plan: newCastPlan([]*volume.Field{f}, nil, cfg), tf: tf}
 				for i := 0; i < 120; i++ {
 					dir := geom.V(rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1).Norm()
@@ -119,22 +156,20 @@ func TestCastMatchesPerSampleLoop(t *testing.T) {
 						}
 						sameCast(t, &j, f, &seg, ray, k0, k0+n-1, "random")
 						casts++
+						stopped := false
 						referenceCast(&j, f, ray, k0, k0+n-1, func(k int64) {
-							if (k-k0)%chunk == chunk-1 {
-								stoppedOnChunkEdge++
-							} else {
-								stoppedInside++
-							}
+							stops.at[(k-k0)%chunk]++
+							stopped = true
 						})
+						if !stopped {
+							stops.ranOut++
+						}
 					}
 				}
 			}
 		}
 	}
-	if casts < 5000 || stoppedOnChunkEdge < 20 || stoppedInside < 200 {
-		t.Errorf("%d casts, %d stopped on a chunk's last sample, %d inside one: the test needs all of them",
-			casts, stoppedOnChunkEdge, stoppedInside)
-	}
+	stops.check(t, casts, 10000, 50)
 }
 
 // trim's range on every ray of the golden scenes — whole volume and each
@@ -180,22 +215,25 @@ func TestTrimOnGoldenScenes(t *testing.T) {
 // classifies it with ClassifyOver; it is the per-sample loop it replaced
 // — both fields interpolated at Ray.At(k·step) by the reference body,
 // classified by the reference classification, modulated, skipped when
-// transparent, accumulated, stopped after the sample that reaches term —
-// pixel bits and sample count, on rays of every length around one and
-// two chunks, with the hint carried from ray to ray.
+// transparent, accumulated, stopped after the sample that brings the
+// opacity to 1 — pixel bits and sample count, on rays of every length
+// around one and two chunks, with the hint carried from ray to ray, and
+// with stops at each place in a chunk.
 func TestCastMultiMatchesPerSampleLoop(t *testing.T) {
 	dims := grid.Cube(24)
 	sn := volume.Supernova{Seed: 7, Time: 0.9}
 	fs := []*volume.Field{sn.GenerateFull(volume.VarVelocityX, dims), sn.GenerateFull(volume.VarDensity, dims)}
-	tf := volume.SupernovaTransfer()
-	cls := ModulatedClassifier(tf, 0.2, 0.7)
 	rng := rand.New(rand.NewSource(25))
 	runs := make([][chunk]float64, len(fs))
-	var seg, casts, stopped, erased int
-	for _, step := range []float64{1, 0.3} {
-		for _, term := range []float64{0, 0.05, 0.2, 0.9} {
-			j := castJob{plan: newCastPlan(fs, nil, Config{Step: step, EarlyTerminationAlpha: term}), cls: cls}
-			for i := 0; i < 80; i++ {
+	var casts, erased int
+	var stops stopCounts
+	// The second classification saturates from a density of 0.3, so its
+	// opaque samples keep opacity 1 where the density is high.
+	for _, cls := range []MultiClassifier{ModulatedClassifier(volume.SupernovaTransfer(), 0.2, 0.7), ModulatedClassifier(opaqueTransfer(), 0.2, 0.3)} {
+		var seg int
+		for _, step := range []float64{1, 0.3} {
+			j := castJob{plan: newCastPlan(fs, nil, Config{Step: step}), cls: cls}
+			for i := 0; i < 400; i++ {
 				dir := geom.V(rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1).Norm()
 				ray := geom.Ray{Origin: geom.V(23*rng.Float64(), 23*rng.Float64(), 23*rng.Float64()).Sub(dir.Mul(30)), Dir: dir}
 				t0, t1, ok := fs[0].Bounds().RayIntersect(ray)
@@ -209,36 +247,42 @@ func TestCastMultiMatchesPerSampleLoop(t *testing.T) {
 					}
 					var want img.RGBA
 					var wantN int64
+					stopped := false
 					for k := k0; k < k0+n; k++ {
 						p := ray.At(float64(k) * step)
 						wantN++
-						w := (referenceInterp(fs[1], p) - 0.2) / (0.7 - 0.2)
+						w := (referenceInterp(fs[1], p) - cls.lo) / (cls.hi - cls.lo)
 						if !(w > 0) {
 							erased++
 							continue
 						}
 						w = min(w, 1)
-						s := referenceClassify(tf, referenceInterp(fs[0], p), step)
+						s := referenceClassify(cls.tf, referenceInterp(fs[0], p), step)
 						s = img.RGBA{R: s.R * float32(w), G: s.G * float32(w), B: s.B * float32(w), A: s.A * float32(w)}
 						if s == (img.RGBA{}) {
 							continue
 						}
-						if want = img.Over(want, s); float64(want.A) >= j.plan.term {
-							stopped++
+						if want = img.Over(want, s); want.A >= 1 {
+							stops.at[(k-k0)%chunk]++
+							stopped = true
 							break
 						}
 					}
+					if !stopped {
+						stops.ranOut++
+					}
 					got, gotN := j.castMulti(ray, k0, k0+n-1, runs, &seg)
 					if !samePixel(got, want) || gotN != wantN {
-						t.Fatalf("step %v term %v ray %+v samples [%d, %d]: castMulti (%+v, %d), per-sample loop (%+v, %d)",
-							step, term, ray, k0, k0+n-1, got, gotN, want, wantN)
+						t.Fatalf("step %v ray %+v samples [%d, %d]: castMulti (%+v, %d), per-sample loop (%+v, %d)",
+							step, ray, k0, k0+n-1, got, gotN, want, wantN)
 					}
 					casts++
 				}
 			}
 		}
 	}
-	if casts < 1000 || stopped < 200 || erased < 1000 {
-		t.Errorf("%d casts, %d stopped early, %d samples erased: the test is not testing", casts, stopped, erased)
+	stops.check(t, casts, 1000, 20)
+	if erased < 1000 {
+		t.Errorf("%d samples erased: the test is not testing", erased)
 	}
 }

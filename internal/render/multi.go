@@ -53,7 +53,7 @@ func (c *MultiClassifier) modulate(s img.RGBA, v float64) img.RGBA {
 // hint in seg. An erased sample then goes over the pixel as the
 // transparent sample, which leaves every bit as it is: no accumulated
 // channel is −0, since the colours are +0 or above, and its opacity, which
-// did not reach term before, does not now.
+// did not reach 1 before, does not now.
 func (j *castJob) castMulti(ray geom.Ray, k0, k1 int64, runs [][chunk]float64, seg *int) (img.RGBA, int64) {
 	var acc img.RGBA
 	var samples int64
@@ -70,9 +70,9 @@ func (j *castJob) castMulti(ray geom.Ray, k0, k1 int64, runs [][chunk]float64, s
 			pl.more[0].InterpRay(ray.Origin, ray.Dir, pl.step, k, runs[1][:n])
 		}
 		var used int
-		acc, used = c.tf.ClassifyOver(acc, runs[0][:n], pl.step, pl.term, seg, modulate)
+		acc, used = c.tf.ClassifyOver(acc, runs[0][:n], pl.step, seg, modulate)
 		samples += int64(used)
-		if float64(acc.A) >= pl.term {
+		if acc.A >= 1 {
 			break
 		}
 		k += int64(n)

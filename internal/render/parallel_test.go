@@ -45,7 +45,7 @@ func TestRenderBlockParallelBitIdentical(t *testing.T) {
 func TestRenderFullParallelBitIdentical(t *testing.T) {
 	f := testVolume(32)
 	tf := volume.SupernovaTransfer()
-	cfg := Config{Step: 0.5, EarlyTerminationAlpha: 0.95}
+	cfg := Config{Step: 0.5}
 	// Orthographic tiles share the job's prepared box; every perspective
 	// ray prepares its own, in a variable of its tile (the race detector
 	// sees a field of the shared job written by two tiles).

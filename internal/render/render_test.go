@@ -7,6 +7,7 @@ import (
 
 	"bgpvr/internal/geom"
 	"bgpvr/internal/grid"
+	"bgpvr/internal/img"
 	"bgpvr/internal/volume"
 )
 
@@ -145,24 +146,83 @@ func TestRenderFullOpaqueCenter(t *testing.T) {
 	}
 }
 
-func TestEarlyTerminationApproximatesAndSaves(t *testing.T) {
-	f := testVolume(20)
-	tf := volume.SupernovaTransfer()
-	cam := centeredPersp(20, 30, 30)
-	exact, nExact := RenderFull(f, cam, tf, Config{Step: 0.5})
-	fast, nFast := RenderFull(f, cam, tf, Config{Step: 0.5, EarlyTerminationAlpha: 0.999})
-	if nFast > nExact {
-		t.Errorf("early termination took more samples: %d > %d", nFast, nExact)
-	}
-	var maxDiff float64
-	for i := range exact.Pix {
-		d := math.Abs(float64(exact.Pix[i].A - fast.Pix[i].A))
-		if d > maxDiff {
-			maxDiff = d
+// neverStoppingCast is referenceCast without its stop: every sample of
+// the ray goes over the pixel. It fails t if the opacity ever exceeds 1.
+func neverStoppingCast(t *testing.T, j *castJob, f *volume.Field, ray geom.Ray, k0, k1 int64) img.RGBA {
+	t.Helper()
+	var acc img.RGBA
+	for k := k0; k <= k1; k++ {
+		if s := referenceSample(j, f, ray, k); s != (img.RGBA{}) {
+			if acc = img.Over(acc, s); acc.A > 1 {
+				t.Fatalf("ray %+v: opacity %v above 1 at sample %d", ray, acc.A, k)
+			}
 		}
 	}
-	if maxDiff > 2e-3 {
-		t.Errorf("early termination error %v too large", maxDiff)
+	return acc
+}
+
+// A ray stops where its float32 opacity reaches exactly 1, and the stop
+// changes no bit: on every ray of a perspective and an orthographic view,
+// shaded and not, at two steps, the cast's pixel is that of a loop that
+// takes every sample. The stop saves samples on ortho-96-512, the golden
+// scene of the frame-render workload.
+func TestStopAtOpacityOneIsExact(t *testing.T) {
+	const n = 32
+	f := testVolume(n)
+	box := f.Bounds()
+	for _, shaded := range []bool{false, true} {
+		var rays, stopped int
+		for _, tf := range []*volume.Transfer{volume.SupernovaTransfer(), opaqueTransfer()} {
+			for _, step := range []float64{1, 0.5} {
+				j := castJob{plan: newCastPlan([]*volume.Field{f}, nil, Config{Step: step, Shade: Shading{Enabled: shaded}}), tf: tf}
+				var seg int
+				for _, cam := range []Camera{centeredPersp(n, 40, 40), centeredOrtho(n, 40, 40)} {
+					for y := 0; y < 40; y++ {
+						for x := 0; x < 40; x++ {
+							ray := cam.Ray(float64(x)+0.5, float64(y)+0.5)
+							t0, t1, ok := box.RayIntersect(ray)
+							if !ok {
+								continue
+							}
+							k0, k1 := j.plan.trim(ray, t0, t1)
+							got, taken := j.cast(ray, k0, k1, &seg)
+							if want := neverStoppingCast(t, &j, f, ray, k0, k1); !samePixel(got, want) {
+								t.Fatalf("shaded %v step %v ray %+v: cast %+v, every sample %+v", shaded, step, ray, got, want)
+							}
+							rays++
+							if taken < k1-k0+1 {
+								stopped++
+							}
+						}
+					}
+				}
+			}
+		}
+		if rays < 5000 || stopped < 1000 || rays-stopped < 1000 {
+			t.Errorf("shaded %v: %d of %d rays stopped: the test is not testing", shaded, stopped, rays)
+		}
+	}
+
+	sc := goldenScenes[0]
+	if sc.name != "ortho-96-512" {
+		t.Fatalf("golden scene 0 is %s", sc.name)
+	}
+	full := volume.Supernova{Seed: 1530, Time: 1.1}.GenerateFull(volume.VarVelocityX, sc.dims())
+	cam := sc.cam(sc.n, sc.w, sc.h)
+	_, samples := RenderFull(full, cam, sc.tf, sc.cfg)
+	pl := newCastPlan([]*volume.Field{full}, nil, sc.cfg)
+	var every int64
+	for y := 0; y < sc.h; y++ {
+		for x := 0; x < sc.w; x++ {
+			ray := cam.Ray(float64(x)+0.5, float64(y)+0.5)
+			if t0, t1, ok := full.Bounds().RayIntersect(ray); ok {
+				k0, k1 := pl.trim(ray, t0, t1)
+				every += max(0, k1-k0+1)
+			}
+		}
+	}
+	if samples >= every {
+		t.Errorf("%s: the cast took %d samples, every sample of every ray is %d", sc.name, samples, every)
 	}
 }
 

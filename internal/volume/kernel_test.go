@@ -349,7 +349,10 @@ func referenceClassify(pts []TransferPoint, v, ds float64) img.RGBA {
 // values: the same pixel bits and the same count, whatever segment the
 // previous value (or the previous call, on any earlier sequence) left
 // behind, with and without a shading hook, and stopping after the value
-// that reaches term.
+// that brings the opacity to exactly 1. Each sequence also runs with an
+// opaque value (A = 1, which classifies to opacity 1 at any step and makes
+// the accumulated opacity exactly 1) written over its first, middle and
+// last value, so that the stop falls on each of them.
 func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	pt := func(v float64) TransferPoint {
@@ -361,12 +364,14 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 		NewTransfer(pt(0.4)), // one point: no segment at all
 		NewTransfer(pt(0), pt(0.3), pt(0.3), pt(0.8), pt(1)),
 		NewTransfer(pt(0.1), pt(0.1), pt(0.5), pt(0.5), pt(0.5), pt(0.9), pt(0.9)),
+		NewTransfer(pt(0), TransferPoint{V: 0.5, R: 0.9, G: 0.5, B: 0.1, A: 1}, pt(1)),
+		GrayRampTransfer(1),
 	}
 	shade := func(i int, s img.RGBA) img.RGBA {
 		k := float32(i%3+1) / 4
 		return img.RGBA{R: s.R * k, G: s.G * k, B: s.B * k, A: s.A}
 	}
-	fold := func(tf *Transfer, vals []float64, ds, term float64, shaded bool) (img.RGBA, int) {
+	fold := func(tf *Transfer, vals []float64, ds float64, shaded bool) (img.RGBA, int) {
 		var acc img.RGBA
 		for i, v := range vals {
 			s := referenceClassify(tf.pts, v, ds)
@@ -377,7 +382,7 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 				s = shade(i, s)
 			}
 			acc = img.Over(acc, s)
-			if float64(acc.A) >= term {
+			if acc.A >= 1 {
 				return acc, i + 1
 			}
 		}
@@ -385,7 +390,13 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 	}
 	var stoppedFirst, stoppedMiddle, stoppedLast, ranOut int
 	for ti, tf := range tfs {
-		var carried int // the hint the calls below hand on, across sequences
+		var carried int      // the hint the calls below hand on, across sequences
+		opaque := math.NaN() // a value tf makes opaque, if it has one
+		for _, p := range tf.pts {
+			if p.A >= 1 {
+				opaque = p.V
+			}
+		}
 		// At, just above and just below every control point, beyond both
 		// ends, NaN — then sequences that sweep up and down across the
 		// segments, slowly (the hint holds) and in jumps (it misses).
@@ -414,23 +425,18 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 			seqs = append(seqs, vals)
 		}
 		for _, vals := range seqs {
-			for _, ds := range []float64{1, 0.5, 16} {
-				// Opacities along the sequence, to pick terms reached on
-				// the first, a middle and the last contributing value.
-				terms := []float64{math.Inf(1)}
-				var acc img.RGBA
-				for _, v := range vals {
-					if s := referenceClassify(tf.pts, v, ds); s != (img.RGBA{}) {
-						acc = img.Over(acc, s)
-						terms = append(terms, float64(acc.A))
-					}
+			variants := [][]float64{vals}
+			if opaque == opaque {
+				for _, at := range []int{0, len(vals) / 2, len(vals) - 1} {
+					v := append([]float64(nil), vals...)
+					v[at] = opaque
+					variants = append(variants, v)
 				}
-				for _, term := range terms {
-					if term <= 0 {
-						continue
-					}
+			}
+			for _, vals := range variants {
+				for _, ds := range []float64{1, 0.5, 16} {
 					for _, shaded := range []bool{false, true} {
-						want, wantN := fold(tf, vals, ds, term, shaded)
+						want, wantN := fold(tf, vals, ds, shaded)
 						hook := shade
 						if !shaded {
 							hook = nil
@@ -440,27 +446,29 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 						// pixel on, as a chunked walk does.
 						for seg := 0; seg < max(1, len(tf.segs)); seg++ {
 							hint := seg
-							got, n := tf.ClassifyOver(img.RGBA{}, vals, ds, term, &hint, hook)
+							got, n := tf.ClassifyOver(img.RGBA{}, vals, ds, &hint, hook)
 							if !sameRGBA(got, want) || n != wantN {
-								t.Fatalf("transfer %d vals %v ds %v term %v shaded %v hint %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, term, shaded, seg, got, n, want, wantN)
+								t.Fatalf("transfer %d vals %v ds %v shaded %v hint %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, shaded, seg, got, n, want, wantN)
 							}
 						}
 						cut := len(vals) / 2
-						got, n := tf.ClassifyOver(img.RGBA{}, vals[:cut], ds, term, &carried, hook)
-						if n == cut && !(float64(got.A) >= term) {
+						got, n := tf.ClassifyOver(img.RGBA{}, vals[:cut], ds, &carried, hook)
+						if n == cut && !(got.A >= 1) {
 							var m int
 							rest := hook
 							if shaded {
 								rest = func(i int, s img.RGBA) img.RGBA { return shade(cut+i, s) }
 							}
-							got, m = tf.ClassifyOver(got, vals[cut:], ds, term, &carried, rest)
+							got, m = tf.ClassifyOver(got, vals[cut:], ds, &carried, rest)
 							n += m
 						}
 						if !sameRGBA(got, want) || n != wantN {
-							t.Fatalf("transfer %d vals %v ds %v term %v shaded %v cut at %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, term, shaded, cut, got, n, want, wantN)
+							t.Fatalf("transfer %d vals %v ds %v shaded %v cut at %d: (%+v, %d), fold (%+v, %d)", ti, vals, ds, shaded, cut, got, n, want, wantN)
 						}
 						switch {
-						case !(float64(want.A) >= term):
+						case want.A > 1:
+							t.Fatalf("transfer %d vals %v ds %v: opacity %v above 1", ti, vals, ds, want.A)
+						case !(want.A >= 1):
 							ranOut++
 						case wantN == 1:
 							stoppedFirst++
@@ -475,7 +483,7 @@ func TestClassifyOverMatchesFoldBitForBit(t *testing.T) {
 		}
 	}
 	if stoppedFirst < 100 || stoppedMiddle < 100 || stoppedLast < 100 || ranOut < 100 {
-		t.Errorf("term reached on the first value %d times, a middle one %d, the last %d, never %d: the test needs all four",
+		t.Errorf("opacity 1 reached on the first value %d times, a middle one %d, the last %d, never %d: the test needs all four",
 			stoppedFirst, stoppedMiddle, stoppedLast, ranOut)
 	}
 }

@@ -118,15 +118,16 @@ func (t *Transfer) lookup(v float64, hint int) (r, g, b, a float64, seg int) {
 // colour, which NewTransfer rejects, classifies to one.
 func (t *Transfer) Classify(v, ds float64) img.RGBA {
 	var seg int
-	s, _ := t.ClassifyOver(img.RGBA{}, []float64{v}, ds, math.Inf(1), &seg, nil)
+	s, _ := t.ClassifyOver(img.RGBA{}, []float64{v}, ds, &seg, nil)
 	return s
 }
 
 // ClassifyOver is Classify and img.Over along a ray: it classifies vals
 // in order and accumulates each non-transparent sample behind acc (the
 // traversal is front to back), stopping after the one that brings acc's
-// opacity to term (+Inf: never). It returns acc and how many of vals it
-// consumed. *seg carries the segment the last value landed in from call
+// opacity to exactly 1: from there Over adds 0·s to each channel, which
+// changes no bit of a finite pixel, so the values left would leave acc as
+// it is. It returns acc and how many of vals it consumed. *seg carries the segment the last value landed in from call
 // to call; consecutive samples of a ray, and of neighbouring rays, mostly
 // share it. shade, when non-nil, recolours sample i before it is
 // accumulated; the caller keeps it from escaping so that a cast
@@ -135,12 +136,12 @@ func (t *Transfer) Classify(v, ds float64) img.RGBA {
 // The loop owns the opacity correction and the premultiply, and it makes
 // no call per sample unless the value leaves the hinted segment: Go's
 // register ABI has no callee-saved float registers, so a call would spill
-// and reload the accumulator, the step and term around it. A value
+// and reload the accumulator and the step around it. A value
 // strictly inside the hinted segment, lo.V < v < hi, is that segment's
 // (see lookup), and is classified by its inlined body; everything else —
 // the ends, NaN, a value on a control point, another segment — goes
 // through lookup's full search.
-func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds, term float64, seg *int, shade func(i int, s img.RGBA) img.RGBA) (img.RGBA, int) {
+func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds float64, seg *int, shade func(i int, s img.RGBA) img.RGBA) (img.RGBA, int) {
 	hint, n := *seg, len(vals)
 	segs := t.segs
 	for i, v := range vals {
@@ -165,7 +166,7 @@ func (t *Transfer) ClassifyOver(acc img.RGBA, vals []float64, ds, term float64, 
 			s = shade(i, s)
 		}
 		acc = img.Over(acc, s) // acc is in front of s
-		if float64(acc.A) >= term {
+		if acc.A >= 1 {
 			n = i + 1
 			break
 		}
