@@ -324,22 +324,37 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	w := NewWorld(2)
-	_ = w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, make([]byte, 10))
-		} else {
-			c.Recv(0, 1)
+// Each rank's Sent is what that rank sent with an application tag, and
+// nothing another rank sent or a barrier signalled; the ranks' readings
+// add up to Stats.
+func TestSentCountsOwnSends(t *testing.T) {
+	w := NewWorld(3)
+	sent := make([]TrafficStats, 3)
+	err := w.Run(func(c *Comm) error {
+		r := c.Rank()
+		for i := 0; i <= r; i++ {
+			c.Send((r+1)%3, 1, make([]byte, 10*(r+1)))
 		}
+		for i := 0; i <= (r+2)%3; i++ {
+			c.Recv((r+2)%3, 1)
+		}
+		c.Barrier()
+		sent[r] = c.Sent()
 		return nil
 	})
-	if w.Stats().Messages == 0 {
-		t.Fatal("expected traffic")
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.ResetStats()
-	if st := w.Stats(); st.Messages != 0 || st.TotalBytes != 0 {
-		t.Errorf("stats after reset = %+v", st)
+	var sum TrafficStats
+	for r, st := range sent {
+		if want := (TrafficStats{Messages: r + 1, TotalBytes: int64(10 * (r + 1) * (r + 1))}); st != want {
+			t.Errorf("rank %d: Sent %+v, want %+v", r, st, want)
+		}
+		sum.Messages += st.Messages
+		sum.TotalBytes += st.TotalBytes
+	}
+	if st := w.Stats(); st != sum {
+		t.Errorf("Stats %+v, the ranks' Sent add up to %+v", st, sum)
 	}
 }
 

@@ -51,25 +51,49 @@ func TestRunRealGenerateMatchesSerial(t *testing.T) {
 	}
 }
 
+// Every compositor matches the serial image within the bound. Those that
+// blend each pixel's fragments in one front-to-back pass — direct-send at
+// any m, and serial gather — associate the over operations alike, so
+// their images are the same bits; binary swap's rounds associate them
+// otherwise, and keep the bound.
 func TestRunRealAlgorithmsAgree(t *testing.T) {
 	s := smallScene()
 	ref := serialImage(s)
-	for _, algo := range []CompositeAlgo{CompositeDirectSend, CompositeBinarySwap, CompositeSerialGather} {
-		res, err := RunReal(RealConfig{Scene: s, Procs: 8, Algo: algo, Format: FormatGenerate})
+	run := func(algo CompositeAlgo, m int) *img.Image {
+		t.Helper()
+		res, err := RunReal(RealConfig{Scene: s, Procs: 8, Compositors: m, Algo: algo, Format: FormatGenerate})
 		if err != nil {
-			t.Fatalf("algo %d: %v", algo, err)
+			t.Fatalf("algo %d m=%d: %v", algo, m, err)
 		}
 		if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
-			t.Errorf("algo %d: image differs from serial by %v", algo, d)
+			t.Errorf("algo %d m=%d: image differs from serial by %v", algo, m, d)
+		}
+		return res.Image
+	}
+	direct := run(CompositeDirectSend, 8)
+	run(CompositeBinarySwap, 0)
+	if d := img.MaxDiff(run(CompositeSerialGather, 0), direct); d != 0 {
+		t.Errorf("serial gather differs from direct-send by %v", d)
+	}
+	for _, m := range []int{1, 2, 4} {
+		if d := img.MaxDiff(run(CompositeDirectSend, m), direct); d != 0 {
+			t.Errorf("direct-send m=%d differs from m=8 by %v", m, d)
 		}
 	}
 }
 
 // Every on-disk format feeds the identical pipeline and must yield the
-// identical image: the I/O stack is lossless end to end.
+// identical image: the I/O stack is lossless end to end, so each format's
+// frame is the in-memory frame at the same rank count, bit for bit.
 func TestRunRealAllFormatsMatch(t *testing.T) {
 	s := smallScene()
-	ref := serialImage(s)
+	gen, err := RunReal(RealConfig{Scene: s, Procs: 6, Format: FormatGenerate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := img.MaxDiff(gen.Image, serialImage(s)); d > 2e-5 {
+		t.Errorf("in-memory frame differs from serial by %v", d)
+	}
 	dir := t.TempDir()
 	for _, f := range []Format{FormatRaw, FormatNetCDF, FormatCDF5, FormatH5} {
 		path := filepath.Join(dir, "ts."+strings.ReplaceAll(f.String(), "/", "_"))
@@ -81,8 +105,8 @@ func TestRunRealAllFormatsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: run: %v", f, err)
 		}
-		if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
-			t.Errorf("%v: image differs from serial by %v", f, d)
+		if d := img.MaxDiff(res.Image, gen.Image); d != 0 {
+			t.Errorf("%v: image differs from the in-memory frame by %v", f, d)
 		}
 		if res.IO.PhysicalBytes == 0 || res.IO.Accesses == 0 {
 			t.Errorf("%v: no physical I/O recorded: %+v", f, res.IO)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bgpvr/internal/img"
 	"bgpvr/internal/trace"
@@ -139,8 +142,24 @@ func TestConfigTracerSpans(t *testing.T) {
 	}
 }
 
+// cancelingFieldCache cancels the frame's context from the first Get,
+// which one rank makes in the middle of the frame's generation, and then
+// serves the field as countingFieldCache does.
+type cancelingFieldCache struct {
+	countingFieldCache
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelingFieldCache) Get(key FieldKey, generate func() *volume.Field) *volume.Field {
+	c.once.Do(c.cancel)
+	return c.countingFieldCache.Get(key, generate)
+}
+
 // TestRunRealCanceled pins the cancellation contract: a dead context
-// stops the frame with a wrapped context error, in both modes.
+// stops the frame with a wrapped context error, in both modes, and so
+// does a context that one rank's work cancels mid-frame, after which no
+// rank's goroutine is left behind.
 func TestRunRealCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -152,6 +171,21 @@ func TestRunRealCanceled(t *testing.T) {
 	_, err = RunModel(ModelConfig{Ctx: ctx, Scene: s, Procs: 2})
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Errorf("RunModel with dead ctx: %v, want cancellation error", err)
+	}
+
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	_, err = RunReal(RealConfig{Ctx: ctx, Scene: s, Procs: 8, Fields: &cancelingFieldCache{cancel: cancel}})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunReal canceled mid-generation: %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the canceled frame, %d before", n, goroutines)
 	}
 }
 

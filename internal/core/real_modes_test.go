@@ -10,7 +10,8 @@ import (
 )
 
 // Ghost exchange must produce the identical image to ghost-in-read, for
-// in-memory and on-disk data.
+// in-memory and on-disk data, and the same compositing traffic: the halo
+// messages are sent before compositing and are not counted in it.
 func TestRunRealGhostExchangeMatches(t *testing.T) {
 	s := smallScene()
 	ref := serialImage(s)
@@ -38,6 +39,9 @@ func TestRunRealGhostExchangeMatches(t *testing.T) {
 	}
 	if d := img.MaxDiff(inRead.Image, exch.Image); d != 0 {
 		t.Errorf("ghost modes disagree by %v", d)
+	}
+	if inRead.Traffic != exch.Traffic {
+		t.Errorf("compositing traffic: ghost-in-read %+v, ghost exchange %+v", inRead.Traffic, exch.Traffic)
 	}
 	// Exchange mode reads fewer useful bytes (no halo duplication).
 	if exch.IO.UsefulBytes >= inRead.IO.UsefulBytes {
@@ -80,9 +84,23 @@ func TestRunRealShadedMatchesSerial(t *testing.T) {
 
 // Multiple blocks per rank (the paper's "small number of blocks per
 // process") preserve the serial image and improve the sample balance.
+// How eight blocks are dealt to the ranks does not change a bit of the
+// frame: direct-send blends each pixel's fragments in the same order.
 func TestRunRealBlocksPerRank(t *testing.T) {
 	s := smallScene()
 	ref := serialImage(s)
+	var eight *img.Image
+	for _, p := range []int{8, 4, 2, 1} {
+		res, err := RunReal(RealConfig{Scene: s, Procs: p, Format: FormatGenerate, BlocksPerRank: 8 / p})
+		if err != nil {
+			t.Fatalf("%d ranks x %d blocks: %v", p, 8/p, err)
+		}
+		if eight == nil {
+			eight = res.Image
+		} else if d := img.MaxDiff(res.Image, eight); d != 0 {
+			t.Errorf("%d ranks x %d blocks differ from 8 x 1 by %v", p, 8/p, d)
+		}
+	}
 	var balance1, balance4 float64
 	for _, bpr := range []int{1, 2, 4} {
 		res, err := RunReal(RealConfig{Scene: s, Procs: 4, Format: FormatGenerate, BlocksPerRank: bpr})

@@ -11,9 +11,9 @@ import (
 func TestStageTimesFold(t *testing.T) {
 	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 	got := stageTimes([]stageStamps{
-		{ms(0.1), ms(3), ms(9), ms(12)},
-		{ms(0.2), ms(5), ms(8), ms(12.5)},
-		{ms(0.05), ms(4), ms(11), ms(12.25)},
+		{at: [4]time.Duration{ms(0.1), ms(3), ms(9), ms(12)}},
+		{at: [4]time.Duration{ms(0.2), ms(5), ms(8), ms(12.5)}},
+		{at: [4]time.Duration{ms(0.05), ms(4), ms(11), ms(12.25)}},
 	})
 	want := StageTimes{IO: 4.8e-3, Render: 6e-3, Composite: 1.5e-3, Total: 12.3e-3}
 	for _, c := range []struct {
@@ -27,7 +27,7 @@ func TestStageTimesFold(t *testing.T) {
 			t.Errorf("%s = %v s, want %v", c.name, c.got, c.want)
 		}
 	}
-	if one := stageTimes([]stageStamps{{ms(1), ms(2), ms(4), ms(8)}}); one.IO != 1e-3 || one.Render != 2e-3 ||
+	if one := stageTimes([]stageStamps{{at: [4]time.Duration{ms(1), ms(2), ms(4), ms(8)}}}); one.IO != 1e-3 || one.Render != 2e-3 ||
 		one.Composite != 4e-3 || one.Total != 7e-3 {
 		t.Errorf("one rank = %+v", one)
 	}
