@@ -17,7 +17,7 @@ import (
 
 // serveArgs carries the parsed -serve* flags, most of them straight
 // into the service's Config; of the shared flags serve mode reads
-// -workers, -run-record, -crash-dump and -soft-deadline.
+// -workers, -crash-dump and -soft-deadline.
 type serveArgs struct {
 	*cli.Run
 	addr  string
@@ -33,7 +33,7 @@ type serveArgs struct {
 func runServe(a serveArgs, stderr io.Writer) error {
 	log := slog.New(slog.NewTextHandler(stderr, nil))
 	a.Watch(nil, syscall.SIGQUIT)
-	a.cfg.Workers, a.cfg.RunsPath, a.cfg.Log = a.Workers, a.RunRecord, log
+	a.cfg.Workers, a.cfg.Log = a.Workers, log
 	s := serve.New(a.cfg)
 	if err := s.Start(a.addr); err != nil {
 		return err

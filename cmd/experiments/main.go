@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-exp all|<exhibit>]        (experiments -h lists the exhibits)
-//	experiments -exp fidelity [-scorecard card.json] [-perf-report rep.json] [-run-record runs.jsonl]
+//	experiments -exp fidelity [-scorecard card.json] [-perf-report rep.json]
 //	experiments -exp flowscale [-procs 131072] [-flowsim-approx 0.25] [-workers 4] [-n 256] [-img 1024]
 //	experiments -breakdown [-procs 16384] [-trace frame.json]
 //
@@ -22,8 +22,7 @@
 // end-to-end model frame of the paper's base configuration (1120^3
 // volume, 1600^2 image, raw format) instead: -breakdown prints the
 // Fig 5-7 per-phase table and -trace writes the virtual timeline as
-// Chrome trace_event JSON. -run-record appends the run's perf report
-// to the append-only JSONL run registry that cmd/perfhistory trends.
+// Chrome trace_event JSON.
 package main
 
 import (

@@ -10,9 +10,9 @@
 // so a PR that slows a modeled frame down, distributes its load worse
 // or drifts from the paper's curves shows in the job log. Its one job
 // is deterministic virtual-time and model drift between exactly two
-// reports: trends over many runs are cmd/perfhistory's, wall-clock
-// comparison with measured noise is benchmark -compare's (DESIGN.md,
-// "Comparing two runs").
+// reports: a slow drift piles up against the fixed baseline and shows
+// there too, and wall-clock comparison with measured noise is benchmark
+// -compare's (DESIGN.md, "Comparing two runs").
 //
 // Usage:
 //

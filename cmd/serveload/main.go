@@ -5,9 +5,8 @@
 // service uses for /status (obs.Histogram.Quantile), and prints one
 // table row per level: requests, 2xx/429/503 splits, throughput, and
 // p50/p90/p99. With -perf-report it writes a schema-versioned report
-// carrying a service section that perfdiff -only service gates; with
-// -run-record it appends the same report to a runstore registry so
-// perfhistory tracks p99 and throughput across runs.
+// carrying a service section that perfdiff -only service compares
+// against a stored report.
 //
 // Usage:
 //
@@ -173,11 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p99Budget := fs.Duration("p99-budget", 0, "fail (exit 1) when any level's p99 exceeds this")
 	min2xx := fs.Int64("min-2xx", 0, "fail (exit 1) when fewer than this many requests succeed overall")
 	emit := cli.Emitter{Out: stdout, Started: time.Now()}
-	emit.Register(fs, map[string]string{
-		"perf-report": "write the load-test perf report (JSON) here",
-		"run-record":  "append the report to this runstore registry (JSONL)",
-	})
-	fs.StringVar(&emit.Timestamp, "timestamp", "", "RFC3339 timestamp for the run record (default: now)")
+	emit.Register(fs, map[string]string{"perf-report": "write the load-test perf report (JSON) here"})
 	serveConc := fs.Int("serve-concurrency", 0, "in-process server: max concurrent frames")
 	serveQueue := fs.Int("serve-queue", 0, "in-process server: queue depth")
 	if code, ok := cli.Parse(fs, args, stderr); !ok {

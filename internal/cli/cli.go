@@ -1,4 +1,4 @@
-// Package cli is what the report-writing binaries share: the sixteen
+// Package cli is what the report-writing binaries share: the fourteen
 // flags cmd/bgpvr and cmd/experiments both take, the start-up those
 // flags ask for (heartbeat, flight recorder with a partial perf report,
 // debug endpoint), and the one tail that finishes a perf report.
@@ -15,7 +15,6 @@ import (
 
 	"bgpvr/internal/obs"
 	"bgpvr/internal/par"
-	"bgpvr/internal/runstore"
 	"bgpvr/internal/telemetry"
 )
 
@@ -46,24 +45,21 @@ func setHelp(fs *flag.FlagSet, help map[string]string) {
 // Emit.
 type Emitter struct {
 	PerfReport string    // -perf-report
-	RunRecord  string    // -run-record
-	Timestamp  string    // the run record's RFC3339 time; "" is now
 	Workers    int       // pool width stamped into the runtime section
 	Started    time.Time // start of the wall clock stamped there
 	Out        io.Writer // where Emit says what it wrote
 	Indent     string    // prefix of those lines
 }
 
-// Register declares -perf-report and -run-record on fs.
+// Register declares -perf-report on fs.
 func (e *Emitter) Register(fs *flag.FlagSet, help map[string]string) {
 	fs.StringVar(&e.PerfReport, "perf-report", "", "write a machine-readable perf report (breakdown + telemetry + runtime stats) to this JSON file")
-	fs.StringVar(&e.RunRecord, "run-record", "", "append this run's perf report to the JSONL run registry (see cmd/perfhistory)")
 	setHelp(fs, help)
 }
 
-// Wanted reports whether either flag asked for a report, so a caller
+// Wanted reports whether -perf-report asked for a report, so a caller
 // can skip assembling one nobody reads.
-func (e *Emitter) Wanted() bool { return e.PerfReport != "" || e.RunRecord != "" }
+func (e *Emitter) Wanted() bool { return e.PerfReport != "" }
 
 // stamp fills the runtime section, pool width and the pool's realized
 // speedup (worker-busy time over pool-call elapsed time) included.
@@ -75,27 +71,17 @@ func (e *Emitter) stamp(r *telemetry.Report) {
 	}
 }
 
-// Emit stamps r with runtime and pool stats, writes it to -perf-report
-// and appends it to the -run-record registry, whichever were given.
+// Emit stamps r with runtime and pool stats and writes it to
+// -perf-report when that was given.
 func (e *Emitter) Emit(r *telemetry.Report) error {
+	if e.PerfReport == "" {
+		return nil
+	}
 	e.stamp(r)
-	if e.PerfReport != "" {
-		if err := r.WriteFile(e.PerfReport); err != nil {
-			return fmt.Errorf("writing perf report: %w", err)
-		}
-		fmt.Fprintf(e.Out, "%sperf report: %s\n", e.Indent, e.PerfReport)
+	if err := r.WriteFile(e.PerfReport); err != nil {
+		return fmt.Errorf("writing perf report: %w", err)
 	}
-	if e.RunRecord != "" {
-		ts := e.Timestamp
-		if ts == "" {
-			ts = time.Now().UTC().Format(time.RFC3339)
-		}
-		rec := runstore.NewRecord(r, runstore.GitRev(), ts)
-		if err := runstore.Append(e.RunRecord, rec); err != nil {
-			return fmt.Errorf("recording run: %w", err)
-		}
-		fmt.Fprintf(e.Out, "%srun record: %s (run %s)\n", e.Indent, e.RunRecord, rec.ID)
-	}
+	fmt.Fprintf(e.Out, "%sperf report: %s\n", e.Indent, e.PerfReport)
 	return nil
 }
 
@@ -184,7 +170,6 @@ func (r *Run) Debug(src telemetry.DebugSource) error {
 	if r.DebugAddr == "" {
 		return nil
 	}
-	src.RunsPath = r.RunRecord
 	srv, err := telemetry.StartDebug(r.DebugAddr, src)
 	if err != nil {
 		return err

@@ -11,11 +11,10 @@ import (
 	"time"
 
 	"bgpvr/internal/obs"
-	"bgpvr/internal/runstore"
 	"bgpvr/internal/telemetry"
 )
 
-// TestRegister pins the shared registration: fifteen flags, the
+// TestRegister pins the shared registration: fourteen flags, the
 // caller's defaults, the caller's help where it names a flag, and
 // values landing in the fields.
 func TestRegister(t *testing.T) {
@@ -24,8 +23,8 @@ func TestRegister(t *testing.T) {
 	r.Register(fs, map[string]string{"procs": "cores, here"})
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 15 {
-		t.Errorf("%d shared flags registered, want 15", n)
+	if n != 14 {
+		t.Errorf("%d shared flags registered, want 14", n)
 	}
 	for name, def := range map[string]string{"procs": "8", "n": "64", "img": "256", "flowsim-approx": "-1",
 		"workers": "0", "progress-interval": obs.DefaultHeartbeatInterval.String()} {
@@ -57,15 +56,13 @@ func TestRegister(t *testing.T) {
 }
 
 // TestEmit pins the one report tail: runtime and pool stats stamped,
-// the report written, the run appended under the given timestamp, and
-// both announced under the emitter's indent.
+// the report written and announced under the emitter's indent.
 func TestEmit(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	e := Emitter{
-		PerfReport: filepath.Join(dir, "sub", "rep.json"), RunRecord: filepath.Join(dir, "runs.jsonl"),
-		Timestamp: "2026-08-06T00:00:00Z", Workers: 3, Started: time.Now().Add(-2 * time.Second),
-		Out: &out, Indent: "  ",
+		PerfReport: filepath.Join(dir, "sub", "rep.json"), Workers: 3,
+		Started: time.Now().Add(-2 * time.Second), Out: &out, Indent: "  ",
 	}
 	rep := telemetry.NewReport("test")
 	rep.TotalSec = 1.5
@@ -79,44 +76,35 @@ func TestEmit(t *testing.T) {
 	if got.TotalSec != 1.5 || got.Runtime == nil || got.Runtime.GoVersion == "" || got.Runtime.Workers != 3 || got.Runtime.WallSec < 2 {
 		t.Errorf("written report not stamped: %+v runtime %+v", got, got.Runtime)
 	}
-	recs, err := runstore.Read(e.RunRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Time != e.Timestamp || recs[0].Report.Runtime == nil {
-		t.Fatalf("registry holds %+v", recs)
-	}
-	want := "  perf report: " + e.PerfReport + "\n  run record: " + e.RunRecord + " (run " + recs[0].ID + ")\n"
-	if out.String() != want {
+	if want := "  perf report: " + e.PerfReport + "\n"; out.String() != want {
 		t.Errorf("announced %q, want %q", out.String(), want)
 	}
 
-	// With neither flag there is nothing to do, and Wanted says so.
+	// Without -perf-report there is nothing to do, and Wanted says so.
 	quiet := Emitter{Out: &out, Started: time.Now()}
 	out.Reset()
 	if quiet.Wanted() {
-		t.Error("Wanted with neither flag set")
+		t.Error("Wanted without -perf-report")
 	}
 	if err := quiet.Emit(telemetry.NewReport("test")); err != nil || out.Len() != 0 {
-		t.Errorf("Emit with neither flag: err %v, printed %q", err, out.String())
+		t.Errorf("Emit without -perf-report: err %v, printed %q", err, out.String())
 	}
 	// A write failure is the caller's error to report.
-	bad := Emitter{PerfReport: filepath.Join(e.RunRecord, "under-a-file.json"), Out: &out, Started: time.Now()}
+	bad := Emitter{PerfReport: filepath.Join(e.PerfReport, "under-a-file.json"), Out: &out, Started: time.Now()}
 	if err := bad.Emit(telemetry.NewReport("test")); err == nil || !strings.Contains(err.Error(), "writing perf report") {
 		t.Errorf("Emit into an unwritable path: %v", err)
 	}
 }
 
 // TestRunLifecycle pins what Start, Watch, Debug and Close hold open:
-// the debug endpoint announces itself and serves the run registry named
-// by -run-record until Close, a dying run's partial report is stamped
-// and written with a note in the crash file, and with no flag set
-// nothing starts.
+// the debug endpoint announces itself and serves /metrics until Close,
+// a dying run's partial report is stamped and written with a note in
+// the crash file, and with no flag set nothing starts.
 func TestRunLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	r := Run{DebugAddr: "127.0.0.1:0", SoftDeadline: time.Hour, CrashDump: filepath.Join(dir, "crash.txt")}
-	r.PerfReport, r.RunRecord = filepath.Join(dir, "partial.json"), filepath.Join(dir, "runs.jsonl")
+	r.PerfReport = filepath.Join(dir, "partial.json")
 	r.Start(&out, io.Discard)
 	if r.Workers < 1 || r.Started.IsZero() {
 		t.Errorf("Start left workers %d, started %v", r.Workers, r.Started)
@@ -133,16 +121,13 @@ func TestRunLifecycle(t *testing.T) {
 		t.Fatalf("announced %q", line)
 	}
 	url := strings.TrimSuffix(strings.TrimPrefix(line, "debug endpoint: "), " (pprof, /metrics)\n")
-	if err := runstore.Append(r.RunRecord, runstore.NewRecord(telemetry.NewReport("x"), "abc", "2026-08-06T00:00:00Z")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(url + "runs")
+	resp, err := http.Get(url + "metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/runs = %d, want the -run-record registry served", resp.StatusCode)
+		t.Errorf("/metrics = %d, want the live metrics served", resp.StatusCode)
 	}
 
 	var crash bytes.Buffer
@@ -157,7 +142,7 @@ func TestRunLifecycle(t *testing.T) {
 	}
 
 	r.Close()
-	if _, err := http.Get(url + "runs"); err == nil {
+	if _, err := http.Get(url + "metrics"); err == nil {
 		t.Error("debug endpoint still answers after Close")
 	}
 

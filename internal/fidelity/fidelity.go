@@ -6,8 +6,8 @@
 // fidelity score) that cmd/experiments prints, perf reports embed
 // (schema 3), cmd/perfdiff diffs, and CI gates on: the paper's shape
 // claims are the durable result a model refactor must not silently
-// break, and the scorecard makes closeness-to-paper an observable,
-// trend-able quantity instead of hand-pasted prose in EXPERIMENTS.md.
+// break, and the scorecard makes closeness-to-paper an observable
+// quantity instead of hand-pasted prose in EXPERIMENTS.md.
 package fidelity
 
 import (

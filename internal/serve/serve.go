@@ -39,8 +39,6 @@ type Config struct {
 	// CacheMB bounds the volume field cache, block fields and the
 	// turbulence tables they are built from together (default 256 MB).
 	CacheMB int
-	// RunsPath, when set, streams the runstore JSONL registry at /runs.
-	RunsPath string
 	// Registry receives the service's metrics (default obs.Default,
 	// which /metrics exposes). Tests pass a private registry.
 	Registry *obs.Registry
@@ -173,7 +171,6 @@ func New(cfg Config) *Server {
 	}
 
 	s.mux = telemetry.NewDebugMux(telemetry.DebugSource{
-		RunsPath: cfg.RunsPath,
 		Extra: []telemetry.DebugEndpoint{
 			{Path: "/render", Desc: "render a frame (POST, JSON body)",
 				Handler: s.instrument("/render", s.handleRender)},

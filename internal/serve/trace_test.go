@@ -263,7 +263,6 @@ func TestDebugIndexListsAllRoutes(t *testing.T) {
 		"/traces",
 		"/traces/{id}",
 		"/metrics",
-		"/runs",
 		"/debug/pprof/",
 		"/debug/vars",
 	} {

@@ -172,38 +172,3 @@ func Seconds(s float64) string {
 		return fmt.Sprintf("%dm%04.1fs", int(s)/60, math.Mod(s, 60))
 	}
 }
-
-// sparkRunes are the eight block levels Sparkline draws with.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders xs as a row of block characters scaled to the
-// min..max range of the usable (non-NaN, finite) values — the
-// one-line trend view cmd/perfhistory prints per metric. NaN or
-// infinite entries render as spaces (a gap in the series); a flat
-// series renders at the lowest level. Empty input returns "".
-func Sparkline(xs []float64) string {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if len(xs) == 0 {
-		return ""
-	}
-	out := make([]rune, 0, len(xs))
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) || lo > hi {
-			out = append(out, ' ')
-			continue
-		}
-		level := 0
-		if hi > lo {
-			level = int((x - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		out = append(out, sparkRunes[level])
-	}
-	return string(out)
-}

@@ -191,20 +191,3 @@ func TestSummaryString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Errorf("empty series = %q", got)
-	}
-	if got := Sparkline([]float64{5, 5, 5}); got != "▁▁▁" {
-		t.Errorf("flat series = %q, want lowest blocks", got)
-	}
-	got := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if got != "▁▂▃▄▅▆▇█" {
-		t.Errorf("ramp = %q, want full ramp", got)
-	}
-	got = Sparkline([]float64{0, math.NaN(), 7, math.Inf(1)})
-	if got != "▁ █ " {
-		t.Errorf("NaN/Inf holes = %q, want spaces", got)
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -18,14 +17,11 @@ import (
 )
 
 // DebugSource bundles what the debug endpoint serves. Every field is
-// optional; /runs answers 404 without its file.
+// optional.
 type DebugSource struct {
 	// Tracer adds its counter totals to /metrics as the
 	// bgpvr_trace_events_total family.
 	Tracer *trace.Tracer
-	// RunsPath, when set, is the runstore JSONL file streamed verbatim
-	// at /runs (application/x-ndjson): one perf record per line.
-	RunsPath string
 	// Extra mounts additional endpoints on the debug mux and lists
 	// them on the index page. Handlers are mounted as-is — an owner
 	// that serves writes (the render service's POST /render) enforces
@@ -84,9 +80,8 @@ var readHeaderTimeout = ReadHeaderTimeout
 
 // DebugServer is the opt-in -debug-addr HTTP endpoint: net/http/pprof
 // under /debug/pprof/, Go's expvar (memstats, cmdline) under
-// /debug/vars, the live numbers as Prometheus text at /metrics, and the
-// run registry at /runs. All views are read-only: anything but GET/HEAD
-// answers 405.
+// /debug/vars, and the live numbers as Prometheus text at /metrics.
+// All views are read-only: anything but GET/HEAD answers 405.
 type DebugServer struct {
 	Addr string // the bound address (resolves ":0")
 	ln   net.Listener
@@ -113,27 +108,12 @@ func NewDebugMux(ds DebugSource) *http.ServeMux {
 		}
 		writeTraceMetrics(w, ds.Tracer)
 	}))
-	mux.HandleFunc("/runs", readOnly(func(w http.ResponseWriter, r *http.Request) {
-		if ds.RunsPath == "" {
-			http.Error(w, "no run store attached (run with -run-record)", http.StatusNotFound)
-			return
-		}
-		f, err := os.Open(ds.RunsPath)
-		if err != nil {
-			http.Error(w, "run store not readable yet: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_, _ = io.Copy(w, f)
-	}))
 	// The index: every registered endpoint with a one-line description,
 	// so operators can discover the surfaces without reading the source.
 	index := []DebugEndpoint{
 		{Path: "/debug/pprof/", Desc: "net/http/pprof profiles (heap, goroutine, CPU, ...)"},
 		{Path: "/debug/vars", Desc: "expvar JSON (Go runtime memstats, cmdline)"},
 		{Path: "/metrics", Desc: "Prometheus text exposition of the live metrics registry"},
-		{Path: "/runs", Desc: "run registry stream (application/x-ndjson)"},
 	}
 	for _, e := range ds.Extra {
 		mux.Handle(e.Path, e.Handler)

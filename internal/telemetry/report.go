@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -482,7 +481,7 @@ const (
 	// error above the run's own eps regresses whatever the baseline said.
 	GateEps
 	// GateStatus: a claim's pass/warn/fail rank. Only a flip is worth a
-	// line, any worsening regresses, and there is no trend to draw.
+	// line, and any worsening regresses.
 	GateStatus
 	// GateErrorRate regresses on a rise of more than 0.1 % absolute (one
 	// flaky request in thousands does not gate) that, off a non-zero
@@ -491,25 +490,12 @@ const (
 	// GateDrift: a setting the run was given. A change is worth a line
 	// and is never a regression on its own.
 	GateDrift
-	// GateWall: host wall-clock time, trended by perfhistory and never
-	// gated pairwise — benchmark -compare does that, with measured noise.
-	GateWall
 )
-
-// Worse reports whether a relative shift in a metric judged by g is a
-// degradation: everything degrades upward but scores and throughput.
-func (g Gate) Worse(shift float64) bool {
-	if g == GateFall {
-		return shift < 0
-	}
-	return shift > 0
-}
 
 // Scalar is one comparable metric of a report. Report.Metrics is the
 // only place that says which scalars a report holds, what they are
 // called and how a change is judged; cmd/perfdiff joins two such lists
-// by name (Compare) and cmd/perfhistory transposes one list per stored
-// run (runstore.Metrics).
+// by name (Compare).
 type Scalar struct {
 	Name string
 	// Class is what perfdiff -only selects: timing, counters,
@@ -570,9 +556,6 @@ func (r *Report) Metrics() []Scalar {
 		if f.ApproxSec > 0 {
 			add("flowsim", "flowsim approx_sec", "s", f.ApproxSec, GateRise)
 		}
-		if f.WallSec > 0 {
-			add("flowsim", "flowsim wall_sec", "s", f.WallSec, GateWall)
-		}
 	}
 	if r.Service != nil {
 		for _, p := range r.Service.Points {
@@ -597,12 +580,9 @@ func statusRank(s string) float64 {
 }
 
 // FormatValue renders a metric value in its unit — the one formatter
-// behind perfdiff's columns and perfhistory's tables. NaN (a run that
-// does not carry the metric) is "-".
+// behind perfdiff's columns.
 func FormatValue(unit string, v float64) string {
 	switch {
-	case math.IsNaN(v):
-		return "-"
 	case unit == "s":
 		return stats.Seconds(v)
 	case unit == "ratio" || unit == "score":
@@ -632,8 +612,7 @@ func (d Delta) Change() float64 {
 // Compare joins the two reports' metric lists by name, in the new
 // report's order, and flags each metric that got worse by its gate's
 // rule; threshold is the relative change (0.10 for 10 %) the
-// thresholded gates allow. A metric only one side carries is skipped,
-// and so is host wall-clock time.
+// thresholded gates allow. A metric only one side carries is skipped.
 func Compare(old, new *Report, threshold float64) []Delta {
 	was := map[string]float64{}
 	for _, m := range old.Metrics() {
@@ -642,7 +621,7 @@ func Compare(old, new *Report, threshold float64) []Delta {
 	var deltas []Delta
 	for _, m := range new.Metrics() {
 		o, ok := was[m.Name]
-		if !ok || m.Gate == GateWall {
+		if !ok {
 			continue
 		}
 		d := Delta{Metric: m.Name, Class: m.Class, Unit: m.Unit, Old: o, New: m.Value}
