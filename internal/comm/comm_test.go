@@ -396,3 +396,55 @@ func TestRecvClearsVacatedMailboxSlot(t *testing.T) {
 		}
 	}
 }
+
+// ringExchange is a Run body in which every rank sends mailboxRoom-1
+// messages to its right neighbour and receives as many from its left:
+// each mailbox holds at most that many at once, within its initial
+// room.
+func ringExchange(c *Comm) error {
+	p := c.Size()
+	for tag := 0; tag < mailboxRoom-1; tag++ {
+		c.Send((c.Rank()+1)%p, tag, nil)
+	}
+	for tag := 0; tag < mailboxRoom-1; tag++ {
+		c.Recv((c.Rank()-1+p)%p, tag)
+	}
+	return nil
+}
+
+// A world allocates per world, not per rank or message: its mailboxes,
+// their queues and the ranks' handles are one slice each, so a world
+// whose messages fit the mailboxes' room costs a fixed number of
+// objects plus the one closure each rank's goroutine starts with, at 8
+// ranks as at 64.
+func TestWorldAllocatesPerWorld(t *testing.T) {
+	perRun := func(p int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := NewWorld(p).Run(ringExchange); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := perRun(8)-8, perRun(64)-64
+	if small != large || small > 8 {
+		t.Errorf("a world allocates %v objects beside its goroutines at p = 8 and %v at p = 64; want the same few", small, large)
+	}
+}
+
+// A Send/Recv pair whose message fits the mailbox's room allocates
+// nothing.
+func TestSendRecvAllocatesNothing(t *testing.T) {
+	payload := []byte("ping")
+	err := NewWorld(1).Run(func(c *Comm) error {
+		if n := testing.AllocsPerRun(1000, func() {
+			c.Send(0, 3, payload)
+			c.Recv(0, 3)
+		}); n != 0 {
+			return fmt.Errorf("a Send/Recv pair allocates %v objects, want 0", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -33,19 +33,21 @@ type message struct {
 	sentAt   float64
 }
 
-// mailbox holds undelivered messages for one rank.
+// mailbox holds undelivered messages for one rank. A World keeps its
+// mailboxes in one slice, so one must not be copied: cond.L points at
+// its own mu.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	pending []message
 	closed  bool
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+// mailboxRoom is how many undelivered messages a mailbox holds before
+// its queue first grows: the queues start as consecutive windows of one
+// backing array, so a world whose ranks have at most this many messages
+// waiting apiece allocates its queues once, not per rank or message.
+const mailboxRoom = 4
 
 // TrafficStats aggregates the point-to-point messages a World has
 // carried: Sends with an application tag. What the collectives exchange
@@ -67,7 +69,8 @@ type rankTraffic struct {
 // World is a communicator over a fixed number of ranks.
 type World struct {
 	size  int
-	boxes []*mailbox
+	boxes []mailbox
+	comms []Comm // the ranks' handles, reset by each Run
 
 	traffic []rankTraffic // indexed by sending rank
 
@@ -86,9 +89,15 @@ func NewWorld(p int) *World {
 	if p < 1 {
 		panic("comm: NewWorld requires p >= 1")
 	}
-	w := &World{size: p, boxes: make([]*mailbox, p), traffic: make([]rankTraffic, p)}
+	w := &World{size: p, boxes: make([]mailbox, p), comms: make([]Comm, p), traffic: make([]rankTraffic, p)}
+	queues := make([]message, p*mailboxRoom)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		b := &w.boxes[i]
+		b.cond.L = &b.mu
+		// The full slice expression caps each window, so a queue that
+		// outgrows its room moves to an array of its own instead of
+		// writing over its neighbour's.
+		b.pending = queues[i*mailboxRoom : i*mailboxRoom : (i+1)*mailboxRoom]
 	}
 	return w
 }
@@ -132,19 +141,23 @@ func (w *World) SetCritPath(r *critpath.Recorder) { w.cp = r }
 // is the first in time and not the lowest rank's.
 func (w *World) Run(fn func(c *Comm) error) error {
 	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
+	// One closure a rank, capturing the loop's own per-iteration rank:
+	// a go statement with arguments would wrap this in a second.
+	for rank := range w.size {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					w.fail(fmt.Errorf("comm: rank %d panicked: %v", rank, p))
 				}
 			}()
-			if err := fn(&Comm{w: w, rank: rank, tr: w.tracer.Rank(rank)}); err != nil {
+			c := &w.comms[rank]
+			*c = Comm{w: w, rank: rank, tr: w.tracer.Rank(rank)}
+			if err := fn(c); err != nil {
 				w.fail(fmt.Errorf("rank %d: %w", rank, err))
 			}
-		}(r)
+		}()
 	}
 	wg.Wait()
 	w.failMu.Lock()
@@ -164,7 +177,8 @@ func (w *World) fail(err error) {
 
 // abort wakes all blocked receivers so a failed run terminates.
 func (w *World) abort() {
-	for _, b := range w.boxes {
+	for i := range w.boxes {
+		b := &w.boxes[i]
 		b.mu.Lock()
 		b.closed = true
 		b.cond.Broadcast()
@@ -237,7 +251,7 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 		sentAt = c.w.cp.Now()
 	}
 
-	b := c.w.boxes[dst]
+	b := &c.w.boxes[dst]
 	b.mu.Lock()
 	b.pending = append(b.pending, message{src: c.rank, tag: tag, data: data, sentAt: sentAt})
 	b.cond.Broadcast()
@@ -251,7 +265,7 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 func (c *Comm) Recv(src, tag int) (from int, data []byte) {
 	sp := c.tr.Begin(trace.PhaseComm, "recv")
 	defer sp.End()
-	b := c.w.boxes[c.rank]
+	b := &c.w.boxes[c.rank]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
