@@ -18,12 +18,18 @@ type Event struct {
 	Time time.Time
 	Kind string // "phase", "heartbeat", "note", "watchdog"
 	Msg  string
+
+	// end, when ended is set, is the closing summary of a phase burst,
+	// kept as a value and formatted into Msg only when the ring is read,
+	// so that ending a burst allocates nothing.
+	end   PhaseStat
+	ended bool
 }
 
 // Ring is a fixed-size ring buffer of recent events. Recording is
-// cheap (one mutexed slot write) but not hot-path cheap: producers are
-// phase transitions, heartbeats, and CLI notes — a handful per second
-// at most — never per-item ticks.
+// cheap (one mutexed slot write, no allocation for a phase's edges)
+// but not hot-path cheap: producers are phase transitions, heartbeats,
+// and CLI notes — a few per frame — never per-item ticks.
 type Ring struct {
 	mu   sync.Mutex
 	buf  []Event
@@ -44,7 +50,15 @@ var FlightRing = NewRing(256)
 
 // Record appends an event, evicting the oldest when full.
 func (r *Ring) Record(kind, msg string) {
-	e := Event{Time: time.Now(), Kind: kind, Msg: msg}
+	r.record(Event{Time: time.Now(), Kind: kind, Msg: msg})
+}
+
+// recordEnd appends the closing summary of a phase burst.
+func (r *Ring) recordEnd(now time.Time, st PhaseStat) {
+	r.record(Event{Time: now, Kind: "phase", end: st, ended: true})
+}
+
+func (r *Ring) record(e Event) {
 	r.mu.Lock()
 	r.buf[r.next] = e
 	r.next++
@@ -58,13 +72,20 @@ func (r *Ring) Record(kind, msg string) {
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	var out []Event
 	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
+		out = append(out, r.buf[:r.next]...)
+	} else {
+		out = make([]Event, 0, len(r.buf))
+		out = append(out, r.buf[r.next:]...)
+		out = append(out, r.buf[:r.next]...)
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	r.mu.Unlock()
+	for i := range out {
+		if e := &out[i]; e.ended {
+			e.Msg = e.end.Name + " end: " + e.end.String()
+		}
+	}
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"syscall"
@@ -238,5 +239,34 @@ func TestWatchdogCustomSignals(t *testing.T) {
 	case code := <-exited:
 		t.Fatalf("SIGQUIT-only watchdog reacted to SIGTERM (exit %d)", code)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// A burst's edges read in the flight record as "<phase> start" and
+// "<phase> end: <summary>", the summary formatted from the PhaseStat
+// the end kept, when the ring is read.
+func TestFlightRecordPhaseEdges(t *testing.T) {
+	r := NewRing(4)
+	r.recordEnd(time.Now(), PhaseStat{Name: "pin", Done: 3, Total: 10, Rate: 1.5, ETA: 4666 * time.Millisecond})
+	if evs := r.Events(); len(evs) != 1 || evs[0].Kind != "phase" ||
+		evs[0].Msg != "pin end: pin 3/10 (30.0%) rate=1.5/s eta=5s" {
+		t.Errorf("ring holds %+v", evs)
+	}
+
+	p := GetPhase("test-dump")
+	p.Start(4)
+	p.Add(4)
+	p.End()
+	var b strings.Builder
+	WriteFlightRecord(&b, "unit test")
+	out := b.String()
+	for _, line := range []string{
+		`\d\d:\d\d:\d\d\.\d{3} phase     test-dump start`,
+		`\d\d:\d\d:\d\d\.\d{3} phase     test-dump end: test-dump 4/4 \(100\.0%\) rate=[0-9.e+]+/s eta=0s`,
+		`idle    test-dump 4/4 \(100\.0%\) rate=[0-9.e+]+/s eta=0s`,
+	} {
+		if !regexp.MustCompile(`(?m)^` + line + `$`).MatchString(out) {
+			t.Errorf("flight record has no line %q:\n%s", line, out)
+		}
 	}
 }

@@ -22,10 +22,18 @@ import (
 // (one RenderBlock per rank, say) each Start/End their own session,
 // totals accumulate, and the counters reset only when the first
 // session of a new burst begins. All methods are safe on a nil
-// receiver and allocate nothing on the Add tick — the contract that
-// lets hot loops tick unconditionally.
+// receiver and allocate nothing — Add is one atomic add, the contract
+// that lets hot loops tick unconditionally, and Start and End, which
+// record a burst's edges in the flight ring, take a mutex but no
+// memory.
 type Phase struct {
-	name        string
+	name     string
+	startMsg string // the flight ring's text for a burst's start
+
+	// mu orders Start and End, so that the first session of a burst
+	// has reset the counters before an overlapping session adds its
+	// total. Add and the snapshots read the atomics without it.
+	mu          sync.Mutex
 	sessions    atomic.Int32
 	done, total atomic.Int64
 	startNS     atomic.Int64
@@ -44,7 +52,7 @@ func GetPhase(name string) *Phase {
 	defer phaseMu.Unlock()
 	p, ok := phaseTab[name]
 	if !ok {
-		p = &Phase{name: name}
+		p = &Phase{name: name, startMsg: name + " start"}
 		phaseTab[name] = p
 	}
 	return p
@@ -57,15 +65,18 @@ func (p *Phase) Start(total int64) {
 	if p == nil {
 		return
 	}
-	if p.sessions.Add(1) == 1 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.sessions.Load() == 0 {
 		p.done.Store(0)
 		p.total.Store(0)
 		p.startNS.Store(time.Now().UnixNano())
-		FlightRing.Record("phase", p.name+" start")
+		FlightRing.Record("phase", p.startMsg)
 	}
 	if total > 0 {
 		p.total.Add(total)
 	}
+	p.sessions.Add(1)
 }
 
 // Add ticks n completed items. One atomic add, zero allocation,
@@ -83,8 +94,11 @@ func (p *Phase) End() {
 	if p == nil {
 		return
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.sessions.Add(-1) == 0 {
-		FlightRing.Record("phase", p.name+" end: "+p.SnapshotAt(time.Now()).String())
+		now := time.Now()
+		FlightRing.recordEnd(now, p.SnapshotAt(now))
 	}
 }
 
@@ -128,11 +142,8 @@ func (p *Phase) SnapshotAt(now time.Time) PhaseStat {
 	return st
 }
 
-// String renders the stat as one compact human line, the form the
-// heartbeat mirrors into the flight ring. Built with strconv appends
-// rather than fmt so a Phase End inside a measured hot path costs a
-// fixed two allocations (fmt's pooled printer state refills after a
-// GC, which perturbs AllocsPerRun-style alloc accounting).
+// String renders the stat as one compact human line: the heartbeat's
+// flight-ring entry, and the summary a burst's end shows there.
 func (st PhaseStat) String() string {
 	b := make([]byte, 0, 96)
 	b = append(b, st.Name...)

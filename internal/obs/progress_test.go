@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"log/slog"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -173,4 +174,51 @@ func TestPhaseMetrics(t *testing.T) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// A burst's edges allocate nothing: the start text is made once per
+// phase and the end summary is kept as a value until the ring is read.
+func TestPhaseEdgesAllocateNothing(t *testing.T) {
+	p := GetPhase("test-edge-allocs")
+	if n := testing.AllocsPerRun(1000, func() {
+		p.Start(10)
+		p.Start(0) // an overlapping session
+		p.Add(4)
+		p.End()
+		p.End()
+	}); n != 0 {
+		t.Errorf("a burst's Start and End allocate %v objects, want 0", n)
+	}
+}
+
+// The session that opens a burst resets the counters before any
+// overlapping session adds its total, so an overlap's total is never
+// erased. The flight ring's lock is held while the first Start runs, so
+// that Start stops inside the burst's opening (where it records the
+// start) for as long as the test wants; an overlapping Start in that
+// time must not have added its total yet, and once both are through the
+// burst holds both totals. The sleep only gives a wrong Start the time
+// to show itself: a right one passes however the two are scheduled.
+func TestPhaseResetKeepsOverlappingTotal(t *testing.T) {
+	p := &Phase{name: "test-reset-overlap"} // never started: startNS is 0
+	FlightRing.mu.Lock()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); p.Start(10) }()
+	for p.startNS.Load() == 0 {
+		runtime.Gosched() // the first Start has not reached its reset yet
+	}
+	go func() { defer wg.Done(); p.Start(20) }()
+	time.Sleep(20 * time.Millisecond)
+	early := p.total.Load()
+	FlightRing.mu.Unlock()
+	wg.Wait()
+	if early != 0 {
+		t.Errorf("an overlapping session added %d to a burst still being opened", early)
+	}
+	if st := p.SnapshotAt(time.Now()); !st.Active || st.Total != 30 {
+		t.Errorf("after two overlapping Starts: %+v, want active with total 30", st)
+	}
+	p.End()
+	p.End()
 }
