@@ -111,3 +111,42 @@ func TestCollectiveBufferReuseIsByteExact(t *testing.T) {
 		}
 	}
 }
+
+// A rank's request buffer goes back to the pool once its reply exchange
+// returns, and the pool poisons it (0xFF) on release. Had it gone back
+// while an aggregator was still reading it, that aggregator would read
+// fragments at offset and length -1, and a short reply or wrong bytes
+// would follow. Two worlds read at once, so that one's released buffer
+// is the other's next request, with aggregators of every speed: a
+// slow one (one window a fragment, many windows) reads the requests
+// long after a fast rank's request exchange has returned.
+func TestRequestBufferReleaseIsPoisonSafe(t *testing.T) {
+	const p = 8
+	file := randomFile(1<<15, 11)
+	reqs := make([][]grid.Run, p)
+	for off := int64(0); off+24 <= file.Size(); off += 40 {
+		r := int(off/40) % p
+		reqs[r] = append(reqs[r], grid.Run{Offset: off, Length: 24})
+	}
+	var wg sync.WaitGroup
+	for _, h := range []Hints{{CBBufferSize: 40, CBNodes: 3}, {CBNodes: 2}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				err := comm.NewWorld(p).Run(func(c *comm.Comm) error {
+					got, err := CollectiveRead(c, file, reqs[c.Rank()], h)
+					if err == nil && !bytes.Equal(got, directBytes(file, reqs[c.Rank()])) {
+						err = errors.New("wrong bytes")
+					}
+					return err
+				})
+				if err != nil {
+					t.Errorf("%+v, read %d: %v", h, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

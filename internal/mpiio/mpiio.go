@@ -257,7 +257,9 @@ func ChooseWindow(union []grid.Run, aggregators int) int64 {
 // vfile.ReadFull just before — a short read is an error, so stale bytes
 // are never delivered. The reply messages are taken by the aggregator
 // that fills them and released by the requester that receives them,
-// once CollectiveReadTo has written them out.
+// once CollectiveReadTo has written them out. A rank's request buffer
+// is its own, taken before the request exchange and released after
+// the reply exchange.
 var buffers = scratch.Pool[byte]{Poison: 0xFF}
 
 // fragBytes is the size of one fragment in a request message: offset
@@ -336,10 +338,11 @@ func CollectiveReadTo(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints, w 
 
 	// Request exchange: fragments as int64 pairs, written once into one
 	// buffer that is cut into the per-aggregator messages. A run splits
-	// only at a domain boundary, which bounds the fragment count.
+	// only at a domain boundary, which bounds the fragment count, so
+	// the appends stay inside the buffer taken from the pool.
 	reqSp := tr.Begin(trace.PhaseIO, "request-exchange")
 	reqBufs := make([][]byte, p)
-	enc := make([]byte, 0, fragBytes*(len(myRuns)+a-1))
+	enc := buffers.Get(fragBytes * (len(myRuns) + a - 1))[:0]
 	cur, from := -1, 0 // domain of the fragments since enc[from]
 	cut := func() {
 		if cur >= 0 {
@@ -379,6 +382,12 @@ func CollectiveReadTo(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints, w 
 	got := c.Alltoallv(replies)
 	c.SetDepKind(critpath.DepAuto)
 	scatSp.End()
+	// The request messages alias enc, and the aggregators are through
+	// with them: each one sends its reply only after aggregate has read
+	// every request, and the exchange has just received every reply.
+	// On an error return the world is aborting and enc is left to the
+	// collector, since an aggregator may still be reading it.
+	buffers.Put(enc)
 
 	// Reassemble: fragments per aggregator arrive in offset order; walk
 	// my runs, consuming from the right aggregator's stream.
