@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"testing"
 
 	"bgpvr/internal/critpath"
@@ -113,41 +114,53 @@ func TestModelCritPathWithIO(t *testing.T) {
 	}
 }
 
-// TestRealCritPathEndToEnd runs a small real frame with recording on
-// and checks the assembled graph: edges of the expected kinds exist
-// and the critical path lands on the frame's actual end.
+// TestRealCritPathEndToEnd runs small real frames with recording on
+// and checks the assembled graph: the edges are the data's own — a real
+// frame runs no barrier, so there are no barrier edges, the compositing
+// fragments are edges, and a frame read from a file adds the
+// aggregators' — and the critical path lands on the frame's actual end.
 func TestRealCritPathEndToEnd(t *testing.T) {
 	const procs = 8
-	tr := trace.New(procs)
-	rec := critpath.NewRecorder(tr, 4096)
-	res, err := RunReal(RealConfig{
-		Scene:    DefaultScene(32, 64),
-		Procs:    procs,
-		Format:   FormatGenerate,
-		Trace:    tr,
-		CritPath: rec,
-	})
-	if err != nil {
+	s := DefaultScene(32, 64)
+	path := filepath.Join(t.TempDir(), "step.raw")
+	if err := WriteSceneFile(path, FormatRaw, s); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("no dependency edges recorded")
-	}
-	g := critpath.FromTrace(tr, rec)
-	a := critpath.Analyze(g, 3)
-	if a.DepsByKind["barrier"] == 0 {
-		t.Errorf("no barrier edges: %v", a.DepsByKind)
-	}
-	if a.DepsByKind["fragment"] == 0 {
-		t.Errorf("no fragment edges: %v", a.DepsByKind)
-	}
-	if a.PathSec <= 0 || a.PathSec > res.Times.Total*10 {
-		t.Errorf("path duration %v implausible for frame %v", a.PathSec, res.Times.Total)
-	}
-	if len(a.Phases) == 0 {
-		t.Error("no phase imbalance entries")
-	}
-	if txt := a.Text(); len(txt) == 0 {
-		t.Error("empty text report")
+	for _, f := range []Format{FormatGenerate, FormatRaw} {
+		tr := trace.New(procs)
+		rec := critpath.NewRecorder(tr, 4096)
+		res, err := RunReal(RealConfig{
+			Scene:    s,
+			Procs:    procs,
+			Format:   f,
+			Path:     path,
+			Trace:    tr,
+			CritPath: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Len() == 0 {
+			t.Fatalf("format %v: no dependency edges recorded", f)
+		}
+		a := critpath.Analyze(critpath.FromTrace(tr, rec), 3)
+		if a.DepsByKind["barrier"] != 0 {
+			t.Errorf("format %v: barrier edges in a real frame: %v", f, a.DepsByKind)
+		}
+		if a.DepsByKind["fragment"] == 0 {
+			t.Errorf("format %v: no fragment edges: %v", f, a.DepsByKind)
+		}
+		if got := a.DepsByKind["aggregator"]; (got != 0) != (f != FormatGenerate) {
+			t.Errorf("format %v: %d aggregator edges: %v", f, got, a.DepsByKind)
+		}
+		if a.PathSec <= 0 || a.PathSec > res.Times.Total*10 {
+			t.Errorf("format %v: path duration %v implausible for frame %v", f, a.PathSec, res.Times.Total)
+		}
+		if len(a.Phases) == 0 {
+			t.Errorf("format %v: no phase imbalance entries", f)
+		}
+		if txt := a.Text(); len(txt) == 0 {
+			t.Errorf("format %v: empty text report", f)
+		}
 	}
 }

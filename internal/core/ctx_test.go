@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +189,80 @@ func TestRunRealCanceled(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > goroutines {
 		t.Errorf("%d goroutines after the canceled frame, %d before", n, goroutines)
 	}
+
+	// No barrier aligns the ranks' checks, so a context that turns at
+	// its k-th Err call cancels the frame at a different rank and stage
+	// for each k: before a rank's read, in the middle of another's
+	// collective read or cast, or with the rest already compositing.
+	// Each rank makes three checks, so the k-th check is made in every
+	// frame for k up to 3×procs. Each such frame fails with the cancellation, leaves no
+	// goroutine behind, and leaves no released buffer or cached state
+	// that changes the next frame.
+	const procs = 8
+	path := filepath.Join(t.TempDir(), "step.raw")
+	if err := WriteSceneFile(path, FormatRaw, s); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Format{FormatGenerate, FormatRaw} {
+		cfg := RealConfig{Scene: s, Procs: procs, Format: f, Path: path}
+		cold, err := RunReal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(1); k <= 3*procs; k++ {
+			before := runtime.NumGoroutine()
+			canceled := cfg
+			canceled.Ctx = &countdownContext{Context: context.Background(), k: k}
+			if _, err := RunReal(canceled); !errors.Is(err, context.Canceled) {
+				t.Errorf("format %v, canceled at check %d: %v, want context.Canceled", f, k, err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("format %v, canceled at check %d: %d goroutines after the frame, %d before", f, k, n, before)
+			}
+			next, err := RunReal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(next.Image, cold.Image) {
+				t.Fatalf("format %v: the frame after one canceled at check %d differs from a cold frame", f, k)
+			}
+		}
+	}
+}
+
+// countdownContext is a context that is not done for its first k-1 Err
+// calls and canceled from the k-th on, whichever rank makes them.
+type countdownContext struct {
+	context.Context
+	calls atomic.Int64
+	k     int64
+}
+
+func (c *countdownContext) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// sameBits reports whether two images hold the same float bits.
+func sameBits(a, b *img.Image) bool {
+	if a.W != b.W || a.H != b.H {
+		return false
+	}
+	for i, p := range a.Pix {
+		q := b.Pix[i]
+		for _, c := range [4][2]float32{{p.R, q.R}, {p.G, q.G}, {p.B, q.B}, {p.A, q.A}} {
+			if math.Float32bits(c[0]) != math.Float32bits(c[1]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestFieldCacheReuse pins the cache contract: a second identical frame
@@ -252,13 +328,8 @@ func TestResidentTurbulenceFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, p := range plain.Image.Pix {
-			q := cached.Image.Pix[i]
-			for _, c := range [4][2]float32{{p.R, q.R}, {p.G, q.G}, {p.B, q.B}, {p.A, q.A}} {
-				if math.Float32bits(c[0]) != math.Float32bits(c[1]) {
-					t.Fatalf("time %v pixel %d: cached %+v, uncached %+v", tm, i, q, p)
-				}
-			}
+		if !sameBits(cached.Image, plain.Image) {
+			t.Fatalf("time %v: the cached frame differs from the uncached one", tm)
 		}
 	}
 	if cache.builds != 4 || cache.misses != 4*len(times) || cache.hits != 0 {

@@ -55,10 +55,12 @@ func ParseCompositeAlgo(name string) (CompositeAlgo, error) {
 // RealConfig configures a real-mode end-to-end frame.
 type RealConfig struct {
 	// Ctx, when non-nil, bounds the frame: cancellation (a deadline, a
-	// dropped client) is checked at every stage boundary in each rank,
-	// so an abandoned frame stops within one stage instead of running
-	// to completion. A request ID attached via WithRequestID is noted
-	// in the flight ring. nil means context.Background().
+	// dropped client) is checked by each rank before each of its first
+	// three stages, and a rank that sees it fails the world, which
+	// unwinds the others; an abandoned frame stops within one stage
+	// instead of running to completion. A request ID attached via
+	// WithRequestID is noted in the flight ring. nil means
+	// context.Background().
 	Ctx   context.Context
 	Scene Scene
 	Procs int
@@ -95,10 +97,11 @@ type RealConfig struct {
 	// nil costs nothing.
 	Net *telemetry.NetTelemetry
 	// CritPath, when non-nil, records a dependency edge at every
-	// synchronization point (send→recv matches, barrier rounds,
-	// collective exchanges, MPI-IO aggregator scatter, compositing
-	// fragment exchange). Combine with Trace and assemble the causal
-	// event graph afterwards via critpath.FromTrace(Trace, CritPath).
+	// synchronization point (send→recv matches, collective exchanges,
+	// MPI-IO aggregator scatter, compositing fragment exchange; a real
+	// frame runs no barrier, so it records no barrier edge). Combine
+	// with Trace and assemble the causal event graph afterwards via
+	// critpath.FromTrace(Trace, CritPath).
 	// Create with critpath.NewRecorder(Trace, hint); nil costs
 	// nothing.
 	CritPath *critpath.Recorder
@@ -123,10 +126,14 @@ type RealResult struct {
 }
 
 // RunReal executes the full pipeline with p goroutine ranks and returns
-// the frame. All three stages are separated by barriers and timed, as in
-// the paper's instrumentation ("the time from the start of reading the
-// time step from disk to the time that the final image is completed"):
-// each stage ends when the last rank reaches its closing barrier.
+// the frame. The ranks synchronize only where the data does (the
+// collective read, the fragment messages, and Run waiting for every
+// rank), so one rank may cast while another still reads or already
+// composites. Each rank stamps its own clock as it ends each stage, and
+// a stage of the result ends at the last rank's stamp: the frame is
+// timed from the start of reading "to the time that the final image is
+// completed", as in the paper, without the barriers the paper timed
+// its stages at.
 func RunReal(cfg RealConfig) (*RealResult, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("core: Procs must be >= 1")
@@ -203,8 +210,8 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	var usefulBytes int64
 	rankSamples := make([]int64, cfg.Procs)
 	// stamps[rank] is rank-private like rankSamples: each rank's own
-	// arrival at each stage barrier and its compositing traffic, folded
-	// after the world ends.
+	// stage boundaries and its compositing traffic, folded after the
+	// world ends.
 	start := time.Now()
 	stamps := make([]stageStamps, cfg.Procs)
 
@@ -221,21 +228,21 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 			myBlocks = append(myBlocks, b)
 		}
 
-		// Each rank checks ctx at each stage boundary. The context can
-		// fire between two ranks' checks, so one rank may return while
-		// another goes on; World's abort then unwinds the frame (blocked
-		// ranks panic out of their receives, and Run returns the first
-		// error, the cancellation).
+		// Each rank checks ctx at each of its own stage boundaries. No
+		// barrier aligns them, so the ranks resolve the checks at
+		// different moments: one may return while another goes on, and
+		// World's abort then unwinds the frame (blocked ranks panic out
+		// of their receives, and Run returns the first error, the
+		// cancellation).
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: frame canceled before io: %w", err)
 		}
 		stamps[rank].at[0] = time.Since(start)
-		c.Barrier()
 
 		// Stage 1: I/O (or in-memory generation), one collective round
-		// per block slot so the ranks stay aligned. The halo comes
-		// either from the read itself or from a neighbor exchange
-		// afterwards.
+		// per block slot, which every rank joins in the same order. The
+		// halo comes either from the read itself or from a neighbor
+		// exchange afterwards.
 		ioSp := tr.Begin(trace.PhaseIO, "io")
 		fields := make([]*volume.Field, len(myBlocks))
 		var myUseful int64
@@ -278,7 +285,6 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 			fields[0] = grown
 		}
 		stamps[rank].at[1] = time.Since(start)
-		c.Barrier()
 		ioSp.End()
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: frame canceled before render: %w", err)
@@ -303,7 +309,6 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		}
 		sub := subs[0]
 		stamps[rank].at[2] = time.Since(start)
-		c.Barrier()
 		renderSp.End()
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: frame canceled before composite: %w", err)
@@ -341,7 +346,6 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		}
 		stamps[rank].sent[1] = c.Sent()
 		stamps[rank].at[3] = time.Since(start)
-		c.Barrier()
 		compSp.End()
 		return nil
 	})
@@ -367,19 +371,20 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	return res, nil
 }
 
-// stageStamps are one rank's arrivals at the frame's four stage
-// barriers (before io, after io, after render, after composite), as
-// offsets from the frame's start, and its own sent traffic as it starts
-// and as it ends compositing.
+// stageStamps are one rank's own four stage boundaries (its start of
+// io, and its ends of io, render and composite), as offsets from the
+// frame's start, and its own sent traffic as it starts and as it ends
+// compositing.
 type stageStamps struct {
 	at   [4]time.Duration
 	sent [2]comm.TrafficStats
 }
 
-// stageTimes folds the ranks' barrier arrivals into the frame's stage
-// times. A barrier completes at its last arrival, so each stage
-// boundary is the latest stamp over the ranks; no rank's clock waits
-// for it to be scheduled after the barrier.
+// stageTimes folds the ranks' stamps into the frame's stage times. A
+// stage is over when its last rank is through it, so each boundary is
+// the latest stamp over the ranks, and a stage's time is what it adds
+// after the previous stage's last end. A rank's own stamps rise, so no
+// stage is negative even where the ranks' stages overlap.
 func stageTimes(stamps []stageStamps) StageTimes {
 	var last [4]time.Duration
 	for _, st := range stamps {

@@ -135,7 +135,12 @@ func (s Scene) FrontToBack(d grid.Decomp) []int {
 	return d.FrontToBack([3]float64{e.X, e.Y, e.Z})
 }
 
-// StageTimes is the frame-time breakdown the paper reports.
+// StageTimes is the frame-time breakdown the paper reports, in
+// seconds. In real mode each column runs from the last rank's end of the
+// stage before to the last rank's end of its own (the first from the
+// last rank's start), so the columns add up to Total even though no
+// barrier separates the ranks' stages. Model mode's Total also charges
+// the two stage barriers the paper's frame ran.
 type StageTimes struct {
 	IO        float64
 	Render    float64
