@@ -380,23 +380,27 @@ type stageStamps struct {
 	sent [2]comm.TrafficStats
 }
 
-// stageTimes folds the ranks' stamps into the frame's stage times. A
-// stage is over when its last rank is through it, so each boundary is
-// the latest stamp over the ranks, and a stage's time is what it adds
-// after the previous stage's last end. A rank's own stamps rise, so no
-// stage is negative even where the ranks' stages overlap.
+// stageTimes folds the ranks' stamps into the frame's stage times. The
+// frame starts when its first rank starts: ranks overlap without
+// barriers, and one that starts late must not hide the work of those
+// that started earlier. A stage is over when its last rank is through
+// it, so each later boundary is the latest stamp over the ranks, and a
+// stage's time is what it adds after the previous boundary. A rank's
+// own stamps rise, so no stage is negative even where the ranks' stages
+// overlap.
 func stageTimes(stamps []stageStamps) StageTimes {
-	var last [4]time.Duration
-	for _, st := range stamps {
-		for i, t := range st.at {
-			last[i] = max(last[i], t)
+	b := stamps[0].at
+	for _, st := range stamps[1:] {
+		b[0] = min(b[0], st.at[0])
+		for i := 1; i < len(b); i++ {
+			b[i] = max(b[i], st.at[i])
 		}
 	}
 	return StageTimes{
-		IO:        (last[1] - last[0]).Seconds(),
-		Render:    (last[2] - last[1]).Seconds(),
-		Composite: (last[3] - last[2]).Seconds(),
-		Total:     (last[3] - last[0]).Seconds(),
+		IO:        (b[1] - b[0]).Seconds(),
+		Render:    (b[2] - b[1]).Seconds(),
+		Composite: (b[3] - b[2]).Seconds(),
+		Total:     (b[3] - b[0]).Seconds(),
 	}
 }
 

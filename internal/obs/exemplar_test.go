@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestExemplarRoundTrip pins the exemplar contract: ObserveEx on an
-// armed histogram stamps the landing bucket, the last write wins,
+// TestExemplarRoundTrip pins the exemplar contract: ObserveEx stamps
+// the landing bucket, the last write wins,
 // BucketExemplar reads it back, and the exposition
 // carries the OpenMetrics-style suffix on exactly the stamped buckets.
 func TestExemplarRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	vec := r.NewHistogramVec("lat_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	vec.EnableExemplars()
 	h := vec.With(`endpoint="/render"`)
 
 	h.ObserveEx(0.05, "req-1") // (0.01, 0.1] bucket
@@ -46,41 +45,38 @@ func TestExemplarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExemplarChildrenInheritArming pins that children created after
-// EnableExemplars come armed, and that arming is idempotent under an
-// already-armed histogram.
-func TestExemplarChildrenInheritArming(t *testing.T) {
-	r := NewRegistry()
-	vec := r.NewHistogramVec("lat2_seconds", "Latency.", []float64{1})
-	vec.EnableExemplars()
-	h := vec.With(`endpoint="/x"`)
-	h.EnableExemplars() // idempotent
-	h.ObserveEx(0.5, "a")
-	if e, ok := h.BucketExemplar(0); !ok || e.TraceID != "a" {
-		t.Errorf("child created after arming not armed: %+v ok=%v", e, ok)
-	}
-}
-
-// TestExemplarDisabledZeroAlloc pins the off-path cost: ObserveEx on a
-// histogram without exemplars enabled allocates nothing and stores
-// nothing, and the exposition is byte-identical to plain Observe.
-func TestExemplarDisabledZeroAlloc(t *testing.T) {
+// TestExemplarZeroAlloc pins the cost of exemplars: Observe and
+// ObserveEx allocate nothing, and a histogram fed only by Observe
+// stores no exemplar and exposes no exemplar suffix (TestPrometheusGolden
+// pins those bytes).
+func TestExemplarZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("plain_seconds", "Latency.", ExpBuckets(0.001, 2, 10))
-	id := "req-9"
 	if allocs := testing.AllocsPerRun(100, func() {
-		h.ObserveEx(0.004, id)
+		h.Observe(0.004)
 	}); allocs != 0 {
-		t.Errorf("ObserveEx with exemplars off allocates %v per run, want 0", allocs)
+		t.Errorf("Observe allocates %v per run, want 0", allocs)
 	}
-	if _, ok := h.BucketExemplar(2); ok {
-		t.Error("disabled histogram stored an exemplar")
+	for i := 0; i <= 10; i++ {
+		if _, ok := h.BucketExemplar(i); ok {
+			t.Errorf("bucket %d holds an exemplar that no ObserveEx stamped", i)
+		}
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(b.String(), "#") && strings.Contains(b.String(), "trace_id") {
-		t.Errorf("disabled histogram exposition carries exemplars:\n%s", b.String())
+	if strings.Contains(b.String(), "trace_id") {
+		t.Errorf("unstamped histogram exposition carries exemplars:\n%s", b.String())
+	}
+
+	id := "req-9"
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.ObserveEx(0.004, id)
+	}); allocs != 0 {
+		t.Errorf("ObserveEx allocates %v per run, want 0", allocs)
+	}
+	if e, ok := h.BucketExemplar(2); !ok || e.TraceID != id {
+		t.Errorf("bucket 2 exemplar = %+v ok=%v, want %s", e, ok, id)
 	}
 }

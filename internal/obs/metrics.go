@@ -22,9 +22,9 @@ type Sample struct {
 	Labels string // rendered pairs without braces, e.g. `le="4096"`
 	Value  float64
 	Int    bool
-	// ExemplarID/ExemplarVal carry the bucket's last exemplar when the
-	// histogram has exemplars enabled and one was recorded: the trace ID
-	// of a request that landed in this bucket and its observed value.
+	// ExemplarID/ExemplarVal carry the bucket's last exemplar when one
+	// was recorded: the trace ID of a request that landed in this
+	// bucket and its observed value.
 	// Rendered as an OpenMetrics-style suffix (`# {trace_id="..."} v`).
 	ExemplarID  string
 	ExemplarVal float64
@@ -96,9 +96,7 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 // bucket is always appended.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
 	return r.register(name, "histogram", func() metric {
-		h := &Histogram{name: name, help: help, bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		return h
+		return newHistogram(name, help, "", append([]float64(nil), bounds...))
 	}).(*Histogram)
 }
 
@@ -302,22 +300,6 @@ type HistogramVec struct {
 	bounds     []float64
 	mu         sync.Mutex
 	children   map[string]*Histogram
-	exemplars  bool
-}
-
-// EnableExemplars arms exemplar slots on every present and future
-// child of the family.
-func (v *HistogramVec) EnableExemplars() {
-	v.mu.Lock()
-	v.exemplars = true
-	children := make([]*Histogram, 0, len(v.children))
-	for _, h := range v.children {
-		children = append(children, h)
-	}
-	v.mu.Unlock()
-	for _, h := range children {
-		h.EnableExemplars()
-	}
 }
 
 // NewHistogramVec registers (or returns) the named histogram family.
@@ -340,11 +322,7 @@ func (v *HistogramVec) With(labels string) *Histogram {
 	defer v.mu.Unlock()
 	h, ok := v.children[labels]
 	if !ok {
-		h = &Histogram{name: v.name, labels: labels, bounds: v.bounds}
-		h.counts = make([]atomic.Int64, len(v.bounds)+1)
-		if v.exemplars {
-			h.EnableExemplars()
-		}
+		h = newHistogram(v.name, "", labels, v.bounds)
 		v.children[labels] = h
 	}
 	return h
@@ -396,12 +374,18 @@ type Histogram struct {
 	bounds     []float64
 	counts     []atomic.Int64 // len(bounds)+1; last is +Inf
 	sumBits    atomic.Uint64
-	// exemplars, when enabled, holds one last-exemplar slot per bucket
-	// (len(bounds)+1, matching counts). The slice pointer doubles as the
-	// on/off switch: ObserveEx pays one atomic load when off and
-	// allocates nothing, so exemplar-capable call sites cost the same
-	// as Observe until EnableExemplars flips them on.
-	exemplars atomic.Pointer[[]atomic.Pointer[Exemplar]]
+	// exemplars holds one last-exemplar slot per bucket (len(bounds)+1,
+	// matching counts). Only ObserveEx writes one, so a histogram fed
+	// by Observe alone exposes none.
+	exemplars []exemplarSlot
+}
+
+// newHistogram allocates a histogram's bucket counts and exemplar
+// slots.
+func newHistogram(name, help, labels string, bounds []float64) *Histogram {
+	return &Histogram{name: name, help: help, labels: labels, bounds: bounds,
+		counts:    make([]atomic.Int64, len(bounds)+1),
+		exemplars: make([]exemplarSlot, len(bounds)+1)}
 }
 
 // Exemplar links one observed value to the trace that produced it —
@@ -411,14 +395,11 @@ type Exemplar struct {
 	Value   float64
 }
 
-// EnableExemplars arms the per-bucket exemplar slots. Idempotent and
-// safe to call concurrently with observations.
-func (h *Histogram) EnableExemplars() {
-	if h.exemplars.Load() != nil {
-		return
-	}
-	slots := make([]atomic.Pointer[Exemplar], len(h.bounds)+1)
-	h.exemplars.CompareAndSwap(nil, &slots)
+// exemplarSlot is one bucket's last exemplar; an empty TraceID means
+// none yet.
+type exemplarSlot struct {
+	mu sync.Mutex
+	e  Exemplar
 }
 
 // Observe records one value.
@@ -426,15 +407,13 @@ func (h *Histogram) Observe(v float64) {
 	h.observe(v)
 }
 
-// ObserveEx records one value and, when exemplars are enabled, stamps
-// the bucket it lands in with the trace ID as its last exemplar. With
-// exemplars off it is exactly Observe: one atomic pointer load extra,
-// zero allocations.
+// ObserveEx records one value and stamps the bucket it lands in with
+// the trace ID as its last exemplar. It allocates nothing.
 func (h *Histogram) ObserveEx(v float64, traceID string) {
-	i := h.observe(v)
-	if slots := h.exemplars.Load(); slots != nil {
-		(*slots)[i].Store(&Exemplar{TraceID: traceID, Value: v})
-	}
+	slot := &h.exemplars[h.observe(v)]
+	slot.mu.Lock()
+	slot.e = Exemplar{TraceID: traceID, Value: v}
+	slot.mu.Unlock()
 }
 
 func (h *Histogram) observe(v float64) int {
@@ -450,18 +429,16 @@ func (h *Histogram) observe(v float64) int {
 
 // BucketExemplar returns bucket i's last exemplar (i in
 // [0, len(bounds)]; the final index is the +Inf bucket). ok is false
-// when exemplars are off or the bucket has not seen an exemplared
-// observation yet.
+// when the bucket has not seen an exemplared observation yet.
 func (h *Histogram) BucketExemplar(i int) (Exemplar, bool) {
-	slots := h.exemplars.Load()
-	if slots == nil || i < 0 || i >= len(*slots) {
+	if i < 0 || i >= len(h.exemplars) {
 		return Exemplar{}, false
 	}
-	e := (*slots)[i].Load()
-	if e == nil {
-		return Exemplar{}, false
-	}
-	return *e, true
+	slot := &h.exemplars[i]
+	slot.mu.Lock()
+	e := slot.e
+	slot.mu.Unlock()
+	return e, e.TraceID != ""
 }
 
 // Count returns the number of observations so far.

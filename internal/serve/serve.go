@@ -13,7 +13,6 @@ import (
 
 	"bgpvr/internal/core"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/obs/tracestore"
 	"bgpvr/internal/par"
 	"bgpvr/internal/telemetry"
 	"bgpvr/internal/trace"
@@ -84,8 +83,8 @@ type Server struct {
 
 	// traces/sampler are the tail-sampled trace store (nil when
 	// disabled with TraceBudgetMB = -1); diagWritten caps SLO bundles.
-	traces      *tracestore.Store
-	sampler     *tracestore.Sampler
+	traces      *traceRing
+	sampler     *tailSampler
 	diagWritten atomic.Int64
 
 	requests *obs.CounterVec   // bgpvr_serve_requests_total{endpoint,code}
@@ -132,6 +131,9 @@ func New(cfg Config) *Server {
 	if cfg.TraceBudgetMB == 0 {
 		cfg.TraceBudgetMB = 8
 	}
+	if cfg.TraceSampleN == 0 {
+		cfg.TraceSampleN = 16
+	}
 	r := cfg.Registry
 	s := &Server{
 		cfg:   cfg,
@@ -159,15 +161,8 @@ func New(cfg Config) *Server {
 		func() float64 { return max(0, float64(s.waiting.Load()-s.inflight.Load())) })
 
 	if cfg.TraceBudgetMB > 0 {
-		s.traces = tracestore.New(tracestore.Config{
-			BudgetBytes: int64(cfg.TraceBudgetMB) << 20,
-		})
-		s.sampler = tracestore.NewSampler(tracestore.SamplerConfig{
-			SLO: cfg.SLO, RandN: cfg.TraceSampleN,
-		})
-		// Exemplars link latency buckets back to retained traces; off
-		// with the store so the disabled path stays allocation-free.
-		s.latency.EnableExemplars()
+		s.traces = newTraceRing(int64(cfg.TraceBudgetMB) << 20)
+		s.sampler = newTailSampler(cfg.SLO, cfg.TraceSampleN)
 	}
 
 	s.mux = telemetry.NewDebugMux(telemetry.DebugSource{
@@ -240,9 +235,9 @@ func (w *statusWriter) WriteHeader(code int) {
 type carrierKey struct{}
 
 // traceCarrier rides the request context between instrument and the
-// endpoint handler: the handler deposits the sampling verdict before
-// writing its response, and instrument's tail stamps the latency
-// histogram with the retained trace's ID as an exemplar.
+// endpoint handler: the handler deposits a retained trace's ID once it
+// has written its response, and instrument's tail stamps the latency
+// histogram with it as an exemplar.
 type traceCarrier struct {
 	t0       time.Time
 	exemplar string // retained trace ID, "" when the trace was dropped
@@ -360,9 +355,9 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	if n > int64(s.cfg.MaxConcurrent+s.cfg.QueueDepth) {
 		adm.End()
 		s.rejected.Inc()
-		s.finishTrace(ctx, id, http.StatusTooManyRequests, tr)
-		writeJSON(w, http.StatusTooManyRequests, errorReply{
-			Error: fmt.Sprintf("queue full (%d in flight or queued)", n-1), RequestID: id})
+		_, kept := s.judge(ctx, id, http.StatusTooManyRequests, tr)
+		s.reply(ctx, w, http.StatusTooManyRequests, errorReply{
+			Error: fmt.Sprintf("queue full (%d in flight or queued)", n-1), RequestID: id}, r0, kept)
 		return
 	}
 	qw := r0.Begin(trace.PhaseOther, "queue-wait")
@@ -374,9 +369,9 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		qw.End()
 		adm.End()
 		s.deadline.Inc()
-		s.finishTrace(ctx, id, http.StatusServiceUnavailable, tr)
-		writeJSON(w, http.StatusServiceUnavailable, errorReply{
-			Error: "deadline expired while queued", RequestID: id})
+		_, kept := s.judge(ctx, id, http.StatusServiceUnavailable, tr)
+		s.reply(ctx, w, http.StatusServiceUnavailable, errorReply{
+			Error: "deadline expired while queued", RequestID: id}, r0, kept)
 		return
 	}
 	adm.End()
@@ -393,17 +388,19 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			// partial perf report (whatever spans completed).
 			s.deadline.Inc()
 			rep := s.buildReport(id, spec, tr, nil, 0, true)
-			rep.Trace = s.finishTrace(ctx, id, http.StatusServiceUnavailable, tr)
-			writeJSON(w, http.StatusServiceUnavailable, errorReply{
-				Error: err.Error(), RequestID: id, Report: rep})
+			var kept *keptTrace
+			rep.Trace, kept = s.judge(ctx, id, http.StatusServiceUnavailable, tr)
+			s.reply(ctx, w, http.StatusServiceUnavailable, errorReply{
+				Error: err.Error(), RequestID: id, Report: rep}, r0, kept)
 			return
 		}
-		s.finishTrace(ctx, id, http.StatusInternalServerError, tr)
-		writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error(), RequestID: id})
+		_, kept := s.judge(ctx, id, http.StatusInternalServerError, tr)
+		s.reply(ctx, w, http.StatusInternalServerError, errorReply{Error: err.Error(), RequestID: id}, r0, kept)
 		return
 	}
-	resp.Report.Trace = s.finishTrace(ctx, id, http.StatusOK, tr)
-	writeJSON(w, http.StatusOK, resp)
+	var kept *keptTrace
+	resp.Report.Trace, kept = s.judge(ctx, id, http.StatusOK, tr)
+	s.reply(ctx, w, http.StatusOK, resp, r0, kept)
 }
 
 // renderFrame executes the validated job with request-scoped tracing

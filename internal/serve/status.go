@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bgpvr/internal/obs"
-	"bgpvr/internal/obs/tracestore"
 )
 
 // EndpointStatus is one endpoint's RED summary: request counts by
@@ -55,7 +54,7 @@ type StatusReply struct {
 	// TraceStore is the tail-sampled trace store's occupancy (absent
 	// when tracing is disabled): entries, bytes against budget,
 	// evictions, and cumulative kept counts per sample reason.
-	TraceStore *tracestore.Stats `json:"trace_store,omitempty"`
+	TraceStore *TraceStoreStats `json:"trace_store,omitempty"`
 }
 
 // Status assembles the live status snapshot.
@@ -111,7 +110,7 @@ func (s *Server) Status() StatusReply {
 	})
 
 	if s.traces != nil {
-		ts := s.traces.Stats()
+		ts := s.traces.stats()
 		st.TraceStore = &ts
 	}
 	fs, ts := s.fields.Stats()

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -309,15 +312,171 @@ func TestErrorTraceRetained(t *testing.T) {
 	close(release)
 	<-done
 
-	tr, ok := s.traces.Get("rejected-1")
-	if !ok || tr.Reason != "error" || tr.Status != http.StatusTooManyRequests {
+	tr, ok := s.traces.get("rejected-1")
+	if !ok || tr.reason != "error" || tr.status != http.StatusTooManyRequests {
 		t.Fatalf("rejected request not retained as error: %+v ok=%v", tr, ok)
 	}
 	seen := map[string]bool{}
-	for _, e := range tr.Tracer.Events() {
+	for _, e := range tr.tracer.Events() {
 		seen[e.Name] = true
 	}
-	if !seen["admission"] {
-		t.Errorf("429 trace missing the admission span: %v", seen)
+	if !seen["admission"] || !seen["reply"] {
+		t.Errorf("429 trace missing the admission or the reply span: %v", seen)
+	}
+}
+
+// TestRetainedTraceHoldsReplySpan pins the order of a request's last
+// steps: the verdict is decided, then the reply is written inside a
+// "reply" span on rank 0, and only then is the trace retained, so the
+// retained tree holds one span more than the verdict counted.
+func TestRetainedTraceHoldsReplySpan(t *testing.T) {
+	s := testServer(t, Config{TraceSampleN: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/render",
+		strings.NewReader(`{"n": 16, "img": 32, "procs": 2}`))
+	req.Header.Set("X-Request-ID", "reply-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var rr RenderResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Report == nil || rr.Report.Trace == nil || !rr.Report.Trace.Retained {
+		t.Fatalf("no retained verdict in the reply: %s", body)
+	}
+
+	code, b := get(t, ts, "/traces/reply-1")
+	if code != http.StatusOK {
+		t.Fatalf("/traces/reply-1 = %d: %s", code, b)
+	}
+	var detail TraceDetail
+	if err := json.Unmarshal(b, &detail); err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	for _, n := range detail.Tree {
+		if n.Name == "reply" && n.Rank == 0 {
+			replies++
+		}
+	}
+	if replies != 1 {
+		t.Errorf("retained tree holds %d top-level rank-0 reply spans, want 1: %s", replies, b)
+	}
+	if detail.Spans != rr.Report.Trace.Spans+1 {
+		t.Errorf("retained trace has %d spans, verdict counted %d: want one more, the reply",
+			detail.Spans, rr.Report.Trace.Spans)
+	}
+	// The ring sizes a trace as it takes it in, so the charge shows
+	// whether the reply span was already there.
+	kept, _ := s.traces.get("reply-1")
+	if st := s.traces.stats(); st.Bytes != estimateSize(kept) {
+		t.Errorf("ring charged %d bytes for a trace of %d: it was retained before its reply span ended",
+			st.Bytes, estimateSize(kept))
+	}
+}
+
+// TestTracesReadDuringRenders reads retained traces, in the Chrome
+// export, while /render requests complete and enter the ring. Run
+// under -race in CI. Every trace a reader can see is whole: it already
+// holds its reply span.
+func TestTracesReadDuringRenders(t *testing.T) {
+	s := testServer(t, Config{TraceSampleN: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	fetch := func(path string) (int, []byte, error) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, b, err
+	}
+
+	const callers, renders = 2, 4
+	var renderers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for c := 0; c < callers; c++ {
+		renderers.Add(1)
+		go func(c int) {
+			defer renderers.Done()
+			for i := 0; i < renders; i++ {
+				req, _ := http.NewRequest(http.MethodPost, ts.URL+"/render",
+					strings.NewReader(`{"n": 16, "img": 32, "procs": 2}`))
+				req.Header.Set("X-Request-ID", fmt.Sprintf("c%d-%d", c, i))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("render c%d-%d = %d", c, i, resp.StatusCode)
+				}
+			}
+		}(c)
+	}
+	var reads atomic.Int64
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				code, b, err := fetch("/traces")
+				if err != nil || code != http.StatusOK {
+					t.Errorf("/traces = %d, %v", code, err)
+					return
+				}
+				var list TracesReply
+				if err := json.Unmarshal(b, &list); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, tr := range list.Traces {
+					code, b, err := fetch("/traces/" + tr.ID + "?format=chrome")
+					if err != nil || code != http.StatusOK {
+						t.Errorf("/traces/%s = %d, %v", tr.ID, code, err)
+						return
+					}
+					var chrome struct {
+						TraceEvents []struct {
+							Name string `json:"name"`
+						} `json:"traceEvents"`
+					}
+					if err := json.Unmarshal(b, &chrome); err != nil {
+						t.Errorf("%s: chrome export not JSON: %v", tr.ID, err)
+						return
+					}
+					reply := false
+					for _, e := range chrome.TraceEvents {
+						reply = reply || e.Name == "reply"
+					}
+					if !reply {
+						t.Errorf("%s: visible to readers before its reply span", tr.ID)
+					}
+					reads.Add(1)
+				}
+			}
+		}()
+	}
+	renderers.Wait()
+	close(done)
+	readers.Wait()
+	if st := s.traces.stats(); st.Entries != callers*renders {
+		t.Errorf("ring holds %d traces, want %d", st.Entries, callers*renders)
+	}
+	if reads.Load() == 0 {
+		t.Error("no trace was read while the renders ran")
 	}
 }

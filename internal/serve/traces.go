@@ -11,50 +11,55 @@ import (
 	"time"
 
 	"bgpvr/internal/obs"
-	"bgpvr/internal/obs/tracestore"
 	"bgpvr/internal/telemetry"
 	"bgpvr/internal/trace"
 )
 
-// renderEndpoint is the one endpoint whose requests are traced; the
-// sampler and store are keyed by it so future traced endpoints get
-// their own rolling p90 and retention quota.
+// renderEndpoint is the endpoint whose requests are traced.
 const renderEndpoint = "/render"
 
-// finishTrace runs the tail-based sampling decision for one completed
-// /render request and returns the verdict for the per-request perf
-// report (nil when tracing is disabled). A retained trace enters the
-// store, its ID becomes the latency histogram's exemplar for this
-// request, and an SLO breach additionally writes a diagnostic bundle.
-func (s *Server) finishTrace(ctx context.Context, id string, status int, tr *trace.Tracer) *telemetry.TraceStat {
+// judge runs the tail-based sampling decision for one completed
+// /render request. It returns the verdict for the per-request perf
+// report (nil when tracing is disabled), which counts the spans so far,
+// and, when the trace is kept, the entry reply retains once the answer
+// is written.
+func (s *Server) judge(ctx context.Context, id string, status int, tr *trace.Tracer) (*telemetry.TraceStat, *keptTrace) {
 	if s.traces == nil || tr == nil {
-		return nil
+		return nil, nil
 	}
-	car := carrierFrom(ctx)
-	start := time.Now()
-	var dur time.Duration
-	if car != nil {
-		start = car.t0
-		dur = time.Since(car.t0)
+	start, dur := time.Now(), time.Duration(0)
+	if car := carrierFrom(ctx); car != nil {
+		start, dur = car.t0, time.Since(car.t0)
 	}
-	keep, reason := s.sampler.Decide(renderEndpoint, status, dur)
-	st := &telemetry.TraceStat{
-		TraceID: id, Spans: len(tr.Events()), Retained: keep, Reason: reason,
-	}
+	keep, reason := s.sampler.decide(status, dur)
+	st := &telemetry.TraceStat{TraceID: id, Spans: tr.Len(), Retained: keep, Reason: reason}
 	if !keep {
-		return st
+		return st, nil
 	}
-	s.traces.Add(&tracestore.Trace{
-		ID: id, Endpoint: renderEndpoint, Status: status, Duration: dur,
-		Reason: reason, Start: start, Tracer: tr,
-	})
-	if car != nil {
-		car.exemplar = id
+	return st, &keptTrace{id: id, status: status, dur: dur, reason: reason, start: start, tracer: tr}
+}
+
+// reply writes v as the /render answer inside a "reply" span on the
+// request's rank 0 (nil in model mode, whose timeline is modeled), and
+// only then retains kept: a trace in the ring gains no more spans, so a
+// /traces reader never sees one still being written, and its tree holds
+// one span more than its verdict counted. A retained trace's ID becomes
+// the request's latency exemplar, and an SLO breach additionally writes
+// a diagnostic bundle.
+func (s *Server) reply(ctx context.Context, w http.ResponseWriter, code int, v any, r0 *trace.Rank, kept *keptTrace) {
+	sp := r0.Begin(trace.PhaseOther, "reply")
+	writeJSON(w, code, v)
+	sp.End()
+	if kept == nil {
+		return
 	}
-	if reason == tracestore.ReasonSLO && s.cfg.DiagDir != "" {
-		s.writeDiagBundle(id, status, dur, tr)
+	s.traces.add(kept)
+	if car := carrierFrom(ctx); car != nil {
+		car.exemplar = kept.id
 	}
-	return st
+	if kept.reason == reasonSLO && s.cfg.DiagDir != "" {
+		s.writeDiagBundle(kept.id, kept.status, kept.dur, kept.tracer)
+	}
 }
 
 // maxDiagBundles caps SLO diagnostic files per process: a persistently
@@ -145,11 +150,21 @@ type TraceSummary struct {
 	Spans      int       `json:"spans"`
 }
 
+// TraceStoreStats is the trace ring's occupancy, served in /status
+// next to the cache and admission state, and in /traces.
+type TraceStoreStats struct {
+	Entries     int              `json:"entries"`
+	Bytes       int64            `json:"bytes"`
+	BudgetBytes int64            `json:"budget_bytes"`
+	Evictions   int64            `json:"evictions"`
+	ByReason    map[string]int64 `json:"by_reason,omitempty"` // kept counts per sample reason, cumulative
+}
+
 // TracesReply is the GET /traces body: store occupancy plus the
 // retained traces, newest first.
 type TracesReply struct {
-	Store  tracestore.Stats `json:"store"`
-	Traces []TraceSummary   `json:"traces"`
+	Store  TraceStoreStats `json:"store"`
+	Traces []TraceSummary  `json:"traces"`
 }
 
 // TraceDetail is the GET /traces/{id} body: the summary plus the
@@ -159,11 +174,11 @@ type TraceDetail struct {
 	Tree []*trace.SpanNode `json:"tree"`
 }
 
-func summarize(t *tracestore.Trace) TraceSummary {
+func summarize(t *keptTrace) TraceSummary {
 	return TraceSummary{
-		ID: t.ID, Endpoint: t.Endpoint, Status: t.Status,
-		DurationMs: float64(t.Duration.Microseconds()) / 1e3,
-		Reason:     t.Reason, Start: t.Start, Spans: len(t.Tracer.Events()),
+		ID: t.id, Endpoint: renderEndpoint, Status: t.status,
+		DurationMs: float64(t.dur.Microseconds()) / 1e3,
+		Reason:     t.reason, Start: t.start, Spans: t.tracer.Len(),
 	}
 }
 
@@ -187,8 +202,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if !s.tracingEnabled(w, r) {
 		return
 	}
-	reply := TracesReply{Store: s.traces.Stats()}
-	for _, t := range s.traces.List() {
+	reply := TracesReply{Store: s.traces.stats()}
+	for _, t := range s.traces.list() {
 		reply.Traces = append(reply.Traces, summarize(t))
 	}
 	if r.URL.Query().Get("text") == "" {
@@ -214,7 +229,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	t, ok := s.traces.Get(id)
+	t, ok := s.traces.get(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("trace %q not retained (evicted, or never sampled)", id), http.StatusNotFound)
 		return
@@ -222,11 +237,11 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "trace-"+sanitizeID(id)+".json"))
-		_ = t.Tracer.WriteChrome(w)
+		_ = t.tracer.WriteChrome(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, TraceDetail{
 		TraceSummary: summarize(t),
-		Tree:         t.Tracer.SpanTree(),
+		Tree:         t.tracer.SpanTree(),
 	})
 }

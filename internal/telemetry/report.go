@@ -77,7 +77,9 @@ type Report struct {
 // whether /traces/{trace_id} will answer.
 type TraceStat struct {
 	TraceID string `json:"trace_id"`
-	// Spans is the number of recorded span events (before nesting).
+	// Spans is the number of recorded span events (before nesting) at
+	// the verdict. The verdict rides in the reply, so a real-mode
+	// retained trace holds one more: the reply span.
 	Spans    int  `json:"spans"`
 	Retained bool `json:"retained"`
 	// Reason is "error", "slo", "p90", or "rand" when retained.

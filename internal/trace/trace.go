@@ -191,6 +191,21 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
+// Len returns how many events have been recorded, over every rank,
+// without copying or sorting them as Events does.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for _, r := range t.ranks {
+		r.mu.Lock()
+		n += len(r.events)
+		r.mu.Unlock()
+	}
+	return n
+}
+
 // Totals returns each counter summed across ranks.
 func (t *Tracer) Totals() [NumCounters]int64 {
 	var tot [NumCounters]int64

@@ -32,8 +32,8 @@ func TestConcurrentRanks(t *testing.T) {
 	wg.Wait()
 
 	ev := tr.Events()
-	if len(ev) != ranks*spansPerRank {
-		t.Fatalf("got %d events, want %d", len(ev), ranks*spansPerRank)
+	if len(ev) != ranks*spansPerRank || tr.Len() != len(ev) {
+		t.Fatalf("got %d events (Len %d), want %d", len(ev), tr.Len(), ranks*spansPerRank)
 	}
 	for i := 1; i < len(ev); i++ {
 		a, b := ev[i-1], ev[i]
@@ -53,7 +53,7 @@ func TestConcurrentRanks(t *testing.T) {
 // TestNilSafety checks every entry point on nil receivers.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Size() != 0 || tr.Rank(0) != nil || tr.Events() != nil {
+	if tr.Size() != 0 || tr.Rank(0) != nil || tr.Events() != nil || tr.Len() != 0 {
 		t.Fatal("nil Tracer must behave as empty")
 	}
 	if tot := tr.Totals(); tot != ([NumCounters]int64{}) {
