@@ -171,13 +171,13 @@ func TestBlendFragmentRejectsMalformed(t *testing.T) {
 			}
 		}
 		// A compositor handed the malformed message between two good ones
-		// refuses the tile before it takes an accumulator: the recyclers
-		// were just emptied by two collections, so taking one would be a
-		// fresh allocation of the tile's size. It releases (under
-		// TestMain's poison, overwrites) none of the messages either.
+		// refuses the tile before it takes an accumulator: the recycler
+		// holds no buffer of the tile's size (held takes them all), so
+		// taking one would be a fresh allocation of that size. It releases
+		// (under TestMain's poison, overwrites) none of the messages
+		// either.
 		msgs := [][]byte{slices.Clone(dense), slices.Clone(tc.msg), slices.Clone(active)}
-		runtime.GC()
-		runtime.GC()
+		held := takeEveryPixelBuffer(fuzzTile.NumPixels())
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		payload, err := compositeTile(0, fuzzTile, msgs)
@@ -190,6 +190,9 @@ func TestBlendFragmentRejectsMalformed(t *testing.T) {
 		}
 		if !bytes.Equal(msgs[0], dense) || !bytes.Equal(msgs[1], tc.msg) || !bytes.Equal(msgs[2], active) {
 			t.Errorf("compositeTile %s: a refused tile changed its messages", tc.name)
+		}
+		for _, b := range held {
+			img.Pixels.Put(b)
 		}
 	}
 	for i, msg := range fuzzSeeds() {
@@ -268,4 +271,21 @@ func FuzzBlendFragment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// takeEveryPixelBuffer takes img.Pixels buffers of n pixels until one is
+// a fresh allocation, so that the recycler holds none of that size, and
+// returns them for the caller to release.
+func takeEveryPixelBuffer(n int) [][]img.RGBA {
+	var held [][]img.RGBA
+	for {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b := img.Pixels.Get(n)
+		runtime.ReadMemStats(&m1)
+		held = append(held, b)
+		if m1.TotalAlloc-m0.TotalAlloc >= uint64(n)*uint64(unsafe.Sizeof(img.RGBA{})) {
+			return held
+		}
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"bgpvr/internal/comm"
@@ -272,10 +271,6 @@ func TestDirectSendMessagesMatchSchedule(t *testing.T) {
 // (20 MB), of the accumulators or of the payloads (16.8 MB each) breaks
 // it.
 func TestDirectSendFrameAllocationCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of what is put into it under the race detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	const p, m, w, h = 64, 16, 1024, 1024
 	subs, rects, order := pinScene(p, w, h)
 	for b, r := range rects {

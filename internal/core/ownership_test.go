@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,16 +87,12 @@ func TestConcurrentFramesShareTheRecycler(t *testing.T) {
 // fields or of the replies alone is more than the whole variable (the
 // blocks overlap by their ghost layers), twice the ceiling.
 func TestRunRealReadFrameAllocationCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of what is put into it under the race detector")
-	}
 	s := DefaultScene(64, 64)
 	path := filepath.Join(t.TempDir(), "step.nc")
 	if err := WriteSceneFile(path, FormatNetCDF, s); err != nil {
 		t.Fatal(err)
 	}
 	cfg := RealConfig{Scene: s, Procs: 8, Format: FormatNetCDF, Path: path}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	frame := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -118,5 +115,39 @@ func TestRunRealReadFrameAllocationCeiling(t *testing.T) {
 	} else {
 		t.Logf("steady-state frame allocated %.2f MB of a %.2f MB ceiling (the first %.2f MB)",
 			float64(warm)/1e6, float64(ceiling)/1e6, float64(cold)/1e6)
+	}
+}
+
+// A frame allocates the same bytes however often the collector runs:
+// the recycler's free lists keep what the frame before released through
+// any number of collections. Under sync.Pool a collection emptied the
+// pool, so the more often it ran the more a frame re-allocated. A frame
+// now and then needs one buffer more than the lists hold (its fragments
+// arrive in another order), so a setting reads the median frame.
+func TestFrameAllocationIgnoresTheCollector(t *testing.T) {
+	cfg := compositeShape(256)
+	perFrame := func(gcPercent int) uint64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(gcPercent))
+		bytes := make([]uint64, 12)
+		for i := range bytes {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := RunReal(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		bytes = bytes[3:] // the first frames fill the free lists
+		slices.Sort(bytes)
+		return bytes[len(bytes)/2]
+	}
+	ref := perFrame(100)
+	for _, pct := range []int{50, 400} {
+		if got := perFrame(pct); 100*max(got, ref) > 101*min(got, ref) {
+			t.Errorf("GOGC %d: %d bytes a frame, %d at GOGC 100: more than 1%% apart", pct, got, ref)
+		} else {
+			t.Logf("GOGC %d: %d bytes a frame, %d at GOGC 100", pct, got, ref)
+		}
 	}
 }

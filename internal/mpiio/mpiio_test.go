@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -398,12 +397,6 @@ func readTwice(t *testing.T, p int, n, runLen int64, h Hints) (bytes, objects [2
 // fixed number of small objects: no concatenated result, nothing per
 // run.
 func TestCollectiveReadAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under the race detector")
-	}
-	// A collection between the two calls ages the pooled buffers, two of
-	// them empty the pool.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const p, n = 8, 1 << 20
 	for _, h := range []Hints{{CBNodes: p}, {CBBufferSize: 1 << 14, CBNodes: 3}} {
 		// 4 KB runs: the request tables are 16 bytes a run, 0.4 % of n.

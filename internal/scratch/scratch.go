@@ -1,7 +1,7 @@
-// Package scratch recycles the large buffers whose lifetime is one
-// frame: subimages, tile accumulators, wire messages, aggregator
-// replies, block fields, lookup tables. It is the tree's one pool
-// mechanism.
+// Package scratch recycles the buffers whose lifetime is one frame:
+// subimages, tile accumulators, wire messages, aggregator replies,
+// block fields, read run lists, lookup tables. It is the tree's one
+// pool mechanism.
 //
 // The ownership rule every user follows: whoever consumes a buffer last
 // releases it; a buffer never released is garbage, not a leak; nothing a
@@ -10,9 +10,9 @@
 // admits is a use after release — which the poison switch (Poison)
 // turns into NaN pixels and 0xFF bytes under test.
 //
-// A Pool is size-classed with sync.Pool underneath, so it has no
-// capacity to tune, is safe for concurrent use, and gives its memory
-// back under GC pressure.
+// A Pool keeps a free list per size class that the collector never
+// empties, is safe for concurrent use, and holds its idle bytes to one
+// ceiling (maxIdle): a Put past it leaves the buffer to the collector.
 package scratch
 
 import (
@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // Size classes: four per power of two (2^k times 1, 1.25, 1.5, 1.75),
@@ -34,12 +35,21 @@ const (
 	minLen   = 1 << minBits
 )
 
+// maxIdle is the most bytes a Pool holds in its free lists. A Put that
+// would take it past the ceiling drops the buffer instead, so a process
+// keeps at most this much per Pool resident between frames. The largest
+// idle total measured on the benchmark's frame and service workloads is
+// 22.7 MB (mpiio's byte pool on frame-io; DESIGN.md "Why free lists"),
+// so the ceiling holds two such frames at once and none of them reaches
+// it.
+const maxIdle = 64 << 20
+
 // classSize is the capacity of class c.
 func classSize(c int) int {
 	return (4 + c%4) << (minBits - 2 + c/4)
 }
 
-// classFloor is the largest class whose size is at most n (n >= minLen).
+// classFloor is the largest class of size at most n, -1 for minLen-1.
 func classFloor(n int) int {
 	k := bits.Len(uint(n)) - 1 // 2^k <= n < 2^(k+1)
 	return 4*(k-minBits) + (n>>(k-2))&3
@@ -54,11 +64,9 @@ type Pool[T any] struct {
 	// on: something a pin or a bounds check cannot miss (NaN, 0xFF, -1).
 	Poison T
 
-	classes [nClasses]sync.Pool // of *[]T with cap >= classSize
-	// boxes holds the emptied *[]T of Get for the next Put, so that a
-	// get/put pair allocates nothing: a slice header put into a sync.Pool
-	// directly would be boxed afresh every time.
-	boxes sync.Pool
+	mu   sync.Mutex
+	free [nClasses][][]T // per class, last released on top; cap >= classSize
+	idle int             // bytes in free, at most maxIdle
 }
 
 // Get returns a slice of n elements whose contents are unspecified: the
@@ -67,22 +75,22 @@ func (p *Pool[T]) Get(n int) []T {
 	if n < minLen || n > classSize(nClasses-1) {
 		return make([]T, n)
 	}
-	c := classFloor(n)
-	if classSize(c) < n {
-		c++
-	}
-	if box, _ := p.classes[c].Get().(*[]T); box != nil {
-		s := *box
-		*box = nil
-		p.boxes.Put(box)
+	c := classFloor(n-1) + 1 // the smallest class that holds n
+	p.mu.Lock()
+	if l := p.free[c]; len(l) > 0 {
+		s := l[len(l)-1]
+		p.free[c], l[len(l)-1] = l[:len(l)-1], nil
+		p.idle -= cap(s) * int(unsafe.Sizeof(p.Poison))
+		p.mu.Unlock()
 		return s[:n]
 	}
+	p.mu.Unlock()
 	return make([]T, n, classSize(c))
 }
 
 // Put releases s, which the caller must not touch again. Any slice may
-// be released, recycled or not; one too small or too large to keep is
-// dropped.
+// be released, recycled or not; one too small or too large to keep, or
+// one that would take the idle bytes past maxIdle, is dropped.
 func (p *Pool[T]) Put(s []T) {
 	s = s[:cap(s)]
 	if len(s) < minLen {
@@ -93,15 +101,14 @@ func (p *Pool[T]) Put(s []T) {
 			s[i] = p.Poison
 		}
 	}
-	if len(s) > classSize(nClasses-1) {
-		return
+	size := len(s) * int(unsafe.Sizeof(p.Poison))
+	p.mu.Lock()
+	if len(s) <= classSize(nClasses-1) && p.idle+size <= maxIdle {
+		p.idle += size
+		c := classFloor(len(s))
+		p.free[c] = append(p.free[c], s)
 	}
-	box, _ := p.boxes.Get().(*[]T)
-	if box == nil {
-		box = new([]T)
-	}
-	*box = s
-	p.classes[classFloor(len(s))].Put(box)
+	p.mu.Unlock()
 }
 
 // poison is the ownership test's switch: see Poison.

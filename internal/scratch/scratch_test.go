@@ -50,17 +50,37 @@ func TestPutThenGetReuses(t *testing.T) {
 	foreign := make([]int32, 3000)
 	foreign[0] = 43
 	p.Put(foreign)
-	seen := map[int32]bool{}
-	for _, n := range []int{4800, 2600} { // the class floors of 5000's capacity and of 3000
-		s := p.Get(n)
-		seen[s[:1][0]] = true
-	}
-	// sync.Pool may drop entries (it does under -race), so reuse is
-	// checked only when it happened: what came back must be whole.
-	for v := range seen {
-		if v != 0 && v != 42 && v != 43 {
-			t.Errorf("recycled buffer starts with %d", v)
+	// The class floors of 5000's capacity and of 3000.
+	for _, c := range []struct{ n, want int32 }{{4800, 42}, {2560, 43}} {
+		if s := p.Get(int(c.n)); s[0] != c.want {
+			t.Errorf("Get(%d) starts with %d, want the released buffer's %d", c.n, s[0], c.want)
 		}
+	}
+}
+
+// A burst of releases larger than the ceiling keeps at most the ceiling
+// idle and drops the rest; what is kept still comes back.
+func TestIdleBytesStayUnderTheCeiling(t *testing.T) {
+	var p Pool[uint32]
+	const n = 1 << 20 // 4 MB buffers
+	held := make([][]uint32, 0, maxIdle/(4*n)+8)
+	for len(held) < cap(held) {
+		held = append(held, p.Get(n))
+	}
+	for _, s := range held {
+		p.Put(s)
+		if p.idle > maxIdle {
+			t.Fatalf("%d bytes idle, ceiling %d", p.idle, maxIdle)
+		}
+	}
+	if want := maxIdle / (4 * n) * 4 * n; p.idle != want {
+		t.Errorf("%d bytes idle after the burst, want %d (the ceiling's worth)", p.idle, want)
+	}
+	for i := 0; i < maxIdle/(4*n); i++ {
+		p.Get(n)
+	}
+	if p.idle != 0 {
+		t.Errorf("%d bytes idle after taking back every kept buffer, want 0", p.idle)
 	}
 }
 
@@ -111,9 +131,6 @@ func TestConcurrentGetPut(t *testing.T) {
 }
 
 func TestGetPutPairAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under the race detector")
-	}
 	var p Pool[byte]
 	p.Put(p.Get(1 << 16))
 	if a := testing.AllocsPerRun(1000, func() { p.Put(p.Get(1 << 16)) }); a != 0 {

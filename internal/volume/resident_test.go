@@ -2,7 +2,6 @@ package volume
 
 import (
 	"math"
-	"runtime/debug"
 	"testing"
 
 	"bgpvr/internal/grid"
@@ -102,20 +101,13 @@ func TestFillFromRefusesAnotherTable(t *testing.T) {
 // A warm FillFrom allocates nothing: its coordinate row comes from the
 // pool and the field is the caller's.
 func TestFillFromAllocation(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	sn := generators[0]
 	dims := grid.Cube(64)
 	ext := grid.NewDecomp(dims, 8).GhostExtent(3, 1) // the service's block
 	turb := sn.Turbulence(VarVelocityX, dims, ext)
 	f := NewField(dims, ext)
 	sn.FillFrom(f, VarVelocityX, turb)
-	// The fewest of several runs: under the race detector sync.Pool
-	// drops a quarter of what is put into it.
-	fewest := math.Inf(1)
-	for i := 0; i < 8; i++ {
-		fewest = min(fewest, testing.AllocsPerRun(1, func() { sn.FillFrom(f, VarVelocityX, turb) }))
-	}
-	if fewest > 0 {
-		t.Errorf("a warm FillFrom makes %v allocations, want none", fewest)
+	if n := testing.AllocsPerRun(8, func() { sn.FillFrom(f, VarVelocityX, turb) }); n > 0 {
+		t.Errorf("a warm FillFrom makes %v allocations, want none", n)
 	}
 }
