@@ -9,6 +9,7 @@ import (
 	"bgpvr/internal/mpiio"
 	"bgpvr/internal/netcdf"
 	"bgpvr/internal/rawfmt"
+	"bgpvr/internal/scratch"
 	"bgpvr/internal/vfile"
 	"bgpvr/internal/volume"
 )
@@ -111,9 +112,22 @@ func WriteSceneFile(path string, f Format, s Scene) error {
 // runs mapping plus the per-process metadata read count. It is shared by
 // the real reader and the model planner.
 type layout struct {
-	runsFor      func(ext grid.Extent) ([]grid.Run, error)
+	// runsFor appends the runs of ext to dst and returns the list.
+	runsFor      func(dst []grid.Run, ext grid.Extent) ([]grid.Run, error)
 	order        volume.ByteOrder
 	metaAccesses int // small per-process metadata reads on open
+}
+
+// runLists recycles the run lists of a frame's reads: each block's, and
+// the whole variable's that frameHints plans the window from.
+var runLists = scratch.Pool[grid.Run]{Poison: grid.Run{Offset: -1, Length: -1}}
+
+// takeRuns returns the runs of ext in a list taken from runLists. It
+// holds rows × planes of ext, a run per row at most, so no format's
+// builder grows it. Its user releases it with runLists.Put.
+func (lay *layout) takeRuns(ext grid.Extent) ([]grid.Run, error) {
+	s := ext.Size()
+	return lay.runsFor(runLists.Get(s.Y * s.Z)[:0], ext)
 }
 
 // readInto overwrites every sample of fld with the layout's variable
@@ -121,10 +135,12 @@ type layout struct {
 // straight out of the aggregators' replies. All ranks must call it
 // together.
 func (lay *layout) readInto(c *comm.Comm, f vfile.File, fld *volume.Field, h mpiio.Hints) error {
-	runs, err := lay.runsFor(fld.Ext)
+	runs, err := lay.takeRuns(fld.Ext)
 	if err != nil {
 		return err
 	}
+	// The read keeps no reference to the runs once it returns.
+	defer runLists.Put(runs)
 	return readFloats(c, f, runs, h, fld.Data, lay.order)
 }
 
@@ -161,8 +177,8 @@ func formatLayout(f Format, s Scene) (*layout, error) {
 	switch f {
 	case FormatRaw:
 		return &layout{
-			runsFor: func(ext grid.Extent) ([]grid.Run, error) {
-				return rawfmt.VarRuns(dims, ext), nil
+			runsFor: func(dst []grid.Run, ext grid.Extent) ([]grid.Run, error) {
+				return rawfmt.AppendVarRuns(dst, dims, ext), nil
 			},
 		}, nil
 	case FormatNetCDF, FormatCDF5:
@@ -176,7 +192,7 @@ func formatLayout(f Format, s Scene) (*layout, error) {
 		}
 		v, _ := nf.VarByName(s.Variable.Name())
 		return &layout{
-			runsFor:      func(ext grid.Extent) ([]grid.Run, error) { return nf.VarRuns(v, ext) },
+			runsFor:      func(dst []grid.Run, ext grid.Extent) ([]grid.Run, error) { return nf.AppendVarRuns(dst, v, ext) },
 			order:        volume.BigEndian,
 			metaAccesses: 1, // header read
 		}, nil
@@ -190,7 +206,7 @@ func formatLayout(f Format, s Scene) (*layout, error) {
 			return nil, fmt.Errorf("core: h5lite layout missing %q", s.Variable.Name())
 		}
 		return &layout{
-			runsFor:      func(ext grid.Extent) ([]grid.Run, error) { return ds.VarRuns(ext), nil },
+			runsFor:      func(dst []grid.Run, ext grid.Extent) ([]grid.Run, error) { return ds.AppendVarRuns(dst, ext), nil },
 			metaAccesses: 2 + 2*volume.NumVars, // superblock, symtab, header+attrs per dataset
 		}, nil
 	default:
@@ -206,7 +222,7 @@ func UnionRuns(f Format, s Scene) ([]grid.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lay.runsFor(grid.WholeGrid(s.Dims))
+	return lay.runsFor(nil, grid.WholeGrid(s.Dims))
 }
 
 // FileSizeOf returns the on-disk size of a scene file in the format.

@@ -126,7 +126,7 @@ func RunModel(cfg ModelConfig) (*ModelResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		union, err := lay.runsFor(grid.WholeGrid(s.Dims))
+		union, err := lay.runsFor(nil, grid.WholeGrid(s.Dims))
 		if err != nil {
 			return nil, err
 		}

@@ -80,7 +80,7 @@ func TestReadPathPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		union, err := lay.runsFor(grid.WholeGrid(s.Dims))
+		union, err := lay.runsFor(nil, grid.WholeGrid(s.Dims))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestReadPathPinsPlannedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	union, err := lay.runsFor(grid.WholeGrid(s.Dims))
+	union, err := lay.runsFor(nil, grid.WholeGrid(s.Dims))
 	if err != nil {
 		t.Fatal(err)
 	}

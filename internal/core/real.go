@@ -184,11 +184,12 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		union, err := lay.runsFor(grid.WholeGrid(s.Dims))
+		union, err := lay.takeRuns(grid.WholeGrid(s.Dims))
 		if err != nil {
 			return nil, err
 		}
 		hints = frameHints(cfg.Hints, min(cfg.Procs, 8), union)
+		runLists.Put(union)
 		tr, closeFn, err := openTraced(cfg.Path)
 		if err != nil {
 			return nil, err
@@ -214,6 +215,11 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	// world ends.
 	start := time.Now()
 	stamps := make([]stageStamps, cfg.Procs)
+	// A rank's blocks, their fields and their subimages are its window
+	// of three per-frame arrays, rank r's at [r*bpr, (r+1)*bpr).
+	blocks := make([]int, nblocks)
+	blockFields := make([]*volume.Field, nblocks)
+	blockSubs := make([]*render.Subimage, nblocks)
 
 	world := comm.NewWorld(cfg.Procs)
 	world.SetTracer(cfg.Trace)
@@ -223,9 +229,10 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		rank := c.Rank()
 		tr := c.Trace()
 		// Blocks assigned round-robin: rank r owns blocks r, r+p, ...
-		myBlocks := make([]int, 0, bpr)
-		for b := rank; b < nblocks; b += cfg.Procs {
-			myBlocks = append(myBlocks, b)
+		lo, hi := rank*bpr, (rank+1)*bpr
+		myBlocks := blocks[lo:hi:hi]
+		for i := range myBlocks {
+			myBlocks[i] = rank + i*cfg.Procs
 		}
 
 		// Each rank checks ctx at each of its own stage boundaries. No
@@ -244,7 +251,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		// halo comes either from the read itself or from a neighbor
 		// exchange afterwards.
 		ioSp := tr.Begin(trace.PhaseIO, "io")
-		fields := make([]*volume.Field, len(myBlocks))
+		fields := blockFields[lo:hi:hi]
 		var myUseful int64
 		for i, b := range myBlocks {
 			own := d.BlockExtent(b)
@@ -292,7 +299,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 
 		// Stage 2: rendering (no communication).
 		renderSp := tr.Begin(trace.PhaseRender, "render")
-		subs := make([]*render.Subimage, len(myBlocks))
+		subs := blockSubs[lo:hi:hi]
 		var mySamples int64
 		for i, b := range myBlocks {
 			subs[i] = render.RenderBlockTraced(fields[i], d.BlockExtent(b), cam, tf, rcfg, tr)

@@ -58,7 +58,7 @@ func TestTruncatedFileFailsEveryReader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, err := lay.runsFor(whole)
+		runs, err := lay.runsFor(nil, whole)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,13 +16,9 @@ func (r Run) End() int64 { return r.Offset + r.Length }
 // the file (extent spans full X, or full XY planes) are coalesced, so a
 // whole-grid extent yields a single run.
 //
-// An empty extent yields nil. The extent must lie within dims.
+// The extent is clipped to dims; an empty one yields nil.
 func Runs(dims IVec3, ext Extent, elemSize int, base int64) []Run {
-	ext = ext.Intersect(WholeGrid(dims))
-	if ext.Empty() {
-		return nil
-	}
-	return AppendRuns(make([]Run, 0, RunCount(dims, ext)), dims, ext, elemSize, base)
+	return AppendRuns(nil, dims, ext, elemSize, base)
 }
 
 // RunCount returns how many runs Runs yields for ext, which must lie
@@ -42,12 +38,19 @@ func RunCount(dims IVec3, ext Extent) int {
 	}
 }
 
-// AppendRuns appends the runs of ext (as Runs defines them; ext must lie
-// within dims) to runs, one row at a time, and returns the extended
+// AppendRuns appends the runs of ext (as Runs defines them) to runs,
+// growing it at most once, one row at a time, and returns the extended
 // list. A row that starts where the list so far ends extends its last
 // run, so a caller that assembles a list from several arrays in offset
 // order (the records of a netCDF variable) gets it coalesced.
 func AppendRuns(runs []Run, dims IVec3, ext Extent, elemSize int, base int64) []Run {
+	ext = ext.Intersect(WholeGrid(dims))
+	if ext.Empty() {
+		return runs
+	}
+	if n := RunCount(dims, ext); cap(runs)-len(runs) < n {
+		runs = append(make([]Run, 0, len(runs)+n), runs...)
+	}
 	es := int64(elemSize)
 	rowLen := int64(ext.Size().X) * es
 	for z := ext.Lo.Z; z < ext.Hi.Z; z++ {

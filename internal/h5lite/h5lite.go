@@ -68,10 +68,12 @@ func (f *File) DatasetByName(name string) (*Dataset, bool) {
 	return nil, false
 }
 
-// VarRuns returns the byte runs covering extent ext of the dataset: a
-// plain dense subarray flattening from the dataset's contiguous data.
-func (d *Dataset) VarRuns(ext grid.Extent) []grid.Run {
-	return grid.Runs(d.Dims, ext, 4, d.Offset)
+// AppendVarRuns appends the byte runs covering extent ext of the
+// dataset to dst, which it grows at most once, and returns the extended
+// list: a plain dense subarray flattening from the dataset's contiguous
+// data.
+func (d *Dataset) AppendVarRuns(dst []grid.Run, ext grid.Extent) []grid.Run {
+	return grid.AppendRuns(dst, d.Dims, ext, 4, d.Offset)
 }
 
 // encodeObjectHeader serializes one dataset's object header.
@@ -392,7 +394,7 @@ func ReadExtent(f vfile.File, d *Dataset, ext grid.Extent) (*volume.Field, error
 	ext = ext.Intersect(grid.WholeGrid(d.Dims))
 	fld := volume.NewField(d.Dims, ext)
 	dec := volume.NewFloatDecoder(fld.Data, volume.LittleEndian)
-	if err := vfile.ReadRuns(f, d.VarRuns(ext), 0, dec); err != nil {
+	if err := vfile.ReadRuns(f, d.AppendVarRuns(nil, ext), 0, dec); err != nil {
 		return nil, fmt.Errorf("h5lite: %w", err)
 	}
 	if err := dec.Close(); err != nil {

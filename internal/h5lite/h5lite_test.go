@@ -136,7 +136,7 @@ func TestVarRunsDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := h.DatasetByName("density")
-	runs := d.VarRuns(grid.WholeGrid(dims))
+	runs := d.AppendVarRuns(nil, grid.WholeGrid(dims))
 	if len(runs) != 1 {
 		t.Errorf("whole-variable read should be one run, got %d", len(runs))
 	}

@@ -293,7 +293,8 @@ func CollectiveRead(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints) ([]b
 // in order, to w instead of returning them: the segments are written
 // straight out of the aggregators' reply messages, so a caller that
 // decodes (volume.FloatDecoder) never holds the concatenation. w may be
-// written to in pieces of any size and must not keep them.
+// written to in pieces of any size and must not keep them, and the call
+// keeps no reference to myRuns once it returns.
 func CollectiveReadTo(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints, w io.Writer) error {
 	tr := c.Trace()
 	sp := tr.Begin(trace.PhaseIO, "collective-read")
@@ -302,18 +303,17 @@ func CollectiveReadTo(c *comm.Comm, f vfile.File, myRuns []grid.Run, h Hints, w 
 	a := h.aggregators(p)
 	win := h.window()
 
-	// Global span via allreduce.
-	lo, hi := math.Inf(1), math.Inf(-1)
+	// Global span via one allreduce: the largest end is the smallest
+	// negated end, so both bounds reduce under OpMin.
+	span := [2]float64{math.Inf(1), math.Inf(1)}
 	if len(myRuns) > 0 {
-		lo = float64(myRuns[0].Offset)
-		hi = float64(myRuns[len(myRuns)-1].End())
+		span = [2]float64{float64(myRuns[0].Offset), -float64(myRuns[len(myRuns)-1].End())}
 	}
-	mn := c.Allreduce([]float64{lo}, comm.OpMin)[0]
-	mx := c.Allreduce([]float64{hi}, comm.OpMax)[0]
-	if math.IsInf(mn, 1) {
+	g := c.Allreduce(span[:], comm.OpMin)
+	if math.IsInf(g[0], 1) {
 		return nil // nobody wants anything
 	}
-	st, end := int64(mn), int64(mx)
+	st, end := int64(g[0]), -int64(g[1])
 	domLen := (end - st + int64(a) - 1) / int64(a)
 	if domLen < 1 {
 		domLen = 1

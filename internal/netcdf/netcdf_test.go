@@ -402,6 +402,17 @@ func TestVarRunsRecordOnePass(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { f.VarRuns(v, ext) }); n != 1 {
 				t.Errorf("%d variables, %v: %v allocations, want 1", len(names), ext, n)
 			}
+			// Appended to a list with room for a run per row, the same
+			// runs follow what the list held and allocate nothing.
+			head := grid.Run{Offset: -1, Length: 1}
+			dst := make([]grid.Run, 1, 1+ext.Size().Y*ext.Size().Z)
+			dst[0] = head
+			if got, err := f.AppendVarRuns(dst, v, ext); err != nil || got[0] != head || !slices.Equal(got[1:], want) {
+				t.Errorf("%d variables, %v: appended runs %v (%v), want %v after %v", len(names), ext, got, err, want, head)
+			}
+			if n := testing.AllocsPerRun(10, func() { f.AppendVarRuns(dst, v, ext) }); n != 0 {
+				t.Errorf("%d variables, %v: appending allocates %v times, want 0", len(names), ext, n)
+			}
 		}
 	}
 }

@@ -47,33 +47,42 @@ func (f *File) GridDims(v *Var) (grid.IVec3, error) {
 }
 
 // VarRuns returns the byte runs needed to read the subarray ext of a 3D
-// variable v. For a fixed variable the runs are a plain subarray
+// variable v, in a list of their own: AppendVarRuns to nil.
+func (f *File) VarRuns(v *Var, ext grid.Extent) ([]grid.Run, error) {
+	return f.AppendVarRuns(nil, v, ext)
+}
+
+// AppendVarRuns appends the byte runs needed to read the subarray ext
+// of a 3D variable v to dst, which it grows at most once, and returns
+// the extended list. For a fixed variable the runs are a plain subarray
 // flattening from Begin. For a record variable each Z plane lives in its
 // own record, at Begin + z*RecSize — so the runs of even a large extent
 // are scattered through the file in record-sized strides (Fig 8).
-func (f *File) VarRuns(v *Var, ext grid.Extent) ([]grid.Run, error) {
+func (f *File) AppendVarRuns(dst []grid.Run, v *Var, ext grid.Extent) ([]grid.Run, error) {
 	dims, err := f.GridDims(v)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	ext = ext.Intersect(grid.WholeGrid(dims))
 	if ext.Empty() {
-		return nil, nil
+		return dst, nil
 	}
 	es := int(v.Type.Size())
 	if !f.IsRecordVar(v) {
-		return grid.Runs(dims, ext, es, v.Begin), nil
+		return grid.AppendRuns(dst, dims, ext, es, v.Begin), nil
 	}
 	// One list for all records, sized from the extent; AppendRuns
 	// coalesces the adjacent records of a lone record variable.
 	recSize := f.RecSize()
 	plane := grid.IVec3{X: dims.X, Y: dims.Y, Z: 1}
 	planeExt := grid.Ext(grid.I(ext.Lo.X, ext.Lo.Y, 0), grid.I(ext.Hi.X, ext.Hi.Y, 1))
-	runs := make([]grid.Run, 0, ext.Size().Z*grid.RunCount(plane, planeExt))
-	for z := ext.Lo.Z; z < ext.Hi.Z; z++ {
-		runs = grid.AppendRuns(runs, plane, planeExt, es, v.Begin+int64(z)*recSize)
+	if n := ext.Size().Z * grid.RunCount(plane, planeExt); cap(dst)-len(dst) < n {
+		dst = append(make([]grid.Run, 0, len(dst)+n), dst...)
 	}
-	return runs, nil
+	for z := ext.Lo.Z; z < ext.Hi.Z; z++ {
+		dst = grid.AppendRuns(dst, plane, planeExt, es, v.Begin+int64(z)*recSize)
+	}
+	return dst, nil
 }
 
 // ReadVarExtent reads the subarray ext of float variable v into a

@@ -23,11 +23,18 @@ const ElemSize = 4
 // FileSize returns the size in bytes of a raw file for a dims grid.
 func FileSize(dims grid.IVec3) int64 { return dims.Count() * ElemSize }
 
-// VarRuns returns the byte runs a read of extent ext requires. For raw
-// format this is simply the subarray flattening: the variable starts at
-// offset 0 and is laid out contiguously.
+// VarRuns returns the byte runs a read of extent ext requires, in a list
+// of their own: AppendVarRuns to nil.
 func VarRuns(dims grid.IVec3, ext grid.Extent) []grid.Run {
-	return grid.Runs(dims, ext, ElemSize, 0)
+	return AppendVarRuns(nil, dims, ext)
+}
+
+// AppendVarRuns appends the byte runs a read of extent ext requires to
+// dst, which it grows at most once, and returns the extended list. For
+// raw format this is simply the subarray flattening: the variable
+// starts at offset 0 and is laid out contiguously.
+func AppendVarRuns(dst []grid.Run, dims grid.IVec3, ext grid.Extent) []grid.Run {
+	return grid.AppendRuns(dst, dims, ext, ElemSize, 0)
 }
 
 // Write stores the field's extent (which must cover the whole grid) to
