@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -14,7 +13,7 @@ const (
 	reasonError = "error" // non-2xx outcome: 4xx, 429, 503, deadline partials
 	reasonSLO   = "slo"   // latency breached the configured SLO
 	reasonP90   = "p90"   // latency exceeded the rolling p90
-	reasonRand  = "rand"  // the seeded 1-in-N baseline keep
+	reasonRand  = "rand"  // the 1-in-N baseline keep
 )
 
 const (
@@ -154,7 +153,7 @@ type tailSampler struct {
 	mu    sync.Mutex
 	slo   time.Duration // 0: no SLO rule
 	randN int           // 1 keeps everything, negative no baseline keep
-	rnd   *rand.Rand    // seeded 1, so the baseline keeps are reproducible
+	skip  int           // ordinary requests to drop before the next baseline keep
 
 	window [samplerWindow]time.Duration // ring of recent latencies
 	next   int
@@ -163,7 +162,7 @@ type tailSampler struct {
 }
 
 func newTailSampler(slo time.Duration, randN int) *tailSampler {
-	return &tailSampler{slo: slo, randN: randN, rnd: rand.New(rand.NewSource(1))}
+	return &tailSampler{slo: slo, randN: randN}
 }
 
 // decide judges one completed request and returns whether its trace
@@ -185,8 +184,13 @@ func (s *tailSampler) decide(status int, dur time.Duration) (keep bool, reason s
 		return true, reasonSLO
 	case overP90:
 		return true, reasonP90
-	case s.randN == 1 || (s.randN > 1 && s.rnd.Intn(s.randN) == 0):
+	case s.randN > 0 && s.skip == 0:
+		// The baseline keeps the 1st ordinary request, the (randN+1)th,
+		// and so on: a new service has one as soon as it has served.
+		s.skip = s.randN - 1
 		return true, reasonRand
+	case s.randN > 0:
+		s.skip--
 	}
 	return false, ""
 }

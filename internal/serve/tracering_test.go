@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -186,40 +185,34 @@ func TestTraceSamplerP90Breach(t *testing.T) {
 	}
 }
 
-// TestTraceSamplerRandDeterministic pins the 1-in-N baseline: the
-// source is seeded, so the keep pattern is reproducible and lands near
-// 1/N. Every latency is the same, so the p90 rule never fires.
+// TestTraceSamplerRandDeterministic pins the 1-in-N baseline: it keeps
+// the 1st, (N+1)th, ... ordinary request, exactly 1 in N. Every latency
+// is the same, so the p90 rule never fires.
 func TestTraceSamplerRandDeterministic(t *testing.T) {
-	decide := func() []bool {
-		s := newTailSampler(0, 4)
-		out := make([]bool, 200)
-		for i := range out {
-			out[i], _ = s.decide(200, time.Millisecond)
-		}
-		return out
-	}
-	a, b := decide(), decide()
-	kept := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d differs across two samplers", i)
-		}
-		if a[i] {
-			kept++
-		}
-	}
-	// Mirror the sampler's own draw to pin the exact expected count.
-	want := 0
-	rnd := rand.New(rand.NewSource(1))
+	s := newTailSampler(0, 4)
 	for i := 0; i < 200; i++ {
-		if rnd.Intn(4) == 0 {
-			want++
+		keep, reason := s.decide(200, time.Millisecond)
+		if want := i%4 == 0; keep != want || keep && reason != reasonRand {
+			t.Fatalf("request %d: keep=%v reason=%q, want keep=%v", i, keep, reason, want)
 		}
 	}
-	if kept != want {
-		t.Errorf("kept %d of 200, want exactly %d from seed 1", kept, want)
-	}
-	if kept < 20 || kept > 90 {
-		t.Errorf("kept %d of 200 at N=4 — far from 1-in-4", kept)
+}
+
+// A new sampler keeps a baseline trace within its first randN ordinary
+// requests, at the default N and at one that keeps everything.
+func TestTraceSamplerNewKeepsABaseline(t *testing.T) {
+	for _, n := range []int{1, 16} {
+		s := newTailSampler(0, n)
+		kept := false
+		for i := 0; i < n && !kept; i++ {
+			var reason string
+			kept, reason = s.decide(200, time.Millisecond)
+			if kept && reason != reasonRand {
+				t.Errorf("N=%d: request %d kept as %q, want rand", n, i, reason)
+			}
+		}
+		if !kept {
+			t.Errorf("N=%d: no baseline trace in the first %d requests", n, n)
+		}
 	}
 }
