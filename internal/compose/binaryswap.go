@@ -2,6 +2,7 @@ package compose
 
 import (
 	"fmt"
+	"slices"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/critpath"
@@ -26,85 +27,35 @@ func BinarySwap(c *comm.Comm, sub *render.Subimage, w, h int, order []int) (*img
 	return RadixK(c, sub, w, h, RadixKFactor(p, 2), order)
 }
 
-// fullFrame places a partial image's spans in a transparent w x h
-// frame, which gatherSpans releases.
-func fullFrame(sub *render.Subimage, w, h int) []img.RGBA {
-	buf := img.Pixels.Get(w * h)
-	clear(buf)
-	sw := sub.Rect.W()
-	for ri, row := range img.RectSpanRows(sub.Rect, w) {
-		sp := sub.Span(ri)
-		copy(buf[row.Lo+int(sp.Lo):row.Lo+int(sp.Hi)], sub.Pix[ri*sw+int(sp.Lo):ri*sw+int(sp.Hi)])
-	}
-	return buf
-}
-
-// gatherSpans ends binary swap and radix-k: every rank sends the span of
-// the frame it finished with to rank 0 and releases the frame; rank 0
-// decodes each span into place and returns the final image (nil
-// elsewhere).
-func gatherSpans(c *comm.Comm, buf []img.RGBA, span img.Span, w, h int) *img.Image {
-	sp := c.Trace().Begin(trace.PhaseComposite, "final-gather")
-	defer sp.End()
-	msg := encodePixels(8, buf[span.Lo:span.Hi])
-	img.Pixels.Put(buf)
-	putI64s(msg, int64(span.Lo))
-	c.Send(0, tagSpanGather, msg)
-	if c.Rank() != 0 {
-		return nil
-	}
-	out := img.New(w, h)
-	for received := 0; received < c.Size(); received++ {
-		_, b := c.Recv(comm.AnySource, tagSpanGather)
-		img.GetPixels(out.Pix[getI64(b):][:(len(b)-8)/img.WirePixelBytes], b[8:])
-		wire.Put(b)
-	}
-	return out
-}
-
-// SerialGather is the naive baseline: rank 0 receives every partial
-// image whole and composites them serially in visibility order.
+// SerialGather is the naive baseline: every rank sends rank 0 its whole
+// partial image as one fragment, and rank 0 blends the fragments under
+// the image in visibility order.
 func SerialGather(c *comm.Comm, sub *render.Subimage, rects []img.Rect, w, h int, order []int) (*img.Image, error) {
 	sp := c.Trace().Begin(trace.PhaseComposite, "serial-gather")
 	defer sp.End()
 	c.SetDepKind(critpath.DepFragment)
 	defer c.SetDepKind(critpath.DepAuto)
-	p := c.Size()
-	if len(rects) != p {
-		return nil, fmt.Errorf("compose: need %d rects, got %d", p, len(rects))
+	if len(rects) != c.Size() {
+		return nil, fmt.Errorf("compose: need %d rects, got %d", c.Size(), len(rects))
+	}
+	if !sub.Rect.Empty() {
+		c.Send(0, tagDirectSend, encodeFragment(int64(slices.Index(order, c.Rank())), sub, sub.Rect))
 	}
 	if c.Rank() != 0 {
-		if !sub.Rect.Empty() {
-			msg := wire.Get(img.WirePixelBytes * sub.Rect.NumPixels())
-			putDense(msg, sub, sub.Rect)
-			c.Send(0, tagDirectSend, msg)
-		}
 		return nil, nil
 	}
-	wires := make([][]byte, p)
-	for r := 1; r < p; r++ {
-		if rects[r].Empty() {
-			continue
+	n := 0
+	for _, r := range rects {
+		if !r.Empty() {
+			n++
 		}
-		src, b := c.Recv(comm.AnySource, tagDirectSend)
-		wires[src] = b
 	}
-	out := img.New(w, h)
-	for _, r := range order { // front-to-back
-		rect := rects[r]
-		rw := rect.W()
-		for y := 0; y < rect.H(); y++ {
-			row := out.Pix[(rect.Y0+y)*w+rect.X0:][:rw]
-			if r == 0 {
-				// Outside the span the pixel is transparent, and
-				// blending it under would leave the image as it is.
-				sp := sub.Span(y)
-				img.UnderSlices(row[sp.Lo:sp.Hi], sub.Pix[y*rw:][sp.Lo:sp.Hi])
-			} else {
-				img.UnderWire(row, wires[r][img.WirePixelBytes*y*rw:])
-			}
+	out, full := img.New(w, h), img.Rect{X1: w, Y1: h}
+	for _, msg := range recvFragments(c, tagDirectSend, n) {
+		if err := blendFragment(out.Pix, full, msg, img.UnderWire); err != nil {
+			return nil, err
 		}
-		wire.Put(wires[r])
+		wire.Put(msg)
 	}
 	return out, nil
 }

@@ -82,12 +82,7 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 				expected++
 			}
 		}
-		msgs := make([][]byte, expected)
-		for k := range msgs {
-			_, msgs[k] = c.Recv(comm.AnySource, tagDirectSend)
-		}
-		slices.SortFunc(msgs, func(a, b []byte) int { return cmp.Compare(getI64(a), getI64(b)) })
-		payload, err := compositeTile(ti, tile, msgs)
+		payload, err := compositeTile(ti, tile, recvFragments(c, tagDirectSend, expected))
 		if err != nil {
 			return nil, err
 		}
@@ -98,38 +93,77 @@ func DirectSendBlocks(c *comm.Comm, subs []*render.Subimage, blockIDs []int,
 	if c.Rank() != 0 {
 		return nil, nil
 	}
-	gatherSp := tr.Begin(trace.PhaseComposite, "final-gather")
-	defer gatherSp.End()
 	gathers := 0
 	for ti := 0; ti < m; ti++ {
 		if !g.Tile(ti).Empty() {
 			gathers++
 		}
 	}
-	full := img.Rect{X1: w, Y1: h}
-	for ; gathers > 0; gathers-- {
+	return out, placeTiles(c, out, gathers)
+}
+
+// recvFragments receives n messages with tag from any rank and returns
+// the non-empty ones ordered by the visibility position in their first
+// word, the order every executor blends fragments in.
+func recvFragments(c *comm.Comm, tag, n int) [][]byte {
+	msgs := make([][]byte, 0, n)
+	for ; n > 0; n-- {
+		if _, b := c.Recv(comm.AnySource, tag); len(b) > 0 {
+			msgs = append(msgs, b)
+		}
+	}
+	slices.SortFunc(msgs, func(a, b []byte) int { return cmp.Compare(getI64(a), getI64(b)) })
+	return msgs
+}
+
+// placeTiles ends every executor but the serial gather on rank 0: it
+// receives n composited tiles, each its spans (encodeSpans), and places
+// them in out, which holds +0 everywhere else from img.New. An empty
+// message is a tile with nothing to place.
+func placeTiles(c *comm.Comm, out *img.Image, n int) error {
+	sp := c.Trace().Begin(trace.PhaseComposite, "final-gather")
+	defer sp.End()
+	full := img.Rect{X1: out.W, Y1: out.H}
+	for ; n > 0; n-- {
 		_, b := c.Recv(comm.AnySource, tagSpanGather)
+		if len(b) == 0 {
+			continue
+		}
 		if err := blendFragment(out.Pix, full, b, img.GetPixels); err != nil {
-			return nil, err
+			return err
 		}
 		wire.Put(b)
 	}
-	return out, nil
+	return nil
 }
 
-// tileSpans recycles compositeTile's row spans.
+// tileSpans recycles blendTile's row spans.
 var tileSpans = scratch.Pool[render.RowSpan]{Poison: render.RowSpan{Lo: -1, Hi: -1}}
 
-// compositeTile blends the fragments msgs, in visibility order, under a
-// transparent tile ti and returns the tile's gather message, releasing
-// the fragments. It checks every fragment before writing anything, then
-// bounds, row by row, the pixels any fragment will blend, and clears,
-// blends and sends only those: the final image holds +0 elsewhere from
-// img.New.
+// compositeTile blends the fragments msgs under tile ti and returns the
+// tile's gather message: the pixels the fragments blended, which rank 0
+// places in an image that holds +0 elsewhere from img.New.
 func compositeTile(ti int, tile img.Rect, msgs [][]byte) ([]byte, error) {
+	t, err := blendTile(tile, msgs)
+	if err != nil {
+		return nil, err
+	}
+	payload := encodeSpans(int64(ti), &t)
+	releaseTile(t)
+	return payload, nil
+}
+
+// blendTile blends the fragments msgs, in visibility order, under a
+// transparent tile and returns the tile as a partial image, releasing
+// the fragments; the caller releases the tile with releaseTile. It
+// checks every fragment before writing anything, then bounds, row by
+// row, the pixels any fragment will blend, and clears and blends only
+// those: they are the tile's spans, and every pixel outside them is
+// transparent.
+func blendTile(tile img.Rect, msgs [][]byte) (render.Subimage, error) {
 	for _, msg := range msgs {
 		if err := checkFragment(tile, msg); err != nil {
-			return nil, err
+			return render.Subimage{}, err
 		}
 	}
 	tw := tile.W()
@@ -153,10 +187,13 @@ func compositeTile(ti int, tile img.Rect, msgs [][]byte) ([]byte, error) {
 		eachRun(tile, msg, func(i, n int, pix []byte) { img.UnderWire(acc[i:][:n], pix) })
 		wire.Put(msg)
 	}
-	payload := encodeSpans(int64(ti), tile, acc, spans)
-	img.Pixels.Put(acc)
-	tileSpans.Put(spans)
-	return payload, nil
+	return render.Subimage{Rect: tile, Pix: acc, Spans: spans}, nil
+}
+
+// releaseTile recycles the pixels and spans of a tile blendTile made.
+func releaseTile(t render.Subimage) {
+	img.Pixels.Put(t.Pix)
+	tileSpans.Put(t.Spans)
 }
 
 // eachOverlap calls fn with every tile of g that rect overlaps and the

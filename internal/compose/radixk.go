@@ -2,6 +2,7 @@ package compose
 
 import (
 	"fmt"
+	"slices"
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/critpath"
@@ -76,7 +77,14 @@ func validateRadix(p int, ks []int) error {
 
 // RadixK composites with the radix-k algorithm and returns the final
 // image on rank 0 (nil elsewhere). ks must multiply to the world size;
-// order is the shared front-to-back visibility permutation.
+// order is the shared front-to-back visibility permutation. Each round
+// is a direct-send inside each group: the group's current region is
+// split into k tiles, one a member, and every member sends every
+// member, itself included, the fragment of its partial image over that
+// member's tile, tagged with its visibility position (an empty message
+// where the two do not overlap, so that every member waits for k). A
+// member's blended tile is its partial image for the next round, and
+// after the last every rank sends its tile's spans to rank 0.
 func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int) (*img.Image, error) {
 	tr := c.Trace()
 	sp := tr.Begin(trace.PhaseComposite, "radix-k")
@@ -87,17 +95,13 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 	if err := validateRadix(p, ks); err != nil {
 		return nil, err
 	}
-	pos := make([]int, p)
-	rankAt := make([]int, p)
-	for i, r := range order {
-		pos[r] = i
-		rankAt[i] = r
+	var out *img.Image
+	if c.Rank() == 0 {
+		out = img.New(w, h) // zeroed while the rounds run, as direct-send's
 	}
-	vr := pos[c.Rank()]
+	vr := slices.Index(order, c.Rank())
 
-	span := img.Span{Lo: 0, Hi: w * h}
-	buf := fullFrame(sub, w, h)
-
+	region, cur := img.Rect{X1: w, Y1: h}, sub
 	stride := 1
 	for round, k := range ks {
 		if k == 1 {
@@ -106,60 +110,37 @@ func RadixK(c *comm.Comm, sub *render.Subimage, w, h int, ks []int, order []int)
 		roundSp := tr.Begin(trace.PhaseComposite, "radixk-round")
 		digit := (vr / stride) % k
 		base := vr - digit*stride
-		// Pieces of my current span, one per group member.
-		pieces := img.PartitionSpans(span.Len(), k)
-		piece := func(d int) []img.RGBA { return buf[span.Lo+pieces[d].Lo : span.Lo+pieces[d].Hi] }
+		g := img.NewTileGrid(region.W(), region.H(), k)
+		tile := func(d int) img.Rect {
+			t := g.Tile(d)
+			return img.Rect{X0: region.X0 + t.X0, Y0: region.Y0 + t.Y0, X1: region.X0 + t.X1, Y1: region.Y0 + t.Y1}
+		}
 		tag := tagRound + round
-
-		// Send every other member its piece of my buffer.
 		for d := 0; d < k; d++ {
-			if d != digit {
-				c.Send(rankAt[base+d*stride], tag, encodePixels(0, piece(d)))
+			var msg []byte
+			if ov := cur.Rect.Intersect(tile(d)); !ov.Empty() {
+				msg = encodeFragment(int64(vr), cur, ov)
 			}
+			c.Send(order[base+d*stride], tag, msg)
 		}
-		// Receive k-1 versions of my piece and composite them, still
-		// encoded, into it.
-		mine := piece(digit)
-		wires := make([][]byte, k)
-		for recv := 0; recv < k-1; recv++ {
-			src, b := c.Recv(comm.AnySource, tag)
-			if len(b) != img.WirePixelBytes*len(mine) {
-				return nil, fmt.Errorf("compose: radix-k piece of %d bytes, want %d pixels", len(b), len(mine))
-			}
-			wires[(pos[src]/stride)%k] = b
+		if cur != sub {
+			releaseTile(*cur)
 		}
-		foldRound(mine, wires, digit)
-		span = img.Span{Lo: span.Lo + pieces[digit].Lo, Hi: span.Lo + pieces[digit].Hi}
+		region = tile(digit)
+		next, err := blendTile(region, recvFragments(c, tag, k))
+		if err != nil {
+			return nil, err
+		}
+		cur = &next
 		stride *= k
 		roundSp.End()
 	}
-	return gatherSpans(c, buf, span, w, h), nil
-}
-
-// foldRound composites the k pieces of a radix-k round into mine, in
-// place, in group (visibility) order: lower digit = nearer. wires[d] is
-// member d's piece, still encoded; wires[digit] is unused. The pieces in
-// front of mine fold into one front, which goes over mine, and each
-// piece behind goes under it. That is the chain a transparent
-// accumulator would build (0 under x is x exactly), without the
-// accumulator or its copy back. foldRound releases the wires.
-func foldRound(mine []img.RGBA, wires [][]byte, digit int) {
-	switch {
-	case digit == 1:
-		img.OverWire(wires[0], mine)
-	case digit >= 2:
-		front := img.Pixels.Get(len(mine))
-		img.GetPixels(front, wires[0])
-		for _, b := range wires[1:digit] {
-			img.UnderWire(front, b)
-		}
-		img.OverSlices(front, mine)
-		img.Pixels.Put(front)
+	c.Send(0, tagSpanGather, encodeSpans(int64(vr), cur))
+	if cur != sub {
+		releaseTile(*cur)
 	}
-	for _, b := range wires[digit+1:] {
-		img.UnderWire(mine, b)
+	if c.Rank() != 0 {
+		return nil, nil
 	}
-	for _, b := range wires {
-		wire.Put(b)
-	}
+	return out, placeTiles(c, out, p)
 }

@@ -150,54 +150,3 @@ func (r Rect) Intersect(s Rect) Rect {
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)", r.X0, r.X1, r.Y0, r.Y1)
 }
-
-// Span is a contiguous range of pixels [Lo, Hi) in the row-major linear
-// ordering of a full-size image. Direct-send assigns each compositor a
-// span of the final image (a contiguous 1/m share, as in the paper).
-type Span struct {
-	Lo, Hi int
-}
-
-// Len returns the number of pixels in the span.
-func (s Span) Len() int {
-	if s.Hi <= s.Lo {
-		return 0
-	}
-	return s.Hi - s.Lo
-}
-
-// PartitionSpans divides the n pixels of an image among m owners as
-// evenly as possible (remainder to the lowest ranks), returning m spans
-// that partition [0, n).
-func PartitionSpans(n, m int) []Span {
-	if m <= 0 {
-		panic("img: PartitionSpans requires m > 0")
-	}
-	out := make([]Span, m)
-	q, r := n/m, n%m
-	lo := 0
-	for i := 0; i < m; i++ {
-		hi := lo + q
-		if i < r {
-			hi++
-		}
-		out[i] = Span{lo, hi}
-		lo = hi
-	}
-	return out
-}
-
-// RectSpanRows returns, for each row y of rect, the linear-pixel span it
-// occupies in a w-wide image. It is used to clip a rendered subimage
-// rectangle against a compositor's span ownership.
-func RectSpanRows(rect Rect, w int) []Span {
-	if rect.Empty() {
-		return nil
-	}
-	out := make([]Span, 0, rect.H())
-	for y := rect.Y0; y < rect.Y1; y++ {
-		lo := y*w + rect.X0
-		out = append(out, Span{lo, lo + rect.W()})
-	}
-	return out
-}

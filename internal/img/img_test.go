@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func randPixel(rng *rand.Rand) RGBA {
@@ -133,52 +132,6 @@ func TestRect(t *testing.T) {
 	i := r.Intersect(Rect{0, 0, 3, 10})
 	if i != (Rect{1, 2, 3, 4}) {
 		t.Errorf("Intersect = %v", i)
-	}
-}
-
-// Property: PartitionSpans is a partition of [0, n) into m ordered,
-// adjacent spans whose sizes differ by at most one.
-func TestPartitionSpansQuick(t *testing.T) {
-	f := func(nn, mm uint16) bool {
-		n, m := int(nn%10000), int(mm%256)+1
-		spans := PartitionSpans(n, m)
-		if len(spans) != m {
-			return false
-		}
-		lo := 0
-		minLen, maxLen := 1<<30, 0
-		for _, s := range spans {
-			if s.Lo != lo || s.Hi < s.Lo {
-				return false
-			}
-			lo = s.Hi
-			if s.Len() < minLen {
-				minLen = s.Len()
-			}
-			if s.Len() > maxLen {
-				maxLen = s.Len()
-			}
-		}
-		return lo == n && maxLen-minLen <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRectSpanRows(t *testing.T) {
-	rows := RectSpanRows(Rect{2, 1, 5, 3}, 10)
-	want := []Span{{12, 15}, {22, 25}}
-	if len(rows) != len(want) {
-		t.Fatalf("got %v", rows)
-	}
-	for i := range want {
-		if rows[i] != want[i] {
-			t.Errorf("row %d = %v, want %v", i, rows[i], want[i])
-		}
-	}
-	if RectSpanRows(Rect{}, 10) != nil {
-		t.Error("empty rect should give nil")
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 
 // The pixel wire codec: a pixel travels as its four float32 components,
 // little-endian, R G B A. These are the only functions that move pixels
-// between []RGBA and message bytes; the compositors encode a fragment
-// once into its message and blend it straight out of the received bytes
-// (UnderWire, OverWire), so no pixel is copied between the two.
+// between []RGBA and message bytes; every compositor encodes a fragment
+// once into its message and blends it straight out of the received
+// bytes (UnderWire), or places it (GetPixels), so no pixel is copied
+// between the two.
 //
 // The byte loops below are the portable path and the specification. On
 // a little-endian host an RGBA's memory already is its wire form, so
@@ -89,18 +90,5 @@ func UnderWire(back []RGBA, wire []byte) {
 	}
 	for i := range back {
 		back[i] = Over(back[i], wirePixel(wire[WirePixelBytes*i:]))
-	}
-}
-
-// OverWire is OverSlices with the front pixels still encoded:
-// back[i] = the i-th pixel of wire over back[i], for all of back.
-func OverWire(wire []byte, back []RGBA) {
-	wire = wire[:WirePixelBytes*len(back)]
-	if front := wireAsPixels(wire); front != nil {
-		OverSlices(front, back)
-		return
-	}
-	for i := range back {
-		back[i] = Over(wirePixel(wire[WirePixelBytes*i:]), back[i])
 	}
 }

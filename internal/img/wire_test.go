@@ -91,14 +91,6 @@ func TestWireBlendsMatchSliceBlends(t *testing.T) {
 			if !sameBits(got, want) {
 				t.Errorf("offset %d: UnderWire differs from UnderSlices", off)
 			}
-
-			want = append([]RGBA(nil), acc...)
-			OverSlices(incoming, want)
-			got = append([]RGBA(nil), acc...)
-			OverWire(wire, got)
-			if !sameBits(got, want) {
-				t.Errorf("offset %d: OverWire differs from OverSlices", off)
-			}
 		}
 	})
 }
