@@ -168,13 +168,13 @@ var goldenImages = map[string]struct {
 	"direct-send m=n":           {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 52, 157840},
 	"direct-send m<n":           {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 19, 155880},
 	"direct-send 2 blocks/rank": {"efbba7db6d99d9509c7ed4ec9c15482994a96e993c376c5442e8927ff1a4f28d", 47, 188000},
-	"binary-swap":               {"a1a9d502176e413393b603036531906954931025dc69a4b5685b29851fc12b69", 32, 983104},
-	"radix-k 4":                 {"a1a9d502176e413393b603036531906954931025dc69a4b5685b29851fc12b69", 40, 983104},
-	"radix-k 8":                 {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 64, 983104},
-	"radix-k 2,4":               {"868eecca0cde793fbb4e8d2ebe37a8c7dac9fcf9fbc4d076d657bfc9e71a37bb", 40, 983104},
-	"binary-swap 97x81":         {"51572a9b1a006b4faa5b4c4cfbd47e8f9ecd2c9f00e0c5f10418c9018e0567e1", 32, 1005760},
-	"radix-k 2,2,2 97x81":       {"51572a9b1a006b4faa5b4c4cfbd47e8f9ecd2c9f00e0c5f10418c9018e0567e1", 32, 1005760},
-	"serial-gather":             {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 7, 133120},
+	"binary-swap":               {"a1a9d502176e413393b603036531906954931025dc69a4b5685b29851fc12b69", 56, 324728},
+	"radix-k 4":                 {"a1a9d502176e413393b603036531906954931025dc69a4b5685b29851fc12b69", 56, 237456},
+	"radix-k 8":                 {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 72, 157840},
+	"radix-k 2,4":               {"868eecca0cde793fbb4e8d2ebe37a8c7dac9fcf9fbc4d076d657bfc9e71a37bb", 56, 245256},
+	"binary-swap 97x81":         {"51572a9b1a006b4faa5b4c4cfbd47e8f9ecd2c9f00e0c5f10418c9018e0567e1", 56, 333400},
+	"radix-k 2,2,2 97x81":       {"51572a9b1a006b4faa5b4c4cfbd47e8f9ecd2c9f00e0c5f10418c9018e0567e1", 56, 333400},
+	"serial-gather":             {"7852a79bbc32f8084e3f10937d61f97f8ecb7529ced9e252c44cbdd70476a046", 8, 97424},
 }
 
 func TestGoldenCompositeImages(t *testing.T) {
