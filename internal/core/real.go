@@ -52,6 +52,17 @@ func ParseCompositeAlgo(name string) (CompositeAlgo, error) {
 	return 0, fmt.Errorf("algo %q: want direct, binaryswap, radixk, or gather", name)
 }
 
+// CheckProcs returns an error when the algorithm cannot composite a
+// frame on procs ranks: binary swap needs a power of two. RunReal and
+// the render service run it before any rank starts, so a frame that
+// cannot composite is refused before it reads or renders.
+func (a CompositeAlgo) CheckProcs(procs int) error {
+	if a == CompositeBinarySwap && procs&(procs-1) != 0 {
+		return fmt.Errorf("algo binaryswap: procs %d is not a power of two", procs)
+	}
+	return nil
+}
+
 // RealConfig configures a real-mode end-to-end frame.
 type RealConfig struct {
 	// Ctx, when non-nil, bounds the frame: cancellation (a deadline, a
@@ -163,6 +174,9 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 	}
 	if bpr > 1 && cfg.GhostExchange {
 		return nil, fmt.Errorf("core: BlocksPerRank > 1 uses ghost-in-read only")
+	}
+	if err := cfg.Algo.CheckProcs(cfg.Procs); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	nblocks := cfg.Procs * bpr
 	d := grid.NewDecomp(s.Dims, nblocks)

@@ -7,6 +7,7 @@ import (
 
 	"bgpvr/internal/img"
 	"bgpvr/internal/mpiio"
+	"bgpvr/internal/trace"
 )
 
 // Ghost exchange must produce the identical image to ghost-in-read, for
@@ -143,6 +144,29 @@ func TestRunRealBlocksPerRank(t *testing.T) {
 	if _, err := RunReal(RealConfig{Scene: s, Procs: 4, Format: FormatGenerate,
 		BlocksPerRank: 2, GhostExchange: true}); err == nil {
 		t.Error("multi-block ghost exchange accepted")
+	}
+}
+
+// Binary swap on a process count that is not a power of two is refused
+// before the world starts: the frame records no span, so no rank read
+// or rendered anything it would then throw away.
+func TestRunRealRefusesBinarySwapBeforeTheWorld(t *testing.T) {
+	tr := trace.New(3)
+	_, err := RunReal(RealConfig{Scene: DefaultScene(16, 32), Procs: 3, Algo: CompositeBinarySwap,
+		Format: FormatGenerate, Trace: tr})
+	if err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("err = %v, want a refusal naming the power of two", err)
+	}
+	if n := tr.Len(); n != 0 {
+		t.Errorf("the refused frame recorded %d spans", n)
+	}
+	if err := CompositeBinarySwap.CheckProcs(4); err != nil {
+		t.Errorf("4 ranks refused: %v", err)
+	}
+	for _, a := range []CompositeAlgo{CompositeDirectSend, CompositeRadixK, CompositeSerialGather} {
+		if err := a.CheckProcs(3); err != nil {
+			t.Errorf("algo %d on 3 ranks refused: %v", a, err)
+		}
 	}
 }
 

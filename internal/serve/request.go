@@ -133,6 +133,9 @@ func (rr *RenderRequest) validate(workers int) (*jobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := algo.CheckProcs(procs); err != nil {
+		return nil, err
+	}
 
 	spec := &jobSpec{mode: mode, procs: procs, m: rr.M, algo: algo, image: rr.IncludeImage && mode == "real"}
 

@@ -188,6 +188,19 @@ func TestRenderValidation(t *testing.T) {
 	}
 }
 
+// Binary swap on a process count that is not a power of two is the
+// client's error, refused with the other bad requests before a frame
+// starts, not a server error after every rank has rendered.
+func TestRenderRefusesBinarySwapOnOddProcs(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, b := postRender(t, ts, `{"algo": "binaryswap", "procs": 3, "n": 16}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "power of two") {
+		t.Errorf("status %d (%s), want 400 naming the power of two", resp.StatusCode, b)
+	}
+}
+
 // TestQueueFull429 pins admission control: with one slot and zero
 // queue depth, a second concurrent request is rejected immediately
 // with 429 and the reject counter moves.
