@@ -13,23 +13,27 @@
 //
 // Binary swap (Ma et al. 1994) and a serial gather are provided as
 // baselines for the ablation benchmarks. Binary swap runs as radix-k
-// (radixk.go) with every factor 2, so one round executor serves both.
+// (radixk.go) with every factor 2, and every radix-k round is a
+// direct-send inside each group, so one round executor serves both.
 //
 // The executors move actual pixels over the comm runtime; the Schedule
 // functions list messages (source, destination, bytes) for the network
 // model. Only DirectSendSchedule is its executor's own list (tested);
-// BinarySwapSchedule pairs ranks by id, not visibility, at PixelBytes a
-// pixel, and radix-k and the serial gather have no schedule.
+// BinarySwapSchedule prices the paper's classic dense halves (ranks
+// paired by id, PixelBytes a pixel), while the executor ships only
+// active runs, and radix-k and the serial gather have no schedule.
 //
-// Every executor moves pixels through one codec (img.PutPixels,
-// GetPixels, UnderWire, OverWire): a pixel is written once, from the
-// row it was rendered or accumulated in into the message that carries
-// it, and the receiver blends or places it straight from the message
-// bytes. fragment.go holds the direct-send fragment format, which both
-// of direct-send's exchanges use: a renderer's overlap with a tile, and
-// a compositor's tile on its way to rank 0 — only the pixels the tile's
-// fragments blended, which rank 0 places in an image it zeroed while
-// the other ranks worked.
+// Every executor moves pixels as fragments (fragment.go) through one
+// encoder and one checked decoder: a renderer's or a round's partial
+// image over a tile (encodeFragment), a composited tile on its way to
+// rank 0 (encodeSpans), and eachRun behind checkFragment to blend or
+// place either one. A pixel is written once, by the pixel codec
+// (img.PutPixels, GetPixels, UnderWire), from the row it was rendered
+// or blended in into the message that carries it, and the receiver
+// blends or places it straight from the message bytes. Only the pixels
+// that were drawn travel: a fragment carries active runs, a tile its
+// spans, and rank 0 places the tiles in an image it zeroed while the
+// other ranks worked.
 package compose
 
 import (
