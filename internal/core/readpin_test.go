@@ -12,7 +12,6 @@ import (
 
 	"bgpvr/internal/comm"
 	"bgpvr/internal/grid"
-	"bgpvr/internal/halo"
 	"bgpvr/internal/img"
 	"bgpvr/internal/mpiio"
 	"bgpvr/internal/volume"
@@ -21,14 +20,13 @@ import (
 // The read path's pins, recorded at f29ecc6 (before the collective
 // buffer was pooled and the requester decoded from the wire): what every
 // rank's field holds, which physical accesses the aggregators issue and
-// what RunReal reports about them, for every format, hint set and ghost
-// mode on a 23 x 19 x 17 grid — odd on every axis, so file domains end
-// mid-float and mid-row.
+// what RunReal reports about them, for every format and hint set on a
+// 23 x 19 x 17 grid — odd on every axis, so file domains end mid-float
+// and mid-row.
 
 // readPinFields is the SHA-256 over every rank's ghost-extent
 // Field.Data (rank order, little-endian float bits). Every format stores
-// the same values and both ghost modes end with the same field, so one
-// hash serves all forty cases.
+// the same values, so one hash serves all twenty cases.
 const readPinFields = "08dbffa50b6154997fd8fbdcfb0876e829ccd657a2adc89c2315f4aaf95b5db1"
 
 // ioPin is the part of RealResult.IO that does not depend on the order
@@ -40,26 +38,26 @@ type ioPin struct {
 
 // contiguousPinIO is what the three contiguous layouts share: the
 // variable's 29,716 bytes read exactly once under every hint set.
-var contiguousPinIO = [5][2]ioPin{
-	{{8, 29716, 29716, 39900}, {8, 29716, 29716, 29716}},
-	{{24, 29716, 29716, 39900}, {24, 29716, 29716, 29716}},
-	{{1, 29716, 29716, 39900}, {1, 29716, 29716, 29716}},
-	{{3, 29716, 29716, 39900}, {3, 29716, 29716, 29716}},
-	{{8, 29716, 29716, 39900}, {8, 29716, 29716, 29716}},
+var contiguousPinIO = [5]ioPin{
+	{8, 29716, 29716, 39900},
+	{24, 29716, 29716, 39900},
+	{1, 29716, 29716, 39900},
+	{3, 29716, 29716, 39900},
+	{8, 29716, 29716, 39900},
 }
 
-// readPinIO[format][hint set][0: ghost-in-read, 1: GhostExchange]; the
-// hint sets are those of TestReadPathPins, in order.
-var readPinIO = map[Format][5][2]ioPin{
+// readPinIO[format][hint set]; the hint sets are those of
+// TestReadPathPins, in order.
+var readPinIO = map[Format][5]ioPin{
 	FormatRaw:  contiguousPinIO,
 	FormatCDF5: contiguousPinIO,
 	FormatH5:   contiguousPinIO,
 	FormatNetCDF: {
-		{{8, 141588, 141588, 39900}, {8, 141588, 141588, 29716}},
-		{{38, 54188, 54188, 39900}, {38, 54188, 54188, 29716}},
-		{{1, 141588, 141588, 39900}, {1, 141588, 141588, 29716}},
-		{{3, 127604, 127604, 39900}, {3, 127604, 127604, 29716}},
-		{{8, 141588, 141588, 39900}, {8, 141588, 141588, 29716}},
+		{8, 141588, 141588, 39900},
+		{38, 54188, 54188, 39900},
+		{1, 141588, 141588, 39900},
+		{3, 127604, 127604, 39900},
+		{8, 141588, 141588, 39900},
 	},
 }
 
@@ -85,45 +83,42 @@ func TestReadPathPins(t *testing.T) {
 			t.Fatal(err)
 		}
 		for hi, h := range hintSets {
-			for gi, exch := range []bool{false, true} {
-				name := fmt.Sprintf("%v/%+v/exchange=%v", format, h, exch)
-				eff := h
-				if eff.CBNodes <= 0 {
-					eff.CBNodes = min(procs, 8) // RunReal's default
-				}
+			name := fmt.Sprintf("%v/%+v", format, h)
+			eff := h
+			if eff.CBNodes <= 0 {
+				eff.CBNodes = min(procs, 8) // RunReal's default
+			}
 
-				// Fields and accesses, one world of the test's own.
-				fields, got := readWorld(t, s, lay, path, procs, eff, exch)
-				if fields != readPinFields {
-					t.Errorf("%s: fields hash %s, pinned %s", name, fields, readPinFields)
-				}
-				if want := sortedPlan(union, eff); !slices.Equal(got, want) {
-					t.Errorf("%s: executed accesses %v, planned %v", name, got, want)
-				}
+			// Fields and accesses, one world of the test's own.
+			fields, got := readWorld(t, s, lay, path, procs, eff)
+			if fields != readPinFields {
+				t.Errorf("%s: fields hash %s, pinned %s", name, fields, readPinFields)
+			}
+			if want := sortedPlan(union, eff); !slices.Equal(got, want) {
+				t.Errorf("%s: executed accesses %v, planned %v", name, got, want)
+			}
 
-				// The same read inside a frame.
-				res, err := RunReal(RealConfig{Scene: s, Procs: procs, Format: format, Path: path,
-					Hints: h, GhostExchange: exch})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if diff := img.MaxDiff(res.Image, ref); diff > 2e-5 {
-					t.Errorf("%s: image differs from serial by %v", name, diff)
-				}
-				io := ioPin{res.IO.Accesses, res.IO.PhysicalBytes, res.IO.UniqueBytes, res.IO.UsefulBytes}
-				if pin := readPinIO[format][hi][gi]; io != pin {
-					t.Errorf("%s: io %+v, pinned %+v", name, io, pin)
-				}
+			// The same read inside a frame.
+			res, err := RunReal(RealConfig{Scene: s, Procs: procs, Format: format, Path: path, Hints: h})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if diff := img.MaxDiff(res.Image, ref); diff > 2e-5 {
+				t.Errorf("%s: image differs from serial by %v", name, diff)
+			}
+			io := ioPin{res.IO.Accesses, res.IO.PhysicalBytes, res.IO.UniqueBytes, res.IO.UsefulBytes}
+			if pin := readPinIO[format][hi]; io != pin {
+				t.Errorf("%s: io %+v, pinned %+v", name, io, pin)
 			}
 		}
 	}
 }
 
 // readWorld reads the file at path in a world of procs ranks under
-// hints h, each rank its ghost extent, or its block extent and then the
-// halo by exchange, and returns the SHA-256 over every rank's field
-// (rank order) and the executed accesses sorted by offset.
-func readWorld(t *testing.T, s Scene, lay *layout, path string, procs int, h mpiio.Hints, exch bool) (string, []grid.Run) {
+// hints h, each rank its ghost extent, and returns the SHA-256 over
+// every rank's field (rank order) and the executed accesses sorted by
+// offset.
+func readWorld(t *testing.T, s Scene, lay *layout, path string, procs int, h mpiio.Hints) (string, []grid.Run) {
 	t.Helper()
 	d := grid.NewDecomp(s.Dims, procs)
 	file, closeFn, err := openTraced(path)
@@ -133,14 +128,7 @@ func readWorld(t *testing.T, s Scene, lay *layout, path string, procs int, h mpi
 	defer closeFn()
 	sums := make([][]byte, procs)
 	err = comm.NewWorld(procs).Run(func(c *comm.Comm) error {
-		ext := d.GhostExtent(c.Rank(), 1)
-		if exch {
-			ext = d.BlockExtent(c.Rank())
-		}
-		fld, err := lay.readField(c, file, s.Dims, ext, h)
-		if err == nil && exch {
-			fld, err = halo.Exchange(c, d, fld, 1)
-		}
+		fld, err := lay.readField(c, file, s.Dims, d.GhostExtent(c.Rank(), 1), h)
 		if err != nil {
 			return err
 		}
@@ -148,7 +136,7 @@ func readWorld(t *testing.T, s Scene, lay *layout, path string, procs int, h mpi
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("%+v/exchange=%v: %v", h, exch, err)
+		t.Fatalf("%+v: %v", h, err)
 	}
 	all := sha256.New()
 	for _, sum := range sums {
@@ -198,7 +186,7 @@ func TestReadPathPinsPlannedWindow(t *testing.T) {
 	def := mpiio.BuildPlan(union, mpiio.Hints{CBNodes: procs}).Stats()
 	for _, h := range []mpiio.Hints{{CBBufferSize: mpiio.DefaultCBBufferSize}, {}} {
 		eff := frameHints(h, min(procs, 8), union) // as RunReal resolves them
-		fields, got := readWorld(t, s, lay, path, procs, eff, false)
+		fields, got := readWorld(t, s, lay, path, procs, eff)
 		if fields != plannedPinFields {
 			t.Errorf("%+v: fields hash %s, pinned %s", h, fields, plannedPinFields)
 		}
