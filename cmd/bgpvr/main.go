@@ -42,10 +42,10 @@ type frameArgs struct {
 	*cli.Run
 	mode, format, path, algo string
 	m, frames                int
-	persp, shaded            bool
+	persp, shaded, breakdown bool
 	window                   int64
-	ghostExchange            bool
 	out, linkmap             string
+	trace, critPath          string
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -57,13 +57,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&a.m, "m", 0, "compositors (0: real=procs, model=paper's improved rule)")
 	fs.StringVar(&a.format, "format", "generate", "generate, raw, netcdf, cdf5, h5")
 	fs.StringVar(&a.path, "path", "", "data file (written if absent; default under temp)")
-	fs.StringVar(&a.algo, "algo", "direct", "direct, binaryswap, radixk, gather (real mode)")
+	fs.StringVar(&a.algo, "algo", "direct", "direct, binaryswap, radixk, gather (model mode prices direct and binaryswap)")
 	fs.BoolVar(&a.persp, "persp", false, "perspective camera")
 	fs.Int64Var(&a.window, "cb", 0, "MPI-IO cb_buffer_size hint (0 = chosen by the read planner)")
-	fs.BoolVar(&a.ghostExchange, "ghost-exchange", false, "obtain ghost layers by neighbor messages instead of reading them")
 	fs.BoolVar(&a.shaded, "shaded", false, "gradient shading (real mode)")
 	fs.IntVar(&a.frames, "frames", 1, "time steps to render (real mode; >1 animates the SASI phase)")
 	fs.StringVar(&a.out, "o", "", "output PPM path (real mode; %d inserted for -frames > 1)")
+	fs.StringVar(&a.trace, "trace", "", "write a Chrome trace_event JSON of the frame (chrome://tracing, Perfetto)")
+	fs.BoolVar(&a.breakdown, "breakdown", false, "print the per-phase end-to-end breakdown table")
+	fs.StringVar(&a.critPath, "critpath", "", "print the critical-path & load-imbalance report and write the full analysis as JSON to this file")
 	fs.StringVar(&a.linkmap, "linkmap", "", "write the compositing phase's per-link contention map as <prefix>.csv and <prefix>.pgm (model mode)")
 	sv := serveArgs{Run: a.Run}
 	fs.StringVar(&sv.addr, "serve", "", "run as a persistent render service on this address (e.g. 127.0.0.1:8080); POST /render, GET /status, /metrics, pprof. Ignores -mode and the one-shot flags")
@@ -142,21 +144,21 @@ func analyze(g *critpath.Graph, tr *trace.Tracer, rec *critpath.Recorder) *critp
 // (trace breakdown + network/I/O telemetry + critpath/imbalance + the
 // run's configuration; cli.Emit adds the runtime stats).
 func finishRun(a *frameArgs, tr *trace.Tracer, nt *telemetry.NetTelemetry, an *critpath.Analysis, fs *telemetry.FlowsimStat, totalSec float64) error {
-	if tr != nil && a.Trace != "" {
-		if err := tr.WriteChromeFile(a.Trace); err != nil {
+	if tr != nil && a.trace != "" {
+		if err := tr.WriteChromeFile(a.trace); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
-		fmt.Fprintf(a.Out, "  trace:      %s (open in chrome://tracing or Perfetto)\n", a.Trace)
+		fmt.Fprintf(a.Out, "  trace:      %s (open in chrome://tracing or Perfetto)\n", a.trace)
 	}
-	if tr != nil && a.Breakdown {
+	if tr != nil && a.breakdown {
 		fmt.Fprint(a.Out, tr.Breakdown().Table())
 	}
-	if a.CritPath != "" && an != nil {
+	if a.critPath != "" && an != nil {
 		fmt.Fprint(a.Out, an.Text())
-		if err := an.WriteFile(a.CritPath); err != nil {
+		if err := an.WriteFile(a.critPath); err != nil {
 			return fmt.Errorf("writing critpath analysis: %w", err)
 		}
-		fmt.Fprintf(a.Out, "  critpath:   %s\n", a.CritPath)
+		fmt.Fprintf(a.Out, "  critpath:   %s\n", a.critPath)
 	}
 	if !a.Wanted() {
 		return nil
@@ -206,12 +208,16 @@ func runFrame(a *frameArgs) error {
 	scene.Shaded = a.shaded
 	scene.RenderWorkers = a.Workers
 	hints := mpiio.Hints{CBBufferSize: a.window}
+	algoID, err := core.ParseCompositeAlgo(algo)
+	if err != nil {
+		return err
+	}
 
 	// A real frame's tracer also feeds the critpath recorder and the
 	// debug endpoint's trace counters on /metrics.
-	wantCrit := a.CritPath != "" || a.Wanted()
-	wantTrace := a.Trace != "" || a.Breakdown || a.Wanted() ||
-		((a.CritPath != "" || a.DebugAddr != "") && mode != "model")
+	wantCrit := a.critPath != "" || a.Wanted()
+	wantTrace := a.trace != "" || a.breakdown || a.Wanted() ||
+		((a.critPath != "" || a.DebugAddr != "") && mode != "model")
 	wantNet := a.Wanted() || a.linkmap != ""
 	if a.linkmap != "" && mode != "model" {
 		return fmt.Errorf("-linkmap requires -mode model")
@@ -254,7 +260,7 @@ func runFrame(a *frameArgs) error {
 			cg = critpath.NewGraph(procs)
 		}
 		res, err := core.RunModel(core.ModelConfig{
-			Scene: scene, Procs: procs, Compositors: m, Format: f, Hints: hints,
+			Scene: scene, Procs: procs, Compositors: m, Algo: algoID, Format: f, Hints: hints,
 			Machine: mach, Trace: tr, Net: nt, CritPath: cg})
 		if err != nil {
 			return err
@@ -302,11 +308,8 @@ func runFrame(a *frameArgs) error {
 		if wantCrit {
 			rec = critpath.NewRecorder(tr, 1<<16)
 		}
-		cfg := core.RealConfig{Scene: scene, Procs: procs, Compositors: m, Format: f,
-			Hints: hints, GhostExchange: a.ghostExchange, Trace: tr, Net: nt, CritPath: rec}
-		if cfg.Algo, err = core.ParseCompositeAlgo(algo); err != nil {
-			return err
-		}
+		cfg := core.RealConfig{Scene: scene, Procs: procs, Compositors: m, Algo: algoID, Format: f,
+			Hints: hints, Trace: tr, Net: nt, CritPath: rec}
 		if f != core.FormatGenerate {
 			if path == "" {
 				path = filepath.Join(os.TempDir(), fmt.Sprintf("bgpvr-%d-%v.dat", n, f))

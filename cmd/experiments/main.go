@@ -6,7 +6,6 @@
 //	experiments [-exp all|<exhibit>]        (experiments -h lists the exhibits)
 //	experiments -exp fidelity [-scorecard card.json] [-perf-report rep.json]
 //	experiments -exp flowscale [-procs 131072] [-flowsim-approx 0.25] [-workers 4] [-n 256] [-img 1024]
-//	experiments -breakdown [-procs 16384] [-trace frame.json]
 //
 // The output rows mirror what the paper plots; EXPERIMENTS.md records
 // the side-by-side comparison against the published numbers. -exp
@@ -18,11 +17,10 @@
 // clustered approximation when -flowsim-approx eps > 0 — after
 // re-validating the approximation against the exact kernel at small
 // core counts; the scale point's observed error lands in the perf
-// report's flowsim section. The last form traces one
-// end-to-end model frame of the paper's base configuration (1120^3
-// volume, 1600^2 image, raw format) instead: -breakdown prints the
-// Fig 5-7 per-phase table and -trace writes the virtual timeline as
-// Chrome trace_event JSON.
+// report's flowsim section. -perf-report is for those two: any other
+// exhibit writes no report and is refused with it. One traced model
+// frame, with its breakdown, trace and critical path, is bgpvr -mode
+// model's.
 package main
 
 import (
@@ -36,13 +34,10 @@ import (
 	"bgpvr/internal/bench"
 	"bgpvr/internal/cli"
 	"bgpvr/internal/core"
-	"bgpvr/internal/critpath"
 	"bgpvr/internal/fidelity"
 	"bgpvr/internal/machine"
 	"bgpvr/internal/obs"
-	"bgpvr/internal/stats"
 	"bgpvr/internal/telemetry"
-	"bgpvr/internal/trace"
 )
 
 // env is what an experiment runs with: the parsed flags and the machine
@@ -63,9 +58,10 @@ func (e *env) section(s string) {
 // flag's help text, the unknown-name error and -exp all (every row that
 // is not solo, in this order) are all read off it.
 type experiment struct {
-	name string
-	solo bool // runs only when named: it takes -procs/-n/-img, or writes its own perf report
-	run  func(*env) error
+	name   string
+	solo   bool // runs only when named: it takes -procs/-n/-img, or writes its own perf report
+	report bool // writes -perf-report; no other exhibit accepts the flag
+	run    func(*env) error
 }
 
 var experiments = []experiment{
@@ -107,8 +103,8 @@ var experiments = []experiment{
 		fmt.Fprintln(e.Out, s)
 		return nil
 	}},
-	{name: "fidelity", solo: true, run: fidelityRun},
-	{name: "flowscale", solo: true, run: flowScaleRun},
+	{name: "fidelity", solo: true, report: true, run: fidelityRun},
+	{name: "flowscale", solo: true, report: true, run: flowScaleRun},
 }
 
 // text adapts an exhibit that returns its report; figure one that also
@@ -192,85 +188,16 @@ func flowScaleRun(e *env) error {
 	return e.Emit(r)
 }
 
-// tracedFrame runs one model-mode frame of the paper's base workload
-// with a virtual tracer (and, when a flag wants one, a causal event
-// graph) and exports what the flags asked for.
-func tracedFrame(e *env) error {
-	tr := trace.NewVirtual(1)
-	var nt *telemetry.NetTelemetry
-	if e.Wanted() {
-		nt = &telemetry.NetTelemetry{}
-	}
-	var cg *critpath.Graph
-	if e.CritPath != "" || e.Wanted() {
-		cg = critpath.NewGraph(e.Procs)
-	}
-	scene := core.DefaultScene(e.N, e.Img)
-	scene.RenderWorkers = e.Workers
-	res, err := core.RunModel(core.ModelConfig{
-		Scene:    scene,
-		Procs:    e.Procs,
-		Format:   core.FormatRaw,
-		Trace:    tr,
-		Net:      nt,
-		CritPath: cg,
-	})
-	if err != nil {
-		return err
-	}
-	var an *critpath.Analysis
-	if cg != nil {
-		an = critpath.Analyze(cg, 5)
-	}
-	fmt.Fprintf(e.Out, "model frame: %d^3 volume, %d^2 image, %d cores, total %s\n",
-		e.N, e.Img, e.Procs, stats.Seconds(res.Times.Total))
-	if e.Breakdown {
-		fmt.Fprint(e.Out, tr.Breakdown().Table())
-	}
-	if e.Trace != "" {
-		if err := tr.WriteChromeFile(e.Trace); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-		fmt.Fprintf(e.Out, "trace: %s (open in chrome://tracing or Perfetto)\n", e.Trace)
-	}
-	if e.CritPath != "" {
-		fmt.Fprint(e.Out, an.Text())
-		if err := an.WriteFile(e.CritPath); err != nil {
-			return fmt.Errorf("writing critpath analysis: %w", err)
-		}
-		fmt.Fprintf(e.Out, "critpath: %s\n", e.CritPath)
-	}
-	if !e.Wanted() {
-		return nil
-	}
-	r := telemetry.NewReport("experiments-frame")
-	r.Config = map[string]string{
-		"mode":   "model",
-		"n":      strconv.Itoa(e.N),
-		"img":    strconv.Itoa(e.Img),
-		"procs":  strconv.Itoa(e.Procs),
-		"format": "raw",
-	}
-	r.TotalSec = res.Times.Total
-	r.AddBreakdown(tr.Breakdown())
-	r.AddNetTelemetry(nt)
-	r.AddCritPath(an)
-	return e.Emit(r)
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	e := env{Run: &cli.Run{Procs: 16384, N: 1120, Img: 1600}, mach: machine.NewBGP()}
 	e.Register(fs, map[string]string{
-		"trace":          "trace one base-config model frame to this Chrome trace_event JSON instead of running experiments",
-		"breakdown":      "print the traced frame's per-phase breakdown table instead of running experiments",
-		"procs":          "cores for the traced frame (-trace/-breakdown) or -exp linkmap",
-		"n":              "volume grid size n^3 for the traced frame",
-		"img":            "image size for the traced frame",
-		"perf-report":    "write the run's perf report (breakdown + telemetry + runtime; -exp fidelity: the scorecard) to this JSON file",
-		"critpath":       "print the traced frame's critical-path & load-imbalance report and write the analysis JSON to this file",
+		"procs":          "cores for -exp linkmap or the scale point of -exp flowscale",
+		"n":              "volume grid size n^3 for -exp flowscale",
+		"img":            "image size for -exp flowscale",
+		"perf-report":    "write the run's perf report (-exp flowscale: the scale point's flowsim section; -exp fidelity: the scorecard) to this JSON file",
 		"workers":        "worker goroutines for the sweep and render loops (0 = all cores)",
 		"flowsim-approx": "clustered-contention error bound eps for -exp flowscale (0 = exact kernel)",
 	})
@@ -302,9 +229,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// dispatch runs what -exp names. A solo experiment runs when named;
-// otherwise any of the traced-frame flags replaces the experiments with
-// one traced model frame; otherwise the named exhibit, or all of them.
+// dispatch runs what -exp names, the named exhibit or all of them. A
+// -perf-report that the exhibit would not write is refused.
 func dispatch(e *env, exp string) error {
 	var named *experiment
 	for i := range experiments {
@@ -313,14 +239,12 @@ func dispatch(e *env, exp string) error {
 		}
 	}
 	switch {
-	case named != nil && named.solo:
-		return named.run(e)
-	case e.Trace != "" || e.Breakdown || e.CritPath != "" || e.Wanted():
-		return tracedFrame(e)
+	case named == nil && exp != "all":
+		return fmt.Errorf("unknown experiment %q (have %s)", exp, names())
+	case e.Wanted() && (named == nil || !named.report):
+		return fmt.Errorf("-perf-report: -exp %s writes no report (fidelity and flowscale do)", exp)
 	case named != nil:
 		return named.run(e)
-	case exp != "all":
-		return fmt.Errorf("unknown experiment %q (have %s)", exp, names())
 	}
 	for _, x := range experiments {
 		if !x.solo {

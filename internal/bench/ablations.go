@@ -54,7 +54,7 @@ func AblationCompositeAlgo(mach machine.Machine) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		bs, err := core.RunModel(core.ModelConfig{Scene: scene, Procs: p, Format: core.FormatGenerate, BinarySwap: true, Machine: mach})
+		bs, err := core.RunModel(core.ModelConfig{Scene: scene, Procs: p, Format: core.FormatGenerate, Algo: core.CompositeBinarySwap, Machine: mach})
 		if err != nil {
 			return "", err
 		}

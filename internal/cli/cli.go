@@ -1,4 +1,4 @@
-// Package cli is what the report-writing binaries share: the fourteen
+// Package cli is what the report-writing binaries share: the eleven
 // flags cmd/bgpvr and cmd/experiments both take, the start-up those
 // flags ask for (heartbeat, flight recorder with a partial perf report,
 // debug endpoint), and the one tail that finishes a perf report.
@@ -91,10 +91,7 @@ func (e *Emitter) Emit(r *telemetry.Report) error {
 // Start, and defer Close.
 type Run struct {
 	Emitter
-	Trace            string
-	Breakdown        bool
 	Procs, N, Img    int
-	CritPath         string
 	DebugAddr        string
 	FlowsimApprox    float64
 	Progress         bool
@@ -109,12 +106,9 @@ type Run struct {
 // values as defaults; help replaces the text of the flags it names.
 func (r *Run) Register(fs *flag.FlagSet, help map[string]string) {
 	r.Emitter.Register(fs, nil)
-	fs.StringVar(&r.Trace, "trace", "", "write a Chrome trace_event JSON of the frame (chrome://tracing, Perfetto)")
-	fs.BoolVar(&r.Breakdown, "breakdown", false, "print the per-phase end-to-end breakdown table")
 	fs.IntVar(&r.Procs, "procs", r.Procs, "number of ranks")
 	fs.IntVar(&r.N, "n", r.N, "volume grid size n^3")
 	fs.IntVar(&r.Img, "img", r.Img, "image size (square)")
-	fs.StringVar(&r.CritPath, "critpath", "", "print the critical-path & load-imbalance report and write the full analysis as JSON to this file")
 	fs.StringVar(&r.DebugAddr, "debug-addr", "", "serve a live debug endpoint (net/http/pprof, /metrics) on this address while the run executes")
 	fs.IntVar(&r.Workers, "workers", 0, "worker goroutines for the parallel render loops (0 = all cores)")
 	fs.Float64Var(&r.FlowsimApprox, "flowsim-approx", r.FlowsimApprox, "cross-check the model's compositing phase with the max-min flow kernel: 0 runs it exactly, eps > 0 the bounded-error clustered approximation where the torus clears its floor and the exact kernel elsewhere (< 0 skips; model mode)")

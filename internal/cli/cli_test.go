@@ -14,7 +14,7 @@ import (
 	"bgpvr/internal/telemetry"
 )
 
-// TestRegister pins the shared registration: fourteen flags, the
+// TestRegister pins the shared registration: eleven flags, the
 // caller's defaults, the caller's help where it names a flag, and
 // values landing in the fields.
 func TestRegister(t *testing.T) {
@@ -23,8 +23,8 @@ func TestRegister(t *testing.T) {
 	r.Register(fs, map[string]string{"procs": "cores, here"})
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 14 {
-		t.Errorf("%d shared flags registered, want 14", n)
+	if n != 11 {
+		t.Errorf("%d shared flags registered, want 11", n)
 	}
 	for name, def := range map[string]string{"procs": "8", "n": "64", "img": "256", "flowsim-approx": "-1",
 		"workers": "0", "progress-interval": obs.DefaultHeartbeatInterval.String()} {

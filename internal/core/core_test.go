@@ -360,7 +360,7 @@ func TestRunModelDensityOrdering(t *testing.T) {
 
 func TestRunModelBinarySwapAndContention(t *testing.T) {
 	scene, _ := PaperScene(1120)
-	bs, err := RunModel(ModelConfig{Scene: scene, Procs: 4096, Format: FormatGenerate, BinarySwap: true})
+	bs, err := RunModel(ModelConfig{Scene: scene, Procs: 4096, Format: FormatGenerate, Algo: CompositeBinarySwap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +389,24 @@ func TestRunModelErrors(t *testing.T) {
 	if _, err := RunModel(ModelConfig{Scene: scene, Procs: 8, Compositors: 16}); err == nil {
 		t.Error("m > p accepted")
 	}
-	if _, err := RunModel(ModelConfig{Scene: scene, Procs: 6, Format: FormatGenerate, BinarySwap: true}); err == nil {
+	if _, err := RunModel(ModelConfig{Scene: scene, Procs: 6, Format: FormatGenerate, Algo: CompositeBinarySwap}); err == nil {
 		t.Error("non-pow2 binary swap accepted")
+	}
+	// Radix-k and the serial gather have no modeled schedule: a modeled
+	// frame refuses them rather than pricing direct-send under their name.
+	for _, algo := range []CompositeAlgo{CompositeRadixK, CompositeSerialGather} {
+		if _, err := RunModel(ModelConfig{Scene: scene, Procs: 8, Format: FormatGenerate, Algo: algo}); err == nil ||
+			!strings.Contains(err.Error(), "model mode prices direct and binaryswap only") {
+			t.Errorf("algo %d: err = %v, want the model refusal", algo, err)
+		}
+		if err := algo.CheckModel(); err == nil {
+			t.Errorf("algo %d: CheckModel accepted it", algo)
+		}
+	}
+	for _, algo := range []CompositeAlgo{CompositeDirectSend, CompositeBinarySwap} {
+		if err := algo.CheckModel(); err != nil {
+			t.Errorf("algo %d: CheckModel refused it: %v", algo, err)
+		}
 	}
 }
 

@@ -298,16 +298,6 @@ func TestFieldCacheReuse(t *testing.T) {
 			t.Fatalf("cached frame differs from uncached frame (max diff %v)", d)
 		}
 	}
-
-	// GhostExchange mutates fields in place: the cache must be bypassed.
-	ge := cached
-	ge.GhostExchange = true
-	if _, err := RunReal(ge); err != nil {
-		t.Fatal(err)
-	}
-	if cache.misses != 4 || cache.hits != 4 {
-		t.Errorf("GhostExchange touched the cache: %d misses %d hits", cache.misses, cache.hits)
-	}
 }
 
 // TestResidentTurbulenceFrames pins what the service's animation

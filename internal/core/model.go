@@ -45,8 +45,10 @@ type ModelConfig struct {
 	// NoContention disables the shared-link term of the network model
 	// (ablation 5 of DESIGN.md).
 	NoContention bool
-	// BinarySwap uses the binary-swap schedule instead of direct-send.
-	BinarySwap bool
+	// Algo selects the compositing schedule the frame is priced on:
+	// direct-send (the default) or binary swap. The others have no
+	// modeled schedule and are refused (CompositeAlgo.CheckModel).
+	Algo CompositeAlgo
 	// Trace, when non-nil, receives the modeled frame as a virtual
 	// timeline on rank 0's track: per-component I/O spans (the pfs
 	// service decomposition), the render stage, the composite stage,
@@ -105,6 +107,9 @@ func RunModel(cfg ModelConfig) (*ModelResult, error) {
 	}
 	if m > cfg.Procs {
 		return nil, fmt.Errorf("core: Compositors %d > Procs %d", m, cfg.Procs)
+	}
+	if err := cfg.Algo.CheckModel(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -182,13 +187,14 @@ func RunModel(cfg ModelConfig) (*ModelResult, error) {
 	}
 
 	// Stage 3: compositing. Every block's projected rectangle yields
-	// the exact direct-send message schedule, timed on the torus model.
+	// the exact direct-send message schedule, timed on the torus model;
+	// binary swap's schedule depends only on the image and the count.
 	rects := make([]img.Rect, cfg.Procs)
 	for r := range rects {
 		rects[r] = render.ProjectedRect(cam, d.BlockExtent(r))
 	}
 	var msgs []compose.RankMessage
-	if cfg.BinarySwap {
+	if cfg.Algo == CompositeBinarySwap {
 		var err error
 		msgs, err = compose.BinarySwapSchedule(cfg.Procs, s.ImageW, s.ImageH, compose.PixelBytes)
 		if err != nil {

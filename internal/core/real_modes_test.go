@@ -10,46 +10,6 @@ import (
 	"bgpvr/internal/trace"
 )
 
-// Ghost exchange must produce the identical image to ghost-in-read, for
-// in-memory and on-disk data, and the same compositing traffic: the halo
-// messages are sent before compositing and are not counted in it.
-func TestRunRealGhostExchangeMatches(t *testing.T) {
-	s := smallScene()
-	ref := serialImage(s)
-	res, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatGenerate, GhostExchange: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
-		t.Errorf("ghost-exchange image differs from serial by %v", d)
-	}
-
-	path := filepath.Join(t.TempDir(), "ts.raw")
-	if err := WriteSceneFile(path, FormatRaw, s); err != nil {
-		t.Fatal(err)
-	}
-	inRead, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatRaw, Path: path,
-		Hints: mpiio.Hints{CBBufferSize: 1 << 14, CBNodes: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exch, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatRaw, Path: path,
-		Hints: mpiio.Hints{CBBufferSize: 1 << 14, CBNodes: 4}, GhostExchange: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := img.MaxDiff(inRead.Image, exch.Image); d != 0 {
-		t.Errorf("ghost modes disagree by %v", d)
-	}
-	if inRead.Traffic != exch.Traffic {
-		t.Errorf("compositing traffic: ghost-in-read %+v, ghost exchange %+v", inRead.Traffic, exch.Traffic)
-	}
-	// Exchange mode reads fewer useful bytes (no halo duplication).
-	if exch.IO.UsefulBytes >= inRead.IO.UsefulBytes {
-		t.Errorf("exchange should read less: %d vs %d", exch.IO.UsefulBytes, inRead.IO.UsefulBytes)
-	}
-}
-
 // Radix-k in the pipeline matches serial, on a power of two and on a
 // count whose default factorization mixes radices ([4, 3]).
 func TestRunRealRadixK(t *testing.T) {
@@ -67,19 +27,16 @@ func TestRunRealRadixK(t *testing.T) {
 }
 
 // Shaded scenes keep the parallel == serial invariant through the full
-// pipeline, for both ghost strategies.
+// pipeline: the gradient reads the ghost layers the read brought in.
 func TestRunRealShadedMatchesSerial(t *testing.T) {
 	s := smallScene()
 	s.Shaded = true
-	ref := serialImage(s)
-	for _, exch := range []bool{false, true} {
-		res, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatGenerate, GhostExchange: exch})
-		if err != nil {
-			t.Fatalf("exchange=%v: %v", exch, err)
-		}
-		if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
-			t.Errorf("exchange=%v: shaded image differs from serial by %v", exch, d)
-		}
+	res, err := RunReal(RealConfig{Scene: s, Procs: 8, Format: FormatGenerate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := img.MaxDiff(res.Image, serialImage(s)); d > 2e-5 {
+		t.Errorf("shaded image differs from serial by %v", d)
 	}
 }
 
@@ -136,14 +93,10 @@ func TestRunRealBlocksPerRank(t *testing.T) {
 	if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
 		t.Errorf("on-disk multi-block differs by %v", d)
 	}
-	// Unsupported combinations fail cleanly.
+	// An unsupported combination fails cleanly.
 	if _, err := RunReal(RealConfig{Scene: s, Procs: 4, Format: FormatGenerate,
 		BlocksPerRank: 2, Algo: CompositeBinarySwap}); err == nil {
 		t.Error("multi-block binary swap accepted")
-	}
-	if _, err := RunReal(RealConfig{Scene: s, Procs: 4, Format: FormatGenerate,
-		BlocksPerRank: 2, GhostExchange: true}); err == nil {
-		t.Error("multi-block ghost exchange accepted")
 	}
 }
 

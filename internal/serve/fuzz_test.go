@@ -11,11 +11,13 @@ import (
 // FuzzRenderRequest feeds arbitrary bytes to the POST /render decode and
 // validate path: it must never panic, and whatever it accepts is a job
 // the service can afford — inside the per-mode size limits, with a
-// usable step and a finite time and view angle.
+// usable step and a finite time and view angle, and in model mode a
+// compositor the model prices.
 func FuzzRenderRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"n": 16, "img": 32, "procs": 2}`,
 		`{"mode": "model", "n": 1120, "img": 1600, "procs": 4096}`,
+		`{"mode": "model", "n": 448, "img": 1024, "procs": 1024, "algo": "radixk"}`,
 		`{"mode": "banana"}`,
 		`{"n": 4096}`,
 		`{"procs": 1000}`,
@@ -48,6 +50,9 @@ func FuzzRenderRequest(f *testing.F) {
 		case "real":
 		case "model":
 			maxN, maxProcs, maxImg = maxModelN, maxModelProcs, maxModelImg
+			if err := spec.algo.CheckModel(); err != nil {
+				t.Fatalf("accepted a model job it cannot price: %v", err)
+			}
 		default:
 			t.Fatalf("accepted mode %q", spec.mode)
 		}

@@ -25,8 +25,9 @@ type RenderRequest struct {
 	Procs int `json:"procs,omitempty"`
 	// M is direct-send's compositor count; 0 keeps each mode's default.
 	M int `json:"m,omitempty"`
-	// Algo selects real-mode compositing: "direct" (default),
-	// "binaryswap", "radixk", or "gather".
+	// Algo selects compositing: "direct" (default), "binaryswap",
+	// "radixk", or "gather". Model mode prices direct and binaryswap
+	// and refuses the others.
 	Algo string `json:"algo,omitempty"`
 	// Camera and shading knobs.
 	Persp      bool    `json:"persp,omitempty"`
@@ -135,6 +136,11 @@ func (rr *RenderRequest) validate(workers int) (*jobSpec, error) {
 	}
 	if err := algo.CheckProcs(procs); err != nil {
 		return nil, err
+	}
+	if mode == "model" {
+		if err := algo.CheckModel(); err != nil {
+			return nil, err
+		}
 	}
 
 	spec := &jobSpec{mode: mode, procs: procs, m: rr.M, algo: algo, image: rr.IncludeImage && mode == "real"}

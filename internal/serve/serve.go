@@ -180,8 +180,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the service's full mux: /render, /status, and the
-// debug suite (index, /metrics, pprof, /runs ...).
+// Handler returns the service's full mux: /render, /status, /traces,
+// and the debug suite (index, /metrics, pprof).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Addr returns the bound address after Start.
@@ -416,7 +416,7 @@ func (s *Server) renderFrame(ctx context.Context, id string, spec *jobSpec, tr *
 		tr = trace.NewVirtual(1)
 		res, err := core.RunModel(core.ModelConfig{
 			Ctx: ctx, Scene: spec.scene, Procs: spec.procs, Compositors: spec.m,
-			Format: core.FormatGenerate, Trace: tr, Net: nt,
+			Algo: spec.algo, Format: core.FormatGenerate, Trace: tr, Net: nt,
 		})
 		if err != nil {
 			return nil, tr, err

@@ -153,6 +153,37 @@ func TestRenderModelMode(t *testing.T) {
 	}
 }
 
+// TestRenderModelPricesItsAlgo pins that a modeled frame prices the
+// compositor the request names: binary swap's schedule answers another
+// composite time than direct-send's, and radix-k and the serial gather,
+// which have no modeled schedule, are the client's error.
+func TestRenderModelPricesItsAlgo(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	composite := map[string]float64{}
+	for _, algo := range []string{"direct", "binaryswap"} {
+		resp, b := postRender(t, ts, `{"mode":"model","n":448,"img":1024,"procs":1024,"algo":"`+algo+`"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("algo %s: status %d: %s", algo, resp.StatusCode, b)
+		}
+		var rr RenderResponse
+		if err := json.Unmarshal(b, &rr); err != nil {
+			t.Fatal(err)
+		}
+		composite[algo] = rr.Times.Composite
+	}
+	if composite["direct"] <= 0 || composite["binaryswap"] == composite["direct"] {
+		t.Errorf("composite direct %v s, binaryswap %v s: want two different prices", composite["direct"], composite["binaryswap"])
+	}
+	for _, algo := range []string{"radixk", "gather"} {
+		resp, b := postRender(t, ts, `{"mode":"model","n":448,"img":1024,"procs":1024,"algo":"`+algo+`"}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "model mode prices") {
+			t.Errorf("algo %s: status %d (%s), want 400 naming what model mode prices", algo, resp.StatusCode, b)
+		}
+	}
+}
+
 // TestRenderValidation pins the 400 contract.
 func TestRenderValidation(t *testing.T) {
 	s := testServer(t, Config{})

@@ -89,7 +89,7 @@ type DebugServer struct {
 }
 
 // NewDebugMux assembles the debug endpoint's mux: pprof, expvar,
-// Prometheus /metrics, /runs, any Extra endpoints, and an index page at
+// Prometheus /metrics, any Extra endpoints, and an index page at
 // "/" listing everything. StartDebug wraps it in a background server;
 // the render service mounts it directly so one port serves both the API
 // and the observability surfaces.

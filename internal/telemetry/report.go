@@ -47,9 +47,9 @@ const ReportSchema = 8
 
 // Report is the machine-readable perf record of one run: the trace
 // breakdown, telemetry aggregates, runtime/alloc stats, and the run
-// configuration, merged into one versioned document. CI stores these
-// as artifacts (the BENCH_*.json trajectory) and cmd/perfdiff compares
-// two of them.
+// configuration, merged into one versioned document. CI uploads these
+// as artifacts, and cmd/perfdiff compares one against a baseline in
+// ci/.
 type Report struct {
 	Schema int    `json:"schema"`
 	Label  string `json:"label,omitempty"`
